@@ -18,7 +18,7 @@ import time
 from pimod.corpus import load_cases
 from pimod.decode import adequacy_roundtrip, conservative_invert, invert
 from pimod.encode import expected_dk_type, generate, translate, translate_ctx
-from pimod.epts import elaborate, elaborate_context, epts_redex_sorts, epts_step
+from pimod.epts import elaborate, elaborate_context, epts_reduce
 from pimod.kernel import TypingConfig, check as dk_check, infer as dk_infer
 from pimod.rewrite import DEFAULT_FUEL
 from pimod.terms import App, Lam, Var
@@ -63,11 +63,7 @@ def main(argv=None):
 
                 ok_inv = invert(enc, img) == m
 
-                steps = 0
-                cur = m
-                while epts_redex_sorts(enc.spec, cur) is not None:
-                    cur = epts_step(enc.spec, cur)
-                    steps += 1
+                steps = len(epts_reduce(enc.spec, m, args.fuel)[1])
 
                 ok_var = 0
                 for k in range(args.variants):

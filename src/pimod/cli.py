@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .analysis import check_arity_preserving, check_rules_well_formed
 from .corpus import CORPUS_NAMES, load_sorts
-from .decode import adequacy_roundtrip, conservative_invert
+from .decode import adequacy_legs, conservative_invert
 from .encode import EncodingTheory, expected_dk_type, generate, translate, translate_ctx
 from .epts import (
     EptsContext,
@@ -24,8 +24,6 @@ from .epts import (
     elaborate,
     elaborate_context,
     epts_check,
-    epts_redex_sorts,
-    epts_step,
     erase_to_pts,
 )
 from .errors import Diagnostic, InternalSoundnessError, ParseError, PimodError
@@ -225,7 +223,6 @@ def _cmd_decode(args, rep: Reporter) -> None:
                    "translation round-trips" if ok else "decoded to a different term")
 
 
-_LEGS = ("image-ill-typed", "not-left-inverse", "image-not-normal", "trace-mismatch")
 _LEG_LABEL = {
     "image-ill-typed": "image well-typed",
     "not-left-inverse": "left inverse",
@@ -238,16 +235,7 @@ def _cmd_roundtrip(args, rep: Reporter) -> None:
     enc, ctx, file = _setup(args)
     for j in file.judgments:
         m = elaborate(enc.spec, ctx, j.term, fuel=args.fuel)
-        diags = {d.code: d for d in adequacy_roundtrip(enc, ctx, m, fuel=args.fuel)}
-        applicable = set(_LEGS[:2])
-        if epts_step(enc.spec, m) is None:
-            applicable.add("image-not-normal")
-        if epts_redex_sorts(enc.spec, m) is not None:
-            applicable.add("trace-mismatch")
-        for code in _LEGS:
-            if code not in applicable:
-                continue
-            d = diags.get(code)
+        for code, d in adequacy_legs(enc, ctx, m, fuel=args.fuel):
             rep.result("adequacy", f"{j.name}: {_LEG_LABEL[code]}",
                        d is None, d.message if d else "")
         if args.trace:

@@ -34,8 +34,7 @@ from .epts import (
     EptsTerm,
     epts_check,
     epts_infer,
-    epts_redex_sorts,
-    epts_step,
+    epts_redex,
     epts_subst,
 )
 from .encode import EncodingTheory, expected_dk_type, translate, translate_ctx
@@ -208,71 +207,93 @@ def conservative_invert(enc: EncodingTheory, ctx: EptsContext, t: DkTerm,
     return m
 
 
-def adequacy_roundtrip(enc: EncodingTheory, ctx: EptsContext, m: EptsTerm,
-                       fuel: int | Fuel | None = None) -> list[Diagnostic]:
+def adequacy_legs(enc: EncodingTheory, ctx: EptsContext, m: EptsTerm,
+                  fuel: int | Fuel | None = None) -> list[tuple[str, Diagnostic | None]]:
     """Check the adequacy properties of the encoding on one judgment.
 
-    Four legs: the image is well-typed at the expected framework type;
-    inversion recovers ``m`` on the nose; a normal ``m`` has a normal
-    image (w.r.t. the simulation labels); and a reducible ``m`` is
-    simulated by exactly one encoded-beta step followed by one
-    framework-beta step, landing on the image of the reduct.
+    Returns the legs that apply to ``m``, in order, each as its
+    diagnostic code with the failure or None.  The image is well-typed
+    at the expected framework type; inversion recovers ``m`` on the
+    nose; then either a normal ``m`` has a normal image (w.r.t. the
+    simulation labels), or a reducible ``m`` is simulated by exactly one
+    encoded-beta step followed by one framework-beta step, landing on
+    the image of the reduct.
     """
-    out: list[Diagnostic] = []
     f = Fuel.of(fuel)
     a = epts_infer(enc.spec, ctx, m, f)
     img = translate(enc, m)
+    legs: list[tuple[str, Diagnostic | None]] = [
+        ("image-ill-typed", _image_typed(enc, ctx, m, a, img, f)),
+        ("not-left-inverse", _left_inverse(enc, m, img)),
+    ]
+    contracted = epts_redex(enc.spec, m)
+    if contracted is None:
+        legs.append(("image-not-normal", _normal_preserved(enc, m, img)))
+    else:
+        legs.append(("trace-mismatch", _mirrored(enc, m, img, *contracted)))
+    return legs
 
+
+def adequacy_roundtrip(enc: EncodingTheory, ctx: EptsContext, m: EptsTerm,
+                       fuel: int | Fuel | None = None) -> list[Diagnostic]:
+    """The failures of :func:`adequacy_legs`, in leg order."""
+    return [d for _, d in adequacy_legs(enc, ctx, m, fuel) if d is not None]
+
+
+def _image_typed(enc: EncodingTheory, ctx: EptsContext, m: EptsTerm, a: EptsTerm,
+                 img: DkTerm, f: Fuel) -> Diagnostic | None:
     try:
         cfg = TypingConfig(fuel=f.limit)
         dk_check(enc.theory, translate_ctx(enc, ctx, f), img,
                  expected_dk_type(enc, ctx, a, f), cfg)
     except PimodError as e:
-        out.append(Diagnostic("image-ill-typed",
-                              f"the image fails kernel checking: {e}", data={"term": m}))
+        return Diagnostic("image-ill-typed",
+                          f"the image fails kernel checking: {e}", data={"term": m})
+    return None
 
+
+def _left_inverse(enc: EncodingTheory, m: EptsTerm, img: DkTerm) -> Diagnostic | None:
     try:
         back = invert(enc, img)
-        if back != m:
-            out.append(Diagnostic("not-left-inverse",
-                                  "inverting the image does not give back the term",
-                                  data={"term": m, "inverted": back}))
     except NotInvertible as e:
-        out.append(Diagnostic("not-left-inverse",
-                              f"the image is not invertible: {e}", data={"term": m}))
+        return Diagnostic("not-left-inverse",
+                          f"the image is not invertible: {e}", data={"term": m})
+    if back != m:
+        return Diagnostic("not-left-inverse",
+                          "inverting the image does not give back the term",
+                          data={"term": m, "inverted": back})
+    return None
 
-    m2 = epts_step(enc.spec, m)
-    if m2 is None:
-        if step(enc.theory, img, labels=enc.simulation_labels()) is not None:
-            out.append(Diagnostic("image-not-normal",
-                                  "the term is beta-normal but its image still "
-                                  "has simulation redexes", data={"term": m}))
-        return out
 
-    sorts = epts_redex_sorts(enc.spec, m)
-    assert sorts is not None
+def _normal_preserved(enc: EncodingTheory, m: EptsTerm, img: DkTerm) -> Diagnostic | None:
+    if step(enc.theory, img, labels=enc.simulation_labels()) is not None:
+        return Diagnostic("image-not-normal",
+                          "the term is beta-normal but its image still "
+                          "has simulation redexes", data={"term": m})
+    return None
+
+
+def _mirrored(enc: EncodingTheory, m: EptsTerm, img: DkTerm, m2: EptsTerm,
+              sorts: tuple[str, str]) -> Diagnostic | None:
     expected_label = enc.beta_label(*sorts)
     if step(enc.theory, img, labels={BETA}) is not None:
-        out.append(Diagnostic("trace-mismatch",
-                              "the image has a raw beta redex before the "
-                              "encoded one fires", data={"term": m}))
-        return out
+        return Diagnostic("trace-mismatch",
+                          "the image has a raw beta redex before the "
+                          "encoded one fires", data={"term": m})
     r1 = step(enc.theory, img, labels=frozenset(enc.beta_rules))
     if r1 is None or r1[1] != expected_label:
-        out.append(Diagnostic("trace-mismatch",
-                              f"expected the encoded beta step '{expected_label}' "
-                              f"first, got {r1[1] if r1 else 'nothing'}",
-                              data={"term": m}))
-        return out
+        return Diagnostic("trace-mismatch",
+                          f"expected the encoded beta step '{expected_label}' "
+                          f"first, got {r1[1] if r1 else 'nothing'}",
+                          data={"term": m})
     r2 = step(enc.theory, r1[0], labels={BETA})
     if r2 is None:
-        out.append(Diagnostic("trace-mismatch",
-                              "no framework beta step after the encoded one",
-                              data={"term": m}))
-        return out
+        return Diagnostic("trace-mismatch",
+                          "no framework beta step after the encoded one",
+                          data={"term": m})
     if r2[0] != translate(enc, m2):
-        out.append(Diagnostic("trace-mismatch",
-                              "the two simulation steps do not land on the "
-                              "image of the reduct",
-                              data={"term": m, "got": r2[0]}))
-    return out
+        return Diagnostic("trace-mismatch",
+                          "the two simulation steps do not land on the "
+                          "image of the reduct",
+                          data={"term": m, "got": r2[0]})
+    return None

@@ -10,6 +10,11 @@ pair, and it never inspects the remaining annotations.  ``elaborate``
 is the type-directed map from implicit to explicit syntax and
 ``erase_to_pts`` its left inverse.
 
+On the explicit layer the child map, :func:`epts_children` with
+:func:`epts_with_children`, is the one place that states which subterms
+a node has and how many binders it puts around each; shifting,
+substitution and the redex search are derived from it.
+
 Sorts come from a :data:`SortSpec`: either a finite enumeration with
 explicit axiom/rule tables, or an internalized presentation where sorts
 are closed first-order terms and the axiom and rule maps are computed
@@ -19,7 +24,7 @@ by rewriting the distinguished ``Ax``/``Ru`` symbols.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 from .errors import (
     Diagnostic,
@@ -354,49 +359,64 @@ class PApp(PtsTerm):
     arg: PtsTerm
 
 
+def epts_children(t: EptsTerm) -> tuple[tuple[EptsTerm, int], ...]:
+    """Immediate subterms of ``t``, each with the number of binders ``t``
+    puts around it, in declaration order.  Variables and sorts are the leaves.
+
+    Dispatch is on exact types, as in :func:`pimod.terms.children`."""
+    tp = type(t)
+    if tp is EApp:
+        return ((t.dom, 0), (t.cod, 1), (t.fn, 0), (t.arg, 0))
+    if tp is ELam:
+        return ((t.dom, 0), (t.cod, 1), (t.body, 1))
+    if tp is EPi:
+        return ((t.dom, 0), (t.cod, 1))
+    return ()
+
+
+def epts_with_children(t: EptsTerm, kids: list[EptsTerm]) -> EptsTerm:
+    """``t`` rebuilt from new subterms, in the order :func:`epts_children` lists them."""
+    tp = type(t)
+    if tp is EApp:
+        return EApp(t.s1, t.s2, kids[0], t.hint, kids[1], kids[2], kids[3])
+    if tp is ELam:
+        return ELam(t.s1, t.s2, kids[0], t.hint, kids[1], kids[2])
+    if tp is EPi:
+        return EPi(t.s1, t.s2, kids[0], t.hint, kids[1])
+    return t
+
+
+def epts_map_leaves(t: EptsTerm, leaf: Callable[[EptsTerm, int], EptsTerm],
+                    depth: int = 0) -> EptsTerm:
+    """Rebuild ``t`` with each leaf ``u`` replaced by ``leaf(u, d)``, where
+    ``d`` is ``depth`` plus the number of binders above ``u``."""
+    kids = epts_children(t)
+    if not kids:
+        return leaf(t, depth)
+    new = []
+    for k, b in kids:
+        new.append(epts_map_leaves(k, leaf, depth + b))
+    return epts_with_children(t, new)
+
+
 def epts_shift(t: EptsTerm, by: int, cutoff: int = 0) -> EptsTerm:
-    match t:
-        case EVar(k):
-            return EVar(k + by) if k >= cutoff else t
-        case ESort(_):
-            return t
-        case EPi(s1, s2, dom, h, cod):
-            return EPi(s1, s2, epts_shift(dom, by, cutoff), h,
-                       epts_shift(cod, by, cutoff + 1))
-        case ELam(s1, s2, dom, h, cod, body):
-            return ELam(s1, s2, epts_shift(dom, by, cutoff), h,
-                        epts_shift(cod, by, cutoff + 1),
-                        epts_shift(body, by, cutoff + 1))
-        case EApp(s1, s2, dom, h, cod, fn, arg):
-            return EApp(s1, s2, epts_shift(dom, by, cutoff), h,
-                        epts_shift(cod, by, cutoff + 1),
-                        epts_shift(fn, by, cutoff),
-                        epts_shift(arg, by, cutoff))
-    raise AssertionError(f"not an EPTS term: {t!r}")
+    if by == 0:
+        return t
+
+    def leaf(u: EptsTerm, d: int) -> EptsTerm:
+        return EVar(u.index + by) if isinstance(u, EVar) and u.index >= d else u
+    return epts_map_leaves(t, leaf, cutoff)
 
 
 def epts_subst(t: EptsTerm, j: int, value: EptsTerm) -> EptsTerm:
-    match t:
-        case EVar(k):
-            if k == j:
-                return value
-            return EVar(k - 1) if k > j else t
-        case ESort(_):
-            return t
-        case EPi(s1, s2, dom, h, cod):
-            return EPi(s1, s2, epts_subst(dom, j, value), h,
-                       epts_subst(cod, j + 1, epts_shift(value, 1)))
-        case ELam(s1, s2, dom, h, cod, body):
-            up = epts_shift(value, 1)
-            return ELam(s1, s2, epts_subst(dom, j, value), h,
-                        epts_subst(cod, j + 1, up),
-                        epts_subst(body, j + 1, up))
-        case EApp(s1, s2, dom, h, cod, fn, arg):
-            return EApp(s1, s2, epts_subst(dom, j, value), h,
-                        epts_subst(cod, j + 1, epts_shift(value, 1)),
-                        epts_subst(fn, j, value),
-                        epts_subst(arg, j, value))
-    raise AssertionError(f"not an EPTS term: {t!r}")
+    def leaf(u: EptsTerm, d: int) -> EptsTerm:
+        if isinstance(u, EVar):
+            if u.index == j + d:
+                return epts_shift(value, d)
+            if u.index > j + d:
+                return EVar(u.index - 1)
+        return u
+    return epts_map_leaves(t, leaf)
 
 
 def pts_shift(t: PtsTerm, by: int, cutoff: int = 0) -> PtsTerm:
@@ -433,45 +453,9 @@ def erase_to_pts(t: EptsTerm) -> PtsTerm:
 # --- linearized beta reduction -------------------------------------------------
 
 
-def _beta_root(spec: SortSpec, t: EptsTerm) -> EptsTerm | None:
-    match t:
-        case EApp(s1, s2, _, _, _, ELam(t1, t2, _, _, _, body), arg) \
-                if s1 == t1 and s2 == t2 and spec.rule_defined(s1, s2):
-            return epts_subst(body, 0, arg)
-    return None
-
-
-def _e_children(t: EptsTerm) -> tuple[EptsTerm, ...]:
-    match t:
-        case EPi(_, _, dom, _, cod):
-            return (dom, cod)
-        case ELam(_, _, dom, _, cod, body):
-            return (dom, cod, body)
-        case EApp(_, _, dom, _, cod, fn, arg):
-            return (dom, cod, fn, arg)
-        case _:
-            return ()
-
-
-def _e_rebuild(t: EptsTerm, i: int, child: EptsTerm) -> EptsTerm:
-    match t:
-        case EPi(s1, s2, dom, h, cod):
-            parts = [dom, cod]
-            parts[i] = child
-            return EPi(s1, s2, parts[0], h, parts[1])
-        case ELam(s1, s2, dom, h, cod, body):
-            parts = [dom, cod, body]
-            parts[i] = child
-            return ELam(s1, s2, parts[0], h, parts[1], parts[2])
-        case EApp(s1, s2, dom, h, cod, fn, arg):
-            parts = [dom, cod, fn, arg]
-            parts[i] = child
-            return EApp(s1, s2, parts[0], h, parts[1], parts[2], parts[3])
-    raise AssertionError
-
-
-def epts_step(spec: SortSpec, t: EptsTerm) -> EptsTerm | None:
-    """One leftmost-outermost linearized beta step, or None at a normal form.
+def epts_redex(spec: SortSpec, t: EptsTerm) -> tuple[EptsTerm, tuple[str, str]] | None:
+    """The leftmost-outermost linearized beta step with the sort pair of its
+    redex, or None at a normal form.
 
     The redex search visits the root first and then the annotation and
     subject components in declaration order (domain, codomain, function
@@ -479,28 +463,28 @@ def epts_step(spec: SortSpec, t: EptsTerm) -> EptsTerm | None:
     the framework image of an application, because adequacy statements
     compare reduction traces position by position.
     """
-    contracted = _beta_root(spec, t)
-    if contracted is not None:
-        return contracted
-    kids = _e_children(t)
+    match t:
+        case EApp(s1, s2, _, _, _, ELam(t1, t2, _, _, _, body), arg) \
+                if s1 == t1 and s2 == t2 and spec.rule_defined(s1, s2):
+            return epts_subst(body, 0, arg), (s1, s2)
+    kids = [k for k, _ in epts_children(t)]
     for i, k in enumerate(kids):
-        r = epts_step(spec, k)
+        r = epts_redex(spec, k)
         if r is not None:
-            return _e_rebuild(t, i, r)
+            return epts_with_children(t, kids[:i] + [r[0]] + kids[i + 1:]), r[1]
     return None
+
+
+def epts_step(spec: SortSpec, t: EptsTerm) -> EptsTerm | None:
+    """One leftmost-outermost linearized beta step, or None at a normal form."""
+    r = epts_redex(spec, t)
+    return None if r is None else r[0]
 
 
 def epts_redex_sorts(spec: SortSpec, t: EptsTerm) -> tuple[str, str] | None:
     """Sort pair of the redex that :func:`epts_step` would contract."""
-    match t:
-        case EApp(s1, s2, _, _, _, ELam(t1, t2, _, _, _, _), _) \
-                if s1 == t1 and s2 == t2 and spec.rule_defined(s1, s2):
-            return (s1, s2)
-    for k in _e_children(t):
-        r = epts_redex_sorts(spec, k)
-        if r is not None:
-            return r
-    return None
+    r = epts_redex(spec, t)
+    return None if r is None else r[1]
 
 
 def epts_reduce(spec: SortSpec, t: EptsTerm,

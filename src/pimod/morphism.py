@@ -25,18 +25,14 @@ from .errors import (
 from .kernel import TypingConfig, check as dk_check, check_context
 from .rewrite import Fuel, step
 from .terms import (
-    App,
     Cons,
     DkContext,
     DkTerm,
-    Kind,
-    Lam,
-    Meta,
-    Pi,
     Theory,
-    Type,
     Var,
+    children,
     subst_many,
+    with_children,
 )
 
 
@@ -54,19 +50,10 @@ class TheoryMorphism:
 
 def apply_morphism(mor: TheoryMorphism, t: DkTerm) -> DkTerm:
     """Homomorphic extension; pattern variables are carried along inert."""
-    match t:
-        case Var(_) | Type() | Kind() | Meta(_):
-            return t
-        case App(f, a):
-            return App(apply_morphism(mor, f), apply_morphism(mor, a))
-        case Lam(h, ann, body):
-            return Lam(h, apply_morphism(mor, ann), apply_morphism(mor, body))
-        case Pi(h, dom, cod):
-            return Pi(h, apply_morphism(mor, dom), apply_morphism(mor, cod))
-        case Cons(c, args):
-            mapped = tuple(apply_morphism(mor, a) for a in args)
-            return subst_many(mor.image_of(c), tuple(reversed(mapped)))
-    raise PimodError(f"cannot map {t!r}")
+    kids = [apply_morphism(mor, k) for k, _ in children(t)]
+    if isinstance(t, Cons):
+        return subst_many(mor.image_of(t.name), tuple(reversed(kids)))
+    return with_children(t, kids)
 
 
 def _rule_verdict(mor: TheoryMorphism, start: DkTerm, goal: DkTerm,

@@ -14,11 +14,12 @@ pattern inspects an argument position must see that argument's head.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .errors import Diagnostic, FuelExhausted
 from .terms import (
-    App, Cons, DkTerm, Lam, Meta, Pi, RewriteRule, Theory, Var,
-    instantiate, metas_of, shift, subst,
+    App, Cons, DkTerm, Lam, Meta, Pi, RewriteRule, Theory,
+    children, instantiate, map_leaves, subst, with_children,
 )
 
 BETA = "β"
@@ -77,27 +78,27 @@ def _match_rule(rule: RewriteRule, args: tuple[DkTerm, ...]) -> dict[str, DkTerm
     return env
 
 
-def _root_step(theory: Theory, t: DkTerm, labels: frozenset[str] | None) -> tuple[DkTerm, str] | None:
+def _redexes(theory: Theory, t: DkTerm,
+             labels: frozenset[str] | None) -> Iterator[tuple[tuple[int, ...], str, DkTerm]]:
+    """Lazily, every one-step reduct of ``t`` whose label lies in ``labels``
+    (all if None), leftmost-outermost first, as (position, label, reduct).
+
+    Positions are child-index paths in the order :func:`children` lists them.
+    """
     match t:
         case App(Lam(_, _, body), arg):
             if labels is None or BETA in labels:
-                return subst(body, 0, arg), BETA
+                yield (), BETA, subst(body, 0, arg)
         case Cons(c, args):
             for rule in theory.rules_for(c):
-                if labels is not None and rule.name not in labels:
-                    continue
-                env = _match_rule(rule, args)
-                if env is not None:
-                    return instantiate(rule.rhs, env), rule.name
-    return None
-
-
-_CHILDREN = {
-    App: ("fn", "arg"),
-    Cons: None,  # handled specially
-    Lam: ("ann", "body"),
-    Pi: ("dom", "cod"),
-}
+                if labels is None or rule.name in labels:
+                    env = _match_rule(rule, args)
+                    if env is not None:
+                        yield (), rule.name, instantiate(rule.rhs, env)
+    kids = [k for k, _ in children(t)]
+    for i, k in enumerate(kids):
+        for path, label, red in _redexes(theory, k, labels):
+            yield (i, *path), label, with_children(t, kids[:i] + [red] + kids[i + 1:])
 
 
 def step(theory: Theory, t: DkTerm, labels: frozenset[str] | set[str] | None = None) -> tuple[DkTerm, str] | None:
@@ -108,88 +109,18 @@ def step(theory: Theory, t: DkTerm, labels: frozenset[str] | set[str] | None = N
     """
     if labels is not None and not isinstance(labels, frozenset):
         labels = frozenset(labels)
-    r = _root_step(theory, t, labels)
-    if r is not None:
-        return r
-    match t:
-        case App(f, a):
-            s = step(theory, f, labels)
-            if s is not None:
-                return App(s[0], a), s[1]
-            s = step(theory, a, labels)
-            if s is not None:
-                return App(f, s[0]), s[1]
-        case Cons(c, args):
-            for i, a in enumerate(args):
-                s = step(theory, a, labels)
-                if s is not None:
-                    return Cons(c, args[:i] + (s[0],) + args[i + 1:]), s[1]
-        case Lam(h, ann, body):
-            s = step(theory, ann, labels)
-            if s is not None:
-                return Lam(h, s[0], body), s[1]
-            s = step(theory, body, labels)
-            if s is not None:
-                return Lam(h, ann, s[0]), s[1]
-        case Pi(h, dom, cod):
-            s = step(theory, dom, labels)
-            if s is not None:
-                return Pi(h, s[0], cod), s[1]
-            s = step(theory, cod, labels)
-            if s is not None:
-                return Pi(h, dom, s[0]), s[1]
-    return None
-
-
-def _children(u: DkTerm) -> list[DkTerm]:
-    match u:
-        case App(f, a):
-            return [f, a]
-        case Cons(_, args):
-            return list(args)
-        case Lam(_, ann, body):
-            return [ann, body]
-        case Pi(_, dom, cod):
-            return [dom, cod]
-        case _:
-            return []
-
-
-def _rebuild(u: DkTerm, i: int, child: DkTerm) -> DkTerm:
-    match u:
-        case App(f, a):
-            return App(child, a) if i == 0 else App(f, child)
-        case Cons(c, args):
-            return Cons(c, args[:i] + (child,) + args[i + 1:])
-        case Lam(h, ann, body):
-            return Lam(h, child, body) if i == 0 else Lam(h, ann, child)
-        case Pi(h, dom, cod):
-            return Pi(h, child, cod) if i == 0 else Pi(h, dom, child)
-    raise AssertionError(f"no children to rebuild in {u!r}")
+    r = next(_redexes(theory, t, labels), None)
+    return None if r is None else (r[2], r[1])
 
 
 def reducts(theory: Theory, t: DkTerm) -> list[tuple[tuple[int, ...], str, DkTerm]]:
     """All one-step reducts of ``t`` at every position, with labels.
 
-    Positions are child-index paths; used for confluence sampling and
-    trace tooling, not by the normalizer.
+    Positions are child-index paths, listed leftmost-outermost first; the
+    first entry whose label passes a filter is the step :func:`step` takes,
+    so normalization and confluence sampling share one redex search.
     """
-    out: list[tuple[tuple[int, ...], str, DkTerm]] = []
-
-    def walk(u: DkTerm, path: tuple[int, ...], wrap) -> None:
-        match u:
-            case App(Lam(_, _, body), arg):
-                out.append((path, BETA, wrap(subst(body, 0, arg))))
-            case Cons(c, args):
-                for rule in theory.rules_for(c):
-                    env = _match_rule(rule, args)
-                    if env is not None:
-                        out.append((path, rule.name, wrap(instantiate(rule.rhs, env))))
-        for i, ch in enumerate(_children(u)):
-            walk(ch, path + (i,), lambda red, u=u, i=i, wrap=wrap: wrap(_rebuild(u, i, red)))
-
-    walk(t, (), lambda red: red)
-    return out
+    return list(_redexes(theory, t, None))
 
 
 def reduce_trace(
@@ -324,24 +255,15 @@ def convertible(theory: Theory, a: DkTerm, b: DkTerm, fuel: int | Fuel | None = 
 
 
 def _rename_metas(t: DkTerm, suffix: str) -> DkTerm:
-    match t:
-        case Meta(n):
-            return Meta(n + suffix)
-        case Cons(c, args):
-            return Cons(c, tuple(_rename_metas(a, suffix) for a in args))
-        case _:
-            return t
+    return map_leaves(t, lambda u, _: Meta(u.name + suffix) if isinstance(u, Meta) else u)
 
 
 def _apply_sub(t: DkTerm, sub: dict[str, DkTerm]) -> DkTerm:
-    match t:
-        case Meta(n):
-            u = sub.get(n)
-            return _apply_sub(u, sub) if u is not None else t
-        case Cons(c, args):
-            return Cons(c, tuple(_apply_sub(a, sub) for a in args))
-        case _:
-            return t
+    def leaf(u: DkTerm, _: int) -> DkTerm:
+        if isinstance(u, Meta) and u.name in sub:
+            return _apply_sub(sub[u.name], sub)
+        return u
+    return map_leaves(t, leaf)
 
 
 def _occurs(n: str, t: DkTerm, sub: dict[str, DkTerm]) -> bool:

@@ -5,11 +5,18 @@ that is excluded from equality, so ``==`` on terms is alpha-equivalence.
 Constants are fully applied: a ``Cons`` node carries exactly as many
 arguments as the arity its declaration fixes.  ``Meta`` nodes are
 pattern variables and may appear only inside rewrite rules.
+
+The child map, :func:`children` with :func:`with_children`, is the one
+place that states which subterms a node has and how many binders it puts
+around each.  Shifting, substitution, instantiation and the folds are
+derived from it through :func:`map_leaves` and :func:`subterms`, and so
+are redex search in :mod:`pimod.rewrite` and morphism application.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 from .errors import Diagnostic
 
@@ -92,23 +99,86 @@ def spine(t: DkTerm) -> tuple[DkTerm, list[DkTerm]]:
     return t, args
 
 
+# The child map dispatches on exact types: every operation below runs
+# through it, ``type(t) is`` is its fastest test, and no term class is
+# subclassed.
+
+
+def children(t: DkTerm) -> tuple[tuple[DkTerm, int], ...]:
+    """Immediate subterms of ``t``, each with the number of binders ``t``
+    puts around it.  Nodes without subterms are the leaves."""
+    tp = type(t)
+    if tp is App:
+        return ((t.fn, 0), (t.arg, 0))
+    if tp is Lam:
+        return ((t.ann, 0), (t.body, 1))
+    if tp is Pi:
+        return ((t.dom, 0), (t.cod, 1))
+    if tp is Cons:
+        return tuple([(a, 0) for a in t.args])
+    return ()
+
+
+def with_children(t: DkTerm, kids: list[DkTerm]) -> DkTerm:
+    """``t`` rebuilt from new subterms, in the order :func:`children` lists them."""
+    tp = type(t)
+    if tp is App:
+        return App(kids[0], kids[1])
+    if tp is Lam:
+        return Lam(t.hint, kids[0], kids[1])
+    if tp is Pi:
+        return Pi(t.hint, kids[0], kids[1])
+    if tp is Cons:
+        return Cons(t.name, tuple(kids))
+    return t
+
+
+def map_leaves(t: DkTerm, leaf: Callable[[DkTerm, int], DkTerm], depth: int = 0) -> DkTerm:
+    """Rebuild ``t`` with each leaf ``u`` replaced by ``leaf(u, d)``, where
+    ``d`` is ``depth`` plus the number of binders above ``u``."""
+    kids = children(t)
+    if not kids:
+        return leaf(t, depth)
+    new = []
+    for k, b in kids:
+        new.append(map_leaves(k, leaf, depth + b))
+    return with_children(t, new)
+
+
+def subterms(t: DkTerm) -> Iterator[tuple[DkTerm, int]]:
+    """Every node of ``t`` in pre-order, with the number of binders above it."""
+    stack = [(t, 0)]
+    while stack:
+        u, d = stack.pop()
+        yield u, d
+        for k, b in reversed(children(u)):
+            stack.append((k, d + b))
+
+
 def shift(t: DkTerm, by: int, cutoff: int = 0) -> DkTerm:
     """Add ``by`` to every variable index at or above ``cutoff``."""
     if by == 0:
         return t
-    match t:
-        case Var(k):
-            return Var(k + by) if k >= cutoff else t
-        case Cons(c, args):
-            return Cons(c, tuple(shift(a, by, cutoff) for a in args))
-        case App(f, a):
-            return App(shift(f, by, cutoff), shift(a, by, cutoff))
-        case Lam(h, ann, body):
-            return Lam(h, shift(ann, by, cutoff), shift(body, by, cutoff + 1))
-        case Pi(h, dom, cod):
-            return Pi(h, shift(dom, by, cutoff), shift(cod, by, cutoff + 1))
-        case _:
-            return t
+
+    def leaf(u: DkTerm, d: int) -> DkTerm:
+        return Var(u.index + by) if isinstance(u, Var) and u.index >= d else u
+    return map_leaves(t, leaf, cutoff)
+
+
+def _subst(t: DkTerm, values: tuple[DkTerm, ...], first: int, lift: int) -> DkTerm:
+    """Put ``values[i]``, weakened by ``lift`` plus the binders crossed, for
+    variable ``first + i``; indices past the block drop by ``len(values)``."""
+    n = len(values)
+
+    def leaf(u: DkTerm, d: int) -> DkTerm:
+        if isinstance(u, Var):
+            k = u.index - first - d
+            if k >= n:
+                return Var(u.index - n)
+            if k >= 0:
+                return shift(values[k], lift + d)
+        return u
+    return map_leaves(t, leaf)
 
 
 def subst(t: DkTerm, j: int, value: DkTerm) -> DkTerm:
@@ -117,21 +187,7 @@ def subst(t: DkTerm, j: int, value: DkTerm) -> DkTerm:
     ``value`` lives at the depth of ``t``'s root; variables above ``j``
     are decremented, so contracting a redex is ``subst(body, 0, arg)``.
     """
-    match t:
-        case Var(k):
-            if k == j:
-                return value
-            return Var(k - 1) if k > j else t
-        case Cons(c, args):
-            return Cons(c, tuple(subst(a, j, value) for a in args))
-        case App(f, a):
-            return App(subst(f, j, value), subst(a, j, value))
-        case Lam(h, ann, body):
-            return Lam(h, subst(ann, j, value), subst(body, j + 1, shift(value, 1)))
-        case Pi(h, dom, cod):
-            return Pi(h, subst(dom, j, value), subst(cod, j + 1, shift(value, 1)))
-        case _:
-            return t
+    return _subst(t, (value,), j, 0)
 
 
 def subst_many(t: DkTerm, values: tuple[DkTerm, ...], depth: int = 0) -> DkTerm:
@@ -141,88 +197,26 @@ def subst_many(t: DkTerm, values: tuple[DkTerm, ...], depth: int = 0) -> DkTerm:
     ``len(values)``; the values themselves are weakened by ``depth`` as
     binders are crossed.
     """
-    n = len(values)
-    if n == 0:
+    if not values:
         return t
-    match t:
-        case Var(k):
-            if k < depth:
-                return t
-            if k - depth < n:
-                return shift(values[k - depth], depth)
-            return Var(k - n)
-        case Cons(c, args):
-            return Cons(c, tuple(subst_many(a, values, depth) for a in args))
-        case App(f, a):
-            return App(subst_many(f, values, depth), subst_many(a, values, depth))
-        case Lam(h, ann, body):
-            return Lam(h, subst_many(ann, values, depth), subst_many(body, values, depth + 1))
-        case Pi(h, dom, cod):
-            return Pi(h, subst_many(dom, values, depth), subst_many(cod, values, depth + 1))
-        case _:
-            return t
+    return _subst(t, values, depth, depth)
 
 
 def instantiate(t: DkTerm, env: dict[str, DkTerm], depth: int = 0) -> DkTerm:
     """Replace pattern variables by the terms a match bound them to."""
-    match t:
-        case Meta(n):
-            return shift(env[n], depth) if n in env else t
-        case Cons(c, args):
-            return Cons(c, tuple(instantiate(a, env, depth) for a in args))
-        case App(f, a):
-            return App(instantiate(f, env, depth), instantiate(a, env, depth))
-        case Lam(h, ann, body):
-            return Lam(h, instantiate(ann, env, depth), instantiate(body, env, depth + 1))
-        case Pi(h, dom, cod):
-            return Pi(h, instantiate(dom, env, depth), instantiate(cod, env, depth + 1))
-        case _:
-            return t
-
-
-def alpha_eq(m: DkTerm, n: DkTerm) -> bool:
-    """Alpha-equivalence; display names never matter."""
-    return m == n
+    def leaf(u: DkTerm, d: int) -> DkTerm:
+        return shift(env[u.name], d) if isinstance(u, Meta) and u.name in env else u
+    return map_leaves(t, leaf, depth)
 
 
 def metas_of(t: DkTerm) -> set[str]:
-    out: set[str] = set()
-
-    def walk(u: DkTerm) -> None:
-        match u:
-            case Meta(n):
-                out.add(n)
-            case Cons(_, args):
-                for a in args:
-                    walk(a)
-            case App(f, a):
-                walk(f)
-                walk(a)
-            case Lam(_, ann, body):
-                walk(ann)
-                walk(body)
-            case Pi(_, dom, cod):
-                walk(dom)
-                walk(cod)
-    walk(t)
-    return out
+    return {u.name for u, _ in subterms(t) if isinstance(u, Meta)}
 
 
 def max_free_index(t: DkTerm, depth: int = 0) -> int:
     """Largest free variable index, or -1 for a closed term."""
-    match t:
-        case Var(k):
-            return k - depth if k >= depth else -1
-        case Cons(_, args):
-            return max((max_free_index(a, depth) for a in args), default=-1)
-        case App(f, a):
-            return max(max_free_index(f, depth), max_free_index(a, depth))
-        case Lam(_, ann, body):
-            return max(max_free_index(ann, depth), max_free_index(body, depth + 1))
-        case Pi(_, dom, cod):
-            return max(max_free_index(dom, depth), max_free_index(cod, depth + 1))
-        case _:
-            return -1
+    return max((u.index - depth - d for u, d in subterms(t)
+                if isinstance(u, Var) and u.index >= depth + d), default=-1)
 
 
 @dataclass(frozen=True)
@@ -341,29 +335,17 @@ def _linear(patterns: tuple[DkTerm, ...]) -> bool:
 
 
 def _check_arities(theory: Theory, t: DkTerm, subject: str, out: list[Diagnostic]) -> None:
-    match t:
-        case Cons(c, args):
-            d = theory.decl(c)
-            if d is None:
-                out.append(Diagnostic("unknown-constant", f"constant '{c}' is not declared", subject))
-            elif d.arity != len(args):
-                out.append(Diagnostic(
-                    "arity-mismatch",
-                    f"constant '{c}' declared with arity {d.arity} but applied to {len(args)} arguments",
-                    subject))
-            for a in args:
-                _check_arities(theory, a, subject, out)
-        case App(f, a):
-            _check_arities(theory, f, subject, out)
-            _check_arities(theory, a, subject, out)
-        case Lam(_, ann, body):
-            _check_arities(theory, ann, subject, out)
-            _check_arities(theory, body, subject, out)
-        case Pi(_, dom, cod):
-            _check_arities(theory, dom, subject, out)
-            _check_arities(theory, cod, subject, out)
-        case _:
-            pass
+    for u, _ in subterms(t):
+        if not isinstance(u, Cons):
+            continue
+        d = theory.decl(u.name)
+        if d is None:
+            out.append(Diagnostic("unknown-constant", f"constant '{u.name}' is not declared", subject))
+        elif d.arity != len(u.args):
+            out.append(Diagnostic(
+                "arity-mismatch",
+                f"constant '{u.name}' declared with arity {d.arity} but applied to {len(u.args)} arguments",
+                subject))
 
 
 def validate_theory(theory: Theory) -> list[Diagnostic]:

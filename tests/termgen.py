@@ -12,7 +12,7 @@ import random
 from pimod.errors import PimodError
 from pimod.kernel import infer
 from pimod.terms import (TYPE, App, Cons, DkContext, DkTerm, Declaration, Lam,
-                         Meta, Pi, RewriteRule, Theory, Var, alpha_eq, shift)
+                         Meta, Pi, RewriteRule, Theory, Var, shift)
 
 GEN_THEORY = Theory((
     Declaration("Base", (), TYPE),
@@ -32,7 +32,7 @@ BASE = Cons("Base")
 
 
 def _vars_of(ctx: DkContext, ty: DkTerm) -> list[int]:
-    return [k for k in range(len(ctx)) if alpha_eq(ctx.type_of(k), ty)]
+    return [k for k in range(len(ctx)) if ctx.type_of(k) == ty]
 
 
 def gen_base(rng: random.Random, ctx: DkContext, depth: int) -> DkTerm:

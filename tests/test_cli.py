@@ -174,6 +174,19 @@ class TestAnalyze:
         assert main(["analyze", str(out / "mltt_internalized_theory.dk")]) == 0
         assert "trivial overlaps noted" in capsys.readouterr().out
 
+    def test_non_joinable_pair_under_binders_is_fatal(self, tmp_path, capsys):
+        f = tmp_path / "nonconfluent.dk"
+        f.write_text(
+            "constant A : TYPE.\n"
+            "constant a : A.\n"
+            "constant b : A.\n"
+            "constant f (x : A, y : A) : A.\n"
+            'rule "r1" f(a, X) --> (lam z : A. z) X.\n'
+            'rule "r2" f(X, b) --> (lam z : A. z) X.\n')
+        assert main(["analyze", str(f)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  overlap" in out and "trivial" not in out
+
 
 class TestMorphism:
     def test_phi_verify_and_apply(self, tmp_path, capsys):

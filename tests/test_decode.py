@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from pimod.decode import (InvertibleForm, adequacy_roundtrip,
+from pimod.decode import (InvertibleForm, adequacy_legs, adequacy_roundtrip,
                           conservative_invert, hidden_equiv, invert, recognize)
 from pimod.encode import EncodingTheory, generate_finite, translate, translate_ctx
 from pimod.epts import (EApp, ELam, EPi, ESort, EVar, EptsContext, PApp, PLam,
@@ -177,6 +177,15 @@ class TestAdequacyRoundtrip:
         pid0 = PLam("A", PSort("0"), PLam("x", PVar(0), PVar(0)))
         assert adequacy_roundtrip(MLTT_ENC, EptsContext(),
                                   elaborate(MLTT_INT, EptsContext(), pid0)) == []
+
+    def test_which_legs_apply_depends_on_reducibility(self):
+        normal = elaborate(SYSTEM_F, EptsContext(), PID)
+        assert adequacy_legs(SF_ENC, EptsContext(), normal) == [
+            ("image-ill-typed", None), ("not-left-inverse", None),
+            ("image-not-normal", None)]
+        assert adequacy_legs(SF_ENC, CTX, id_applied()) == [
+            ("image-ill-typed", None), ("not-left-inverse", None),
+            ("trace-mismatch", None)]
 
     def test_missing_role_table_breaks_inversion(self):
         roles = dict(SF_ENC.roles)

@@ -280,6 +280,27 @@ class TestOrthogonality:
         assert not report.ok
         assert any(d.code == "overlap" for d in report.problems)
 
+    def test_critical_pair_compared_under_binders(self):
+        # f(a, b) rewrites to (lam z. z) b by r1 and to (lam z. z) a by r2
+        a_ty = Cons("A")
+        ident = Lam("z", a_ty, Var(0))
+        t = Theory((
+            Declaration("A", (), TYPE),
+            Declaration("a", (), a_ty),
+            Declaration("b", (), a_ty),
+            Declaration("f", (("x", a_ty), ("y", a_ty)), a_ty),
+        ), (
+            RewriteRule("f", (Cons("a"), Meta("X")), App(ident, Meta("X")), name="r1"),
+            RewriteRule("f", (Meta("X"), Cons("b")), App(ident, Meta("X")), name="r2"),
+        ))
+        report = check_orthogonal(t)
+        assert not report.ok and not report.notes
+        [d] = report.problems
+        assert d.code == "overlap"
+        assert d.data["peak"] == Cons("f", (Cons("a"), Cons("b")))
+        assert d.data["left"] == App(ident, Cons("b"))
+        assert d.data["right"] == App(ident, Cons("a"))
+
     def test_nested_overlap_position_reported(self):
         t = NAT.extended(
             Declaration("g", (("n", N),), N),

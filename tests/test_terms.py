@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pimod.terms import (KIND, TYPE, App, Cons, Declaration, DkContext, Lam,
-                         Meta, Pi, RewriteRule, Theory, Var, alpha_eq, arrow,
+                         Meta, Pi, RewriteRule, Theory, Var, arrow,
                          instantiate, max_free_index, metas_of, mk_app, shift,
                          spine, subst, subst_many, validate_theory)
 from strategies import dk_terms
@@ -66,12 +66,12 @@ class TestInstantiate:
 class TestAlphaAndSpine:
     def test_hints_do_not_matter(self):
         assert Lam("x", TYPE, Var(0)) == Lam("y", TYPE, Var(0))
-        assert alpha_eq(Pi("a", TYPE, Var(0)), Pi("b", TYPE, Var(0)))
+        assert Pi("a", TYPE, Var(0)) == Pi("b", TYPE, Var(0))
         assert hash(Lam("x", TYPE, Var(0))) == hash(Lam("y", TYPE, Var(0)))
 
     def test_structure_does_matter(self):
         assert Lam("x", TYPE, Var(0)) != Lam("x", KIND, Var(0))
-        assert not alpha_eq(Var(0), Var(1))
+        assert Var(0) != Var(1)
 
     @given(st.lists(dk_terms(max_leaves=4), max_size=4))
     def test_spine_inverts_mk_app(self, args):
