@@ -344,7 +344,13 @@ def check_orthogonal(theory: Theory) -> OrthogonalityReport:
     """Left-linearity plus critical-pair analysis of the theory's rules.
 
     Self-overlaps are considered at proper subterm positions only; a
-    rule trivially unifies with itself at the root.
+    rule trivially unifies with itself at the root.  A rule is unified
+    only with the non-variable positions of another rule's left-hand
+    side whose constant is its head, since no other pair can overlap.
+    Rules may share a name, so a root overlap is reported once per pair
+    of rule positions in the theory, not once per pair of names.
+    Problems and notes come out rule-major: by the outer rule, then the
+    inner rule, then the position.
     """
     report = OrthogonalityReport()
     for r in theory.rules:
@@ -365,26 +371,32 @@ def check_orthogonal(theory: Theory) -> OrthogonalityReport:
         for p in r.lhs:
             walk(p)
 
-    rules = list(theory.rules)
-    seen_root_pairs: set[tuple[str, str]] = set()
+    rules = theory.rules
+    by_head: dict[str, list[int]] = {}
+    for j, r in enumerate(rules):
+        by_head.setdefault(r.head, []).append(j)
+    inner = [(Cons(r.head, tuple(_rename_metas(p, "#2") for p in r.lhs)),
+              _rename_metas(r.rhs, "#2")) for r in rules]
+    seen_root_pairs: set[tuple[int, int]] = set()
     for i, r1 in enumerate(rules):
         lhs1 = Cons(r1.head, tuple(_rename_metas(p, "#1") for p in r1.lhs))
         rhs1 = _rename_metas(r1.rhs, "#1")
-        for j, r2 in enumerate(rules):
-            lhs2 = Cons(r2.head, tuple(_rename_metas(p, "#2") for p in r2.lhs))
-            rhs2 = _rename_metas(r2.rhs, "#2")
-            for path, sub_t in _pattern_positions(lhs1):
-                if i == j and path == ():
+        positions = _pattern_positions(lhs1)
+        candidates = sorted({j for _, sub_t in positions for j in by_head.get(sub_t.name, ())})
+        for j in candidates:
+            r2 = rules[j]
+            lhs2, rhs2 = inner[j]
+            for path, sub_t in positions:
+                if sub_t.name != r2.head:
                     continue
-                if path == ():
-                    key = (min(r1.name, r2.name), max(r1.name, r2.name))
-                    if key in seen_root_pairs:
-                        continue
+                root = (min(i, j), max(i, j)) if path == () else None
+                if root is not None and (i == j or root in seen_root_pairs):
+                    continue
                 sub: dict[str, DkTerm] = {}
                 if not _unify(sub_t, lhs2, sub):
                     continue
-                if path == ():
-                    seen_root_pairs.add((min(r1.name, r2.name), max(r1.name, r2.name)))
+                if root is not None:
+                    seen_root_pairs.add(root)
                 peak = _apply_sub(lhs1, sub)
                 red_outer = _apply_sub(rhs1, sub)
                 red_inner = _apply_sub(_replace_at(lhs1, path, rhs2), sub)

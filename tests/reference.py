@@ -6,10 +6,18 @@ of the child maps that ``pimod.terms`` and ``pimod.epts`` derive these
 operations from.  Substitution here re-shifts the value at every binder
 it crosses, a second route to the result the library reaches by
 shifting once at the leaves.
+
+``check_orthogonal`` and its helpers are the overlap checker that tried
+every ordered pair of rules, renaming both apart for each pair, and
+unified every pattern position with every rule.  It keys root overlaps
+by rule name, so it is a reference only for theories whose rule names
+are unique.
 """
 
 from pimod.epts import EApp, ELam, EPi, ESort, EptsTerm, EVar
-from pimod.terms import App, Cons, DkTerm, Lam, Meta, Pi, Var
+from pimod.errors import Diagnostic
+from pimod.rewrite import OrthogonalityReport
+from pimod.terms import App, Cons, DkTerm, Lam, Meta, Pi, Theory, Var, map_leaves
 
 
 def shift(t: DkTerm, by: int, cutoff: int = 0) -> DkTerm:
@@ -143,3 +151,130 @@ def epts_subst(t: EptsTerm, j: int, value: EptsTerm) -> EptsTerm:
                         epts_subst(fn, j, value),
                         epts_subst(arg, j, value))
     raise AssertionError(f"not an EPTS term: {t!r}")
+
+
+def _rename_metas(t: DkTerm, suffix: str) -> DkTerm:
+    return map_leaves(t, lambda u, _: Meta(u.name + suffix) if isinstance(u, Meta) else u)
+
+
+def _apply_sub(t: DkTerm, sub: dict[str, DkTerm]) -> DkTerm:
+    def leaf(u: DkTerm, _: int) -> DkTerm:
+        if isinstance(u, Meta) and u.name in sub:
+            return _apply_sub(sub[u.name], sub)
+        return u
+    return map_leaves(t, leaf)
+
+
+def _occurs(n: str, t: DkTerm, sub: dict[str, DkTerm]) -> bool:
+    match t:
+        case Meta(m):
+            if m == n:
+                return True
+            return m in sub and _occurs(n, sub[m], sub)
+        case Cons(_, args):
+            return any(_occurs(n, a, sub) for a in args)
+        case _:
+            return False
+
+
+def _unify(a: DkTerm, b: DkTerm, sub: dict[str, DkTerm]) -> bool:
+    a = _apply_sub(a, sub)
+    b = _apply_sub(b, sub)
+    if a == b:
+        return True
+    match (a, b):
+        case (Meta(n), _):
+            if _occurs(n, b, sub):
+                return False
+            sub[n] = b
+            return True
+        case (_, Meta(n)):
+            if _occurs(n, a, sub):
+                return False
+            sub[n] = a
+            return True
+        case (Cons(c1, x1), Cons(c2, x2)):
+            return c1 == c2 and len(x1) == len(x2) and all(_unify(p, q, sub) for p, q in zip(x1, x2))
+        case _:
+            return False
+
+
+def _pattern_positions(t: DkTerm, path: tuple[int, ...] = ()) -> list[tuple[tuple[int, ...], DkTerm]]:
+    """Non-variable positions of a pattern term."""
+    out: list[tuple[tuple[int, ...], DkTerm]] = []
+    if isinstance(t, Cons):
+        out.append((path, t))
+        for i, a in enumerate(t.args):
+            out.extend(_pattern_positions(a, path + (i,)))
+    return out
+
+
+def _replace_at(t: DkTerm, path: tuple[int, ...], new: DkTerm) -> DkTerm:
+    if not path:
+        return new
+    assert isinstance(t, Cons)
+    i = path[0]
+    return Cons(t.name, t.args[:i] + (_replace_at(t.args[i], path[1:], new),) + t.args[i + 1:])
+
+
+def check_orthogonal(theory: Theory) -> OrthogonalityReport:
+    """Left-linearity plus critical-pair analysis of the theory's rules.
+
+    Self-overlaps are considered at proper subterm positions only; a
+    rule trivially unifies with itself at the root.
+    """
+    report = OrthogonalityReport()
+    for r in theory.rules:
+        seen: set[str] = set()
+
+        def walk(t: DkTerm) -> None:
+            match t:
+                case Meta(n):
+                    if n in seen:
+                        report.problems.append(Diagnostic(
+                            "non-left-linear",
+                            f"pattern variable '{n}' occurs twice on the left-hand side",
+                            r.name))
+                    seen.add(n)
+                case Cons(_, args):
+                    for a in args:
+                        walk(a)
+        for p in r.lhs:
+            walk(p)
+
+    rules = list(theory.rules)
+    seen_root_pairs: set[tuple[str, str]] = set()
+    for i, r1 in enumerate(rules):
+        lhs1 = Cons(r1.head, tuple(_rename_metas(p, "#1") for p in r1.lhs))
+        rhs1 = _rename_metas(r1.rhs, "#1")
+        for j, r2 in enumerate(rules):
+            lhs2 = Cons(r2.head, tuple(_rename_metas(p, "#2") for p in r2.lhs))
+            rhs2 = _rename_metas(r2.rhs, "#2")
+            for path, sub_t in _pattern_positions(lhs1):
+                if i == j and path == ():
+                    continue
+                if path == ():
+                    key = (min(r1.name, r2.name), max(r1.name, r2.name))
+                    if key in seen_root_pairs:
+                        continue
+                sub: dict[str, DkTerm] = {}
+                if not _unify(sub_t, lhs2, sub):
+                    continue
+                if path == ():
+                    seen_root_pairs.add((min(r1.name, r2.name), max(r1.name, r2.name)))
+                peak = _apply_sub(lhs1, sub)
+                red_outer = _apply_sub(rhs1, sub)
+                red_inner = _apply_sub(_replace_at(lhs1, path, rhs2), sub)
+                diag = Diagnostic(
+                    "overlap",
+                    f"rule '{r2.name}' overlaps '{r1.name}' at position {list(path)}",
+                    r1.name,
+                    data={"peak": peak, "left": red_outer, "right": red_inner},
+                )
+                if red_outer == red_inner:
+                    diag.severity = "note"
+                    diag.message += " (critical pair is trivial)"
+                    report.notes.append(diag)
+                else:
+                    report.problems.append(diag)
+    return report

@@ -188,6 +188,19 @@ class TestAnalyze:
         assert "FAIL  overlap" in out and "trivial" not in out
 
 
+    def test_rules_sharing_a_name_are_still_compared(self, tmp_path, capsys):
+        f = tmp_path / "shared_names.dk"
+        f.write_text(
+            "constant A : TYPE.\n"
+            "constant a : A.\n"
+            "constant b : A.\n"
+            "constant f (x : A) : A.\n"
+            'rule "x" f(a) --> a.\n'
+            'rule "y" f(X) --> X.\n'
+            'rule "x" f(b) --> a.\n')
+        assert main(["analyze", str(f)]) == 1
+        assert "FAIL  overlap" in capsys.readouterr().out
+
 class TestMorphism:
     def test_phi_verify_and_apply(self, tmp_path, capsys):
         gen = tmp_path / "gen"

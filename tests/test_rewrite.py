@@ -301,6 +301,27 @@ class TestOrthogonality:
         assert d.data["left"] == App(ident, Cons("b"))
         assert d.data["right"] == App(ident, Cons("a"))
 
+    def test_rules_sharing_a_name_are_still_compared(self):
+        # f(b) rewrites to b by "y" and to a by the second "x"
+        a_ty = Cons("A")
+        t = Theory((
+            Declaration("A", (), TYPE),
+            Declaration("a", (), a_ty),
+            Declaration("b", (), a_ty),
+            Declaration("f", (("x", a_ty),), a_ty),
+        ), (
+            RewriteRule("f", (Cons("a"),), Cons("a"), name="x"),
+            RewriteRule("f", (Meta("X"),), Meta("X"), name="y"),
+            RewriteRule("f", (Cons("b"),), Cons("a"), name="x"),
+        ))
+        report = check_orthogonal(t)
+        [d] = report.problems
+        assert d.code == "overlap"
+        assert d.data["peak"] == Cons("f", (Cons("b"),))
+        assert {d.data["left"], d.data["right"]} == {Cons("a"), Cons("b")}
+        [note] = report.notes
+        assert note.data["peak"] == Cons("f", (Cons("a"),))
+
     def test_nested_overlap_position_reported(self):
         t = NAT.extended(
             Declaration("g", (("n", N),), N),
