@@ -3,7 +3,9 @@
 Exit codes: 0 for success, 1 for any user-level problem (syntax errors,
 failed checks, analyzer rejections), 2 when the inverse translation
 detects an internal soundness violation — that one is a bug in the tool
-or its metatheory, never in the input.
+or its metatheory, never in the input — and 3 when the input is too deep
+or too large for the interpreter (recursion depth or memory), reported
+as one ``resource-limit`` record.
 """
 
 from __future__ import annotations
@@ -422,6 +424,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, PimodError) as e:
         rep.result(type(e).__name__, "", False, str(e))
         return 1
+    except (RecursionError, MemoryError) as e:
+        rep.result("resource-limit", "", False,
+                   f"{type(e).__name__}: the input is nested too deeply or is "
+                   "too large for this process")
+        return 3
     return 1 if rep.errors else 0
 
 

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .kernel import TypingConfig, check as dk_check
 from .rewrite import BETA, Fuel, convertible, nf, step
-from .terms import App, Cons, DkTerm, Lam, Pi, Var
+from .terms import App, Cons, DkTerm, Lam, Var, children, same_node
 from .epts import (
     EApp,
     ELam,
@@ -54,26 +54,6 @@ class InvertibleForm:
     parts: tuple
 
 
-_SORT_PREFIX = {"u": 1, "U": 1, "El": 1, "Prod": 2, "abs": 2, "app": 2}
-
-
-def _split_role(enc: EncodingTheory, name: str,
-                args: tuple[DkTerm, ...]) -> tuple[str, tuple[str, ...], tuple[DkTerm, ...]] | None:
-    role = enc.role_of(name)
-    if role is None:
-        return None
-    if enc.mode == "finite":
-        return role[0], role[1:], args
-    k = _SORT_PREFIX[role[0]]
-    sorts = []
-    for a in args[:k]:
-        s = enc.sort_name(a)
-        if s is None:
-            return None
-        sorts.append(s)
-    return role[0], tuple(sorts), args[k:]
-
-
 def recognize(enc: EncodingTheory, t: DkTerm) -> InvertibleForm | None:
     """Match ``t`` against one production of the invertible grammar.
 
@@ -86,7 +66,7 @@ def recognize(enc: EncodingTheory, t: DkTerm) -> InvertibleForm | None:
         case App(Lam(h, _, body), arg):
             return InvertibleForm("redex", (), (h, body, arg))
         case Cons(name, args):
-            split = _split_role(enc, name, args)
+            split = enc.split(name, args)
             if split is None:
                 return None
             role, sorts, payload = split
@@ -148,19 +128,12 @@ def hidden_equiv(enc: EncodingTheory, a: DkTerm, b: DkTerm,
     pairs: list[tuple[DkTerm, DkTerm]] = []
 
     def zip_(x: DkTerm, y: DkTerm) -> bool:
-        match x, y:
-            case (Lam(_, ann1, b1), Lam(_, ann2, b2)):
-                pairs.append((ann1, ann2))
-                return zip_(b1, b2)
-            case (Cons(c, xs), Cons(d, ys)):
-                return c == d and len(xs) == len(ys) and \
-                    all(zip_(p, q) for p, q in zip(xs, ys))
-            case (App(f1, a1), App(f2, a2)):
-                return zip_(f1, f2) and zip_(a1, a2)
-            case (Pi(_, d1, c1), Pi(_, d2, c2)):
-                return zip_(d1, d2) and zip_(c1, c2)
-            case _:
-                return x == y
+        if type(x) is Lam and type(y) is Lam:
+            pairs.append((x.ann, y.ann))
+            return zip_(x.body, y.body)
+        if not same_node(x, y):
+            return x == y
+        return all(zip_(p, q) for (p, _), (q, _) in zip(children(x), children(y)))
 
     if not zip_(a, b):
         return False

@@ -65,31 +65,16 @@ def mangle(name: str) -> str:
     return "".join(out)
 
 
-def U_name(s: str) -> str:
-    return f"U@{mangle(s)}"
+def family_name(role: str, *sorts: str) -> str:
+    """Finite-mode name of a constant family, or of the ``u-red``/``beta``
+    rule, at the given sorts: ``family_name("app", "Kind", "Type")`` is
+    ``app@Kind@Type``."""
+    return "@".join([role] + [mangle(s) for s in sorts])
 
 
-def El_name(s: str) -> str:
-    return f"El@{mangle(s)}"
-
-
-def u_name(s: str) -> str:
-    return f"u@{mangle(s)}"
-
-
-def prod_name(s1: str, s2: str) -> str:
-    return f"Prod@{mangle(s1)}@{mangle(s2)}"
-
-
-def abs_name(s1: str, s2: str) -> str:
-    return f"abs@{mangle(s1)}@{mangle(s2)}"
-
-
-def app_name(s1: str, s2: str) -> str:
-    return f"app@{mangle(s1)}@{mangle(s2)}"
-
-
-INTERNAL_CORE = ("U", "El", "u", "Prod", "abs", "app")
+# The constant families every encoding has, with the number of sorts
+# that index each.
+INTERNAL_CORE = {"U": 1, "El": 1, "u": 1, "Prod": 2, "abs": 2, "app": 2}
 
 
 @dataclass
@@ -98,6 +83,8 @@ class EncodingTheory:
 
     ``roles`` maps each generated constant to its role and, in finite
     mode, the sort names baked into it, e.g. ``("app", "Type", "Type")``.
+    :meth:`family` and :meth:`split` are the one place that knows how
+    each mode lays out a family member's sorts and payload.
     """
 
     theory: Theory
@@ -114,62 +101,61 @@ class EncodingTheory:
         """Labels of the steps that simulate one source beta step."""
         return frozenset(self.beta_rules) | {BETA}
 
-    def _require(self, *sorts: str) -> None:
+    def family(self, role: str, sorts: tuple[str, ...],
+               payload: tuple[DkTerm, ...]) -> DkTerm:
+        """The member of family ``role`` at ``sorts`` applied to ``payload``.
+
+        Finite mode bakes the sorts into the constant name; internalized
+        mode passes their sort terms as leading arguments.
+        """
         for s in sorts:
             if not self.spec.has_sort(s):
                 raise UnknownSort(f"unknown sort '{s}'")
+        if self.mode == "finite":
+            return Cons(family_name(role, *sorts), payload)
+        return Cons(role, tuple(self.spec.sort_term(s) for s in sorts) + payload)
 
-    def _sort_args(self, *sorts: str) -> tuple[DkTerm, ...]:
-        return tuple(self.spec.sort_term(s) for s in sorts)
-
-    def sort_name(self, t: DkTerm) -> str | None:
-        """Resolve a sort argument back to its surface name (internalized)."""
-        if self.mode != "internalized":
+    def split(self, name: str, args: tuple[DkTerm, ...]
+              ) -> tuple[str, tuple[str, ...], tuple[DkTerm, ...]] | None:
+        """The inverse of :meth:`family`: ``(role, sorts, payload)`` of the
+        constant ``name`` applied to ``args``, or None when ``name`` is no
+        family member or a sort argument evaluates to no named sort."""
+        role = self.roles.get(name)
+        if role is None:
             return None
-        return self.spec.name_of(dk_nf(self.spec.mini, t))
+        if self.mode == "finite":
+            return role[0], role[1:], args
+        k = INTERNAL_CORE[role[0]]
+        sorts = []
+        for a in args[:k]:
+            s = self.spec.name_of(dk_nf(self.spec.mini, a))
+            if s is None:
+                return None
+            sorts.append(s)
+        return role[0], tuple(sorts), args[k:]
 
     def mk_U(self, s: str) -> DkTerm:
-        self._require(s)
-        if self.mode == "finite":
-            return Cons(U_name(s))
-        return Cons("U", self._sort_args(s))
+        return self.family("U", (s,), ())
 
     def mk_El(self, s: str, a: DkTerm) -> DkTerm:
-        self._require(s)
-        if self.mode == "finite":
-            return Cons(El_name(s), (a,))
-        return Cons("El", self._sort_args(s) + (a,))
+        return self.family("El", (s,), (a,))
 
     def mk_u(self, s: str) -> DkTerm:
-        self._require(s)
-        if self.mode == "finite":
-            return Cons(u_name(s))
-        return Cons("u", self._sort_args(s))
+        return self.family("u", (s,), ())
 
     def mk_prod(self, s1: str, s2: str, a: DkTerm, b: DkTerm) -> DkTerm:
-        self._require(s1, s2)
-        if self.mode == "finite":
-            return Cons(prod_name(s1, s2), (a, b))
-        return Cons("Prod", self._sort_args(s1, s2) + (a, b))
+        return self.family("Prod", (s1, s2), (a, b))
 
     def mk_abs(self, s1: str, s2: str, a: DkTerm, b: DkTerm, m: DkTerm) -> DkTerm:
-        self._require(s1, s2)
-        if self.mode == "finite":
-            return Cons(abs_name(s1, s2), (a, b, m))
-        return Cons("abs", self._sort_args(s1, s2) + (a, b, m))
+        return self.family("abs", (s1, s2), (a, b, m))
 
     def mk_app(self, s1: str, s2: str, a: DkTerm, b: DkTerm,
                m: DkTerm, n: DkTerm) -> DkTerm:
-        self._require(s1, s2)
-        if self.mode == "finite":
-            return Cons(app_name(s1, s2), (a, b, m, n))
-        return Cons("app", self._sort_args(s1, s2) + (a, b, m, n))
+        return self.family("app", (s1, s2), (a, b, m, n))
 
     def beta_label(self, s1: str, s2: str) -> str:
         """The rewrite-rule name that simulates beta at this sort pair."""
-        if self.mode == "finite":
-            return f"beta@{mangle(s1)}@{mangle(s2)}"
-        return "beta"
+        return family_name("beta", s1, s2) if self.mode == "finite" else "beta"
 
 
 def generate_finite(spec: FiniteSortSpec) -> EncodingTheory:
@@ -177,56 +163,49 @@ def generate_finite(spec: FiniteSortSpec) -> EncodingTheory:
     sig: list[Declaration] = []
     rules: list[RewriteRule] = []
     roles: dict[str, tuple[str, ...]] = {}
+    U = lambda s: Cons(family_name("U", s))
+    El = lambda s, t: Cons(family_name("El", s), (t,))
+
+    def declare(role: str, sorts: tuple[str, ...], telescope: tuple,
+                result: DkTerm) -> str:
+        n = family_name(role, *sorts)
+        sig.append(Declaration(n, telescope, result))
+        roles[n] = (role,) + sorts
+        return n
 
     for s in spec.sorts:
-        n = U_name(s)
-        sig.append(Declaration(n, (), TYPE))
-        roles[n] = ("U", s)
+        declare("U", (s,), (), TYPE)
     for s in spec.sorts:
-        n = El_name(s)
-        sig.append(Declaration(n, (("A", Cons(U_name(s))),), TYPE))
-        roles[n] = ("El", s)
+        declare("El", (s,), (("A", U(s)),), TYPE)
     for s in spec.sorts:
         target = spec.axioms.get(s)
         if target is None:
             continue
-        n = u_name(s)
-        sig.append(Declaration(n, (), Cons(U_name(target))))
-        roles[n] = ("u", s)
-        rules.append(RewriteRule(El_name(target), (Cons(n),), Cons(U_name(s)),
-                                 name=f"u-red@{mangle(s)}"))
+        n = declare("u", (s,), (), U(target))
+        rules.append(RewriteRule(family_name("El", target), (Cons(n),), U(s),
+                                 name=family_name("u-red", s)))
     for a in spec.sorts:
         for b in spec.sorts:
             c = spec.rules.get((a, b))
             if c is None:
                 continue
-            el_a = lambda t: Cons(El_name(a), (t,))
-            u_b = Cons(U_name(b))
-            np, na, nf = prod_name(a, b), abs_name(a, b), app_name(a, b)
-            sig.append(Declaration(np, (
-                ("A", Cons(U_name(a))),
-                ("B", Pi("x", el_a(Var(0)), u_b)),
-            ), Cons(U_name(c))))
-            sig.append(Declaration(na, (
-                ("A", Cons(U_name(a))),
-                ("B", Pi("x", el_a(Var(0)), u_b)),
-                ("M", Pi("x", el_a(Var(1)),
-                         Cons(El_name(b), (App(Var(1), Var(0)),)))),
-            ), Cons(El_name(c), (Cons(np, (Var(2), Var(1))),))))
-            sig.append(Declaration(nf, (
-                ("A", Cons(U_name(a))),
-                ("B", Pi("x", el_a(Var(0)), u_b)),
-                ("M", Cons(El_name(c), (Cons(np, (Var(1), Var(0))),))),
-                ("N", el_a(Var(2))),
-            ), Cons(El_name(b), (App(Var(2), Var(0)),))))
-            for n in (np, na, nf):
-                roles[n] = (n.split("@", 1)[0], a, b)
+            fam = ("B", Pi("x", El(a, Var(0)), U(b)))
+            np = declare("Prod", (a, b), (("A", U(a)), fam), U(c))
+            na = declare("abs", (a, b), (
+                ("A", U(a)), fam,
+                ("M", Pi("x", El(a, Var(1)), El(b, App(Var(1), Var(0))))),
+            ), El(c, Cons(np, (Var(2), Var(1)))))
+            nf = declare("app", (a, b), (
+                ("A", U(a)), fam,
+                ("M", El(c, Cons(np, (Var(1), Var(0))))),
+                ("N", El(a, Var(2))),
+            ), El(b, App(Var(2), Var(0))))
             rules.append(RewriteRule(
                 nf,
                 (Meta("A"), Meta("B"),
                  Cons(na, (Meta("A'"), Meta("B'"), Meta("M"))), Meta("N")),
                 App(Meta("M"), Meta("N")),
-                name=f"beta@{mangle(a)}@{mangle(b)}"))
+                name=family_name("beta", a, b)))
 
     theory = Theory(tuple(sig), tuple(rules))
     return EncodingTheory(

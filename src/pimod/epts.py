@@ -13,7 +13,8 @@ is the type-directed map from implicit to explicit syntax and
 On the explicit layer the child map, :func:`epts_children` with
 :func:`epts_with_children`, is the one place that states which subterms
 a node has and how many binders it puts around each; shifting,
-substitution and the redex search are derived from it.
+substitution, the redex search and the congruence descent of
+conversion are derived from it.
 
 Sorts come from a :data:`SortSpec`: either a finite enumeration with
 explicit axiom/rule tables, or an internalized presentation where sorts
@@ -386,6 +387,14 @@ def epts_with_children(t: EptsTerm, kids: list[EptsTerm]) -> EptsTerm:
     return t
 
 
+def epts_same_node(x: EptsTerm, y: EptsTerm) -> bool:
+    """Are ``x`` and ``y`` inner nodes of one class and sort pair, so that
+    their :func:`epts_children` correspond one to one?  False for leaves."""
+    tp = type(x)
+    return (tp is type(y) and tp in (EPi, ELam, EApp)
+            and x.s1 == y.s1 and x.s2 == y.s2)
+
+
 def epts_map_leaves(t: EptsTerm, leaf: Callable[[EptsTerm, int], EptsTerm],
                     depth: int = 0) -> EptsTerm:
     """Rebuild ``t`` with each leaf ``u`` replaced by ``leaf(u, d)``, where
@@ -532,16 +541,8 @@ def epts_convertible(spec: SortSpec, a: EptsTerm, b: EptsTerm,
         y = epts_whnf(spec, y, f)
         if x == y:
             return True
-        match x, y:
-            case (EPi(s1, s2, d1, _, c1), EPi(t1, t2, d2, _, c2)):
-                return s1 == t1 and s2 == t2 and go(d1, d2) and go(c1, c2)
-            case (ELam(s1, s2, d1, _, c1, b1), ELam(t1, t2, d2, _, c2, b2)):
-                return (s1, s2) == (t1, t2) and go(d1, d2) and go(c1, c2) and go(b1, b2)
-            case (EApp(s1, s2, d1, _, c1, f1, a1), EApp(t1, t2, d2, _, c2, f2, a2)):
-                return ((s1, s2) == (t1, t2) and go(d1, d2) and go(c1, c2)
-                        and go(f1, f2) and go(a1, a2))
-            case _:
-                return False
+        return epts_same_node(x, y) and all(
+            go(p, q) for (p, _), (q, _) in zip(epts_children(x), epts_children(y)))
 
     return go(a, b)
 

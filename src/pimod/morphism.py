@@ -168,26 +168,11 @@ def build_phi(src: EncodingTheory, dst: EncodingTheory) -> TheoryMorphism:
         role = src.role_of(d.name)
         if role is None:
             raise PimodError(f"constant '{d.name}' has no recorded role")
-        tag, sorts = role[0], role[1:]
         try:
-            st = tuple(dst.spec.sort_term(s) for s in sorts)
+            body[d.name] = dst.family(role[0], role[1:], tuple(
+                Var(k) for k in reversed(range(d.arity))))
         except UnknownSort as e:
             raise UnrepresentableSort(
                 f"the target internalization has no term for a sort used "
                 f"by '{d.name}'", constant=d.name) from e
-        match tag:
-            case "U":
-                body[d.name] = Cons("U", st)
-            case "El":
-                body[d.name] = Cons("El", st + (Var(0),))
-            case "u":
-                body[d.name] = Cons("u", st)
-            case "Prod":
-                body[d.name] = Cons("Prod", st + (Var(1), Var(0)))
-            case "abs":
-                body[d.name] = Cons("abs", st + (Var(2), Var(1), Var(0)))
-            case "app":
-                body[d.name] = Cons("app", st + (Var(3), Var(2), Var(1), Var(0)))
-            case _:
-                raise PimodError(f"unexpected role '{tag}' for '{d.name}'")
     return TheoryMorphism(src.theory, dst.theory, body)

@@ -18,8 +18,8 @@ from typing import Iterator
 
 from .errors import Diagnostic, FuelExhausted
 from .terms import (
-    App, Cons, DkTerm, Lam, Meta, Pi, RewriteRule, Theory,
-    children, instantiate, map_leaves, subst, with_children,
+    App, Cons, DkTerm, Lam, Meta, RewriteRule, Theory,
+    children, instantiate, map_leaves, same_node, subst, with_children,
 )
 
 BETA = "β"
@@ -236,17 +236,8 @@ def convertible(theory: Theory, a: DkTerm, b: DkTerm, fuel: int | Fuel | None = 
         y = whnf(theory, y, f)
         if x == y:
             return True
-        match (x, y):
-            case (App(f1, a1), App(f2, a2)):
-                return go(f1, f2) and go(a1, a2)
-            case (Cons(c1, x1), Cons(c2, x2)):
-                return c1 == c2 and len(x1) == len(x2) and all(go(p, q) for p, q in zip(x1, x2))
-            case (Lam(_, t1, b1), Lam(_, t2, b2)):
-                return go(t1, t2) and go(b1, b2)
-            case (Pi(_, d1, c1), Pi(_, d2, c2)):
-                return go(d1, d2) and go(c1, c2)
-            case _:
-                return False
+        return same_node(x, y) and all(
+            go(p, q) for (p, _), (q, _) in zip(children(x), children(y)))
 
     return go(a, b)
 

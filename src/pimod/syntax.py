@@ -37,6 +37,7 @@ from .terms import (
     Var,
     arrow,
     shift,
+    subterms,
 )
 from .epts import (
     EApp,
@@ -269,6 +270,42 @@ def parse_dk_term(text: str, theory: Theory, names: Sequence[str] = (),
 # --- theory files ----------------------------------------------------------------
 
 
+def _constant_clause(p: _Parser, known: dict[str, int], what: str) -> Declaration:
+    """``NAME (x : A, ...) : B.`` after the keyword ``constant``; records
+    the new constant's arity in ``known``."""
+    name = p.ident(what)
+    telescope: list[tuple[str, DkTerm]] = []
+    tnames: list[str] = []
+    if p.eat("punct", "("):
+        while True:
+            h = p.ident("a telescope variable")
+            p.expect("punct", ":")
+            telescope.append((h, _dk_term(p, _DkEnv(known, list(tnames)))))
+            tnames.append(h)
+            if not p.eat("punct", ","):
+                break
+        p.expect("punct", ")")
+    p.expect("punct", ":")
+    result = _dk_term(p, _DkEnv(known, list(tnames)))
+    p.expect("punct", ".")
+    known[name] = len(telescope)
+    return Declaration(name, tuple(telescope), result)
+
+
+def _rule_clause(p: _Parser, known: dict[str, int], label: str) -> RewriteRule:
+    """``["NAME"] LHS --> RHS.`` after the keyword ``rule``; ``label``
+    names the rule when no name is given."""
+    if p.at("string"):
+        label = p.advance().text
+    lhs = _dk_term(p, _DkEnv(known, [], metas=True))
+    p.expect("punct", "-->")
+    rhs = _dk_term(p, _DkEnv(known, [], metas=True))
+    p.expect("punct", ".")
+    if type(lhs) is not Cons:
+        raise p.fail("a rule's left-hand side must be a constant application")
+    return RewriteRule(lhs.name, lhs.args, rhs, name=label)
+
+
 @dataclass
 class TheoryFile:
     """Payload of a theory file: the theory plus its test judgments."""
@@ -289,35 +326,9 @@ def parse_theory(text: str, source: str = "<theory>") -> TheoryFile:
 
     while not p.at("eof"):
         if p.eat("ident", "constant"):
-            name = p.ident("a constant name")
-            telescope: list[tuple[str, DkTerm]] = []
-            tnames: list[str] = []
-            if p.eat("punct", "("):
-                while True:
-                    h = p.ident("a telescope variable")
-                    p.expect("punct", ":")
-                    ty = _dk_term(p, _DkEnv(known, list(tnames)))
-                    telescope.append((h, ty))
-                    tnames.append(h)
-                    if not p.eat("punct", ","):
-                        break
-                p.expect("punct", ")")
-            p.expect("punct", ":")
-            result = _dk_term(p, _DkEnv(known, list(tnames)))
-            p.expect("punct", ".")
-            decls.append(Declaration(name, tuple(telescope), result))
-            known[name] = len(telescope)
+            decls.append(_constant_clause(p, known, "a constant name"))
         elif p.eat("ident", "rule"):
-            label = p.advance().text if p.at("string") else f"rule-{len(rules)}"
-            lhs = _dk_term(p, _DkEnv(known, [], metas=True))
-            p.expect("punct", "-->")
-            rhs = _dk_term(p, _DkEnv(known, [], metas=True))
-            p.expect("punct", ".")
-            match lhs:
-                case Cons(head, args):
-                    rules.append(RewriteRule(head, args, rhs, name=label))
-                case _:
-                    raise p.fail("a rule's left-hand side must be a constant application")
+            rules.append(_rule_clause(p, known, f"rule-{len(rules)}"))
         elif p.eat("ident", "assume"):
             name = p.ident("a variable name")
             p.expect("punct", ":")
@@ -513,34 +524,9 @@ def _parse_internalized(text: str, source: str) -> InternalizedSortSpec:
     named: dict[str, DkTerm] = {}
     while not p.at("eof"):
         if p.eat("ident", "constant"):
-            name = p.ident("a sort former")
-            telescope: list[tuple[str, DkTerm]] = []
-            tnames: list[str] = []
-            if p.eat("punct", "("):
-                while True:
-                    h = p.ident("a telescope variable")
-                    p.expect("punct", ":")
-                    telescope.append((h, _dk_term(p, _DkEnv(known, list(tnames)))))
-                    tnames.append(h)
-                    if not p.eat("punct", ","):
-                        break
-                p.expect("punct", ")")
-            p.expect("punct", ":")
-            result = _dk_term(p, _DkEnv(known, list(tnames)))
-            p.expect("punct", ".")
-            constants.append(Declaration(name, tuple(telescope), result))
-            known[name] = len(telescope)
+            constants.append(_constant_clause(p, known, "a sort former"))
         elif p.eat("ident", "rule"):
-            label = p.advance().text if p.at("string") else f"sort-rule-{len(rules)}"
-            lhs = _dk_term(p, _DkEnv(known, [], metas=True))
-            p.expect("punct", "-->")
-            rhs = _dk_term(p, _DkEnv(known, [], metas=True))
-            p.expect("punct", ".")
-            match lhs:
-                case Cons(head, args):
-                    rules.append(RewriteRule(head, args, rhs, name=label))
-                case _:
-                    raise p.fail("a rule's left-hand side must be a constant application")
+            rules.append(_rule_clause(p, known, f"sort-rule-{len(rules)}"))
         else:
             name = p.ident("a sort name")
             p.expect("punct", ":=")
@@ -636,19 +622,7 @@ def _var_name(k: int, env: list[str]) -> str:
 
 
 def _dk_uses(t: DkTerm, j: int) -> bool:
-    match t:
-        case Var(k):
-            return k == j
-        case Cons(_, args):
-            return any(_dk_uses(a, j) for a in args)
-        case App(f, a):
-            return _dk_uses(f, j) or _dk_uses(a, j)
-        case Lam(_, ann, body):
-            return _dk_uses(ann, j) or _dk_uses(body, j + 1)
-        case Pi(_, dom, cod):
-            return _dk_uses(dom, j) or _dk_uses(cod, j + 1)
-        case _:
-            return False
+    return any(type(u) is Var and u.index == j + d for u, d in subterms(t))
 
 
 def _r_dk(t: DkTerm, env: list[str], prec: int, avoid: set[str]) -> str:
@@ -804,28 +778,30 @@ def _r_stlc(t: Any, env: list[str], avoid: set[str], prec: int = 0) -> str:
     raise TypeError(f"not a simply typed term: {t!r}")
 
 
+def _r_signature(decls: Iterable[Declaration], rules: Iterable[RewriteRule],
+                 avoid: set[str]) -> list[str]:
+    """The ``constant`` and ``rule`` clauses of a theory, one per line."""
+    lines = []
+    for d in decls:
+        acc: list[str] = []
+        parts = []
+        for h, ty in d.telescope:
+            name = _fresh(h, acc, avoid)
+            parts.append(f"{name} : {_r_dk(ty, acc, 0, avoid)}")
+            acc.append(name)
+        tele = f" ({', '.join(parts)})" if parts else ""
+        lines.append(f"constant {d.name}{tele} : {_r_dk(d.result, acc, 0, avoid)}.")
+    for r in rules:
+        lhs = _r_dk(Cons(r.head, r.lhs), [], 0, avoid)
+        lines.append(f'rule "{r.name}" {lhs} --> {_r_dk(r.rhs, [], 0, avoid)}.')
+    return lines
+
+
 def render_theory(theory: Theory, assumes: DkContext | None = None,
                   checks: Iterable[tuple[DkTerm, DkTerm]] = ()) -> str:
     """A complete theory file, re-parseable by :func:`parse_theory`."""
     avoid = {d.name for d in theory.signature}
-    lines: list[str] = []
-    for d in theory.signature:
-        if d.telescope:
-            acc: list[str] = []
-            parts = []
-            for h, ty in d.telescope:
-                name = _fresh(h, acc, avoid)
-                parts.append(f"{name} : {_r_dk(ty, acc, 0, avoid)}")
-                acc.append(name)
-            tele = ", ".join(parts)
-            lines.append(f"constant {d.name} ({tele}) : "
-                         f"{_r_dk(d.result, acc, 0, avoid)}.")
-        else:
-            lines.append(f"constant {d.name} : {_r_dk(d.result, [], 0, avoid)}.")
-    for r in theory.rules:
-        lhs = _r_dk(Cons(r.head, r.lhs), [], 0, avoid)
-        rhs = _r_dk(r.rhs, [], 0, avoid)
-        lines.append(f'rule "{r.name}" {lhs} --> {rhs}.')
+    lines = _r_signature(theory.signature, theory.rules, avoid)
     acc = []
     if assumes is not None:
         for h, ty in assumes.entries:
@@ -868,21 +844,7 @@ def render_sort_spec(f: SortSpecFile) -> str:
         spec = f.internalized
         lines.append("[internalized]")
         avoid = {"Sort", "Ax", "Ru"} | {d.name for d in spec.constants}
-        for d in spec.constants:
-            if d.telescope:
-                acc: list[str] = []
-                parts = []
-                for h, ty in d.telescope:
-                    name = _fresh(h, acc, avoid)
-                    parts.append(f"{name} : {_r_dk(ty, acc, 0, avoid)}")
-                    acc.append(name)
-                lines.append(f"constant {d.name} ({', '.join(parts)}) : "
-                             f"{_r_dk(d.result, acc, 0, avoid)}.")
-            else:
-                lines.append(f"constant {d.name} : {_r_dk(d.result, [], 0, avoid)}.")
-        for r in spec.rules:
-            lhs = _r_dk(Cons(r.head, r.lhs), [], 0, avoid)
-            lines.append(f'rule "{r.name}" {lhs} --> {_r_dk(r.rhs, [], 0, avoid)}.')
+        lines.extend(_r_signature(spec.constants, spec.rules, avoid))
         for name, t in spec.named.items():
             lines.append(f"{name} := {_r_dk(t, [], 0, avoid)}.")
     return "\n".join(lines) + "\n"

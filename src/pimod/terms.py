@@ -10,7 +10,8 @@ The child map, :func:`children` with :func:`with_children`, is the one
 place that states which subterms a node has and how many binders it puts
 around each.  Shifting, substitution, instantiation and the folds are
 derived from it through :func:`map_leaves` and :func:`subterms`, and so
-are redex search in :mod:`pimod.rewrite` and morphism application.
+are redex search and the congruence descent of conversion in
+:mod:`pimod.rewrite` (through :func:`same_node`) and morphism application.
 """
 
 from __future__ import annotations
@@ -131,6 +132,18 @@ def with_children(t: DkTerm, kids: list[DkTerm]) -> DkTerm:
     if tp is Cons:
         return Cons(t.name, tuple(kids))
     return t
+
+
+def same_node(x: DkTerm, y: DkTerm) -> bool:
+    """Do ``x`` and ``y`` have the same constructor (for constants, the
+    same name and arity), so that their :func:`children` correspond one
+    to one?  False for variables, sorts and pattern variables."""
+    tp = type(x)
+    if tp is not type(y):
+        return False
+    if tp is Cons:
+        return x.name == y.name and len(x.args) == len(y.args)
+    return tp is App or tp is Lam or tp is Pi
 
 
 def map_leaves(t: DkTerm, leaf: Callable[[DkTerm, int], DkTerm], depth: int = 0) -> DkTerm:

@@ -12,11 +12,19 @@ every ordered pair of rules, renaming both apart for each pair, and
 unified every pattern position with every rule.  It keys root overlaps
 by rule name, so it is a reference only for theories whose rule names
 are unique.
+
+``convertible``, ``epts_convertible`` and ``hidden_equiv`` descend
+through congruences with one hand-written case per constructor, and
+``build_phi`` lays out the target of each constant family with one case
+per role; the library derives the first three from the child maps and
+the last from ``EncodingTheory.family``.
 """
 
-from pimod.epts import EApp, ELam, EPi, ESort, EptsTerm, EVar
-from pimod.errors import Diagnostic
-from pimod.rewrite import OrthogonalityReport
+from pimod.encode import EncodingTheory
+from pimod.epts import EApp, ELam, EPi, ESort, EptsTerm, EVar, SortSpec, epts_whnf
+from pimod.errors import Diagnostic, PimodError, UnknownSort, UnrepresentableSort
+from pimod.morphism import TheoryMorphism
+from pimod.rewrite import Fuel, OrthogonalityReport, whnf
 from pimod.terms import App, Cons, DkTerm, Lam, Meta, Pi, Theory, Var, map_leaves
 
 
@@ -278,3 +286,130 @@ def check_orthogonal(theory: Theory) -> OrthogonalityReport:
                 else:
                     report.problems.append(diag)
     return report
+
+
+def convertible(theory: Theory, a: DkTerm, b: DkTerm, fuel: int | Fuel | None = None) -> bool:
+    """Do ``a`` and ``b`` have a common reduct?
+
+    Decided by weak-head reduction and congruence descent; complete for
+    confluent theories, which is the setting the rest of the toolkit
+    establishes before relying on it.
+    """
+    f = Fuel.of(fuel)
+
+    def go(x: DkTerm, y: DkTerm) -> bool:
+        x = whnf(theory, x, f)
+        y = whnf(theory, y, f)
+        if x == y:
+            return True
+        match (x, y):
+            case (App(f1, a1), App(f2, a2)):
+                return go(f1, f2) and go(a1, a2)
+            case (Cons(c1, x1), Cons(c2, x2)):
+                return c1 == c2 and len(x1) == len(x2) and all(go(p, q) for p, q in zip(x1, x2))
+            case (Lam(_, t1, b1), Lam(_, t2, b2)):
+                return go(t1, t2) and go(b1, b2)
+            case (Pi(_, d1, c1), Pi(_, d2, c2)):
+                return go(d1, d2) and go(c1, c2)
+            case _:
+                return False
+
+    return go(a, b)
+
+
+def epts_convertible(spec: SortSpec, a: EptsTerm, b: EptsTerm,
+                     fuel: int | Fuel | None = None) -> bool:
+    f = Fuel.of(fuel)
+
+    def go(x: EptsTerm, y: EptsTerm) -> bool:
+        x = epts_whnf(spec, x, f)
+        y = epts_whnf(spec, y, f)
+        if x == y:
+            return True
+        match x, y:
+            case (EPi(s1, s2, d1, _, c1), EPi(t1, t2, d2, _, c2)):
+                return s1 == t1 and s2 == t2 and go(d1, d2) and go(c1, c2)
+            case (ELam(s1, s2, d1, _, c1, b1), ELam(t1, t2, d2, _, c2, b2)):
+                return (s1, s2) == (t1, t2) and go(d1, d2) and go(c1, c2) and go(b1, b2)
+            case (EApp(s1, s2, d1, _, c1, f1, a1), EApp(t1, t2, d2, _, c2, f2, a2)):
+                return ((s1, s2) == (t1, t2) and go(d1, d2) and go(c1, c2)
+                        and go(f1, f2) and go(a1, a2))
+            case _:
+                return False
+
+    return go(a, b)
+
+
+def hidden_equiv(enc: EncodingTheory, a: DkTerm, b: DkTerm,
+                 fuel: int | Fuel | None = None) -> bool:
+    """Equality up to conversion inside abstraction annotations only.
+
+    The plain skeletons must agree on the nose; the collected pairs of
+    binder annotations merely have to be convertible.  This is the
+    precise sense in which annotations are hidden: rewriting can change
+    them, but it cannot change what the term says.
+    """
+    pairs: list[tuple[DkTerm, DkTerm]] = []
+
+    def zip_(x: DkTerm, y: DkTerm) -> bool:
+        match x, y:
+            case (Lam(_, ann1, b1), Lam(_, ann2, b2)):
+                pairs.append((ann1, ann2))
+                return zip_(b1, b2)
+            case (Cons(c, xs), Cons(d, ys)):
+                return c == d and len(xs) == len(ys) and \
+                    all(zip_(p, q) for p, q in zip(xs, ys))
+            case (App(f1, a1), App(f2, a2)):
+                return zip_(f1, f2) and zip_(a1, a2)
+            case (Pi(_, d1, c1), Pi(_, d2, c2)):
+                return zip_(d1, d2) and zip_(c1, c2)
+            case _:
+                return x == y
+
+    if not zip_(a, b):
+        return False
+    f = Fuel.of(fuel)
+    return all(convertible(enc.theory, p, q, f) for p, q in pairs)
+
+
+def build_phi(src: EncodingTheory, dst: EncodingTheory) -> TheoryMorphism:
+    """The canonical morphism from a finite encoding into an internalized one.
+
+    Each sort-indexed constant family is sent to the corresponding
+    uniform constant applied to the internal representation of its
+    sorts; the payload arguments pass through unchanged.  Fails with
+    :class:`UnrepresentableSort` when the target gives no name to a
+    sort the source mentions.
+    """
+    if src.mode != "finite" or dst.mode != "internalized":
+        raise PimodError(
+            "expected a finite encoding as source and an internalized one "
+            "as target", source=src.mode, target=dst.mode)
+    body: dict[str, DkTerm] = {}
+    for d in src.theory.signature:
+        role = src.role_of(d.name)
+        if role is None:
+            raise PimodError(f"constant '{d.name}' has no recorded role")
+        tag, sorts = role[0], role[1:]
+        try:
+            st = tuple(dst.spec.sort_term(s) for s in sorts)
+        except UnknownSort as e:
+            raise UnrepresentableSort(
+                f"the target internalization has no term for a sort used "
+                f"by '{d.name}'", constant=d.name) from e
+        match tag:
+            case "U":
+                body[d.name] = Cons("U", st)
+            case "El":
+                body[d.name] = Cons("El", st + (Var(0),))
+            case "u":
+                body[d.name] = Cons("u", st)
+            case "Prod":
+                body[d.name] = Cons("Prod", st + (Var(1), Var(0)))
+            case "abs":
+                body[d.name] = Cons("abs", st + (Var(2), Var(1), Var(0)))
+            case "app":
+                body[d.name] = Cons("app", st + (Var(3), Var(2), Var(1), Var(0)))
+            case _:
+                raise PimodError(f"unexpected role '{tag}' for '{d.name}'")
+    return TheoryMorphism(src.theory, dst.theory, body)

@@ -5,6 +5,9 @@ constructor; the library derives them from ``children``/``with_children``
 (framework terms) and ``epts_children``/``epts_with_children`` (annotated
 source terms).  ``step`` and ``reducts`` share one redex search, so the
 step under a label filter must be the first reduct the filter admits.
+The congruence descents of ``convertible``, ``epts_convertible`` and
+``hidden_equiv`` follow the child maps too; they must give the same
+answer as the per-constructor versions and spend the same fuel.
 """
 
 import random
@@ -13,10 +16,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference as ref
-from pimod.epts import epts_shift, epts_subst
-from pimod.rewrite import BETA, reducts, step
-from pimod.terms import instantiate, shift, subst, subst_many
-from strategies import META_NAMES, dk_terms, epts_terms
+from pimod.decode import hidden_equiv
+from pimod.encode import EncodingTheory
+from pimod.epts import epts_convertible, epts_shift, epts_step, epts_subst
+from pimod.errors import FuelExhausted
+from pimod.rewrite import BETA, Fuel, convertible, reducts, step
+from pimod.terms import (Cons, Lam, Meta, RewriteRule, instantiate, shift,
+                         subst, subst_many)
+from strategies import META_NAMES, PARSE_THEORY, dk_terms, epts_terms
+from systems import SYSTEM_F
 from termgen import GEN_THEORY, gen_judgment
 
 SMALL = st.integers(0, 2)
@@ -64,3 +72,60 @@ def test_step_is_first_admitted_reduct():
             first = next(((u, label) for _, label, u in all_reducts
                           if labels is None or label in labels), None)
             assert step(GEN_THEORY, t, labels) == first
+
+
+# the constants of ``dk_terms`` with two rules, so that whnf rewrites
+CONV_THEORY = PARSE_THEORY.extended(rules=(
+    RewriteRule("g1", (Cons("c0"),), Cons("c0"), name="g-c"),
+    RewriteRule("h2", (Meta("M"), Meta("N")), Cons("g1", (Meta("N"),)), name="h-g"),
+))
+CONV_ENC = EncodingTheory(CONV_THEORY, SYSTEM_F, "finite")
+
+
+def _outcome(fn, *args):
+    f = Fuel(60)
+    try:
+        verdict = fn(*args, f)
+    except FuelExhausted:
+        verdict = "exhausted"
+    return verdict, f.remaining
+
+
+def _pairs(a, b, reduct):
+    """``(a, b)``, ``(a, a)`` and, when ``a`` reduces, ``a`` against its
+    reduct both ways round, so that positive answers are exercised too."""
+    out = [(a, b), (a, a)]
+    r = reduct(a)
+    if r is not None:
+        out += [(a, r), (r, a)]
+    return out
+
+
+def _dk_reduct(t):
+    s = step(CONV_THEORY, t)
+    return None if s is None else s[0]
+
+
+class TestCongruence:
+    @given(dk_terms(), dk_terms())
+    def test_convertible(self, a, b):
+        for x, y in _pairs(a, b, _dk_reduct):
+            assert _outcome(convertible, CONV_THEORY, x, y) == \
+                _outcome(ref.convertible, CONV_THEORY, x, y)
+
+    @given(dk_terms(), dk_terms())
+    def test_hidden_equiv(self, a, b):
+        pairs = _pairs(a, b, _dk_reduct)
+        r = _dk_reduct(a)
+        if r is not None:
+            # only the annotations differ, and they are convertible
+            pairs.append((Lam("x", a, b), Lam("x", r, b)))
+        for x, y in pairs:
+            assert _outcome(hidden_equiv, CONV_ENC, x, y) == \
+                _outcome(ref.hidden_equiv, CONV_ENC, x, y)
+
+    @given(epts_terms(), epts_terms())
+    def test_epts_convertible(self, a, b):
+        for x, y in _pairs(a, b, lambda t: epts_step(SYSTEM_F, t)):
+            assert _outcome(epts_convertible, SYSTEM_F, x, y) == \
+                _outcome(ref.epts_convertible, SYSTEM_F, x, y)

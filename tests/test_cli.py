@@ -146,6 +146,25 @@ class TestRoundtrip:
         err = capsys.readouterr().err
         assert "--beta@" in err and "--β-->" in err
 
+    def test_too_deep_a_numeral_is_a_resource_limit(self, tmp_path, capsys):
+        body = "x"
+        for _ in range(600):
+            body = f"f ({body})"
+        deep = tmp_path / "deep.epts"
+        deep.write_text("def nat : Type := Pi A : Type. (A -> A) -> A -> A.\n"
+                        f"def big : nat := lam A : Type. lam f : A -> A. lam x : A. {body}.\n")
+        assert main(["roundtrip", SYSTEMF_SORTS, str(deep)]) == 3
+        out, err = capsys.readouterr()
+        assert out.startswith("FAIL  resource-limit") and out.count("\n") == 1
+        assert "Traceback" not in err
+        assert main(["roundtrip", SYSTEMF_SORTS, str(deep),
+                     "--format", "machine-readable"]) == 3
+        out, err = capsys.readouterr()
+        rec = json.loads(out)
+        assert rec["kind"] == "resource-limit" and rec["ok"] is False
+        assert "RecursionError" in rec["detail"]
+        assert "Traceback" not in err
+
 
 class TestAnalyze:
     def test_traditional_encoding_is_rejected_with_witness(self, capsys):

@@ -5,14 +5,17 @@ Expected signature sizes are recomputed here from the sort tables
 three constants per product rule), so generator regressions show up as
 count mismatches before anything subtle."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 
 from pimod.analysis import check_arity_preserving, check_rules_well_formed
-from pimod.encode import (EncodingTheory, El_name, INTERNAL_CORE, U_name,
-                          abs_name, app_name, expected_dk_type, generate,
-                          generate_finite, generate_internalized, mangle,
-                          prod_name, translate, translate_ctx, u_name)
+from pimod.corpus import load_cases
+from pimod.encode import (EncodingTheory, INTERNAL_CORE, expected_dk_type,
+                          family_name, generate, generate_finite,
+                          generate_internalized, mangle, translate,
+                          translate_ctx)
 from pimod.epts import (EApp, ELam, EPi, ESort, EVar, EptsContext,
                         InternalizedSortSpec, PApp, PVar, elaborate,
                         epts_step, epts_subst)
@@ -49,8 +52,8 @@ class TestMangle:
 
     def test_separator_cannot_be_forged(self):
         # a sort literally named "a@b" must not alias the pair (a, b)
-        assert prod_name("a@b", "c") != prod_name("a", "b@c")
-        assert U_name("*") == "U@%2A"
+        assert family_name("Prod", "a@b", "c") != family_name("Prod", "a", "b@c")
+        assert family_name("U", "*") == "U@%2A"
 
 
 class TestGenerateFinite:
@@ -97,6 +100,36 @@ class TestGenerateFinite:
             SF_ENC.mk_U("Prop")
         with pytest.raises(UnknownSort):
             SF_ENC.mk_prod("Type", "Prop", Var(0), Var(0))
+
+
+class TestFamilyLayout:
+    @pytest.mark.parametrize("case", load_cases(), ids=lambda c: c.label)
+    def test_split_inverts_family(self, case):
+        # every generated constant, at every sort tuple it can be indexed
+        # by, applied to a payload that fills its declared arity
+        enc = generate(case.spec)
+        for d in enc.theory.signature:
+            role = enc.role_of(d.name)
+            if role is None:
+                continue
+            if len(role) > 1:
+                choices = [role[1:]]
+            else:
+                choices = itertools.product(enc.spec.sorts,
+                                            repeat=INTERNAL_CORE[role[0]])
+            for sorts in choices:
+                k = len(enc.family(role[0], sorts, ()).args)
+                payload = tuple(Var(i) for i in range(d.arity - k))
+                t = enc.family(role[0], sorts, payload)
+                assert t.name == d.name and len(t.args) == d.arity
+                assert enc.split(t.name, t.args) == (role[0], sorts, payload)
+
+    def test_split_rejects_strangers(self):
+        assert SF_ENC.split("nope", ()) is None
+        assert SF_INT_ENC.split("Sort", ()) is None
+        # Ax(kind) is stuck, so it names no sort
+        stuck = Cons("Ax", (Cons("kind"),))
+        assert SF_INT_ENC.split("U", (stuck,)) is None
 
 
 class TestGenerateInternalized:

@@ -2,15 +2,19 @@
 
 import pytest
 
-from pimod.encode import (generate_finite, generate_internalized, translate,
-                          translate_ctx)
+import reference as ref
+from pimod.corpus import load_sorts
+from pimod.encode import (generate, generate_finite, generate_internalized,
+                          translate, translate_ctx)
 from pimod.epts import EptsContext, PApp, PLam, PSort, PVar, elaborate
 from pimod.errors import MissingBody, PimodError, UnrepresentableSort
 from pimod.morphism import (TheoryMorphism, apply_morphism, build_phi,
                             verify_morphism)
+from pimod.syntax import parse_sort_spec_file
 from pimod.terms import (TYPE, App, Cons, Declaration, Lam, Meta, Pi,
                          RewriteRule, Theory, Var)
 from systems import MLTT_FIN, MLTT_INT, PID, SYSTEM_F
+from test_critical_pairs import tower_sorts
 from test_decode import CTX, id_applied
 from test_encode import MLTT_ENC, SF_ENC, SF_INT_ENC
 
@@ -172,3 +176,41 @@ class TestBuildPhi:
         fin = generate_finite(MLTT_FIN)
         with pytest.raises(UnrepresentableSort):
             build_phi(fin, generate_internalized(trimmed))
+
+
+def _phi_outcome(build, src, dst):
+    try:
+        phi = build(src, dst)
+    except PimodError as e:
+        return type(e), str(e), e.info
+    return phi.source, phi.target, list(phi.body.items())
+
+
+class TestPhiAgainstReference:
+    """``build_phi`` lays out each image through ``EncodingTheory.family``;
+    ``reference.build_phi`` spells the layout out role by role.  Bodies,
+    their order and the errors must agree."""
+
+    @pytest.mark.parametrize("corpus", ["systemf", "mltt"])
+    def test_bundled_systems(self, corpus):
+        sf = load_sorts(corpus)
+        fin, int_ = generate(sf.finite), generate(sf.internalized)
+        assert _phi_outcome(build_phi, fin, int_) == \
+            _phi_outcome(ref.build_phi, fin, int_)
+
+    @pytest.mark.parametrize("levels", range(2, 9))
+    def test_towers(self, levels):
+        sf = parse_sort_spec_file(tower_sorts(levels))
+        fin, int_ = generate(sf.finite), generate(sf.internalized)
+        for src, dst in ((fin, int_), (int_, fin), (fin, fin)):
+            assert _phi_outcome(build_phi, src, dst) == \
+                _phi_outcome(ref.build_phi, src, dst)
+        # a target that names every sort but the top one
+        top = f"u{levels}"
+        trimmed = parse_sort_spec_file(
+            tower_sorts(levels).replace(f"\n{top} := ", f"\n# {top} := "))
+        assert top not in trimmed.internalized.named
+        short = generate(trimmed.internalized)
+        got = _phi_outcome(build_phi, fin, short)
+        assert got[0] is UnrepresentableSort
+        assert got == _phi_outcome(ref.build_phi, fin, short)
