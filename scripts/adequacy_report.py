@@ -19,7 +19,7 @@ from pimod.corpus import load_cases
 from pimod.decode import adequacy_roundtrip, conservative_invert, invert
 from pimod.encode import expected_dk_type, generate, translate, translate_ctx
 from pimod.epts import elaborate, elaborate_context, epts_reduce
-from pimod.kernel import TypingConfig, check as dk_check, infer as dk_infer
+from pimod.kernel import check as dk_check, infer as dk_infer
 from pimod.rewrite import DEFAULT_FUEL
 from pimod.terms import App, Lam, Var
 
@@ -39,7 +39,6 @@ def main(argv=None):
     ap.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
     args = ap.parse_args(argv)
     rng = random.Random(args.seed)
-    cfg = TypingConfig(fuel=args.fuel)
 
     header = f"{'judgment':<34} {'check':>8} {'invert':>7} {'steps':>5} {'variants':>8}"
     print(header)
@@ -58,7 +57,7 @@ def main(argv=None):
 
                 t0 = time.perf_counter()
                 dk_check(enc.theory, dctx, img,
-                         expected_dk_type(enc, ctx, a, fuel=args.fuel), cfg)
+                         expected_dk_type(enc, ctx, a, fuel=args.fuel), args.fuel)
                 check_ms = (time.perf_counter() - t0) * 1000
 
                 ok_inv = invert(enc, img) == m

@@ -23,7 +23,7 @@ from .terms import (
     Var,
 )
 from .rewrite import BETA, DEFAULT_FUEL, Fuel, nf, reduce_trace, step
-from .kernel import TypingConfig, check, infer
+from .kernel import check, infer
 from .epts import (
     EApp,
     ELam,
@@ -48,6 +48,6 @@ from .epts import (
 from .encode import EncodingTheory, expected_dk_type, generate, translate, translate_ctx
 from .decode import adequacy_roundtrip, conservative_invert, invert
 from .morphism import TheoryMorphism, apply_morphism, build_phi, verify_morphism
-from .errors import Diagnostic, InternalSoundnessError, ParseError, PimodError
+from .errors import Diagnostic, FuelExhausted, InternalSoundnessError, ParseError, PimodError
 
 __version__ = "0.1.0"

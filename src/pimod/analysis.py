@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import Diagnostic, NotErasable, UnknownConstant
 from .terms import (
-    App, Cons, DkContext, DkTerm, Kind, Lam, Meta, Pi, Theory, Type, Var,
+    App, Cons, DkContext, DkTerm, Lam, Pi, Theory, Type, Var,
 )
 
 

@@ -1,11 +1,16 @@
 """Command-line driver.
 
 Exit codes: 0 for success, 1 for any user-level problem (syntax errors,
-failed checks, analyzer rejections), 2 when the inverse translation
-detects an internal soundness violation — that one is a bug in the tool
-or its metatheory, never in the input — and 3 when the input is too deep
-or too large for the interpreter (recursion depth or memory), reported
-as one ``resource-limit`` record.
+failed checks, analyzer rejections, an exhausted ``--fuel`` budget), 2
+when the inverse translation detects an internal soundness violation —
+that one is a bug in the tool or its metatheory, never in the input —
+and 3 when the input is too deep or too large for the interpreter
+(recursion depth or memory), reported as one ``resource-limit`` record.
+
+Each input item (a judgment, one ``check`` line, a theory file's
+signature plus context, a judgments file's assumptions, a morphism)
+draws every step on one ``Fuel`` of ``--fuel`` steps; the ``--trace``
+replays get a budget of their own, so tracing never changes a verdict.
 """
 
 from __future__ import annotations
@@ -28,10 +33,10 @@ from .epts import (
     epts_check,
     erase_to_pts,
 )
-from .errors import Diagnostic, InternalSoundnessError, ParseError, PimodError
-from .kernel import TypingConfig, check, check_context, check_signature
+from .errors import Diagnostic, FuelExhausted, InternalSoundnessError, PimodError
+from .kernel import check, check_context, check_signature
 from .morphism import apply_morphism, build_phi, verify_morphism
-from .rewrite import BETA, DEFAULT_FUEL, check_orthogonal, reduce_trace
+from .rewrite import BETA, DEFAULT_FUEL, Fuel, check_orthogonal, reduce_trace
 from .syntax import (
     EptsFile,
     parse_dk_term,
@@ -129,31 +134,31 @@ def _setup(args) -> tuple[EncodingTheory, EptsContext, EptsFile]:
 
 
 def _cmd_check_dk(args, rep: Reporter) -> None:
-    cfg = TypingConfig(fuel=args.fuel, trace=args.trace)
     for path in args.files:
         tf = parse_theory(_read(path), source=path)
+        f = Fuel(args.fuel)
+        log = [] if args.trace else None
         bad = False
-        for d in validate_theory(tf.theory) + check_signature(tf.theory, cfg):
+        for d in validate_theory(tf.theory) + check_signature(tf.theory, f, log):
             rep.diagnostic(d, path)
             bad = bad or d.severity == "error"
         if bad:
             continue
         rep.result("theory", path, True,
                    f"{len(tf.theory.signature)} constants, {len(tf.theory.rules)} rules")
-        for d in check_context(tf.theory, tf.assumes, cfg):
+        for d in check_context(tf.theory, tf.assumes, f, log):
             rep.diagnostic(d, path)
         names = list(tf.assumes.names)
         for m, a in tf.checks:
             subject = f"{render(m, names)} : {render(a, names)}"
             try:
-                check(tf.theory, tf.assumes, m, a, cfg)
+                check(tf.theory, tf.assumes, m, a, Fuel(args.fuel), log)
                 rep.result("check", subject, True)
-            except PimodError as e:
+            except (PimodError, FuelExhausted) as e:
                 rep.result("check", subject, False, str(e))
         if args.trace:
-            for names_, t, ty in cfg.log:
+            for names_, t, ty in log:
                 rep.trace(f"{render(t, names_)} : {render(ty, names_)}")
-            cfg.log.clear()
 
 
 def _cmd_check_epts(args, rep: Reporter) -> None:
@@ -163,14 +168,15 @@ def _cmd_check_epts(args, rep: Reporter) -> None:
     rep.result("context", f"{args.source} [{mode}]", True,
                f"{len(ctx.entries)} assumptions")
     for j in file.judgments:
+        f = Fuel(args.fuel)
         try:
-            m = elaborate(spec, ctx, j.term, fuel=args.fuel)
-            a = elaborate(spec, ctx, j.type, fuel=args.fuel)
-            epts_check(spec, ctx, m, a, fuel=args.fuel)
+            m = elaborate(spec, ctx, j.term, f)
+            a = elaborate(spec, ctx, j.type, f)
+            epts_check(spec, ctx, m, a, f)
             rep.result("judgment", j.name, True)
             if args.trace:
                 rep.trace(render(m, list(ctx.names)))
-        except PimodError as e:
+        except (PimodError, FuelExhausted) as e:
             rep.result("judgment", j.name, False, str(e))
 
 
@@ -179,10 +185,11 @@ def _cmd_encode(args, rep: Reporter) -> None:
     dctx = translate_ctx(enc, ctx, fuel=args.fuel)
     checks = []
     for j in file.judgments:
-        m = elaborate(enc.spec, ctx, j.term, fuel=args.fuel)
-        a = elaborate(enc.spec, ctx, j.type, fuel=args.fuel)
-        epts_check(enc.spec, ctx, m, a, fuel=args.fuel)
-        checks.append((translate(enc, m), expected_dk_type(enc, ctx, a, fuel=args.fuel)))
+        f = Fuel(args.fuel)
+        m = elaborate(enc.spec, ctx, j.term, f)
+        a = elaborate(enc.spec, ctx, j.type, f)
+        epts_check(enc.spec, ctx, m, a, f)
+        checks.append((translate(enc, m), expected_dk_type(enc, ctx, a, f)))
         if args.trace:
             rep.trace(f"{j.name} -> {render(checks[-1][0], list(dctx.names))}")
     stem = Path(args.source).stem + "_" + enc.mode
@@ -205,21 +212,22 @@ def _cmd_decode(args, rep: Reporter) -> None:
         if args.type is None:
             raise PimodError("--term needs --type, the claimed source-level type")
         t = parse_dk_term(args.term, enc.theory, names, source="<--term>")
+        f = Fuel(args.fuel)
         a = elaborate(enc.spec, ctx,
-                      parse_pts_term(args.type, enc.spec, names, defs, "<--type>"),
-                      fuel=args.fuel)
+                      parse_pts_term(args.type, enc.spec, names, defs, "<--type>"), f)
         if args.trace:
             _, trail = reduce_trace(enc.theory, t, frozenset({BETA}), args.fuel)
             for label, step_t in trail:
                 rep.trace(f"--{label}--> {render(step_t, names)}")
-        m = conservative_invert(enc, ctx, t, a, fuel=args.fuel)
+        m = conservative_invert(enc, ctx, t, a, f)
         rep.result("decode", args.term, True, render(erase_to_pts(m), names))
         return
     for j in file.judgments:
-        m = elaborate(enc.spec, ctx, j.term, fuel=args.fuel)
+        f = Fuel(args.fuel)
+        m = elaborate(enc.spec, ctx, j.term, f)
         img = translate(enc, m)
-        a = elaborate(enc.spec, ctx, j.type, fuel=args.fuel)
-        back = conservative_invert(enc, ctx, img, a, fuel=args.fuel)
+        a = elaborate(enc.spec, ctx, j.type, f)
+        back = conservative_invert(enc, ctx, img, a, f)
         ok = back == m
         rep.result("decode", j.name, ok,
                    "translation round-trips" if ok else "decoded to a different term")
@@ -236,8 +244,9 @@ _LEG_LABEL = {
 def _cmd_roundtrip(args, rep: Reporter) -> None:
     enc, ctx, file = _setup(args)
     for j in file.judgments:
-        m = elaborate(enc.spec, ctx, j.term, fuel=args.fuel)
-        for code, d in adequacy_legs(enc, ctx, m, fuel=args.fuel):
+        f = Fuel(args.fuel)
+        m = elaborate(enc.spec, ctx, j.term, f)
+        for code, d in adequacy_legs(enc, ctx, m, f):
             rep.result("adequacy", f"{j.name}: {_LEG_LABEL[code]}",
                        d is None, d.message if d else "")
         if args.trace:
@@ -420,8 +429,11 @@ def main(argv: list[str] | None = None) -> int:
         print("internal soundness violation -- this is a bug, please report it",
               file=sys.stderr)
         print(f"  {type(e).__name__}: {e}", file=sys.stderr)
+        if rep.fmt == "machine-readable":
+            rep.result("internal-soundness-violation", "", False,
+                       f"{type(e).__name__}: {e}")
         return 2
-    except (ParseError, PimodError) as e:
+    except (PimodError, FuelExhausted) as e:
         rep.result(type(e).__name__, "", False, str(e))
         return 1
     except (RecursionError, MemoryError) as e:

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from .errors import (
     Diagnostic,
     EptsCheckFailed,
-    FuelExhausted,
     InternalSoundnessError,
     NotInvertible,
     PimodError,
 )
-from .kernel import TypingConfig, check as dk_check
+from .kernel import check as dk_check
 from .rewrite import BETA, Fuel, convertible, nf, step
 from .terms import App, Cons, DkTerm, Lam, Var, children, same_node
 from .epts import (
@@ -149,21 +148,15 @@ def conservative_invert(enc: EncodingTheory, ctx: EptsContext, t: DkTerm,
     ``ctx`` (failures here are ordinary user errors), then beta-normalized
     and inverted.  Everything after the kernel check is guaranteed by the
     encoding's metatheory, so any failure past that point raises an
-    :class:`InternalSoundnessError`.
+    :class:`InternalSoundnessError`.  Every step, the kernel's included,
+    draws on the one budget ``fuel``; running out raises
+    :class:`FuelExhausted`, which is never a soundness verdict.
     """
     f = Fuel.of(fuel)
-    cfg = TypingConfig(fuel=f.limit)
     dctx = translate_ctx(enc, ctx, f)
     want = expected_dk_type(enc, ctx, a, f)
-    dk_check(enc.theory, dctx, t, want, cfg)
-
-    try:
-        normal = nf(enc.theory, t, labels={BETA}, fuel=f)
-    except FuelExhausted as e:
-        raise InternalSoundnessError(
-            "beta-normalization of a kernel-accepted term did not terminate "
-            "within the step budget", term=t) from e
-
+    dk_check(enc.theory, dctx, t, want, f)
+    normal = nf(enc.theory, t, labels={BETA}, fuel=f)
     m = invert(enc, normal)
 
     try:
@@ -216,9 +209,8 @@ def adequacy_roundtrip(enc: EncodingTheory, ctx: EptsContext, m: EptsTerm,
 def _image_typed(enc: EncodingTheory, ctx: EptsContext, m: EptsTerm, a: EptsTerm,
                  img: DkTerm, f: Fuel) -> Diagnostic | None:
     try:
-        cfg = TypingConfig(fuel=f.limit)
         dk_check(enc.theory, translate_ctx(enc, ctx, f), img,
-                 expected_dk_type(enc, ctx, a, f), cfg)
+                 expected_dk_type(enc, ctx, a, f), f)
     except PimodError as e:
         return Diagnostic("image-ill-typed",
                           f"the image fails kernel checking: {e}", data={"term": m})

@@ -654,11 +654,12 @@ def sort_of_type(spec: SortSpec, ctx: EptsContext, a: EptsTerm,
 def check_epts_context(spec: SortSpec, ctx: EptsContext,
                        fuel: int | Fuel | None = None) -> list[Diagnostic]:
     """Every context entry must denote a type (its type must be a sort)."""
+    f = Fuel.of(fuel)
     out: list[Diagnostic] = []
     partial = EptsContext()
     for hint, ty in ctx.entries:
         try:
-            sort_of_type(spec, partial, ty, fuel)
+            sort_of_type(spec, partial, ty, f)
         except PimodError as e:
             out.append(Diagnostic("bad-context-entry",
                                   f"context entry '{hint}' is not a type: {e}",

@@ -123,8 +123,13 @@ class TypeMismatch(ConversionFailure):
         return base
 
 
-class FuelExhausted(PimodError):
-    pass
+class FuelExhausted(Exception):
+    """The step budget ran out before the operation finished.
+
+    Not a :class:`PimodError`: running out says nothing about the input,
+    so no ``except PimodError`` may turn it into a diagnostic, a failed
+    check or a soundness violation.
+    """
 
 
 class NotErasable(PimodError):

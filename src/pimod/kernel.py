@@ -5,41 +5,27 @@ checked position meets an inferred type (constant arguments, application
 arguments, and the final ``check``).  A constant application is typed by
 walking its telescope left to right, substituting earlier arguments into
 later expected types, and instantiating the declared result type.
+
+Every entry point draws its reduction steps on one budget, ``fuel``: an
+int starts a fresh :class:`Fuel`, a ``Fuel`` is shared, so a caller that
+passes its own meter bounds the kernel's work together with the rest of
+its operation.  ``log``, when given, receives ``(context names, term,
+inferred type)`` for every inference, innermost first.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Any
 
 from .errors import (
     ArityMismatch, Diagnostic, KindHasNoType, NotAProduct, PimodError,
     TypeMismatch, UnboundVariable, UnknownConstant,
 )
-from .rewrite import DEFAULT_FUEL, Fuel, convertible, whnf
+from .rewrite import Fuel, convertible, whnf
 from .terms import (
     KIND, TYPE, App, Cons, DkContext, DkTerm, Kind, Lam, Meta, Pi, Theory,
-    Type, Var, shift, subst, subst_many,
+    Type, Var, subst, subst_many,
 )
 
-
-@dataclass
-class TypingConfig:
-    """Knobs for a typing run.
-
-    ``fuel`` bounds the total number of reduction steps spent on
-    conversion within one top-level judgment.  When ``trace`` is set,
-    every inference records ``(context names, term, inferred type)``
-    into ``log``.
-    """
-
-    fuel: int = DEFAULT_FUEL
-    trace: bool = False
-    log: list[tuple[list[str], DkTerm, DkTerm]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.fuel <= 0:
-            raise ValueError("fuel must be positive")
+Log = list[tuple[list[str], DkTerm, DkTerm]]
 
 
 def _path_str(path: tuple[str, ...]) -> str:
@@ -47,7 +33,7 @@ def _path_str(path: tuple[str, ...]) -> str:
 
 
 def _infer(theory: Theory, ctx: DkContext, t: DkTerm, f: Fuel,
-           cfg: TypingConfig, path: tuple[str, ...]) -> DkTerm:
+           log: Log | None, path: tuple[str, ...]) -> DkTerm:
     match t:
         case Var(k):
             if not 0 <= k < len(ctx):
@@ -68,27 +54,27 @@ def _infer(theory: Theory, ctx: DkContext, t: DkTerm, f: Fuel,
                     f"'{c}' expects {decl.arity} arguments, got {len(args)} (at {_path_str(path)})")
             for i, a in enumerate(args):
                 expected = subst_many(decl.telescope[i][1], tuple(reversed(args[:i])))
-                _check(theory, ctx, a, expected, f, cfg,
+                _check(theory, ctx, a, expected, f, log,
                        path + (f"argument {i + 1} of '{c}'",))
             ty = subst_many(decl.result, tuple(reversed(args)))
         case App(fn, arg):
-            fn_ty = whnf(theory, _infer(theory, ctx, fn, f, cfg, path + ("function position",)), f)
+            fn_ty = whnf(theory, _infer(theory, ctx, fn, f, log, path + ("function position",)), f)
             if not isinstance(fn_ty, Pi):
                 raise NotAProduct(
                     f"applied term is not of product type (at {_path_str(path)})",
                     function=fn, actual=fn_ty)
-            _check(theory, ctx, arg, fn_ty.dom, f, cfg, path + ("argument position",))
+            _check(theory, ctx, arg, fn_ty.dom, f, log, path + ("argument position",))
             ty = subst(fn_ty.cod, 0, arg)
         case Lam(h, ann, body):
-            _check_is_type(theory, ctx, ann, f, cfg, path + (f"domain of '{h}'",))
-            body_ty = _infer(theory, ctx.extend(h, ann), body, f, cfg, path + (f"body of '{h}'",))
+            _check_is_type(theory, ctx, ann, f, log, path + (f"domain of '{h}'",))
+            body_ty = _infer(theory, ctx.extend(h, ann), body, f, log, path + (f"body of '{h}'",))
             if body_ty == KIND:
                 raise KindHasNoType(
                     f"abstraction body is itself a kind; no product covers it (at {_path_str(path)})")
             ty = Pi(h, ann, body_ty)
         case Pi(h, dom, cod):
-            _check_is_type(theory, ctx, dom, f, cfg, path + (f"domain of '{h}'",))
-            cod_sort = whnf(theory, _infer(theory, ctx.extend(h, dom), cod, f, cfg,
+            _check_is_type(theory, ctx, dom, f, log, path + (f"domain of '{h}'",))
+            cod_sort = whnf(theory, _infer(theory, ctx.extend(h, dom), cod, f, log,
                                            path + (f"codomain of '{h}'",)), f)
             if not isinstance(cod_sort, (Type, Kind)):
                 raise TypeMismatch(
@@ -97,14 +83,14 @@ def _infer(theory: Theory, ctx: DkContext, t: DkTerm, f: Fuel,
             ty = cod_sort
         case _:
             raise PimodError(f"cannot type {t!r}")
-    if cfg.trace:
-        cfg.log.append((ctx.names, t, ty))
+    if log is not None:
+        log.append((ctx.names, t, ty))
     return ty
 
 
 def _check_is_type(theory: Theory, ctx: DkContext, t: DkTerm, f: Fuel,
-                   cfg: TypingConfig, path: tuple[str, ...]) -> None:
-    sort = whnf(theory, _infer(theory, ctx, t, f, cfg, path), f)
+                   log: Log | None, path: tuple[str, ...]) -> None:
+    sort = whnf(theory, _infer(theory, ctx, t, f, log, path), f)
     if sort != TYPE:
         raise TypeMismatch(
             f"binder annotation must be a type (at {_path_str(path)})",
@@ -112,8 +98,8 @@ def _check_is_type(theory: Theory, ctx: DkContext, t: DkTerm, f: Fuel,
 
 
 def _check(theory: Theory, ctx: DkContext, t: DkTerm, ty: DkTerm, f: Fuel,
-           cfg: TypingConfig, path: tuple[str, ...]) -> None:
-    actual = _infer(theory, ctx, t, f, cfg, path)
+           log: Log | None, path: tuple[str, ...]) -> None:
+    actual = _infer(theory, ctx, t, f, log, path)
     if not convertible(theory, actual, ty, f):
         raise TypeMismatch(
             f"type mismatch at {_path_str(path)}",
@@ -121,24 +107,22 @@ def _check(theory: Theory, ctx: DkContext, t: DkTerm, ty: DkTerm, f: Fuel,
 
 
 def infer(theory: Theory, ctx: DkContext, t: DkTerm,
-          cfg: TypingConfig | None = None) -> DkTerm:
+          fuel: int | Fuel | None = None, log: Log | None = None) -> DkTerm:
     """Infer the unique (up to conversion) type of ``t`` in ``ctx``."""
-    cfg = cfg or TypingConfig()
-    return _infer(theory, ctx, t, Fuel(cfg.fuel), cfg, ())
+    return _infer(theory, ctx, t, Fuel.of(fuel), log, ())
 
 
 def check(theory: Theory, ctx: DkContext, t: DkTerm, ty: DkTerm,
-          cfg: TypingConfig | None = None) -> None:
+          fuel: int | Fuel | None = None, log: Log | None = None) -> None:
     """Check ``t`` against ``ty``; raises ``TypeMismatch`` with both sides
     weak-head normalized when conversion fails."""
-    cfg = cfg or TypingConfig()
-    _check(theory, ctx, t, ty, Fuel(cfg.fuel), cfg, ())
+    _check(theory, ctx, t, ty, Fuel.of(fuel), log, ())
 
 
 def check_context(theory: Theory, ctx: DkContext,
-                  cfg: TypingConfig | None = None) -> list[Diagnostic]:
+                  fuel: int | Fuel | None = None, log: Log | None = None) -> list[Diagnostic]:
     """Each entry's type must be TYPE-sorted in the preceding prefix."""
-    cfg = cfg or TypingConfig()
+    f = Fuel.of(fuel)
     out: list[Diagnostic] = []
     names: set[str] = set()
     prefix = DkContext()
@@ -147,8 +131,7 @@ def check_context(theory: Theory, ctx: DkContext,
             out.append(Diagnostic("duplicate-name", f"context name '{hint}' repeats", hint))
         names.add(hint)
         try:
-            f = Fuel(cfg.fuel)
-            sort = whnf(theory, _infer(theory, prefix, ty, f, cfg, (f"context entry '{hint}'",)), f)
+            sort = whnf(theory, _infer(theory, prefix, ty, f, log, (f"context entry '{hint}'",)), f)
             if sort != TYPE:
                 out.append(Diagnostic(
                     "not-a-type", f"type of '{hint}' is {type(sort).__name__}-sorted, not TYPE", hint))
@@ -158,7 +141,8 @@ def check_context(theory: Theory, ctx: DkContext,
     return out
 
 
-def check_signature(theory: Theory, cfg: TypingConfig | None = None) -> list[Diagnostic]:
+def check_signature(theory: Theory, fuel: int | Fuel | None = None,
+                    log: Log | None = None) -> list[Diagnostic]:
     """Typing of every declaration: telescope entries are TYPE-sorted and
     the result type sorts to TYPE or KIND.
 
@@ -166,22 +150,20 @@ def check_signature(theory: Theory, cfg: TypingConfig | None = None) -> list[Dia
     referring constants are fine; structural problems (unknown
     constants, arity abuse) are ``validate_theory``'s job.
     """
-    cfg = cfg or TypingConfig()
+    f = Fuel.of(fuel)
     out: list[Diagnostic] = []
     for d in theory.signature:
         try:
             ctx = DkContext()
             for hint, ty in d.telescope:
-                f = Fuel(cfg.fuel)
-                sort = whnf(theory, _infer(theory, ctx, ty, f, cfg,
+                sort = whnf(theory, _infer(theory, ctx, ty, f, log,
                                            (f"telescope of '{d.name}'", f"entry '{hint}'")), f)
                 if sort != TYPE:
                     out.append(Diagnostic(
                         "not-a-type",
                         f"telescope entry '{hint}' of '{d.name}' is not TYPE-sorted", d.name))
                 ctx = ctx.extend(hint, ty)
-            f = Fuel(cfg.fuel)
-            sort = whnf(theory, _infer(theory, ctx, d.result, f, cfg,
+            sort = whnf(theory, _infer(theory, ctx, d.result, f, log,
                                        (f"result type of '{d.name}'",)), f)
             if not isinstance(sort, (Type, Kind)):
                 out.append(Diagnostic(

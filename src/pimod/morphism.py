@@ -22,7 +22,7 @@ from .errors import (
     UnknownSort,
     UnrepresentableSort,
 )
-from .kernel import TypingConfig, check as dk_check, check_context
+from .kernel import check as dk_check, check_context
 from .rewrite import Fuel, step
 from .terms import (
     Cons,
@@ -90,7 +90,6 @@ def verify_morphism(mor: TheoryMorphism,
     """
     out: list[Diagnostic] = []
     f = Fuel.of(fuel)
-    cfg = TypingConfig(fuel=f.limit)
 
     declared = {d.name for d in mor.source.signature}
     for name in mor.body:
@@ -110,7 +109,7 @@ def verify_morphism(mor: TheoryMorphism,
             ctx = DkContext()
             for hint, a in d.telescope:
                 ctx = ctx.extend(hint, apply_morphism(mor, a))
-            bad = check_context(mor.target, ctx, cfg)
+            bad = check_context(mor.target, ctx, f)
             if bad:
                 out.append(Diagnostic(
                     "image-ill-typed",
@@ -118,7 +117,7 @@ def verify_morphism(mor: TheoryMorphism,
                     f"target context: {bad[0].message}", d.name))
                 continue
             dk_check(mor.target, ctx, mor.body[d.name],
-                     apply_morphism(mor, d.result), cfg)
+                     apply_morphism(mor, d.result), f)
         except PimodError as e:
             out.append(Diagnostic(
                 "image-ill-typed",

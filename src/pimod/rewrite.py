@@ -28,7 +28,12 @@ DEFAULT_FUEL = 1_000_000
 
 
 class Fuel:
-    """A mutable step budget shared across one top-level operation."""
+    """A mutable step budget shared across one top-level operation.
+
+    Every layer, the kernel included, takes ``int | Fuel | None`` through
+    :meth:`of`: an int or None starts a fresh meter, a ``Fuel`` is drawn
+    on as it is, so one meter handed down bounds the whole operation.
+    """
 
     __slots__ = ("remaining", "limit")
 

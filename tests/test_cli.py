@@ -56,6 +56,14 @@ class TestCheckDk:
         assert main(["check-dk", "--trace", str(f)]) == 0
         assert "z : N" in capsys.readouterr().err
 
+    def test_trace_is_per_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.dk"
+        bad.write_text("constant N : TYPE.\nconstant z : N -> TYPE.\nconstant w : z.\n")
+        good = tmp_path / "good.dk"
+        good.write_text("constant M : TYPE.\n")
+        assert main(["check-dk", "--trace", str(bad), str(good)]) == 1
+        assert capsys.readouterr().err == "      TYPE : KIND\n"
+
 
 class TestCheckEpts:
     def test_corpus_both_modes(self, capsys):
@@ -120,6 +128,32 @@ class TestEncodeDecode:
         err = capsys.readouterr().err
         assert "internal soundness violation" in err
         assert "fabricated" in err
+
+    def test_internal_violation_is_one_machine_readable_record(
+            self, sandbox, monkeypatch, capsys):
+        _, sorts, epts = sandbox
+
+        def boom(*a, **k):
+            raise InternalSoundnessError("fabricated for the record test")
+
+        monkeypatch.setattr("pimod.cli.conservative_invert", boom)
+        assert main(["decode", sorts, epts, "--term", "c", "--type", "C",
+                     "--format", "machine-readable"]) == 2
+        out, err = capsys.readouterr()
+        assert out.count("\n") == 1
+        rec = json.loads(out)
+        assert rec["kind"] == "internal-soundness-violation" and rec["ok"] is False
+        assert "fabricated" in rec["detail"]
+        assert "internal soundness violation" in err
+
+    def test_exhausted_budget_is_not_a_soundness_violation(self, capsys):
+        # the kernel check and the beta-normalization share one budget
+        term = "(lam w : U@Type. w) ((lam w : U@Type. w) ((lam w : U@Type. w) C))"
+        assert main(["decode", SYSTEMF_SORTS, SYSTEMF_EPTS, "--term", term,
+                     "--type", "Type", "--fuel", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out.startswith("FAIL  FuelExhausted") and out.count("\n") == 1
+        assert "soundness" not in err
 
 
 class TestRoundtrip:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from pimod.errors import (ArityMismatch, FuelExhausted, KindHasNoType,
                           NotAProduct, TypeMismatch, UnboundVariable,
                           UnknownConstant)
-from pimod.kernel import TypingConfig, check, check_context, check_signature, infer
+from pimod.kernel import check, check_context, check_signature, infer
 from pimod.rewrite import convertible
 from pimod.terms import (KIND, TYPE, App, Cons, Declaration, DkContext, Lam,
                          Meta, Pi, RewriteRule, Theory, Var)
@@ -150,7 +150,20 @@ class TestErrors:
         # conversion must descend into the spinning index position
         with pytest.raises(FuelExhausted):
             check(loop, EMPTY, Cons("nil"), vec(Cons("omega")),
-                  TypingConfig(fuel=30))
+                  fuel=30)
+
+    def test_exhausted_budget_is_not_a_diagnostic(self):
+        # P's argument is checked against Vec(omega), so conversion spins
+        p_nil = Cons("P", (Cons("nil"),))
+        loop = VEC.extended(
+            Declaration("omega", (), N),
+            Declaration("P", (("v", vec(Cons("omega"))),), TYPE),
+            rules=(RewriteRule("omega", (), Cons("omega"), name="spin"),))
+        with pytest.raises(FuelExhausted):
+            check_context(loop, EMPTY.extend("p", p_nil), fuel=30)
+        with pytest.raises(FuelExhausted):
+            check_signature(loop.extended(Declaration("q", (("p", p_nil),), TYPE)),
+                            fuel=30)
 
     def test_error_message_carries_the_path(self):
         with pytest.raises(TypeMismatch) as e:
@@ -175,11 +188,11 @@ class TestDiagnostics:
         assert "not-a-type" in codes
 
     def test_trace_logs_every_judgment(self):
-        cfg = TypingConfig(trace=True)
-        infer(VEC, EMPTY, App(Lam("x", N, Var(0)), Z), cfg)
-        logged = [t for _, t, _ in cfg.log]
+        log = []
+        infer(VEC, EMPTY, App(Lam("x", N, Var(0)), Z), log=log)
+        logged = [t for _, t, _ in log]
         assert Var(0) in logged and Z in logged
-        names = [ns for ns, t, _ in cfg.log if t == Var(0)]
+        names = [ns for ns, t, _ in log if t == Var(0)]
         assert names == [["x"]]
 
 
