@@ -1,11 +1,13 @@
 """Command-line driver.
 
-Exit codes: 0 for success, 1 for any user-level problem (syntax errors,
-failed checks, analyzer rejections, an exhausted ``--fuel`` budget), 2
-when the inverse translation detects an internal soundness violation —
-that one is a bug in the tool or its metatheory, never in the input —
-and 3 when the input is too deep or too large for the interpreter
-(recursion depth or memory), reported as one ``resource-limit`` record.
+Exit codes: 0 for success, 1 for any user-level problem (a malformed
+command line or budget, syntax errors, failed checks, analyzer
+rejections, an exhausted ``--fuel`` budget), 2 when the inverse
+translation detects an internal soundness violation — that one is a bug
+in the tool or its metatheory, never in the input — and 3 when the input
+is too deep or too large for the interpreter (recursion depth or
+memory), reported as one ``resource-limit`` record.  Every other failure
+that stops a run, a malformed command line included, is one record too.
 
 Each input item (a judgment, one ``check`` line, a theory file's
 signature plus context, a judgments file's assumptions, a morphism)
@@ -50,6 +52,9 @@ from .syntax import (
     render_theory,
 )
 from .terms import validate_theory
+
+
+_FORMATS = ("text", "machine-readable")
 
 
 class Reporter:
@@ -336,12 +341,49 @@ def _cmd_corpus(args, rep: Reporter) -> None:
 # --- argument plumbing ----------------------------------------------------------
 
 
+class _UsageError(Exception):
+    """A malformed command line; the usage is already on stderr."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises on a usage error instead of exiting 2, the code kept for
+    soundness violations.  Subcommand parsers are built from this class too."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise _UsageError(f"{self.prog}: {message}")
+
+
+def _format_of(argv: list[str] | None) -> str:
+    """The ``--format`` a command line asks for, read on its own so that a
+    usage error elsewhere on the line is reported in that format too."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--format", choices=_FORMATS, default="text")
+    try:
+        return pre.parse_known_args(argv)[0].format
+    except argparse.ArgumentError:
+        return "text"
+
+
+def _budget(flag: int | None) -> int:
+    """The step budget: ``--fuel``, else ``$PIMOD_FUEL``, else the default."""
+    where = "--fuel" if flag is not None else "PIMOD_FUEL"
+    raw = flag if flag is not None else os.environ.get("PIMOD_FUEL", DEFAULT_FUEL)
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
+    if n <= 0:
+        raise PimodError(f"{where} must be a positive integer, got {raw!r}")
+    return n
+
+
 def _common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--fuel", type=int, default=None,
                      help="rewrite-step budget (default: $PIMOD_FUEL or 10^6)")
     sub.add_argument("--trace", action="store_true",
                      help="narrate intermediate judgments/reductions on stderr")
-    sub.add_argument("--format", choices=("text", "machine-readable"),
+    sub.add_argument("--format", choices=_FORMATS,
                      default="text", help="output format")
 
 
@@ -353,7 +395,7 @@ def _epts_args(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="pimod",
         description="Encode explicitly-typed pure type systems into a "
                     "rewriting logical framework, and decode them back.")
@@ -419,11 +461,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.fuel is None:
-        args.fuel = int(os.environ.get("PIMOD_FUEL", DEFAULT_FUEL))
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as e:
+        Reporter(_format_of(argv)).result("usage-error", "", False, str(e))
+        return 1
     rep = Reporter(args.format)
     try:
+        args.fuel = _budget(args.fuel)
         args.fn(args, rep)
     except InternalSoundnessError as e:
         print("internal soundness violation -- this is a bug, please report it",

@@ -7,9 +7,12 @@ with a period; the same character separates a binder from its body, and
 the two uses never clash because a binder's body is always a complete
 term.
 
-Terms print back out in the same grammar the parsers accept, with
-binder hints freshened against everything in scope, so parse-print
-round trips are identities on the underlying de Bruijn terms.
+One grammar (``_term``) parses framework terms and implicit source
+terms, each in its own scope (``_DkEnv``, ``_PtsEnv``).  One printer
+(``_r``) prints those two back in the same grammar, with binder hints
+freshened against everything in scope, so parse-print round trips are
+identities on the underlying de Bruijn terms; it also prints explicit
+source terms and untyped lambda terms, which are never parsed.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
+from .analysis import SApp, SConst, SimpleType, SLam, SVar, render_simple
 from .errors import ParseError, Span
 from .terms import (
     KIND,
@@ -35,9 +39,8 @@ from .terms import (
     Theory,
     Type,
     Var,
-    arrow,
+    children,
     shift,
-    subterms,
 )
 from .epts import (
     EApp,
@@ -46,7 +49,6 @@ from .epts import (
     ESort,
     EVar,
     EptsContext,
-    EptsTerm,
     FiniteSortSpec,
     InternalizedSortSpec,
     PApp,
@@ -56,8 +58,10 @@ from .epts import (
     PVar,
     PtsTerm,
     SortSpec,
+    epts_children,
     pts_shift,
 )
+from .morphism import TheoryMorphism
 
 
 KEYWORDS = frozenset({
@@ -169,39 +173,86 @@ class _Parser:
         return self.advance().text
 
 
-# --- framework terms ------------------------------------------------------------
+# --- terms ---------------------------------------------------------------------
+#
+# One grammar serves both term languages:
+#
+#     term ::= (Pi | lam) NAME : term . term  |  app [-> term]
+#     app  ::= atom atom*
+#     atom ::= ( term )  |  NAME
+#
+# A scope supplies what differs between them: the node builders, the
+# shift that weakens the codomain of ``->``, the reserved atoms, and
+# ``free``, which resolves a NAME that no binder in scope claims (or
+# returns None).
 
 
 @dataclass
 class _DkEnv:
-    """Scope for framework term parsing.
-
-    ``known`` maps constants to their arities; when ``metas`` is set,
-    identifiers that resolve to nothing become pattern variables instead
-    of errors (rule mode).
-    """
+    """Framework scope: ``TYPE`` and ``KIND`` are atoms, ``known`` maps
+    constants to their arities, and when ``metas`` is set, identifiers
+    that resolve to nothing become pattern variables (rule mode)."""
 
     known: dict[str, int]
     stack: list[str] = field(default_factory=list)
     metas: bool = False
 
+    pi, lam, app, var = Pi, Lam, App, Var
+    shift = staticmethod(shift)
+    atoms = {"TYPE": TYPE, "KIND": KIND}
 
-def _dk_term(p: _Parser, env: _DkEnv) -> DkTerm:
+    def free(self, p: _Parser, name: str) -> DkTerm | None:
+        if name in self.known:
+            arity = self.known[name]
+            if arity == 0:
+                return Cons(name)
+            p.expect("punct", "(")
+            args = [_term(p, self)]
+            while p.eat("punct", ","):
+                args.append(_term(p, self))
+            p.expect("punct", ")")
+            if len(args) != arity:
+                raise p.fail(f"constant '{name}' takes {arity} arguments, got {len(args)}")
+            return Cons(name, tuple(args))
+        return Meta(name) if self.metas else None
+
+
+@dataclass
+class _PtsEnv:
+    """Source scope: free names are definitions, inlined and weakened
+    past the binders added since, or sorts of ``spec``."""
+
+    spec: SortSpec
+    stack: list[str] = field(default_factory=list)
+    defs: dict[str, tuple[PtsTerm, int]] = field(default_factory=dict)
+
+    pi, lam, app, var = PPi, PLam, PApp, PVar
+    shift = staticmethod(pts_shift)
+    atoms = {}
+
+    def free(self, p: _Parser, name: str) -> PtsTerm | None:
+        if name in self.defs:
+            body, base = self.defs[name]
+            return pts_shift(body, len(self.stack) - base)
+        return PSort(name) if self.spec.has_sort(name) else None
+
+
+def _term(p: _Parser, env: _DkEnv | _PtsEnv) -> DkTerm | PtsTerm:
     if p.at("ident", "Pi") or p.at("ident", "lam"):
         kw = p.advance().text
         name = p.ident("a binder name")
         p.expect("punct", ":")
-        ann = _dk_term(p, env)
+        ann = _term(p, env)
         p.expect("punct", ".")
         env.stack.append(name)
         try:
-            body = _dk_term(p, env)
+            body = _term(p, env)
         finally:
             env.stack.pop()
-        return Pi(name, ann, body) if kw == "Pi" else Lam(name, ann, body)
-    left = _dk_app(p, env)
+        return (env.pi if kw == "Pi" else env.lam)(name, ann, body)
+    left = _app(p, env)
     if p.eat("punct", "->"):
-        return arrow(left, _dk_term(p, env))
+        return env.pi("_", left, env.shift(_term(p, env), 1))
     return left
 
 
@@ -212,59 +263,56 @@ def _starts_atom(p: _Parser) -> bool:
     return t.kind == "ident" and (t.text in ("TYPE", "KIND") or t.text not in KEYWORDS)
 
 
-def _dk_app(p: _Parser, env: _DkEnv) -> DkTerm:
-    t = _dk_atom(p, env)
+def _app(p: _Parser, env: _DkEnv | _PtsEnv) -> DkTerm | PtsTerm:
+    t = _atom(p, env)
     while _starts_atom(p):
-        t = App(t, _dk_atom(p, env))
+        t = env.app(t, _atom(p, env))
     return t
 
 
-def _dk_atom(p: _Parser, env: _DkEnv) -> DkTerm:
+def _atom(p: _Parser, env: _DkEnv | _PtsEnv) -> DkTerm | PtsTerm:
     if p.eat("punct", "("):
-        t = _dk_term(p, env)
+        t = _term(p, env)
         p.expect("punct", ")")
         return t
     tok = p.peek()
-    if tok.kind != "ident":
-        raise p.fail("expected a term")
-    name = tok.text
-    if name == "TYPE":
+    if tok.kind == "ident" and tok.text in env.atoms:
         p.advance()
-        return TYPE
-    if name == "KIND":
-        p.advance()
-        return KIND
-    if name in KEYWORDS:
-        raise p.fail("expected a term")
-    p.advance()
+        return env.atoms[tok.text]
+    name = p.ident("a term")
     for depth, bound in enumerate(reversed(env.stack)):
         if bound == name:
-            return Var(depth)
-    if name in env.known:
-        arity = env.known[name]
-        if arity == 0:
-            return Cons(name)
-        p.expect("punct", "(")
-        args = [_dk_term(p, env)]
-        while p.eat("punct", ","):
-            args.append(_dk_term(p, env))
-        p.expect("punct", ")")
-        if len(args) != arity:
-            raise p.fail(f"constant '{name}' takes {arity} arguments, got {len(args)}")
-        return Cons(name, tuple(args))
-    if env.metas:
-        return Meta(name)
-    raise p.fail(f"unknown identifier '{name}'")
+            return env.var(depth)
+    t = env.free(p, name)
+    if t is None:
+        raise p.fail(f"unknown identifier '{name}'")
+    return t
+
+
+def _parse_term(text: str, source: str, env: _DkEnv | _PtsEnv) -> DkTerm | PtsTerm:
+    p = _Parser(lex(text, source), source)
+    t = _term(p, env)
+    p.expect("eof")
+    return t
 
 
 def parse_dk_term(text: str, theory: Theory, names: Sequence[str] = (),
                   metas: bool = False, source: str = "<term>") -> DkTerm:
     """Parse one framework term against a theory's signature."""
-    p = _Parser(lex(text, source), source)
     env = _DkEnv({d.name: d.arity for d in theory.signature}, list(names), metas)
-    t = _dk_term(p, env)
-    p.expect("eof")
-    return t
+    return _parse_term(text, source, env)
+
+
+def parse_pts_term(text: str, spec: SortSpec, names: Sequence[str] = (),
+                   defs: dict[str, PtsTerm] | None = None,
+                   source: str = "<term>") -> PtsTerm:
+    """Parse one implicit-syntax term; ``defs`` are inlined abbreviations.
+
+    Definition bodies must be expressed over exactly the ``names`` context.
+    """
+    env = _PtsEnv(spec, list(names),
+                  {n: (b, len(names)) for n, b in (defs or {}).items()})
+    return _parse_term(text, source, env)
 
 
 # --- theory files ----------------------------------------------------------------
@@ -280,13 +328,13 @@ def _constant_clause(p: _Parser, known: dict[str, int], what: str) -> Declaratio
         while True:
             h = p.ident("a telescope variable")
             p.expect("punct", ":")
-            telescope.append((h, _dk_term(p, _DkEnv(known, list(tnames)))))
+            telescope.append((h, _term(p, _DkEnv(known, list(tnames)))))
             tnames.append(h)
             if not p.eat("punct", ","):
                 break
         p.expect("punct", ")")
     p.expect("punct", ":")
-    result = _dk_term(p, _DkEnv(known, list(tnames)))
+    result = _term(p, _DkEnv(known, list(tnames)))
     p.expect("punct", ".")
     known[name] = len(telescope)
     return Declaration(name, tuple(telescope), result)
@@ -297,9 +345,9 @@ def _rule_clause(p: _Parser, known: dict[str, int], label: str) -> RewriteRule:
     names the rule when no name is given."""
     if p.at("string"):
         label = p.advance().text
-    lhs = _dk_term(p, _DkEnv(known, [], metas=True))
+    lhs = _term(p, _DkEnv(known, [], metas=True))
     p.expect("punct", "-->")
-    rhs = _dk_term(p, _DkEnv(known, [], metas=True))
+    rhs = _term(p, _DkEnv(known, [], metas=True))
     p.expect("punct", ".")
     if type(lhs) is not Cons:
         raise p.fail("a rule's left-hand side must be a constant application")
@@ -332,14 +380,14 @@ def parse_theory(text: str, source: str = "<theory>") -> TheoryFile:
         elif p.eat("ident", "assume"):
             name = p.ident("a variable name")
             p.expect("punct", ":")
-            ty = _dk_term(p, _DkEnv(known, list(anames)))
+            ty = _term(p, _DkEnv(known, list(anames)))
             p.expect("punct", ".")
             assumes = assumes.extend(name, ty)
             anames.append(name)
         elif p.eat("ident", "check"):
-            m = _dk_term(p, _DkEnv(known, list(anames)))
+            m = _term(p, _DkEnv(known, list(anames)))
             p.expect("punct", ":")
-            a = _dk_term(p, _DkEnv(known, list(anames)))
+            a = _term(p, _DkEnv(known, list(anames)))
             p.expect("punct", ".")
             checks.append((m, a))
         else:
@@ -373,75 +421,6 @@ class EptsFile:
     judgments: tuple[EptsJudgment, ...]
 
 
-@dataclass
-class _PtsEnv:
-    spec: SortSpec
-    stack: list[str] = field(default_factory=list)
-    defs: dict[str, tuple[PtsTerm, int]] = field(default_factory=dict)
-
-
-def _pts_term(p: _Parser, env: _PtsEnv) -> PtsTerm:
-    if p.at("ident", "Pi") or p.at("ident", "lam"):
-        kw = p.advance().text
-        name = p.ident("a binder name")
-        p.expect("punct", ":")
-        ann = _pts_term(p, env)
-        p.expect("punct", ".")
-        env.stack.append(name)
-        try:
-            body = _pts_term(p, env)
-        finally:
-            env.stack.pop()
-        return PPi(name, ann, body) if kw == "Pi" else PLam(name, ann, body)
-    left = _pts_app(p, env)
-    if p.eat("punct", "->"):
-        right = _pts_term(p, env)
-        return PPi("_", left, pts_shift(right, 1))
-    return left
-
-
-def _pts_app(p: _Parser, env: _PtsEnv) -> PtsTerm:
-    t = _pts_atom(p, env)
-    while _starts_atom(p):
-        t = PApp(t, _pts_atom(p, env))
-    return t
-
-
-def _pts_atom(p: _Parser, env: _PtsEnv) -> PtsTerm:
-    if p.eat("punct", "("):
-        t = _pts_term(p, env)
-        p.expect("punct", ")")
-        return t
-    tok = p.peek()
-    if tok.kind != "ident" or tok.text in KEYWORDS:
-        raise p.fail("expected a term")
-    name = p.advance().text
-    for depth, bound in enumerate(reversed(env.stack)):
-        if bound == name:
-            return PVar(depth)
-    if name in env.defs:
-        body, base = env.defs[name]
-        return pts_shift(body, len(env.stack) - base)
-    if env.spec.has_sort(name):
-        return PSort(name)
-    raise p.fail(f"unknown identifier '{name}'")
-
-
-def parse_pts_term(text: str, spec: SortSpec, names: Sequence[str] = (),
-                   defs: dict[str, PtsTerm] | None = None,
-                   source: str = "<term>") -> PtsTerm:
-    """Parse one implicit-syntax term; ``defs`` are inlined abbreviations.
-
-    Definition bodies must be expressed over exactly the ``names`` context.
-    """
-    p = _Parser(lex(text, source), source)
-    env = _PtsEnv(spec, list(names),
-                  {n: (b, len(names)) for n, b in (defs or {}).items()})
-    t = _pts_term(p, env)
-    p.expect("eof")
-    return t
-
-
 def parse_epts_file(text: str, spec: SortSpec,
                     source: str = "<judgments>") -> EptsFile:
     p = _Parser(lex(text, source), source)
@@ -456,7 +435,7 @@ def parse_epts_file(text: str, spec: SortSpec,
             if name in env.defs or spec.has_sort(name):
                 raise p.fail(f"'{name}' is already a definition or a sort")
             p.expect("punct", ":")
-            ty = _pts_term(p, env)
+            ty = _term(p, env)
             p.expect("punct", ".")
             assumes.append((name, ty))
             env.stack.append(name)
@@ -466,9 +445,9 @@ def parse_epts_file(text: str, spec: SortSpec,
                 raise p.fail(f"'{name}' is already bound")
             ty: PtsTerm | None = None
             if p.eat("punct", ":"):
-                ty = _pts_term(p, env)
+                ty = _term(p, env)
             p.expect("punct", ":=")
-            body = _pts_term(p, env)
+            body = _term(p, env)
             p.expect("punct", ".")
             env.defs[name] = (body, len(env.stack))
             defs_in_order.append((name, body, len(env.stack)))
@@ -494,11 +473,11 @@ def render_epts_file(f: EptsFile) -> str:
     acc: list[str] = []
     for h, ty in f.assumes:
         name = _fresh(h, acc, avoid)
-        lines.append(f"assume {name} : {_r_pts(ty, acc, 0, avoid)}.")
+        lines.append(f"assume {name} : {_r(ty, acc, 0, avoid)}.")
         acc.append(name)
     for n, body in f.definitions:
-        ann = f" : {_r_pts(typed[n], acc, 0, avoid)}" if n in typed else ""
-        lines.append(f"def {n}{ann} := {_r_pts(body, acc, 0, avoid)}.")
+        ann = f" : {_r(typed[n], acc, 0, avoid)}" if n in typed else ""
+        lines.append(f"def {n}{ann} := {_r(body, acc, 0, avoid)}.")
     return "\n".join(lines) + "\n"
 
 
@@ -530,7 +509,7 @@ def _parse_internalized(text: str, source: str) -> InternalizedSortSpec:
         else:
             name = p.ident("a sort name")
             p.expect("punct", ":=")
-            named[name] = _dk_term(p, _DkEnv(known, []))
+            named[name] = _term(p, _DkEnv(known, []))
             p.expect("punct", ".")
     return InternalizedSortSpec(tuple(constants), tuple(rules), named)
 
@@ -584,9 +563,7 @@ def parse_sort_spec_file(text: str, source: str = "<sorts>") -> SortSpecFile:
 
 
 def parse_morphism(text: str, src: Theory, dst: Theory,
-                   source: str = "<morphism>") -> "TheoryMorphism":
-    from .morphism import TheoryMorphism
-
+                   source: str = "<morphism>") -> TheoryMorphism:
     p = _Parser(lex(text, source), source)
     known = {d.name: d.arity for d in dst.signature}
     body: dict[str, DkTerm] = {}
@@ -600,7 +577,7 @@ def parse_morphism(text: str, src: Theory, dst: Theory,
             raise p.fail(f"'{name}' is mapped twice")
         p.expect("punct", ":=")
         stack = [h for h, _ in decl.telescope]
-        body[name] = _dk_term(p, _DkEnv(known, stack))
+        body[name] = _term(p, _DkEnv(known, stack))
         p.expect("punct", ".")
     return TheoryMorphism(src, dst, body)
 
@@ -621,161 +598,92 @@ def _var_name(k: int, env: list[str]) -> str:
     return f"_v{k - len(env)}"
 
 
-def _dk_uses(t: DkTerm, j: int) -> bool:
-    return any(type(u) is Var and u.index == j + d for u, d in subterms(t))
+def _uses(t: Any, j: int) -> bool:
+    """Does variable ``j`` occur in the framework or source term ``t``?"""
+    todo = [(t, j)]
+    while todo:
+        u, k = todo.pop()
+        tp = type(u)
+        if tp is Var or tp is PVar:
+            if u.index == k:
+                return True
+        elif tp is PApp:
+            todo += ((u.fn, k), (u.arg, k))
+        elif tp is PLam:
+            todo += ((u.dom, k), (u.body, k + 1))
+        elif tp is PPi:
+            todo += ((u.dom, k), (u.cod, k + 1))
+        else:
+            todo += [(c, k + b) for c, b in children(u)]
+    return False
 
 
-def _r_dk(t: DkTerm, env: list[str], prec: int, avoid: set[str]) -> str:
+_EXPLICIT_HEAD = {EPi: "Pi", ELam: "lam", EApp: "app"}
+
+
+def _r(t: Any, env: list[str], prec: int, avoid: set[str]) -> str:
+    """``t`` printed in context ``env``: at ``prec`` 1 an abstraction or a
+    product needs parentheses, at 2 an application does too.  Explicit
+    syntax is printed (for reports), never parsed back."""
     match t:
+        # framework arms first: theories are most of what gets printed
+        case Var(k):
+            return _var_name(k, env)
+        case Cons(c, ()):
+            return c
+        case Cons(c, args):
+            return f"{c}({', '.join(_r(a, env, 0, avoid) for a in args)})"
+        case App(f, a) | PApp(f, a) | SApp(f, a):
+            s = f"{_r(f, env, 1, avoid)} {_r(a, env, 2, avoid)}"
+            return s if prec <= 1 else f"({s})"
+        case Pi(h, dom, cod) | PPi(h, dom, cod):
+            if _uses(cod, 0):
+                name = _fresh(h, env, avoid)
+                s = (f"Pi {name} : {_r(dom, env, 0, avoid)}. "
+                     f"{_r(cod, env + [name], 0, avoid)}")
+            else:  # the codomain never names the placeholder binder
+                s = f"{_r(dom, env, 1, avoid)} -> {_r(cod, env + [''], 0, avoid)}"
+            return s if prec == 0 else f"({s})"
+        case Lam(h, ann, body) | PLam(h, ann, body):
+            name = _fresh(h, env, avoid)
+            s = (f"lam {name} : {_r(ann, env, 0, avoid)}. "
+                 f"{_r(body, env + [name], 0, avoid)}")
+            return s if prec == 0 else f"({s})"
         case Type():
             return "TYPE"
         case Kind():
             return "KIND"
-        case Var(k):
-            return _var_name(k, env)
-        case Meta(name):
+        case Meta(name) | PSort(name) | ESort(name) | SConst(name):
             return name
-        case Cons(c, ()):
-            return c
-        case Cons(c, args):
-            inner = ", ".join(_r_dk(a, env, 0, avoid) for a in args)
-            return f"{c}({inner})"
-        case App(f, a):
-            s = f"{_r_dk(f, env, 1, avoid)} {_r_dk(a, env, 2, avoid)}"
-            return s if prec <= 1 else f"({s})"
-        case Lam(h, ann, body):
-            name = _fresh(h, env, avoid)
-            s = (f"lam {name} : {_r_dk(ann, env, 0, avoid)}. "
-                 f"{_r_dk(body, env + [name], 0, avoid)}")
-            return s if prec == 0 else f"({s})"
-        case Pi(h, dom, cod):
-            if not _dk_uses(cod, 0):
-                s = (f"{_r_dk(dom, env, 1, avoid)} -> "
-                     f"{_r_dk(shift(cod, -1, 1), env, 0, avoid)}")
-            else:
-                name = _fresh(h, env, avoid)
-                s = (f"Pi {name} : {_r_dk(dom, env, 0, avoid)}. "
-                     f"{_r_dk(cod, env + [name], 0, avoid)}")
-            return s if prec == 0 else f"({s})"
-    raise TypeError(f"not a framework term: {t!r}")
-
-
-def _pts_uses(t: PtsTerm, j: int) -> bool:
-    match t:
-        case PVar(k):
-            return k == j
-        case PApp(f, a):
-            return _pts_uses(f, j) or _pts_uses(a, j)
-        case PLam(_, dom, body):
-            return _pts_uses(dom, j) or _pts_uses(body, j + 1)
-        case PPi(_, dom, cod):
-            return _pts_uses(dom, j) or _pts_uses(cod, j + 1)
-        case _:
-            return False
-
-
-def _r_pts(t: PtsTerm, env: list[str], prec: int, avoid: set[str]) -> str:
-    match t:
-        case PSort(s):
-            return s
-        case PVar(k):
+        case PVar(k) | EVar(k) | SVar(k):
             return _var_name(k, env)
-        case PApp(f, a):
-            s = f"{_r_pts(f, env, 1, avoid)} {_r_pts(a, env, 2, avoid)}"
-            return s if prec <= 1 else f"({s})"
-        case PLam(h, dom, body):
+        case SLam(h, body):
             name = _fresh(h, env, avoid)
-            s = (f"lam {name} : {_r_pts(dom, env, 0, avoid)}. "
-                 f"{_r_pts(body, env + [name], 0, avoid)}")
+            s = f"lam {name}. {_r(body, env + [name], 0, avoid)}"
             return s if prec == 0 else f"({s})"
-        case PPi(h, dom, cod):
-            if not _pts_uses(cod, 0):
-                s = (f"{_r_pts(dom, env, 1, avoid)} -> "
-                     f"{_r_pts(pts_shift(cod, -1, 1), env, 0, avoid)}")
-            else:
-                name = _fresh(h, env, avoid)
-                s = (f"Pi {name} : {_r_pts(dom, env, 0, avoid)}. "
-                     f"{_r_pts(cod, env + [name], 0, avoid)}")
-            return s if prec == 0 else f"({s})"
-    raise TypeError(f"not a PTS term: {t!r}")
-
-
-def _r_epts(t: EptsTerm, env: list[str], avoid: set[str]) -> str:
-    """Explicit syntax is printed (for reports), never parsed back."""
-    match t:
-        case ESort(s):
-            return s
-        case EVar(k):
-            return _var_name(k, env)
-        case EPi(s1, s2, dom, h, cod):
-            name = _fresh(h, env, avoid)
-            return (f"Pi{{{s1},{s2}}}({_r_epts(dom, env, avoid)}, "
-                    f"{name}. {_r_epts(cod, env + [name], avoid)})")
-        case ELam(s1, s2, dom, h, cod, body):
-            name = _fresh(h, env, avoid)
-            inner = env + [name]
-            return (f"lam{{{s1},{s2}}}({_r_epts(dom, env, avoid)}, "
-                    f"{name}. {_r_epts(cod, inner, avoid)}, "
-                    f"{name}. {_r_epts(body, inner, avoid)})")
-        case EApp(s1, s2, dom, h, cod, fn, arg):
-            name = _fresh(h, env, avoid)
-            return (f"app{{{s1},{s2}}}({_r_epts(dom, env, avoid)}, "
-                    f"{name}. {_r_epts(cod, env + [name], avoid)}, "
-                    f"{_r_epts(fn, env, avoid)}, {_r_epts(arg, env, avoid)})")
-    raise TypeError(f"not an explicit term: {t!r}")
+        case EPi() | ELam() | EApp():
+            name = _fresh(t.hint, env, avoid)
+            parts = ", ".join(f"{name}. {_r(k, env + [name], 0, avoid)}" if b
+                              else _r(k, env, 0, avoid) for k, b in epts_children(t))
+            return f"{_EXPLICIT_HEAD[type(t)]}{{{t.s1},{t.s2}}}({parts})"
+    raise TypeError(f"cannot render {type(t).__name__}")
 
 
 def render(x: Any, names: Sequence[str] = (), avoid: Iterable[str] = ()) -> str:
     """Human-readable form of any term-like value (see the module docstring)."""
     a = set(avoid)
-    env = list(names)
-    if isinstance(x, DkTerm):
-        return _r_dk(x, env, 0, a)
-    if isinstance(x, PtsTerm):
-        return _r_pts(x, env, 0, a)
-    if isinstance(x, EptsTerm):
-        return _r_epts(x, env, a)
-    if isinstance(x, DkContext):
+    if isinstance(x, (DkContext, EptsContext)):
         parts = []
         acc: list[str] = []
         for h, ty in x.entries:
-            parts.append(f"{h} : {_r_dk(ty, acc, 0, a)}")
-            acc.append(h)
-        return ", ".join(parts)
-    if isinstance(x, EptsContext):
-        parts = []
-        acc = []
-        for h, ty in x.entries:
-            parts.append(f"{h} : {_r_epts(ty, acc, a)}")
+            parts.append(f"{h} : {_r(ty, acc, 0, a)}")
             acc.append(h)
         return ", ".join(parts)
     if isinstance(x, Theory):
         return render_theory(x)
-    from .analysis import SimpleType, StlcTerm, render_simple
-
     if isinstance(x, SimpleType):
         return render_simple(x)
-    if isinstance(x, StlcTerm):
-        return _r_stlc(x, env, a)
-    raise TypeError(f"cannot render {type(x).__name__}")
-
-
-def _r_stlc(t: Any, env: list[str], avoid: set[str], prec: int = 0) -> str:
-    from .analysis import SApp, SConst, SLam, SVar
-
-    match t:
-        case SVar(k):
-            return _var_name(k, env)
-        case SConst(name):
-            return name
-        case SApp(f, a):
-            s = f"{_r_stlc(f, env, avoid, 1)} {_r_stlc(a, env, avoid, 2)}"
-            return s if prec <= 1 else f"({s})"
-        case SLam(h, body):
-            name = _fresh(h, env, avoid)
-            s = f"lam {name}. {_r_stlc(body, env + [name], avoid, 0)}"
-            return s if prec == 0 else f"({s})"
-    raise TypeError(f"not a simply typed term: {t!r}")
+    return _r(x, list(names), 0, a)
 
 
 def _r_signature(decls: Iterable[Declaration], rules: Iterable[RewriteRule],
@@ -787,13 +695,13 @@ def _r_signature(decls: Iterable[Declaration], rules: Iterable[RewriteRule],
         parts = []
         for h, ty in d.telescope:
             name = _fresh(h, acc, avoid)
-            parts.append(f"{name} : {_r_dk(ty, acc, 0, avoid)}")
+            parts.append(f"{name} : {_r(ty, acc, 0, avoid)}")
             acc.append(name)
         tele = f" ({', '.join(parts)})" if parts else ""
-        lines.append(f"constant {d.name}{tele} : {_r_dk(d.result, acc, 0, avoid)}.")
+        lines.append(f"constant {d.name}{tele} : {_r(d.result, acc, 0, avoid)}.")
     for r in rules:
-        lhs = _r_dk(Cons(r.head, r.lhs), [], 0, avoid)
-        lines.append(f'rule "{r.name}" {lhs} --> {_r_dk(r.rhs, [], 0, avoid)}.')
+        lhs = _r(Cons(r.head, r.lhs), [], 0, avoid)
+        lines.append(f'rule "{r.name}" {lhs} --> {_r(r.rhs, [], 0, avoid)}.')
     return lines
 
 
@@ -806,14 +714,14 @@ def render_theory(theory: Theory, assumes: DkContext | None = None,
     if assumes is not None:
         for h, ty in assumes.entries:
             name = _fresh(h, acc, avoid)
-            lines.append(f"assume {name} : {_r_dk(ty, acc, 0, avoid)}.")
+            lines.append(f"assume {name} : {_r(ty, acc, 0, avoid)}.")
             acc.append(name)
     for m, a in checks:
-        lines.append(f"check {_r_dk(m, acc, 0, avoid)} : {_r_dk(a, acc, 0, avoid)}.")
+        lines.append(f"check {_r(m, acc, 0, avoid)} : {_r(a, acc, 0, avoid)}.")
     return "\n".join(lines) + "\n"
 
 
-def render_morphism(mor: "TheoryMorphism") -> str:
+def render_morphism(mor: TheoryMorphism) -> str:
     avoid = {d.name for d in mor.target.signature}
     lines = []
     for name, body in mor.body.items():
@@ -822,7 +730,7 @@ def render_morphism(mor: "TheoryMorphism") -> str:
         if decl is not None:
             for h, _ in decl.telescope:
                 acc.append(_fresh(h, acc, avoid))
-        lines.append(f"map {name} := {_r_dk(body, acc, 0, avoid)}.")
+        lines.append(f"map {name} := {_r(body, acc, 0, avoid)}.")
     return "\n".join(lines) + "\n"
 
 
@@ -846,5 +754,5 @@ def render_sort_spec(f: SortSpecFile) -> str:
         avoid = {"Sort", "Ax", "Ru"} | {d.name for d in spec.constants}
         lines.extend(_r_signature(spec.constants, spec.rules, avoid))
         for name, t in spec.named.items():
-            lines.append(f"{name} := {_r_dk(t, [], 0, avoid)}.")
+            lines.append(f"{name} := {_r(t, [], 0, avoid)}.")
     return "\n".join(lines) + "\n"

@@ -18,14 +18,29 @@ through congruences with one hand-written case per constructor, and
 ``build_phi`` lays out the target of each constant family with one case
 per role; the library derives the first three from the child maps and
 the last from ``EncodingTheory.family``.
+
+The framework and source term parsers (``_dk_term``, ``_pts_term`` and
+their helpers) and the four term printers (``_r_dk``, ``_r_pts``,
+``_r_epts``, ``_r_stlc``, with the occurrence checks ``_dk_uses`` and
+``_pts_uses``) are one recursive descent and one printer per term
+language; ``pimod.syntax`` derives all of them from one grammar and one
+printer.  ``parse_dk_term``, ``parse_pts_term`` and ``render`` run them
+the way the library's entry points do.
 """
 
+from dataclasses import dataclass, field
+from typing import Any, Sequence
+
+from pimod.analysis import SApp, SConst, SLam, SVar
 from pimod.encode import EncodingTheory
-from pimod.epts import EApp, ELam, EPi, ESort, EptsTerm, EVar, SortSpec, epts_whnf
+from pimod.epts import (EApp, ELam, EPi, ESort, EptsTerm, EVar, PApp, PLam, PPi,
+                        PSort, PtsTerm, PVar, SortSpec, epts_whnf, pts_shift)
 from pimod.errors import Diagnostic, PimodError, UnknownSort, UnrepresentableSort
 from pimod.morphism import TheoryMorphism
 from pimod.rewrite import Fuel, OrthogonalityReport, whnf
-from pimod.terms import App, Cons, DkTerm, Lam, Meta, Pi, Theory, Var, map_leaves
+from pimod.syntax import KEYWORDS, _fresh, _Parser, _var_name, lex
+from pimod.terms import (KIND, TYPE, App, Cons, DkTerm, Kind, Lam, Meta, Pi, Theory,
+                         Type, Var, arrow, map_leaves, subterms)
 
 
 def shift(t: DkTerm, by: int, cutoff: int = 0) -> DkTerm:
@@ -413,3 +428,303 @@ def build_phi(src: EncodingTheory, dst: EncodingTheory) -> TheoryMorphism:
             case _:
                 raise PimodError(f"unexpected role '{tag}' for '{d.name}'")
     return TheoryMorphism(src.theory, dst.theory, body)
+
+
+# --- term parsers and printers, one per language --------------------------
+
+
+@dataclass
+class _DkEnv:
+    """Scope for framework term parsing.
+
+    ``known`` maps constants to their arities; when ``metas`` is set,
+    identifiers that resolve to nothing become pattern variables instead
+    of errors (rule mode).
+    """
+
+    known: dict[str, int]
+    stack: list[str] = field(default_factory=list)
+    metas: bool = False
+
+
+def _dk_term(p: _Parser, env: _DkEnv) -> DkTerm:
+    if p.at("ident", "Pi") or p.at("ident", "lam"):
+        kw = p.advance().text
+        name = p.ident("a binder name")
+        p.expect("punct", ":")
+        ann = _dk_term(p, env)
+        p.expect("punct", ".")
+        env.stack.append(name)
+        try:
+            body = _dk_term(p, env)
+        finally:
+            env.stack.pop()
+        return Pi(name, ann, body) if kw == "Pi" else Lam(name, ann, body)
+    left = _dk_app(p, env)
+    if p.eat("punct", "->"):
+        return arrow(left, _dk_term(p, env))
+    return left
+
+
+def _starts_atom(p: _Parser) -> bool:
+    t = p.peek()
+    if t.kind == "punct" and t.text == "(":
+        return True
+    return t.kind == "ident" and (t.text in ("TYPE", "KIND") or t.text not in KEYWORDS)
+
+
+def _dk_app(p: _Parser, env: _DkEnv) -> DkTerm:
+    t = _dk_atom(p, env)
+    while _starts_atom(p):
+        t = App(t, _dk_atom(p, env))
+    return t
+
+
+def _dk_atom(p: _Parser, env: _DkEnv) -> DkTerm:
+    if p.eat("punct", "("):
+        t = _dk_term(p, env)
+        p.expect("punct", ")")
+        return t
+    tok = p.peek()
+    if tok.kind != "ident":
+        raise p.fail("expected a term")
+    name = tok.text
+    if name == "TYPE":
+        p.advance()
+        return TYPE
+    if name == "KIND":
+        p.advance()
+        return KIND
+    if name in KEYWORDS:
+        raise p.fail("expected a term")
+    p.advance()
+    for depth, bound in enumerate(reversed(env.stack)):
+        if bound == name:
+            return Var(depth)
+    if name in env.known:
+        arity = env.known[name]
+        if arity == 0:
+            return Cons(name)
+        p.expect("punct", "(")
+        args = [_dk_term(p, env)]
+        while p.eat("punct", ","):
+            args.append(_dk_term(p, env))
+        p.expect("punct", ")")
+        if len(args) != arity:
+            raise p.fail(f"constant '{name}' takes {arity} arguments, got {len(args)}")
+        return Cons(name, tuple(args))
+    if env.metas:
+        return Meta(name)
+    raise p.fail(f"unknown identifier '{name}'")
+
+
+def parse_dk_term(text: str, theory: Theory, names: Sequence[str] = (),
+                  metas: bool = False, source: str = "<term>") -> DkTerm:
+    """Parse one framework term against a theory's signature."""
+    p = _Parser(lex(text, source), source)
+    env = _DkEnv({d.name: d.arity for d in theory.signature}, list(names), metas)
+    t = _dk_term(p, env)
+    p.expect("eof")
+    return t
+
+
+@dataclass
+class _PtsEnv:
+    spec: SortSpec
+    stack: list[str] = field(default_factory=list)
+    defs: dict[str, tuple[PtsTerm, int]] = field(default_factory=dict)
+
+
+def _pts_term(p: _Parser, env: _PtsEnv) -> PtsTerm:
+    if p.at("ident", "Pi") or p.at("ident", "lam"):
+        kw = p.advance().text
+        name = p.ident("a binder name")
+        p.expect("punct", ":")
+        ann = _pts_term(p, env)
+        p.expect("punct", ".")
+        env.stack.append(name)
+        try:
+            body = _pts_term(p, env)
+        finally:
+            env.stack.pop()
+        return PPi(name, ann, body) if kw == "Pi" else PLam(name, ann, body)
+    left = _pts_app(p, env)
+    if p.eat("punct", "->"):
+        right = _pts_term(p, env)
+        return PPi("_", left, pts_shift(right, 1))
+    return left
+
+
+def _pts_app(p: _Parser, env: _PtsEnv) -> PtsTerm:
+    t = _pts_atom(p, env)
+    while _starts_atom(p):
+        t = PApp(t, _pts_atom(p, env))
+    return t
+
+
+def _pts_atom(p: _Parser, env: _PtsEnv) -> PtsTerm:
+    if p.eat("punct", "("):
+        t = _pts_term(p, env)
+        p.expect("punct", ")")
+        return t
+    tok = p.peek()
+    if tok.kind != "ident" or tok.text in KEYWORDS:
+        raise p.fail("expected a term")
+    name = p.advance().text
+    for depth, bound in enumerate(reversed(env.stack)):
+        if bound == name:
+            return PVar(depth)
+    if name in env.defs:
+        body, base = env.defs[name]
+        return pts_shift(body, len(env.stack) - base)
+    if env.spec.has_sort(name):
+        return PSort(name)
+    raise p.fail(f"unknown identifier '{name}'")
+
+
+def parse_pts_term(text: str, spec: SortSpec, names: Sequence[str] = (),
+                   defs: dict[str, PtsTerm] | None = None,
+                   source: str = "<term>") -> PtsTerm:
+    """Parse one implicit-syntax term; ``defs`` are inlined abbreviations.
+
+    Definition bodies must be expressed over exactly the ``names`` context.
+    """
+    p = _Parser(lex(text, source), source)
+    env = _PtsEnv(spec, list(names),
+                  {n: (b, len(names)) for n, b in (defs or {}).items()})
+    t = _pts_term(p, env)
+    p.expect("eof")
+    return t
+
+
+def _dk_uses(t: DkTerm, j: int) -> bool:
+    return any(type(u) is Var and u.index == j + d for u, d in subterms(t))
+
+
+def _r_dk(t: DkTerm, env: list[str], prec: int, avoid: set[str]) -> str:
+    match t:
+        case Type():
+            return "TYPE"
+        case Kind():
+            return "KIND"
+        case Var(k):
+            return _var_name(k, env)
+        case Meta(name):
+            return name
+        case Cons(c, ()):
+            return c
+        case Cons(c, args):
+            inner = ", ".join(_r_dk(a, env, 0, avoid) for a in args)
+            return f"{c}({inner})"
+        case App(f, a):
+            s = f"{_r_dk(f, env, 1, avoid)} {_r_dk(a, env, 2, avoid)}"
+            return s if prec <= 1 else f"({s})"
+        case Lam(h, ann, body):
+            name = _fresh(h, env, avoid)
+            s = (f"lam {name} : {_r_dk(ann, env, 0, avoid)}. "
+                 f"{_r_dk(body, env + [name], 0, avoid)}")
+            return s if prec == 0 else f"({s})"
+        case Pi(h, dom, cod):
+            if not _dk_uses(cod, 0):
+                s = (f"{_r_dk(dom, env, 1, avoid)} -> "
+                     f"{_r_dk(shift(cod, -1, 1), env, 0, avoid)}")
+            else:
+                name = _fresh(h, env, avoid)
+                s = (f"Pi {name} : {_r_dk(dom, env, 0, avoid)}. "
+                     f"{_r_dk(cod, env + [name], 0, avoid)}")
+            return s if prec == 0 else f"({s})"
+    raise TypeError(f"not a framework term: {t!r}")
+
+
+def _pts_uses(t: PtsTerm, j: int) -> bool:
+    match t:
+        case PVar(k):
+            return k == j
+        case PApp(f, a):
+            return _pts_uses(f, j) or _pts_uses(a, j)
+        case PLam(_, dom, body):
+            return _pts_uses(dom, j) or _pts_uses(body, j + 1)
+        case PPi(_, dom, cod):
+            return _pts_uses(dom, j) or _pts_uses(cod, j + 1)
+        case _:
+            return False
+
+
+def _r_pts(t: PtsTerm, env: list[str], prec: int, avoid: set[str]) -> str:
+    match t:
+        case PSort(s):
+            return s
+        case PVar(k):
+            return _var_name(k, env)
+        case PApp(f, a):
+            s = f"{_r_pts(f, env, 1, avoid)} {_r_pts(a, env, 2, avoid)}"
+            return s if prec <= 1 else f"({s})"
+        case PLam(h, dom, body):
+            name = _fresh(h, env, avoid)
+            s = (f"lam {name} : {_r_pts(dom, env, 0, avoid)}. "
+                 f"{_r_pts(body, env + [name], 0, avoid)}")
+            return s if prec == 0 else f"({s})"
+        case PPi(h, dom, cod):
+            if not _pts_uses(cod, 0):
+                s = (f"{_r_pts(dom, env, 1, avoid)} -> "
+                     f"{_r_pts(pts_shift(cod, -1, 1), env, 0, avoid)}")
+            else:
+                name = _fresh(h, env, avoid)
+                s = (f"Pi {name} : {_r_pts(dom, env, 0, avoid)}. "
+                     f"{_r_pts(cod, env + [name], 0, avoid)}")
+            return s if prec == 0 else f"({s})"
+    raise TypeError(f"not a PTS term: {t!r}")
+
+
+def _r_epts(t: EptsTerm, env: list[str], avoid: set[str]) -> str:
+    """Explicit syntax is printed (for reports), never parsed back."""
+    match t:
+        case ESort(s):
+            return s
+        case EVar(k):
+            return _var_name(k, env)
+        case EPi(s1, s2, dom, h, cod):
+            name = _fresh(h, env, avoid)
+            return (f"Pi{{{s1},{s2}}}({_r_epts(dom, env, avoid)}, "
+                    f"{name}. {_r_epts(cod, env + [name], avoid)})")
+        case ELam(s1, s2, dom, h, cod, body):
+            name = _fresh(h, env, avoid)
+            inner = env + [name]
+            return (f"lam{{{s1},{s2}}}({_r_epts(dom, env, avoid)}, "
+                    f"{name}. {_r_epts(cod, inner, avoid)}, "
+                    f"{name}. {_r_epts(body, inner, avoid)})")
+        case EApp(s1, s2, dom, h, cod, fn, arg):
+            name = _fresh(h, env, avoid)
+            return (f"app{{{s1},{s2}}}({_r_epts(dom, env, avoid)}, "
+                    f"{name}. {_r_epts(cod, env + [name], avoid)}, "
+                    f"{_r_epts(fn, env, avoid)}, {_r_epts(arg, env, avoid)})")
+    raise TypeError(f"not an explicit term: {t!r}")
+
+
+def _r_stlc(t: Any, env: list[str], avoid: set[str], prec: int = 0) -> str:
+    match t:
+        case SVar(k):
+            return _var_name(k, env)
+        case SConst(name):
+            return name
+        case SApp(f, a):
+            s = f"{_r_stlc(f, env, avoid, 1)} {_r_stlc(a, env, avoid, 2)}"
+            return s if prec <= 1 else f"({s})"
+        case SLam(h, body):
+            name = _fresh(h, env, avoid)
+            s = f"lam {name}. {_r_stlc(body, env + [name], avoid, 0)}"
+            return s if prec == 0 else f"({s})"
+    raise TypeError(f"not a simply typed term: {t!r}")
+
+
+def render(x: Any, names: Sequence[str] = (), avoid: Sequence[str] = ()) -> str:
+    """A term of any of the four languages, printed by its own printer."""
+    a = set(avoid)
+    env = list(names)
+    if isinstance(x, DkTerm):
+        return _r_dk(x, env, 0, a)
+    if isinstance(x, PtsTerm):
+        return _r_pts(x, env, 0, a)
+    if isinstance(x, EptsTerm):
+        return _r_epts(x, env, a)
+    return _r_stlc(x, env, a)

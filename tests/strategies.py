@@ -8,6 +8,7 @@ coverage per example.
 
 from hypothesis import strategies as st
 
+from pimod.analysis import SApp, SConst, SLam, SVar
 from pimod.epts import EApp, ELam, EPi, ESort, EVar, PApp, PLam, PPi, PSort, PVar
 from pimod.terms import KIND, TYPE, App, Cons, Declaration, Lam, Meta, Pi, Theory, Var
 
@@ -80,5 +81,16 @@ def epts_terms(sorts=("Type", "Kind"), pairs=(("Type", "Type"), ("Kind", "Type")
         return st.one_of(st.builds(pi, pair, ch, ch),
                          st.builds(lam, pair, ch, ch, ch),
                          st.builds(app, pair, ch, ch, ch, ch))
+
+    return st.recursive(leaves, extend, max_leaves=max_leaves)
+
+
+def stlc_terms(max_free=3, max_leaves=10):
+    """Raw untyped lambda terms, the codomain of the erasure."""
+    leaves = st.one_of(st.builds(SVar, st.integers(0, max_free - 1)),
+                       st.builds(SConst, st.sampled_from(["c0", "pi*"])))
+
+    def extend(ch):
+        return st.one_of(st.builds(SApp, ch, ch), st.builds(SLam, HINTS, ch))
 
     return st.recursive(leaves, extend, max_leaves=max_leaves)

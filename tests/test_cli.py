@@ -81,6 +81,65 @@ class TestCheckEpts:
                      "--fuel", "100000"]) == 0
 
 
+def _one_record(capsys, fmt):
+    """The single failure record a run printed on stdout, as a dict."""
+    out, err = capsys.readouterr()
+    assert out.count("\n") == 1 and "Traceback" not in err
+    if fmt == "machine-readable":
+        rec = json.loads(out)
+        assert rec["ok"] is False
+        return rec, err
+    assert out.startswith("FAIL  ")
+    kind, _, detail = out[6:].rstrip("\n").partition("    --  ")
+    return {"kind": kind.strip(), "detail": detail}, err
+
+
+FORMATS = ("text", "machine-readable")
+
+
+class TestBadBudget:
+    @pytest.mark.parametrize("flag, env", [
+        (["--fuel", "0"], None),
+        (["--fuel", "-3"], None),
+        ([], "0"),
+        ([], "abc"),
+    ], ids=["fuel-0", "fuel-minus-3", "env-0", "env-abc"])
+    def test_is_one_record_and_exit_1(self, flag, env, monkeypatch, capsys):
+        if env is not None:
+            monkeypatch.setenv("PIMOD_FUEL", env)
+        where = "--fuel" if flag else "PIMOD_FUEL"
+        for fmt in FORMATS:
+            argv = ["decode", SYSTEMF_SORTS, SYSTEMF_EPTS, "--format", fmt]
+            assert main(argv + flag) == 1
+            rec, _ = _one_record(capsys, fmt)
+            assert rec["kind"] == "PimodError"
+            assert rec["detail"].startswith(f"{where} must be a positive integer")
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["decode"],
+        ["decode", SYSTEMF_SORTS, SYSTEMF_EPTS, "--fuel", "x"],
+        ["morphism", "phi"],
+        ["frobnicate"],
+    ], ids=["missing-arguments", "fuel-not-an-int", "nested-subcommand",
+            "unknown-command"])
+    def test_exit_1_with_one_record(self, argv, capsys):
+        for fmt in FORMATS:
+            assert main(argv + ["--format", fmt]) == 1
+            rec, err = _one_record(capsys, fmt)
+            assert rec["kind"] == "usage-error"
+            assert rec["detail"].startswith("pimod")
+            assert err.startswith("usage: pimod")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["morphism", "phi", "--help"]])
+    def test_help_still_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: pimod")
+
+
 class TestEncodeDecode:
     def test_encode_emits_checkable_theories(self, sandbox, capsys):
         tmp, sorts, epts = sandbox

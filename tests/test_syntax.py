@@ -1,19 +1,31 @@
-"""Concrete syntax: lexing, the four file formats, and print-parse identity."""
+"""Concrete syntax: lexing, the four file formats, print-parse identity,
+the one grammar and printer against the per-language ones in
+``reference``, and malformed files."""
+
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
+from pimod.analysis import erase_term
+from pimod.corpus import CORPUS_NAMES, load_case, load_cases, load_sorts, read_text
+from pimod.encode import expected_dk_type, generate, translate, translate_ctx
 from pimod.epts import (EptsContext, PApp, PLam, PPi, PSort, PVar, elaborate,
-                        erase_to_pts)
-from pimod.errors import NonFunctionalSpec, ParseError
+                        elaborate_context, erase_to_pts)
+from pimod.errors import NonFunctionalSpec, ParseError, PimodError
+from pimod.morphism import build_phi
 from pimod.syntax import (SortSpecFile, lex, parse_dk_term, parse_epts_file,
                           parse_morphism, parse_pts_term, parse_sort_spec_file,
                           parse_theory, render, render_epts_file,
                           render_morphism, render_sort_spec, render_theory)
 from pimod.terms import (KIND, TYPE, App, Cons, Declaration, Lam, Meta, Pi,
                          RewriteRule, Theory, Var, arrow, validate_theory)
-from strategies import FREE_NAMES, PARSE_THEORY, dk_terms, pts_terms
+from strategies import (FREE_NAMES, PARSE_THEORY, dk_terms, epts_terms, pts_terms,
+                        stlc_terms)
 from systems import SYSTEM_F, SYSTEM_F_INT
+from termgen import GEN_THEORY, gen_judgment
 from test_morphism import RENAME, SRC, _target
 
 
@@ -301,3 +313,151 @@ class TestPrintParseIdentity:
         g = parse_theory(text)
         assert (g.theory, g.assumes.entries, g.checks) == \
             (f.theory, f.assumes.entries, f.checks)
+
+
+# --- the one grammar and the one printer against the per-language ones ---
+
+# free names and avoided names that collide with the strategies' binder hints
+NAMES = st.lists(st.sampled_from(["x", "y", "v0", "x'"]), max_size=3).map(tuple)
+AVOID = st.sets(st.sampled_from(["x", "y", "z", "w", "x'", "c0"]))
+
+TOKENS = ["(", ")", ".", ":", ",", "->", "-->", ":=", "lam", "Pi", "TYPE", "KIND",
+          "Type", "Kind", "c0", "g1", "h2", "M", "two", "x", "zz", "rule", '"s"']
+
+MALFORMED = [
+    "", "TYPE", "KIND", "x TYPE", "lam x : TYPE. x", "Pi x : KIND. x", "TYPE -> x",
+    "(", ")", "x )", "(x", "x ->", "-> x", "lam", "lam x", "lam x :", "lam x : x",
+    "lam x : x.", "Pi x . x", "lam rule : x. x", "c0(", "g1", "g1 x", "g1(x",
+    "g1(x, x)", "h2(x)", "h2(x,)", "M", "g1(M)", "two", "Type", "Kind -> Type",
+    "x . y", "x : y", "x := y", "x --> y", '"s"', "x, y", "zz", "x\n  ( y",
+]
+
+
+@st.composite
+def mangled(draw, text):
+    """``text`` with a few spans deleted and a few tokens inserted."""
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:i] + text[i + draw(st.integers(1, 8)):]
+        else:
+            text = f"{text[:i]} {draw(st.sampled_from(TOKENS))} {text[i:]}"
+    return text
+
+
+def _parsed(parse, text, *args):
+    """The term ``text`` parses to, hints included, or the error and its place."""
+    try:
+        return repr(parse(text, *args))
+    except ParseError as e:
+        return str(e)
+
+
+class TestAgainstPerLanguageCode:
+    @pytest.mark.parametrize("terms", [
+        dk_terms(metas=True), pts_terms(), epts_terms(), stlc_terms()],
+        ids=["framework", "source", "explicit", "untyped"])
+    @settings(max_examples=150)
+    @given(data=st.data(), names=NAMES, avoid=AVOID)
+    def test_render(self, terms, data, names, avoid):
+        t = data.draw(terms)
+        assert render(t, names, avoid) == reference.render(t, names, avoid)
+
+    def test_render_erasures_of_generated_judgments(self):
+        rng = random.Random(6)
+        for _ in range(30):
+            ctx, m, _ = gen_judgment(rng)
+            s = erase_term(GEN_THEORY, m)
+            for avoid in ((), {"p", "u", "w", "_z"}):
+                assert render(s, ctx.names, avoid) == \
+                    reference.render(s, ctx.names, avoid)
+
+    @pytest.mark.parametrize("text", MALFORMED)
+    def test_parse_fixed_texts(self, text):
+        names = ("x", "y")
+        for metas in (False, True):
+            assert _parsed(parse_dk_term, text, PARSE_THEORY, names, metas) == \
+                _parsed(reference.parse_dk_term, text, PARSE_THEORY, names, metas)
+        defs = {"two": PSort("Type")}
+        assert _parsed(parse_pts_term, text, SYSTEM_F, names, defs) == \
+            _parsed(reference.parse_pts_term, text, SYSTEM_F, names, defs)
+
+    @settings(max_examples=200)
+    @given(dk_terms(metas=True), NAMES, st.booleans(), st.data())
+    def test_parse_framework_text(self, t, names, metas, data):
+        text = data.draw(mangled(render(t, names)))
+        assert _parsed(parse_dk_term, text, PARSE_THEORY, names, metas) == \
+            _parsed(reference.parse_dk_term, text, PARSE_THEORY, names, metas)
+
+    @settings(max_examples=200)
+    @given(pts_terms(sorts=("Type", "Kind")), NAMES, st.data())
+    def test_parse_source_text(self, t, names, data):
+        text = data.draw(mangled(render(t, names)))
+        defs = {"two": PSort("Type")}
+        assert _parsed(parse_pts_term, text, SYSTEM_F, names, defs) == \
+            _parsed(reference.parse_pts_term, text, SYSTEM_F, names, defs)
+
+
+# --- malformed files ----------------------------------------------------------
+
+FILE_TOKENS = ["(", ")", ".", ":", ",", ":=", "-->", "->", "lam", "Pi", "TYPE",
+               "KIND", "constant", "rule", "assume", "check", "def", "map", "Sort",
+               "Ax", '"r"', '"', "#", "\n[sorts]\n", "\n[axioms]\n", "\n[rules]\n",
+               "\n[internalized]\n"]
+
+
+def _mutants(text: str, seed: str, n: int):
+    """``n`` copies of ``text``, each with one to four spans deleted or
+    tokens inserted."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        t = text
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randrange(len(t) + 1)
+            if rng.random() < 0.5:
+                t = t[:i] + t[i + rng.randint(1, 24):]
+            else:
+                tok = rng.choice(FILE_TOKENS)
+                t = t[:i] + (f" {tok} " if rng.random() < 0.5 else tok) + t[i:]
+        yield t
+
+
+def _judgments_file(case) -> str:
+    """The judgments file ``pimod encode`` writes for a corpus case."""
+    enc = generate(case.spec)
+    ctx = elaborate_context(case.spec, case.file.assumes)
+    checks = [(translate(enc, elaborate(case.spec, ctx, j.term)),
+               expected_dk_type(enc, ctx, elaborate(case.spec, ctx, j.type)))
+              for j in case.file.judgments]
+    return render_theory(enc.theory, translate_ctx(enc, ctx), checks)
+
+
+def _fuzz_targets():
+    """(name, parser, text): the bundled files, the theories and judgments
+    the encoder emits, and the finite-to-internalized map of System F."""
+    for name in CORPUS_NAMES:
+        yield f"{name}.sorts", parse_sort_spec_file, read_text(f"{name}.sorts")
+    for case in load_cases():
+        spec = case.spec
+        yield (f"{case.label}.epts", lambda t, spec=spec: parse_epts_file(t, spec),
+               read_text(f"{case.corpus}.epts"))
+        yield f"{case.label}_theory.dk", parse_theory, render_theory(generate(spec).theory)
+    case = load_case("systemf", "finite")
+    yield "systemf/finite_judgments.dk", parse_theory, _judgments_file(case)
+    sf = load_sorts("systemf")
+    src, dst = generate(sf.finite), generate(sf.internalized)
+    yield ("systemf.map",
+           lambda t: parse_morphism(t, src.theory, dst.theory),
+           render_morphism(build_phi(src, dst)))
+
+
+class TestMalformedFiles:
+    def test_only_pimod_errors_escape(self):
+        for name, parse, text in _fuzz_targets():
+            for i, mutant in enumerate(_mutants(text, name, 40)):
+                try:
+                    parse(mutant)
+                except PimodError:
+                    pass
+                except Exception as e:
+                    raise AssertionError(f"mutant {i} of {name}: {e!r}") from e
