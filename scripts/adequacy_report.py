@@ -31,12 +31,20 @@ def wrap_root(theory, ctx, t, times):
     return t
 
 
+def positive(text):
+    """A step budget: argparse reports anything else as a usage error."""
+    n = int(text)
+    if n <= 0:
+        raise argparse.ArgumentTypeError("fuel budget must be positive")
+    return n
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--variants", type=int, default=3,
                     help="beta-expanded variants per judgment (default 3)")
     ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    ap.add_argument("--fuel", type=positive, default=DEFAULT_FUEL)
     args = ap.parse_args(argv)
     rng = random.Random(args.seed)
 

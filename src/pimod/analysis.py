@@ -18,7 +18,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import Diagnostic, NotErasable, UnknownConstant
 from .terms import (
-    App, Cons, DkContext, DkTerm, Lam, Pi, Theory, Type, Var,
+    App, Children, Cons, DkContext, DkTerm, Lam, Pi, Term, Theory, Type, Var,
+    Variable, same_class, shift,
 )
 
 
@@ -223,12 +224,12 @@ def render_simple(t: SimpleType) -> str:
     raise AssertionError
 
 
-class StlcTerm:
+class StlcTerm(Term):
     __slots__ = ()
 
 
 @dataclass(frozen=True)
-class SVar(StlcTerm):
+class SVar(StlcTerm, Variable):
     index: int
 
 
@@ -242,23 +243,27 @@ class SApp(StlcTerm):
     fn: StlcTerm
     arg: StlcTerm
 
+    def children(self) -> Children:
+        return ((self.fn, 0), (self.arg, 0))
+
+    def with_children(self, kids: list[StlcTerm]) -> SApp:
+        return SApp(kids[0], kids[1])
+
+    same_node = same_class
+
 
 @dataclass(frozen=True)
 class SLam(StlcTerm):
     hint: str = field(compare=False)
     body: StlcTerm = field()
 
+    def children(self) -> Children:
+        return ((self.body, 1),)
 
-def stlc_shift(t: StlcTerm, by: int, cutoff: int = 0) -> StlcTerm:
-    match t:
-        case SVar(k):
-            return SVar(k + by) if k >= cutoff else t
-        case SApp(f, a):
-            return SApp(stlc_shift(f, by, cutoff), stlc_shift(a, by, cutoff))
-        case SLam(h, b):
-            return SLam(h, stlc_shift(b, by, cutoff + 1))
-        case _:
-            return t
+    def with_children(self, kids: list[StlcTerm]) -> SLam:
+        return SLam(self.hint, kids[0])
+
+    same_node = same_class
 
 
 def mk_sapp(fn: StlcTerm, *args: StlcTerm) -> StlcTerm:
@@ -317,7 +322,7 @@ def erase_term(theory: Theory, m: DkTerm,
             return SApp(erase_term(theory, f, pis), erase_term(theory, a, pis))
         case Lam(h, ann, body):
             eb = erase_term(theory, body, pis)
-            return SApp(SLam("_z", SLam(h, stlc_shift(eb, 1, 1))),
+            return SApp(SLam("_z", SLam(h, shift(eb, 1, 1))),
                         erase_term(theory, ann, pis))
         case Pi(h, dom, cod):
             sigma = erase_type(theory, dom)

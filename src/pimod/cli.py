@@ -23,7 +23,7 @@ import os
 import sys
 from pathlib import Path
 
-from .analysis import check_arity_preserving, check_rules_well_formed
+from .analysis import check_arity_preserving, check_rules_well_formed, erase_type
 from .corpus import CORPUS_NAMES, load_sorts
 from .decode import adequacy_legs, conservative_invert
 from .encode import EncodingTheory, expected_dk_type, generate, translate, translate_ctx
@@ -35,7 +35,7 @@ from .epts import (
     epts_check,
     erase_to_pts,
 )
-from .errors import Diagnostic, FuelExhausted, InternalSoundnessError, PimodError
+from .errors import Diagnostic, FuelExhausted, InternalSoundnessError, NotErasable, PimodError
 from .kernel import check, check_context, check_signature
 from .morphism import apply_morphism, build_phi, verify_morphism
 from .rewrite import BETA, DEFAULT_FUEL, Fuel, check_orthogonal, reduce_trace
@@ -51,7 +51,7 @@ from .syntax import (
     render_morphism,
     render_theory,
 )
-from .terms import validate_theory
+from .terms import Cons, validate_theory
 
 
 _FORMATS = ("text", "machine-readable")
@@ -279,9 +279,6 @@ def _cmd_analyze(args, rep: Reporter) -> None:
         for d in report.problems + report.notes:
             rep.diagnostic(d, path)
         if args.trace:
-            from .analysis import erase_type
-            from .errors import NotErasable
-            from .terms import Cons
             for r in tf.theory.rules:
                 try:
                     lhs = render(erase_type(tf.theory, Cons(r.head, r.lhs)))

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .kernel import check as dk_check
 from .rewrite import BETA, Fuel, convertible, nf, step
-from .terms import App, Cons, DkTerm, Lam, Var, children, same_node
+from .terms import App, Cons, DkTerm, Lam, Var, subst
 from .epts import (
     EApp,
     ELam,
@@ -34,7 +34,6 @@ from .epts import (
     epts_check,
     epts_infer,
     epts_redex,
-    epts_subst,
 )
 from .encode import EncodingTheory, expected_dk_type, translate, translate_ctx
 
@@ -98,7 +97,7 @@ def invert(enc: EncodingTheory, t: DkTerm) -> EptsTerm:
             return ESort(form.sorts[0])
         case "redex":
             _, body, arg = form.parts
-            return epts_subst(invert(enc, body), 0, invert(enc, arg))
+            return subst(invert(enc, body), 0, invert(enc, arg))
         case "prod":
             a, h, b = form.parts
             s1, s2 = form.sorts
@@ -130,9 +129,9 @@ def hidden_equiv(enc: EncodingTheory, a: DkTerm, b: DkTerm,
         if type(x) is Lam and type(y) is Lam:
             pairs.append((x.ann, y.ann))
             return zip_(x.body, y.body)
-        if not same_node(x, y):
+        if not x.same_node(y):
             return x == y
-        return all(zip_(p, q) for (p, _), (q, _) in zip(children(x), children(y)))
+        return all(zip_(p, q) for (p, _), (q, _) in zip(x.children(), y.children()))
 
     if not zip_(a, b):
         return False

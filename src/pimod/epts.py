@@ -10,11 +10,11 @@ pair, and it never inspects the remaining annotations.  ``elaborate``
 is the type-directed map from implicit to explicit syntax and
 ``erase_to_pts`` its left inverse.
 
-On the explicit layer the child map, :func:`epts_children` with
-:func:`epts_with_children`, is the one place that states which subterms
-a node has and how many binders it puts around each; shifting,
-substitution, the redex search and the congruence descent of
-conversion are derived from it.
+Both layers are :class:`pimod.terms.Term` languages: each inner node
+states its subterms and binders in its own ``children`` method, and
+shifting, substitution, typing contexts, the redex search and the
+congruence descent of conversion come from :mod:`pimod.terms`'s one
+child map.
 
 Sorts come from a :data:`SortSpec`: either a finite enumeration with
 explicit axiom/rule tables, or an internalized presentation where sorts
@@ -25,7 +25,7 @@ by rewriting the distinguished ``Ax``/``Ru`` symbols.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import (
     Diagnostic,
@@ -42,13 +42,19 @@ from .errors import (
 from .rewrite import Fuel, nf as dk_nf
 from .terms import (
     TYPE,
+    Children,
     Cons,
     Declaration,
+    DkContext,
     DkTerm,
     RewriteRule,
+    Term,
     Theory,
+    Variable,
     max_free_index,
     metas_of,
+    same_class,
+    subst,
     validate_theory,
 )
 
@@ -274,14 +280,19 @@ SortSpec = Union[FiniteSortSpec, InternalizedSortSpec]
 # --- syntax -------------------------------------------------------------------
 
 
-class EptsTerm:
+class EptsTerm(Term):
     """Explicitly annotated PTS terms (de Bruijn indices)."""
 
     __slots__ = ()
 
 
+def _same_rule(self: EptsTerm, other: Term) -> bool:
+    """:meth:`Term.same_node` of the annotated inner nodes: the same sort pair too."""
+    return type(other) is type(self) and other.s1 == self.s1 and other.s2 == self.s2
+
+
 @dataclass(frozen=True)
-class EVar(EptsTerm):
+class EVar(EptsTerm, Variable):
     index: int
 
 
@@ -298,6 +309,14 @@ class EPi(EptsTerm):
     hint: str = field(compare=False)
     cod: EptsTerm = field()
 
+    def children(self) -> Children:
+        return ((self.dom, 0), (self.cod, 1))
+
+    def with_children(self, kids: list[EptsTerm]) -> EPi:
+        return EPi(self.s1, self.s2, kids[0], self.hint, kids[1])
+
+    same_node = _same_rule
+
 
 @dataclass(frozen=True)
 class ELam(EptsTerm):
@@ -309,6 +328,14 @@ class ELam(EptsTerm):
     hint: str = field(compare=False)
     cod: EptsTerm = field()
     body: EptsTerm = field()
+
+    def children(self) -> Children:
+        return ((self.dom, 0), (self.cod, 1), (self.body, 1))
+
+    def with_children(self, kids: list[EptsTerm]) -> ELam:
+        return ELam(self.s1, self.s2, kids[0], self.hint, kids[1], kids[2])
+
+    same_node = _same_rule
 
 
 @dataclass(frozen=True)
@@ -323,15 +350,23 @@ class EApp(EptsTerm):
     fn: EptsTerm = field()
     arg: EptsTerm = field()
 
+    def children(self) -> Children:
+        return ((self.dom, 0), (self.cod, 1), (self.fn, 0), (self.arg, 0))
 
-class PtsTerm:
+    def with_children(self, kids: list[EptsTerm]) -> EApp:
+        return EApp(self.s1, self.s2, kids[0], self.hint, kids[1], kids[2], kids[3])
+
+    same_node = _same_rule
+
+
+class PtsTerm(Term):
     """Ordinary PTS terms: only abstraction domains are annotated."""
 
     __slots__ = ()
 
 
 @dataclass(frozen=True)
-class PVar(PtsTerm):
+class PVar(PtsTerm, Variable):
     index: int
 
 
@@ -346,6 +381,14 @@ class PPi(PtsTerm):
     dom: PtsTerm = field()
     cod: PtsTerm = field()
 
+    def children(self) -> Children:
+        return ((self.dom, 0), (self.cod, 1))
+
+    def with_children(self, kids: list[PtsTerm]) -> PPi:
+        return PPi(self.hint, kids[0], kids[1])
+
+    same_node = same_class
+
 
 @dataclass(frozen=True)
 class PLam(PtsTerm):
@@ -353,94 +396,27 @@ class PLam(PtsTerm):
     dom: PtsTerm = field()
     body: PtsTerm = field()
 
+    def children(self) -> Children:
+        return ((self.dom, 0), (self.body, 1))
+
+    def with_children(self, kids: list[PtsTerm]) -> PLam:
+        return PLam(self.hint, kids[0], kids[1])
+
+    same_node = same_class
+
 
 @dataclass(frozen=True)
 class PApp(PtsTerm):
     fn: PtsTerm
     arg: PtsTerm
 
+    def children(self) -> Children:
+        return ((self.fn, 0), (self.arg, 0))
 
-def epts_children(t: EptsTerm) -> tuple[tuple[EptsTerm, int], ...]:
-    """Immediate subterms of ``t``, each with the number of binders ``t``
-    puts around it, in declaration order.  Variables and sorts are the leaves.
+    def with_children(self, kids: list[PtsTerm]) -> PApp:
+        return PApp(kids[0], kids[1])
 
-    Dispatch is on exact types, as in :func:`pimod.terms.children`."""
-    tp = type(t)
-    if tp is EApp:
-        return ((t.dom, 0), (t.cod, 1), (t.fn, 0), (t.arg, 0))
-    if tp is ELam:
-        return ((t.dom, 0), (t.cod, 1), (t.body, 1))
-    if tp is EPi:
-        return ((t.dom, 0), (t.cod, 1))
-    return ()
-
-
-def epts_with_children(t: EptsTerm, kids: list[EptsTerm]) -> EptsTerm:
-    """``t`` rebuilt from new subterms, in the order :func:`epts_children` lists them."""
-    tp = type(t)
-    if tp is EApp:
-        return EApp(t.s1, t.s2, kids[0], t.hint, kids[1], kids[2], kids[3])
-    if tp is ELam:
-        return ELam(t.s1, t.s2, kids[0], t.hint, kids[1], kids[2])
-    if tp is EPi:
-        return EPi(t.s1, t.s2, kids[0], t.hint, kids[1])
-    return t
-
-
-def epts_same_node(x: EptsTerm, y: EptsTerm) -> bool:
-    """Are ``x`` and ``y`` inner nodes of one class and sort pair, so that
-    their :func:`epts_children` correspond one to one?  False for leaves."""
-    tp = type(x)
-    return (tp is type(y) and tp in (EPi, ELam, EApp)
-            and x.s1 == y.s1 and x.s2 == y.s2)
-
-
-def epts_map_leaves(t: EptsTerm, leaf: Callable[[EptsTerm, int], EptsTerm],
-                    depth: int = 0) -> EptsTerm:
-    """Rebuild ``t`` with each leaf ``u`` replaced by ``leaf(u, d)``, where
-    ``d`` is ``depth`` plus the number of binders above ``u``."""
-    kids = epts_children(t)
-    if not kids:
-        return leaf(t, depth)
-    new = []
-    for k, b in kids:
-        new.append(epts_map_leaves(k, leaf, depth + b))
-    return epts_with_children(t, new)
-
-
-def epts_shift(t: EptsTerm, by: int, cutoff: int = 0) -> EptsTerm:
-    if by == 0:
-        return t
-
-    def leaf(u: EptsTerm, d: int) -> EptsTerm:
-        return EVar(u.index + by) if isinstance(u, EVar) and u.index >= d else u
-    return epts_map_leaves(t, leaf, cutoff)
-
-
-def epts_subst(t: EptsTerm, j: int, value: EptsTerm) -> EptsTerm:
-    def leaf(u: EptsTerm, d: int) -> EptsTerm:
-        if isinstance(u, EVar):
-            if u.index == j + d:
-                return epts_shift(value, d)
-            if u.index > j + d:
-                return EVar(u.index - 1)
-        return u
-    return epts_map_leaves(t, leaf)
-
-
-def pts_shift(t: PtsTerm, by: int, cutoff: int = 0) -> PtsTerm:
-    match t:
-        case PVar(k):
-            return PVar(k + by) if k >= cutoff else t
-        case PSort(_):
-            return t
-        case PPi(h, dom, cod):
-            return PPi(h, pts_shift(dom, by, cutoff), pts_shift(cod, by, cutoff + 1))
-        case PLam(h, dom, body):
-            return PLam(h, pts_shift(dom, by, cutoff), pts_shift(body, by, cutoff + 1))
-        case PApp(fn, arg):
-            return PApp(pts_shift(fn, by, cutoff), pts_shift(arg, by, cutoff))
-    raise AssertionError(f"not a PTS term: {t!r}")
+    same_node = same_class
 
 
 def erase_to_pts(t: EptsTerm) -> PtsTerm:
@@ -475,12 +451,12 @@ def epts_redex(spec: SortSpec, t: EptsTerm) -> tuple[EptsTerm, tuple[str, str]] 
     match t:
         case EApp(s1, s2, _, _, _, ELam(t1, t2, _, _, _, body), arg) \
                 if s1 == t1 and s2 == t2 and spec.rule_defined(s1, s2):
-            return epts_subst(body, 0, arg), (s1, s2)
-    kids = [k for k, _ in epts_children(t)]
+            return subst(body, 0, arg), (s1, s2)
+    kids = [k for k, _ in t.children()]
     for i, k in enumerate(kids):
         r = epts_redex(spec, k)
         if r is not None:
-            return epts_with_children(t, kids[:i] + [r[0]] + kids[i + 1:]), r[1]
+            return t.with_children(kids[:i] + [r[0]] + kids[i + 1:]), r[1]
     return None
 
 
@@ -525,7 +501,7 @@ def epts_whnf(spec: SortSpec, t: EptsTerm, fuel: int | Fuel | None = None) -> Ep
                     case ELam(t1, t2, _, _, _, body) \
                             if s1 == t1 and s2 == t2 and spec.rule_defined(s1, s2):
                         f.tick()
-                        t = epts_subst(body, 0, arg)
+                        t = subst(body, 0, arg)
                         continue
                 return t if fn2 is fn else EApp(s1, s2, dom, h, cod, fn2, arg)
             case _:
@@ -541,8 +517,8 @@ def epts_convertible(spec: SortSpec, a: EptsTerm, b: EptsTerm,
         y = epts_whnf(spec, y, f)
         if x == y:
             return True
-        return epts_same_node(x, y) and all(
-            go(p, q) for (p, _), (q, _) in zip(epts_children(x), epts_children(y)))
+        return x.same_node(y) and all(
+            go(p, q) for (p, _), (q, _) in zip(x.children(), y.children()))
 
     return go(a, b)
 
@@ -550,24 +526,7 @@ def epts_convertible(spec: SortSpec, a: EptsTerm, b: EptsTerm,
 # --- typing -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EptsContext:
-    entries: tuple[tuple[str, EptsTerm], ...] = ()
-
-    def extend(self, hint: str, ty: EptsTerm) -> "EptsContext":
-        return EptsContext(self.entries + ((hint, ty),))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def names(self) -> list[str]:
-        return [h for h, _ in self.entries]
-
-    def type_of(self, index: int) -> EptsTerm:
-        if not 0 <= index < len(self.entries):
-            raise UnboundVariable(f"de Bruijn index {index} out of range")
-        return epts_shift(self.entries[len(self.entries) - 1 - index][1], index + 1)
+EptsContext = DkContext
 
 
 def _known(spec: SortSpec, s: str) -> None:
@@ -625,7 +584,7 @@ def _e_infer(spec: SortSpec, ctx: EptsContext, m: EptsTerm, f: Fuel) -> EptsTerm
                     f"no product rule for the sort pair ({s1}, {s2})")
             _e_check(spec, ctx, fn, EPi(s1, s2, dom, h, cod), f)
             _e_check(spec, ctx, arg, dom, f)
-            return epts_subst(cod, 0, arg)
+            return subst(cod, 0, arg)
     raise PimodError(f"cannot type {m!r}")
 
 

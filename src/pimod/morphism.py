@@ -30,9 +30,7 @@ from .terms import (
     DkTerm,
     Theory,
     Var,
-    children,
     subst_many,
-    with_children,
 )
 
 
@@ -50,10 +48,10 @@ class TheoryMorphism:
 
 def apply_morphism(mor: TheoryMorphism, t: DkTerm) -> DkTerm:
     """Homomorphic extension; pattern variables are carried along inert."""
-    kids = [apply_morphism(mor, k) for k, _ in children(t)]
+    kids = [apply_morphism(mor, k) for k, _ in t.children()]
     if isinstance(t, Cons):
         return subst_many(mor.image_of(t.name), tuple(reversed(kids)))
-    return with_children(t, kids)
+    return t.with_children(kids)
 
 
 def _rule_verdict(mor: TheoryMorphism, start: DkTerm, goal: DkTerm,

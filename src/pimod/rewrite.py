@@ -19,7 +19,7 @@ from typing import Iterator
 from .errors import Diagnostic, FuelExhausted
 from .terms import (
     App, Cons, DkTerm, Lam, Meta, RewriteRule, Theory,
-    children, instantiate, map_leaves, same_node, subst, with_children,
+    instantiate, map_leaves, subst,
 )
 
 BETA = "β"
@@ -88,7 +88,7 @@ def _redexes(theory: Theory, t: DkTerm,
     """Lazily, every one-step reduct of ``t`` whose label lies in ``labels``
     (all if None), leftmost-outermost first, as (position, label, reduct).
 
-    Positions are child-index paths in the order :func:`children` lists them.
+    Positions are child-index paths in the order ``children()`` lists them.
     """
     match t:
         case App(Lam(_, _, body), arg):
@@ -100,10 +100,10 @@ def _redexes(theory: Theory, t: DkTerm,
                     env = _match_rule(rule, args)
                     if env is not None:
                         yield (), rule.name, instantiate(rule.rhs, env)
-    kids = [k for k, _ in children(t)]
+    kids = [k for k, _ in t.children()]
     for i, k in enumerate(kids):
         for path, label, red in _redexes(theory, k, labels):
-            yield (i, *path), label, with_children(t, kids[:i] + [red] + kids[i + 1:])
+            yield (i, *path), label, t.with_children(kids[:i] + [red] + kids[i + 1:])
 
 
 def step(theory: Theory, t: DkTerm, labels: frozenset[str] | set[str] | None = None) -> tuple[DkTerm, str] | None:
@@ -241,8 +241,8 @@ def convertible(theory: Theory, a: DkTerm, b: DkTerm, fuel: int | Fuel | None = 
         y = whnf(theory, y, f)
         if x == y:
             return True
-        return same_node(x, y) and all(
-            go(p, q) for (p, _), (q, _) in zip(children(x), children(y)))
+        return x.same_node(y) and all(
+            go(p, q) for (p, _), (q, _) in zip(x.children(), y.children()))
 
     return go(a, b)
 

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
-from .analysis import SApp, SConst, SimpleType, SLam, SVar, render_simple
+from .analysis import SApp, SConst, SimpleType, SLam, render_simple
 from .errors import ParseError, Span
 from .terms import (
     KIND,
@@ -39,16 +39,15 @@ from .terms import (
     Theory,
     Type,
     Var,
-    children,
+    Variable,
     shift,
+    subterms,
 )
 from .epts import (
     EApp,
     ELam,
     EPi,
     ESort,
-    EVar,
-    EptsContext,
     FiniteSortSpec,
     InternalizedSortSpec,
     PApp,
@@ -58,8 +57,6 @@ from .epts import (
     PVar,
     PtsTerm,
     SortSpec,
-    epts_children,
-    pts_shift,
 )
 from .morphism import TheoryMorphism
 
@@ -182,9 +179,8 @@ class _Parser:
 #     atom ::= ( term )  |  NAME
 #
 # A scope supplies what differs between them: the node builders, the
-# shift that weakens the codomain of ``->``, the reserved atoms, and
-# ``free``, which resolves a NAME that no binder in scope claims (or
-# returns None).
+# reserved atoms, and ``free``, which resolves a NAME that no binder in
+# scope claims (or returns None).
 
 
 @dataclass
@@ -198,7 +194,6 @@ class _DkEnv:
     metas: bool = False
 
     pi, lam, app, var = Pi, Lam, App, Var
-    shift = staticmethod(shift)
     atoms = {"TYPE": TYPE, "KIND": KIND}
 
     def free(self, p: _Parser, name: str) -> DkTerm | None:
@@ -227,13 +222,12 @@ class _PtsEnv:
     defs: dict[str, tuple[PtsTerm, int]] = field(default_factory=dict)
 
     pi, lam, app, var = PPi, PLam, PApp, PVar
-    shift = staticmethod(pts_shift)
     atoms = {}
 
     def free(self, p: _Parser, name: str) -> PtsTerm | None:
         if name in self.defs:
             body, base = self.defs[name]
-            return pts_shift(body, len(self.stack) - base)
+            return shift(body, len(self.stack) - base)
         return PSort(name) if self.spec.has_sort(name) else None
 
 
@@ -252,7 +246,7 @@ def _term(p: _Parser, env: _DkEnv | _PtsEnv) -> DkTerm | PtsTerm:
         return (env.pi if kw == "Pi" else env.lam)(name, ann, body)
     left = _app(p, env)
     if p.eat("punct", "->"):
-        return env.pi("_", left, env.shift(_term(p, env), 1))
+        return env.pi("_", left, shift(_term(p, env), 1))
     return left
 
 
@@ -457,10 +451,10 @@ def parse_epts_file(text: str, spec: SortSpec,
             raise p.fail("expected 'assume' or 'def'")
 
     total = len(env.stack)
-    definitions = tuple((n, pts_shift(b, total - base))
+    definitions = tuple((n, shift(b, total - base))
                         for n, b, base in defs_in_order)
     judgments = tuple(
-        EptsJudgment(n, pts_shift(b, total - base), pts_shift(ty, total - base))
+        EptsJudgment(n, shift(b, total - base), shift(ty, total - base))
         for n, b, ty, base in pending)
     return EptsFile(tuple(assumes), definitions, judgments)
 
@@ -599,23 +593,8 @@ def _var_name(k: int, env: list[str]) -> str:
 
 
 def _uses(t: Any, j: int) -> bool:
-    """Does variable ``j`` occur in the framework or source term ``t``?"""
-    todo = [(t, j)]
-    while todo:
-        u, k = todo.pop()
-        tp = type(u)
-        if tp is Var or tp is PVar:
-            if u.index == k:
-                return True
-        elif tp is PApp:
-            todo += ((u.fn, k), (u.arg, k))
-        elif tp is PLam:
-            todo += ((u.dom, k), (u.body, k + 1))
-        elif tp is PPi:
-            todo += ((u.dom, k), (u.cod, k + 1))
-        else:
-            todo += [(c, k + b) for c, b in children(u)]
-    return False
+    """Does variable ``j`` occur in the term ``t``?"""
+    return any(isinstance(u, Variable) and u.index == j + d for u, d in subterms(t))
 
 
 _EXPLICIT_HEAD = {EPi: "Pi", ELam: "lam", EApp: "app"}
@@ -627,8 +606,8 @@ def _r(t: Any, env: list[str], prec: int, avoid: set[str]) -> str:
     syntax is printed (for reports), never parsed back."""
     match t:
         # framework arms first: theories are most of what gets printed
-        case Var(k):
-            return _var_name(k, env)
+        case Variable():
+            return _var_name(t.index, env)
         case Cons(c, ()):
             return c
         case Cons(c, args):
@@ -655,8 +634,6 @@ def _r(t: Any, env: list[str], prec: int, avoid: set[str]) -> str:
             return "KIND"
         case Meta(name) | PSort(name) | ESort(name) | SConst(name):
             return name
-        case PVar(k) | EVar(k) | SVar(k):
-            return _var_name(k, env)
         case SLam(h, body):
             name = _fresh(h, env, avoid)
             s = f"lam {name}. {_r(body, env + [name], 0, avoid)}"
@@ -664,7 +641,7 @@ def _r(t: Any, env: list[str], prec: int, avoid: set[str]) -> str:
         case EPi() | ELam() | EApp():
             name = _fresh(t.hint, env, avoid)
             parts = ", ".join(f"{name}. {_r(k, env + [name], 0, avoid)}" if b
-                              else _r(k, env, 0, avoid) for k, b in epts_children(t))
+                              else _r(k, env, 0, avoid) for k, b in t.children())
             return f"{_EXPLICIT_HEAD[type(t)]}{{{t.s1},{t.s2}}}({parts})"
     raise TypeError(f"cannot render {type(t).__name__}")
 
@@ -672,12 +649,13 @@ def _r(t: Any, env: list[str], prec: int, avoid: set[str]) -> str:
 def render(x: Any, names: Sequence[str] = (), avoid: Iterable[str] = ()) -> str:
     """Human-readable form of any term-like value (see the module docstring)."""
     a = set(avoid)
-    if isinstance(x, (DkContext, EptsContext)):
+    if isinstance(x, DkContext):
         parts = []
         acc: list[str] = []
         for h, ty in x.entries:
-            parts.append(f"{h} : {_r(ty, acc, 0, a)}")
-            acc.append(h)
+            name = _fresh(h, acc, a)
+            parts.append(f"{name} : {_r(ty, acc, 0, a)}")
+            acc.append(name)
         return ", ".join(parts)
     if isinstance(x, Theory):
         return render_theory(x)

@@ -6,12 +6,12 @@ Constants are fully applied: a ``Cons`` node carries exactly as many
 arguments as the arity its declaration fixes.  ``Meta`` nodes are
 pattern variables and may appear only inside rewrite rules.
 
-The child map, :func:`children` with :func:`with_children`, is the one
-place that states which subterms a node has and how many binders it puts
-around each.  Shifting, substitution, instantiation and the folds are
-derived from it through :func:`map_leaves` and :func:`subterms`, and so
-are redex search and the congruence descent of conversion in
-:mod:`pimod.rewrite` (through :func:`same_node`) and morphism application.
+One child map serves all four term languages (framework terms here, PTS
+terms in :mod:`pimod.epts`, untyped lambda terms in :mod:`pimod.analysis`):
+each inner node class states its subterms and binders in its methods (see
+:class:`Term`).  Shifting, substitution, the folds :func:`map_leaves` and
+:func:`subterms`, contexts, redex search, conversion and morphism
+application are written once against it.
 """
 
 from __future__ import annotations
@@ -19,17 +19,51 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .errors import Diagnostic
+from .errors import Diagnostic, UnboundVariable
 
 
-class DkTerm:
+Children = tuple[tuple["Term", int], ...]
+
+
+class Term:
+    """A node of any term language.  Each inner node class overrides the
+    three methods below next to its fields; the defaults describe a leaf."""
+
+    __slots__ = ()
+
+    def children(self) -> Children:
+        """Immediate subterms, each with the number of binders around it."""
+        return ()
+
+    def with_children(self, kids: list[Term]) -> Term:
+        """This node rebuilt from new subterms, in the order of :meth:`children`."""
+        return self
+
+    def same_node(self, other: Term) -> bool:
+        """Has ``other`` the same constructor, so that the children correspond?"""
+        return False
+
+
+def same_class(self: Term, other: Term) -> bool:
+    """:meth:`Term.same_node` of an inner node whose constructor has no
+    data besides its subterms."""
+    return type(other) is type(self)
+
+
+class Variable(Term):
+    """Marks the variable leaf of each language; it has an ``index`` field."""
+
+    __slots__ = ()
+
+
+class DkTerm(Term):
     """Base class for framework terms."""
 
     __slots__ = ()
 
 
 @dataclass(frozen=True)
-class Var(DkTerm):
+class Var(DkTerm, Variable):
     index: int
 
 
@@ -37,6 +71,16 @@ class Var(DkTerm):
 class Cons(DkTerm):
     name: str
     args: tuple[DkTerm, ...] = ()
+
+    def children(self) -> Children:
+        return tuple([(a, 0) for a in self.args])
+
+    def with_children(self, kids: list[DkTerm]) -> Cons:
+        return Cons(self.name, tuple(kids))
+
+    def same_node(self, other: Term) -> bool:
+        return (type(other) is Cons and other.name == self.name
+                and len(other.args) == len(self.args))
 
 
 @dataclass(frozen=True)
@@ -58,6 +102,14 @@ class App(DkTerm):
     fn: DkTerm
     arg: DkTerm
 
+    def children(self) -> Children:
+        return ((self.fn, 0), (self.arg, 0))
+
+    def with_children(self, kids: list[DkTerm]) -> App:
+        return App(kids[0], kids[1])
+
+    same_node = same_class
+
 
 @dataclass(frozen=True)
 class Lam(DkTerm):
@@ -65,12 +117,28 @@ class Lam(DkTerm):
     ann: DkTerm = field()
     body: DkTerm = field()
 
+    def children(self) -> Children:
+        return ((self.ann, 0), (self.body, 1))
+
+    def with_children(self, kids: list[DkTerm]) -> Lam:
+        return Lam(self.hint, kids[0], kids[1])
+
+    same_node = same_class
+
 
 @dataclass(frozen=True)
 class Pi(DkTerm):
     hint: str = field(compare=False)
     dom: DkTerm = field()
     cod: DkTerm = field()
+
+    def children(self) -> Children:
+        return ((self.dom, 0), (self.cod, 1))
+
+    def with_children(self, kids: list[DkTerm]) -> Pi:
+        return Pi(self.hint, kids[0], kids[1])
+
+    same_node = same_class
 
 
 @dataclass(frozen=True)
@@ -100,101 +168,55 @@ def spine(t: DkTerm) -> tuple[DkTerm, list[DkTerm]]:
     return t, args
 
 
-# The child map dispatches on exact types: every operation below runs
-# through it, ``type(t) is`` is its fastest test, and no term class is
-# subclassed.
-
-
-def children(t: DkTerm) -> tuple[tuple[DkTerm, int], ...]:
-    """Immediate subterms of ``t``, each with the number of binders ``t``
-    puts around it.  Nodes without subterms are the leaves."""
-    tp = type(t)
-    if tp is App:
-        return ((t.fn, 0), (t.arg, 0))
-    if tp is Lam:
-        return ((t.ann, 0), (t.body, 1))
-    if tp is Pi:
-        return ((t.dom, 0), (t.cod, 1))
-    if tp is Cons:
-        return tuple([(a, 0) for a in t.args])
-    return ()
-
-
-def with_children(t: DkTerm, kids: list[DkTerm]) -> DkTerm:
-    """``t`` rebuilt from new subterms, in the order :func:`children` lists them."""
-    tp = type(t)
-    if tp is App:
-        return App(kids[0], kids[1])
-    if tp is Lam:
-        return Lam(t.hint, kids[0], kids[1])
-    if tp is Pi:
-        return Pi(t.hint, kids[0], kids[1])
-    if tp is Cons:
-        return Cons(t.name, tuple(kids))
-    return t
-
-
-def same_node(x: DkTerm, y: DkTerm) -> bool:
-    """Do ``x`` and ``y`` have the same constructor (for constants, the
-    same name and arity), so that their :func:`children` correspond one
-    to one?  False for variables, sorts and pattern variables."""
-    tp = type(x)
-    if tp is not type(y):
-        return False
-    if tp is Cons:
-        return x.name == y.name and len(x.args) == len(y.args)
-    return tp is App or tp is Lam or tp is Pi
-
-
-def map_leaves(t: DkTerm, leaf: Callable[[DkTerm, int], DkTerm], depth: int = 0) -> DkTerm:
+def map_leaves(t: Term, leaf: Callable[[Term, int], Term], depth: int = 0) -> Term:
     """Rebuild ``t`` with each leaf ``u`` replaced by ``leaf(u, d)``, where
     ``d`` is ``depth`` plus the number of binders above ``u``."""
-    kids = children(t)
+    kids = t.children()
     if not kids:
         return leaf(t, depth)
     new = []
     for k, b in kids:
         new.append(map_leaves(k, leaf, depth + b))
-    return with_children(t, new)
+    return t.with_children(new)
 
 
-def subterms(t: DkTerm) -> Iterator[tuple[DkTerm, int]]:
+def subterms(t: Term) -> Iterator[tuple[Term, int]]:
     """Every node of ``t`` in pre-order, with the number of binders above it."""
     stack = [(t, 0)]
     while stack:
         u, d = stack.pop()
         yield u, d
-        for k, b in reversed(children(u)):
+        for k, b in reversed(u.children()):
             stack.append((k, d + b))
 
 
-def shift(t: DkTerm, by: int, cutoff: int = 0) -> DkTerm:
+def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     """Add ``by`` to every variable index at or above ``cutoff``."""
     if by == 0:
         return t
 
-    def leaf(u: DkTerm, d: int) -> DkTerm:
-        return Var(u.index + by) if isinstance(u, Var) and u.index >= d else u
+    def leaf(u: Term, d: int) -> Term:
+        return type(u)(u.index + by) if isinstance(u, Variable) and u.index >= d else u
     return map_leaves(t, leaf, cutoff)
 
 
-def _subst(t: DkTerm, values: tuple[DkTerm, ...], first: int, lift: int) -> DkTerm:
+def _subst(t: Term, values: tuple[Term, ...], first: int, lift: int) -> Term:
     """Put ``values[i]``, weakened by ``lift`` plus the binders crossed, for
     variable ``first + i``; indices past the block drop by ``len(values)``."""
     n = len(values)
 
-    def leaf(u: DkTerm, d: int) -> DkTerm:
-        if isinstance(u, Var):
+    def leaf(u: Term, d: int) -> Term:
+        if isinstance(u, Variable):
             k = u.index - first - d
             if k >= n:
-                return Var(u.index - n)
+                return type(u)(u.index - n)
             if k >= 0:
                 return shift(values[k], lift + d)
         return u
     return map_leaves(t, leaf)
 
 
-def subst(t: DkTerm, j: int, value: DkTerm) -> DkTerm:
+def subst(t: Term, j: int, value: Term) -> Term:
     """Capture-avoiding substitution of ``value`` for variable ``j``.
 
     ``value`` lives at the depth of ``t``'s root; variables above ``j``
@@ -203,7 +225,7 @@ def subst(t: DkTerm, j: int, value: DkTerm) -> DkTerm:
     return _subst(t, (value,), j, 0)
 
 
-def subst_many(t: DkTerm, values: tuple[DkTerm, ...], depth: int = 0) -> DkTerm:
+def subst_many(t: Term, values: tuple[Term, ...], depth: int = 0) -> Term:
     """Simultaneously substitute ``values[i]`` for variable ``depth + i``.
 
     Indices beyond the substituted block are decremented by
@@ -226,10 +248,10 @@ def metas_of(t: DkTerm) -> set[str]:
     return {u.name for u, _ in subterms(t) if isinstance(u, Meta)}
 
 
-def max_free_index(t: DkTerm, depth: int = 0) -> int:
+def max_free_index(t: Term, depth: int = 0) -> int:
     """Largest free variable index, or -1 for a closed term."""
     return max((u.index - depth - d for u, d in subterms(t)
-                if isinstance(u, Var) and u.index >= depth + d), default=-1)
+                if isinstance(u, Variable) and u.index >= depth + d), default=-1)
 
 
 @dataclass(frozen=True)
@@ -295,14 +317,15 @@ class Theory:
 
 @dataclass(frozen=True)
 class DkContext:
-    """A typing context; entry types may mention earlier entries.
+    """A typing context of any term language; entry types may mention
+    earlier entries.
 
     Variable 0 of a term in the context refers to the *last* entry.
     """
 
-    entries: tuple[tuple[str, DkTerm], ...] = ()
+    entries: tuple[tuple[str, Term], ...] = ()
 
-    def extend(self, hint: str, ty: DkTerm) -> "DkContext":
+    def extend(self, hint: str, ty: Term) -> "DkContext":
         return DkContext(self.entries + ((hint, ty),))
 
     def __len__(self) -> int:
@@ -312,11 +335,11 @@ class DkContext:
     def names(self) -> list[str]:
         return [h for h, _ in self.entries]
 
-    def type_of(self, index: int) -> DkTerm:
+    def type_of(self, index: int) -> Term:
         """Type of variable ``index``, weakened to the full context."""
         n = len(self.entries)
         if not 0 <= index < n:
-            raise IndexError(index)
+            raise UnboundVariable(f"de Bruijn index {index} out of range")
         return shift(self.entries[n - 1 - index][1], index + 1)
 
 

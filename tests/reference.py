@@ -1,11 +1,13 @@
 """Hand-written de Bruijn operations, kept as the reference that the
-operations derived from the child maps are compared against.
+operations derived from the one child map are compared against.
 
-Each function is a direct recursion over the constructors, independent
-of the child maps that ``pimod.terms`` and ``pimod.epts`` derive these
-operations from.  Substitution here re-shifts the value at every binder
-it crosses, a second route to the result the library reaches by
-shifting once at the leaves.
+Each function is a direct recursion over the constructors of one term
+language (framework, annotated PTS, implicit PTS and untyped lambda
+terms), independent of the child map that ``pimod.terms`` derives these
+operations from; ``pts_shift`` and ``stlc_shift`` are the library's
+former per-language shifts.  Substitution here re-shifts the value at
+every binder it crosses, a second route to the result the library
+reaches by shifting once at the leaves.
 
 ``check_orthogonal`` and its helpers are the overlap checker that tried
 every ordered pair of rules, renaming both apart for each pair, and
@@ -16,7 +18,7 @@ are unique.
 ``convertible``, ``epts_convertible`` and ``hidden_equiv`` descend
 through congruences with one hand-written case per constructor, and
 ``build_phi`` lays out the target of each constant family with one case
-per role; the library derives the first three from the child maps and
+per role; the library derives the first three from the child map and
 the last from ``EncodingTheory.family``.
 
 The framework and source term parsers (``_dk_term``, ``_pts_term`` and
@@ -31,10 +33,10 @@ the way the library's entry points do.
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from pimod.analysis import SApp, SConst, SLam, SVar
+from pimod.analysis import SApp, SConst, SLam, StlcTerm, SVar
 from pimod.encode import EncodingTheory
 from pimod.epts import (EApp, ELam, EPi, ESort, EptsTerm, EVar, PApp, PLam, PPi,
-                        PSort, PtsTerm, PVar, SortSpec, epts_whnf, pts_shift)
+                        PSort, PtsTerm, PVar, SortSpec, epts_whnf)
 from pimod.errors import Diagnostic, PimodError, UnknownSort, UnrepresentableSort
 from pimod.morphism import TheoryMorphism
 from pimod.rewrite import Fuel, OrthogonalityReport, whnf
@@ -174,6 +176,66 @@ def epts_subst(t: EptsTerm, j: int, value: EptsTerm) -> EptsTerm:
                         epts_subst(fn, j, value),
                         epts_subst(arg, j, value))
     raise AssertionError(f"not an EPTS term: {t!r}")
+
+
+def pts_shift(t: PtsTerm, by: int, cutoff: int = 0) -> PtsTerm:
+    match t:
+        case PVar(k):
+            return PVar(k + by) if k >= cutoff else t
+        case PSort(_):
+            return t
+        case PPi(h, dom, cod):
+            return PPi(h, pts_shift(dom, by, cutoff), pts_shift(cod, by, cutoff + 1))
+        case PLam(h, dom, body):
+            return PLam(h, pts_shift(dom, by, cutoff), pts_shift(body, by, cutoff + 1))
+        case PApp(fn, arg):
+            return PApp(pts_shift(fn, by, cutoff), pts_shift(arg, by, cutoff))
+    raise AssertionError(f"not a PTS term: {t!r}")
+
+
+def pts_subst(t: PtsTerm, j: int, value: PtsTerm) -> PtsTerm:
+    match t:
+        case PVar(k):
+            if k == j:
+                return value
+            return PVar(k - 1) if k > j else t
+        case PSort(_):
+            return t
+        case PPi(h, dom, cod):
+            return PPi(h, pts_subst(dom, j, value),
+                       pts_subst(cod, j + 1, pts_shift(value, 1)))
+        case PLam(h, dom, body):
+            return PLam(h, pts_subst(dom, j, value),
+                        pts_subst(body, j + 1, pts_shift(value, 1)))
+        case PApp(fn, arg):
+            return PApp(pts_subst(fn, j, value), pts_subst(arg, j, value))
+    raise AssertionError(f"not a PTS term: {t!r}")
+
+
+def stlc_shift(t: StlcTerm, by: int, cutoff: int = 0) -> StlcTerm:
+    match t:
+        case SVar(k):
+            return SVar(k + by) if k >= cutoff else t
+        case SApp(f, a):
+            return SApp(stlc_shift(f, by, cutoff), stlc_shift(a, by, cutoff))
+        case SLam(h, b):
+            return SLam(h, stlc_shift(b, by, cutoff + 1))
+        case _:
+            return t
+
+
+def stlc_subst(t: StlcTerm, j: int, value: StlcTerm) -> StlcTerm:
+    match t:
+        case SVar(k):
+            if k == j:
+                return value
+            return SVar(k - 1) if k > j else t
+        case SApp(f, a):
+            return SApp(stlc_subst(f, j, value), stlc_subst(a, j, value))
+        case SLam(h, b):
+            return SLam(h, stlc_subst(b, j + 1, stlc_shift(value, 1)))
+        case _:
+            return t
 
 
 def _rename_metas(t: DkTerm, suffix: str) -> DkTerm:

@@ -15,11 +15,11 @@ from pimod.analysis import (STAR, Arrow, ConstantLevel, SApp, SConst, SLam,
                             check_rules_well_formed, classify, constant_level,
                             erase_context, erase_signature, erase_term,
                             erase_type, mk_sapp, pi_const_name, pi_const_type,
-                            pi_context, render_simple, stlc_check, stlc_shift)
+                            pi_context, render_simple, stlc_check)
 from pimod.errors import NotErasable, UnknownConstant
 from pimod.rewrite import BETA, step
 from pimod.terms import (KIND, TYPE, App, Cons, Declaration, DkContext, Lam,
-                         Meta, Pi, RewriteRule, Theory, Var, subst)
+                         Meta, Pi, RewriteRule, Theory, Var, shift, subst)
 from termgen import GEN_THEORY, gen_judgment, gen_term, gen_type
 
 N = Cons("N")
@@ -56,7 +56,7 @@ def ssub(t, j, v):
         case SApp(f, a):
             return SApp(ssub(f, j, v), ssub(a, j, v))
         case SLam(h, b):
-            return SLam(h, ssub(b, j + 1, stlc_shift(v, 1)))
+            return SLam(h, ssub(b, j + 1, shift(v, 1)))
         case _:
             return t
 

@@ -18,7 +18,7 @@ from pimod.encode import (EncodingTheory, INTERNAL_CORE, expected_dk_type,
                           translate_ctx)
 from pimod.epts import (EApp, ELam, EPi, ESort, EVar, EptsContext,
                         InternalizedSortSpec, PApp, PVar, elaborate,
-                        epts_step, epts_subst)
+                        epts_step)
 from pimod.errors import PimodError, UnknownSort
 from pimod.kernel import check, check_signature, infer
 from pimod.rewrite import BETA, check_orthogonal, convertible, nf, reduce_trace
@@ -221,7 +221,7 @@ class TestTranslate:
     @given(epts_terms(max_free=2))
     def test_translation_commutes_with_substitution(self, m):
         n = ESort("Type")
-        assert translate(SF_ENC, epts_subst(m, 0, n)) == \
+        assert translate(SF_ENC, subst(m, 0, n)) == \
             subst(translate(SF_ENC, m), 0, translate(SF_ENC, n))
 
     def test_sorts_are_represented_by_closed_normal_terms(self):

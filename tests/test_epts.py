@@ -8,12 +8,11 @@ from pimod.epts import (EApp, ELam, EPi, ESort, EVar, EptsContext,
                         PSort, PVar, check_epts_context, elaborate,
                         elaborate_context, epts_check, epts_convertible,
                         epts_infer, epts_nf, epts_redex_sorts, epts_reduce,
-                        epts_shift, epts_step, epts_subst, epts_whnf,
-                        erase_to_pts, pts_shift, sort_of_type)
+                        epts_step, epts_whnf, erase_to_pts, sort_of_type)
 from pimod.errors import (ElaborationFailed, NonFunctionalSpec, NotAProduct,
                           PimodError, SideConditionFailed, TopSortHasNoType,
                           TypeMismatch, UnboundVariable, UnknownSort)
-from pimod.terms import Cons, Declaration, Meta, RewriteRule, Var
+from pimod.terms import Cons, Declaration, Meta, RewriteRule, Var, shift, subst
 from strategies import epts_terms, pts_terms
 from systems import COC, MLTT_FIN, MLTT_INT, PID, PID_TYPE, POLY, SYSTEM_F, SYSTEM_F_INT
 
@@ -272,13 +271,13 @@ class TestElaborate:
 class TestRawAlgebra:
     @given(epts_terms())
     def test_subst_undoes_shift(self, t):
-        assert epts_subst(epts_shift(t, 1), 0, ESort("Type")) == t
+        assert subst(shift(t, 1), 0, ESort("Type")) == t
 
     @given(pts_terms())
     def test_pts_subst_is_not_needed_but_shift_composes(self, t):
-        assert pts_shift(pts_shift(t, 1), 2) == pts_shift(t, 3)
-        assert pts_shift(t, 0) == t
+        assert shift(shift(t, 1), 2) == shift(t, 3)
+        assert shift(t, 0) == t
 
     @given(epts_terms())
     def test_erasure_commutes_with_shift(self, t):
-        assert erase_to_pts(epts_shift(t, 2)) == pts_shift(erase_to_pts(t), 2)
+        assert erase_to_pts(shift(t, 2)) == shift(erase_to_pts(t), 2)

@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and only
+``errors._show`` imports inside a function body."""
 
 import ast
 from pathlib import Path
@@ -44,3 +45,23 @@ def test_every_import_is_used(path):
     used = _used(tree)
     unused = {n: line for n, line in _imported(tree).items() if n not in used}
     assert unused == {}, f"{path.name} imports names it never uses"
+
+
+# ``errors._show`` imports the printer lazily: ``syntax`` imports every
+# module that raises these errors, so a top-level import would be a cycle
+LOCAL_IMPORTS_ALLOWED = {("errors.py", "_show")}
+
+
+PACKAGE = Path(pimod.__file__).parent
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")),
+                         ids=lambda p: p.relative_to(PACKAGE).as_posix())
+def test_imports_are_at_module_level(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    local = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(fn)):
+                local.add((path.name, fn.name))
+    assert local <= LOCAL_IMPORTS_ALLOWED, f"{path.name} imports inside a function"

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -25,3 +27,12 @@ def test_emit_theories_validates_every_bundled_encoding(tmp_path, capsys):
 def test_adequacy_report_finds_every_judgment_adequate(capsys):
     assert load_main("adequacy_report")([]) == 0
     assert capsys.readouterr().out.rstrip().endswith("all judgments adequate")
+
+
+@pytest.mark.parametrize("fuel", ["0", "-3", "x"])
+def test_adequacy_report_rejects_a_bad_budget_as_usage(fuel, capsys):
+    with pytest.raises(SystemExit) as e:
+        load_main("adequacy_report")(["--fuel", fuel])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "argument --fuel" in err and "Traceback" not in err

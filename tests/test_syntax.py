@@ -12,16 +12,16 @@ import reference
 from pimod.analysis import erase_term
 from pimod.corpus import CORPUS_NAMES, load_case, load_cases, load_sorts, read_text
 from pimod.encode import expected_dk_type, generate, translate, translate_ctx
-from pimod.epts import (EptsContext, PApp, PLam, PPi, PSort, PVar, elaborate,
-                        elaborate_context, erase_to_pts)
+from pimod.epts import (ESort, EVar, EptsContext, PApp, PLam, PPi, PSort, PVar,
+                        elaborate, elaborate_context, erase_to_pts)
 from pimod.errors import NonFunctionalSpec, ParseError, PimodError
 from pimod.morphism import build_phi
 from pimod.syntax import (SortSpecFile, lex, parse_dk_term, parse_epts_file,
                           parse_morphism, parse_pts_term, parse_sort_spec_file,
                           parse_theory, render, render_epts_file,
                           render_morphism, render_sort_spec, render_theory)
-from pimod.terms import (KIND, TYPE, App, Cons, Declaration, Lam, Meta, Pi,
-                         RewriteRule, Theory, Var, arrow, validate_theory)
+from pimod.terms import (KIND, TYPE, App, Cons, Declaration, DkContext, Lam, Meta,
+                         Pi, RewriteRule, Theory, Var, arrow, validate_theory)
 from strategies import (FREE_NAMES, PARSE_THEORY, dk_terms, epts_terms, pts_terms,
                         stlc_terms)
 from systems import SYSTEM_F, SYSTEM_F_INT
@@ -313,6 +313,21 @@ class TestPrintParseIdentity:
         g = parse_theory(text)
         assert (g.theory, g.assumes.entries, g.checks) == \
             (f.theory, f.assumes.entries, f.checks)
+
+
+class TestRenderContext:
+    # ``x``'s type is the first ``A``, which a repeated hint would shadow
+    DK_CTX = DkContext().extend("A", TYPE).extend("A", TYPE).extend("x", Var(1))
+
+    def test_repeated_hints_are_freshened(self):
+        assert render(self.DK_CTX) == "A : TYPE, A' : TYPE, x : A"
+        ctx = (EptsContext().extend("A", ESort("Type")).extend("A", ESort("Type"))
+               .extend("x", EVar(1)))
+        assert render(ctx) == "A : Type, A' : Type, x : A"
+
+    def test_agrees_with_the_theory_printer(self):
+        lines = render_theory(Theory(()), self.DK_CTX).splitlines()
+        assert [f"assume {e}." for e in render(self.DK_CTX).split(", ")] == lines
 
 
 # --- the one grammar and the one printer against the per-language ones ---
