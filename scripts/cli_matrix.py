@@ -1,0 +1,138 @@
+#!/usr/bin/env python3
+"""Run the command-line driver over a fixed matrix of corpus commands.
+
+For every bundled system under each encoding mode its sort file
+provides: ``check-epts``, ``roundtrip`` and ``decode``, each with
+``--trace`` and with ``--format machine-readable``, and ``encode --trace
+--out``.  Then ``morphism phi --trace --out`` for each system with both
+modes, one ``decode --term`` run with ``--trace``,
+``scripts/emit_theories.py``, and ``analyze --trace`` and ``check-dk
+--trace`` on every emitted theory and on ``bad_traditional.dk``.
+
+Every run goes in-process through ``pimod.cli.main`` (or the script's
+``main``), with the current directory set to OUT_DIR.  Run number N
+leaves its command line, stdout, stderr and exit code in
+``OUT_DIR/runs/N-<command>/``, and the files it writes under
+``OUT_DIR/out/``.  The inputs are first copied to the paths they have in
+the checkout (``OUT_DIR/src/pimod/corpus/``), so the output shows the
+same relative paths as a run from the checkout root and never an
+absolute one.  Two OUT_DIRs therefore compare with ``diff -r``: the diff
+is empty when the two checkouts behave the same.  To compare with
+another commit, copy this script into that checkout and run it there.
+
+Usage:
+    python3 scripts/cli_matrix.py OUT_DIR
+"""
+
+import argparse
+import contextlib
+import importlib.util
+import io
+import json
+import os
+import shutil
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from pimod.cli import main as pimod_main  # noqa: E402
+from pimod.corpus import CORPUS_NAMES, load_sorts  # noqa: E402
+
+CORPUS = Path("src/pimod/corpus")
+DECODE_TERM = "(lam w : U@Type. w) ((lam w : U@Type. w) C)"
+
+
+def emit_theories_main():
+    spec = importlib.util.spec_from_file_location(
+        "emit_theories", ROOT / "scripts" / "emit_theories.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
+
+def record(n: int, label: str, fn, argv: list[str]) -> None:
+    """Run ``fn(argv)`` as run number ``n`` and keep what it prints and
+    returns in ``runs/<n>-<label>/`` under the current directory."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = str(fn(argv))
+        except (Exception, SystemExit) as e:  # an outcome to compare, not a stop
+            print(f"{type(e).__name__}: {e}", file=sys.stderr)
+            code = "uncaught exception"
+    run = Path("runs") / f"{n:03d}-{label}"
+    run.mkdir(parents=True)
+    (run / "argv").write_text(json.dumps(argv) + "\n")
+    (run / "stdout").write_text(stdout.getvalue())
+    (run / "stderr").write_text(stderr.getvalue())
+    (run / "exit").write_text(code + "\n")
+
+
+def corpus_commands(systems) -> list[list[str]]:
+    """The command lines that read only the corpus, in run order."""
+    runs = []
+    for name in systems:
+        sf = load_sorts(name)
+        sorts, epts = str(CORPUS / f"{name}.sorts"), str(CORPUS / f"{name}.epts")
+        for mode, spec in (("finite", sf.finite), ("internalized", sf.internalized)):
+            if spec is None:
+                continue
+            for cmd in ("check-epts", "roundtrip", "decode"):
+                for flags in (["--trace"], ["--format", "machine-readable"]):
+                    runs.append([cmd, sorts, epts, "--mode", mode] + flags)
+            runs.append(["encode", sorts, epts, "--mode", mode, "--trace",
+                         "--out", "out/encode"])
+        if sf.finite is not None and sf.internalized is not None:
+            runs.append(["morphism", "phi", sorts, "--trace",
+                         "--out", f"out/phi/{name}.map"])
+    if "systemf" in systems:
+        runs.append(["decode", str(CORPUS / "systemf.sorts"), str(CORPUS / "systemf.epts"),
+                     "--mode", "finite", "--term", DECODE_TERM, "--type", "Type",
+                     "--trace"])
+    return runs
+
+
+def run_matrix(out: Path, systems=CORPUS_NAMES) -> int:
+    """Run the matrix for ``systems`` into ``out``, a new or empty
+    directory; returns the number of runs."""
+    out.mkdir(parents=True, exist_ok=True)
+    if any(out.iterdir()):
+        raise SystemExit(f"{out} is not empty")
+    (out / CORPUS).mkdir(parents=True)
+    for name in systems:
+        for ext in ("sorts", "epts"):
+            shutil.copy(ROOT / CORPUS / f"{name}.{ext}", out / CORPUS)
+    bad = CORPUS / "bad_traditional.dk"
+    shutil.copy(ROOT / bad, out / CORPUS)
+
+    runs = [(argv[0], pimod_main, argv) for argv in corpus_commands(systems)]
+    runs.append(("emit_theories", emit_theories_main(), ["--out", "out/emitted"]))
+    cwd = os.getcwd()
+    os.chdir(out)
+    try:
+        for n, run in enumerate(runs, 1):
+            record(n, *run)
+        theories = sorted(str(p) for p in Path("out/emitted").glob("*.dk")
+                          if p.name.split("_")[0] in systems) + [str(bad)]
+        for theory in theories:
+            for cmd in ("analyze", "check-dk"):
+                runs.append((cmd, pimod_main, [cmd, theory, "--trace"]))
+                record(len(runs), *runs[-1])
+    finally:
+        os.chdir(cwd)
+    return len(runs)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out_dir", help="directory for the results (new or empty)")
+    args = ap.parse_args(argv)
+    n = run_matrix(Path(args.out_dir))
+    print(f"{n} runs recorded in {args.out_dir}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

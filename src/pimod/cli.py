@@ -41,6 +41,7 @@ from .morphism import apply_morphism, build_phi, verify_morphism
 from .rewrite import BETA, DEFAULT_FUEL, Fuel, check_orthogonal, reduce_trace
 from .syntax import (
     EptsFile,
+    fresh_names,
     parse_dk_term,
     parse_epts_file,
     parse_morphism,
@@ -153,7 +154,7 @@ def _cmd_check_dk(args, rep: Reporter) -> None:
                    f"{len(tf.theory.signature)} constants, {len(tf.theory.rules)} rules")
         for d in check_context(tf.theory, tf.assumes, f, log):
             rep.diagnostic(d, path)
-        names = list(tf.assumes.names)
+        names = fresh_names(tf.assumes.names)
         for m, a in tf.checks:
             subject = f"{render(m, names)} : {render(a, names)}"
             try:
@@ -163,7 +164,8 @@ def _cmd_check_dk(args, rep: Reporter) -> None:
                 rep.result("check", subject, False, str(e))
         if args.trace:
             for names_, t, ty in log:
-                rep.trace(f"{render(t, names_)} : {render(ty, names_)}")
+                shown = fresh_names(names_)
+                rep.trace(f"{render(t, shown)} : {render(ty, shown)}")
 
 
 def _cmd_check_epts(args, rep: Reporter) -> None:
@@ -180,7 +182,7 @@ def _cmd_check_epts(args, rep: Reporter) -> None:
             epts_check(spec, ctx, m, a, f)
             rep.result("judgment", j.name, True)
             if args.trace:
-                rep.trace(render(m, list(ctx.names)))
+                rep.trace(render(m, fresh_names(ctx.names)))
         except (PimodError, FuelExhausted) as e:
             rep.result("judgment", j.name, False, str(e))
 
@@ -196,7 +198,7 @@ def _cmd_encode(args, rep: Reporter) -> None:
         epts_check(enc.spec, ctx, m, a, f)
         checks.append((translate(enc, m), expected_dk_type(enc, ctx, a, f)))
         if args.trace:
-            rep.trace(f"{j.name} -> {render(checks[-1][0], list(dctx.names))}")
+            rep.trace(f"{j.name} -> {render(checks[-1][0], fresh_names(dctx.names))}")
     stem = Path(args.source).stem + "_" + enc.mode
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -212,6 +214,7 @@ def _cmd_encode(args, rep: Reporter) -> None:
 def _cmd_decode(args, rep: Reporter) -> None:
     enc, ctx, file = _setup(args)
     names = list(ctx.names)
+    shown = fresh_names(names)
     defs = dict(file.definitions)
     if args.term is not None:
         if args.type is None:
@@ -223,9 +226,9 @@ def _cmd_decode(args, rep: Reporter) -> None:
         if args.trace:
             _, trail = reduce_trace(enc.theory, t, frozenset({BETA}), args.fuel)
             for label, step_t in trail:
-                rep.trace(f"--{label}--> {render(step_t, names)}")
+                rep.trace(f"--{label}--> {render(step_t, shown)}")
         m = conservative_invert(enc, ctx, t, a, f)
-        rep.result("decode", args.term, True, render(erase_to_pts(m), names))
+        rep.result("decode", args.term, True, render(erase_to_pts(m), shown))
         return
     for j in file.judgments:
         f = Fuel(args.fuel)
@@ -259,7 +262,7 @@ def _cmd_roundtrip(args, rep: Reporter) -> None:
             _, trail = reduce_trace(enc.theory, img, enc.simulation_labels(),
                                     args.fuel)
             for label, t in trail:
-                rep.trace(f"--{label}--> {render(t, list(ctx.names))}")
+                rep.trace(f"--{label}--> {render(t, fresh_names(ctx.names))}")
 
 
 def _cmd_analyze(args, rep: Reporter) -> None:
@@ -271,7 +274,9 @@ def _cmd_analyze(args, rep: Reporter) -> None:
         seen = set()
         for d in diags:
             key = (d.code, d.subject, d.message)
-            if key in seen:
+            # check_orthogonal reports a non-left-linear rule below, naming
+            # the repeated variable
+            if key in seen or d.code == "non-left-linear":
                 continue
             seen.add(key)
             rep.diagnostic(d, path)

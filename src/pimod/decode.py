@@ -1,17 +1,17 @@
 """Reading framework terms back into explicitly annotated PTS syntax.
 
-The image of the translation is a small fragment of the framework
-language, and on that fragment the translation can be undone: ``invert``
-is an exact left inverse.  ``conservative_invert`` extends this to any
-well-typed inhabitant of an encoded type by beta-normalizing first;
-the intermediate soundness facts this relies on are asserted along the
-way and raise :class:`InternalSoundnessError` subclasses when violated,
-because a failure there is a bug in the toolkit rather than bad input.
+``translate`` writes five productions through ``EncodingTheory.family``:
+a variable, a universe code ``u``, and a ``Prod``, ``abs`` or ``app``
+family member.  ``invert`` reads the same five back through ``split``
+and is an exact left inverse on them.  ``conservative_invert`` extends
+this to any well-typed inhabitant of an encoded type by beta-normalizing
+first; the intermediate soundness facts this relies on are asserted
+along the way and raise :class:`InternalSoundnessError` subclasses when
+violated, because a failure there is a bug in the toolkit rather than
+bad input.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import (
     Diagnostic,
@@ -38,80 +38,35 @@ from .epts import (
 from .encode import EncodingTheory, expected_dk_type, translate, translate_ctx
 
 
-@dataclass(frozen=True)
-class InvertibleForm:
-    """A framework term seen through the grammar of translation images.
-
-    ``tag`` is one of ``var``, ``sort``, ``prod``, ``abs``, ``app`` and
-    ``redex``; ``parts`` holds the subject subterms of the form (binder
-    annotations are not among them — they are derivable, hence hidden).
-    """
-
-    tag: str
-    sorts: tuple[str, ...]
-    parts: tuple
-
-
-def recognize(enc: EncodingTheory, t: DkTerm) -> InvertibleForm | None:
-    """Match ``t`` against one production of the invertible grammar.
-
-    Only the root is inspected (apart from resolving sort arguments),
-    so a positive answer does not mean the whole term inverts.
-    """
-    match t:
-        case Var(k):
-            return InvertibleForm("var", (), (k,))
-        case App(Lam(h, _, body), arg):
-            return InvertibleForm("redex", (), (h, body, arg))
-        case Cons(name, args):
-            split = enc.split(name, args)
-            if split is None:
-                return None
-            role, sorts, payload = split
-            match role, payload:
-                case "u", ():
-                    return InvertibleForm("sort", sorts, ())
-                case "Prod", (a, Lam(h, _, b)):
-                    return InvertibleForm("prod", sorts, (a, h, b))
-                case "abs", (a, Lam(h, _, b), Lam(_, _, m)):
-                    return InvertibleForm("abs", sorts, (a, h, b, m))
-                case "app", (a, Lam(h, _, b), m, n):
-                    return InvertibleForm("app", sorts, (a, h, b, m, n))
-    return None
-
-
 def invert(enc: EncodingTheory, t: DkTerm) -> EptsTerm:
     """Translate back, discarding binder annotations.
 
+    Reads the productions :func:`translate` writes, through
+    :meth:`EncodingTheory.split`: a variable, a universe code ``u``, and
+    ``Prod``, ``abs`` and ``app`` whose binder annotations are dropped.
     Beta redexes are contracted on the fly, so this is defined on a
     slightly larger fragment than the literal image of the translation;
-    on images it is the exact inverse.
+    on images it is the exact inverse.  Anything else raises
+    :class:`NotInvertible`.
     """
-    form = recognize(enc, t)
-    if form is None:
-        raise NotInvertible("term is outside the invertible fragment", term=t)
-    match form.tag:
-        case "var":
-            return EVar(form.parts[0])
-        case "sort":
-            return ESort(form.sorts[0])
-        case "redex":
-            _, body, arg = form.parts
+    match t:
+        case Var(k):
+            return EVar(k)
+        case App(Lam(_, _, body), arg):
             return subst(invert(enc, body), 0, invert(enc, arg))
-        case "prod":
-            a, h, b = form.parts
-            s1, s2 = form.sorts
-            return EPi(s1, s2, invert(enc, a), h, invert(enc, b))
-        case "abs":
-            a, h, b, m = form.parts
-            s1, s2 = form.sorts
-            return ELam(s1, s2, invert(enc, a), h, invert(enc, b), invert(enc, m))
-        case "app":
-            a, h, b, m, n = form.parts
-            s1, s2 = form.sorts
-            return EApp(s1, s2, invert(enc, a), h, invert(enc, b),
-                        invert(enc, m), invert(enc, n))
-    raise AssertionError
+        case Cons(name, args):
+            match enc.split(name, args):
+                case "u", (s,), ():
+                    return ESort(s)
+                case "Prod", (s1, s2), (a, Lam(h, _, b)):
+                    return EPi(s1, s2, invert(enc, a), h, invert(enc, b))
+                case "abs", (s1, s2), (a, Lam(h, _, b), Lam(_, _, m)):
+                    return ELam(s1, s2, invert(enc, a), h, invert(enc, b),
+                                invert(enc, m))
+                case "app", (s1, s2), (a, Lam(h, _, b), m, n):
+                    return EApp(s1, s2, invert(enc, a), h, invert(enc, b),
+                                invert(enc, m), invert(enc, n))
+    raise NotInvertible("term is outside the invertible fragment", term=t)
 
 
 def hidden_equiv(enc: EncodingTheory, a: DkTerm, b: DkTerm,

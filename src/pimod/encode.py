@@ -134,25 +134,6 @@ class EncodingTheory:
             sorts.append(s)
         return role[0], tuple(sorts), args[k:]
 
-    def mk_U(self, s: str) -> DkTerm:
-        return self.family("U", (s,), ())
-
-    def mk_El(self, s: str, a: DkTerm) -> DkTerm:
-        return self.family("El", (s,), (a,))
-
-    def mk_u(self, s: str) -> DkTerm:
-        return self.family("u", (s,), ())
-
-    def mk_prod(self, s1: str, s2: str, a: DkTerm, b: DkTerm) -> DkTerm:
-        return self.family("Prod", (s1, s2), (a, b))
-
-    def mk_abs(self, s1: str, s2: str, a: DkTerm, b: DkTerm, m: DkTerm) -> DkTerm:
-        return self.family("abs", (s1, s2), (a, b, m))
-
-    def mk_app(self, s1: str, s2: str, a: DkTerm, b: DkTerm,
-               m: DkTerm, n: DkTerm) -> DkTerm:
-        return self.family("app", (s1, s2), (a, b, m, n))
-
     def beta_label(self, s1: str, s2: str) -> str:
         """The rewrite-rule name that simulates beta at this sort pair."""
         return family_name("beta", s1, s2) if self.mode == "finite" else "beta"
@@ -287,6 +268,10 @@ def generate(spec: SortSpec) -> EncodingTheory:
 def translate(enc: EncodingTheory, m: EptsTerm) -> DkTerm:
     """Image of an explicitly annotated term in the generated theory.
 
+    Writes five productions through :meth:`EncodingTheory.family`: a
+    variable, a universe code ``u``, and ``Prod``, ``abs`` and ``app``,
+    whose binders are annotated with ``El`` of the domain's image.
+    :func:`pimod.decode.invert` reads the same productions back.
     Variables keep their indices, so the image of a judgment lives over
     the pointwise-translated context.  Substitution commutes with this
     map syntactically: translate(M)[translate(N)/x] == translate(M[N/x]).
@@ -295,22 +280,21 @@ def translate(enc: EncodingTheory, m: EptsTerm) -> DkTerm:
         case EVar(k):
             return Var(k)
         case ESort(s):
-            return enc.mk_u(s)
+            return enc.family("u", (s,), ())
         case EPi(s1, s2, dom, h, cod):
             da = translate(enc, dom)
-            return enc.mk_prod(s1, s2, da,
-                               Lam(h, enc.mk_El(s1, da), translate(enc, cod)))
+            ann = enc.family("El", (s1,), (da,))
+            return enc.family("Prod", (s1, s2), (da, Lam(h, ann, translate(enc, cod))))
         case ELam(s1, s2, dom, h, cod, body):
             da = translate(enc, dom)
-            ann = enc.mk_El(s1, da)
-            return enc.mk_abs(s1, s2, da,
-                              Lam(h, ann, translate(enc, cod)),
-                              Lam(h, ann, translate(enc, body)))
+            ann = enc.family("El", (s1,), (da,))
+            return enc.family("abs", (s1, s2), (da, Lam(h, ann, translate(enc, cod)),
+                                                Lam(h, ann, translate(enc, body))))
         case EApp(s1, s2, dom, h, cod, fn, arg):
             da = translate(enc, dom)
-            return enc.mk_app(s1, s2, da,
-                              Lam(h, enc.mk_El(s1, da), translate(enc, cod)),
-                              translate(enc, fn), translate(enc, arg))
+            ann = enc.family("El", (s1,), (da,))
+            return enc.family("app", (s1, s2), (da, Lam(h, ann, translate(enc, cod)),
+                                                translate(enc, fn), translate(enc, arg)))
     raise PimodError(f"cannot translate {m!r}")
 
 
@@ -322,7 +306,7 @@ def translate_ctx(enc: EncodingTheory, ctx: EptsContext,
     prefix = EptsContext()
     for hint, a in ctx.entries:
         s = sort_of_type(enc.spec, prefix, a, f)
-        out = out.extend(hint, enc.mk_El(s, translate(enc, a)))
+        out = out.extend(hint, enc.family("El", (s,), (translate(enc, a),)))
         prefix = prefix.extend(hint, a)
     return out
 
@@ -338,6 +322,6 @@ def expected_dk_type(enc: EncodingTheory, ctx: EptsContext, a: EptsTerm,
     """
     match a:
         case ESort(s) if not enc.spec.axiom_defined(s):
-            return enc.mk_U(s)
+            return enc.family("U", (s,), ())
     s = sort_of_type(enc.spec, ctx, a, fuel)
-    return enc.mk_El(s, translate(enc, a))
+    return enc.family("El", (s,), (translate(enc, a),))

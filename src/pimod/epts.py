@@ -543,6 +543,11 @@ def _e_check(spec: SortSpec, ctx: EptsContext, m: EptsTerm, ty: EptsTerm,
                            subject=m, context=ctx.names)
 
 
+def _require_rule(spec: SortSpec, s1: str, s2: str) -> None:
+    if not spec.rule_defined(s1, s2):
+        raise SideConditionFailed(f"no product rule for the sort pair ({s1}, {s2})")
+
+
 def _e_infer(spec: SortSpec, ctx: EptsContext, m: EptsTerm, f: Fuel) -> EptsTerm:
     match m:
         case EVar(k):
@@ -569,9 +574,7 @@ def _e_infer(spec: SortSpec, ctx: EptsContext, m: EptsTerm, f: Fuel) -> EptsTerm
             _e_check(spec, ctx, dom, ESort(s1), f)
             inner = ctx.extend(h, dom)
             _e_check(spec, inner, cod, ESort(s2), f)
-            if not spec.rule_defined(s1, s2):
-                raise SideConditionFailed(
-                    f"no product rule for the sort pair ({s1}, {s2})")
+            _require_rule(spec, s1, s2)
             _e_check(spec, inner, body, cod, f)
             return EPi(s1, s2, dom, h, cod)
         case EApp(s1, s2, dom, h, cod, fn, arg):
@@ -579,9 +582,7 @@ def _e_infer(spec: SortSpec, ctx: EptsContext, m: EptsTerm, f: Fuel) -> EptsTerm
             _known(spec, s2)
             _e_check(spec, ctx, dom, ESort(s1), f)
             _e_check(spec, ctx.extend(h, dom), cod, ESort(s2), f)
-            if not spec.rule_defined(s1, s2):
-                raise SideConditionFailed(
-                    f"no product rule for the sort pair ({s1}, {s2})")
+            _require_rule(spec, s1, s2)
             _e_check(spec, ctx, fn, EPi(s1, s2, dom, h, cod), f)
             _e_check(spec, ctx, arg, dom, f)
             return subst(cod, 0, arg)
@@ -645,9 +646,7 @@ def _elab(spec: SortSpec, ctx: EptsContext, t: PtsTerm, f: Fuel) -> EptsTerm:
             inner = ctx.extend(h, edom)
             ecod = _elab(spec, inner, cod, f)
             s2 = sort_of_type(spec, inner, ecod, f)
-            if not spec.rule_defined(s1, s2):
-                raise SideConditionFailed(
-                    f"no product rule for the sort pair ({s1}, {s2})")
+            _require_rule(spec, s1, s2)
             return EPi(s1, s2, edom, h, ecod)
         case PLam(h, dom, body):
             edom = _elab(spec, ctx, dom, f)
@@ -656,6 +655,7 @@ def _elab(spec: SortSpec, ctx: EptsContext, t: PtsTerm, f: Fuel) -> EptsTerm:
             ebody = _elab(spec, inner, body, f)
             ecod = _e_infer(spec, inner, ebody, f)
             s2 = sort_of_type(spec, inner, ecod, f)
+            _require_rule(spec, s1, s2)
             return ELam(s1, s2, edom, h, ecod, ebody)
         case PApp(fn, arg):
             efn = _elab(spec, ctx, fn, f)

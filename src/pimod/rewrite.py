@@ -19,7 +19,7 @@ from typing import Iterator
 from .errors import Diagnostic, FuelExhausted
 from .terms import (
     App, Cons, DkTerm, Lam, Meta, RewriteRule, Theory,
-    instantiate, map_leaves, subst,
+    instantiate, map_leaves, repeated_metas, subst,
 )
 
 BETA = "β"
@@ -350,22 +350,11 @@ def check_orthogonal(theory: Theory) -> OrthogonalityReport:
     """
     report = OrthogonalityReport()
     for r in theory.rules:
-        seen: set[str] = set()
-
-        def walk(t: DkTerm) -> None:
-            match t:
-                case Meta(n):
-                    if n in seen:
-                        report.problems.append(Diagnostic(
-                            "non-left-linear",
-                            f"pattern variable '{n}' occurs twice on the left-hand side",
-                            r.name))
-                    seen.add(n)
-                case Cons(_, args):
-                    for a in args:
-                        walk(a)
-        for p in r.lhs:
-            walk(p)
+        for n in repeated_metas(r.lhs):
+            report.problems.append(Diagnostic(
+                "non-left-linear",
+                f"pattern variable '{n}' occurs twice on the left-hand side",
+                r.name))
 
     rules = theory.rules
     by_head: dict[str, list[int]] = {}

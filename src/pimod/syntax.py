@@ -586,6 +586,16 @@ def _fresh(base: str, env: list[str], avoid: set[str]) -> str:
     return name
 
 
+def fresh_names(hints: Iterable[str], avoid: Iterable[str] = ()) -> list[str]:
+    """The names a context's entries print under: each hint, primed until
+    it differs from the names before it and from ``avoid``."""
+    a = set(avoid)
+    names: list[str] = []
+    for h in hints:
+        names.append(_fresh(h, names, a))
+    return names
+
+
 def _var_name(k: int, env: list[str]) -> str:
     if 0 <= k < len(env):
         return env[len(env) - 1 - k]
@@ -650,13 +660,9 @@ def render(x: Any, names: Sequence[str] = (), avoid: Iterable[str] = ()) -> str:
     """Human-readable form of any term-like value (see the module docstring)."""
     a = set(avoid)
     if isinstance(x, DkContext):
-        parts = []
-        acc: list[str] = []
-        for h, ty in x.entries:
-            name = _fresh(h, acc, a)
-            parts.append(f"{name} : {_r(ty, acc, 0, a)}")
-            acc.append(name)
-        return ", ".join(parts)
+        shown = fresh_names(x.names, a)
+        return ", ".join(f"{name} : {_r(ty, shown[:i], 0, a)}"
+                         for i, (name, (_, ty)) in enumerate(zip(shown, x.entries)))
     if isinstance(x, Theory):
         return render_theory(x)
     if isinstance(x, SimpleType):
@@ -704,10 +710,8 @@ def render_morphism(mor: TheoryMorphism) -> str:
     lines = []
     for name, body in mor.body.items():
         decl = mor.source.decl(name)
-        acc: list[str] = []
-        if decl is not None:
-            for h, _ in decl.telescope:
-                acc.append(_fresh(h, acc, avoid))
+        acc = fresh_names((h for h, _ in decl.telescope) if decl is not None else (),
+                          avoid)
         lines.append(f"map {name} := {_r(body, acc, 0, avoid)}.")
     return "\n".join(lines) + "\n"
 

@@ -353,21 +353,25 @@ def _pattern_ok(t: DkTerm) -> bool:
             return False
 
 
-def _linear(patterns: tuple[DkTerm, ...]) -> bool:
+def repeated_metas(patterns: tuple[DkTerm, ...]) -> list[str]:
+    """Every occurrence of a pattern variable after its first, left to
+    right through constant arguments: the left-hand side ``patterns`` is
+    left-linear exactly when this is empty."""
     seen: set[str] = set()
+    out: list[str] = []
 
-    def walk(t: DkTerm) -> bool:
+    def walk(t: DkTerm) -> None:
         match t:
             case Meta(n):
                 if n in seen:
-                    return False
+                    out.append(n)
                 seen.add(n)
-                return True
             case Cons(_, args):
-                return all(walk(a) for a in args)
-            case _:
-                return True
-    return all(walk(p) for p in patterns)
+                for a in args:
+                    walk(a)
+    for p in patterns:
+        walk(p)
+    return out
 
 
 def _check_arities(theory: Theory, t: DkTerm, subject: str, out: list[Diagnostic]) -> None:
@@ -434,7 +438,7 @@ def validate_theory(theory: Theory) -> list[Diagnostic]:
                     r.name))
             else:
                 _check_arities(theory, p, r.name, out)
-        if not _linear(r.lhs):
+        if repeated_metas(r.lhs):
             out.append(Diagnostic("non-left-linear", "a pattern variable occurs twice on the left-hand side", r.name))
         lhs_metas: set[str] = set()
         for p in r.lhs:

@@ -15,6 +15,14 @@ unified every pattern position with every rule.  It keys root overlaps
 by rule name, so it is a reference only for theories whose rule names
 are unique.
 
+``translate`` and ``invert`` are the translation and its inverse as
+they were before both called ``EncodingTheory.family``/``split``
+directly: ``translate`` through one wrapper per family (``mk_U`` to
+``mk_app``, free functions here), and ``invert`` through ``recognize``,
+which packed the root into an ``InvertibleForm`` that ``invert`` then
+took apart.  ``invert`` contracts a redex with the hand-written
+``epts_subst`` above.
+
 ``convertible``, ``epts_convertible`` and ``hidden_equiv`` descend
 through congruences with one hand-written case per constructor, and
 ``build_phi`` lays out the target of each constant family with one case
@@ -37,7 +45,8 @@ from pimod.analysis import SApp, SConst, SLam, StlcTerm, SVar
 from pimod.encode import EncodingTheory
 from pimod.epts import (EApp, ELam, EPi, ESort, EptsTerm, EVar, PApp, PLam, PPi,
                         PSort, PtsTerm, PVar, SortSpec, epts_whnf)
-from pimod.errors import Diagnostic, PimodError, UnknownSort, UnrepresentableSort
+from pimod.errors import (Diagnostic, NotInvertible, PimodError, UnknownSort,
+                          UnrepresentableSort)
 from pimod.morphism import TheoryMorphism
 from pimod.rewrite import Fuel, OrthogonalityReport, whnf
 from pimod.syntax import KEYWORDS, _fresh, _Parser, _var_name, lex
@@ -490,6 +499,131 @@ def build_phi(src: EncodingTheory, dst: EncodingTheory) -> TheoryMorphism:
             case _:
                 raise PimodError(f"unexpected role '{tag}' for '{d.name}'")
     return TheoryMorphism(src.theory, dst.theory, body)
+
+
+# --- the translation and its inverse, through the old wrappers -----------
+
+
+def mk_U(enc: EncodingTheory, s: str) -> DkTerm:
+    return enc.family("U", (s,), ())
+
+
+def mk_El(enc: EncodingTheory, s: str, a: DkTerm) -> DkTerm:
+    return enc.family("El", (s,), (a,))
+
+
+def mk_u(enc: EncodingTheory, s: str) -> DkTerm:
+    return enc.family("u", (s,), ())
+
+
+def mk_prod(enc: EncodingTheory, s1: str, s2: str, a: DkTerm, b: DkTerm) -> DkTerm:
+    return enc.family("Prod", (s1, s2), (a, b))
+
+
+def mk_abs(enc: EncodingTheory, s1: str, s2: str, a: DkTerm, b: DkTerm,
+           m: DkTerm) -> DkTerm:
+    return enc.family("abs", (s1, s2), (a, b, m))
+
+
+def mk_app(enc: EncodingTheory, s1: str, s2: str, a: DkTerm, b: DkTerm,
+           m: DkTerm, n: DkTerm) -> DkTerm:
+    return enc.family("app", (s1, s2), (a, b, m, n))
+
+
+def translate(enc: EncodingTheory, m: EptsTerm) -> DkTerm:
+    """Image of an explicitly annotated term in the generated theory."""
+    match m:
+        case EVar(k):
+            return Var(k)
+        case ESort(s):
+            return mk_u(enc, s)
+        case EPi(s1, s2, dom, h, cod):
+            da = translate(enc, dom)
+            return mk_prod(enc, s1, s2, da,
+                           Lam(h, mk_El(enc, s1, da), translate(enc, cod)))
+        case ELam(s1, s2, dom, h, cod, body):
+            da = translate(enc, dom)
+            ann = mk_El(enc, s1, da)
+            return mk_abs(enc, s1, s2, da,
+                          Lam(h, ann, translate(enc, cod)),
+                          Lam(h, ann, translate(enc, body)))
+        case EApp(s1, s2, dom, h, cod, fn, arg):
+            da = translate(enc, dom)
+            return mk_app(enc, s1, s2, da,
+                          Lam(h, mk_El(enc, s1, da), translate(enc, cod)),
+                          translate(enc, fn), translate(enc, arg))
+    raise PimodError(f"cannot translate {m!r}")
+
+
+@dataclass(frozen=True)
+class InvertibleForm:
+    """A framework term seen through the grammar of translation images.
+
+    ``tag`` is one of ``var``, ``sort``, ``prod``, ``abs``, ``app`` and
+    ``redex``; ``parts`` holds the subject subterms of the form (binder
+    annotations are not among them — they are derivable, hence hidden).
+    """
+
+    tag: str
+    sorts: tuple[str, ...]
+    parts: tuple
+
+
+def recognize(enc: EncodingTheory, t: DkTerm) -> InvertibleForm | None:
+    """Match ``t`` against one production of the invertible grammar.
+
+    Only the root is inspected (apart from resolving sort arguments),
+    so a positive answer does not mean the whole term inverts.
+    """
+    match t:
+        case Var(k):
+            return InvertibleForm("var", (), (k,))
+        case App(Lam(h, _, body), arg):
+            return InvertibleForm("redex", (), (h, body, arg))
+        case Cons(name, args):
+            split = enc.split(name, args)
+            if split is None:
+                return None
+            role, sorts, payload = split
+            match role, payload:
+                case "u", ():
+                    return InvertibleForm("sort", sorts, ())
+                case "Prod", (a, Lam(h, _, b)):
+                    return InvertibleForm("prod", sorts, (a, h, b))
+                case "abs", (a, Lam(h, _, b), Lam(_, _, m)):
+                    return InvertibleForm("abs", sorts, (a, h, b, m))
+                case "app", (a, Lam(h, _, b), m, n):
+                    return InvertibleForm("app", sorts, (a, h, b, m, n))
+    return None
+
+
+def invert(enc: EncodingTheory, t: DkTerm) -> EptsTerm:
+    """Translate back, discarding binder annotations."""
+    form = recognize(enc, t)
+    if form is None:
+        raise NotInvertible("term is outside the invertible fragment", term=t)
+    match form.tag:
+        case "var":
+            return EVar(form.parts[0])
+        case "sort":
+            return ESort(form.sorts[0])
+        case "redex":
+            _, body, arg = form.parts
+            return epts_subst(invert(enc, body), 0, invert(enc, arg))
+        case "prod":
+            a, h, b = form.parts
+            s1, s2 = form.sorts
+            return EPi(s1, s2, invert(enc, a), h, invert(enc, b))
+        case "abs":
+            a, h, b, m = form.parts
+            s1, s2 = form.sorts
+            return ELam(s1, s2, invert(enc, a), h, invert(enc, b), invert(enc, m))
+        case "app":
+            a, h, b, m, n = form.parts
+            s1, s2 = form.sorts
+            return EApp(s1, s2, invert(enc, a), h, invert(enc, b),
+                        invert(enc, m), invert(enc, n))
+    raise AssertionError
 
 
 # --- term parsers and printers, one per language --------------------------

@@ -69,18 +69,18 @@ def epts_terms(sorts=("Type", "Kind"), pairs=(("Type", "Type"), ("Kind", "Type")
     pair = st.sampled_from(pairs)
 
     def extend(ch):
-        def pi(p, d, c):
-            return EPi(p[0], p[1], d, "x", c)
+        def pi(p, d, h, c):
+            return EPi(p[0], p[1], d, h, c)
 
-        def lam(p, d, c, b):
-            return ELam(p[0], p[1], d, "x", c, b)
+        def lam(p, d, h, c, b):
+            return ELam(p[0], p[1], d, h, c, b)
 
-        def app(p, d, c, f, a):
-            return EApp(p[0], p[1], d, "x", c, f, a)
+        def app(p, d, h, c, f, a):
+            return EApp(p[0], p[1], d, h, c, f, a)
 
-        return st.one_of(st.builds(pi, pair, ch, ch),
-                         st.builds(lam, pair, ch, ch, ch),
-                         st.builds(app, pair, ch, ch, ch, ch))
+        return st.one_of(st.builds(pi, pair, ch, HINTS, ch),
+                         st.builds(lam, pair, ch, HINTS, ch, ch),
+                         st.builds(app, pair, ch, HINTS, ch, ch, ch))
 
     return st.recursive(leaves, extend, max_leaves=max_leaves)
 

@@ -313,6 +313,43 @@ class TestAnalyze:
         assert main(["analyze", str(f)]) == 1
         assert "FAIL  overlap" in capsys.readouterr().out
 
+    def test_non_left_linear_rule_is_reported_once(self, tmp_path, capsys):
+        f = tmp_path / "nonlinear.dk"
+        f.write_text("constant N : TYPE.\nconstant f (a : N, b : N) : N.\n"
+                     'rule "nl" f(X, X) --> X.\n')
+        for cmd in ("analyze", "check-dk"):
+            assert main([cmd, str(f)]) == 1
+            out = capsys.readouterr().out
+            assert out.count("non-left-linear") == 1, cmd
+
+class TestShadowedNames:
+    """An assumption that reuses an earlier name prints primed, the way a
+    context prints, so that each printed name stands for one variable."""
+
+    def test_source_traces(self, tmp_path, capsys):
+        epts = tmp_path / "shadow.epts"
+        epts.write_text("assume A : Prop. assume a : A. assume g : A -> A.\n"
+                        "assume P : A -> Prop. assume A : Prop.\n"
+                        "def q : Prop := A -> P (g a).\n")
+        coc = str(CORPUS_DIR / "coc.sorts")
+        assert main(["check-epts", coc, str(epts), "--trace"]) == 0
+        assert capsys.readouterr().err == (
+            "      Pi{Prop,Prop}(A', x. app{Prop,Type}(A, x'. Prop, P, "
+            "app{Prop,Prop}(A, x'. A, g, a)))\n")
+        assert main(["encode", coc, str(epts), "--trace", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err.startswith(
+            "      q -> Prod@Prop@Prop(A', lam x : El@Prop(A'). app@Prop@Type(A, ")
+
+    def test_framework_checks_and_trace(self, tmp_path, capsys):
+        f = tmp_path / "shadow.dk"
+        f.write_text("constant N : TYPE.\nconstant M : TYPE.\n"
+                     "assume x : N. assume x : M.\ncheck x : M.\n")
+        assert main(["check-dk", str(f), "--trace"]) == 1   # the name repeats
+        out, err = capsys.readouterr()
+        assert "ok    check  x' : M\n" in out
+        assert err.endswith("      x' : M\n")
+
+
 class TestMorphism:
     def test_phi_verify_and_apply(self, tmp_path, capsys):
         gen = tmp_path / "gen"

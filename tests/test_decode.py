@@ -1,19 +1,24 @@
-"""Inversion: recognizing, undoing, and conservatively recovering source terms."""
+"""Inversion: reading images back, and conservatively recovering source terms."""
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pimod.decode import (InvertibleForm, adequacy_legs, adequacy_roundtrip,
-                          conservative_invert, hidden_equiv, invert, recognize)
-from pimod.encode import EncodingTheory, generate_finite, translate, translate_ctx
+from pimod.decode import (adequacy_legs, adequacy_roundtrip, conservative_invert,
+                          hidden_equiv, invert)
+from pimod.encode import (INTERNAL_CORE, EncodingTheory, generate_finite, translate,
+                          translate_ctx)
 from pimod.epts import (EApp, ELam, EPi, ESort, EVar, EptsContext, PApp, PLam,
                         PPi, PSort, PVar, elaborate, epts_infer)
 from pimod.errors import (EptsCheckFailed, FuelExhausted,
                           InternalSoundnessError, NotInvertible, TypeMismatch)
 from pimod.kernel import infer
 from pimod.rewrite import nf
+from pimod.syntax import render
 from pimod.terms import TYPE, App, Cons, Declaration, Lam, Var
+import reference
+from strategies import HINTS, dk_terms, epts_terms
 from systems import MLTT_INT, PID, POLY, SYSTEM_F, SYSTEM_F_INT
 from termgen import beta_expand
 from test_encode import MLTT_ENC, SF_ENC, SF_INT_ENC, finite_id_image
@@ -26,38 +31,38 @@ def id_applied():
 
 
 class TestRecognize:
-    def test_core_forms(self):
-        assert recognize(SF_ENC, Var(3)) == InvertibleForm("var", (), (3,))
-        assert recognize(SF_ENC, Cons("u@Type")) == \
-            InvertibleForm("sort", ("Type",), ())
+    """Which framework terms ``invert`` reads as which production."""
 
-        img = finite_id_image()
-        form = recognize(SF_ENC, img)
-        assert form is not None
-        assert form.tag == "abs" and form.sorts == ("Kind", "Type")
+    def test_core_forms(self):
+        assert invert(SF_ENC, Var(3)) == EVar(3)
+        assert invert(SF_ENC, Cons("u@Type")) == ESort("Type")
+
+        back = invert(SF_ENC, finite_id_image())
+        assert type(back) is ELam and (back.s1, back.s2) == ("Kind", "Type")
 
         redex = App(Lam("w", TYPE, Var(0)), Cons("u@Type"))
-        assert recognize(SF_ENC, redex).tag == "redex"
+        assert invert(SF_ENC, redex) == ESort("Type")
 
     def test_internalized_sort_arguments_are_resolved(self):
         t = Cons("u", (Cons("type"),))
-        assert recognize(SF_INT_ENC, t) == InvertibleForm("sort", ("Type",), ())
+        assert invert(SF_INT_ENC, t) == ESort("Type")
         # an equivalent but unevaluated index still resolves
         t2 = Cons("u", (Cons("Ax", (Cons("type"),)),))
-        assert recognize(SF_INT_ENC, t2) == InvertibleForm("sort", ("Kind",), ())
+        assert invert(SF_INT_ENC, t2) == ESort("Kind")
         # El is a decoder, not part of the term grammar
-        assert recognize(SF_INT_ENC, Cons("El", (Cons("kind"), t))) is None
+        with pytest.raises(NotInvertible):
+            invert(SF_INT_ENC, Cons("El", (Cons("kind"), t)))
 
     def test_unnamed_sort_value_is_not_recognized(self):
         four = Cons("s", (Cons("s", (Cons("s", (Cons("s", (Cons("z"),)),)),)),))
-        assert recognize(MLTT_ENC, Cons("u", (four,))) is None
+        with pytest.raises(NotInvertible):
+            invert(MLTT_ENC, Cons("u", (four,)))
 
     def test_non_image_terms(self):
-        assert recognize(SF_ENC, TYPE) is None
-        assert recognize(SF_ENC, Cons("U@Type")) is None
-        assert recognize(SF_ENC, Cons("El@Type", (Var(0),))) is None
-        assert recognize(SF_ENC, Lam("x", TYPE, Var(0))) is None
-        assert recognize(SF_ENC, App(Var(0), Var(1))) is None
+        for bad in (TYPE, Cons("U@Type"), Cons("El@Type", (Var(0),)),
+                    Lam("x", TYPE, Var(0)), App(Var(0), Var(1))):
+            with pytest.raises(NotInvertible):
+                invert(SF_ENC, bad)
 
 
 class TestInvert:
@@ -88,6 +93,86 @@ class TestInvert:
                     Lam("x", TYPE, Var(0))):
             with pytest.raises(NotInvertible):
                 invert(SF_ENC, bad)
+
+
+ENCODINGS = pytest.mark.parametrize("enc", [SF_ENC, SF_INT_ENC],
+                                    ids=["finite", "internalized"])
+
+# internalized sort arguments: named, equal to a named one after
+# rewriting, and stuck
+SORT_TERMS = (Cons("type"), Cons("kind"), Cons("Ax", (Cons("type"),)),
+              Cons("Ru", (Cons("kind"), Cons("type"))), Cons("Ax", (Cons("kind"),)))
+
+
+def family_terms(enc):
+    """Framework terms built from images and the encoding's own constant
+    families: members laid out as ``translate`` lays them out around
+    arbitrary subterms, members with payloads of any shape, and redexes."""
+    def shaped(role, sorts, h, a, b, m, n):
+        def lam(body):
+            return Lam(h, enc.family("El", sorts[:1], (a,)), body)
+        payload = {"u": (), "Prod": (a, lam(b)), "abs": (a, lam(b), lam(m)),
+                   "app": (a, lam(b), m, n)}[role]
+        return enc.family(role, sorts[:INTERNAL_CORE[role]], payload)
+
+    def member(name, sorts, payload):
+        if enc.mode == "finite":
+            return Cons(name, tuple(payload))
+        return Cons(name, sorts[:INTERNAL_CORE[name]] + tuple(payload))
+
+    def extend(ch):
+        sort = st.sampled_from(("Type", "Kind"))
+        return st.one_of(
+            st.builds(shaped, st.sampled_from(("u", "Prod", "abs", "app")),
+                      st.tuples(sort, sort), HINTS, ch, ch, ch, ch),
+            st.builds(member, st.sampled_from(sorted(enc.roles)),
+                      st.tuples(st.sampled_from(SORT_TERMS), st.sampled_from(SORT_TERMS)),
+                      st.lists(ch, max_size=4)),
+            st.builds(App, ch, ch),
+            st.builds(Lam, HINTS, ch, ch))
+
+    images = epts_terms(sorts=("Type",), max_leaves=4).map(lambda m: translate(enc, m))
+    leaves = st.one_of(st.builds(Var, st.integers(0, 2)), st.just(TYPE), images)
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+NEAR_IMAGES = {enc.mode: st.one_of(dk_terms(), family_terms(enc))
+               for enc in (SF_ENC, SF_INT_ENC)}
+
+
+def outcome(invert_, enc, t):
+    """The inverted term with its printed form (hints included), or the
+    failure with its message (which names the offending subterm)."""
+    try:
+        m = invert_(enc, t)
+    except NotInvertible as e:
+        return "NotInvertible", str(e)
+    return m, render(m)
+
+
+class TestAgainstReference:
+    """``translate`` and ``invert`` against the versions that went through
+    one wrapper per family and through ``recognize``."""
+
+    @ENCODINGS
+    @given(m=epts_terms())
+    def test_translate_writes_the_reference_image(self, enc, m):
+        img = translate(enc, m)
+        want = reference.translate(enc, m)
+        assert img == want and render(img) == render(want)
+
+    @ENCODINGS
+    @given(m=epts_terms(sorts=("Type",)))  # Kind has no universe code
+    def test_invert_undoes_translate(self, enc, m):
+        back = invert(enc, translate(enc, m))
+        assert back == m and render(back) == render(m)
+
+    @ENCODINGS
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_invert_agrees_with_reference(self, enc, data):
+        t = data.draw(NEAR_IMAGES[enc.mode])
+        assert outcome(invert, enc, t) == outcome(reference.invert, enc, t)
 
 
 class TestHiddenEquiv:

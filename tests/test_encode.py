@@ -91,15 +91,15 @@ class TestGenerateFinite:
 
     def test_universe_reflection_rule(self):
         # El_Kind (u_Type) rewrites to U_Type
-        t = SF_ENC.mk_El("Kind", SF_ENC.mk_u("Type"))
-        assert nf(SF_ENC.theory, t) == SF_ENC.mk_U("Type")
-        assert convertible(SF_ENC.theory, t, SF_ENC.mk_U("Type"))
+        t = SF_ENC.family("El", ("Kind",), (SF_ENC.family("u", ("Type",), ()),))
+        assert nf(SF_ENC.theory, t) == SF_ENC.family("U", ("Type",), ())
+        assert convertible(SF_ENC.theory, t, SF_ENC.family("U", ("Type",), ()))
 
     def test_constructors_require_known_sorts(self):
         with pytest.raises(UnknownSort):
-            SF_ENC.mk_U("Prop")
+            SF_ENC.family("U", ("Prop",), ())
         with pytest.raises(UnknownSort):
-            SF_ENC.mk_prod("Type", "Prop", Var(0), Var(0))
+            SF_ENC.family("Prod", ("Type", "Prop"), (Var(0), Var(0)))
 
 
 class TestFamilyLayout:

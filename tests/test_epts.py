@@ -253,6 +253,13 @@ class TestElaborate:
             elaborate(MLTT_FIN, EptsContext(),
                       PPi("x", PSort("2"), PSort("2")))
 
+    def test_abstraction_rule_checked(self):
+        # lam x : C. C would have the type C -> Type, a product over the
+        # pair (Type, Kind), which System F has no rule for
+        for spec in (SYSTEM_F, SYSTEM_F_INT):
+            with pytest.raises(SideConditionFailed, match=r"\(Type, Kind\)"):
+                elaborate(spec, CTX, PLam("x", PVar(1), PVar(2)))
+
     def test_across_specifications(self):
         # the same implicit term elaborates against different sort tables
         for spec, s in ((SYSTEM_F, "Type"), (COC, "Prop"), (MLTT_FIN, "0")):

@@ -8,11 +8,15 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def load_main(name: str):
+def load(name: str):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.main
+    return module
+
+
+def load_main(name: str):
+    return load(name).main
 
 
 def test_emit_theories_validates_every_bundled_encoding(tmp_path, capsys):
@@ -36,3 +40,19 @@ def test_adequacy_report_rejects_a_bad_budget_as_usage(fuel, capsys):
     assert e.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and "argument --fuel" in err and "Traceback" not in err
+
+
+def test_cli_matrix_runs_repeat_byte_for_byte(tmp_path):
+    run_matrix = load("cli_matrix").run_matrix
+    trees = []
+    for name in ("first", "second"):
+        assert run_matrix(tmp_path / name, systems=("typetype",)) > 0
+        trees.append({p.relative_to(tmp_path / name): p.read_bytes()
+                      for p in sorted((tmp_path / name).rglob("*")) if p.is_file()})
+    first, second = trees
+    assert first == second
+    runs = {p.parts[1] for p in first if p.parts[0] == "runs"}
+    assert {"001-check-epts", "007-encode", "008-emit_theories"} <= runs
+    assert first[Path("runs/007-encode/exit")] == b"0\n"
+    assert Path("out/encode/typetype_finite_theory.dk") in first
+    assert not any(str(tmp_path).encode() in data for data in first.values())
