@@ -106,6 +106,7 @@ def run_matrix(out: Path, systems=CORPUS_NAMES) -> int:
             shutil.copy(ROOT / CORPUS / f"{name}.{ext}", out / CORPUS)
     bad = CORPUS / "bad_traditional.dk"
     shutil.copy(ROOT / bad, out / CORPUS)
+    (out / "out" / "phi").mkdir(parents=True)   # `morphism --out` makes no directory
 
     runs = [(argv[0], pimod_main, argv) for argv in corpus_commands(systems)]
     runs.append(("emit_theories", emit_theories_main(), ["--out", "out/emitted"]))

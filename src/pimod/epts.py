@@ -25,7 +25,7 @@ by rewriting the distinguished ``Ax``/``Ru`` symbols.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 from .errors import (
     Diagnostic,
@@ -152,6 +152,11 @@ class InternalizedSortSpec:
     partial: a stuck ``Ax``/``Ru`` application means "undefined", while
     a defined result that no name points to is reported as
     :class:`UnknownSort` when something forces us to print it.
+
+    Lookups are memoized per spec: :meth:`axiom_of` and :meth:`rule_of`
+    normalize each ``Ax(s)``/``Ru(s1, s2)`` once, under the spec's own
+    step budget, and then answer from the remembered outcome (a name,
+    None, or the :class:`UnknownSort`, raised afresh on every call).
     """
 
     constants: tuple[Declaration, ...]
@@ -173,6 +178,8 @@ class InternalizedSortSpec:
             raise PimodError("ill-formed sort internalization",
                              problems=[p.message for p in problems])
         self._defined_heads = frozenset(r.head for r in self.rules) | {"Ax", "Ru"}
+        # keyed on the lookup's message, which names the sorts asked about
+        self._outcomes: dict[str, str | UnknownSort | None] = {}
         for name, t in self.named.items():
             if metas_of(t) or max_free_index(t) >= 0:
                 raise PimodError(f"sort term for '{name}' must be closed")
@@ -221,14 +228,17 @@ class InternalizedSortSpec:
                 return False
 
     def _lookup(self, what: str, t: DkTerm) -> str | None:
-        v = dk_nf(self.mini, t)
-        name = self.name_of(v)
-        if name is not None:
-            return name
-        if self._is_value(v):
-            raise UnknownSort(f"{what} evaluates to a sort with no declared name",
-                              value=v)
-        return None
+        if what not in self._outcomes:
+            v = dk_nf(self.mini, t)
+            out = self.name_of(v)
+            if out is None and self._is_value(v):
+                out = UnknownSort(f"{what} evaluates to a sort with no declared name",
+                                  value=v)
+            self._outcomes[what] = out
+        out = self._outcomes[what]
+        if isinstance(out, UnknownSort):
+            raise UnknownSort(out.message, **out.info)
+        return out
 
     def axiom_of(self, s: str) -> str | None:
         return self._lookup(f"the axiom of '{s}'",
@@ -534,13 +544,17 @@ def _known(spec: SortSpec, s: str) -> None:
         raise UnknownSort(f"unknown sort '{s}'")
 
 
+def _expect(spec: SortSpec, ctx: EptsContext, m: EptsTerm, got: EptsTerm,
+            ty: EptsTerm, f: Fuel) -> None:
+    """``m``, whose type is ``got``, must have the type ``ty``."""
+    if not epts_convertible(spec, got, ty, f):
+        raise TypeMismatch("term does not have the required type", names=ctx.names,
+                           expected=ty, actual=got, subject=m)
+
+
 def _e_check(spec: SortSpec, ctx: EptsContext, m: EptsTerm, ty: EptsTerm,
              f: Fuel) -> None:
-    got = _e_infer(spec, ctx, m, f)
-    if not epts_convertible(spec, got, ty, f):
-        raise TypeMismatch("term does not have the required type",
-                           expected=ty, actual=got,
-                           subject=m, context=ctx.names)
+    _expect(spec, ctx, m, _e_infer(spec, ctx, m, f), ty, f)
 
 
 def _require_rule(spec: SortSpec, s1: str, s2: str) -> None:
@@ -548,16 +562,21 @@ def _require_rule(spec: SortSpec, s1: str, s2: str) -> None:
         raise SideConditionFailed(f"no product rule for the sort pair ({s1}, {s2})")
 
 
+def _sort_type(spec: SortSpec, s: str) -> ESort:
+    """The type of the sort ``s``: its axiom."""
+    _known(spec, s)
+    a = spec.axiom_of(s)
+    if a is None:
+        raise TopSortHasNoType(f"sort '{s}' has no axiom")
+    return ESort(a)
+
+
 def _e_infer(spec: SortSpec, ctx: EptsContext, m: EptsTerm, f: Fuel) -> EptsTerm:
     match m:
         case EVar(k):
             return ctx.type_of(k)
         case ESort(s):
-            _known(spec, s)
-            a = spec.axiom_of(s)
-            if a is None:
-                raise TopSortHasNoType(f"sort '{s}' has no axiom")
-            return ESort(a)
+            return _sort_type(spec, s)
         case EPi(s1, s2, dom, h, cod):
             _known(spec, s1)
             _known(spec, s2)
@@ -599,16 +618,22 @@ def epts_check(spec: SortSpec, ctx: EptsContext, m: EptsTerm, ty: EptsTerm,
     _e_check(spec, ctx, m, ty, Fuel.of(fuel))
 
 
-def sort_of_type(spec: SortSpec, ctx: EptsContext, a: EptsTerm,
-                 fuel: int | Fuel | None = None) -> str:
-    """The sort ``s`` with ``a : s``; fails if the type of ``a`` is not a sort."""
-    f = Fuel.of(fuel)
-    ty = epts_whnf(spec, _e_infer(spec, ctx, a, f), f)
+def _sort_of(spec: SortSpec, ctx: EptsContext, a: EptsTerm, ty: EptsTerm,
+             f: Fuel) -> str:
+    """The sort ``s`` with ``a : s``, given ``ty``, the type of ``a``."""
+    ty = epts_whnf(spec, ty, f)
     match ty:
         case ESort(s):
             return s
     raise ElaborationFailed("expected a type, but its type is not a sort",
-                            subject=a, actual=ty)
+                            names=ctx.names, subject=a, actual=ty)
+
+
+def sort_of_type(spec: SortSpec, ctx: EptsContext, a: EptsTerm,
+                 fuel: int | Fuel | None = None) -> str:
+    """The sort ``s`` with ``a : s``; fails if the type of ``a`` is not a sort."""
+    f = Fuel.of(fuel)
+    return _sort_of(spec, ctx, a, _e_infer(spec, ctx, a, f), f)
 
 
 def check_epts_context(spec: SortSpec, ctx: EptsContext,
@@ -631,42 +656,63 @@ def check_epts_context(spec: SortSpec, ctx: EptsContext,
 # --- elaboration ----------------------------------------------------------------
 
 
-def _elab(spec: SortSpec, ctx: EptsContext, t: PtsTerm, f: Fuel) -> EptsTerm:
+# a type _elab derived: the type, or a function that computes it when asked
+Derived = Union[EptsTerm, Callable[[], EptsTerm]]
+
+
+def _demand(ty: Derived) -> EptsTerm:
+    """A type :func:`_elab` derived, computed now if it was left for later."""
+    return ty() if callable(ty) else ty
+
+
+def _as_type(spec: SortSpec, ctx: EptsContext, t: PtsTerm,
+               f: Fuel) -> tuple[EptsTerm, str]:
+    """``t`` elaborated as a type, with the sort it lives in."""
+    m, ty = _elab(spec, ctx, t, f)
+    return m, _sort_of(spec, ctx, m, _demand(ty), f)
+
+
+def _elab(spec: SortSpec, ctx: EptsContext, t: PtsTerm,
+          f: Fuel) -> tuple[EptsTerm, Derived]:
+    """``t`` elaborated, with the type :func:`_e_infer` would give the result.
+
+    Where computing that type can fail, it is left as a function that
+    computes it on demand: a sort's axiom (a top sort has none) and a
+    product's rule (its value may have no name) raise only when a caller
+    asks for them, in the place :func:`_e_infer` would raise them.
+    """
     match t:
         case PVar(k):
             if not 0 <= k < len(ctx):
                 raise UnboundVariable(f"de Bruijn index {k} out of range")
-            return EVar(k)
+            return EVar(k), ctx.type_of(k)
         case PSort(s):
             _known(spec, s)
-            return ESort(s)
+            return ESort(s), lambda: _sort_type(spec, s)
         case PPi(h, dom, cod):
-            edom = _elab(spec, ctx, dom, f)
-            s1 = sort_of_type(spec, ctx, edom, f)
-            inner = ctx.extend(h, edom)
-            ecod = _elab(spec, inner, cod, f)
-            s2 = sort_of_type(spec, inner, ecod, f)
+            edom, s1 = _as_type(spec, ctx, dom, f)
+            ecod, s2 = _as_type(spec, ctx.extend(h, edom), cod, f)
             _require_rule(spec, s1, s2)
-            return EPi(s1, s2, edom, h, ecod)
+            return EPi(s1, s2, edom, h, ecod), lambda: ESort(spec.rule_of(s1, s2))
         case PLam(h, dom, body):
-            edom = _elab(spec, ctx, dom, f)
-            s1 = sort_of_type(spec, ctx, edom, f)
+            edom, s1 = _as_type(spec, ctx, dom, f)
             inner = ctx.extend(h, edom)
-            ebody = _elab(spec, inner, body, f)
-            ecod = _e_infer(spec, inner, ebody, f)
+            ebody, bty = _elab(spec, inner, body, f)
+            ecod = _demand(bty)
             s2 = sort_of_type(spec, inner, ecod, f)
             _require_rule(spec, s1, s2)
-            return ELam(s1, s2, edom, h, ecod, ebody)
+            return ELam(s1, s2, edom, h, ecod, ebody), EPi(s1, s2, edom, h, ecod)
         case PApp(fn, arg):
-            efn = _elab(spec, ctx, fn, f)
-            fnty = epts_whnf(spec, _e_infer(spec, ctx, efn, f), f)
+            efn, fty = _elab(spec, ctx, fn, f)
+            fnty = epts_whnf(spec, _demand(fty), f)
             match fnty:
                 case EPi(s1, s2, dom, h, cod):
-                    earg = _elab(spec, ctx, arg, f)
-                    _e_check(spec, ctx, earg, dom, f)
-                    return EApp(s1, s2, dom, h, cod, efn, earg)
+                    earg, aty = _elab(spec, ctx, arg, f)
+                    _expect(spec, ctx, earg, _demand(aty), dom, f)
+                    return EApp(s1, s2, dom, h, cod, efn, earg), subst(cod, 0, earg)
             raise NotAProduct("the function part of an application is not "
-                              "of product type", head=efn, head_type=fnty)
+                              "of product type", names=ctx.names,
+                              head=efn, head_type=fnty)
     raise PimodError(f"cannot elaborate {t!r}")
 
 
@@ -675,9 +721,14 @@ def elaborate(spec: SortSpec, ctx: EptsContext, t: PtsTerm,
     """Type-directed translation of implicit PTS syntax into explicit syntax.
 
     The result is well-typed whenever elaboration succeeds, and erasing
-    its annotations gives back ``t`` exactly.
+    its annotations gives back ``t`` exactly.  Elaboration is one pass:
+    each subterm hands back the type it derives along with its explicit
+    form, so no explicit term is inferred again; the one inference left
+    is the sort of an abstraction's body type.  The type of a sort is
+    computed only when a caller asks for it, so ``elaborate`` of a top
+    sort succeeds and only its use as a typed term fails.
     """
-    return _elab(spec, ctx, t, Fuel.of(fuel))
+    return _elab(spec, ctx, t, Fuel.of(fuel))[0]
 
 
 def elaborate_context(spec: SortSpec, entries: Iterable[tuple[str, PtsTerm]],
@@ -685,7 +736,5 @@ def elaborate_context(spec: SortSpec, entries: Iterable[tuple[str, PtsTerm]],
     f = Fuel.of(fuel)
     ctx = EptsContext()
     for hint, raw in entries:
-        ety = _elab(spec, ctx, raw, f)
-        sort_of_type(spec, ctx, ety, f)
-        ctx = ctx.extend(hint, ety)
+        ctx = ctx.extend(hint, _as_type(spec, ctx, raw, f)[0])
     return ctx

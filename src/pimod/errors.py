@@ -8,7 +8,7 @@ printer in the import graph can raise rich errors without a cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 
 @dataclass
@@ -44,29 +44,35 @@ class Diagnostic:
         return f"{where}{self.severity}: {self.code}{subj}: {self.message}"
 
 
-def _show(x: Any) -> str:
-    # Render terms through the pretty printer when possible; fall back to
-    # repr for anything the printer does not know about.
+def _show(x: Any, names: Sequence[str] = ()) -> str:
+    # Render terms through the pretty printer when possible, in a context
+    # whose entries print as the CLI prints them; fall back to repr for
+    # anything the printer does not know about.
     try:
         from . import syntax
 
-        return syntax.render(x)
+        return syntax.render(x, syntax.fresh_names(names))
     except Exception:
         return repr(x)
 
 
 class PimodError(Exception):
-    """Base class for user-facing failures."""
+    """Base class for user-facing failures.
 
-    def __init__(self, message: str = "", **info: Any):
+    ``names`` are the hints of the typing context that the carried terms
+    live in, oldest first; their variables print under those names.
+    """
+
+    def __init__(self, message: str = "", *, names: Sequence[str] = (), **info: Any):
         super().__init__(message)
         self.message = message
+        self.names = tuple(names)
         self.info = info
 
     def __str__(self) -> str:
         parts = [self.message] if self.message else []
         for key, val in self.info.items():
-            parts.append(f"{key}={_show(val)}")
+            parts.append(f"{key}={_show(val, self.names)}")
         return "; ".join(parts) if parts else self.__class__.__name__
 
 
@@ -119,7 +125,8 @@ class TypeMismatch(ConversionFailure):
     def __str__(self) -> str:
         base = super().__str__()
         if self.expected is not None or self.actual is not None:
-            return f"{base}: expected {_show(self.expected)}, got {_show(self.actual)}"
+            return (f"{base}: expected {_show(self.expected, self.names)}, "
+                    f"got {_show(self.actual, self.names)}")
         return base
 
 

@@ -62,7 +62,7 @@ def _infer(theory: Theory, ctx: DkContext, t: DkTerm, f: Fuel,
             if not isinstance(fn_ty, Pi):
                 raise NotAProduct(
                     f"applied term is not of product type (at {_path_str(path)})",
-                    function=fn, actual=fn_ty)
+                    names=ctx.names, function=fn, actual=fn_ty)
             _check(theory, ctx, arg, fn_ty.dom, f, log, path + ("argument position",))
             ty = subst(fn_ty.cod, 0, arg)
         case Lam(h, ann, body):
@@ -79,7 +79,7 @@ def _infer(theory: Theory, ctx: DkContext, t: DkTerm, f: Fuel,
             if not isinstance(cod_sort, (Type, Kind)):
                 raise TypeMismatch(
                     f"product codomain must be a type or a kind (at {_path_str(path)})",
-                    expected=TYPE, actual=cod_sort)
+                    names=ctx.names + [h], expected=TYPE, actual=cod_sort)
             ty = cod_sort
         case _:
             raise PimodError(f"cannot type {t!r}")
@@ -94,7 +94,7 @@ def _check_is_type(theory: Theory, ctx: DkContext, t: DkTerm, f: Fuel,
     if sort != TYPE:
         raise TypeMismatch(
             f"binder annotation must be a type (at {_path_str(path)})",
-            expected=TYPE, actual=sort)
+            names=ctx.names, expected=TYPE, actual=sort)
 
 
 def _check(theory: Theory, ctx: DkContext, t: DkTerm, ty: DkTerm, f: Fuel,
@@ -102,7 +102,7 @@ def _check(theory: Theory, ctx: DkContext, t: DkTerm, ty: DkTerm, f: Fuel,
     actual = _infer(theory, ctx, t, f, log, path)
     if not convertible(theory, actual, ty, f):
         raise TypeMismatch(
-            f"type mismatch at {_path_str(path)}",
+            f"type mismatch at {_path_str(path)}", names=ctx.names,
             expected=whnf(theory, ty, f), actual=whnf(theory, actual, f))
 
 

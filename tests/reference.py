@@ -23,6 +23,11 @@ which packed the root into an ``InvertibleForm`` that ``invert`` then
 took apart.  ``invert`` contracts a redex with the hand-written
 ``epts_subst`` above.
 
+``_elab`` is elaboration as it was before it returned the type it
+derives: it re-infers each domain, the body of every abstraction and
+both parts of every application from the explicit term it has just
+built.
+
 ``convertible``, ``epts_convertible`` and ``hidden_equiv`` descend
 through congruences with one hand-written case per constructor, and
 ``build_phi`` lays out the target of each constant family with one case
@@ -43,10 +48,11 @@ from typing import Any, Sequence
 
 from pimod.analysis import SApp, SConst, SLam, StlcTerm, SVar
 from pimod.encode import EncodingTheory
-from pimod.epts import (EApp, ELam, EPi, ESort, EptsTerm, EVar, PApp, PLam, PPi,
-                        PSort, PtsTerm, PVar, SortSpec, epts_whnf)
-from pimod.errors import (Diagnostic, NotInvertible, PimodError, UnknownSort,
-                          UnrepresentableSort)
+from pimod.epts import (EApp, ELam, EPi, EptsContext, ESort, EptsTerm, EVar, PApp,
+                        PLam, PPi, PSort, PtsTerm, PVar, SortSpec, _e_check, _e_infer,
+                        _known, _require_rule, epts_whnf, sort_of_type)
+from pimod.errors import (Diagnostic, NotAProduct, NotInvertible, PimodError,
+                          UnboundVariable, UnknownSort, UnrepresentableSort)
 from pimod.morphism import TheoryMorphism
 from pimod.rewrite import Fuel, OrthogonalityReport, whnf
 from pimod.syntax import KEYWORDS, _fresh, _Parser, _var_name, lex
@@ -924,3 +930,42 @@ def render(x: Any, names: Sequence[str] = (), avoid: Sequence[str] = ()) -> str:
     if isinstance(x, EptsTerm):
         return _r_epts(x, env, a)
     return _r_stlc(x, env, a)
+
+
+def _elab(spec: SortSpec, ctx: EptsContext, t: PtsTerm, f: Fuel) -> EptsTerm:
+    match t:
+        case PVar(k):
+            if not 0 <= k < len(ctx):
+                raise UnboundVariable(f"de Bruijn index {k} out of range")
+            return EVar(k)
+        case PSort(s):
+            _known(spec, s)
+            return ESort(s)
+        case PPi(h, dom, cod):
+            edom = _elab(spec, ctx, dom, f)
+            s1 = sort_of_type(spec, ctx, edom, f)
+            inner = ctx.extend(h, edom)
+            ecod = _elab(spec, inner, cod, f)
+            s2 = sort_of_type(spec, inner, ecod, f)
+            _require_rule(spec, s1, s2)
+            return EPi(s1, s2, edom, h, ecod)
+        case PLam(h, dom, body):
+            edom = _elab(spec, ctx, dom, f)
+            s1 = sort_of_type(spec, ctx, edom, f)
+            inner = ctx.extend(h, edom)
+            ebody = _elab(spec, inner, body, f)
+            ecod = _e_infer(spec, inner, ebody, f)
+            s2 = sort_of_type(spec, inner, ecod, f)
+            _require_rule(spec, s1, s2)
+            return ELam(s1, s2, edom, h, ecod, ebody)
+        case PApp(fn, arg):
+            efn = _elab(spec, ctx, fn, f)
+            fnty = epts_whnf(spec, _e_infer(spec, ctx, efn, f), f)
+            match fnty:
+                case EPi(s1, s2, dom, h, cod):
+                    earg = _elab(spec, ctx, arg, f)
+                    _e_check(spec, ctx, earg, dom, f)
+                    return EApp(s1, s2, dom, h, cod, efn, earg)
+            raise NotAProduct("the function part of an application is not "
+                              "of product type", head=efn, head_type=fnty)
+    raise PimodError(f"cannot elaborate {t!r}")

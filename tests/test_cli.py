@@ -350,6 +350,42 @@ class TestShadowedNames:
         assert err.endswith("      x' : M\n")
 
 
+class TestTypeErrorNames:
+    """A type error prints the variables of its context by name, as the
+    subject of the failed check prints them."""
+
+    def test_framework_mismatch(self, tmp_path, capsys):
+        f = tmp_path / "fam.dk"
+        f.write_text("constant N : TYPE. constant P (n : N) : TYPE.\n"
+                     "assume n : N. assume p : P(n). check p : P(n) -> N.\n")
+        assert main(["check-dk", str(f)]) == 1
+        assert ("FAIL  check  p : P(n) -> N  --  type mismatch at top level: "
+                "expected P(n) -> N, got P(n)\n") in capsys.readouterr().out
+
+    def test_source_mismatch(self, tmp_path, capsys):
+        f = tmp_path / "selfapp.epts"
+        f.write_text("assume C : Type. assume D : Type. assume c : C.\n"
+                     "def bad : (C -> D) -> D := lam f : C -> D. f f.\n")
+        assert main(["check-epts", SYSTEMF_SORTS, str(f),
+                     "--format", "machine-readable"]) == 1
+        [record] = [json.loads(line) for line in capsys.readouterr().out.splitlines()
+                    if '"judgment"' in line]
+        assert record["detail"] == ("term does not have the required type; subject=f: "
+                                    "expected C, got Pi{Type,Type}(C, x. D)")
+
+    def test_source_not_a_product_and_not_a_type(self, tmp_path, capsys):
+        f = tmp_path / "heads.epts"
+        f.write_text("assume C : Type. assume c : C.\n"
+                     "def app : C := c c.\n"
+                     "def ann : Type := Pi x : c. C.\n")
+        assert main(["check-epts", SYSTEMF_SORTS, str(f)]) == 1
+        out = capsys.readouterr().out
+        assert ("the function part of an application is not of product type; "
+                "head=c; head_type=C\n") in out
+        assert ("expected a type, but its type is not a sort; subject=c; "
+                "actual=C\n") in out
+
+
 class TestMorphism:
     def test_phi_verify_and_apply(self, tmp_path, capsys):
         gen = tmp_path / "gen"

@@ -1,8 +1,14 @@
 """Sort specifications, annotated terms, linearized beta, elaboration."""
 
-import pytest
-from hypothesis import given
+import re
 
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+import reference
+from pimod import epts
+from pimod.corpus import load_cases, load_sorts
 from pimod.epts import (EApp, ELam, EPi, ESort, EVar, EptsContext,
                         FiniteSortSpec, InternalizedSortSpec, PApp, PLam, PPi,
                         PSort, PVar, check_epts_context, elaborate,
@@ -12,6 +18,8 @@ from pimod.epts import (EApp, ELam, EPi, ESort, EVar, EptsContext,
 from pimod.errors import (ElaborationFailed, NonFunctionalSpec, NotAProduct,
                           PimodError, SideConditionFailed, TopSortHasNoType,
                           TypeMismatch, UnboundVariable, UnknownSort)
+from pimod.rewrite import Fuel
+from pimod.syntax import fresh_names, parse_pts_term, render
 from pimod.terms import Cons, Declaration, Meta, RewriteRule, Var, shift, subst
 from strategies import epts_terms, pts_terms
 from systems import COC, MLTT_FIN, MLTT_INT, PID, PID_TYPE, POLY, SYSTEM_F, SYSTEM_F_INT
@@ -288,3 +296,169 @@ class TestRawAlgebra:
     @given(epts_terms())
     def test_erasure_commutes_with_shift(self, t):
         assert erase_to_pts(shift(t, 2)) == shift(erase_to_pts(t), 2)
+
+
+# --- one-pass elaboration against the re-inferring reference -----------------------
+
+
+CASES = load_cases()
+
+# three entries, so that every variable pts_terms() draws is bound
+CTX3 = EptsContext().extend("C", ESort("Type")).extend("c", EVar(0)).extend("D", ESort("Type"))
+
+
+def outcome(elab, spec, ctx, t):
+    """What ``elab`` makes of ``t`` in ``ctx`` (the term with its rendering,
+    or the error), and the fuel ticks it spent."""
+    f = Fuel()
+    try:
+        m = elab(spec, ctx, t, f)
+        out = ("term", m, render(m, fresh_names(ctx.names)))
+    except PimodError as e:
+        out = ("error", type(e), e.message, e.info,
+               getattr(e, "expected", None), getattr(e, "actual", None))
+    return out, f.limit - f.remaining
+
+
+def agree(spec, ctx, t):
+    """Elaborate ``t`` with the library and with the reference: the same
+    term or the same error, and never more fuel.  The type the library
+    derives is the one ``epts_infer`` gives its result, or raises the
+    same error when demanded.  Returns (outcome, ticks, reference ticks)."""
+    want, ref_ticks = outcome(reference._elab, spec, ctx, t)
+    got, ticks = outcome(lambda *a: epts._elab(*a)[0], spec, ctx, t)
+    assert got == want
+    assert ticks <= ref_ticks
+    if got[0] == "term":
+        m, derived = epts._elab(spec, ctx, t, Fuel())
+        try:
+            ty = epts_infer(spec, ctx, m)
+        except PimodError as e:
+            with pytest.raises(type(e), match=re.escape(e.message)):
+                epts._demand(derived)
+        else:
+            derived = epts._demand(derived)
+            assert derived == ty
+            assert render(derived, fresh_names(ctx.names)) == \
+                render(ty, fresh_names(ctx.names))
+    return got, ticks, ref_ticks
+
+
+class TestElaborationOracle:
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: c.label)
+    def test_corpus_judgments(self, case):
+        ctx = elaborate_context(case.spec, case.file.assumes)
+        ref = EptsContext()
+        for hint, raw in case.file.assumes:
+            ety = reference._elab(case.spec, ref, raw, Fuel())
+            sort_of_type(case.spec, ref, ety)
+            ref = ref.extend(hint, ety)
+        assert ctx == ref and render(ctx) == render(ref)
+        for j in case.file.judgments:
+            for t in (j.term, j.type):
+                got, ticks, ref_ticks = agree(case.spec, ctx, t)
+                assert got[0] == "term" and ticks == ref_ticks
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: c.label)
+    @given(data=st.data())
+    def test_random_source_terms(self, case, data):
+        s = case.spec.sorts[0]
+        ctx = EptsContext().extend("A", ESort(s)).extend("a", EVar(0)).extend("B", ESort(s))
+        agree(case.spec, ctx, data.draw(pts_terms(sorts=case.spec.sorts)))
+
+    @pytest.mark.parametrize("spec", (SYSTEM_F, SYSTEM_F_INT), ids=("finite", "internalized"))
+    @settings(suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(m=epts_terms())
+    def test_erased_well_typed_terms(self, spec, m):
+        try:
+            epts_infer(spec, CTX3, m)
+        except PimodError:
+            assume(False)
+        agree(spec, CTX3, erase_to_pts(m))
+
+    @pytest.mark.parametrize("text, ticks, ref_ticks", [
+        ("(lam y : (lam A : Prop. A) C. y) c", 1, 3),
+        ("(lam f : (lam A : Prop. A -> A) C. f) (lam x : C. x) c", 2, 7),
+    ])
+    def test_type_redexes_cost_less_fuel(self, text, ticks, ref_ticks):
+        ctx = EptsContext().extend("C", ESort("Prop")).extend("c", EVar(0))
+        got, *spent = agree(COC, ctx, parse_pts_term(text, COC, ctx.names))
+        assert got[0] == "term" and spent == [ticks, ref_ticks]
+
+    def test_a_top_sort_elaborates_and_fails_only_when_typed(self):
+        # the axiom of internalized MLTT's sort 3 has no name
+        for spec, error in ((MLTT_INT, UnknownSort), (MLTT_FIN, TopSortHasNoType)):
+            assert agree(spec, EptsContext(), PSort("3"))[0][1] == ESort("3")
+            with pytest.raises(error):
+                elaborate(spec, EptsContext(), PApp(PSort("3"), PSort("0")))
+
+    def test_a_demanded_argument_type_reaches_the_error(self):
+        ctx = elaborate_context(COC, [("A", PSort("Prop")),
+                                      ("B", PPi("x", PVar(0), PSort("Prop")))])
+        got, _, _ = agree(COC, ctx, PApp(PVar(0), PSort("Prop")))
+        assert got[:3] == ("error", TypeMismatch, "term does not have the required type")
+        assert got[4:] == (EVar(1), ESort("Type"))
+        with pytest.raises(TypeMismatch, match="expected A, got Type$"):
+            elaborate(COC, ctx, PApp(PVar(0), PSort("Prop")))
+
+
+def depth_term(n):
+    """``lam C : Type. lam x1 : C. ... lam xn : C. x1``."""
+    t = PVar(n - 1)
+    for i in range(n, 0, -1):
+        t = PLam(f"x{i}", PVar(i - 1), t)
+    return PLam("C", PSort("Type"), t)
+
+
+class TestElaborationWork:
+    @pytest.mark.parametrize("n", (50, 100))
+    def test_inference_calls_grow_quadratically_with_depth(self, monkeypatch, n):
+        calls = 0
+        infer = epts._e_infer
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return infer(*args)
+
+        monkeypatch.setattr(epts, "_e_infer", counting)
+        elaborate(SYSTEM_F, EptsContext(), depth_term(n))
+        assert 0 < calls <= (n + 1) ** 2
+
+    def test_each_rule_pair_is_normalized_once(self, monkeypatch):
+        spec = load_sorts("mltt").internalized
+        normalized = []
+        nf = epts.dk_nf
+        monkeypatch.setattr(epts, "dk_nf",
+                            lambda theory, t: normalized.append(t) or nf(theory, t))
+        answers = [[spec.rule_of(s1, s2) for s1 in spec.sorts for s2 in spec.sorts]
+                   for _ in range(3)]
+        assert answers[0] == answers[1] == answers[2]
+        assert answers[0][:4] == ["0", "1", "2", "3"]
+        assert len(normalized) == len(set(normalized)) == 16
+
+    def test_an_unnamed_result_raises_on_every_call(self, monkeypatch):
+        a, b = (Declaration(n, (), Cons("Sort")) for n in "ab")
+        spec = InternalizedSortSpec(
+            constants=(a, b),
+            rules=(RewriteRule("Ru", (Cons("a"), Cons("a")), Cons("b"), name="ru"),),
+            named={"A": Cons("a"), "A2": Cons("a")})
+        normalized = []
+        nf = epts.dk_nf
+        monkeypatch.setattr(epts, "dk_nf",
+                            lambda theory, t: normalized.append(t) or nf(theory, t))
+        errors = []
+        for _ in range(3):
+            with pytest.raises(UnknownSort) as e:
+                spec.rule_of("A", "A")
+            errors.append(e.value)
+            assert spec.rule_defined("A", "A")
+        assert len({id(e) for e in errors}) == 3
+        assert {(str(e), e.message) for e in errors} == {(
+            "the product rule for (A, A) evaluates to a sort with no declared name; "
+            "value=b",
+            "the product rule for (A, A) evaluates to a sort with no declared name")}
+        assert len(normalized) == 1
+        # another name for the same sort term keeps its own message
+        with pytest.raises(UnknownSort, match=r"\(A2, A2\)"):
+            spec.rule_of("A2", "A2")

@@ -1,6 +1,7 @@
 """Smoke tests for the scripts under ``scripts/``, run through their ``main``."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -56,3 +57,21 @@ def test_cli_matrix_runs_repeat_byte_for_byte(tmp_path):
     assert first[Path("runs/007-encode/exit")] == b"0\n"
     assert Path("out/encode/typetype_finite_theory.dk") in first
     assert not any(str(tmp_path).encode() in data for data in first.values())
+
+
+def test_cli_matrix_records_the_morphism_file(tmp_path):
+    load("cli_matrix").run_matrix(tmp_path, systems=("systemf",))
+    [run] = (tmp_path / "runs").glob("*-morphism")
+    assert (run / "exit").read_text() == "0\n"
+    assert (tmp_path / "out/phi/systemf.map").read_text().strip()
+
+
+def test_depth_scaling_prints_one_record_per_depth(capsys):
+    assert load_main("depth_scaling")(["4", "8"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["n"] for r in records] == [4, 8]
+    for r in records:
+        assert set(r) == {"n", "elaborate_s", "translate_s", "check_s", "invert_s",
+                          "image_nodes", "check_ticks"}
+        assert all(r[k] >= 0 for k in r)
+    assert 0 < records[0]["image_nodes"] < records[1]["image_nodes"]
