@@ -107,49 +107,36 @@ def classify(theory: Theory, t: DkTerm) -> SyntacticClass:
 # --- rule right-hand-side shape analyses ------------------------------------
 
 
-def _ap_offender(theory: Theory, t: DkTerm) -> DkTerm | None:
-    """First subterm breaking the arity-preserving rhs grammar, if any.
+def _offender(theory: Theory, t: DkTerm, products: bool) -> DkTerm | None:
+    """First subterm breaking the rhs grammar, if any.
 
-    The grammar: a spine of applications and abstractions over a
-    type-level constant application; argument and annotation positions
-    are unconstrained.
+    The arity-preserving grammar: a spine of applications and
+    abstractions over a type-level constant application; argument and
+    annotation positions are unconstrained.  With ``products`` the
+    grammar also admits products.
     """
     match t:
         case Cons(c, _) if theory.decl(c) is not None and \
                 constant_level(theory, c) is ConstantLevel.TYPE_LEVEL:
             return None
         case App(f, _):
-            return _ap_offender(theory, f)
+            return _offender(theory, f, products)
         case Lam(_, _, body):
-            return _ap_offender(theory, body)
+            return _offender(theory, body, products)
+        case Pi(_, dom, cod) if products:
+            return _offender(theory, dom, products) or _offender(theory, cod, products)
         case _:
             return t
 
 
-def _wf_offender(theory: Theory, t: DkTerm) -> DkTerm | None:
-    """Like ``_ap_offender`` but the grammar also admits products."""
-    match t:
-        case Cons(c, _) if theory.decl(c) is not None and \
-                constant_level(theory, c) is ConstantLevel.TYPE_LEVEL:
-            return None
-        case App(f, _):
-            return _wf_offender(theory, f)
-        case Lam(_, _, body):
-            return _wf_offender(theory, body)
-        case Pi(_, dom, cod):
-            return _wf_offender(theory, dom) or _wf_offender(theory, cod)
-        case _:
-            return t
-
-
-def _rule_shape_diagnostics(theory: Theory, offender_of, code: str) -> list[Diagnostic]:
+def _rule_shape_diagnostics(theory: Theory, products: bool, code: str) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     for r in theory.rules:
         if theory.decl(r.head) is None:
             continue
         if constant_level(theory, r.head) is not ConstantLevel.TYPE_LEVEL:
             continue
-        bad = offender_of(theory, r.rhs)
+        bad = _offender(theory, r.rhs, products)
         if bad is None:
             continue
         data: dict = {"offending": bad}
@@ -174,12 +161,12 @@ def check_arity_preserving(theory: Theory) -> list[Diagnostic]:
     type family is stable under rewriting, which in turn funds the
     strong-normalization argument for beta on well-typed terms.
     """
-    return _rule_shape_diagnostics(theory, _ap_offender, "arity-violation")
+    return _rule_shape_diagnostics(theory, False, "arity-violation")
 
 
 def check_rules_well_formed(theory: Theory) -> list[Diagnostic]:
     """Weaker shape check admitting products on the right-hand side."""
-    return _rule_shape_diagnostics(theory, _wf_offender, "ill-formed-rule")
+    return _rule_shape_diagnostics(theory, True, "ill-formed-rule")
 
 
 # --- simple types and untyped lambda terms ----------------------------------

@@ -12,7 +12,8 @@ that stops a run, a malformed command line included, is one record too.
 Each input item (a judgment, one ``check`` line, a theory file's
 signature plus context, a judgments file's assumptions, a morphism)
 draws every step on one ``Fuel`` of ``--fuel`` steps; the ``--trace``
-replays get a budget of their own, so tracing never changes a verdict.
+replays run once the item has its verdict, on a budget of their own, so
+tracing never changes a verdict.
 """
 
 from __future__ import annotations
@@ -223,11 +224,12 @@ def _cmd_decode(args, rep: Reporter) -> None:
         f = Fuel(args.fuel)
         a = elaborate(enc.spec, ctx,
                       parse_pts_term(args.type, enc.spec, names, defs, "<--type>"), f)
+        m = conservative_invert(enc, ctx, t, a, f)
         if args.trace:
+            # replayed once the term has checked, so that it normalizes
             _, trail = reduce_trace(enc.theory, t, frozenset({BETA}), args.fuel)
             for label, step_t in trail:
                 rep.trace(f"--{label}--> {render(step_t, shown)}")
-        m = conservative_invert(enc, ctx, t, a, f)
         rep.result("decode", args.term, True, render(erase_to_pts(m), shown))
         return
     for j in file.judgments:

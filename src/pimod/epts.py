@@ -12,9 +12,12 @@ is the type-directed map from implicit to explicit syntax and
 
 Both layers are :class:`pimod.terms.Term` languages: each inner node
 states its subterms and binders in its own ``children`` method, and
-shifting, substitution, typing contexts, the redex search and the
-congruence descent of conversion come from :mod:`pimod.terms`'s one
-child map.
+shifting, substitution and typing contexts come from :mod:`pimod.terms`'s
+one child map.  Reduction runs on :mod:`pimod.rewrite`'s one engine,
+the framework's too: this module supplies only linearized beta at the
+root, labeled by its sort pair, and its own weak-head normalizer; the
+redex search, the trace loop and the congruence descent of conversion
+are the engine's.
 
 Sorts come from a :data:`SortSpec`: either a finite enumeration with
 explicit axiom/rule tables, or an internalized presentation where sorts
@@ -39,7 +42,7 @@ from .errors import (
     UnboundVariable,
     UnknownSort,
 )
-from .rewrite import Fuel, nf as dk_nf
+from .rewrite import Fuel, Root, congruent, nf as dk_nf, normalize, redexes
 from .terms import (
     TYPE,
     Children,
@@ -448,52 +451,36 @@ def erase_to_pts(t: EptsTerm) -> PtsTerm:
 # --- linearized beta reduction -------------------------------------------------
 
 
+def _beta_root(spec: SortSpec) -> Root:
+    """Linearized beta at the root, labeled by the redex's sort pair: it
+    fires when the application and abstraction agree on a sort pair that
+    has a product rule."""
+    def root(t: EptsTerm):
+        match t:
+            case EApp(s1, s2, _, _, _, ELam(t1, t2, _, _, _, body), arg) \
+                    if s1 == t1 and s2 == t2 and spec.rule_defined(s1, s2):
+                yield (s1, s2), subst(body, 0, arg)
+    return root
+
+
 def epts_redex(spec: SortSpec, t: EptsTerm) -> tuple[EptsTerm, tuple[str, str]] | None:
     """The leftmost-outermost linearized beta step with the sort pair of its
     redex, or None at a normal form.
 
-    The redex search visits the root first and then the annotation and
-    subject components in declaration order (domain, codomain, function
-    part, argument); this must stay aligned with the argument order of
-    the framework image of an application, because adequacy statements
-    compare reduction traces position by position.
+    The search visits the annotation and subject components in
+    declaration order (domain, codomain, function part, argument), the
+    argument order of the framework image of an application, so a
+    source step and its simulation contract at corresponding positions.
     """
-    match t:
-        case EApp(s1, s2, _, _, _, ELam(t1, t2, _, _, _, body), arg) \
-                if s1 == t1 and s2 == t2 and spec.rule_defined(s1, s2):
-            return subst(body, 0, arg), (s1, s2)
-    kids = [k for k, _ in t.children()]
-    for i, k in enumerate(kids):
-        r = epts_redex(spec, k)
-        if r is not None:
-            return t.with_children(kids[:i] + [r[0]] + kids[i + 1:]), r[1]
-    return None
-
-
-def epts_step(spec: SortSpec, t: EptsTerm) -> EptsTerm | None:
-    """One leftmost-outermost linearized beta step, or None at a normal form."""
-    r = epts_redex(spec, t)
-    return None if r is None else r[0]
-
-
-def epts_redex_sorts(spec: SortSpec, t: EptsTerm) -> tuple[str, str] | None:
-    """Sort pair of the redex that :func:`epts_step` would contract."""
-    r = epts_redex(spec, t)
-    return None if r is None else r[1]
+    r = next(redexes(_beta_root(spec), t), None)
+    return None if r is None else (r[2], r[1])
 
 
 def epts_reduce(spec: SortSpec, t: EptsTerm,
                 fuel: int | Fuel | None = None) -> tuple[EptsTerm, list[EptsTerm]]:
     """Normalize, returning the normal form and all intermediate terms."""
-    f = Fuel.of(fuel)
-    trail: list[EptsTerm] = []
-    while True:
-        s = epts_step(spec, t)
-        if s is None:
-            return t, trail
-        f.tick()
-        t = s
-        trail.append(t)
+    t, trace = normalize(_beta_root(spec), t, fuel)
+    return t, [u for _, u in trace]
 
 
 def epts_nf(spec: SortSpec, t: EptsTerm, fuel: int | Fuel | None = None) -> EptsTerm:
@@ -521,16 +508,7 @@ def epts_whnf(spec: SortSpec, t: EptsTerm, fuel: int | Fuel | None = None) -> Ep
 def epts_convertible(spec: SortSpec, a: EptsTerm, b: EptsTerm,
                      fuel: int | Fuel | None = None) -> bool:
     f = Fuel.of(fuel)
-
-    def go(x: EptsTerm, y: EptsTerm) -> bool:
-        x = epts_whnf(spec, x, f)
-        y = epts_whnf(spec, y, f)
-        if x == y:
-            return True
-        return x.same_node(y) and all(
-            go(p, q) for (p, _), (q, _) in zip(x.children(), y.children()))
-
-    return go(a, b)
+    return congruent(lambda u: epts_whnf(spec, u, f), a, b)
 
 
 # --- typing -------------------------------------------------------------------
@@ -571,37 +549,35 @@ def _sort_type(spec: SortSpec, s: str) -> ESort:
     return ESort(a)
 
 
+def _product(spec: SortSpec, ctx: EptsContext, m: EPi | ELam | EApp,
+             f: Fuel) -> EptsContext:
+    """What the typing rules of ``m``, a product, abstraction or application,
+    share: both sorts known, the domain at ``s1``, the codomain at ``s2``
+    under the binder, and a product rule for the pair.  Returns the
+    context under the binder."""
+    _known(spec, m.s1)
+    _known(spec, m.s2)
+    _e_check(spec, ctx, m.dom, ESort(m.s1), f)
+    inner = ctx.extend(m.hint, m.dom)
+    _e_check(spec, inner, m.cod, ESort(m.s2), f)
+    _require_rule(spec, m.s1, m.s2)
+    return inner
+
+
 def _e_infer(spec: SortSpec, ctx: EptsContext, m: EptsTerm, f: Fuel) -> EptsTerm:
     match m:
         case EVar(k):
             return ctx.type_of(k)
         case ESort(s):
             return _sort_type(spec, s)
-        case EPi(s1, s2, dom, h, cod):
-            _known(spec, s1)
-            _known(spec, s2)
-            _e_check(spec, ctx, dom, ESort(s1), f)
-            _e_check(spec, ctx.extend(h, dom), cod, ESort(s2), f)
-            s3 = spec.rule_of(s1, s2)
-            if s3 is None:
-                raise SideConditionFailed(
-                    f"no product rule for the sort pair ({s1}, {s2})")
-            return ESort(s3)
+        case EPi(s1, s2):
+            _product(spec, ctx, m, f)
+            return ESort(spec.rule_of(s1, s2))
         case ELam(s1, s2, dom, h, cod, body):
-            _known(spec, s1)
-            _known(spec, s2)
-            _e_check(spec, ctx, dom, ESort(s1), f)
-            inner = ctx.extend(h, dom)
-            _e_check(spec, inner, cod, ESort(s2), f)
-            _require_rule(spec, s1, s2)
-            _e_check(spec, inner, body, cod, f)
+            _e_check(spec, _product(spec, ctx, m, f), body, cod, f)
             return EPi(s1, s2, dom, h, cod)
         case EApp(s1, s2, dom, h, cod, fn, arg):
-            _known(spec, s1)
-            _known(spec, s2)
-            _e_check(spec, ctx, dom, ESort(s1), f)
-            _e_check(spec, ctx.extend(h, dom), cod, ESort(s2), f)
-            _require_rule(spec, s1, s2)
+            _product(spec, ctx, m, f)
             _e_check(spec, ctx, fn, EPi(s1, s2, dom, h, cod), f)
             _e_check(spec, ctx, arg, dom, f)
             return subst(cod, 0, arg)

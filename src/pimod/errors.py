@@ -107,11 +107,7 @@ class NotAProduct(PimodError):
     pass
 
 
-class ConversionFailure(PimodError):
-    pass
-
-
-class TypeMismatch(ConversionFailure):
+class TypeMismatch(PimodError):
     """Raised when checking a term against a type it does not have.
 
     ``expected`` and ``actual`` are both weak-head normal.

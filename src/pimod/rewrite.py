@@ -5,6 +5,13 @@ carries a label: the framework beta steps are labeled ``BETA`` and rule
 steps carry the rule's name, so normalization can be restricted to a
 subset of labels and traces can be replayed and inspected.
 
+The search, the trace loop and the congruence descent are written once,
+over the child map, for every term language that reduces: a language
+supplies only its ``root``, the labeled redexes at a term's root, to
+:func:`redexes` and :func:`normalize`, and its weak-head normalizer to
+:func:`congruent`.  The framework's root is beta and the theory's rules;
+:mod:`pimod.epts` supplies linearized beta, labeled by its sort pair.
+
 ``step``/``nf`` follow the leftmost-outermost strategy on the term as
 written.  ``whnf`` additionally evaluates constant arguments on demand
 while matching, which is what conversion checking needs: a rule whose
@@ -14,15 +21,18 @@ pattern inspects an argument position must see that argument's head.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import Diagnostic, FuelExhausted
 from .terms import (
-    App, Cons, DkTerm, Lam, Meta, RewriteRule, Theory,
+    App, Cons, DkTerm, Lam, Meta, RewriteRule, Term, Theory,
     instantiate, map_leaves, repeated_metas, subst,
 )
 
 BETA = "β"
+
+# the (label, reduct) pairs of the redexes at a term's root
+Root = Callable[[Term], Iterable[tuple[object, Term]]]
 
 DEFAULT_FUEL = 1_000_000
 
@@ -83,27 +93,66 @@ def _match_rule(rule: RewriteRule, args: tuple[DkTerm, ...]) -> dict[str, DkTerm
     return env
 
 
-def _redexes(theory: Theory, t: DkTerm,
-             labels: frozenset[str] | None) -> Iterator[tuple[tuple[int, ...], str, DkTerm]]:
-    """Lazily, every one-step reduct of ``t`` whose label lies in ``labels``
-    (all if None), leftmost-outermost first, as (position, label, reduct).
+def redexes(root: Root, t: Term) -> Iterator[tuple[tuple[int, ...], object, Term]]:
+    """Lazily, every one-step reduct of ``t``, leftmost-outermost first, as
+    (position, label, reduct).
 
-    Positions are child-index paths in the order ``children()`` lists them.
+    ``root(u)`` lists the (label, reduct) pairs of the redexes at ``u``'s
+    root.  The root comes before its children, and the children in the
+    order ``children()`` lists them; positions are child-index paths in
+    that order.
     """
-    match t:
-        case App(Lam(_, _, body), arg):
-            if labels is None or BETA in labels:
-                yield (), BETA, subst(body, 0, arg)
-        case Cons(c, args):
-            for rule in theory.rules_for(c):
-                if labels is None or rule.name in labels:
-                    env = _match_rule(rule, args)
-                    if env is not None:
-                        yield (), rule.name, instantiate(rule.rhs, env)
+    for label, red in root(t):
+        yield (), label, red
     kids = [k for k, _ in t.children()]
     for i, k in enumerate(kids):
-        for path, label, red in _redexes(theory, k, labels):
+        for path, label, red in redexes(root, k):
             yield (i, *path), label, t.with_children(kids[:i] + [red] + kids[i + 1:])
+
+
+def normalize(root: Root, t: Term,
+              fuel: int | Fuel | None = None) -> tuple[Term, list[tuple[object, Term]]]:
+    """Contract the first of :func:`redexes` until there is none, one tick
+    of ``fuel`` per step; the normal form and the labeled trace."""
+    f = Fuel.of(fuel)
+    trace: list[tuple[object, Term]] = []
+    while True:
+        r = next(redexes(root, t), None)
+        if r is None:
+            return t, trace
+        f.tick()
+        t = r[2]
+        trace.append((r[1], t))
+
+
+def congruent(whnf: Callable[[Term], Term], a: Term, b: Term) -> bool:
+    """Are ``a`` and ``b`` equal after ``whnf`` at the root and at every
+    pair of corresponding children, descending while the nodes agree?"""
+    a = whnf(a)
+    b = whnf(b)
+    if a == b:
+        return True
+    return a.same_node(b) and all(
+        congruent(whnf, p, q) for (p, _), (q, _) in zip(a.children(), b.children()))
+
+
+def _rule_root(theory: Theory, labels: frozenset[str] | set[str] | None) -> Root:
+    """The framework's root redexes: beta, then the theory's rules in
+    order, those whose label lies in ``labels`` (all if None)."""
+    beta = labels is None or BETA in labels
+
+    def root(t: DkTerm):
+        match t:
+            case App(Lam(_, _, body), arg) if beta:
+                yield BETA, subst(body, 0, arg)
+            case Cons(c, args):
+                for rule in theory.rules_for(c):
+                    if labels is None or rule.name in labels:
+                        env = _match_rule(rule, args)
+                        if env is not None:
+                            yield rule.name, instantiate(rule.rhs, env)
+
+    return root
 
 
 def step(theory: Theory, t: DkTerm, labels: frozenset[str] | set[str] | None = None) -> tuple[DkTerm, str] | None:
@@ -112,9 +161,7 @@ def step(theory: Theory, t: DkTerm, labels: frozenset[str] | set[str] | None = N
     Returns the contracted term and the step's label, or None when no
     such redex exists.
     """
-    if labels is not None and not isinstance(labels, frozenset):
-        labels = frozenset(labels)
-    r = next(_redexes(theory, t, labels), None)
+    r = next(redexes(_rule_root(theory, labels), t), None)
     return None if r is None else (r[2], r[1])
 
 
@@ -122,10 +169,9 @@ def reducts(theory: Theory, t: DkTerm) -> list[tuple[tuple[int, ...], str, DkTer
     """All one-step reducts of ``t`` at every position, with labels.
 
     Positions are child-index paths, listed leftmost-outermost first; the
-    first entry whose label passes a filter is the step :func:`step` takes,
-    so normalization and confluence sampling share one redex search.
+    first entry whose label passes a filter is the step :func:`step` takes.
     """
-    return list(_redexes(theory, t, None))
+    return list(redexes(_rule_root(theory, None), t))
 
 
 def reduce_trace(
@@ -135,15 +181,7 @@ def reduce_trace(
     fuel: int | Fuel | None = None,
 ) -> tuple[DkTerm, list[tuple[str, DkTerm]]]:
     """Normalize under the label filter, returning the labeled trace."""
-    f = Fuel.of(fuel)
-    trace: list[tuple[str, DkTerm]] = []
-    while True:
-        s = step(theory, t, labels)
-        if s is None:
-            return t, trace
-        f.tick()
-        t = s[0]
-        trace.append((s[1], t))
+    return normalize(_rule_root(theory, labels), t, fuel)
 
 
 def nf(
@@ -235,16 +273,7 @@ def convertible(theory: Theory, a: DkTerm, b: DkTerm, fuel: int | Fuel | None = 
     establishes before relying on it.
     """
     f = Fuel.of(fuel)
-
-    def go(x: DkTerm, y: DkTerm) -> bool:
-        x = whnf(theory, x, f)
-        y = whnf(theory, y, f)
-        if x == y:
-            return True
-        return x.same_node(y) and all(
-            go(p, q) for (p, _), (q, _) in zip(x.children(), y.children()))
-
-    return go(a, b)
+    return congruent(lambda u: whnf(theory, u, f), a, b)
 
 
 # --- overlap analysis -------------------------------------------------------

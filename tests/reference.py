@@ -28,6 +28,12 @@ derives: it re-infers each domain, the body of every abstraction and
 both parts of every application from the explicit term it has just
 built.
 
+``_redexes``, ``step``, ``epts_redex``, ``epts_step`` and ``epts_reduce``
+are the framework's and the source language's own redex searches and
+trace loop, from before both ran on ``pimod.rewrite``'s one engine.
+They are copied as they were, except that they substitute with the
+hand-written ``subst``, ``instantiate`` and ``epts_subst`` above.
+
 ``convertible``, ``epts_convertible`` and ``hidden_equiv`` descend
 through congruences with one hand-written case per constructor, and
 ``build_phi`` lays out the target of each constant family with one case
@@ -44,7 +50,7 @@ the way the library's entry points do.
 """
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from pimod.analysis import SApp, SConst, SLam, StlcTerm, SVar
 from pimod.encode import EncodingTheory
@@ -54,7 +60,7 @@ from pimod.epts import (EApp, ELam, EPi, EptsContext, ESort, EptsTerm, EVar, PAp
 from pimod.errors import (Diagnostic, NotAProduct, NotInvertible, PimodError,
                           UnboundVariable, UnknownSort, UnrepresentableSort)
 from pimod.morphism import TheoryMorphism
-from pimod.rewrite import Fuel, OrthogonalityReport, whnf
+from pimod.rewrite import BETA, Fuel, OrthogonalityReport, _match_rule, whnf
 from pimod.syntax import KEYWORDS, _fresh, _Parser, _var_name, lex
 from pimod.terms import (KIND, TYPE, App, Cons, DkTerm, Kind, Lam, Meta, Pi, Theory,
                          Type, Var, arrow, map_leaves, subterms)
@@ -378,6 +384,83 @@ def check_orthogonal(theory: Theory) -> OrthogonalityReport:
                 else:
                     report.problems.append(diag)
     return report
+
+
+def _redexes(theory: Theory, t: DkTerm,
+             labels: frozenset[str] | None) -> Iterator[tuple[tuple[int, ...], str, DkTerm]]:
+    """Lazily, every one-step reduct of ``t`` whose label lies in ``labels``
+    (all if None), leftmost-outermost first, as (position, label, reduct).
+
+    Positions are child-index paths in the order ``children()`` lists them.
+    """
+    match t:
+        case App(Lam(_, _, body), arg):
+            if labels is None or BETA in labels:
+                yield (), BETA, subst(body, 0, arg)
+        case Cons(c, args):
+            for rule in theory.rules_for(c):
+                if labels is None or rule.name in labels:
+                    env = _match_rule(rule, args)
+                    if env is not None:
+                        yield (), rule.name, instantiate(rule.rhs, env)
+    kids = [k for k, _ in t.children()]
+    for i, k in enumerate(kids):
+        for path, label, red in _redexes(theory, k, labels):
+            yield (i, *path), label, t.with_children(kids[:i] + [red] + kids[i + 1:])
+
+
+def step(theory: Theory, t: DkTerm, labels: frozenset[str] | set[str] | None = None) -> tuple[DkTerm, str] | None:
+    """One leftmost-outermost step whose label lies in ``labels`` (all if None).
+
+    Returns the contracted term and the step's label, or None when no
+    such redex exists.
+    """
+    if labels is not None and not isinstance(labels, frozenset):
+        labels = frozenset(labels)
+    r = next(_redexes(theory, t, labels), None)
+    return None if r is None else (r[2], r[1])
+
+
+def epts_redex(spec: SortSpec, t: EptsTerm) -> tuple[EptsTerm, tuple[str, str]] | None:
+    """The leftmost-outermost linearized beta step with the sort pair of its
+    redex, or None at a normal form.
+
+    The redex search visits the root first and then the annotation and
+    subject components in declaration order (domain, codomain, function
+    part, argument); this must stay aligned with the argument order of
+    the framework image of an application, because adequacy statements
+    compare reduction traces position by position.
+    """
+    match t:
+        case EApp(s1, s2, _, _, _, ELam(t1, t2, _, _, _, body), arg) \
+                if s1 == t1 and s2 == t2 and spec.rule_defined(s1, s2):
+            return epts_subst(body, 0, arg), (s1, s2)
+    kids = [k for k, _ in t.children()]
+    for i, k in enumerate(kids):
+        r = epts_redex(spec, k)
+        if r is not None:
+            return t.with_children(kids[:i] + [r[0]] + kids[i + 1:]), r[1]
+    return None
+
+
+def epts_step(spec: SortSpec, t: EptsTerm) -> EptsTerm | None:
+    """One leftmost-outermost linearized beta step, or None at a normal form."""
+    r = epts_redex(spec, t)
+    return None if r is None else r[0]
+
+
+def epts_reduce(spec: SortSpec, t: EptsTerm,
+                fuel: int | Fuel | None = None) -> tuple[EptsTerm, list[EptsTerm]]:
+    """Normalize, returning the normal form and all intermediate terms."""
+    f = Fuel.of(fuel)
+    trail: list[EptsTerm] = []
+    while True:
+        s = epts_step(spec, t)
+        if s is None:
+            return t, trail
+        f.tick()
+        t = s
+        trail.append(t)
 
 
 def convertible(theory: Theory, a: DkTerm, b: DkTerm, fuel: int | Fuel | None = None) -> bool:

@@ -17,7 +17,7 @@ from pimod.analysis import (check_arity_preserving, check_rules_well_formed,
 from pimod.corpus import load_cases, read_text
 from pimod.decode import conservative_invert, invert
 from pimod.encode import expected_dk_type, generate, translate, translate_ctx
-from pimod.epts import elaborate, elaborate_context, epts_redex_sorts, epts_step
+from pimod.epts import elaborate, elaborate_context, epts_redex
 from pimod.kernel import check as dk_check, infer as dk_infer
 from pimod.morphism import apply_morphism, build_phi, verify_morphism
 from pimod.rewrite import BETA, convertible, reduce_trace, reducts, step
@@ -101,8 +101,8 @@ def _computation(prepared):
                                          enc.simulation_labels())
             src = []
             cur = m
-            while (sorts := epts_redex_sorts(enc.spec, cur)) is not None:
-                cur = epts_step(enc.spec, cur)
+            while (r := epts_redex(enc.spec, cur)) is not None:
+                cur, sorts = r
                 src.append((sorts, cur))
             assert len(trail) == 2 * len(src), f"{case.label}/{name}"
             for i, (sorts, mi) in enumerate(src):

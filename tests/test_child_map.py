@@ -3,11 +3,16 @@
 ``reference`` spells shifting and substitution out constructor by
 constructor, once per term language; the library derives them for all
 four languages from the ``children``/``with_children`` methods of the
-node classes.  ``step`` and ``reducts`` share one redex search, so the
-step under a label filter must be the first reduct the filter admits.
-The congruence descents of ``convertible``, ``epts_convertible`` and
-``hidden_equiv`` follow the child map too; they must give the same
-answer as the per-constructor versions and spend the same fuel.
+node classes.  The reduction engine of ``pimod.rewrite`` searches for
+redexes, normalizes and descends through congruences over the child
+map, for framework and source terms alike.  ``step`` and ``reducts``
+must give the positions, labels and reducts of the framework's former
+search, and the step under a label filter must be the first reduct the
+filter admits; ``epts_redex`` and ``epts_reduce`` must give the reduct,
+sort pair, trail and fuel ticks of the source language's former search
+and trace loop.  The congruence descents of ``convertible``,
+``epts_convertible`` and ``hidden_equiv`` must give the same answer as
+the per-constructor versions and spend the same fuel.
 Every node class, found through ``__subclasses__``, must list exactly
 its term-valued fields as children, so a constructor without a child
 map cannot be skipped silently.
@@ -17,20 +22,20 @@ import dataclasses
 import random
 import typing
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import reference as ref
 from pimod.decode import hidden_equiv
 from pimod.encode import EncodingTheory
-from pimod.epts import epts_convertible, epts_step
+from pimod.epts import EApp, ELam, EVar, epts_convertible, epts_redex, epts_reduce
 from pimod.errors import FuelExhausted
 from pimod.rewrite import BETA, Fuel, convertible, reducts, step
 from pimod.terms import (Cons, Lam, Meta, RewriteRule, Term, Var, Variable,
                          instantiate, shift, subst, subst_many, subterms)
 from strategies import (META_NAMES, PARSE_THEORY, dk_terms, epts_terms,
                         pts_terms, stlc_terms)
-from systems import SYSTEM_F
+from systems import SYSTEM_F, SYSTEM_F_INT
 from termgen import GEN_THEORY, gen_judgment
 
 SMALL = st.integers(0, 2)
@@ -161,19 +166,26 @@ class TestCompleteness:
             _check_child_map(u)
 
 
+# rule labels of GEN_THEORY and of CONV_THEORY below
 LABEL_SETS = (None, frozenset({BETA}), frozenset({"plus-z"}), frozenset({"plus-s"}),
-              frozenset({BETA, "plus-s"}), frozenset())
+              frozenset({BETA, "plus-s"}), frozenset({"g-c"}), frozenset({BETA, "h-g"}),
+              frozenset())
+
+
+def _check_redex_search(theory, t):
+    all_reducts = reducts(theory, t)
+    assert all_reducts == list(ref._redexes(theory, t, None))
+    for labels in LABEL_SETS:
+        first = next(((u, label) for _, label, u in all_reducts
+                      if labels is None or label in labels), None)
+        assert step(theory, t, labels) == first == ref.step(theory, t, labels)
 
 
 def test_step_is_first_admitted_reduct():
     rng = random.Random(11)
     for _ in range(150):
         _, t, _ = gen_judgment(rng, depth=6)
-        all_reducts = reducts(GEN_THEORY, t)
-        for labels in LABEL_SETS:
-            first = next(((u, label) for _, label, u in all_reducts
-                          if labels is None or label in labels), None)
-            assert step(GEN_THEORY, t, labels) == first
+        _check_redex_search(GEN_THEORY, t)
 
 
 # the constants of ``dk_terms`` with two rules, so that whnf rewrites
@@ -182,6 +194,11 @@ CONV_THEORY = PARSE_THEORY.extended(rules=(
     RewriteRule("h2", (Meta("M"), Meta("N")), Cons("g1", (Meta("N"),)), name="h-g"),
 ))
 CONV_ENC = EncodingTheory(CONV_THEORY, SYSTEM_F, "finite")
+
+
+@given(dk_terms())
+def test_step_is_first_admitted_reduct_of_raw_terms(t):
+    _check_redex_search(CONV_THEORY, t)
 
 
 def _outcome(fn, *args):
@@ -208,6 +225,33 @@ def _dk_reduct(t):
     return None if s is None else s[0]
 
 
+# (Type, Kind) has no product rule in System F, so its redexes are stuck
+PAIRS = (("Type", "Type"), ("Kind", "Type"), ("Type", "Kind"))
+
+
+def _redex(p, dom, cod, body, arg):
+    return EApp(*p, dom, "x", cod, ELam(*p, dom, "x", cod, body), arg)
+
+
+# raw annotated terms with beta redexes at the root and inside, since
+# ``epts_terms`` alone rarely builds one
+REDEX_TERMS = st.recursive(
+    epts_terms(pairs=PAIRS),
+    lambda ch: st.builds(_redex, st.sampled_from(PAIRS), ch, ch, ch, ch),
+    max_leaves=12)
+
+
+# (lam x. x x) (lam x. x x), annotated so that each step fires: never normal
+_SELF = ELam("Type", "Type", EVar(0), "x", EVar(1),
+             EApp("Type", "Type", EVar(1), "y", EVar(2), EVar(0), EVar(0)))
+OMEGA = EApp("Type", "Type", EVar(0), "x", EVar(1), _SELF, _SELF)
+
+
+def _epts_reduct(t):
+    r = epts_redex(SYSTEM_F, t)
+    return None if r is None else r[0]
+
+
 class TestCongruence:
     @given(dk_terms(), dk_terms())
     def test_convertible(self, a, b):
@@ -226,8 +270,17 @@ class TestCongruence:
             assert _outcome(hidden_equiv, CONV_ENC, x, y) == \
                 _outcome(ref.hidden_equiv, CONV_ENC, x, y)
 
-    @given(epts_terms(), epts_terms())
+    @given(REDEX_TERMS, epts_terms())
     def test_epts_convertible(self, a, b):
-        for x, y in _pairs(a, b, lambda t: epts_step(SYSTEM_F, t)):
+        for x, y in _pairs(a, b, _epts_reduct):
             assert _outcome(epts_convertible, SYSTEM_F, x, y) == \
                 _outcome(ref.epts_convertible, SYSTEM_F, x, y)
+
+
+class TestSourceReduction:
+    @given(REDEX_TERMS)
+    @example(OMEGA)
+    def test_epts_redex_and_reduce(self, t):
+        for spec in (SYSTEM_F, SYSTEM_F_INT):
+            assert epts_redex(spec, t) == ref.epts_redex(spec, t)
+            assert _outcome(epts_reduce, spec, t) == _outcome(ref.epts_reduce, spec, t)

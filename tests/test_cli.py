@@ -7,6 +7,7 @@ import pytest
 
 import pimod.corpus
 from pimod.cli import main
+from pimod.corpus import CORPUS_NAMES, load_sorts
 from pimod.errors import InternalSoundnessError
 from test_syntax import JUDGMENTS_SRC, SORTS_SRC
 
@@ -321,6 +322,43 @@ class TestAnalyze:
             assert main([cmd, str(f)]) == 1
             out = capsys.readouterr().out
             assert out.count("non-left-linear") == 1, cmd
+
+# self-application at a base type: ill-typed, and its beta-reduction loops
+OMEGA = "(lam x : U@Type. x x) (lam x : U@Type. x x)"
+
+
+class TestTraceNeverChangesAVerdict:
+    """``--trace`` only adds lines to stderr: stdout and the exit code are
+    those of the same run without it."""
+
+    @staticmethod
+    def _same(argv, capsys):
+        plain = main(argv), capsys.readouterr().out
+        traced = main(argv + ["--trace"]), capsys.readouterr().out
+        assert traced == plain, argv
+        return plain
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_bundled_systems(self, name, tmp_path, capsys):
+        sf = load_sorts(name)
+        sorts, epts = str(CORPUS_DIR / f"{name}.sorts"), str(CORPUS_DIR / f"{name}.epts")
+        for mode, spec in (("finite", sf.finite), ("internalized", sf.internalized)):
+            if spec is None:
+                continue
+            for cmd in (["check-epts"], ["encode", "--out", str(tmp_path)],
+                        ["decode"], ["roundtrip"]):
+                self._same([cmd[0], sorts, epts, "--mode", mode, *cmd[1:]], capsys)
+
+    @pytest.mark.parametrize("cmd", ["check-dk", "analyze"])
+    def test_traditional_encoding(self, cmd, capsys):
+        self._same([cmd, BAD_DK], capsys)
+
+    def test_decode_of_an_ill_typed_term(self, capsys):
+        # the replay of a term that does not check would never finish
+        code, out = self._same(["decode", SYSTEMF_SORTS, SYSTEMF_EPTS, "--term", OMEGA,
+                                "--type", "C", "--fuel", "2000"], capsys)
+        assert code == 1 and out.startswith("FAIL  NotAProduct")
+
 
 class TestShadowedNames:
     """An assumption that reuses an earlier name prints primed, the way a

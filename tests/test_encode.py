@@ -18,7 +18,7 @@ from pimod.encode import (EncodingTheory, INTERNAL_CORE, expected_dk_type,
                           translate_ctx)
 from pimod.epts import (EApp, ELam, EPi, ESort, EVar, EptsContext,
                         InternalizedSortSpec, PApp, PVar, elaborate,
-                        epts_step)
+                        epts_redex)
 from pimod.errors import PimodError, UnknownSort
 from pimod.kernel import check, check_signature, infer
 from pimod.rewrite import BETA, check_orthogonal, convertible, nf, reduce_trace
@@ -280,9 +280,9 @@ class TestSimulation:
             ["beta@Kind@Type", BETA, "beta@Type@Type", BETA]
 
         # after one simulated step the image is the image of one source step
-        t2 = epts_step(SYSTEM_F, t)
+        t2 = epts_redex(SYSTEM_F, t)[0]
         assert trace[1][1] == translate(SF_ENC, t2)
-        t3 = epts_step(SYSTEM_F, t2)
+        t3 = epts_redex(SYSTEM_F, t2)[0]
         assert trace[3][1] == translate(SF_ENC, t3)
 
     def test_internalized_labels_are_uniform(self):

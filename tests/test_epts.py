@@ -13,8 +13,8 @@ from pimod.epts import (EApp, ELam, EPi, ESort, EVar, EptsContext,
                         FiniteSortSpec, InternalizedSortSpec, PApp, PLam, PPi,
                         PSort, PVar, check_epts_context, elaborate,
                         elaborate_context, epts_check, epts_convertible,
-                        epts_infer, epts_nf, epts_redex_sorts, epts_reduce,
-                        epts_step, epts_whnf, erase_to_pts, sort_of_type)
+                        epts_infer, epts_nf, epts_redex, epts_reduce,
+                        epts_whnf, erase_to_pts, sort_of_type)
 from pimod.errors import (ElaborationFailed, NonFunctionalSpec, NotAProduct,
                           PimodError, SideConditionFailed, TopSortHasNoType,
                           TypeMismatch, UnboundVariable, UnknownSort)
@@ -141,20 +141,21 @@ class TestLinearizedBeta:
 
     def test_redex_sort_pairs_in_order(self):
         t = id_applied()
-        assert epts_redex_sorts(SYSTEM_F, t) == ("Kind", "Type")
-        t2 = epts_step(SYSTEM_F, t)
-        assert epts_redex_sorts(SYSTEM_F, t2) == ("Type", "Type")
-        assert epts_redex_sorts(SYSTEM_F, epts_step(SYSTEM_F, t2)) is None
+        t2, sorts = epts_redex(SYSTEM_F, t)
+        assert sorts == ("Kind", "Type")
+        t3, sorts = epts_redex(SYSTEM_F, t2)
+        assert sorts == ("Type", "Type")
+        assert epts_redex(SYSTEM_F, t3) is None
 
     def test_annotation_mismatch_blocks_contraction(self):
         lam = ELam("Type", "Type", EVar(0), "x", EVar(1), EVar(0))
         stuck = EApp("Kind", "Type", EVar(0), "x", EVar(1), lam, EVar(0))
-        assert epts_step(SYSTEM_F, stuck) is None
+        assert epts_redex(SYSTEM_F, stuck) is None
 
     def test_missing_rule_blocks_contraction(self):
         lam = ELam("Type", "Kind", EVar(0), "x", ESort("Type"), ESort("Type"))
         stuck = EApp("Type", "Kind", EVar(0), "x", ESort("Type"), lam, EVar(0))
-        assert epts_step(SYSTEM_F, stuck) is None
+        assert epts_redex(SYSTEM_F, stuck) is None
 
     def test_whnf_ignores_annotations(self):
         t = id_applied()
