@@ -20,12 +20,20 @@ absolute one.  Two OUT_DIRs therefore compare with ``diff -r``: the diff
 is empty when the two checkouts behave the same.  To compare with
 another commit, copy this script into that checkout and run it there.
 
+``OUT_DIR/digest.sha256`` sums the matrix up in one line per run: the
+run number, the command line as JSON, the exit code, and one SHA-256
+over the run's stdout, its stderr and each file it wrote under
+``OUT_DIR/out/`` (with the file's path).  ``tests/golden/cli_matrix.sha256``
+is this file for the checked-in code; a change that alters output on
+purpose regenerates it by running the script and copying the digest.
+
 Usage:
     python3 scripts/cli_matrix.py OUT_DIR
 """
 
 import argparse
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -52,9 +60,27 @@ def emit_theories_main():
     return module.main
 
 
+def written_files() -> dict[str, bytes]:
+    """Every file under ``out/`` in the current directory, by path."""
+    return {str(p): p.read_bytes() for p in sorted(Path("out").rglob("*")) if p.is_file()}
+
+
+def run_digest(stdout: str, stderr: str, files: dict[str, bytes]) -> str:
+    """One SHA-256 over a run's output streams and the files it wrote,
+    each part framed by its name and length."""
+    h = hashlib.sha256()
+    parts = [("stdout", stdout.encode()), ("stderr", stderr.encode())]
+    for name, data in parts + sorted(files.items()):
+        h.update(f"{name}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
 def record(n: int, label: str, fn, argv: list[str]) -> None:
     """Run ``fn(argv)`` as run number ``n`` and keep what it prints and
-    returns in ``runs/<n>-<label>/`` under the current directory."""
+    returns in ``runs/<n>-<label>/`` under the current directory, and
+    its line in ``digest.sha256``."""
+    before = written_files()
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
@@ -68,6 +94,10 @@ def record(n: int, label: str, fn, argv: list[str]) -> None:
     (run / "stdout").write_text(stdout.getvalue())
     (run / "stderr").write_text(stderr.getvalue())
     (run / "exit").write_text(code + "\n")
+    written = {p: data for p, data in written_files().items() if before.get(p) != data}
+    digest = run_digest(stdout.getvalue(), stderr.getvalue(), written)
+    with open("digest.sha256", "a") as out:
+        out.write(f"{n:03d} {json.dumps(argv)} {code} {digest}\n")
 
 
 def corpus_commands(systems) -> list[list[str]]:

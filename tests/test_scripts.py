@@ -75,3 +75,21 @@ def test_depth_scaling_prints_one_record_per_depth(capsys):
                           "image_nodes", "check_ticks"}
         assert all(r[k] >= 0 for k in r)
     assert 0 < records[0]["image_nodes"] < records[1]["image_nodes"]
+
+
+def test_cli_matrix_output_matches_the_golden_digest(tmp_path):
+    """Every run of the full matrix prints and writes what the checked-in
+    digest records; a change that alters output on purpose regenerates
+    ``tests/golden/cli_matrix.sha256`` and says why."""
+    load("cli_matrix").run_matrix(tmp_path)
+    golden = Path(__file__).resolve().parent / "golden" / "cli_matrix.sha256"
+
+    def runs(path: Path) -> dict[str, str]:
+        return {line.split(" ", 1)[0]: line for line in path.read_text().splitlines()}
+
+    want, got = runs(golden), runs(tmp_path / "digest.sha256")
+    differ = sorted(n for n in want.keys() | got.keys() if want.get(n) != got.get(n))
+    assert not differ, (
+        "runs whose output differs from tests/golden/cli_matrix.sha256 "
+        "(diff their trees against the parent's with scripts/cli_matrix.py): "
+        + "; ".join(got.get(n) or want[n] for n in differ))
