@@ -6,9 +6,11 @@ in finite System F (the bundled ``systemf.sorts``), in the empty
 context.  It is elaborated, its elaboration translated, the image
 checked by the kernel against the image of its type, and the image
 conservatively inverted.  One JSON line per N gives the seconds each of
-those four stages took, the number of nodes of the image, and the fuel
-ticks of the kernel check.  The type the image is checked against is
-inferred outside the timed stages.
+those four stages took, the number of nodes of the image as a tree
+(``image_nodes``) and as distinct objects (``image_distinct``: the image
+shares what elaboration shares), and the fuel ticks of the kernel check
+and of the inversion, whose own kernel check is among them.  The type
+the image is checked against is inferred outside the timed stages.
 
 The stages recurse once per binder, so the recursion limit is raised
 to 40 frames per binder of the largest N.
@@ -43,6 +45,18 @@ def depth_term(n: int):
     return PLam("C", PSort("Type"), t)
 
 
+def distinct_nodes(t) -> int:
+    """The number of distinct node objects in ``t``."""
+    seen = {}
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if id(u) not in seen:
+            seen[id(u)] = u
+            stack.extend(k for k, _ in u.children())
+    return len(seen)
+
+
 def timed(fn, *args):
     start = time.perf_counter()
     out = fn(*args)
@@ -57,13 +71,16 @@ def measure(enc, n: int) -> dict:
     fuel = Fuel()
     _, check_s = timed(check, enc.theory, translate_ctx(enc, ctx), img,
                        expected_dk_type(enc, ctx, a), fuel)
-    back, invert_s = timed(conservative_invert, enc, ctx, img, a)
+    invert_fuel = Fuel()
+    back, invert_s = timed(conservative_invert, enc, ctx, img, a, invert_fuel)
     if back != m:
         raise SystemExit(f"depth {n}: the image inverts to a different term")
     return {"n": n, "elaborate_s": elaborate_s, "translate_s": translate_s,
             "check_s": check_s, "invert_s": invert_s,
             "image_nodes": sum(1 for _ in subterms(img)),
-            "check_ticks": fuel.limit - fuel.remaining}
+            "image_distinct": distinct_nodes(img),
+            "check_ticks": fuel.limit - fuel.remaining,
+            "invert_ticks": invert_fuel.limit - invert_fuel.remaining}
 
 
 def positive(text):

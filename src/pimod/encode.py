@@ -275,38 +275,73 @@ def translate(enc: EncodingTheory, m: EptsTerm) -> DkTerm:
     Variables keep their indices, so the image of a judgment lives over
     the pointwise-translated context.  Substitution commutes with this
     map syntactically: translate(M)[translate(N)/x] == translate(M[N/x]).
+
+    The image shares what elaboration shares: a source node object that
+    occurs twice has one image object, and so has the ``El`` annotation
+    at one sort over one domain image, so the image is a graph no larger
+    than the source term's.
     """
-    match m:
-        case EVar(k):
-            return Var(k)
-        case ESort(s):
-            return enc.family("u", (s,), ())
-        case EPi(s1, s2, dom, h, cod):
-            da = translate(enc, dom)
-            ann = enc.family("El", (s1,), (da,))
-            return enc.family("Prod", (s1, s2), (da, Lam(h, ann, translate(enc, cod))))
-        case ELam(s1, s2, dom, h, cod, body):
-            da = translate(enc, dom)
-            ann = enc.family("El", (s1,), (da,))
-            return enc.family("abs", (s1, s2), (da, Lam(h, ann, translate(enc, cod)),
-                                                Lam(h, ann, translate(enc, body))))
-        case EApp(s1, s2, dom, h, cod, fn, arg):
-            da = translate(enc, dom)
-            ann = enc.family("El", (s1,), (da,))
-            return enc.family("app", (s1, s2), (da, Lam(h, ann, translate(enc, cod)),
-                                                translate(enc, fn), translate(enc, arg)))
-    raise PimodError(f"cannot translate {m!r}")
+    return _Translation(enc).term(m)
+
+
+class _Translation:
+    """One call's translation, with its memo tables: images by source node
+    object and ``El`` annotations by (sort, domain image object)."""
+
+    __slots__ = ("enc", "images", "anns")
+
+    def __init__(self, enc: EncodingTheory):
+        self.enc = enc
+        self.images: dict[int, tuple[EptsTerm, DkTerm]] = {}
+        self.anns: dict[tuple[str, int], DkTerm] = {}
+
+    def term(self, m: EptsTerm) -> DkTerm:
+        hit = self.images.get(id(m))
+        if hit is not None:
+            return hit[1]
+        img = self._image(m)
+        self.images[id(m)] = (m, img)   # keeps m alive, so its id stays its own
+        return img
+
+    def el(self, s: str, a: EptsTerm) -> DkTerm:
+        """``El`` at ``s`` of the image of the type ``a``."""
+        da = self.term(a)
+        key = (s, id(da))
+        ann = self.anns.get(key)
+        if ann is None:
+            ann = self.anns[key] = self.enc.family("El", (s,), (da,))
+        return ann
+
+    def _image(self, m: EptsTerm) -> DkTerm:
+        enc = self.enc
+        match m:
+            case EVar(k):
+                return Var(k)
+            case ESort(s):
+                return enc.family("u", (s,), ())
+            case EPi(s1, s2, dom, h, cod):
+                ann = self.el(s1, dom)
+                return enc.family("Prod", (s1, s2), (self.term(dom), Lam(h, ann, self.term(cod))))
+            case ELam(s1, s2, dom, h, cod, body):
+                ann = self.el(s1, dom)
+                return enc.family("abs", (s1, s2), (self.term(dom), Lam(h, ann, self.term(cod)),
+                                                    Lam(h, ann, self.term(body))))
+            case EApp(s1, s2, dom, h, cod, fn, arg):
+                ann = self.el(s1, dom)
+                return enc.family("app", (s1, s2), (self.term(dom), Lam(h, ann, self.term(cod)),
+                                                    self.term(fn), self.term(arg)))
+        raise PimodError(f"cannot translate {m!r}")
 
 
 def translate_ctx(enc: EncodingTheory, ctx: EptsContext,
                   fuel: int | Fuel | None = None) -> DkContext:
     """Pointwise image of a context; each entry lands in its decoding family."""
     f = Fuel.of(fuel)
+    tr = _Translation(enc)
     out = DkContext()
     prefix = EptsContext()
     for hint, a in ctx.entries:
-        s = sort_of_type(enc.spec, prefix, a, f)
-        out = out.extend(hint, enc.family("El", (s,), (translate(enc, a),)))
+        out = out.extend(hint, tr.el(sort_of_type(enc.spec, prefix, a, f), a))
         prefix = prefix.extend(hint, a)
     return out
 
@@ -323,5 +358,4 @@ def expected_dk_type(enc: EncodingTheory, ctx: EptsContext, a: EptsTerm,
     match a:
         case ESort(s) if not enc.spec.axiom_defined(s):
             return enc.family("U", (s,), ())
-    s = sort_of_type(enc.spec, ctx, a, fuel)
-    return enc.family("El", (s,), (translate(enc, a),))
+    return _Translation(enc).el(sort_of_type(enc.spec, ctx, a, fuel), a)

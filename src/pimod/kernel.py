@@ -2,9 +2,24 @@
 
 Inference is syntax-directed: conversion is invoked exactly where a
 checked position meets an inferred type (constant arguments, application
-arguments, and the final ``check``).  A constant application is typed by
-walking its telescope left to right, substituting earlier arguments into
-later expected types, and instantiating the declared result type.
+arguments, and the final ``check``).
+
+The checker runs on the closures of :class:`pimod.rewrite.Machine`.
+A context variable is a de Bruijn level, so looking up its type is
+O(1) and weakens nothing.  Argument ``i`` of a constant is checked
+against telescope entry ``i`` closed over the earlier arguments, and the
+constant's type is its result type closed over all of them; an
+application's type closes the product's codomain over the argument.  No
+term is substituted or shifted, and a term is rebuilt ("quoted") only
+where it is printed: in the log, and in the ``expected``/``actual`` of
+:class:`TypeMismatch` and :class:`NotAProduct`.
+
+Each top-level call memoizes inference on the node object and the
+context, which is interned: extending a context by the same name and
+annotation object gives the same context.  A subterm that elaboration
+shares is therefore typed once per context it occurs in, and a memo hit
+replays the log entries its first inference made.  The memo dies with
+the call.
 
 Every entry point draws its reduction steps on one budget, ``fuel``: an
 int starts a fresh :class:`Fuel`, a ``Fuel`` is shared, so a caller that
@@ -19,125 +34,193 @@ from .errors import (
     ArityMismatch, Diagnostic, KindHasNoType, NotAProduct, PimodError,
     TypeMismatch, UnboundVariable, UnknownConstant,
 )
-from .rewrite import Fuel, convertible, whnf
-from .terms import (
-    KIND, TYPE, App, Cons, DkContext, DkTerm, Kind, Lam, Meta, Pi, Theory,
-    Type, Var, subst, subst_many,
-)
+from .rewrite import Clo, Fuel, Machine, VPi, head_class
+from .terms import KIND, TYPE, Cons, DkContext, DkTerm, Kind, Lam, Meta, Pi, Theory, Type, Var, App
 
 Log = list[tuple[list[str], DkTerm, DkTerm]]
+
+KIND_VALUE = Clo(KIND, ())
 
 
 def _path_str(path: tuple[str, ...]) -> str:
     return " > ".join(path) if path else "top level"
 
 
-def _infer(theory: Theory, ctx: DkContext, t: DkTerm, f: Fuel,
-           log: Log | None, path: tuple[str, ...]) -> DkTerm:
-    match t:
-        case Var(k):
-            if not 0 <= k < len(ctx):
+class _Scope:
+    """A context of one kernel call: its names, its entry types as values
+    (entry ``i`` at level ``i``), its environment, and the contexts
+    extending it, by (name, annotation object)."""
+
+    __slots__ = ("names", "types", "env", "depth", "inner")
+
+    def __init__(self, names: list[str], types: tuple, env: tuple):
+        self.names = names
+        self.types = types
+        self.env = env
+        self.depth = len(types)
+        self.inner: dict[tuple[str, int], _Scope] = {}
+
+
+class _Kernel:
+    """The state of one top-level call: the machine, the log, the
+    interned contexts and the inference memo."""
+
+    __slots__ = ("theory", "m", "log", "memo", "root")
+
+    def __init__(self, theory: Theory, fuel: int | Fuel | None, log: Log | None):
+        self.theory = theory
+        self.m = Machine(theory, Fuel.of(fuel))
+        self.log = log
+        self.memo: dict[tuple[int, _Scope], tuple] = {}
+        self.root = _Scope([], (), ())
+
+    def extend(self, sc: _Scope, hint: str, ty: DkTerm) -> _Scope:
+        key = (hint, id(ty))
+        inner = sc.inner.get(key)
+        if inner is None:
+            inner = sc.inner[key] = _Scope(sc.names + [hint], sc.types + (self.m.clo(ty, sc.env),),
+                                           self.m.env(sc.depth + 1))
+        return inner
+
+    def scope(self, ctx: DkContext) -> _Scope:
+        sc = self.root
+        for hint, ty in ctx.entries:
+            sc = self.extend(sc, hint, ty)
+        return sc
+
+    def infer(self, sc: _Scope, t: DkTerm, path: tuple[str, ...]):
+        """The type of ``t`` in ``sc``, as a value."""
+        m, log = self.m, self.log
+        tt = type(t)
+        if tt is Var:
+            k = t.index
+            if not 0 <= k < sc.depth:
                 raise UnboundVariable(f"variable index {k} escapes the context at {_path_str(path)}")
-            ty = ctx.type_of(k)
-        case Type():
-            ty = KIND
-        case Kind():
+            ty = sc.types[sc.depth - 1 - k]
+        elif tt is Type:
+            ty = KIND_VALUE
+        elif tt is Kind:
             raise KindHasNoType(f"KIND has no type (at {_path_str(path)})")
-        case Meta(n):
-            raise UnboundVariable(f"pattern variable '{n}' in an object term at {_path_str(path)}")
-        case Cons(c, args):
-            decl = theory.decl(c)
+        elif tt is Meta:
+            raise UnboundVariable(f"pattern variable '{t.name}' in an object term at {_path_str(path)}")
+        else:
+            key = (id(t), sc)
+            hit = self.memo.get(key)
+            if hit is not None:
+                if log is not None:
+                    log.extend(log[hit[1]:hit[2]])
+                return hit[0]
+            start = len(log) if log is not None else 0
+            ty = self._infer_node(sc, t, path)
+            if log is not None:
+                log.append((list(sc.names), t, m.quote(ty, sc.depth)))
+            self.memo[key] = (ty, start, len(log) if log is not None else 0)
+            return ty
+        if log is not None:
+            log.append((list(sc.names), t, m.quote(ty, sc.depth)))
+        return ty
+
+    def _infer_node(self, sc: _Scope, t: DkTerm, path: tuple[str, ...]):
+        m = self.m
+        tt = type(t)
+        if tt is Cons:
+            c, args = t.name, t.args
+            decl = self.theory.decl(c)
             if decl is None:
                 raise UnknownConstant(f"constant '{c}' is not declared (at {_path_str(path)})")
             if len(args) != decl.arity:
                 raise ArityMismatch(
                     f"'{c}' expects {decl.arity} arguments, got {len(args)} (at {_path_str(path)})")
+            vals = tuple(m.clo(a, sc.env) for a in args)
             for i, a in enumerate(args):
-                expected = subst_many(decl.telescope[i][1], tuple(reversed(args[:i])))
-                _check(theory, ctx, a, expected, f, log,
-                       path + (f"argument {i + 1} of '{c}'",))
-            ty = subst_many(decl.result, tuple(reversed(args)))
-        case App(fn, arg):
-            fn_ty = whnf(theory, _infer(theory, ctx, fn, f, log, path + ("function position",)), f)
-            if not isinstance(fn_ty, Pi):
+                self.check(sc, a, m.clo(decl.telescope[i][1], vals[:i]),
+                           path + (f"argument {i + 1} of '{c}'",))
+            return m.clo(decl.result, vals)
+        if tt is App:
+            fn_ty = m.whnf(self.infer(sc, t.fn, path + ("function position",)))
+            if head_class(fn_ty) is not Pi:
                 raise NotAProduct(
                     f"applied term is not of product type (at {_path_str(path)})",
-                    names=ctx.names, function=fn, actual=fn_ty)
-            _check(theory, ctx, arg, fn_ty.dom, f, log, path + ("argument position",))
-            ty = subst(fn_ty.cod, 0, arg)
-        case Lam(h, ann, body):
-            _check_is_type(theory, ctx, ann, f, log, path + (f"domain of '{h}'",))
-            body_ty = _infer(theory, ctx.extend(h, ann), body, f, log, path + (f"body of '{h}'",))
-            if body_ty == KIND:
+                    names=sc.names, function=t.fn, actual=m.quote(fn_ty, sc.depth))
+            self.check(sc, t.arg, m.dom(fn_ty), path + ("argument position",))
+            return m.instantiate(fn_ty, m.clo(t.arg, sc.env))
+        if tt is Lam:
+            h = t.hint
+            self.check_is_type(sc, t.ann, path + (f"domain of '{h}'",))
+            body_ty = self.infer(self.extend(sc, h, t.ann), t.body, path + (f"body of '{h}'",))
+            if head_class(body_ty) is Kind:
                 raise KindHasNoType(
                     f"abstraction body is itself a kind; no product covers it (at {_path_str(path)})")
-            ty = Pi(h, ann, body_ty)
-        case Pi(h, dom, cod):
-            _check_is_type(theory, ctx, dom, f, log, path + (f"domain of '{h}'",))
-            cod_sort = whnf(theory, _infer(theory, ctx.extend(h, dom), cod, f, log,
-                                           path + (f"codomain of '{h}'",)), f)
-            if not isinstance(cod_sort, (Type, Kind)):
+            return VPi(h, m.clo(t.ann, sc.env), body_ty, sc.depth)
+        if tt is Pi:
+            h = t.hint
+            self.check_is_type(sc, t.dom, path + (f"domain of '{h}'",))
+            inner = self.extend(sc, h, t.dom)
+            cod_sort = m.whnf(self.infer(inner, t.cod, path + (f"codomain of '{h}'",)))
+            if head_class(cod_sort) not in (Type, Kind):
                 raise TypeMismatch(
                     f"product codomain must be a type or a kind (at {_path_str(path)})",
-                    names=ctx.names + [h], expected=TYPE, actual=cod_sort)
-            ty = cod_sort
-        case _:
-            raise PimodError(f"cannot type {t!r}")
-    if log is not None:
-        log.append((ctx.names, t, ty))
-    return ty
+                    names=inner.names, expected=TYPE, actual=m.quote(cod_sort, inner.depth))
+            return cod_sort
+        raise PimodError(f"cannot type {t!r}")
 
+    def check_is_type(self, sc: _Scope, t: DkTerm, path: tuple[str, ...]) -> None:
+        sort = self.m.whnf(self.infer(sc, t, path))
+        if head_class(sort) is not Type:
+            raise TypeMismatch(
+                f"binder annotation must be a type (at {_path_str(path)})",
+                names=sc.names, expected=TYPE, actual=self.m.quote(sort, sc.depth))
 
-def _check_is_type(theory: Theory, ctx: DkContext, t: DkTerm, f: Fuel,
-                   log: Log | None, path: tuple[str, ...]) -> None:
-    sort = whnf(theory, _infer(theory, ctx, t, f, log, path), f)
-    if sort != TYPE:
-        raise TypeMismatch(
-            f"binder annotation must be a type (at {_path_str(path)})",
-            names=ctx.names, expected=TYPE, actual=sort)
+    def check(self, sc: _Scope, t: DkTerm, ty, path: tuple[str, ...]) -> None:
+        """``t`` must have the type ``ty``, a value; on a mismatch both sides
+        are reported weak-head normal."""
+        m = self.m
+        actual = self.infer(sc, t, path)
+        if not m.conv(actual, ty, sc.depth):
+            raise TypeMismatch(
+                f"type mismatch at {_path_str(path)}", names=sc.names,
+                expected=m.quote(m.whnf(ty), sc.depth), actual=m.quote(m.whnf(actual), sc.depth))
 
-
-def _check(theory: Theory, ctx: DkContext, t: DkTerm, ty: DkTerm, f: Fuel,
-           log: Log | None, path: tuple[str, ...]) -> None:
-    actual = _infer(theory, ctx, t, f, log, path)
-    if not convertible(theory, actual, ty, f):
-        raise TypeMismatch(
-            f"type mismatch at {_path_str(path)}", names=ctx.names,
-            expected=whnf(theory, ty, f), actual=whnf(theory, actual, f))
+    def sort(self, sc: _Scope, t: DkTerm, path: tuple[str, ...]) -> type:
+        """The term class of the weak-head normal type of ``t``."""
+        return head_class(self.m.whnf(self.infer(sc, t, path)))
 
 
 def infer(theory: Theory, ctx: DkContext, t: DkTerm,
           fuel: int | Fuel | None = None, log: Log | None = None) -> DkTerm:
     """Infer the unique (up to conversion) type of ``t`` in ``ctx``."""
-    return _infer(theory, ctx, t, Fuel.of(fuel), log, ())
+    k = _Kernel(theory, fuel, log)
+    return k.m.quote(k.infer(k.scope(ctx), t, ()), len(ctx))
 
 
 def check(theory: Theory, ctx: DkContext, t: DkTerm, ty: DkTerm,
           fuel: int | Fuel | None = None, log: Log | None = None) -> None:
     """Check ``t`` against ``ty``; raises ``TypeMismatch`` with both sides
     weak-head normalized when conversion fails."""
-    _check(theory, ctx, t, ty, Fuel.of(fuel), log, ())
+    k = _Kernel(theory, fuel, log)
+    sc = k.scope(ctx)
+    k.check(sc, t, k.m.clo(ty, sc.env), ())
 
 
 def check_context(theory: Theory, ctx: DkContext,
                   fuel: int | Fuel | None = None, log: Log | None = None) -> list[Diagnostic]:
     """Each entry's type must be TYPE-sorted in the preceding prefix."""
-    f = Fuel.of(fuel)
+    k = _Kernel(theory, fuel, log)
     out: list[Diagnostic] = []
     names: set[str] = set()
-    prefix = DkContext()
+    prefix = k.root
     for hint, ty in ctx.entries:
         if hint in names:
             out.append(Diagnostic("duplicate-name", f"context name '{hint}' repeats", hint))
         names.add(hint)
         try:
-            sort = whnf(theory, _infer(theory, prefix, ty, f, log, (f"context entry '{hint}'",)), f)
-            if sort != TYPE:
+            sort = k.sort(prefix, ty, (f"context entry '{hint}'",))
+            if sort is not Type:
                 out.append(Diagnostic(
-                    "not-a-type", f"type of '{hint}' is {type(sort).__name__}-sorted, not TYPE", hint))
+                    "not-a-type", f"type of '{hint}' is {sort.__name__}-sorted, not TYPE", hint))
         except PimodError as e:
             out.append(Diagnostic("ill-typed-context", str(e), hint))
-        prefix = prefix.extend(hint, ty)
+        prefix = k.extend(prefix, hint, ty)
     return out
 
 
@@ -150,22 +233,18 @@ def check_signature(theory: Theory, fuel: int | Fuel | None = None,
     referring constants are fine; structural problems (unknown
     constants, arity abuse) are ``validate_theory``'s job.
     """
-    f = Fuel.of(fuel)
+    k = _Kernel(theory, fuel, log)
     out: list[Diagnostic] = []
     for d in theory.signature:
         try:
-            ctx = DkContext()
+            sc = k.root
             for hint, ty in d.telescope:
-                sort = whnf(theory, _infer(theory, ctx, ty, f, log,
-                                           (f"telescope of '{d.name}'", f"entry '{hint}'")), f)
-                if sort != TYPE:
+                if k.sort(sc, ty, (f"telescope of '{d.name}'", f"entry '{hint}'")) is not Type:
                     out.append(Diagnostic(
                         "not-a-type",
                         f"telescope entry '{hint}' of '{d.name}' is not TYPE-sorted", d.name))
-                ctx = ctx.extend(hint, ty)
-            sort = whnf(theory, _infer(theory, ctx, d.result, f, log,
-                                       (f"result type of '{d.name}'",)), f)
-            if not isinstance(sort, (Type, Kind)):
+                sc = k.extend(sc, hint, ty)
+            if k.sort(sc, d.result, (f"result type of '{d.name}'",)) not in (Type, Kind):
                 out.append(Diagnostic(
                     "unsorted-result",
                     f"result type of '{d.name}' is neither TYPE- nor KIND-sorted", d.name))

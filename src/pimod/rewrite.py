@@ -5,17 +5,19 @@ carries a label: the framework beta steps are labeled ``BETA`` and rule
 steps carry the rule's name, so normalization can be restricted to a
 subset of labels and traces can be replayed and inspected.
 
-The search, the trace loop and the congruence descent are written once,
-over the child map, for every term language that reduces: a language
-supplies only its ``root``, the labeled redexes at a term's root, to
-:func:`redexes` and :func:`normalize`, and its weak-head normalizer to
-:func:`congruent`.  The framework's root is beta and the theory's rules;
-:mod:`pimod.epts` supplies linearized beta, labeled by its sort pair.
+The search and the trace loop are written once, over the child map, for
+every term language that reduces: a language supplies only its ``root``,
+the labeled redexes at a term's root, to :func:`redexes` and
+:func:`normalize`.  The framework's root is beta and the theory's rules;
+:mod:`pimod.epts` supplies linearized beta, labeled by its sort pair,
+and its weak-head normalizer to the congruence descent :func:`congruent`.
 
 ``step``/``nf`` follow the leftmost-outermost strategy on the term as
-written.  ``whnf`` additionally evaluates constant arguments on demand
-while matching, which is what conversion checking needs: a rule whose
-pattern inspects an argument position must see that argument's head.
+written.  The framework's weak-head evaluation and conversion run on
+the closures of :class:`Machine`, which the kernel shares; ``whnf``
+additionally evaluates constant arguments on demand while matching,
+which is what conversion checking needs: a rule whose pattern inspects
+an argument position must see that argument's head.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import Diagnostic, FuelExhausted
 from .terms import (
-    App, Cons, DkTerm, Lam, Meta, RewriteRule, Term, Theory,
-    instantiate, map_leaves, repeated_metas, subst,
+    App, Cons, DkTerm, Lam, Meta, Pi, RewriteRule, Term, Theory, Var,
+    instantiate, map_leaves, max_free_index, repeated_metas, subst, subterms,
 )
 
 BETA = "β"
@@ -194,75 +196,330 @@ def nf(
     return reduce_trace(theory, t, labels, fuel)[0]
 
 
-def _match_whnf(theory: Theory, pattern: DkTerm, holder: list[DkTerm], idx: int,
-                env: dict[str, DkTerm], fuel: Fuel) -> bool:
-    """Match with on-demand weak-head evaluation of inspected positions.
+# --- the machine on closures -----------------------------------------------
+#
+# Weak-head evaluation and conversion run on values, never on rebuilt
+# terms.  A value is a closure ``Clo(term, env)``, in which variable ``k``
+# of ``term`` stands for the value ``env[-1 - k]``, or one of the weak-head
+# normal forms evaluation produces: a context variable by de Bruijn
+# ``Level``, a ``VApp`` whose head is no abstraction, a ``VCons`` whose
+# rules did not fire (with the arguments that matching evaluated), and a
+# ``VPi``, the type the kernel infers for an abstraction.  A beta or rule
+# step pushes values onto an environment instead of substituting, so no
+# term is shifted or copied; ``Machine.quote`` rebuilds the term a value
+# stands for, and only printed terms are quoted.
 
-    Reductions performed while matching are kept in ``holder`` so later
-    rule attempts (and the returned term on failure) reuse them.
+
+class Clo:
+    """``term`` under ``env``: variable ``k`` of ``term`` stands for the
+    value ``env[-1 - k]``.  Built through :meth:`Machine.clo`, so ``term``
+    is never a variable."""
+
+    __slots__ = ("term", "env")
+
+    def __init__(self, term: DkTerm, env: tuple):
+        self.term = term
+        self.env = env
+
+
+class Level:
+    """A context variable by de Bruijn level: level 0 is the outermost
+    binder.  A machine makes one object per level, so identity is equality;
+    negative levels are the free variables of a term given without context."""
+
+    __slots__ = ("level",)
+
+    def __init__(self, level: int):
+        self.level = level
+
+
+class VApp:
+    """An application whose head is weak-head normal and no abstraction."""
+
+    __slots__ = ("head", "arg")
+
+    def __init__(self, head, arg):
+        self.head = head
+        self.arg = arg
+
+
+class VCons:
+    """A constant application no rule fired on; matching left the
+    arguments it inspected evaluated."""
+
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: list):
+        self.name = name
+        self.args = args
+
+
+class VPi:
+    """The product ``Pi hint : dom. cod`` whose codomain ``cod`` is a value
+    with its bound variable at ``level``."""
+
+    __slots__ = ("hint", "dom", "cod", "level")
+
+    def __init__(self, hint: str, dom, cod, level: int):
+        self.hint = hint
+        self.dom = dom
+        self.cod = cod
+        self.level = level
+
+
+_HEAD_CLASS = {Level: Var, VApp: App, VCons: Cons, VPi: Pi}
+
+
+def head_class(v) -> type:
+    """The term class of the root of the term ``v`` stands for."""
+    return type(v.term) if type(v) is Clo else _HEAD_CLASS[type(v)]
+
+
+def _compile(rule: RewriteRule) -> tuple:
+    """``rule`` as the machine fires it: the left-hand side, the pattern
+    variables in order of first occurrence, the right-hand side with
+    pattern variable ``i`` turned into the variable the ``i``-th value of
+    the match environment binds, and whether that side is closed."""
+    names = list(dict.fromkeys(
+        u.name for p in rule.lhs for u, _ in subterms(p) if isinstance(u, Meta)))
+    index = {n: i for i, n in enumerate(names)}
+
+    def leaf(u: DkTerm, d: int) -> DkTerm:
+        if isinstance(u, Meta) and u.name in index:
+            return Var(d + index[u.name])
+        if isinstance(u, Var) and u.index >= d:
+            return Var(u.index + len(names))
+        return u
+    return (rule.lhs, tuple(reversed(names)), map_leaves(rule.rhs, leaf),
+            max_free_index(rule.rhs) < 0)
+
+
+class Machine:
+    """Weak-head evaluation, conversion and quoting of values over one
+    theory, drawing every step on one fuel meter.
+
+    The machine contracts the redexes the term rewriter would, in the same
+    order, and keeps what matching evaluated the way it would, so it
+    spends the same ticks; the terms :meth:`quote` rebuilds are the
+    rewriter's terms.  It lives for one top-level call: its levels are
+    compared by identity, so values of two machines must not meet.
     """
-    match pattern:
-        case Meta(n):
-            if n in env:
-                return env[n] == holder[idx]
-            env[n] = holder[idx]
-            return True
-        case Cons(c, ps):
-            t = whnf(theory, holder[idx], fuel)
-            holder[idx] = t
-            if not (isinstance(t, Cons) and t.name == c and len(t.args) == len(ps)):
-                return False
-            sub = list(t.args)
-            ok = True
-            for k, p in enumerate(ps):
-                if not _match_whnf(theory, p, sub, k, env, fuel):
-                    ok = False
+
+    __slots__ = ("theory", "fuel", "levels", "envs", "top")
+
+    def __init__(self, theory: Theory, fuel: Fuel):
+        self.theory = theory
+        self.fuel = fuel
+        self.levels: dict[int, Level] = {}
+        self.envs: list[tuple] = [()]
+        self.top = 0   # above every level made so far
+
+    def var(self, level: int) -> Level:
+        v = self.levels.get(level)
+        if v is None:
+            v = self.levels[level] = Level(level)
+            self.top = max(self.top, level + 1)
+        return v
+
+    def env(self, depth: int) -> tuple:
+        """The environment of a context of ``depth`` entries: each variable
+        stands for its own level."""
+        envs = self.envs
+        while len(envs) <= depth:
+            envs.append(envs[-1] + (self.var(len(envs) - 1),))
+        return envs[depth]
+
+    def extend(self, env: tuple, depth: int) -> tuple:
+        """``env`` under one more binder, whose variable is at ``depth``."""
+        if depth < len(self.envs) and env is self.envs[depth]:
+            return self.env(depth + 1)
+        return env + (self.var(depth),)
+
+    def clo(self, t: DkTerm, env: tuple):
+        """``t`` under ``env``; a variable is looked up at once, and one past
+        ``env`` is a context variable counted from ``env``'s start."""
+        if type(t) is Var:
+            k = t.index
+            return env[-1 - k] if k < len(env) else self.var(len(env) - 1 - k)
+        return Clo(t, env)
+
+    def rules(self, head: str) -> tuple:
+        table = self.theory.compiled_rules
+        rules = table.get(head)
+        if rules is None:
+            rules = table[head] = tuple(_compile(r) for r in self.theory.rules_for(head))
+        return rules
+
+    def whnf(self, v):
+        """Weak-head normal form under beta and the theory's rules.
+
+        The result is root-stable: rules are matched after weak-head
+        evaluating the argument positions their patterns inspect.
+        """
+        while type(v) is Clo:
+            t = v.term
+            if type(t) is App:
+                head = self.whnf(self.clo(t.fn, v.env))
+                arg = self.clo(t.arg, v.env)
+                if type(head) is Clo and type(head.term) is Lam:
+                    self.fuel.tick()
+                    v = self.clo(head.term.body, head.env + (arg,))
+                    continue
+                return VApp(head, arg)
+            if type(t) is not Cons:
+                return v
+            rules = self.rules(t.name)
+            if not rules:
+                return v
+            holder = [self.clo(a, v.env) for a in t.args]
+            for lhs, names, rhs, closed in rules:
+                menv: dict = {}
+                if all(self._match(p, holder, i, menv) for i, p in enumerate(lhs)):
+                    self.fuel.tick()
+                    vals = tuple(menv[n] for n in names)
+                    v = self.clo(rhs, vals if closed else v.env + vals)
                     break
-            holder[idx] = Cons(c, tuple(sub))
-            return ok
-        case _:
+            else:
+                return VCons(t.name, holder)
+        return v
+
+    def _match(self, pattern: DkTerm, holder: list, idx: int, menv: dict) -> bool:
+        """Match with on-demand weak-head evaluation of inspected positions.
+
+        What matching evaluates stays in ``holder``, so later rule attempts
+        (and the value returned when none fires) reuse it.
+        """
+        if type(pattern) is Meta:
+            n = pattern.name
+            if n in menv:
+                return self.eq(menv[n], holder[idx], self.top)
+            menv[n] = holder[idx]
+            return True
+        if type(pattern) is not Cons:
             return False
+        w = holder[idx] = self.whnf(holder[idx])
+        c, ps = pattern.name, pattern.args
+        if type(w) is VCons and w.name == c and len(w.args) == len(ps):
+            sub = list(w.args)
+        elif (type(w) is Clo and type(w.term) is Cons and w.term.name == c
+              and len(w.term.args) == len(ps)):
+            sub = [self.clo(a, w.env) for a in w.term.args]
+        else:
+            return False
+        ok = all(self._match(p, sub, k, menv) for k, p in enumerate(ps))
+        holder[idx] = VCons(c, sub)
+        return ok
+
+    def node(self, v, depth: int) -> tuple:
+        """The constructor of the term ``v`` stands for at ``depth``, as a
+        key equal exactly when the children correspond, and its children
+        as (value, binders crossed) pairs."""
+        tv = type(v)
+        if tv is Clo:
+            t, env = v.term, v.env
+            tt = type(t)
+            key = (tt, t.name, len(t.args)) if tt is Cons else (tt, t.name) if tt is Meta else tt
+            return key, [(self.clo(k, self.extend(env, depth) if b else env), b)
+                         for k, b in t.children()]
+        if tv is VCons:
+            return (Cons, v.name, len(v.args)), [(a, 0) for a in v.args]
+        if tv is VApp:
+            return App, [(v.head, 0), (v.arg, 0)]
+        if tv is VPi:
+            return Pi, [(v.dom, 0), (self.cod_at(v, depth), 1)]
+        return v, []
+
+    def eq(self, a, b, depth: int) -> bool:
+        """Do ``a`` and ``b`` stand for the same term at ``depth``?"""
+        if a is b:
+            return True
+        if type(a) is Clo and type(b) is Clo:
+            return self._eq_terms(a.term, a.env, b.term, b.env, depth)
+        ka, xa = self.node(a, depth)
+        kb, xb = self.node(b, depth)
+        return ka == kb and all(self.eq(p, q, depth + n) for (p, n), (q, _) in zip(xa, xb))
+
+    def _eq_terms(self, t: DkTerm, ea: tuple, u: DkTerm, eb: tuple, depth: int) -> bool:
+        """:meth:`eq` of ``t`` under ``ea`` and ``u`` under ``eb``, without
+        building their closures.  At once for the same term under an equal
+        environment, and by ``==`` on the terms under one environment of
+        a context, where each variable is its own level."""
+        if type(t) is Var or type(u) is Var:
+            return self.eq(self.clo(t, ea), self.clo(u, eb), depth)
+        if ea is eb:
+            if t is u:
+                return True
+            if len(ea) < len(self.envs) and self.envs[len(ea)] is ea:
+                return t == u
+        elif t is u and ea == eb:
+            return True
+        tt = type(t)
+        if tt is not type(u):
+            return False
+        if tt is Cons:
+            return t.name == u.name and len(t.args) == len(u.args) and all(
+                self._eq_terms(x, ea, y, eb, depth) for x, y in zip(t.args, u.args))
+        if tt is App:
+            return (self._eq_terms(t.fn, ea, u.fn, eb, depth)
+                    and self._eq_terms(t.arg, ea, u.arg, eb, depth))
+        if tt is Lam or tt is Pi:
+            (x0, _), (x1, _) = t.children()
+            (y0, _), (y1, _) = u.children()
+            return (self._eq_terms(x0, ea, y0, eb, depth)
+                    and self._eq_terms(x1, self.extend(ea, depth), y1, self.extend(eb, depth),
+                                       depth + 1))
+        return t == u
+
+    def conv(self, a, b, depth: int) -> bool:
+        """Are ``a`` and ``b`` equal after weak-head evaluation at the root and
+        at every pair of corresponding children, descending while the nodes
+        agree?  The congruence descent of :func:`congruent`, on values."""
+        a = self.whnf(a)
+        b = self.whnf(b)
+        if self.eq(a, b, depth):
+            return True
+        ka, xa = self.node(a, depth)
+        kb, xb = self.node(b, depth)
+        return ka == kb and all(self.conv(p, q, depth + n) for (p, n), (q, _) in zip(xa, xb))
+
+    def dom(self, p):
+        """The domain of a product value."""
+        return p.dom if type(p) is VPi else self.clo(p.term.dom, p.env)
+
+    def instantiate(self, p, arg):
+        """The codomain of a product value with ``arg`` for its variable."""
+        if type(p) is Clo:
+            return self.clo(p.term.cod, p.env + (arg,))
+        return self.clo(self.quote(p.cod, p.level + 1), self.env(p.level) + (arg,))
+
+    def cod_at(self, p: VPi, depth: int):
+        """The codomain of ``p`` with its variable at level ``depth``."""
+        return p.cod if p.level == depth else self.instantiate(p, self.var(depth))
+
+    def quote(self, v, depth: int) -> DkTerm:
+        """The term ``v`` stands for in a context of ``depth`` entries."""
+        tv = type(v)
+        if tv is Clo:
+            t, env = v.term, v.env
+            kids = t.children()
+            if not kids or depth < len(self.envs) and env is self.envs[depth]:
+                return t
+            return t.with_children([self.quote(self.clo(k, self.extend(env, depth) if b else env),
+                                               depth + b) for k, b in kids])
+        if tv is Level:
+            return Var(depth - 1 - v.level)
+        if tv is VCons:
+            return Cons(v.name, tuple(self.quote(a, depth) for a in v.args))
+        if tv is VApp:
+            return App(self.quote(v.head, depth), self.quote(v.arg, depth))
+        return Pi(v.hint, self.quote(v.dom, depth), self.quote(self.cod_at(v, depth), depth + 1))
 
 
 def whnf(theory: Theory, t: DkTerm, fuel: int | Fuel | None = None) -> DkTerm:
-    """Weak-head normal form under beta and the theory's rules.
-
-    The result is root-stable: no further reduction anywhere can create
-    a redex at its root (rules are matched after weak-head evaluating
-    the argument positions their patterns inspect).
-    """
-    f = Fuel.of(fuel)
-    while True:
-        match t:
-            case App(fn, arg):
-                head = whnf(theory, fn, f)
-                if isinstance(head, Lam):
-                    f.tick()
-                    t = subst(head.body, 0, arg)
-                    continue
-                return t if head is fn else App(head, arg)
-            case Cons(c, args):
-                rules = theory.rules_for(c)
-                if not rules:
-                    return t
-                holder = list(args)
-                fired = False
-                for rule in rules:
-                    env: dict[str, DkTerm] = {}
-                    ok = True
-                    for i, p in enumerate(rule.lhs):
-                        if not _match_whnf(theory, p, holder, i, env, f):
-                            ok = False
-                            break
-                    if ok:
-                        f.tick()
-                        t = instantiate(rule.rhs, env)
-                        fired = True
-                        break
-                if not fired:
-                    return Cons(c, tuple(holder))
-            case _:
-                return t
+    """Weak-head normal form of ``t`` under beta and the theory's rules:
+    :meth:`Machine.whnf`, quoted."""
+    m = Machine(theory, Fuel.of(fuel))
+    return m.quote(m.whnf(m.clo(t, ())), 0)
 
 
 def convertible(theory: Theory, a: DkTerm, b: DkTerm, fuel: int | Fuel | None = None) -> bool:
@@ -272,8 +529,8 @@ def convertible(theory: Theory, a: DkTerm, b: DkTerm, fuel: int | Fuel | None = 
     confluent theories, which is the setting the rest of the toolkit
     establishes before relying on it.
     """
-    f = Fuel.of(fuel)
-    return congruent(lambda u: whnf(theory, u, f), a, b)
+    m = Machine(theory, Fuel.of(fuel))
+    return m.conv(m.clo(a, ()), m.clo(b, ()), 0)
 
 
 # --- overlap analysis -------------------------------------------------------

@@ -290,13 +290,17 @@ class RewriteRule:
 class Theory:
     """An ordered signature plus rewrite rules.
 
-    Treated as immutable after construction; lookup tables are cached.
+    Treated as immutable after construction; lookup tables are cached,
+    and ``compiled_rules`` holds each head's rules as the reduction
+    machine of :mod:`pimod.rewrite` compiles them on first use.
     """
 
     signature: tuple[Declaration, ...]
     rules: tuple[RewriteRule, ...] = ()
     _by_name: dict[str, Declaration] = field(init=False, repr=False, compare=False)
     _rules_by_head: dict[str, tuple[RewriteRule, ...]] = field(init=False, repr=False, compare=False)
+    compiled_rules: dict[str, tuple] = field(default_factory=dict, init=False, repr=False,
+                                             compare=False)
 
     def __post_init__(self) -> None:
         self._by_name = {d.name: d for d in self.signature}

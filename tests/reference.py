@@ -23,6 +23,15 @@ which packed the root into an ``InvertibleForm`` that ``invert`` then
 took apart.  ``invert`` contracts a redex with the hand-written
 ``epts_subst`` above.
 
+``whnf``, ``_match_whnf``, ``kernel_infer``, ``kernel_check``,
+``check_context`` and ``check_signature`` are the framework's weak-head
+normalizer and type checker as they were before they ran on closures:
+they rebuild terms, substituting each argument into a constant's
+telescope, weakening each context entry on lookup and contracting each
+redex by substitution, and they type every occurrence of a shared
+subterm anew.  They use the library's ``subst``, ``subst_many`` and
+``instantiate``, and the hand-written ``convertible`` below.
+
 ``_elab`` is elaboration as it was before it returned the type it
 derives: it re-infers each domain, the body of every abstraction and
 both parts of every application from the explicit term it has just
@@ -57,13 +66,15 @@ from pimod.encode import EncodingTheory
 from pimod.epts import (EApp, ELam, EPi, EptsContext, ESort, EptsTerm, EVar, PApp,
                         PLam, PPi, PSort, PtsTerm, PVar, SortSpec, _e_check, _e_infer,
                         _known, _require_rule, epts_whnf, sort_of_type)
-from pimod.errors import (Diagnostic, NotAProduct, NotInvertible, PimodError,
-                          UnboundVariable, UnknownSort, UnrepresentableSort)
+from pimod import terms as lib
+from pimod.errors import (ArityMismatch, Diagnostic, KindHasNoType, NotAProduct,
+                          NotInvertible, PimodError, TypeMismatch, UnboundVariable,
+                          UnknownConstant, UnknownSort, UnrepresentableSort)
 from pimod.morphism import TheoryMorphism
-from pimod.rewrite import BETA, Fuel, OrthogonalityReport, _match_rule, whnf
+from pimod.rewrite import BETA, Fuel, OrthogonalityReport, _match_rule
 from pimod.syntax import KEYWORDS, _fresh, _Parser, _var_name, lex
-from pimod.terms import (KIND, TYPE, App, Cons, DkTerm, Kind, Lam, Meta, Pi, Theory,
-                         Type, Var, arrow, map_leaves, subterms)
+from pimod.terms import (KIND, TYPE, App, Cons, DkContext, DkTerm, Kind, Lam, Meta,
+                         Pi, Theory, Type, Var, arrow, map_leaves, subterms)
 
 
 def shift(t: DkTerm, by: int, cutoff: int = 0) -> DkTerm:
@@ -1052,3 +1063,216 @@ def _elab(spec: SortSpec, ctx: EptsContext, t: PtsTerm, f: Fuel) -> EptsTerm:
             raise NotAProduct("the function part of an application is not "
                               "of product type", head=efn, head_type=fnty)
     raise PimodError(f"cannot elaborate {t!r}")
+
+
+# --- the framework kernel on terms -------------------------------------------
+
+
+def _match_whnf(theory: Theory, pattern: DkTerm, holder: list[DkTerm], idx: int,
+                env: dict[str, DkTerm], fuel: Fuel) -> bool:
+    """Match with on-demand weak-head evaluation of inspected positions.
+
+    Reductions performed while matching are kept in ``holder`` so later
+    rule attempts (and the returned term on failure) reuse them.
+    """
+    match pattern:
+        case Meta(n):
+            if n in env:
+                return env[n] == holder[idx]
+            env[n] = holder[idx]
+            return True
+        case Cons(c, ps):
+            t = whnf(theory, holder[idx], fuel)
+            holder[idx] = t
+            if not (isinstance(t, Cons) and t.name == c and len(t.args) == len(ps)):
+                return False
+            sub = list(t.args)
+            ok = True
+            for k, p in enumerate(ps):
+                if not _match_whnf(theory, p, sub, k, env, fuel):
+                    ok = False
+                    break
+            holder[idx] = Cons(c, tuple(sub))
+            return ok
+        case _:
+            return False
+
+
+def whnf(theory: Theory, t: DkTerm, fuel: int | Fuel | None = None) -> DkTerm:
+    """Weak-head normal form under beta and the theory's rules."""
+    f = Fuel.of(fuel)
+    while True:
+        match t:
+            case App(fn, arg):
+                head = whnf(theory, fn, f)
+                if isinstance(head, Lam):
+                    f.tick()
+                    t = lib.subst(head.body, 0, arg)
+                    continue
+                return t if head is fn else App(head, arg)
+            case Cons(c, args):
+                rules = theory.rules_for(c)
+                if not rules:
+                    return t
+                holder = list(args)
+                fired = False
+                for rule in rules:
+                    env: dict[str, DkTerm] = {}
+                    ok = True
+                    for i, p in enumerate(rule.lhs):
+                        if not _match_whnf(theory, p, holder, i, env, f):
+                            ok = False
+                            break
+                    if ok:
+                        f.tick()
+                        t = lib.instantiate(rule.rhs, env)
+                        fired = True
+                        break
+                if not fired:
+                    return Cons(c, tuple(holder))
+            case _:
+                return t
+
+
+Log = list[tuple[list[str], DkTerm, DkTerm]]
+
+
+def _path_str(path: tuple[str, ...]) -> str:
+    return " > ".join(path) if path else "top level"
+
+
+def _infer(theory: Theory, ctx: DkContext, t: DkTerm, f: Fuel,
+           log: Log | None, path: tuple[str, ...]) -> DkTerm:
+    match t:
+        case Var(k):
+            if not 0 <= k < len(ctx):
+                raise UnboundVariable(f"variable index {k} escapes the context at {_path_str(path)}")
+            ty = ctx.type_of(k)
+        case Type():
+            ty = KIND
+        case Kind():
+            raise KindHasNoType(f"KIND has no type (at {_path_str(path)})")
+        case Meta(n):
+            raise UnboundVariable(f"pattern variable '{n}' in an object term at {_path_str(path)}")
+        case Cons(c, args):
+            decl = theory.decl(c)
+            if decl is None:
+                raise UnknownConstant(f"constant '{c}' is not declared (at {_path_str(path)})")
+            if len(args) != decl.arity:
+                raise ArityMismatch(
+                    f"'{c}' expects {decl.arity} arguments, got {len(args)} (at {_path_str(path)})")
+            for i, a in enumerate(args):
+                expected = lib.subst_many(decl.telescope[i][1], tuple(reversed(args[:i])))
+                _check(theory, ctx, a, expected, f, log,
+                       path + (f"argument {i + 1} of '{c}'",))
+            ty = lib.subst_many(decl.result, tuple(reversed(args)))
+        case App(fn, arg):
+            fn_ty = whnf(theory, _infer(theory, ctx, fn, f, log, path + ("function position",)), f)
+            if not isinstance(fn_ty, Pi):
+                raise NotAProduct(
+                    f"applied term is not of product type (at {_path_str(path)})",
+                    names=ctx.names, function=fn, actual=fn_ty)
+            _check(theory, ctx, arg, fn_ty.dom, f, log, path + ("argument position",))
+            ty = lib.subst(fn_ty.cod, 0, arg)
+        case Lam(h, ann, body):
+            _check_is_type(theory, ctx, ann, f, log, path + (f"domain of '{h}'",))
+            body_ty = _infer(theory, ctx.extend(h, ann), body, f, log, path + (f"body of '{h}'",))
+            if body_ty == KIND:
+                raise KindHasNoType(
+                    f"abstraction body is itself a kind; no product covers it (at {_path_str(path)})")
+            ty = Pi(h, ann, body_ty)
+        case Pi(h, dom, cod):
+            _check_is_type(theory, ctx, dom, f, log, path + (f"domain of '{h}'",))
+            cod_sort = whnf(theory, _infer(theory, ctx.extend(h, dom), cod, f, log,
+                                           path + (f"codomain of '{h}'",)), f)
+            if not isinstance(cod_sort, (Type, Kind)):
+                raise TypeMismatch(
+                    f"product codomain must be a type or a kind (at {_path_str(path)})",
+                    names=ctx.names + [h], expected=TYPE, actual=cod_sort)
+            ty = cod_sort
+        case _:
+            raise PimodError(f"cannot type {t!r}")
+    if log is not None:
+        log.append((ctx.names, t, ty))
+    return ty
+
+
+def _check_is_type(theory: Theory, ctx: DkContext, t: DkTerm, f: Fuel,
+                   log: Log | None, path: tuple[str, ...]) -> None:
+    sort = whnf(theory, _infer(theory, ctx, t, f, log, path), f)
+    if sort != TYPE:
+        raise TypeMismatch(
+            f"binder annotation must be a type (at {_path_str(path)})",
+            names=ctx.names, expected=TYPE, actual=sort)
+
+
+def _check(theory: Theory, ctx: DkContext, t: DkTerm, ty: DkTerm, f: Fuel,
+           log: Log | None, path: tuple[str, ...]) -> None:
+    actual = _infer(theory, ctx, t, f, log, path)
+    if not convertible(theory, actual, ty, f):
+        raise TypeMismatch(
+            f"type mismatch at {_path_str(path)}", names=ctx.names,
+            expected=whnf(theory, ty, f), actual=whnf(theory, actual, f))
+
+
+def kernel_infer(theory: Theory, ctx: DkContext, t: DkTerm,
+                 fuel: int | Fuel | None = None, log: Log | None = None) -> DkTerm:
+    """Infer the unique (up to conversion) type of ``t`` in ``ctx``."""
+    return _infer(theory, ctx, t, Fuel.of(fuel), log, ())
+
+
+def kernel_check(theory: Theory, ctx: DkContext, t: DkTerm, ty: DkTerm,
+                 fuel: int | Fuel | None = None, log: Log | None = None) -> None:
+    """Check ``t`` against ``ty``; raises ``TypeMismatch`` with both sides
+    weak-head normalized when conversion fails."""
+    _check(theory, ctx, t, ty, Fuel.of(fuel), log, ())
+
+
+def check_context(theory: Theory, ctx: DkContext,
+                  fuel: int | Fuel | None = None, log: Log | None = None) -> list[Diagnostic]:
+    """Each entry's type must be TYPE-sorted in the preceding prefix."""
+    f = Fuel.of(fuel)
+    out: list[Diagnostic] = []
+    names: set[str] = set()
+    prefix = DkContext()
+    for hint, ty in ctx.entries:
+        if hint in names:
+            out.append(Diagnostic("duplicate-name", f"context name '{hint}' repeats", hint))
+        names.add(hint)
+        try:
+            sort = whnf(theory, _infer(theory, prefix, ty, f, log, (f"context entry '{hint}'",)), f)
+            if sort != TYPE:
+                out.append(Diagnostic(
+                    "not-a-type", f"type of '{hint}' is {type(sort).__name__}-sorted, not TYPE", hint))
+        except PimodError as e:
+            out.append(Diagnostic("ill-typed-context", str(e), hint))
+        prefix = prefix.extend(hint, ty)
+    return out
+
+
+def check_signature(theory: Theory, fuel: int | Fuel | None = None,
+                    log: Log | None = None) -> list[Diagnostic]:
+    """Typing of every declaration: telescope entries are TYPE-sorted and
+    the result type sorts to TYPE or KIND."""
+    f = Fuel.of(fuel)
+    out: list[Diagnostic] = []
+    for d in theory.signature:
+        try:
+            ctx = DkContext()
+            for hint, ty in d.telescope:
+                sort = whnf(theory, _infer(theory, ctx, ty, f, log,
+                                           (f"telescope of '{d.name}'", f"entry '{hint}'")), f)
+                if sort != TYPE:
+                    out.append(Diagnostic(
+                        "not-a-type",
+                        f"telescope entry '{hint}' of '{d.name}' is not TYPE-sorted", d.name))
+                ctx = ctx.extend(hint, ty)
+            sort = whnf(theory, _infer(theory, ctx, d.result, f, log,
+                                       (f"result type of '{d.name}'",)), f)
+            if not isinstance(sort, (Type, Kind)):
+                out.append(Diagnostic(
+                    "unsorted-result",
+                    f"result type of '{d.name}' is neither TYPE- nor KIND-sorted", d.name))
+        except PimodError as e:
+            out.append(Diagnostic("ill-typed-declaration", str(e), d.name))
+    return out
