@@ -47,12 +47,11 @@ def depth_term(n: int):
 
 def distinct_nodes(t) -> int:
     """The number of distinct node objects in ``t``."""
-    seen = {}
-    stack = [t]
+    seen, stack = set(), [t]
     while stack:
         u = stack.pop()
         if id(u) not in seen:
-            seen[id(u)] = u
+            seen.add(id(u))
             stack.extend(k for k, _ in u.children())
     return len(seen)
 

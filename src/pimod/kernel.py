@@ -35,7 +35,7 @@ from .errors import (
     TypeMismatch, UnboundVariable, UnknownConstant,
 )
 from .rewrite import Clo, Fuel, Machine, VPi, head_class
-from .terms import KIND, TYPE, Cons, DkContext, DkTerm, Kind, Lam, Meta, Pi, Theory, Type, Var, App
+from .terms import KIND, TYPE, App, Cons, DkContext, DkTerm, Kind, Lam, Meta, Pi, Theory, Type, Var
 
 Log = list[tuple[list[str], DkTerm, DkTerm]]
 
@@ -89,7 +89,8 @@ class _Kernel:
         return sc
 
     def infer(self, sc: _Scope, t: DkTerm, path: tuple[str, ...]):
-        """The type of ``t`` in ``sc``, as a value."""
+        """The type of ``t`` in ``sc``, as a value.  A node other than a
+        leaf is typed once per context; a repeat replays its log entries."""
         m, log = self.m, self.log
         tt = type(t)
         if tt is Var:
@@ -97,32 +98,24 @@ class _Kernel:
             if not 0 <= k < sc.depth:
                 raise UnboundVariable(f"variable index {k} escapes the context at {_path_str(path)}")
             ty = sc.types[sc.depth - 1 - k]
-        elif tt is Type:
-            ty = KIND_VALUE
-        elif tt is Kind:
-            raise KindHasNoType(f"KIND has no type (at {_path_str(path)})")
-        elif tt is Meta:
-            raise UnboundVariable(f"pattern variable '{t.name}' in an object term at {_path_str(path)}")
-        else:
-            key = (id(t), sc)
-            hit = self.memo.get(key)
-            if hit is not None:
-                if log is not None:
-                    log.extend(log[hit[1]:hit[2]])
-                return hit[0]
-            start = len(log) if log is not None else 0
-            ty = self._infer_node(sc, t, path)
             if log is not None:
                 log.append((list(sc.names), t, m.quote(ty, sc.depth)))
-            self.memo[key] = (ty, start, len(log) if log is not None else 0)
             return ty
-        if log is not None:
-            log.append((list(sc.names), t, m.quote(ty, sc.depth)))
-        return ty
-
-    def _infer_node(self, sc: _Scope, t: DkTerm, path: tuple[str, ...]):
-        m = self.m
-        tt = type(t)
+        if tt is Type:
+            if log is not None:
+                log.append((list(sc.names), t, KIND))
+            return KIND_VALUE
+        if tt is Kind:
+            raise KindHasNoType(f"KIND has no type (at {_path_str(path)})")
+        if tt is Meta:
+            raise UnboundVariable(f"pattern variable '{t.name}' in an object term at {_path_str(path)}")
+        key = (id(t), sc)
+        hit = self.memo.get(key)
+        if hit is not None:
+            if log is not None:
+                log.extend(log[hit[1]:hit[2]])
+            return hit[0]
+        start = len(log) if log is not None else 0
         if tt is Cons:
             c, args = t.name, t.args
             decl = self.theory.decl(c)
@@ -131,38 +124,46 @@ class _Kernel:
             if len(args) != decl.arity:
                 raise ArityMismatch(
                     f"'{c}' expects {decl.arity} arguments, got {len(args)} (at {_path_str(path)})")
-            vals = tuple(m.clo(a, sc.env) for a in args)
+            # an open declaration's free variables are the context's
+            env = tuple(m.clo(a, sc.env) for a in args)
+            base = 0 if decl.closed else sc.depth
+            if base:
+                env = sc.env + env
             for i, a in enumerate(args):
-                self.check(sc, a, m.clo(decl.telescope[i][1], vals[:i]),
+                self.check(sc, a, m.clo(decl.telescope[i][1], env[:base + i]),
                            path + (f"argument {i + 1} of '{c}'",))
-            return m.clo(decl.result, vals)
-        if tt is App:
+            ty = m.clo(decl.result, env)
+        elif tt is App:
             fn_ty = m.whnf(self.infer(sc, t.fn, path + ("function position",)))
             if head_class(fn_ty) is not Pi:
                 raise NotAProduct(
                     f"applied term is not of product type (at {_path_str(path)})",
                     names=sc.names, function=t.fn, actual=m.quote(fn_ty, sc.depth))
             self.check(sc, t.arg, m.dom(fn_ty), path + ("argument position",))
-            return m.instantiate(fn_ty, m.clo(t.arg, sc.env))
-        if tt is Lam:
+            ty = m.instantiate(fn_ty, m.clo(t.arg, sc.env))
+        elif tt is Lam:
             h = t.hint
             self.check_is_type(sc, t.ann, path + (f"domain of '{h}'",))
             body_ty = self.infer(self.extend(sc, h, t.ann), t.body, path + (f"body of '{h}'",))
             if head_class(body_ty) is Kind:
                 raise KindHasNoType(
                     f"abstraction body is itself a kind; no product covers it (at {_path_str(path)})")
-            return VPi(h, m.clo(t.ann, sc.env), body_ty, sc.depth)
-        if tt is Pi:
+            ty = VPi(h, m.clo(t.ann, sc.env), body_ty, sc.depth)
+        elif tt is Pi:
             h = t.hint
             self.check_is_type(sc, t.dom, path + (f"domain of '{h}'",))
             inner = self.extend(sc, h, t.dom)
-            cod_sort = m.whnf(self.infer(inner, t.cod, path + (f"codomain of '{h}'",)))
-            if head_class(cod_sort) not in (Type, Kind):
+            ty = m.whnf(self.infer(inner, t.cod, path + (f"codomain of '{h}'",)))
+            if head_class(ty) not in (Type, Kind):
                 raise TypeMismatch(
                     f"product codomain must be a type or a kind (at {_path_str(path)})",
-                    names=inner.names, expected=TYPE, actual=m.quote(cod_sort, inner.depth))
-            return cod_sort
-        raise PimodError(f"cannot type {t!r}")
+                    names=inner.names, expected=TYPE, actual=m.quote(ty, inner.depth))
+        else:
+            raise PimodError(f"cannot type {t!r}")
+        if log is not None:
+            log.append((list(sc.names), t, m.quote(ty, sc.depth)))
+        self.memo[key] = (ty, start, len(log) if log is not None else 0)
+        return ty
 
     def check_is_type(self, sc: _Scope, t: DkTerm, path: tuple[str, ...]) -> None:
         sort = self.m.whnf(self.infer(sc, t, path))

@@ -218,8 +218,7 @@ class Clo:
     __slots__ = ("term", "env")
 
     def __init__(self, term: DkTerm, env: tuple):
-        self.term = term
-        self.env = env
+        self.term, self.env = term, env
 
 
 class Level:
@@ -239,8 +238,7 @@ class VApp:
     __slots__ = ("head", "arg")
 
     def __init__(self, head, arg):
-        self.head = head
-        self.arg = arg
+        self.head, self.arg = head, arg
 
 
 class VCons:
@@ -250,8 +248,7 @@ class VCons:
     __slots__ = ("name", "args")
 
     def __init__(self, name: str, args: list):
-        self.name = name
-        self.args = args
+        self.name, self.args = name, args
 
 
 class VPi:
@@ -261,10 +258,7 @@ class VPi:
     __slots__ = ("hint", "dom", "cod", "level")
 
     def __init__(self, hint: str, dom, cod, level: int):
-        self.hint = hint
-        self.dom = dom
-        self.cod = cod
-        self.level = level
+        self.hint, self.dom, self.cod, self.level = hint, dom, cod, level
 
 
 _HEAD_CLASS = {Level: Var, VApp: App, VCons: Cons, VPi: Pi}

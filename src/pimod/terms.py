@@ -17,6 +17,7 @@ application are written once against it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator
 
 from .errors import Diagnostic, UnboundVariable
@@ -270,6 +271,13 @@ class Declaration:
     @property
     def arity(self) -> int:
         return len(self.telescope)
+
+    @cached_property
+    def closed(self) -> bool:
+        """Do the telescope and the result mention only telescope
+        variables?  ``validate_theory`` reports each entry that does not."""
+        return (all(max_free_index(ty) < i for i, (_, ty) in enumerate(self.telescope))
+                and max_free_index(self.result) < self.arity)
 
 
 @dataclass(frozen=True)
