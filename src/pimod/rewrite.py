@@ -271,9 +271,10 @@ def head_class(v) -> type:
 
 def _compile(rule: RewriteRule) -> tuple:
     """``rule`` as the machine fires it: the left-hand side, the pattern
-    variables in order of first occurrence, the right-hand side with
-    pattern variable ``i`` turned into the variable the ``i``-th value of
-    the match environment binds, and whether that side is closed."""
+    variables in reverse order of first occurrence (the order in which
+    their values make up the right-hand side's environment), the
+    right-hand side over that environment, and whether it is closed; an
+    open side reads its free variables under the redex's environment."""
     names = list(dict.fromkeys(
         u.name for p in rule.lhs for u, _ in subterms(p) if isinstance(u, Meta)))
     index = {n: i for i, n in enumerate(names)}
