@@ -7,7 +7,12 @@ provides: ``check-epts``, ``roundtrip`` and ``decode``, each with
 --out``.  Then ``morphism phi --trace --out`` for each system with both
 modes, one ``decode --term`` run with ``--trace``,
 ``scripts/emit_theories.py``, and ``analyze --trace`` and ``check-dk
---trace`` on every emitted theory and on ``bad_traditional.dk``.
+--trace`` on every emitted theory and on ``bad_traditional.dk``.  With
+System F in the matrix, the cases past the corpus follow: ``analyze
+--trace`` and ``check-dk --trace`` on four small theories, two
+internalized ``decode --term`` runs, and ``roundtrip`` of System F
+numerals nested 200 and 600 deep in both modes, their inputs written to
+``OUT_DIR/cases/``.
 
 Every run goes in-process through ``pimod.cli.main`` (or the script's
 ``main``), with the current directory set to OUT_DIR.  Run number N
@@ -50,6 +55,41 @@ from pimod.corpus import CORPUS_NAMES, load_sorts  # noqa: E402
 
 CORPUS = Path("src/pimod/corpus")
 DECODE_TERM = "(lam w : U@Type. w) ((lam w : U@Type. w) C)"
+
+# Cases past the corpus, appended to the matrix when it runs System F.
+# Their inputs are written to OUT_DIR/cases/.  Theories for ``analyze``
+# and ``check-dk``:
+CASE_THEORIES = {
+    # two rules share the name "x"; both are still compared with "y"
+    "shared_names.dk": (
+        "constant A : TYPE.\nconstant a : A.\nconstant b : A.\nconstant f (x : A) : A.\n"
+        'rule "x" f(a) --> a.\nrule "y" f(X) --> X.\nrule "x" f(b) --> a.\n'),
+    # `ok` type-checks only through the non-linear rule, `bad` not at all
+    "nonlinear.dk": (
+        "constant T : TYPE.\nconstant a : T.\nconstant b : T.\nconstant N : TYPE.\n"
+        "constant eq (x : T, y : T) : TYPE.\n"
+        'rule "refl" eq(x, x) --> N.\n'
+        "constant P (m : N) : TYPE.\nconstant p : eq(a, a).\nconstant q : eq(a, b).\n"
+        "constant ok : P(p).\nconstant bad : P(q).\n"),
+    # a rule that does not preserve types, which nothing checks yet
+    "ill_typed_rule.dk": (
+        "constant Nat : TYPE.\nconstant Bool : TYPE.\nconstant tt : Bool.\n"
+        'constant f (n : Nat) : Nat.\nrule "bad" f(n) --> tt.\n'),
+    # unifying the two left-hand sides asks for y := y z
+    "cyclic.dk": (
+        "constant A : TYPE. constant c : A. constant h (x : A, y : A) : A. "
+        'rule "r1" h(x, x) --> x. rule "r2" h(y z, y) --> c.\n'),
+}
+# internalized System F terms whose sort arguments name sorts only after
+# evaluation, with the source types to decode them at
+CASE_TERMS = [
+    ("Prod(Ru(type,type), type, C, lam x : El(Ru(type,type), C). C)", "Type"),
+    ("abs(Ru(type,type), type, C, lam x : El(type, C). C, lam x : El(Ru(type, type), C). x)",
+     "C -> C"),
+]
+# nesting depths of System F numerals under `roundtrip`: one well inside
+# the stack and one far past it
+NUMERAL_DEPTHS = (200, 600)
 
 
 def emit_theories_main():
@@ -124,6 +164,34 @@ def corpus_commands(systems) -> list[list[str]]:
     return runs
 
 
+def numeral(depth: int) -> str:
+    """A source file defining a Church numeral with ``depth`` nested ``f``."""
+    body = "x"
+    for _ in range(depth):
+        body = f"f ({body})"
+    return ("def nat : Type := Pi A : Type. (A -> A) -> A -> A.\n"
+            f"def big : nat := lam A : Type. lam f : A -> A. lam x : A. {body}.\n")
+
+
+def case_commands(cases: Path) -> list[list[str]]:
+    """Write the inputs of the cases past the corpus under ``cases`` and
+    return their command lines, in run order."""
+    cases.mkdir()
+    runs = []
+    for name, text in CASE_THEORIES.items():
+        (cases / name).write_text(text)
+        runs += [[cmd, f"cases/{name}", "--trace"] for cmd in ("analyze", "check-dk")]
+    sorts, epts = str(CORPUS / "systemf.sorts"), str(CORPUS / "systemf.epts")
+    for term, type_ in CASE_TERMS:
+        runs.append(["decode", sorts, epts, "--mode", "internalized",
+                     "--term", term, "--type", type_])
+    for depth in NUMERAL_DEPTHS:
+        (cases / f"numeral{depth}.epts").write_text(numeral(depth))
+        for mode in ("finite", "internalized"):
+            runs.append(["roundtrip", sorts, f"cases/numeral{depth}.epts", "--mode", mode])
+    return runs
+
+
 def run_matrix(out: Path, systems=CORPUS_NAMES) -> int:
     """Run the matrix for ``systems`` into ``out``, a new or empty
     directory; returns the number of runs."""
@@ -150,6 +218,10 @@ def run_matrix(out: Path, systems=CORPUS_NAMES) -> int:
         for theory in theories:
             for cmd in ("analyze", "check-dk"):
                 runs.append((cmd, pimod_main, [cmd, theory, "--trace"]))
+                record(len(runs), *runs[-1])
+        if "systemf" in systems:
+            for argv in case_commands(Path("cases")):
+                runs.append((argv[0], pimod_main, argv))
                 record(len(runs), *runs[-1])
     finally:
         os.chdir(cwd)

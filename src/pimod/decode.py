@@ -71,12 +71,16 @@ def invert(enc: EncodingTheory, t: DkTerm) -> EptsTerm:
 
 def hidden_equiv(enc: EncodingTheory, a: DkTerm, b: DkTerm,
                  fuel: int | Fuel | None = None) -> bool:
-    """Equality up to conversion inside abstraction annotations only.
+    """Equality up to conversion inside abstraction annotations only, and
+    up to evaluation of the sort arguments of family members.
 
     The plain skeletons must agree on the nose; the collected pairs of
-    binder annotations merely have to be convertible.  This is the
-    precise sense in which annotations are hidden: rewriting can change
-    them, but it cannot change what the term says.
+    binder annotations merely have to be convertible, and two family
+    members need only the same role and the same sort names, which
+    :meth:`EncodingTheory.split` reads by evaluating the sort arguments.
+    This is the precise sense in which annotations and sort arguments are
+    hidden: rewriting can change them, but it cannot change what the term
+    says.
     """
     pairs: list[tuple[DkTerm, DkTerm]] = []
 
@@ -84,6 +88,11 @@ def hidden_equiv(enc: EncodingTheory, a: DkTerm, b: DkTerm,
         if type(x) is Lam and type(y) is Lam:
             pairs.append((x.ann, y.ann))
             return zip_(x.body, y.body)
+        if type(x) is Cons and type(y) is Cons:
+            sx, sy = enc.split(x.name, x.args), enc.split(y.name, y.args)
+            if sx is not None and sy is not None:
+                return (sx[:2] == sy[:2] and len(sx[2]) == len(sy[2])
+                        and all(zip_(p, q) for p, q in zip(sx[2], sy[2])))
         if not x.same_node(y):
             return x == y
         return all(zip_(p, q) for (p, _), (q, _) in zip(x.children(), y.children()))

@@ -92,7 +92,6 @@ class EncodingTheory:
     mode: str  # "finite" | "internalized"
     roles: dict[str, tuple[str, ...]] = field(default_factory=dict)
     beta_rules: tuple[str, ...] = ()
-    u_red_rules: tuple[str, ...] = ()
 
     def role_of(self, name: str) -> tuple[str, ...] | None:
         return self.roles.get(name)
@@ -191,8 +190,7 @@ def generate_finite(spec: FiniteSortSpec) -> EncodingTheory:
     theory = Theory(tuple(sig), tuple(rules))
     return EncodingTheory(
         theory, spec, "finite", roles,
-        beta_rules=tuple(r.name for r in rules if r.name.startswith("beta@")),
-        u_red_rules=tuple(r.name for r in rules if r.name.startswith("u-red@")))
+        beta_rules=tuple(r.name for r in rules if r.name.startswith("beta@")))
 
 
 def generate_internalized(spec: InternalizedSortSpec) -> EncodingTheory:
@@ -252,8 +250,7 @@ def generate_internalized(spec: InternalizedSortSpec) -> EncodingTheory:
 
     theory = Theory(tuple(sig), tuple(rules))
     roles = {n: (n,) for n in INTERNAL_CORE}
-    return EncodingTheory(theory, spec, "internalized", roles,
-                          beta_rules=("beta",), u_red_rules=("u-red",))
+    return EncodingTheory(theory, spec, "internalized", roles, beta_rules=("beta",))
 
 
 def generate(spec: SortSpec) -> EncodingTheory:

@@ -58,6 +58,7 @@ from .terms import (
     metas_of,
     same_class,
     subst,
+    subterms,
     validate_theory,
 )
 
@@ -189,20 +190,17 @@ class InternalizedSortSpec:
             self._check_sort_term(name, t)
 
     def _check_sort_term(self, name: str, t: DkTerm) -> None:
-        match t:
-            case Cons(c, args):
-                d = self.mini.decl(c)
-                if d is None or c in _CORE_NAMES:
-                    raise PimodError(
-                        f"sort term for '{name}' uses '{c}', which is not a sort former")
-                if len(args) != d.arity:
-                    raise PimodError(
-                        f"sort term for '{name}' applies '{c}' to {len(args)} "
-                        f"arguments, expected {d.arity}")
-                for a in args:
-                    self._check_sort_term(name, a)
-            case _:
+        for u, _ in subterms(t):
+            if type(u) is not Cons:
                 raise PimodError(f"sort term for '{name}' is not a constructor term")
+            d = self.mini.decl(u.name)
+            if d is None or u.name in _CORE_NAMES:
+                raise PimodError(
+                    f"sort term for '{name}' uses '{u.name}', which is not a sort former")
+            if len(u.args) != d.arity:
+                raise PimodError(
+                    f"sort term for '{name}' applies '{u.name}' to {len(u.args)} "
+                    f"arguments, expected {d.arity}")
 
     @property
     def sorts(self) -> tuple[str, ...]:
@@ -223,12 +221,8 @@ class InternalizedSortSpec:
         return None
 
     def _is_value(self, t: DkTerm) -> bool:
-        match t:
-            case Cons(c, args):
-                return c not in self._defined_heads and \
-                    all(self._is_value(a) for a in args)
-            case _:
-                return False
+        return all(type(u) is Cons and u.name not in self._defined_heads
+                   for u, _ in subterms(t))
 
     def _lookup(self, what: str, t: DkTerm) -> str | None:
         if what not in self._outcomes:

@@ -544,37 +544,31 @@ def _apply_sub(t: DkTerm, sub: dict[str, DkTerm]) -> DkTerm:
 
 
 def _occurs(n: str, t: DkTerm, sub: dict[str, DkTerm]) -> bool:
-    match t:
-        case Meta(m):
-            if m == n:
-                return True
-            return m in sub and _occurs(n, sub[m], sub)
-        case Cons(_, args):
-            return any(_occurs(n, a, sub) for a in args)
-        case _:
-            return False
+    """Does pattern variable ``n`` occur anywhere in ``t`` under ``sub``?"""
+    return any(type(u) is Meta and (u.name == n or u.name in sub and _occurs(n, sub[u.name], sub))
+               for u, _ in subterms(t))
 
 
 def _unify(a: DkTerm, b: DkTerm, sub: dict[str, DkTerm]) -> bool:
-    a = _apply_sub(a, sub)
-    b = _apply_sub(b, sub)
+    """Extend ``sub`` to a most general unifier of ``a`` and ``b``, looking
+    up a bound pattern variable only where it is met; constant arguments
+    are unified, any other pair of nodes must be equal under ``sub``."""
+    while type(a) is Meta and a.name in sub:
+        a = sub[a.name]
+    while type(b) is Meta and b.name in sub:
+        b = sub[b.name]
     if a == b:
         return True
-    match (a, b):
-        case (Meta(n), _):
-            if _occurs(n, b, sub):
-                return False
-            sub[n] = b
-            return True
-        case (_, Meta(n)):
-            if _occurs(n, a, sub):
-                return False
-            sub[n] = a
-            return True
-        case (Cons(c1, x1), Cons(c2, x2)):
-            return c1 == c2 and len(x1) == len(x2) and all(_unify(p, q, sub) for p, q in zip(x1, x2))
-        case _:
+    if type(b) is Meta and type(a) is not Meta:
+        a, b = b, a
+    if type(a) is Meta:
+        if _occurs(a.name, b, sub):
             return False
+        sub[a.name] = b
+        return True
+    if type(a) is Cons and type(b) is Cons:
+        return a.same_node(b) and all(_unify(p, q, sub) for p, q in zip(a.args, b.args))
+    return _apply_sub(a, sub) == _apply_sub(b, sub)
 
 
 def _pattern_positions(t: DkTerm, path: tuple[int, ...] = ()) -> list[tuple[tuple[int, ...], DkTerm]]:

@@ -356,13 +356,7 @@ class DkContext:
 
 
 def _pattern_ok(t: DkTerm) -> bool:
-    match t:
-        case Meta(_):
-            return True
-        case Cons(_, args):
-            return all(_pattern_ok(a) for a in args)
-        case _:
-            return False
+    return all(type(u) is Meta or type(u) is Cons for u, _ in subterms(t))
 
 
 def repeated_metas(patterns: tuple[DkTerm, ...]) -> list[str]:

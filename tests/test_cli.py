@@ -17,6 +17,19 @@ SYSTEMF_EPTS = str(CORPUS_DIR / "systemf.epts")
 BAD_DK = str(CORPUS_DIR / "bad_traditional.dk")
 
 
+# framework terms whose sort arguments are System F sorts only after
+# evaluation, with the source type to decode them at and the result
+INTERNALIZED_TERMS = [
+    ("Prod(Ru(type,type), type, C, lam x : El(Ru(type,type), C). C)", "Type", "C -> C"),
+    ("abs(Ru(type,type), type, C, lam x : El(type, C). C, lam x : El(Ru(type, type), C). x)",
+     "C -> C", "lam x : C. x"),
+]
+
+# a non-left-linear rule and one whose pattern holds an application
+CYCLIC_DK = ("constant A : TYPE. constant c : A. constant h (x : A, y : A) : A. "
+             'rule "r1" h(x, x) --> x. rule "r2" h(y z, y) --> c.\n')
+
+
 @pytest.fixture
 def sandbox(tmp_path):
     sorts = tmp_path / "sf.sorts"
@@ -172,6 +185,14 @@ class TestEncodeDecode:
         out = capsys.readouterr().out.strip()
         assert out.endswith("c")
 
+    @pytest.mark.parametrize("term, type_, shown", INTERNALIZED_TERMS)
+    def test_decode_term_with_unevaluated_sort_arguments(self, term, type_, shown, capsys):
+        # the sort arguments name Type only after evaluation; the term's
+        # re-translation writes them evaluated, and that is no violation
+        assert main(["decode", SYSTEMF_SORTS, SYSTEMF_EPTS, "--mode", "internalized",
+                     "--term", term, "--type", type_]) == 0
+        assert capsys.readouterr().out.rstrip().endswith(f"--  {shown}")
+
     def test_decode_term_needs_type(self, sandbox, capsys):
         _, sorts, epts = sandbox
         assert main(["decode", sorts, epts, "--term", "c"]) == 1
@@ -313,6 +334,20 @@ class TestAnalyze:
             'rule "x" f(b) --> a.\n')
         assert main(["analyze", str(f)]) == 1
         assert "FAIL  overlap" in capsys.readouterr().out
+
+    def test_occurs_check_looks_below_applications(self, tmp_path, capsys):
+        # unifying the two left-hand sides asks for y := y z; a check that
+        # stops at the application binds it, and the pair's peak never ends
+        f = tmp_path / "cyclic.dk"
+        f.write_text(CYCLIC_DK)
+        assert main(["analyze", str(f)]) == 1
+        out = capsys.readouterr().out
+        assert [line.split()[1:3] for line in out.splitlines()] == [
+            ["bad-pattern", f"{f}:r2"], ["non-left-linear", f"{f}:r1"]]
+        assert main(["check-dk", str(f)]) == 1
+        out = capsys.readouterr().out
+        assert [line.split()[1:3] for line in out.splitlines()] == [
+            ["non-left-linear", f"{f}:r1"], ["bad-pattern", f"{f}:r2"]]
 
     def test_non_left_linear_rule_is_reported_once(self, tmp_path, capsys):
         f = tmp_path / "nonlinear.dk"

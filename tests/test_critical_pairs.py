@@ -7,8 +7,11 @@ once per side; the reports must be equal, diagnostics and order alike,
 on every theory whose rule names are unique.
 """
 
+import json
+import re
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pimod.rewrite as rewrite
@@ -17,7 +20,7 @@ from pimod.corpus import load_cases
 from pimod.encode import generate
 from pimod.rewrite import check_orthogonal
 from pimod.syntax import parse_sort_spec_file
-from pimod.terms import Cons, Meta, RewriteRule, Theory
+from pimod.terms import App, Cons, Meta, RewriteRule, Term, Theory
 from strategies import META_NAMES, dk_terms
 
 
@@ -89,6 +92,52 @@ class TestAgainstExhaustiveSearch:
     @given(rule_theories())
     def test_generated_rule_sets(self, theory):
         assert_same_report(theory)
+
+
+@st.composite
+def any_lhs_theories(draw):
+    """Rule sets whose left-hand arguments may be any term: applications,
+    binders and variables below and beside pattern variables."""
+    args = st.one_of(patterns, dk_terms(max_free=1, sorts=False, metas=True, max_leaves=4))
+    rules = []
+    for k in range(draw(st.integers(1, 4))):
+        head = draw(st.sampled_from(sorted(HEADS)))
+        lhs = tuple(draw(args) for _ in range(HEADS[head]))
+        rules.append(RewriteRule(head, lhs, draw(patterns), name=f"r{k}"))
+    return Theory((), tuple(rules))
+
+
+def is_instance(pattern: Term, t: Term, env: dict) -> bool:
+    """Is ``t`` ``pattern`` with its pattern variables replaced alike?"""
+    if type(pattern) is Meta:
+        return env.setdefault(pattern.name, t) == t
+    if not pattern.children():
+        return pattern == t
+    return pattern.same_node(t) and all(
+        is_instance(p, u, env) for (p, _), (u, _) in zip(pattern.children(), t.children()))
+
+
+@settings(max_examples=150)
+@given(any_lhs_theories())
+@example(Theory((), (RewriteRule("g", (Meta("M"), Meta("M")), Meta("M"), "r0"),
+                     RewriteRule("g", (App(Meta("N"), Meta("P")), Meta("N")), Cons("a"), "r1"))))
+def test_non_pattern_left_hand_sides_are_analyzed(theory):
+    # the occurs check must see every node, or a pattern variable is bound
+    # to a term containing it and the peak never ends; each peak is an
+    # instance of the outer left-hand side, with one of the inner at the
+    # overlap's position
+    rules = {r.name: Cons(r.head, r.lhs) for r in theory.rules}
+    report = check_orthogonal(theory)
+    for d in report.problems + report.notes:
+        if d.code != "overlap":
+            continue
+        inner, outer, path = re.fullmatch(
+            r"rule '(\w+)' overlaps '(\w+)' at position (\[.*\])( .*)?", d.message).groups()[:3]
+        peak = d.data["peak"]
+        assert is_instance(rules[outer], peak, {})
+        for i in json.loads(path):
+            peak = peak.args[i]
+        assert is_instance(rules[inner], peak, {})
 
 
 def test_rules_renamed_once_and_unified_only_under_matching_heads(monkeypatch):

@@ -25,9 +25,10 @@ from pimod.encode import expected_dk_type, generate, translate, translate_ctx
 from pimod.epts import EptsContext, PLam, PSort, PVar, elaborate, elaborate_context, epts_infer
 from pimod.errors import FuelExhausted, PimodError, TypeMismatch
 from pimod.kernel import check, check_context, check_signature, infer
-from pimod.rewrite import Fuel, whnf
-from pimod.syntax import fresh_names, parse_theory, render, render_theory
-from pimod.terms import KIND, TYPE, App, Cons, Declaration, Lam, Meta, Pi, Theory, Var
+from pimod.rewrite import Fuel, convertible, whnf
+from pimod.syntax import fresh_names, parse_dk_term, parse_theory, render, render_theory
+from pimod.terms import (KIND, TYPE, App, Cons, Declaration, Lam, Meta, Pi, RewriteRule,
+                         Theory, Var)
 from strategies import dk_terms
 from termgen import GEN_THEORY, beta_expand, gen_judgment
 from test_child_map import CONV_THEORY
@@ -264,3 +265,106 @@ def test_a_memo_hit_replays_the_trace(tmp_path, capsys):
     assert main(["check-dk", str(path), "--trace"]) == 0
     printed = [line.strip() for line in capsys.readouterr().err.splitlines()]
     assert printed[-len(shared):] == trace_lines(shared)
+
+
+# --- matching paths the corpus never takes -----------------------------------
+#
+# Each theory makes the machine take one path of ``Machine._match`` or
+# ``_compile`` that no generated theory takes: a repeated pattern variable,
+# a pattern that is neither a variable nor a constant, a position an
+# earlier rule left evaluated, and an open right-hand side.
+# ``validate_theory`` rejects the last two kinds of rule, but ``check-dk``
+# still runs ``check_signature`` on such a theory.  Each case is the
+# theory's text, rules the text cannot write, terms to weak-head
+# normalize and pairs to convert; ``v1`` and ``v0`` name free variables.
+
+MATCHING = {
+    "non-linear": (
+        "constant T : TYPE.\nconstant a : T.\nconstant b : T.\nconstant N : TYPE.\n"
+        "constant eq (x : T, y : T) : TYPE.\n"
+        'rule "refl" eq(x, x) --> N.\n'
+        "constant P (m : N) : TYPE.\n"
+        "constant p : eq(a, a).\nconstant q : eq(a, b).\n"
+        "constant ok : P(p).\nconstant bad : P(q).\n",
+        (), ["eq(a, a)", "eq(a, b)"], [("eq(a, a)", "N"), ("eq(b, a)", "N")]),
+    "re-match": (
+        "constant N : TYPE.\nconstant z : N.\nconstant s (n : N) : N.\n"
+        "constant a : N.\nconstant b : N.\nconstant f (m : N, n : N) : N.\n"
+        'rule "fz" f(s(x), z) --> x.\nrule "fs" f(s(x), s(y)) --> y.\n'
+        "constant P (n : N) : TYPE.\nconstant pb : P(b).\n"
+        "check pb : P(f(s(a), s(b))).\ncheck pb : P(f(s(a), z)).\n",
+        (), ["f(s(a), s(b))", "f(s(a), z)", "f(z, s(b))"],
+        [("f(s(a), s(b))", "b"), ("f(s(a), s(b))", "f(s(b), s(b))")]),
+    "application pattern": (
+        "constant A : TYPE.\nconstant c : A.\nconstant k (x : A) : A.\n"
+        "constant g (x : A) : A.\n"
+        'rule "app" g(y z) --> c.\nrule "var" g(k(x)) --> x.\n'
+        "assume f : A -> A.\ncheck c : A.\n",
+        (), ["g(f c)", "g(k(c))", "g((lam x : A. x) c)"],
+        [("g(f c)", "c"), ("g(k(f c))", "f c")]),
+    # f(x) --> v1 reads the variable one above the redex: n at the top of
+    # the checked context, p under one more binder
+    "open right-hand side": (
+        "constant N : TYPE.\nconstant z : N.\nconstant f (m : N) : N.\n"
+        "constant P (n : N) : TYPE.\n"
+        "assume n : N.\nassume p : P(n).\n"
+        "check p : P(f(z)).\ncheck p : P(f(f(z))).\n"
+        "check (lam y : N. p) : N -> P(f(z)).\n",
+        (RewriteRule("f", (Meta("x"),), Var(1), "open"),),
+        ["f(z)", "f(f(z))"], [("f(z)", "v1"), ("f(z)", "v0")]),
+}
+
+
+def matching_case(name: str):
+    """The theory of case ``name`` and its parsed file."""
+    text, rules, _, _ = MATCHING[name]
+    tf = parse_theory(text)
+    return Theory(tf.theory.signature, tf.theory.rules + rules), tf
+
+
+def same_outcome(new, old, *args):
+    """``new(*args, fuel)`` and ``old(*args, fuel)`` return the same term or
+    raise the same failure, and spend the same ticks."""
+    def outcome(fn):
+        f = Fuel()
+        try:
+            out = repr(fn(*args, f))
+        except (PimodError, FuelExhausted) as e:
+            out = f"{type(e).__name__}: {e}"
+        return out, f.limit - f.remaining
+    assert outcome(new) == outcome(old)
+
+
+@pytest.mark.parametrize("name", MATCHING)
+def test_matching_paths_agree_with_the_term_kernel(name):
+    theory, tf = matching_case(name)
+    _, _, whnfs, convs = MATCHING[name]
+    parse = lambda text: parse_dk_term(text, theory, tf.assumes.names + ["v1", "v0"])
+    same(check_signature, ref.check_signature, theory, equal_ticks=True)
+    same(check_context, ref.check_context, theory, tf.assumes, equal_ticks=True)
+    for m, a in tf.checks:
+        same(check, ref.kernel_check, theory, tf.assumes, m, a, equal_ticks=True)
+    for text in whnfs:
+        same_outcome(whnf, ref.whnf, theory, parse(text))
+    for a, b in convs:
+        same_outcome(convertible, ref.convertible, theory, parse(a), parse(b))
+
+
+def test_matching_paths_are_taken():
+    """The verdicts the comparisons above rest on, so that they compare
+    the paths they name and not two failures alike."""
+    theory, _ = matching_case("non-linear")
+    assert [d.subject for d in check_signature(theory)] == ["bad"]
+    theory, _ = matching_case("re-match")
+    assert whnf(theory, parse_dk_term("f(s(a), s(b))", theory)) == Cons("b")
+    theory, _ = matching_case("application pattern")
+    stuck = parse_dk_term("g(f c)", theory, ["f"])
+    assert whnf(theory, stuck) == stuck
+    theory, tf = matching_case("open right-hand side")
+    mismatched = []
+    for m, a in tf.checks:
+        try:
+            check(theory, tf.assumes, m, a)
+        except TypeMismatch:
+            mismatched.append(render(a, tf.assumes.names))
+    assert mismatched == ["N -> P(f(z))"]
