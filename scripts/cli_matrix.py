@@ -11,8 +11,10 @@ modes, one ``decode --term`` run with ``--trace``,
 System F in the matrix, the cases past the corpus follow: ``analyze
 --trace`` and ``check-dk --trace`` on four small theories, two
 internalized ``decode --term`` runs, and ``roundtrip`` of System F
-numerals nested 200 and 600 deep in both modes, their inputs written to
-``OUT_DIR/cases/``.
+numerals nested 200 and 600 deep in both modes.  With MLTT in the
+matrix, ``check-epts`` of a file that leans on the top sort of
+``mltt.sorts`` follows, internalized (plain and machine-readable) and
+finite.  The inputs of these cases are written to ``OUT_DIR/cases/``.
 
 Every run goes in-process through ``pimod.cli.main`` (or the script's
 ``main``), with the current directory set to OUT_DIR.  Run number N
@@ -90,6 +92,10 @@ CASE_TERMS = [
 # nesting depths of System F numerals under `roundtrip`: one well inside
 # the stack and one far past it
 NUMERAL_DEPTHS = (200, 600)
+# MLTT judgments past its finite ceiling: `3` is a sort with no axiom and
+# no rules there, and its internalized axiom has no declared name
+TOP_SORT = ("assume A : 2.\ndef k : 3 -> 3 := lam x : 3. x.\n"
+            "def j : 2 -> 2 := lam x : 2. x.\n")
 
 
 def emit_theories_main():
@@ -173,10 +179,25 @@ def numeral(depth: int) -> str:
             f"def big : nat := lam A : Type. lam f : A -> A. lam x : A. {body}.\n")
 
 
-def case_commands(cases: Path) -> list[list[str]]:
-    """Write the inputs of the cases past the corpus under ``cases`` and
-    return their command lines, in run order."""
+def case_commands(cases: Path, systems) -> list[list[str]]:
+    """Write the inputs of the cases past the corpus for ``systems``
+    under ``cases`` and return their command lines, in run order."""
     cases.mkdir()
+    runs = []
+    if "systemf" in systems:
+        runs += systemf_cases(cases)
+    if "mltt" in systems:
+        (cases / "top_sort.epts").write_text(TOP_SORT)
+        argv = ["check-epts", str(CORPUS / "mltt.sorts"), "cases/top_sort.epts", "--mode"]
+        runs += [argv + ["internalized"],
+                 argv + ["internalized", "--format", "machine-readable"],
+                 argv + ["finite"]]
+    return runs
+
+
+def systemf_cases(cases: Path) -> list[list[str]]:
+    """Write the System F cases under ``cases`` and return their command
+    lines, in run order."""
     runs = []
     for name, text in CASE_THEORIES.items():
         (cases / name).write_text(text)
@@ -219,10 +240,9 @@ def run_matrix(out: Path, systems=CORPUS_NAMES) -> int:
             for cmd in ("analyze", "check-dk"):
                 runs.append((cmd, pimod_main, [cmd, theory, "--trace"]))
                 record(len(runs), *runs[-1])
-        if "systemf" in systems:
-            for argv in case_commands(Path("cases")):
-                runs.append((argv[0], pimod_main, argv))
-                record(len(runs), *runs[-1])
+        for argv in case_commands(Path("cases"), systems):
+            runs.append((argv[0], pimod_main, argv))
+            record(len(runs), *runs[-1])
     finally:
         os.chdir(cwd)
     return len(runs)

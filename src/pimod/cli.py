@@ -36,7 +36,8 @@ from .epts import (
     epts_check,
     erase_to_pts,
 )
-from .errors import Diagnostic, FuelExhausted, InternalSoundnessError, NotErasable, PimodError
+from .errors import (Diagnostic, FuelExhausted, InternalSoundnessError, NotErasable,
+                     PimodError, _show)
 from .kernel import check, check_context, check_signature
 from .morphism import apply_morphism, build_phi, verify_morphism
 from .rewrite import BETA, DEFAULT_FUEL, Fuel, check_orthogonal, reduce_trace
@@ -89,19 +90,12 @@ class Reporter:
         subject = f"{where}:{d.subject}" if where else str(d.subject)
         data = {}
         for k, v in (d.data or {}).items():
-            data[k] = v if isinstance(v, (str, int, bool)) else _safe(v)
+            data[k] = v if isinstance(v, (str, int, bool)) else _show(v)
         self.result(d.code, subject, ok=d.severity != "error",
                     detail=d.message, severity=d.severity, **data)
 
     def trace(self, text: str) -> None:
         print(f"      {text}", file=sys.stderr)
-
-
-def _safe(x) -> str:
-    try:
-        return render(x)
-    except Exception:
-        return repr(x)
 
 
 def _read(path: str) -> str:

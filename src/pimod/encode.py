@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import PimodError, UnknownSort
-from .rewrite import BETA, Fuel, nf as dk_nf
+from .errors import PimodError
+from .rewrite import BETA, Fuel
 from .terms import (
     TYPE,
     App,
@@ -107,10 +107,9 @@ class EncodingTheory:
         Finite mode bakes the sorts into the constant name; internalized
         mode passes their sort terms as leading arguments.
         """
-        for s in sorts:
-            if not self.spec.has_sort(s):
-                raise UnknownSort(f"unknown sort '{s}'")
         if self.mode == "finite":
+            for s in sorts:
+                self.spec.require(s)
             return Cons(family_name(role, *sorts), payload)
         return Cons(role, tuple(self.spec.sort_term(s) for s in sorts) + payload)
 
@@ -127,7 +126,7 @@ class EncodingTheory:
         k = INTERNAL_CORE[role[0]]
         sorts = []
         for a in args[:k]:
-            s = self.spec.name_of(dk_nf(self.spec.mini, a))
+            s = self.spec.evaluate(a)[1]
             if s is None:
                 return None
             sorts.append(s)

@@ -19,7 +19,7 @@ root, labeled by its sort pair, and its own weak-head normalizer; the
 redex search, the trace loop and the congruence descent of conversion
 are the engine's.
 
-Sorts come from a :data:`SortSpec`: either a finite enumeration with
+Sorts come from a :class:`SortSpec`: either a finite enumeration with
 explicit axiom/rule tables, or an internalized presentation where sorts
 are closed first-order terms and the axiom and rule maps are computed
 by rewriting the distinguished ``Ax``/``Ru`` symbols.
@@ -66,8 +66,50 @@ from .terms import (
 # --- sort specifications ------------------------------------------------------
 
 
+class SortSpec:
+    """A functional PTS specification (S, A, R), in either presentation.
+
+    A subclass sets ``known``, the set of declared sort names, and
+    answers :meth:`axiom_of` and :meth:`rule_of` with a sort name or
+    None.  The side conditions on top of them are decided here, once:
+    :meth:`require` rejects an undeclared sort, and :meth:`axiom_defined`
+    and :meth:`rule_defined` raise :class:`UnknownSort` for one and count
+    a defined value that has no name as defined.
+    """
+
+    known: frozenset[str]
+
+    def has_sort(self, name: str) -> bool:
+        return name in self.known
+
+    def require(self, name: str) -> None:
+        if name not in self.known:
+            raise UnknownSort(f"unknown sort '{name}'")
+
+    def axiom_of(self, s: str) -> str | None:
+        raise NotImplementedError
+
+    def rule_of(self, s1: str, s2: str) -> str | None:
+        raise NotImplementedError
+
+    def axiom_defined(self, s: str) -> bool:
+        try:
+            return self.axiom_of(s) is not None
+        except UnknownSort:   # re-raised for an undeclared sort, else a value with no name
+            self.require(s)
+            return True
+
+    def rule_defined(self, s1: str, s2: str) -> bool:
+        try:
+            return self.rule_of(s1, s2) is not None
+        except UnknownSort:   # re-raised for an undeclared sort, else a value with no name
+            self.require(s1)
+            self.require(s2)
+            return True
+
+
 @dataclass(frozen=True)
-class FiniteSortSpec:
+class FiniteSortSpec(SortSpec):
     """A functional PTS specification given by finite tables.
 
     ``axioms[s1] == s2`` means ``s1 : s2`` and ``rules[(s1, s2)] == s3``
@@ -81,7 +123,7 @@ class FiniteSortSpec:
     rules: Mapping[tuple[str, str], str]
 
     def __post_init__(self) -> None:
-        seen = set(self.sorts)
+        seen = frozenset(self.sorts)
         if len(seen) != len(self.sorts):
             raise NonFunctionalSpec("a sort is declared more than once",
                                     sorts=self.sorts)
@@ -91,6 +133,7 @@ class FiniteSortSpec:
         for (s1, s2), s3 in self.rules.items():
             if not {s1, s2, s3} <= seen:
                 raise UnknownSort(f"rule ({s1}, {s2}) : {s3} mentions an undeclared sort")
+        object.__setattr__(self, "known", seen)
 
     @classmethod
     def build(cls, sorts: Iterable[str],
@@ -111,27 +154,14 @@ class FiniteSortSpec:
             ru[(s1, s2)] = s3
         return cls(tuple(sorts), ax, ru)
 
-    def has_sort(self, name: str) -> bool:
-        return name in self.sorts
-
-    def _require(self, name: str) -> None:
-        if name not in self.sorts:
-            raise UnknownSort(f"unknown sort '{name}'")
-
     def axiom_of(self, s: str) -> str | None:
-        self._require(s)
+        self.require(s)
         return self.axioms.get(s)
 
     def rule_of(self, s1: str, s2: str) -> str | None:
-        self._require(s1)
-        self._require(s2)
+        self.require(s1)
+        self.require(s2)
         return self.rules.get((s1, s2))
-
-    def rule_defined(self, s1: str, s2: str) -> bool:
-        return self.rule_of(s1, s2) is not None
-
-    def axiom_defined(self, s: str) -> bool:
-        return self.axiom_of(s) is not None
 
 
 SORT = Cons("Sort")
@@ -146,7 +176,7 @@ _CORE_NAMES = frozenset(d.name for d in CORE_SORT_SIGNATURE)
 
 
 @dataclass
-class InternalizedSortSpec:
+class InternalizedSortSpec(SortSpec):
     """Sorts as closed first-order terms, with computed axiom/rule maps.
 
     ``constants`` declare the sort formers (every telescope entry and
@@ -157,10 +187,11 @@ class InternalizedSortSpec:
     a defined result that no name points to is reported as
     :class:`UnknownSort` when something forces us to print it.
 
-    Lookups are memoized per spec: :meth:`axiom_of` and :meth:`rule_of`
-    normalize each ``Ax(s)``/``Ru(s1, s2)`` once, under the spec's own
-    step budget, and then answer from the remembered outcome (a name,
-    None, or the :class:`UnknownSort`, raised afresh on every call).
+    Sort terms are evaluated through :meth:`evaluate`, memoized per spec:
+    each distinct term, an ``Ax(s)``/``Ru(s1, s2)`` lookup or a sort
+    argument an encoding reads back, is normalized once, under the
+    spec's own step budget.  An unnamed lookup result raises a fresh
+    :class:`UnknownSort` on every call.
     """
 
     constants: tuple[Declaration, ...]
@@ -182,8 +213,8 @@ class InternalizedSortSpec:
             raise PimodError("ill-formed sort internalization",
                              problems=[p.message for p in problems])
         self._defined_heads = frozenset(r.head for r in self.rules) | {"Ax", "Ru"}
-        # keyed on the lookup's message, which names the sorts asked about
-        self._outcomes: dict[str, str | UnknownSort | None] = {}
+        self._values: dict[DkTerm, tuple[DkTerm, str | None]] = {}
+        self.known = frozenset(self.named)
         for name, t in self.named.items():
             if metas_of(t) or max_free_index(t) >= 0:
                 raise PimodError(f"sort term for '{name}' must be closed")
@@ -206,12 +237,8 @@ class InternalizedSortSpec:
     def sorts(self) -> tuple[str, ...]:
         return tuple(self.named)
 
-    def has_sort(self, name: str) -> bool:
-        return name in self.named
-
     def sort_term(self, name: str) -> DkTerm:
-        if name not in self.named:
-            raise UnknownSort(f"unknown sort '{name}'")
+        self.require(name)
         return self.named[name]
 
     def name_of(self, t: DkTerm) -> str | None:
@@ -220,22 +247,24 @@ class InternalizedSortSpec:
                 return name
         return None
 
+    def evaluate(self, t: DkTerm) -> tuple[DkTerm, str | None]:
+        """The normal form of the sort term ``t`` and its declared name
+        (None if it has none)."""
+        out = self._values.get(t)
+        if out is None:
+            v = dk_nf(self.mini, t)
+            out = self._values[t] = (v, self.name_of(v))
+        return out
+
     def _is_value(self, t: DkTerm) -> bool:
         return all(type(u) is Cons and u.name not in self._defined_heads
                    for u, _ in subterms(t))
 
     def _lookup(self, what: str, t: DkTerm) -> str | None:
-        if what not in self._outcomes:
-            v = dk_nf(self.mini, t)
-            out = self.name_of(v)
-            if out is None and self._is_value(v):
-                out = UnknownSort(f"{what} evaluates to a sort with no declared name",
-                                  value=v)
-            self._outcomes[what] = out
-        out = self._outcomes[what]
-        if isinstance(out, UnknownSort):
-            raise UnknownSort(out.message, **out.info)
-        return out
+        v, name = self.evaluate(t)
+        if name is None and self._is_value(v):
+            raise UnknownSort(f"{what} evaluates to a sort with no declared name", value=v)
+        return name
 
     def axiom_of(self, s: str) -> str | None:
         return self._lookup(f"the axiom of '{s}'",
@@ -244,18 +273,6 @@ class InternalizedSortSpec:
     def rule_of(self, s1: str, s2: str) -> str | None:
         return self._lookup(f"the product rule for ({s1}, {s2})",
                             Cons("Ru", (self.sort_term(s1), self.sort_term(s2))))
-
-    def rule_defined(self, s1: str, s2: str) -> bool:
-        try:
-            return self.rule_of(s1, s2) is not None
-        except UnknownSort:
-            return True
-
-    def axiom_defined(self, s: str) -> bool:
-        try:
-            return self.axiom_of(s) is not None
-        except UnknownSort:
-            return True
 
     def coverage_diagnostics(self) -> list[Diagnostic]:
         """Notes about named sorts whose axiom/rule images are missing a name."""
@@ -279,9 +296,6 @@ class InternalizedSortSpec:
                         "but has no declared name",
                         f"({s1}, {s2})", severity="note"))
         return out
-
-
-SortSpec = Union[FiniteSortSpec, InternalizedSortSpec]
 
 
 # --- syntax -------------------------------------------------------------------
@@ -511,11 +525,6 @@ def epts_convertible(spec: SortSpec, a: EptsTerm, b: EptsTerm,
 EptsContext = DkContext
 
 
-def _known(spec: SortSpec, s: str) -> None:
-    if not spec.has_sort(s):
-        raise UnknownSort(f"unknown sort '{s}'")
-
-
 def _expect(spec: SortSpec, ctx: EptsContext, m: EptsTerm, got: EptsTerm,
             ty: EptsTerm, f: Fuel) -> None:
     """``m``, whose type is ``got``, must have the type ``ty``."""
@@ -536,7 +545,6 @@ def _require_rule(spec: SortSpec, s1: str, s2: str) -> None:
 
 def _sort_type(spec: SortSpec, s: str) -> ESort:
     """The type of the sort ``s``: its axiom."""
-    _known(spec, s)
     a = spec.axiom_of(s)
     if a is None:
         raise TopSortHasNoType(f"sort '{s}' has no axiom")
@@ -549,8 +557,8 @@ def _product(spec: SortSpec, ctx: EptsContext, m: EPi | ELam | EApp,
     share: both sorts known, the domain at ``s1``, the codomain at ``s2``
     under the binder, and a product rule for the pair.  Returns the
     context under the binder."""
-    _known(spec, m.s1)
-    _known(spec, m.s2)
+    spec.require(m.s1)
+    spec.require(m.s2)
     _e_check(spec, ctx, m.dom, ESort(m.s1), f)
     inner = ctx.extend(m.hint, m.dom)
     _e_check(spec, inner, m.cod, ESort(m.s2), f)
@@ -657,7 +665,7 @@ def _elab(spec: SortSpec, ctx: EptsContext, t: PtsTerm,
                 raise UnboundVariable(f"de Bruijn index {k} out of range")
             return EVar(k), ctx.type_of(k)
         case PSort(s):
-            _known(spec, s)
+            spec.require(s)
             return ESort(s), lambda: _sort_type(spec, s)
         case PPi(h, dom, cod):
             edom, s1 = _as_type(spec, ctx, dom, f)

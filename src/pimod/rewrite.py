@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Iterator
 from .errors import Diagnostic, FuelExhausted
 from .terms import (
     App, Cons, DkTerm, Lam, Meta, Pi, RewriteRule, Term, Theory, Var,
-    instantiate, map_leaves, max_free_index, repeated_metas, subst, subterms,
+    map_leaves, max_free_index, repeated_metas, subst, subst_many, subterms,
 )
 
 BETA = "β"
@@ -85,16 +85,6 @@ def match_pattern(pattern: DkTerm, term: DkTerm, env: dict[str, DkTerm]) -> bool
             return False
 
 
-def _match_rule(rule: RewriteRule, args: tuple[DkTerm, ...]) -> dict[str, DkTerm] | None:
-    env: dict[str, DkTerm] = {}
-    if len(args) != len(rule.lhs):
-        return None
-    for p, a in zip(rule.lhs, args):
-        if not match_pattern(p, a, env):
-            return None
-    return env
-
-
 def redexes(root: Root, t: Term) -> Iterator[tuple[tuple[int, ...], object, Term]]:
     """Lazily, every one-step reduct of ``t``, leftmost-outermost first, as
     (position, label, reduct).
@@ -148,11 +138,14 @@ def _rule_root(theory: Theory, labels: frozenset[str] | set[str] | None) -> Root
             case App(Lam(_, _, body), arg) if beta:
                 yield BETA, subst(body, 0, arg)
             case Cons(c, args):
-                for rule in theory.rules_for(c):
-                    if labels is None or rule.name in labels:
-                        env = _match_rule(rule, args)
-                        if env is not None:
-                            yield rule.name, instantiate(rule.rhs, env)
+                for name, lhs, names, rhs, _ in rules_at(theory, c, len(args)):
+                    if labels is None or name in labels:
+                        env: dict[str, DkTerm] = {}
+                        for p, a in zip(lhs, args):
+                            if not match_pattern(p, a, env):
+                                break
+                        else:
+                            yield name, subst_many(rhs, tuple(env[n] for n in reversed(names)))
 
     return root
 
@@ -270,9 +263,9 @@ def head_class(v) -> type:
 
 
 def _compile(rule: RewriteRule) -> tuple:
-    """``rule`` as the machine fires it: the left-hand side, the pattern
-    variables in reverse order of first occurrence (the order in which
-    their values make up the right-hand side's environment), the
+    """``rule`` as both engines fire it: its name, the left-hand side, the
+    pattern variables in reverse order of first occurrence (the order in
+    which their values make up the right-hand side's environment), the
     right-hand side over that environment, and whether it is closed; an
     open side reads its free variables under the redex's environment."""
     names = list(dict.fromkeys(
@@ -285,8 +278,18 @@ def _compile(rule: RewriteRule) -> tuple:
         if isinstance(u, Var) and u.index >= d:
             return Var(u.index + len(names))
         return u
-    return (rule.lhs, tuple(reversed(names)), map_leaves(rule.rhs, leaf),
+    return (rule.name, rule.lhs, tuple(reversed(names)), map_leaves(rule.rhs, leaf),
             max_free_index(rule.rhs) < 0)
+
+
+def rules_at(theory: Theory, head: str, arity: int) -> tuple:
+    """The rules that may fire on ``head`` applied to ``arity`` arguments,
+    in the theory's order, each compiled by :func:`_compile` on first use."""
+    rules = theory.compiled_rules.get((head, arity))
+    if rules is None:
+        rules = theory.compiled_rules[head, arity] = tuple(
+            _compile(r) for r in theory.rules_for(head) if len(r.lhs) == arity)
+    return rules
 
 
 class Machine:
@@ -338,13 +341,6 @@ class Machine:
             return env[-1 - k] if k < len(env) else self.var(len(env) - 1 - k)
         return Clo(t, env)
 
-    def rules(self, head: str) -> tuple:
-        table = self.theory.compiled_rules
-        rules = table.get(head)
-        if rules is None:
-            rules = table[head] = tuple(_compile(r) for r in self.theory.rules_for(head))
-        return rules
-
     def whnf(self, v):
         """Weak-head normal form under beta and the theory's rules.
 
@@ -363,11 +359,11 @@ class Machine:
                 return VApp(head, arg)
             if type(t) is not Cons:
                 return v
-            rules = self.rules(t.name)
+            rules = rules_at(self.theory, t.name, len(t.args))
             if not rules:
                 return v
             holder = [self.clo(a, v.env) for a in t.args]
-            for lhs, names, rhs, closed in rules:
+            for _, lhs, names, rhs, closed in rules:
                 menv: dict = {}
                 if all(self._match(p, holder, i, menv) for i, p in enumerate(lhs)):
                     self.fuel.tick()

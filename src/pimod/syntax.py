@@ -463,12 +463,8 @@ def render_epts_file(f: EptsFile) -> str:
     """A judgments file equivalent to ``f`` (definitions stay inlined)."""
     avoid = set(n for n, _ in f.definitions) | {j.name for j in f.judgments}
     typed = {j.name: j.type for j in f.judgments}
-    lines = []
-    acc: list[str] = []
-    for h, ty in f.assumes:
-        name = _fresh(h, acc, avoid)
-        lines.append(f"assume {name} : {_r(ty, acc, 0, avoid)}.")
-        acc.append(name)
+    parts, acc = _telescope(f.assumes, avoid)
+    lines = [f"assume {part}." for part in parts]
     for n, body in f.definitions:
         ann = f" : {_r(typed[n], acc, 0, avoid)}" if n in typed else ""
         lines.append(f"def {n}{ann} := {_r(body, acc, 0, avoid)}.")
@@ -596,6 +592,19 @@ def fresh_names(hints: Iterable[str], avoid: Iterable[str] = ()) -> list[str]:
     return names
 
 
+def _telescope(entries: Iterable[tuple[str, Any]], avoid: set[str]) -> tuple[list[str], list[str]]:
+    """Each ``(hint, type)`` entry printed as ``name : type``: the name is
+    the hint freshened against the names before it and ``avoid``, the
+    type is printed over those names.  Also returns the names."""
+    parts: list[str] = []
+    names: list[str] = []
+    for h, ty in entries:
+        name = _fresh(h, names, avoid)
+        parts.append(f"{name} : {_r(ty, names, 0, avoid)}")
+        names.append(name)
+    return parts, names
+
+
 def _var_name(k: int, env: list[str]) -> str:
     if 0 <= k < len(env):
         return env[len(env) - 1 - k]
@@ -660,9 +669,7 @@ def render(x: Any, names: Sequence[str] = (), avoid: Iterable[str] = ()) -> str:
     """Human-readable form of any term-like value (see the module docstring)."""
     a = set(avoid)
     if isinstance(x, DkContext):
-        shown = fresh_names(x.names, a)
-        return ", ".join(f"{name} : {_r(ty, shown[:i], 0, a)}"
-                         for i, (name, (_, ty)) in enumerate(zip(shown, x.entries)))
+        return ", ".join(_telescope(x.entries, a)[0])
     if isinstance(x, Theory):
         return render_theory(x)
     if isinstance(x, SimpleType):
@@ -675,12 +682,7 @@ def _r_signature(decls: Iterable[Declaration], rules: Iterable[RewriteRule],
     """The ``constant`` and ``rule`` clauses of a theory, one per line."""
     lines = []
     for d in decls:
-        acc: list[str] = []
-        parts = []
-        for h, ty in d.telescope:
-            name = _fresh(h, acc, avoid)
-            parts.append(f"{name} : {_r(ty, acc, 0, avoid)}")
-            acc.append(name)
+        parts, acc = _telescope(d.telescope, avoid)
         tele = f" ({', '.join(parts)})" if parts else ""
         lines.append(f"constant {d.name}{tele} : {_r(d.result, acc, 0, avoid)}.")
     for r in rules:
@@ -694,12 +696,8 @@ def render_theory(theory: Theory, assumes: DkContext | None = None,
     """A complete theory file, re-parseable by :func:`parse_theory`."""
     avoid = {d.name for d in theory.signature}
     lines = _r_signature(theory.signature, theory.rules, avoid)
-    acc = []
-    if assumes is not None:
-        for h, ty in assumes.entries:
-            name = _fresh(h, acc, avoid)
-            lines.append(f"assume {name} : {_r(ty, acc, 0, avoid)}.")
-            acc.append(name)
+    parts, acc = _telescope(assumes.entries if assumes is not None else (), avoid)
+    lines += [f"assume {part}." for part in parts]
     for m, a in checks:
         lines.append(f"check {_r(m, acc, 0, avoid)} : {_r(a, acc, 0, avoid)}.")
     return "\n".join(lines) + "\n"

@@ -299,16 +299,17 @@ class Theory:
     """An ordered signature plus rewrite rules.
 
     Treated as immutable after construction; lookup tables are cached,
-    and ``compiled_rules`` holds each head's rules as the reduction
-    machine of :mod:`pimod.rewrite` compiles them on first use.
+    and ``compiled_rules`` holds, by head and arity, the rules that fire
+    on such a constant application, as :func:`pimod.rewrite.rules_at`
+    compiles them on first use for the term rewriter and the machine.
     """
 
     signature: tuple[Declaration, ...]
     rules: tuple[RewriteRule, ...] = ()
     _by_name: dict[str, Declaration] = field(init=False, repr=False, compare=False)
     _rules_by_head: dict[str, tuple[RewriteRule, ...]] = field(init=False, repr=False, compare=False)
-    compiled_rules: dict[str, tuple] = field(default_factory=dict, init=False, repr=False,
-                                             compare=False)
+    compiled_rules: dict[tuple[str, int], tuple] = field(default_factory=dict, init=False,
+                                                         repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._by_name = {d.name: d for d in self.signature}

@@ -65,16 +65,16 @@ from pimod.analysis import SApp, SConst, SLam, StlcTerm, SVar
 from pimod.encode import EncodingTheory
 from pimod.epts import (EApp, ELam, EPi, EptsContext, ESort, EptsTerm, EVar, PApp,
                         PLam, PPi, PSort, PtsTerm, PVar, SortSpec, _e_check, _e_infer,
-                        _known, _require_rule, epts_whnf, sort_of_type)
+                        _require_rule, epts_whnf, sort_of_type)
 from pimod import terms as lib
 from pimod.errors import (ArityMismatch, Diagnostic, KindHasNoType, NotAProduct,
                           NotInvertible, PimodError, TypeMismatch, UnboundVariable,
                           UnknownConstant, UnknownSort, UnrepresentableSort)
 from pimod.morphism import TheoryMorphism
-from pimod.rewrite import BETA, Fuel, OrthogonalityReport, _match_rule
+from pimod.rewrite import BETA, Fuel, OrthogonalityReport, match_pattern
 from pimod.syntax import KEYWORDS, _fresh, _Parser, _var_name, lex
 from pimod.terms import (KIND, TYPE, App, Cons, DkContext, DkTerm, Kind, Lam, Meta,
-                         Pi, Theory, Type, Var, arrow, map_leaves, subterms)
+                         Pi, RewriteRule, Theory, Type, Var, arrow, map_leaves, subterms)
 
 
 def shift(t: DkTerm, by: int, cutoff: int = 0) -> DkTerm:
@@ -395,6 +395,16 @@ def check_orthogonal(theory: Theory) -> OrthogonalityReport:
                 else:
                     report.problems.append(diag)
     return report
+
+
+def _match_rule(rule: RewriteRule, args: tuple[DkTerm, ...]) -> dict[str, DkTerm] | None:
+    env: dict[str, DkTerm] = {}
+    if len(args) != len(rule.lhs):
+        return None
+    for p, a in zip(rule.lhs, args):
+        if not match_pattern(p, a, env):
+            return None
+    return env
 
 
 def _redexes(theory: Theory, t: DkTerm,
@@ -1033,7 +1043,7 @@ def _elab(spec: SortSpec, ctx: EptsContext, t: PtsTerm, f: Fuel) -> EptsTerm:
                 raise UnboundVariable(f"de Bruijn index {k} out of range")
             return EVar(k)
         case PSort(s):
-            _known(spec, s)
+            spec.require(s)
             return ESort(s)
         case PPi(h, dom, cod):
             edom = _elab(spec, ctx, dom, f)

@@ -7,14 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from pimod.decode import (adequacy_legs, adequacy_roundtrip, conservative_invert,
                           hidden_equiv, invert)
-from pimod.encode import (INTERNAL_CORE, EncodingTheory, generate_finite, translate,
-                          translate_ctx)
+from pimod import epts
+from pimod.corpus import load_case
+from pimod.encode import (INTERNAL_CORE, EncodingTheory, generate, generate_finite,
+                          translate, translate_ctx)
 from pimod.epts import (EApp, ELam, EPi, ESort, EVar, EptsContext, PApp, PLam,
-                        PPi, PSort, PVar, elaborate, epts_infer)
+                        PPi, PSort, PVar, elaborate, elaborate_context, epts_infer)
 from pimod.errors import (EptsCheckFailed, FuelExhausted,
                           InternalSoundnessError, NotInvertible, TypeMismatch)
 from pimod.kernel import infer
-from pimod.rewrite import nf, step
+from pimod.rewrite import DEFAULT_FUEL, Fuel, nf, step
 from pimod.syntax import render
 from pimod.terms import TYPE, App, Cons, Declaration, Lam, Var, subterms
 import reference
@@ -309,6 +311,30 @@ class TestConservativeInvert:
             conservative_invert(ext, EptsContext(), Cons("mystery"), ESort("Type"))
         with pytest.raises(NotInvertible):
             conservative_invert(ext, EptsContext(), Cons("mystery"), ESort("Type"))
+
+    def test_each_sort_term_is_evaluated_once_per_spec(self, monkeypatch):
+        case = load_case("systemf", "internalized")   # a spec of its own
+        enc = generate(case.spec)
+        ctx = elaborate_context(case.spec, case.file.assumes)
+        j = next(j for j in case.file.judgments if j.name == "two_plus_one")
+        m, a = elaborate(case.spec, ctx, j.term), elaborate(case.spec, ctx, j.type)
+        img = translate(enc, m)
+        evaluated = []
+        nf_ = epts.dk_nf
+        monkeypatch.setattr(epts, "dk_nf",
+                            lambda theory, t: evaluated.append(t) or nf_(theory, t))
+        for _ in range(2):
+            assert conservative_invert(enc, ctx, img, a) == m
+        assert len(evaluated) == len(set(evaluated))
+        assert Cons("type") in evaluated   # a sort argument that inversion reads
+        # with every sort term known, inversion draws on its caller's budget only
+        f = Fuel(DEFAULT_FUEL)
+        built = []
+        init = Fuel.__init__
+        monkeypatch.setattr(Fuel, "__init__",
+                            lambda self, *args: built.append(args) or init(self, *args))
+        assert conservative_invert(enc, ctx, img, a, f) == m
+        assert built == []
 
     def test_fuel_is_respected(self):
         m = id_applied()

@@ -65,6 +65,18 @@ class TestFiniteSpec:
         assert spec.rule_of("A", "A") == "A"
 
 
+@pytest.mark.parametrize("spec", (SYSTEM_F, SYSTEM_F_INT), ids=("finite", "internalized"))
+def test_both_presentations_reject_an_undeclared_sort(spec):
+    for ask in (lambda: spec.rule_defined("nosuch", "Type"),
+                lambda: spec.rule_defined("Type", "nosuch"),
+                lambda: spec.axiom_defined("nosuch"),
+                lambda: spec.require("nosuch")):
+        with pytest.raises(UnknownSort, match="^unknown sort 'nosuch'$"):
+            ask()
+    spec.require("Kind")
+    assert spec.rule_defined("Kind", "Type") and not spec.rule_defined("Type", "Kind")
+
+
 class TestInternalizedSpec:
     def test_computed_axioms_and_rules(self):
         assert SYSTEM_F_INT.axiom_of("Type") == "Kind"

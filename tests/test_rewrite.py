@@ -11,12 +11,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pimod.encode import generate
 from pimod.errors import FuelExhausted
 from pimod.rewrite import (BETA, DEFAULT_FUEL, Fuel, check_orthogonal,
                            convertible, match_pattern, nf, reduce_trace,
                            reducts, step, whnf)
 from pimod.terms import (TYPE, App, Cons, Declaration, DkTerm, Lam, Meta, Pi,
                          RewriteRule, Theory, Var, subst)
+from systems import SYSTEM_F, SYSTEM_F_INT
 
 N = Cons("N")
 Z = Cons("z")
@@ -199,6 +201,23 @@ class TestWhnf:
     def test_iterated_head_steps(self):
         t = App(Lam("x", N, Lam("y", N, Var(1))), Z)
         assert whnf(NAT, App(t, s(Z))) == Z
+
+
+class TestArity:
+    """A rule is no redex on its head applied to fewer or more arguments
+    than its patterns, in the term rewriter and in the machine alike."""
+
+    @pytest.mark.parametrize("spec, t", [
+        (SYSTEM_F, Cons("app@Kind@Type", ())),
+        (SYSTEM_F_INT, Cons("app", (Cons("kind"), Cons("type")))),
+        (SYSTEM_F_INT, Cons("El", (Cons("kind"), Cons("u", (Cons("type"),)), Cons("type")))),
+    ], ids=("finite-under", "internalized-under", "internalized-over"))
+    def test_rules_fire_only_at_their_arity(self, spec, t):
+        theory = generate(spec).theory
+        assert step(theory, t) is None and reducts(theory, t) == []
+        assert whnf(theory, t) == t
+        assert not convertible(theory, t, TYPE)
+        assert convertible(theory, t, t)
 
 
 class TestConvertible:
