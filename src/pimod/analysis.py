@@ -11,7 +11,6 @@ lambda terms that is strictly simulated by beta reduction.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -19,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import Diagnostic, NotErasable, UnknownConstant
 from .terms import (
     App, Children, Cons, DkContext, DkTerm, Lam, Pi, Term, Theory, Type, Var,
-    Variable, same_class, shift,
+    Variable, same_class,
 )
 
 
@@ -190,13 +189,6 @@ class Arrow(SimpleType):
 STAR = Star()
 
 
-@dataclass(frozen=True)
-class TypeVar(SimpleType):
-    """Unification variable; only alive inside ``stlc_check``."""
-
-    id: int
-
-
 def render_simple(t: SimpleType) -> str:
     match t:
         case Star():
@@ -206,8 +198,6 @@ def render_simple(t: SimpleType) -> str:
             if isinstance(d, Arrow):
                 left = f"({left})"
             return f"{left} -> {render_simple(c)}"
-        case TypeVar(i):
-            return f"?{i}"
     raise AssertionError
 
 
@@ -264,20 +254,31 @@ def mk_sapp(fn: StlcTerm, *args: StlcTerm) -> StlcTerm:
 
 def erase_type(theory: Theory, a: DkTerm) -> SimpleType:
     """Forget dependencies: products become arrows, family heads become *."""
+    return _erase_type(theory, a, {})
+
+
+def _erase_type(theory: Theory, a: DkTerm, memo: dict[int, SimpleType]) -> SimpleType:
+    """``erase_type``, remembering the erasure of each node by identity in
+    ``memo``, which must not outlive the term it was filled from."""
+    out = memo.get(id(a))
+    if out is not None:
+        return out
     match a:
         case Type():
-            return STAR
+            out = STAR
         case Cons(c, _) if theory.decl(c) is not None and \
                 constant_level(theory, c) is ConstantLevel.TYPE_LEVEL:
-            return STAR
+            out = STAR
         case Pi(_, dom, cod):
-            return Arrow(erase_type(theory, dom), erase_type(theory, cod))
+            out = Arrow(_erase_type(theory, dom, memo), _erase_type(theory, cod, memo))
         case App(f, _):
-            return erase_type(theory, f)
+            out = _erase_type(theory, f, memo)
         case Lam(_, _, body):
-            return erase_type(theory, body)
+            out = _erase_type(theory, body, memo)
         case _:
             raise NotErasable(f"no simple-type erasure for {a!r}")
+    memo[id(a)] = out
+    return out
 
 
 def pi_const_name(sigma: SimpleType) -> str:
@@ -299,27 +300,49 @@ def erase_term(theory: Theory, m: DkTerm,
     ``pis`` when given) to its erased pieces.  The result is
     deterministic, and one beta step on ``m`` always maps to at least
     one beta step on the erasure.
+
+    The erasure is built at its final depth, in time linear in the size
+    of ``m``.  An abstraction puts two binders around its erased body
+    (``_z``, then its own) and a product one, so ``Var(k)`` erases to
+    ``SVar(k + l)``, where ``l`` counts the abstractions among the ``k``
+    innermost binders around it.  The index map ``lams`` holds, for each
+    prefix of the binders on the path from the root, the number of
+    abstractions among them, which gives ``l`` in constant time.  The
+    simple type of each product's domain is worked out once per node.
     """
-    match m:
-        case Var(k):
-            return SVar(k)
-        case Cons(c, args):
-            return mk_sapp(SConst(c), *(erase_term(theory, a, pis) for a in args))
-        case App(f, a):
-            return SApp(erase_term(theory, f, pis), erase_term(theory, a, pis))
-        case Lam(h, ann, body):
-            eb = erase_term(theory, body, pis)
-            return SApp(SLam("_z", SLam(h, shift(eb, 1, 1))),
-                        erase_term(theory, ann, pis))
-        case Pi(h, dom, cod):
-            sigma = erase_type(theory, dom)
+    lams = [0]
+    types: dict[int, SimpleType] = {}
+
+    def go(t: DkTerm) -> StlcTerm:
+        cls = type(t)
+        if cls is App:
+            return SApp(go(t.fn), go(t.arg))
+        if cls is Var:
+            k = t.index
+            depth = len(lams) - 1
+            return SVar(k + lams[depth] - lams[max(depth - k, 0)])
+        if cls is Cons:
+            out: StlcTerm = SConst(t.name)
+            for a in t.args:
+                out = SApp(out, go(a))
+            return out
+        if cls is Lam:
+            lams.append(lams[-1] + 1)
+            eb = go(t.body)
+            lams.pop()
+            return SApp(SLam("_z", SLam(t.hint, eb)), go(t.ann))
+        if cls is Pi:
+            sigma = _erase_type(theory, t.dom, types)
             if pis is not None:
                 pis.add(sigma)
-            return mk_sapp(SConst(pi_const_name(sigma)),
-                           erase_term(theory, dom, pis),
-                           SLam(h, erase_term(theory, cod, pis)))
-        case _:
-            raise NotErasable(f"no term erasure for {m!r}")
+            ed = go(t.dom)
+            lams.append(lams[-1])
+            ec = go(t.cod)
+            lams.pop()
+            return mk_sapp(SConst(pi_const_name(sigma)), ed, SLam(t.hint, ec))
+        raise NotErasable(f"no term erasure for {t!r}")
+
+    return go(m)
 
 
 def erase_signature(theory: Theory) -> dict[str, SimpleType]:
@@ -353,6 +376,14 @@ def pi_context(sigmas: Iterable[SimpleType]) -> dict[str, SimpleType]:
 # --- simply-typed checking ----------------------------------------------------
 
 
+class _Untypable(Exception):
+    """Raised inside ``stlc_check`` to abandon a judgment with no typing."""
+
+
+_STAR = -2
+_UNKNOWN = -1
+
+
 def stlc_check(consts: Mapping[str, SimpleType], ctx: Sequence[SimpleType],
                m: StlcTerm, sigma: SimpleType) -> bool:
     """Is the judgment ``consts; ctx |- m : sigma`` derivable?
@@ -361,58 +392,126 @@ def stlc_check(consts: Mapping[str, SimpleType], ctx: Sequence[SimpleType],
     than checking one: unification over simple types, which is complete
     here because simple typability is a first-order unification problem.
     ``ctx`` is ordered oldest first; variable 0 is the last entry.
+
+    Unification runs on a union-find forest over type nodes (Martelli
+    and Montanari, "An efficient unification algorithm", TOPLAS 1982).
+    Node ``i`` is an arrow ``dom[i] -> cod[i]``, an unknown
+    (``dom[i] == _UNKNOWN``) or, for ``i == 0`` only, ``*``; ``parent``
+    links the nodes of one class to its representative, and every
+    ``find`` compresses the path it walks.  Two arrow classes are merged
+    before their parts are unified, from an explicit stack of pairs, so
+    each merge happens once and a shared type is never compared twice.
+    The occurs check is one pass at the end: a typing exists iff no
+    class contains itself, i.e. the arrows between class representatives
+    form no cycle.  The environment is one list, pushed and popped at
+    each abstraction.
     """
-    fresh = itertools.count()
-    sub: dict[int, SimpleType] = {}
+    parent = [0]
+    dom = [_STAR]
+    cod = [_STAR]
 
-    def resolve(t: SimpleType) -> SimpleType:
-        while isinstance(t, TypeVar) and t.id in sub:
-            t = sub[t.id]
-        return t
+    def new(d: int, c: int) -> int:
+        i = len(parent)
+        parent.append(i)
+        dom.append(d)
+        cod.append(c)
+        return i
 
-    def occurs(v: int, t: SimpleType) -> bool:
-        t = resolve(t)
-        if isinstance(t, TypeVar):
-            return t.id == v
+    def find(i: int) -> int:
+        root = i
+        while parent[root] != root:
+            root = parent[root]
+        while parent[i] != root:
+            parent[i], i = root, parent[i]
+        return root
+
+    def unify(a: int, b: int) -> None:
+        todo: list[int] = []   # pairs still to unify, flattened
+        while True:
+            a, b = find(a), find(b)
+            if a != b:
+                if dom[a] == _UNKNOWN:
+                    parent[a] = b
+                elif dom[b] == _UNKNOWN:
+                    parent[b] = a
+                elif a == 0 or b == 0:
+                    raise _Untypable
+                else:
+                    parent[a] = b
+                    todo.append(cod[a])
+                    todo.append(cod[b])
+                    a, b = dom[a], dom[b]
+                    continue
+            if not todo:
+                return
+            b = todo.pop()
+            a = todo.pop()
+
+    def load(t: SimpleType) -> int:
         if isinstance(t, Arrow):
-            return occurs(v, t.dom) or occurs(v, t.cod)
+            return new(load(t.dom), load(t.cod))
+        return 0
+
+    const_nodes: dict[str, int] = {}
+
+    def infer(t: StlcTerm) -> int:
+        cls = type(t)
+        if cls is SApp:
+            tx = infer(t.arg)
+            tf = find(infer(t.fn))
+            if dom[tf] == _UNKNOWN:
+                b = new(_UNKNOWN, _UNKNOWN)
+                parent[tf] = new(tx, b)
+                return b
+            if tf == 0:
+                raise _Untypable
+            unify(dom[tf], tx)
+            return cod[tf]
+        if cls is SVar:
+            k = t.index
+            if not 0 <= k < len(env):
+                raise _Untypable
+            return env[-1 - k]
+        if cls is SLam:
+            a = new(_UNKNOWN, _UNKNOWN)
+            env.append(a)
+            r = infer(t.body)
+            env.pop()
+            return new(a, r)
+        if cls is SConst:
+            i = const_nodes.get(t.name)
+            if i is None:
+                ty = consts.get(t.name)
+                if ty is None:
+                    raise _Untypable
+                i = const_nodes[t.name] = load(ty)
+            return i
+        raise _Untypable
+
+    def acyclic() -> bool:
+        state = [0] * len(parent)   # 0 unseen, 1 on the current path, 2 done
+        for start in range(len(parent)):
+            if state[start] or parent[start] != start:
+                continue
+            todo = [(start, False)]
+            while todo:
+                i, leaving = todo.pop()
+                if leaving:
+                    state[i] = 2
+                elif not state[i]:
+                    state[i] = 1
+                    todo.append((i, True))
+                    if dom[i] >= 0:
+                        for j in (find(dom[i]), find(cod[i])):
+                            if state[j] == 1:
+                                return False
+                            if not state[j]:
+                                todo.append((j, False))
+        return True
+
+    env = [load(a) for a in ctx]
+    try:
+        unify(infer(m), load(sigma))
+    except _Untypable:
         return False
-
-    def unify(a: SimpleType, b: SimpleType) -> bool:
-        a, b = resolve(a), resolve(b)
-        if a == b:
-            return True
-        if isinstance(a, TypeVar):
-            if occurs(a.id, b):
-                return False
-            sub[a.id] = b
-            return True
-        if isinstance(b, TypeVar):
-            return unify(b, a)
-        if isinstance(a, Arrow) and isinstance(b, Arrow):
-            return unify(a.dom, b.dom) and unify(a.cod, b.cod)
-        return False
-
-    def infer(env: list[SimpleType], t: StlcTerm) -> SimpleType | None:
-        match t:
-            case SVar(k):
-                if not 0 <= k < len(env):
-                    return None
-                return env[len(env) - 1 - k]
-            case SConst(name):
-                return consts.get(name)
-            case SLam(_, body):
-                a: SimpleType = TypeVar(next(fresh))
-                r = infer(env + [a], body)
-                return None if r is None else Arrow(a, r)
-            case SApp(f, x):
-                tf = infer(env, f)
-                tx = infer(env, x)
-                if tf is None or tx is None:
-                    return None
-                b: SimpleType = TypeVar(next(fresh))
-                return b if unify(tf, Arrow(tx, b)) else None
-        return None
-
-    got = infer(list(ctx), m)
-    return got is not None and unify(got, sigma)
+    return acyclic()

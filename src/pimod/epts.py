@@ -33,6 +33,7 @@ from typing import Callable, Iterable, Mapping, Union
 from .errors import (
     Diagnostic,
     ElaborationFailed,
+    FuelExhausted,
     NonFunctionalSpec,
     NotAProduct,
     PimodError,
@@ -190,8 +191,10 @@ class InternalizedSortSpec(SortSpec):
     Sort terms are evaluated through :meth:`evaluate`, memoized per spec:
     each distinct term, an ``Ax(s)``/``Ru(s1, s2)`` lookup or a sort
     argument an encoding reads back, is normalized once, under the
-    spec's own step budget.  An unnamed lookup result raises a fresh
-    :class:`UnknownSort` on every call.
+    spec's own step budget.  That budget is fixed, so an evaluation that
+    exhausts it is remembered too and fails again without re-running.
+    An unnamed lookup result raises a fresh :class:`UnknownSort` on every
+    call.
     """
 
     constants: tuple[Declaration, ...]
@@ -213,7 +216,7 @@ class InternalizedSortSpec(SortSpec):
             raise PimodError("ill-formed sort internalization",
                              problems=[p.message for p in problems])
         self._defined_heads = frozenset(r.head for r in self.rules) | {"Ax", "Ru"}
-        self._values: dict[DkTerm, tuple[DkTerm, str | None]] = {}
+        self._values: dict[DkTerm, tuple[DkTerm, str | None] | FuelExhausted] = {}
         self.known = frozenset(self.named)
         for name, t in self.named.items():
             if metas_of(t) or max_free_index(t) >= 0:
@@ -249,11 +252,19 @@ class InternalizedSortSpec(SortSpec):
 
     def evaluate(self, t: DkTerm) -> tuple[DkTerm, str | None]:
         """The normal form of the sort term ``t`` and its declared name
-        (None if it has none)."""
+        (None if it has none).  An evaluation that ran out of steps is
+        remembered as well and raises the same ``FuelExhausted`` again."""
         out = self._values.get(t)
         if out is None:
-            v = dk_nf(self.mini, t)
-            out = self._values[t] = (v, self.name_of(v))
+            try:
+                v = dk_nf(self.mini, t)
+            except FuelExhausted as e:
+                out = e.with_traceback(None)   # keep no frames of the evaluation
+            else:
+                out = (v, self.name_of(v))
+            self._values[t] = out
+        if isinstance(out, FuelExhausted):
+            raise FuelExhausted(*out.args)
         return out
 
     def _is_value(self, t: DkTerm) -> bool:

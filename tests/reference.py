@@ -32,6 +32,13 @@ redex by substitution, and they type every occurrence of a shared
 subterm anew.  They use the library's ``subst``, ``subst_many`` and
 ``instantiate``, and the hand-written ``convertible`` below.
 
+``erase_term`` and ``stlc_check`` are the erasure witness as it was
+before it ran in linear time: ``erase_term`` erases each abstraction's
+body first and then shifts all of it under the vacuous ``_z`` binder,
+and ``stlc_check`` unifies by substitution, with a recursive occurs
+check at every binding and a copy of the environment at every
+abstraction.
+
 ``_elab`` is elaboration as it was before it returned the type it
 derives: it re-infers each domain, the body of every abstraction and
 both parts of every application from the explicit term it has just
@@ -58,18 +65,21 @@ printer.  ``parse_dk_term``, ``parse_pts_term`` and ``render`` run them
 the way the library's entry points do.
 """
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
-from pimod.analysis import SApp, SConst, SLam, StlcTerm, SVar
+from pimod.analysis import (Arrow, SApp, SConst, SimpleType, SLam, StlcTerm, SVar,
+                            erase_type, mk_sapp, pi_const_name)
 from pimod.encode import EncodingTheory
 from pimod.epts import (EApp, ELam, EPi, EptsContext, ESort, EptsTerm, EVar, PApp,
                         PLam, PPi, PSort, PtsTerm, PVar, SortSpec, _e_check, _e_infer,
                         _require_rule, epts_whnf, sort_of_type)
 from pimod import terms as lib
 from pimod.errors import (ArityMismatch, Diagnostic, KindHasNoType, NotAProduct,
-                          NotInvertible, PimodError, TypeMismatch, UnboundVariable,
-                          UnknownConstant, UnknownSort, UnrepresentableSort)
+                          NotErasable, NotInvertible, PimodError, TypeMismatch,
+                          UnboundVariable, UnknownConstant, UnknownSort,
+                          UnrepresentableSort)
 from pimod.morphism import TheoryMorphism
 from pimod.rewrite import BETA, Fuel, OrthogonalityReport, match_pattern
 from pimod.syntax import KEYWORDS, _fresh, _Parser, _var_name, lex
@@ -1127,6 +1137,8 @@ def whnf(theory: Theory, t: DkTerm, fuel: int | Fuel | None = None) -> DkTerm:
                 holder = list(args)
                 fired = False
                 for rule in rules:
+                    if len(rule.lhs) != len(args):
+                        continue
                     env: dict[str, DkTerm] = {}
                     ok = True
                     for i, p in enumerate(rule.lhs):
@@ -1286,3 +1298,97 @@ def check_signature(theory: Theory, fuel: int | Fuel | None = None,
         except PimodError as e:
             out.append(Diagnostic("ill-typed-declaration", str(e), d.name))
     return out
+
+
+# --- the erasure witness by shifting and substitution ----------------------
+
+
+def erase_term(theory: Theory, m: DkTerm,
+               pis: set[SimpleType] | None = None) -> StlcTerm:
+    """Erase a term to an untyped lambda term, keeping all redexes alive."""
+    match m:
+        case Var(k):
+            return SVar(k)
+        case Cons(c, args):
+            return mk_sapp(SConst(c), *(erase_term(theory, a, pis) for a in args))
+        case App(f, a):
+            return SApp(erase_term(theory, f, pis), erase_term(theory, a, pis))
+        case Lam(h, ann, body):
+            eb = erase_term(theory, body, pis)
+            return SApp(SLam("_z", SLam(h, lib.shift(eb, 1, 1))),
+                        erase_term(theory, ann, pis))
+        case Pi(h, dom, cod):
+            sigma = erase_type(theory, dom)
+            if pis is not None:
+                pis.add(sigma)
+            return mk_sapp(SConst(pi_const_name(sigma)),
+                           erase_term(theory, dom, pis),
+                           SLam(h, erase_term(theory, cod, pis)))
+        case _:
+            raise NotErasable(f"no term erasure for {m!r}")
+
+
+@dataclass(frozen=True)
+class TypeVar(SimpleType):
+    """Unification variable of ``stlc_check``."""
+
+    id: int
+
+
+def stlc_check(consts: dict[str, SimpleType], ctx: Sequence[SimpleType],
+               m: StlcTerm, sigma: SimpleType) -> bool:
+    """Is the judgment ``consts; ctx |- m : sigma`` derivable?"""
+    fresh = itertools.count()
+    sub: dict[int, SimpleType] = {}
+
+    def resolve(t: SimpleType) -> SimpleType:
+        while isinstance(t, TypeVar) and t.id in sub:
+            t = sub[t.id]
+        return t
+
+    def occurs(v: int, t: SimpleType) -> bool:
+        t = resolve(t)
+        if isinstance(t, TypeVar):
+            return t.id == v
+        if isinstance(t, Arrow):
+            return occurs(v, t.dom) or occurs(v, t.cod)
+        return False
+
+    def unify(a: SimpleType, b: SimpleType) -> bool:
+        a, b = resolve(a), resolve(b)
+        if a == b:
+            return True
+        if isinstance(a, TypeVar):
+            if occurs(a.id, b):
+                return False
+            sub[a.id] = b
+            return True
+        if isinstance(b, TypeVar):
+            return unify(b, a)
+        if isinstance(a, Arrow) and isinstance(b, Arrow):
+            return unify(a.dom, b.dom) and unify(a.cod, b.cod)
+        return False
+
+    def infer(env: list[SimpleType], t: StlcTerm) -> SimpleType | None:
+        match t:
+            case SVar(k):
+                if not 0 <= k < len(env):
+                    return None
+                return env[len(env) - 1 - k]
+            case SConst(name):
+                return consts.get(name)
+            case SLam(_, body):
+                a: SimpleType = TypeVar(next(fresh))
+                r = infer(env + [a], body)
+                return None if r is None else Arrow(a, r)
+            case SApp(f, x):
+                tf = infer(env, f)
+                tx = infer(env, x)
+                if tf is None or tx is None:
+                    return None
+                b: SimpleType = TypeVar(next(fresh))
+                return b if unify(tf, Arrow(tx, b)) else None
+        return None
+
+    got = infer(list(ctx), m)
+    return got is not None and unify(got, sigma)

@@ -15,9 +15,9 @@ from pimod.epts import (EApp, ELam, EPi, ESort, EVar, EptsContext,
                         elaborate_context, epts_check, epts_convertible,
                         epts_infer, epts_nf, epts_redex, epts_reduce,
                         epts_whnf, erase_to_pts, sort_of_type)
-from pimod.errors import (ElaborationFailed, NonFunctionalSpec, NotAProduct,
-                          PimodError, SideConditionFailed, TopSortHasNoType,
-                          TypeMismatch, UnboundVariable, UnknownSort)
+from pimod.errors import (ElaborationFailed, FuelExhausted, NonFunctionalSpec,
+                          NotAProduct, PimodError, SideConditionFailed,
+                          TopSortHasNoType, TypeMismatch, UnboundVariable, UnknownSort)
 from pimod.rewrite import Fuel
 from pimod.syntax import fresh_names, parse_pts_term, render
 from pimod.terms import Cons, Declaration, Meta, RewriteRule, Var, shift, subst
@@ -475,3 +475,22 @@ class TestElaborationWork:
         # another name for the same sort term keeps its own message
         with pytest.raises(UnknownSort, match=r"\(A2, A2\)"):
             spec.rule_of("A2", "A2")
+
+    def test_an_exhausted_evaluation_is_not_run_again(self, monkeypatch):
+        spec = load_sorts("mltt").internalized
+        message = "reduction exceeded the budget of 1000000 steps"
+        calls = []
+
+        def exhausted(theory, t):
+            calls.append(t)
+            raise FuelExhausted(message)
+
+        monkeypatch.setattr(epts, "dk_nf", exhausted)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(FuelExhausted) as e:
+                spec.evaluate(Cons("Ax", (spec.sort_term("0"),)))
+            errors.append(e.value)
+        assert len(calls) == 1
+        assert errors[0] is not errors[1]
+        assert [str(e) for e in errors] == [message, message]

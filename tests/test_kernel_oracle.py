@@ -30,6 +30,7 @@ from pimod.syntax import fresh_names, parse_dk_term, parse_theory, render, rende
 from pimod.terms import (KIND, TYPE, App, Cons, Declaration, Lam, Meta, Pi, RewriteRule,
                          Theory, Var)
 from strategies import dk_terms
+from systems import SYSTEM_F
 from termgen import GEN_THEORY, beta_expand, gen_judgment
 from test_child_map import CONV_THEORY
 from test_kernel import EMPTY, N, VEC, Z, s, vec
@@ -118,6 +119,15 @@ def test_whnf_of_raw_terms(t):
         except FuelExhausted:
             return "exhausted", f.remaining
     assert outcome(whnf) == outcome(ref.whnf)
+
+
+def test_whnf_of_an_under_applied_constant():
+    # the rules of app@Kind@Type match four arguments; here it has none
+    theory = generate(SYSTEM_F).theory
+    t = Cons("app@Kind@Type", ())
+    assert whnf(theory, t) == ref.whnf(theory, t) == t
+    assert not convertible(theory, t, TYPE)
+    assert not ref.convertible(theory, t, TYPE)
 
 
 def test_parsed_bad_traditional_theory():
