@@ -10,8 +10,10 @@ is erased to an untyped lambda term, which must be simply typable at the
 erasure of the image's type.  One JSON line per N gives the seconds each
 of those five stages took, the number of nodes of the image as a tree
 (``image_nodes``) and as distinct objects (``image_distinct``: the image
-shares what elaboration shares), and the fuel ticks of the kernel check
-and of the inversion, whose own kernel check is among them.  The type
+shares what elaboration shares), the distinct objects of the source term
+the inversion recovers (``recovered_distinct``: inversion keeps the
+image's sharing), and the fuel ticks of the kernel check and of the
+inversion, whose own kernel check is among them.  The type
 the image is checked against and the erased signature are worked out
 outside the timed stages.
 
@@ -94,6 +96,7 @@ def measure(enc, n: int) -> dict:
             "check_s": check_s, "invert_s": invert_s, "erase_s": erase_s,
             "image_nodes": sum(1 for _ in subterms(img)),
             "image_distinct": distinct_nodes(img),
+            "recovered_distinct": distinct_nodes(back),
             "check_ticks": fuel.limit - fuel.remaining,
             "invert_ticks": invert_fuel.limit - invert_fuel.remaining}
 

@@ -48,25 +48,41 @@ def invert(enc: EncodingTheory, t: DkTerm) -> EptsTerm:
     slightly larger fragment than the literal image of the translation;
     on images it is the exact inverse.  Anything else raises
     :class:`NotInvertible`.
+
+    Each node object is inverted once per call, so the result shares
+    what ``t`` shares: it has no more distinct node objects than ``t``,
+    beta redexes aside, and :func:`translate` maps it back in time
+    linear in them.
     """
-    match t:
-        case Var(k):
-            return EVar(k)
-        case App(Lam(_, _, body), arg):
-            return subst(invert(enc, body), 0, invert(enc, arg))
-        case Cons(name, args):
-            match enc.split(name, args):
-                case "u", (s,), ():
-                    return ESort(s)
-                case "Prod", (s1, s2), (a, Lam(h, _, b)):
-                    return EPi(s1, s2, invert(enc, a), h, invert(enc, b))
-                case "abs", (s1, s2), (a, Lam(h, _, b), Lam(_, _, m)):
-                    return ELam(s1, s2, invert(enc, a), h, invert(enc, b),
-                                invert(enc, m))
-                case "app", (s1, s2), (a, Lam(h, _, b), m, n):
-                    return EApp(s1, s2, invert(enc, a), h, invert(enc, b),
-                                invert(enc, m), invert(enc, n))
-    raise NotInvertible("term is outside the invertible fragment", term=t)
+    memo: dict[int, tuple[DkTerm, EptsTerm]] = {}   # keeps each node alive, so its id stays its own
+
+    def back(u: DkTerm) -> EptsTerm:
+        hit = memo.get(id(u))
+        if hit is not None:
+            return hit[1]
+        match u:
+            case Var(k):
+                m = EVar(k)
+            case App(Lam(_, _, body), arg):
+                m = subst(back(body), 0, back(arg))
+            case Cons(name, args):
+                match enc.split(name, args):
+                    case "u", (s,), ():
+                        m = ESort(s)
+                    case "Prod", (s1, s2), (a, Lam(h, _, b)):
+                        m = EPi(s1, s2, back(a), h, back(b))
+                    case "abs", (s1, s2), (a, Lam(h, _, b), Lam(_, _, n)):
+                        m = ELam(s1, s2, back(a), h, back(b), back(n))
+                    case "app", (s1, s2), (a, Lam(h, _, b), f, n):
+                        m = EApp(s1, s2, back(a), h, back(b), back(f), back(n))
+                    case _:
+                        raise NotInvertible("term is outside the invertible fragment", term=u)
+            case _:
+                raise NotInvertible("term is outside the invertible fragment", term=u)
+        memo[id(u)] = (u, m)
+        return m
+
+    return back(t)
 
 
 def hidden_equiv(enc: EncodingTheory, a: DkTerm, b: DkTerm,
@@ -81,26 +97,42 @@ def hidden_equiv(enc: EncodingTheory, a: DkTerm, b: DkTerm,
     This is the precise sense in which annotations and sort arguments are
     hidden: rewriting can change them, but it cannot change what the term
     says.
+
+    Each pair of node objects is zipped once and each pair of annotation
+    objects converted once, however often the terms repeat them.
     """
-    pairs: list[tuple[DkTerm, DkTerm]] = []
+    pairs: dict[tuple[int, int], tuple[DkTerm, DkTerm]] = {}   # in order of first meeting
+    zipped: set[tuple[int, int]] = set()   # pairs of subterms of a and b that agree
 
     def zip_(x: DkTerm, y: DkTerm) -> bool:
+        key = (id(x), id(y))
+        if key in zipped:
+            return True
         if type(x) is Lam and type(y) is Lam:
-            pairs.append((x.ann, y.ann))
-            return zip_(x.body, y.body)
-        if type(x) is Cons and type(y) is Cons:
-            sx, sy = enc.split(x.name, x.args), enc.split(y.name, y.args)
+            pairs.setdefault((id(x.ann), id(y.ann)), (x.ann, y.ann))
+            kids = [(x.body, y.body)]
+        else:
+            sx = sy = None
+            if type(x) is Cons and type(y) is Cons:
+                sx, sy = enc.split(x.name, x.args), enc.split(y.name, y.args)
             if sx is not None and sy is not None:
-                return (sx[:2] == sy[:2] and len(sx[2]) == len(sy[2])
-                        and all(zip_(p, q) for p, q in zip(sx[2], sy[2])))
-        if not x.same_node(y):
-            return x == y
-        return all(zip_(p, q) for (p, _), (q, _) in zip(x.children(), y.children()))
+                if sx[:2] != sy[:2] or len(sx[2]) != len(sy[2]):
+                    return False
+                kids = zip(sx[2], sy[2])
+            elif not x.same_node(y):
+                return x == y
+            else:
+                kids = [(p, q) for (p, _), (q, _) in zip(x.children(), y.children())]
+        for p, q in kids:
+            if not zip_(p, q):
+                return False
+        zipped.add(key)
+        return True
 
     if not zip_(a, b):
         return False
     f = Fuel.of(fuel)
-    return all(convertible(enc.theory, p, q, f) for p, q in pairs)
+    return all(convertible(enc.theory, p, q, f) for p, q in pairs.values())
 
 
 def conservative_invert(enc: EncodingTheory, ctx: EptsContext, t: DkTerm,

@@ -92,6 +92,9 @@ class EncodingTheory:
     mode: str  # "finite" | "internalized"
     roles: dict[str, tuple[str, ...]] = field(default_factory=dict)
     beta_rules: tuple[str, ...] = ()
+    # finite mode: constant names by (role, sorts), once the sorts are known
+    family_names: dict[tuple[str, tuple[str, ...]], str] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def role_of(self, name: str) -> tuple[str, ...] | None:
         return self.roles.get(name)
@@ -108,9 +111,12 @@ class EncodingTheory:
         mode passes their sort terms as leading arguments.
         """
         if self.mode == "finite":
-            for s in sorts:
-                self.spec.require(s)
-            return Cons(family_name(role, *sorts), payload)
+            name = self.family_names.get((role, sorts))
+            if name is None:
+                for s in sorts:
+                    self.spec.require(s)
+                name = self.family_names[role, sorts] = family_name(role, *sorts)
+            return Cons(name, payload)
         return Cons(role, tuple(self.spec.sort_term(s) for s in sorts) + payload)
 
     def split(self, name: str, args: tuple[DkTerm, ...]

@@ -544,11 +544,6 @@ def _expect(spec: SortSpec, ctx: EptsContext, m: EptsTerm, got: EptsTerm,
                            expected=ty, actual=got, subject=m)
 
 
-def _e_check(spec: SortSpec, ctx: EptsContext, m: EptsTerm, ty: EptsTerm,
-             f: Fuel) -> None:
-    _expect(spec, ctx, m, _e_infer(spec, ctx, m, f), ty, f)
-
-
 def _require_rule(spec: SortSpec, s1: str, s2: str) -> None:
     if not spec.rule_defined(s1, s2):
         raise SideConditionFailed(f"no product rule for the sort pair ({s1}, {s2})")
@@ -562,49 +557,94 @@ def _sort_type(spec: SortSpec, s: str) -> ESort:
     return ESort(a)
 
 
-def _product(spec: SortSpec, ctx: EptsContext, m: EPi | ELam | EApp,
-             f: Fuel) -> EptsContext:
-    """What the typing rules of ``m``, a product, abstraction or application,
-    share: both sorts known, the domain at ``s1``, the codomain at ``s2``
-    under the binder, and a product rule for the pair.  Returns the
-    context under the binder."""
-    spec.require(m.s1)
-    spec.require(m.s2)
-    _e_check(spec, ctx, m.dom, ESort(m.s1), f)
-    inner = ctx.extend(m.hint, m.dom)
-    _e_check(spec, inner, m.cod, ESort(m.s2), f)
-    _require_rule(spec, m.s1, m.s2)
-    return inner
+class _Scope:
+    """A context of one checker call, and the contexts extending it, by
+    (name, domain object)."""
+
+    __slots__ = ("ctx", "inner")
+
+    def __init__(self, ctx: EptsContext):
+        self.ctx = ctx
+        self.inner: dict[tuple[str, int], _Scope] = {}
 
 
-def _e_infer(spec: SortSpec, ctx: EptsContext, m: EptsTerm, f: Fuel) -> EptsTerm:
-    match m:
-        case EVar(k):
-            return ctx.type_of(k)
-        case ESort(s):
-            return _sort_type(spec, s)
-        case EPi(s1, s2):
-            _product(spec, ctx, m, f)
-            return ESort(spec.rule_of(s1, s2))
-        case ELam(s1, s2, dom, h, cod, body):
-            _e_check(spec, _product(spec, ctx, m, f), body, cod, f)
-            return EPi(s1, s2, dom, h, cod)
-        case EApp(s1, s2, dom, h, cod, fn, arg):
-            _product(spec, ctx, m, f)
-            _e_check(spec, ctx, fn, EPi(s1, s2, dom, h, cod), f)
-            _e_check(spec, ctx, arg, dom, f)
-            return subst(cod, 0, arg)
-    raise PimodError(f"cannot type {m!r}")
+class _Checker:
+    """The state of one top-level call of the source checker: the spec, the
+    budget, and the inferred types by (node object, interned context).
+
+    Extending a context by the same name and domain object gives the same
+    context, so a subterm the term shares is typed once per context it
+    occurs in.  Only successes are stored: a failure ends the call, and
+    the walk visits the nodes in the order it always has, so the first
+    error is the one a walk without the memo would meet.
+    """
+
+    __slots__ = ("spec", "f", "memo")
+
+    def __init__(self, spec: SortSpec, f: Fuel):
+        self.spec = spec
+        self.f = f
+        self.memo: dict[tuple[int, _Scope], EptsTerm] = {}
+
+    def extend(self, sc: _Scope, hint: str, dom: EptsTerm) -> _Scope:
+        key = (hint, id(dom))
+        inner = sc.inner.get(key)
+        if inner is None:   # the context holds dom, so its id stays its own
+            inner = sc.inner[key] = _Scope(sc.ctx.extend(hint, dom))
+        return inner
+
+    def check(self, sc: _Scope, m: EptsTerm, ty: EptsTerm) -> None:
+        _expect(self.spec, sc.ctx, m, self.infer(sc, m), ty, self.f)
+
+    def product(self, sc: _Scope, m: EPi | ELam | EApp) -> _Scope:
+        """What the typing rules of ``m``, a product, abstraction or
+        application, share: both sorts known, the domain at ``s1``, the
+        codomain at ``s2`` under the binder, and a product rule for the
+        pair.  Returns the context under the binder."""
+        spec = self.spec
+        spec.require(m.s1)
+        spec.require(m.s2)
+        self.check(sc, m.dom, ESort(m.s1))
+        inner = self.extend(sc, m.hint, m.dom)
+        self.check(inner, m.cod, ESort(m.s2))
+        _require_rule(spec, m.s1, m.s2)
+        return inner
+
+    def infer(self, sc: _Scope, m: EptsTerm) -> EptsTerm:
+        key = (id(m), sc)
+        ty = self.memo.get(key)
+        if ty is not None:
+            return ty
+        match m:
+            case EVar(k):
+                ty = sc.ctx.type_of(k)
+            case ESort(s):
+                ty = _sort_type(self.spec, s)
+            case EPi(s1, s2):
+                self.product(sc, m)
+                ty = ESort(self.spec.rule_of(s1, s2))
+            case ELam(s1, s2, dom, h, cod, body):
+                self.check(self.product(sc, m), body, cod)
+                ty = EPi(s1, s2, dom, h, cod)
+            case EApp(s1, s2, dom, h, cod, fn, arg):
+                self.product(sc, m)
+                self.check(sc, fn, EPi(s1, s2, dom, h, cod))
+                self.check(sc, arg, dom)
+                ty = subst(cod, 0, arg)
+            case _:
+                raise PimodError(f"cannot type {m!r}")
+        self.memo[key] = ty
+        return ty
 
 
 def epts_infer(spec: SortSpec, ctx: EptsContext, m: EptsTerm,
                fuel: int | Fuel | None = None) -> EptsTerm:
-    return _e_infer(spec, ctx, m, Fuel.of(fuel))
+    return _Checker(spec, Fuel.of(fuel)).infer(_Scope(ctx), m)
 
 
 def epts_check(spec: SortSpec, ctx: EptsContext, m: EptsTerm, ty: EptsTerm,
                fuel: int | Fuel | None = None) -> None:
-    _e_check(spec, ctx, m, ty, Fuel.of(fuel))
+    _Checker(spec, Fuel.of(fuel)).check(_Scope(ctx), m, ty)
 
 
 def _sort_of(spec: SortSpec, ctx: EptsContext, a: EptsTerm, ty: EptsTerm,
@@ -622,7 +662,7 @@ def sort_of_type(spec: SortSpec, ctx: EptsContext, a: EptsTerm,
                  fuel: int | Fuel | None = None) -> str:
     """The sort ``s`` with ``a : s``; fails if the type of ``a`` is not a sort."""
     f = Fuel.of(fuel)
-    return _sort_of(spec, ctx, a, _e_infer(spec, ctx, a, f), f)
+    return _sort_of(spec, ctx, a, epts_infer(spec, ctx, a, f), f)
 
 
 def check_epts_context(spec: SortSpec, ctx: EptsContext,

@@ -93,13 +93,33 @@ def redexes(root: Root, t: Term) -> Iterator[tuple[tuple[int, ...], object, Term
     root.  The root comes before its children, and the children in the
     order ``children()`` lists them; positions are child-index paths in
     that order.
+
+    ``root`` must look only at the subterm it is given, never at where
+    that subterm sits, so a node object holds the same redexes at every
+    position.  The search relies on it: a node object it has searched to
+    the end without finding a redex is skipped wherever else it occurs,
+    so on a shared term that has no redex ``root`` runs once per distinct
+    node object.  A node with a redex is searched at every position, so
+    every position of every redex is listed.
     """
-    for label, red in root(t):
-        yield (), label, red
-    kids = [k for k, _ in t.children()]
-    for i, k in enumerate(kids):
-        for path, label, red in redexes(root, k):
-            yield (i, *path), label, t.with_children(kids[:i] + [red] + kids[i + 1:])
+    clean: set[int] = set()   # ids of subterms of t known to hold no redex
+
+    def search(u: Term) -> Iterator[tuple[tuple[int, ...], object, Term]]:
+        found = False
+        for label, red in root(u):
+            found = True
+            yield (), label, red
+        kids = [k for k, _ in u.children()]
+        for i, k in enumerate(kids):
+            if id(k) in clean:
+                continue
+            for path, label, red in search(k):
+                found = True
+                yield (i, *path), label, u.with_children(kids[:i] + [red] + kids[i + 1:])
+        if not found:
+            clean.add(id(u))
+
+    return search(t)
 
 
 def normalize(root: Root, t: Term,

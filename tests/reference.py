@@ -42,7 +42,7 @@ abstraction.
 ``_elab`` is elaboration as it was before it returned the type it
 derives: it re-infers each domain, the body of every abstraction and
 both parts of every application from the explicit term it has just
-built.
+built, with the source checker at the end of this module.
 
 ``_redexes``, ``step``, ``epts_redex``, ``epts_step`` and ``epts_reduce``
 are the framework's and the source language's own redex searches and
@@ -63,6 +63,18 @@ their helpers) and the four term printers (``_r_dk``, ``_r_pts``,
 language; ``pimod.syntax`` derives all of them from one grammar and one
 printer.  ``parse_dk_term``, ``parse_pts_term`` and ``render`` run them
 the way the library's entry points do.
+
+The last section keeps the stages of ``conservative_invert`` after the
+kernel check as they were before they visited each distinct node object
+once: the redex search ``redexes`` (with ``normalize`` and ``reducts``
+on top of it), ``tree_invert``, ``tree_hidden_equiv`` and the source
+checker (``_e_infer``, ``_e_check``, ``_product``, ``epts_infer``,
+``epts_check``, ``sort_of_type``).  They walk a shared term as a tree:
+``tree_invert`` builds a fresh tree, ``tree_hidden_equiv`` converts
+every occurrence of an annotation pair, and the checker types every
+occurrence of a shared subterm anew.  They are copied as they were.
+``conservative_invert`` runs them the way the library's does, with the
+library's kernel, translation and translation of the context and type.
 """
 
 import itertools
@@ -71,13 +83,15 @@ from typing import Any, Iterator, Sequence
 
 from pimod.analysis import (Arrow, SApp, SConst, SimpleType, SLam, StlcTerm, SVar,
                             erase_type, mk_sapp, pi_const_name)
+from pimod import encode, kernel, rewrite
 from pimod.encode import EncodingTheory
 from pimod.epts import (EApp, ELam, EPi, EptsContext, ESort, EptsTerm, EVar, PApp,
-                        PLam, PPi, PSort, PtsTerm, PVar, SortSpec, _e_check, _e_infer,
-                        _require_rule, epts_whnf, sort_of_type)
+                        PLam, PPi, PSort, PtsTerm, PVar, SortSpec, _expect,
+                        _require_rule, _sort_of, _sort_type, epts_whnf)
 from pimod import terms as lib
-from pimod.errors import (ArityMismatch, Diagnostic, KindHasNoType, NotAProduct,
-                          NotErasable, NotInvertible, PimodError, TypeMismatch,
+from pimod.errors import (ArityMismatch, Diagnostic, EptsCheckFailed, InternalSoundnessError,
+                          KindHasNoType, NotAProduct, NotErasable, NotInvertible,
+                          PimodError, TypeMismatch,
                           UnboundVariable, UnknownConstant, UnknownSort,
                           UnrepresentableSort)
 from pimod.morphism import TheoryMorphism
@@ -1392,3 +1406,171 @@ def stlc_check(consts: dict[str, SimpleType], ctx: Sequence[SimpleType],
 
     got = infer(list(ctx), m)
     return got is not None and unify(got, sigma)
+
+
+# --- the stages after the kernel check, as tree walks ----------------------
+
+
+def redexes(root: rewrite.Root, t: lib.Term) -> Iterator[tuple[tuple[int, ...], object, lib.Term]]:
+    """Lazily, every one-step reduct of ``t``, leftmost-outermost first, as
+    (position, label, reduct).
+
+    ``root(u)`` lists the (label, reduct) pairs of the redexes at ``u``'s
+    root.  The root comes before its children, and the children in the
+    order ``children()`` lists them; positions are child-index paths in
+    that order.
+    """
+    for label, red in root(t):
+        yield (), label, red
+    kids = [k for k, _ in t.children()]
+    for i, k in enumerate(kids):
+        for path, label, red in redexes(root, k):
+            yield (i, *path), label, t.with_children(kids[:i] + [red] + kids[i + 1:])
+
+
+def normalize(root: rewrite.Root, t: lib.Term,
+              fuel: int | Fuel | None = None) -> tuple[lib.Term, list[tuple[object, lib.Term]]]:
+    """Contract the first of :func:`redexes` until there is none, one tick
+    of ``fuel`` per step; the normal form and the labeled trace."""
+    f = Fuel.of(fuel)
+    trace: list[tuple[object, lib.Term]] = []
+    while True:
+        r = next(redexes(root, t), None)
+        if r is None:
+            return t, trace
+        f.tick()
+        t = r[2]
+        trace.append((r[1], t))
+
+
+def reducts(theory: Theory, t: DkTerm) -> list[tuple[tuple[int, ...], str, DkTerm]]:
+    """All one-step reducts of ``t`` at every position, with labels."""
+    return list(redexes(rewrite._rule_root(theory, None), t))
+
+
+def tree_invert(enc: EncodingTheory, t: DkTerm) -> EptsTerm:
+    """Translate back, discarding binder annotations."""
+    match t:
+        case Var(k):
+            return EVar(k)
+        case App(Lam(_, _, body), arg):
+            return lib.subst(tree_invert(enc, body), 0, tree_invert(enc, arg))
+        case Cons(name, args):
+            match enc.split(name, args):
+                case "u", (s,), ():
+                    return ESort(s)
+                case "Prod", (s1, s2), (a, Lam(h, _, b)):
+                    return EPi(s1, s2, tree_invert(enc, a), h, tree_invert(enc, b))
+                case "abs", (s1, s2), (a, Lam(h, _, b), Lam(_, _, m)):
+                    return ELam(s1, s2, tree_invert(enc, a), h, tree_invert(enc, b),
+                                tree_invert(enc, m))
+                case "app", (s1, s2), (a, Lam(h, _, b), m, n):
+                    return EApp(s1, s2, tree_invert(enc, a), h, tree_invert(enc, b),
+                                tree_invert(enc, m), tree_invert(enc, n))
+    raise NotInvertible("term is outside the invertible fragment", term=t)
+
+
+def tree_hidden_equiv(enc: EncodingTheory, a: DkTerm, b: DkTerm,
+                      fuel: int | Fuel | None = None) -> bool:
+    """Equality up to conversion inside abstraction annotations only, and
+    up to evaluation of the sort arguments of family members."""
+    pairs: list[tuple[DkTerm, DkTerm]] = []
+
+    def zip_(x: DkTerm, y: DkTerm) -> bool:
+        if type(x) is Lam and type(y) is Lam:
+            pairs.append((x.ann, y.ann))
+            return zip_(x.body, y.body)
+        if type(x) is Cons and type(y) is Cons:
+            sx, sy = enc.split(x.name, x.args), enc.split(y.name, y.args)
+            if sx is not None and sy is not None:
+                return (sx[:2] == sy[:2] and len(sx[2]) == len(sy[2])
+                        and all(zip_(p, q) for p, q in zip(sx[2], sy[2])))
+        if not x.same_node(y):
+            return x == y
+        return all(zip_(p, q) for (p, _), (q, _) in zip(x.children(), y.children()))
+
+    if not zip_(a, b):
+        return False
+    f = Fuel.of(fuel)
+    return all(rewrite.convertible(enc.theory, p, q, f) for p, q in pairs)
+
+
+def _e_check(spec: SortSpec, ctx: EptsContext, m: EptsTerm, ty: EptsTerm,
+             f: Fuel) -> None:
+    _expect(spec, ctx, m, _e_infer(spec, ctx, m, f), ty, f)
+
+
+def _product(spec: SortSpec, ctx: EptsContext, m: EPi | ELam | EApp,
+             f: Fuel) -> EptsContext:
+    """What the typing rules of ``m``, a product, abstraction or application,
+    share: both sorts known, the domain at ``s1``, the codomain at ``s2``
+    under the binder, and a product rule for the pair.  Returns the
+    context under the binder."""
+    spec.require(m.s1)
+    spec.require(m.s2)
+    _e_check(spec, ctx, m.dom, ESort(m.s1), f)
+    inner = ctx.extend(m.hint, m.dom)
+    _e_check(spec, inner, m.cod, ESort(m.s2), f)
+    _require_rule(spec, m.s1, m.s2)
+    return inner
+
+
+def _e_infer(spec: SortSpec, ctx: EptsContext, m: EptsTerm, f: Fuel) -> EptsTerm:
+    match m:
+        case EVar(k):
+            return ctx.type_of(k)
+        case ESort(s):
+            return _sort_type(spec, s)
+        case EPi(s1, s2):
+            _product(spec, ctx, m, f)
+            return ESort(spec.rule_of(s1, s2))
+        case ELam(s1, s2, dom, h, cod, body):
+            _e_check(spec, _product(spec, ctx, m, f), body, cod, f)
+            return EPi(s1, s2, dom, h, cod)
+        case EApp(s1, s2, dom, h, cod, fn, arg):
+            _product(spec, ctx, m, f)
+            _e_check(spec, ctx, fn, EPi(s1, s2, dom, h, cod), f)
+            _e_check(spec, ctx, arg, dom, f)
+            return lib.subst(cod, 0, arg)
+    raise PimodError(f"cannot type {m!r}")
+
+
+def epts_infer(spec: SortSpec, ctx: EptsContext, m: EptsTerm,
+               fuel: int | Fuel | None = None) -> EptsTerm:
+    return _e_infer(spec, ctx, m, Fuel.of(fuel))
+
+
+def epts_check(spec: SortSpec, ctx: EptsContext, m: EptsTerm, ty: EptsTerm,
+               fuel: int | Fuel | None = None) -> None:
+    _e_check(spec, ctx, m, ty, Fuel.of(fuel))
+
+
+def sort_of_type(spec: SortSpec, ctx: EptsContext, a: EptsTerm,
+                 fuel: int | Fuel | None = None) -> str:
+    """The sort ``s`` with ``a : s``; fails if the type of ``a`` is not a sort."""
+    f = Fuel.of(fuel)
+    return _sort_of(spec, ctx, a, _e_infer(spec, ctx, a, f), f)
+
+
+def conservative_invert(enc: EncodingTheory, ctx: EptsContext, t: DkTerm,
+                        a: EptsTerm, fuel: int | Fuel | None = None) -> EptsTerm:
+    """Recover a source term from any framework inhabitant of an encoded type."""
+    f = Fuel.of(fuel)
+    dctx = encode.translate_ctx(enc, ctx, f)
+    want = encode.expected_dk_type(enc, ctx, a, f)
+    kernel.check(enc.theory, dctx, t, want, f)
+    normal = normalize(rewrite._rule_root(enc.theory, {BETA}), t, f)[0]
+    m = tree_invert(enc, normal)
+
+    try:
+        epts_check(enc.spec, ctx, m, a, f)
+    except PimodError as e:
+        raise EptsCheckFailed(
+            "the recovered source term fails to type-check",
+            term=m, reason=str(e)) from e
+
+    if not tree_hidden_equiv(enc, encode.translate(enc, m), normal, f):
+        raise InternalSoundnessError(
+            "re-translating the recovered term changes more than binder "
+            "annotations", term=m)
+    return m

@@ -3,6 +3,7 @@ on the ``Fuel`` its caller hands it and builds no budget of its own."""
 
 import pytest
 
+import reference
 from pimod.corpus import load_case, load_cases, load_sorts
 from pimod.decode import adequacy_legs, conservative_invert
 from pimod.encode import expected_dk_type, generate, translate, translate_ctx
@@ -77,3 +78,19 @@ def test_the_budget_bounds_inversion_exactly(case):
             if ticks > 1:  # a budget is positive: nothing lies below Fuel(1)
                 with pytest.raises(FuelExhausted):
                     conservative_invert(enc, ctx, t, a, Fuel(ticks - 1))
+
+
+@pytest.mark.parametrize("case", load_cases(), ids=lambda c: c.label)
+def test_inversion_spends_the_same_ticks_each_time_and_no_more_than_the_tree_walk(case):
+    """Two consecutive calls spend the same ticks, and never more than the
+    pipeline in ``reference`` whose stages after the kernel check walk the
+    shared image as a tree."""
+    for enc, ctx, name, m, a in _judgments(case):
+        img = translate(enc, m)
+        spent = []
+        for invert_ in (conservative_invert, conservative_invert, reference.conservative_invert):
+            f = Fuel(DEFAULT_FUEL)
+            assert invert_(enc, ctx, img, a, f) == m, name
+            spent.append(f.limit - f.remaining)
+        first, second, tree = spent
+        assert first == second <= tree, name

@@ -96,10 +96,13 @@ class TestGenerateFinite:
         assert convertible(SF_ENC.theory, t, SF_ENC.family("U", ("Type",), ()))
 
     def test_constructors_require_known_sorts(self):
-        with pytest.raises(UnknownSort):
-            SF_ENC.family("U", ("Prop",), ())
-        with pytest.raises(UnknownSort):
-            SF_ENC.family("Prod", ("Type", "Prop"), (Var(0), Var(0)))
+        for _ in range(2):   # a failed check is not remembered as a name
+            with pytest.raises(UnknownSort, match="unknown sort 'Prop'"):
+                SF_ENC.family("U", ("Prop",), ())
+            with pytest.raises(UnknownSort, match="unknown sort 'Prop'"):
+                SF_ENC.family("Prod", ("Type", "Prop"), (Var(0), Var(0)))
+        first = SF_ENC.family("Prod", ("Type", "Type"), (Var(0), Var(0)))
+        assert SF_ENC.family("Prod", ("Type", "Type"), (Var(1), Var(1))).name is first.name
 
 
 class TestFamilyLayout:

@@ -427,14 +427,14 @@ class TestElaborationWork:
     @pytest.mark.parametrize("n", (50, 100))
     def test_inference_calls_grow_quadratically_with_depth(self, monkeypatch, n):
         calls = 0
-        infer = epts._e_infer
+        infer = epts._Checker.infer
 
         def counting(*args):
             nonlocal calls
             calls += 1
             return infer(*args)
 
-        monkeypatch.setattr(epts, "_e_infer", counting)
+        monkeypatch.setattr(epts._Checker, "infer", counting)
         elaborate(SYSTEM_F, EptsContext(), depth_term(n))
         assert 0 < calls <= (n + 1) ** 2
 

@@ -72,10 +72,11 @@ def test_depth_scaling_prints_one_record_per_depth(capsys):
     assert [r["n"] for r in records] == [4, 8]
     for r in records:
         assert set(r) == {"n", "elaborate_s", "translate_s", "check_s", "invert_s",
-                          "erase_s", "image_nodes", "image_distinct", "check_ticks",
-                          "invert_ticks"}
+                          "erase_s", "image_nodes", "image_distinct", "recovered_distinct",
+                          "check_ticks", "invert_ticks"}
         assert all(r[k] >= 0 for k in r)
         assert 0 < r["image_distinct"] < r["image_nodes"]
+        assert 0 < r["recovered_distinct"] <= r["image_distinct"]
         assert 0 < r["check_ticks"] <= r["invert_ticks"]
     assert 0 < records[0]["image_nodes"] < records[1]["image_nodes"]
 
