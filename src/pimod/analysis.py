@@ -1,8 +1,8 @@
 """Static analyses: stratification, rule shape checks, erasure to simple types.
 
-Well-typed terms split into kinds, type families and objects, directed
-by whether a constant's declared result type ends in TYPE.  On top of
-that classification this module provides two rule analyses (does a
+Constants split into type-level and object-level ones, by whether a
+constant's declared result type ends in TYPE.  On top of that
+classification this module provides two rule analyses (does a
 type-level rewrite rule preserve the simple-type erasure of its head?)
 and the erasure itself: a forgetful map from framework types to simple
 types and a structure-preserving map from framework terms to untyped
@@ -17,21 +17,14 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import Diagnostic, NotErasable, UnknownConstant
 from .terms import (
-    App, Children, Cons, DkContext, DkTerm, Lam, Pi, Term, Theory, Type, Var,
-    Variable, same_class,
+    App, Children, Cons, DkContext, DkTerm, Lam, NodeMemo, Pi, Term, Theory, Type,
+    Var, Variable, same_class,
 )
 
 
 class ConstantLevel(Enum):
     TYPE_LEVEL = "type-level"
     OBJECT_LEVEL = "object-level"
-
-
-class SyntacticClass(Enum):
-    KIND = "kind"
-    TYPE_FAMILY = "type-family"
-    OBJECT = "object"
-    UNCLASSIFIED = "unclassified"
 
 
 def constant_level(theory: Theory, name: str) -> ConstantLevel:
@@ -43,64 +36,6 @@ def constant_level(theory: Theory, name: str) -> ConstantLevel:
     while isinstance(t, Pi):
         t = t.cod
     return ConstantLevel.TYPE_LEVEL if isinstance(t, Type) else ConstantLevel.OBJECT_LEVEL
-
-
-def _is_kind(theory: Theory, t: DkTerm) -> bool:
-    match t:
-        case Type():
-            return True
-        case Pi(_, dom, cod):
-            return _is_tf(theory, dom) and _is_kind(theory, cod)
-        case _:
-            return False
-
-
-def _is_tf(theory: Theory, t: DkTerm) -> bool:
-    match t:
-        case Cons(c, args):
-            return (theory.decl(c) is not None
-                    and constant_level(theory, c) is ConstantLevel.TYPE_LEVEL
-                    and all(_is_obj(theory, a) for a in args))
-        case App(f, a):
-            return _is_tf(theory, f) and _is_obj(theory, a)
-        case Lam(_, ann, body):
-            return _is_tf(theory, ann) and _is_tf(theory, body)
-        case Pi(_, dom, cod):
-            return _is_tf(theory, dom) and _is_tf(theory, cod)
-        case _:
-            return False
-
-
-def _is_obj(theory: Theory, t: DkTerm) -> bool:
-    match t:
-        case Var(_):
-            return True
-        case Cons(c, args):
-            return (theory.decl(c) is not None
-                    and constant_level(theory, c) is ConstantLevel.OBJECT_LEVEL
-                    and all(_is_obj(theory, a) for a in args))
-        case App(f, a):
-            return _is_obj(theory, f) and _is_obj(theory, a)
-        case Lam(_, ann, body):
-            return _is_tf(theory, ann) and _is_obj(theory, body)
-        case _:
-            return False
-
-
-def classify(theory: Theory, t: DkTerm) -> SyntacticClass:
-    """Which stratum a raw term belongs to; never fails.
-
-    The three grammars are mutually exclusive, so at most one matches;
-    terms outside all of them (KIND, pattern variables, abstractions
-    over kinds, ...) come back UNCLASSIFIED.
-    """
-    if _is_kind(theory, t):
-        return SyntacticClass.KIND
-    if _is_tf(theory, t):
-        return SyntacticClass.TYPE_FAMILY
-    if _is_obj(theory, t):
-        return SyntacticClass.OBJECT
-    return SyntacticClass.UNCLASSIFIED
 
 
 # --- rule right-hand-side shape analyses ------------------------------------
@@ -254,12 +189,11 @@ def mk_sapp(fn: StlcTerm, *args: StlcTerm) -> StlcTerm:
 
 def erase_type(theory: Theory, a: DkTerm) -> SimpleType:
     """Forget dependencies: products become arrows, family heads become *."""
-    return _erase_type(theory, a, {})
+    return _erase_type(theory, a, NodeMemo())
 
 
-def _erase_type(theory: Theory, a: DkTerm, memo: dict[int, SimpleType]) -> SimpleType:
-    """``erase_type``, remembering the erasure of each node by identity in
-    ``memo``, which must not outlive the term it was filled from."""
+def _erase_type(theory: Theory, a: DkTerm, memo: NodeMemo) -> SimpleType:
+    """``erase_type``, remembering the erasure of each node object in ``memo``."""
     out = memo.get(id(a))
     if out is not None:
         return out
@@ -277,8 +211,7 @@ def _erase_type(theory: Theory, a: DkTerm, memo: dict[int, SimpleType]) -> Simpl
             out = _erase_type(theory, body, memo)
         case _:
             raise NotErasable(f"no simple-type erasure for {a!r}")
-    memo[id(a)] = out
-    return out
+    return memo.put(id(a), out, a)
 
 
 def pi_const_name(sigma: SimpleType) -> str:
@@ -311,7 +244,7 @@ def erase_term(theory: Theory, m: DkTerm,
     simple type of each product's domain is worked out once per node.
     """
     lams = [0]
-    types: dict[int, SimpleType] = {}
+    types = NodeMemo()
 
     def go(t: DkTerm) -> StlcTerm:
         cls = type(t)

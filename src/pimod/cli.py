@@ -169,6 +169,8 @@ def _cmd_check_epts(args, rep: Reporter) -> None:
     ctx = elaborate_context(spec, file.assumes, fuel=args.fuel)
     rep.result("context", f"{args.source} [{mode}]", True,
                f"{len(ctx.entries)} assumptions")
+    for d in spec.coverage_diagnostics():
+        rep.diagnostic(d, args.sorts)
     for j in file.judgments:
         f = Fuel(args.fuel)
         try:

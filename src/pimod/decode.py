@@ -22,7 +22,7 @@ from .errors import (
 )
 from .kernel import check as dk_check
 from .rewrite import BETA, Fuel, convertible, nf, step
-from .terms import App, Cons, DkTerm, Lam, Var, subst
+from .terms import App, Cons, DkTerm, Lam, NodeMemo, Var, subst
 from .epts import (
     EApp,
     ELam,
@@ -54,12 +54,12 @@ def invert(enc: EncodingTheory, t: DkTerm) -> EptsTerm:
     beta redexes aside, and :func:`translate` maps it back in time
     linear in them.
     """
-    memo: dict[int, tuple[DkTerm, EptsTerm]] = {}   # keeps each node alive, so its id stays its own
+    memo = NodeMemo()
 
     def back(u: DkTerm) -> EptsTerm:
-        hit = memo.get(id(u))
-        if hit is not None:
-            return hit[1]
+        m = memo.get(id(u))
+        if m is not None:
+            return m
         match u:
             case Var(k):
                 m = EVar(k)
@@ -79,8 +79,7 @@ def invert(enc: EncodingTheory, t: DkTerm) -> EptsTerm:
                         raise NotInvertible("term is outside the invertible fragment", term=u)
             case _:
                 raise NotInvertible("term is outside the invertible fragment", term=u)
-        memo[id(u)] = (u, m)
-        return m
+        return memo.put(id(u), m, u)
 
     return back(t)
 
@@ -101,15 +100,17 @@ def hidden_equiv(enc: EncodingTheory, a: DkTerm, b: DkTerm,
     Each pair of node objects is zipped once and each pair of annotation
     objects converted once, however often the terms repeat them.
     """
-    pairs: dict[tuple[int, int], tuple[DkTerm, DkTerm]] = {}   # in order of first meeting
-    zipped: set[tuple[int, int]] = set()   # pairs of subterms of a and b that agree
+    pairs = NodeMemo()    # annotation pairs, in order of first meeting
+    zipped = NodeMemo()   # pairs of subterms of a and b that agree
 
     def zip_(x: DkTerm, y: DkTerm) -> bool:
         key = (id(x), id(y))
         if key in zipped:
             return True
         if type(x) is Lam and type(y) is Lam:
-            pairs.setdefault((id(x.ann), id(y.ann)), (x.ann, y.ann))
+            anns = (id(x.ann), id(y.ann))
+            if anns not in pairs:
+                pairs.put(anns, (x.ann, y.ann), (x.ann, y.ann))
             kids = [(x.body, y.body)]
         else:
             sx = sy = None
@@ -126,7 +127,7 @@ def hidden_equiv(enc: EncodingTheory, a: DkTerm, b: DkTerm,
         for p, q in kids:
             if not zip_(p, q):
                 return False
-        zipped.add(key)
+        zipped.put(key, True, (x, y))
         return True
 
     if not zip_(a, b):

@@ -28,6 +28,7 @@ from .terms import (
     DkTerm,
     Lam,
     Meta,
+    NodeMemo,
     Pi,
     RewriteRule,
     Theory,
@@ -294,15 +295,13 @@ class _Translation:
 
     def __init__(self, enc: EncodingTheory):
         self.enc = enc
-        self.images: dict[int, tuple[EptsTerm, DkTerm]] = {}
-        self.anns: dict[tuple[str, int], DkTerm] = {}
+        self.images = NodeMemo()
+        self.anns = NodeMemo()
 
     def term(self, m: EptsTerm) -> DkTerm:
-        hit = self.images.get(id(m))
-        if hit is not None:
-            return hit[1]
-        img = self._image(m)
-        self.images[id(m)] = (m, img)   # keeps m alive, so its id stays its own
+        img = self.images.get(id(m))
+        if img is None:
+            img = self.images.put(id(m), self._image(m), m)
         return img
 
     def el(self, s: str, a: EptsTerm) -> DkTerm:
@@ -311,7 +310,7 @@ class _Translation:
         key = (s, id(da))
         ann = self.anns.get(key)
         if ann is None:
-            ann = self.anns[key] = self.enc.family("El", (s,), (da,))
+            ann = self.anns.put(key, self.enc.family("El", (s,), (da,)), da)
         return ann
 
     def _image(self, m: EptsTerm) -> DkTerm:

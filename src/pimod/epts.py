@@ -51,6 +51,7 @@ from .terms import (
     Declaration,
     DkContext,
     DkTerm,
+    NodeMemo,
     RewriteRule,
     Term,
     Theory,
@@ -107,6 +108,10 @@ class SortSpec:
             self.require(s1)
             self.require(s2)
             return True
+
+    def coverage_diagnostics(self) -> list[Diagnostic]:
+        """Notes on defined axioms and rules with no sort name; none here."""
+        return []
 
 
 @dataclass(frozen=True)
@@ -557,46 +562,37 @@ def _sort_type(spec: SortSpec, s: str) -> ESort:
     return ESort(a)
 
 
-class _Scope:
-    """A context of one checker call, and the contexts extending it, by
-    (name, domain object)."""
-
-    __slots__ = ("ctx", "inner")
-
-    def __init__(self, ctx: EptsContext):
-        self.ctx = ctx
-        self.inner: dict[tuple[str, int], _Scope] = {}
-
-
 class _Checker:
     """The state of one top-level call of the source checker: the spec, the
-    budget, and the inferred types by (node object, interned context).
-
-    Extending a context by the same name and domain object gives the same
-    context, so a subterm the term shares is typed once per context it
+    budget, and two :class:`pimod.terms.NodeMemo` tables.  ``contexts``
+    interns contexts by (context, name, domain object), so extending a
+    context by the same name and domain object gives the same context
+    object; ``memo`` holds the inferred types by (node object, interned
+    context), so a subterm the term shares is typed once per context it
     occurs in.  Only successes are stored: a failure ends the call, and
     the walk visits the nodes in the order it always has, so the first
     error is the one a walk without the memo would meet.
     """
 
-    __slots__ = ("spec", "f", "memo")
+    __slots__ = ("spec", "f", "contexts", "memo")
 
     def __init__(self, spec: SortSpec, f: Fuel):
         self.spec = spec
         self.f = f
-        self.memo: dict[tuple[int, _Scope], EptsTerm] = {}
+        self.contexts = NodeMemo()
+        self.memo = NodeMemo()
 
-    def extend(self, sc: _Scope, hint: str, dom: EptsTerm) -> _Scope:
-        key = (hint, id(dom))
-        inner = sc.inner.get(key)
-        if inner is None:   # the context holds dom, so its id stays its own
-            inner = sc.inner[key] = _Scope(sc.ctx.extend(hint, dom))
+    def extend(self, ctx: EptsContext, hint: str, dom: EptsTerm) -> EptsContext:
+        key = (id(ctx), hint, id(dom))
+        inner = self.contexts.get(key)
+        if inner is None:
+            inner = self.contexts.put(key, ctx.extend(hint, dom), (ctx, dom))
         return inner
 
-    def check(self, sc: _Scope, m: EptsTerm, ty: EptsTerm) -> None:
-        _expect(self.spec, sc.ctx, m, self.infer(sc, m), ty, self.f)
+    def check(self, ctx: EptsContext, m: EptsTerm, ty: EptsTerm) -> None:
+        _expect(self.spec, ctx, m, self.infer(ctx, m), ty, self.f)
 
-    def product(self, sc: _Scope, m: EPi | ELam | EApp) -> _Scope:
+    def product(self, ctx: EptsContext, m: EPi | ELam | EApp) -> EptsContext:
         """What the typing rules of ``m``, a product, abstraction or
         application, share: both sorts known, the domain at ``s1``, the
         codomain at ``s2`` under the binder, and a product rule for the
@@ -604,47 +600,46 @@ class _Checker:
         spec = self.spec
         spec.require(m.s1)
         spec.require(m.s2)
-        self.check(sc, m.dom, ESort(m.s1))
-        inner = self.extend(sc, m.hint, m.dom)
+        self.check(ctx, m.dom, ESort(m.s1))
+        inner = self.extend(ctx, m.hint, m.dom)
         self.check(inner, m.cod, ESort(m.s2))
         _require_rule(spec, m.s1, m.s2)
         return inner
 
-    def infer(self, sc: _Scope, m: EptsTerm) -> EptsTerm:
-        key = (id(m), sc)
+    def infer(self, ctx: EptsContext, m: EptsTerm) -> EptsTerm:
+        key = (id(m), id(ctx))
         ty = self.memo.get(key)
         if ty is not None:
             return ty
         match m:
             case EVar(k):
-                ty = sc.ctx.type_of(k)
+                ty = ctx.type_of(k)
             case ESort(s):
                 ty = _sort_type(self.spec, s)
             case EPi(s1, s2):
-                self.product(sc, m)
+                self.product(ctx, m)
                 ty = ESort(self.spec.rule_of(s1, s2))
             case ELam(s1, s2, dom, h, cod, body):
-                self.check(self.product(sc, m), body, cod)
+                self.check(self.product(ctx, m), body, cod)
                 ty = EPi(s1, s2, dom, h, cod)
             case EApp(s1, s2, dom, h, cod, fn, arg):
-                self.product(sc, m)
-                self.check(sc, fn, EPi(s1, s2, dom, h, cod))
-                self.check(sc, arg, dom)
+                self.product(ctx, m)
+                self.check(ctx, fn, EPi(s1, s2, dom, h, cod))
+                self.check(ctx, arg, dom)
                 ty = subst(cod, 0, arg)
             case _:
                 raise PimodError(f"cannot type {m!r}")
-        self.memo[key] = ty
-        return ty
+        return self.memo.put(key, ty, (m, ctx))
 
 
 def epts_infer(spec: SortSpec, ctx: EptsContext, m: EptsTerm,
                fuel: int | Fuel | None = None) -> EptsTerm:
-    return _Checker(spec, Fuel.of(fuel)).infer(_Scope(ctx), m)
+    return _Checker(spec, Fuel.of(fuel)).infer(ctx, m)
 
 
 def epts_check(spec: SortSpec, ctx: EptsContext, m: EptsTerm, ty: EptsTerm,
                fuel: int | Fuel | None = None) -> None:
-    _Checker(spec, Fuel.of(fuel)).check(_Scope(ctx), m, ty)
+    _Checker(spec, Fuel.of(fuel)).check(ctx, m, ty)
 
 
 def _sort_of(spec: SortSpec, ctx: EptsContext, a: EptsTerm, ty: EptsTerm,
@@ -663,23 +658,6 @@ def sort_of_type(spec: SortSpec, ctx: EptsContext, a: EptsTerm,
     """The sort ``s`` with ``a : s``; fails if the type of ``a`` is not a sort."""
     f = Fuel.of(fuel)
     return _sort_of(spec, ctx, a, epts_infer(spec, ctx, a, f), f)
-
-
-def check_epts_context(spec: SortSpec, ctx: EptsContext,
-                       fuel: int | Fuel | None = None) -> list[Diagnostic]:
-    """Every context entry must denote a type (its type must be a sort)."""
-    f = Fuel.of(fuel)
-    out: list[Diagnostic] = []
-    partial = EptsContext()
-    for hint, ty in ctx.entries:
-        try:
-            sort_of_type(spec, partial, ty, f)
-        except PimodError as e:
-            out.append(Diagnostic("bad-context-entry",
-                                  f"context entry '{hint}' is not a type: {e}",
-                                  hint))
-        partial = partial.extend(hint, ty)
-    return out
 
 
 # --- elaboration ----------------------------------------------------------------

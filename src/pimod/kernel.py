@@ -16,10 +16,11 @@ where it is printed: in the log, and in the ``expected``/``actual`` of
 
 Each top-level call memoizes inference on the node object and the
 context, which is interned: extending a context by the same name and
-annotation object gives the same context.  A subterm that elaboration
-shares is therefore typed once per context it occurs in, and a memo hit
-replays the log entries its first inference made.  The memo dies with
-the call.
+annotation object gives the same context.  Both tables are
+:class:`pimod.terms.NodeMemo` tables, which hold the node objects their
+keys name.  A subterm that elaboration shares is therefore typed once
+per context it occurs in, and a memo hit replays the log entries its
+first inference made.  The memo dies with the call.
 
 Every entry point draws its reduction steps on one budget, ``fuel``: an
 int starts a fresh :class:`Fuel`, a ``Fuel`` is shared, so a caller that
@@ -35,7 +36,7 @@ from .errors import (
     TypeMismatch, UnboundVariable, UnknownConstant,
 )
 from .rewrite import Clo, Fuel, Machine, VPi, head_class
-from .terms import KIND, TYPE, App, Cons, DkContext, DkTerm, Kind, Lam, Meta, Pi, Theory, Type, Var
+from .terms import KIND, TYPE, App, Cons, DkContext, DkTerm, Kind, Lam, Meta, NodeMemo, Pi, Theory, Type, Var
 
 Log = list[tuple[list[str], DkTerm, DkTerm]]
 
@@ -48,38 +49,38 @@ def _path_str(path: tuple[str, ...]) -> str:
 
 class _Scope:
     """A context of one kernel call: its names, its entry types as values
-    (entry ``i`` at level ``i``), its environment, and the contexts
-    extending it, by (name, annotation object)."""
+    (entry ``i`` at level ``i``) and its environment."""
 
-    __slots__ = ("names", "types", "env", "depth", "inner")
+    __slots__ = ("names", "types", "env", "depth")
 
     def __init__(self, names: list[str], types: tuple, env: tuple):
         self.names = names
         self.types = types
         self.env = env
         self.depth = len(types)
-        self.inner: dict[tuple[str, int], _Scope] = {}
 
 
 class _Kernel:
-    """The state of one top-level call: the machine, the log, the
-    interned contexts and the inference memo."""
+    """The state of one top-level call: the machine, the log, the contexts
+    interned by (context, name, annotation object) and the inference memo."""
 
-    __slots__ = ("theory", "m", "log", "memo", "root")
+    __slots__ = ("theory", "m", "log", "scopes", "memo", "root")
 
     def __init__(self, theory: Theory, fuel: int | Fuel | None, log: Log | None):
         self.theory = theory
         self.m = Machine(theory, Fuel.of(fuel))
         self.log = log
-        self.memo: dict[tuple[int, _Scope], tuple] = {}
+        self.scopes = NodeMemo()
+        self.memo = NodeMemo()
         self.root = _Scope([], (), ())
 
     def extend(self, sc: _Scope, hint: str, ty: DkTerm) -> _Scope:
-        key = (hint, id(ty))
-        inner = sc.inner.get(key)
+        key = (sc, hint, id(ty))
+        inner = self.scopes.get(key)
         if inner is None:
-            inner = sc.inner[key] = _Scope(sc.names + [hint], sc.types + (self.m.clo(ty, sc.env),),
-                                           self.m.env(sc.depth + 1))
+            m = self.m
+            inner = _Scope(sc.names + [hint], sc.types + (m.clo(ty, sc.env),), m.env(sc.depth + 1))
+            self.scopes.put(key, inner, ty)
         return inner
 
     def scope(self, ctx: DkContext) -> _Scope:
@@ -162,7 +163,7 @@ class _Kernel:
             raise PimodError(f"cannot type {t!r}")
         if log is not None:
             log.append((list(sc.names), t, m.quote(ty, sc.depth)))
-        self.memo[key] = (ty, start, len(log) if log is not None else 0)
+        self.memo.put(key, (ty, start, len(log) if log is not None else 0), t)
         return ty
 
     def check_is_type(self, sc: _Scope, t: DkTerm, path: tuple[str, ...]) -> None:

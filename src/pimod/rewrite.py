@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import Diagnostic, FuelExhausted
 from .terms import (
-    App, Cons, DkTerm, Lam, Meta, Pi, RewriteRule, Term, Theory, Var,
+    App, Cons, DkTerm, Lam, Meta, NodeMemo, Pi, RewriteRule, Term, Theory, Var,
     map_leaves, max_free_index, repeated_metas, subst, subst_many, subterms,
 )
 
@@ -102,7 +102,7 @@ def redexes(root: Root, t: Term) -> Iterator[tuple[tuple[int, ...], object, Term
     node object.  A node with a redex is searched at every position, so
     every position of every redex is listed.
     """
-    clean: set[int] = set()   # ids of subterms of t known to hold no redex
+    clean = NodeMemo()   # subterms of t known to hold no redex
 
     def search(u: Term) -> Iterator[tuple[tuple[int, ...], object, Term]]:
         found = False
@@ -117,7 +117,7 @@ def redexes(root: Root, t: Term) -> Iterator[tuple[tuple[int, ...], object, Term
                 found = True
                 yield (i, *path), label, u.with_children(kids[:i] + [red] + kids[i + 1:])
         if not found:
-            clean.add(id(u))
+            clean.put(id(u), True, u)
 
     return search(t)
 

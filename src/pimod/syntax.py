@@ -459,18 +459,6 @@ def parse_epts_file(text: str, spec: SortSpec,
     return EptsFile(tuple(assumes), definitions, judgments)
 
 
-def render_epts_file(f: EptsFile) -> str:
-    """A judgments file equivalent to ``f`` (definitions stay inlined)."""
-    avoid = set(n for n, _ in f.definitions) | {j.name for j in f.judgments}
-    typed = {j.name: j.type for j in f.judgments}
-    parts, acc = _telescope(f.assumes, avoid)
-    lines = [f"assume {part}." for part in parts]
-    for n, body in f.definitions:
-        ann = f" : {_r(typed[n], acc, 0, avoid)}" if n in typed else ""
-        lines.append(f"def {n}{ann} := {_r(body, acc, 0, avoid)}.")
-    return "\n".join(lines) + "\n"
-
-
 # --- sort specification files ---------------------------------------------------
 
 
@@ -711,28 +699,4 @@ def render_morphism(mor: TheoryMorphism) -> str:
         acc = fresh_names((h for h, _ in decl.telescope) if decl is not None else (),
                           avoid)
         lines.append(f"map {name} := {_r(body, acc, 0, avoid)}.")
-    return "\n".join(lines) + "\n"
-
-
-def render_sort_spec(f: SortSpecFile) -> str:
-    lines: list[str] = []
-    if f.finite is not None:
-        lines.append("[sorts]")
-        lines.extend(f.finite.sorts)
-        lines.append("[axioms]")
-        for s1 in f.finite.sorts:
-            if s1 in f.finite.axioms:
-                lines.append(f"{s1} : {f.finite.axioms[s1]}")
-        lines.append("[rules]")
-        for s1 in f.finite.sorts:
-            for s2 in f.finite.sorts:
-                if (s1, s2) in f.finite.rules:
-                    lines.append(f"({s1}, {s2}) : {f.finite.rules[(s1, s2)]}")
-    if f.internalized is not None:
-        spec = f.internalized
-        lines.append("[internalized]")
-        avoid = {"Sort", "Ax", "Ru"} | {d.name for d in spec.constants}
-        lines.extend(_r_signature(spec.constants, spec.rules, avoid))
-        for name, t in spec.named.items():
-            lines.append(f"{name} := {_r(t, [], 0, avoid)}.")
     return "\n".join(lines) + "\n"

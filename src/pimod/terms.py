@@ -11,7 +11,8 @@ terms in :mod:`pimod.epts`, untyped lambda terms in :mod:`pimod.analysis`):
 each inner node class states its subterms and binders in its methods (see
 :class:`Term`).  Shifting, substitution, the folds :func:`map_leaves` and
 :func:`subterms`, contexts, redex search, conversion and morphism
-application are written once against it.
+application are written once against it.  Every table keyed by node
+identity is a :class:`NodeMemo`.
 """
 
 from __future__ import annotations
@@ -147,28 +148,6 @@ class Meta(DkTerm):
     name: str
 
 
-def mk_app(fn: DkTerm, *args: DkTerm) -> DkTerm:
-    """Left-nested application ``fn a1 ... an``."""
-    for a in args:
-        fn = App(fn, a)
-    return fn
-
-
-def arrow(dom: DkTerm, cod: DkTerm) -> Pi:
-    """Non-dependent product; the codomain is weakened under the binder."""
-    return Pi("_", dom, shift(cod, 1))
-
-
-def spine(t: DkTerm) -> tuple[DkTerm, list[DkTerm]]:
-    """Split iterated application into head and argument list."""
-    args: list[DkTerm] = []
-    while isinstance(t, App):
-        args.append(t.arg)
-        t = t.fn
-    args.reverse()
-    return t, args
-
-
 def map_leaves(t: Term, leaf: Callable[[Term, int], Term], depth: int = 0) -> Term:
     """Rebuild ``t`` with each leaf ``u`` replaced by ``leaf(u, d)``, where
     ``d`` is ``depth`` plus the number of binders above ``u``."""
@@ -238,13 +217,6 @@ def subst_many(t: Term, values: tuple[Term, ...], depth: int = 0) -> Term:
     return _subst(t, values, depth, depth)
 
 
-def instantiate(t: DkTerm, env: dict[str, DkTerm], depth: int = 0) -> DkTerm:
-    """Replace pattern variables by the terms a match bound them to."""
-    def leaf(u: DkTerm, d: int) -> DkTerm:
-        return shift(env[u.name], d) if isinstance(u, Meta) and u.name in env else u
-    return map_leaves(t, leaf, depth)
-
-
 def metas_of(t: DkTerm) -> set[str]:
     return {u.name for u, _ in subterms(t) if isinstance(u, Meta)}
 
@@ -253,6 +225,28 @@ def max_free_index(t: Term, depth: int = 0) -> int:
     """Largest free variable index, or -1 for a closed term."""
     return max((u.index - depth - d for u, d in subterms(t)
                 if isinstance(u, Variable) and u.index >= depth + d), default=-1)
+
+
+class NodeMemo(dict):
+    """A table of one call keyed by node identity: by ``id(node)`` or by a
+    tuple holding such ids.  An id is unique only among live objects, so
+    the table holds every node its keys name.  Reads are plain dict probes
+    (``memo.get(id(u))``, ``id(u) in memo``); the one write, :meth:`put`,
+    pins the key's nodes with the entry.  Equal but distinct node objects
+    get entries of their own."""
+
+    __slots__ = ("pins",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.pins: list[object] = []
+
+    def put(self, key: object, value: object, pin: object) -> object:
+        """Store ``value`` under ``key`` and return it; ``pin`` is the node
+        whose id ``key`` holds, or a tuple of the nodes for several ids."""
+        self[key] = value
+        self.pins.append(pin)
+        return value
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,9 @@ normalizer and type checker as they were before they ran on closures:
 they rebuild terms, substituting each argument into a constant's
 telescope, weakening each context entry on lookup and contracting each
 redex by substitution, and they type every occurrence of a shared
-subterm anew.  They use the library's ``subst``, ``subst_many`` and
-``instantiate``, and the hand-written ``convertible`` below.
+subterm anew.  They use the library's ``subst`` and ``subst_many``, the
+hand-written ``instantiate`` above and the hand-written ``convertible``
+below.
 
 ``erase_term`` and ``stlc_check`` are the erasure witness as it was
 before it ran in linear time: ``erase_term`` erases each abstraction's
@@ -98,7 +99,7 @@ from pimod.morphism import TheoryMorphism
 from pimod.rewrite import BETA, Fuel, OrthogonalityReport, match_pattern
 from pimod.syntax import KEYWORDS, _fresh, _Parser, _var_name, lex
 from pimod.terms import (KIND, TYPE, App, Cons, DkContext, DkTerm, Kind, Lam, Meta,
-                         Pi, RewriteRule, Theory, Type, Var, arrow, map_leaves, subterms)
+                         Pi, RewriteRule, Theory, Type, Var, map_leaves, subterms)
 
 
 def shift(t: DkTerm, by: int, cutoff: int = 0) -> DkTerm:
@@ -170,6 +171,11 @@ def subst_many(t: DkTerm, values: tuple[DkTerm, ...], depth: int = 0) -> DkTerm:
             return Pi(h, subst_many(dom, values, depth), subst_many(cod, values, depth + 1))
         case _:
             return t
+
+
+def arrow(dom: DkTerm, cod: DkTerm) -> Pi:
+    """Non-dependent product; the codomain is weakened under the binder."""
+    return Pi("_", dom, shift(cod, 1))
 
 
 def instantiate(t: DkTerm, env: dict[str, DkTerm], depth: int = 0) -> DkTerm:
@@ -1161,7 +1167,7 @@ def whnf(theory: Theory, t: DkTerm, fuel: int | Fuel | None = None) -> DkTerm:
                             break
                     if ok:
                         f.tick()
-                        t = lib.instantiate(rule.rhs, env)
+                        t = instantiate(rule.rhs, env)
                         fired = True
                         break
                 if not fired:

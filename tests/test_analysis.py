@@ -11,8 +11,8 @@ import random
 import pytest
 
 from pimod.analysis import (STAR, Arrow, ConstantLevel, SApp, SConst, SLam,
-                            SVar, SyntacticClass, check_arity_preserving,
-                            check_rules_well_formed, classify, constant_level,
+                            SVar, check_arity_preserving,
+                            check_rules_well_formed, constant_level,
                             erase_context, erase_signature, erase_term,
                             erase_type, mk_sapp, pi_const_name, pi_const_type,
                             pi_context, render_simple, stlc_check)
@@ -108,31 +108,6 @@ def s_reaches(src, dst, depth=6):
 
 
 class TestClassify:
-    def test_kinds(self):
-        assert classify(VEC, TYPE) is SyntacticClass.KIND
-        assert classify(VEC, Pi("x", N, TYPE)) is SyntacticClass.KIND
-        assert classify(VEC, Pi("n", N, Pi("v", vec(Var(0)), TYPE))) \
-            is SyntacticClass.KIND
-
-    def test_type_families(self):
-        assert classify(VEC, N) is SyntacticClass.TYPE_FAMILY
-        assert classify(VEC, vec(Z)) is SyntacticClass.TYPE_FAMILY
-        assert classify(VEC, Pi("x", N, vec(Var(0)))) is SyntacticClass.TYPE_FAMILY
-        assert classify(VEC, Lam("x", N, N)) is SyntacticClass.TYPE_FAMILY
-        assert classify(VEC, App(Lam("x", N, N), Z)) is SyntacticClass.TYPE_FAMILY
-
-    def test_objects(self):
-        assert classify(VEC, Z) is SyntacticClass.OBJECT
-        assert classify(VEC, Var(3)) is SyntacticClass.OBJECT
-        assert classify(VEC, Lam("x", N, s(Var(0)))) is SyntacticClass.OBJECT
-        assert classify(VEC, App(Lam("x", N, Var(0)), Z)) is SyntacticClass.OBJECT
-
-    def test_unclassified(self):
-        assert classify(VEC, KIND) is SyntacticClass.UNCLASSIFIED
-        assert classify(VEC, Meta("m")) is SyntacticClass.UNCLASSIFIED
-        assert classify(VEC, Lam("A", TYPE, Var(0))) is SyntacticClass.UNCLASSIFIED
-        assert classify(VEC, App(Z, N)) is SyntacticClass.UNCLASSIFIED
-
     def test_constant_level(self):
         assert constant_level(VEC, "Vec") is ConstantLevel.TYPE_LEVEL
         assert constant_level(VEC, "cons") is ConstantLevel.OBJECT_LEVEL

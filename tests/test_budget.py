@@ -7,7 +7,7 @@ import reference
 from pimod.corpus import load_case, load_cases, load_sorts
 from pimod.decode import adequacy_legs, conservative_invert
 from pimod.encode import expected_dk_type, generate, translate, translate_ctx
-from pimod.epts import check_epts_context, elaborate, elaborate_context
+from pimod.epts import elaborate, elaborate_context
 from pimod.errors import FuelExhausted
 from pimod.kernel import check, check_context, check_signature, infer
 from pimod.morphism import build_phi, verify_morphism
@@ -36,7 +36,6 @@ def _calls():
         "check": lambda f: check(enc.theory, dctx, img, want, f),
         "check_context": lambda f: check_context(enc.theory, dctx, f),
         "check_signature": lambda f: check_signature(enc.theory, f),
-        "check_epts_context": lambda f: check_epts_context(enc.spec, ctx, f),
         "conservative_invert": lambda f: conservative_invert(enc, ctx, img, a, f),
         "adequacy_legs": lambda f: adequacy_legs(enc, ctx, m, f),
         "verify_morphism": lambda f: verify_morphism(phi, f),

@@ -31,10 +31,9 @@ from pimod.encode import EncodingTheory
 from pimod.epts import EApp, ELam, EVar, epts_convertible, epts_redex, epts_reduce
 from pimod.errors import FuelExhausted
 from pimod.rewrite import BETA, Fuel, convertible, reducts, step
-from pimod.terms import (Cons, Lam, Meta, RewriteRule, Term, Var, Variable,
-                         instantiate, shift, subst, subst_many, subterms)
-from strategies import (META_NAMES, PARSE_THEORY, dk_terms, epts_terms,
-                        pts_terms, stlc_terms)
+from pimod.terms import (Cons, Lam, Meta, RewriteRule, Term, Var, Variable, shift,
+                         subst, subst_many, subterms)
+from strategies import PARSE_THEORY, dk_terms, epts_terms, pts_terms, stlc_terms
 from systems import SYSTEM_F, SYSTEM_F_INT
 from termgen import GEN_THEORY, gen_judgment
 
@@ -53,11 +52,6 @@ class TestFrameworkTerms:
     @given(dk_terms(metas=True), st.lists(dk_terms(metas=True), max_size=3), SMALL)
     def test_subst_many(self, t, values, depth):
         assert subst_many(t, tuple(values), depth) == ref.subst_many(t, tuple(values), depth)
-
-    @given(dk_terms(metas=True),
-           st.dictionaries(st.sampled_from(META_NAMES), dk_terms(metas=True)), SMALL)
-    def test_instantiate(self, t, env, depth):
-        assert instantiate(t, env, depth) == ref.instantiate(t, env, depth)
 
 
 class TestAnnotatedTerms:

@@ -15,6 +15,8 @@ CORPUS_DIR = Path(pimod.corpus.__file__).parent
 SYSTEMF_SORTS = str(CORPUS_DIR / "systemf.sorts")
 SYSTEMF_EPTS = str(CORPUS_DIR / "systemf.epts")
 BAD_DK = str(CORPUS_DIR / "bad_traditional.dk")
+MLTT_SORTS = str(CORPUS_DIR / "mltt.sorts")
+MLTT_EPTS = str(CORPUS_DIR / "mltt.epts")
 
 
 # framework terms whose sort arguments are System F sorts only after
@@ -86,6 +88,20 @@ class TestCheckEpts:
                          "--mode", mode]) == 0
             out = capsys.readouterr().out
             assert f"[{mode}]" in out and "FAIL" not in out
+
+    @pytest.mark.parametrize("fmt", ["text", "machine-readable"])
+    def test_notes_the_unnamed_axiom_of_the_top_sort(self, fmt, capsys):
+        """The axiom of MLTT's sort 3 is defined but has no name: noted once,
+        before any judgment trips over it, and the run still passes."""
+        assert main(["check-epts", MLTT_SORTS, MLTT_EPTS, "--mode", "internalized",
+                     "--format", fmt]) == 0
+        notes = [line for line in capsys.readouterr().out.splitlines()
+                 if "unnamed-axiom" in line]
+        assert len(notes) == 1
+        if fmt == "machine-readable":
+            assert json.loads(notes[0])["subject"] == f"{MLTT_SORTS}:3"
+        else:
+            assert f"  unnamed-axiom  {MLTT_SORTS}:3  --  " in notes[0]
 
     def test_fuel_env_and_flag(self, monkeypatch, capsys):
         monkeypatch.setenv("PIMOD_FUEL", "1")

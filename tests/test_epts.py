@@ -11,7 +11,7 @@ from pimod import epts
 from pimod.corpus import load_cases, load_sorts
 from pimod.epts import (EApp, ELam, EPi, ESort, EVar, EptsContext,
                         FiniteSortSpec, InternalizedSortSpec, PApp, PLam, PPi,
-                        PSort, PVar, check_epts_context, elaborate,
+                        PSort, PVar, elaborate,
                         elaborate_context, epts_check, epts_convertible,
                         epts_infer, epts_nf, epts_redex, epts_reduce,
                         epts_whnf, erase_to_pts, sort_of_type)
@@ -233,13 +233,6 @@ class TestTyping:
         assert sort_of_type(SYSTEM_F, EptsContext(), ESort("Type")) == "Kind"
         with pytest.raises(ElaborationFailed):
             sort_of_type(SYSTEM_F, CTX, EVar(0))   # c's type is C, not a sort
-
-    def test_context_checking(self):
-        assert check_epts_context(SYSTEM_F, CTX) == []
-        bad = CTX.extend("d", EVar(0))   # c is a term, not a type
-        diags = check_epts_context(SYSTEM_F, bad)
-        assert [d.code for d in diags] == ["bad-context-entry"]
-        assert diags[0].subject == "d"
 
 
 class TestElaborate:

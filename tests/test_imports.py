@@ -1,5 +1,7 @@
 """Every name a library module imports is used in that module, and only
-``errors._show`` imports inside a function body."""
+``errors._show`` imports inside a function body.  No table is written
+under an ``id()`` key except through ``NodeMemo.put``, and every top-level
+definition of the library has a user outside the tests."""
 
 import ast
 from pathlib import Path
@@ -65,3 +67,123 @@ def test_imports_are_at_module_level(path):
             if any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(fn)):
                 local.add((path.name, fn.name))
     assert local <= LOCAL_IMPORTS_ALLOWED, f"{path.name} imports inside a function"
+
+
+def _builds_on_id(node: ast.AST, tainted: set[str]) -> bool:
+    """Does the expression call ``id()`` or read a name bound to such a call?"""
+    return any((isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "id")
+               or (isinstance(n, ast.Name) and n.id in tainted)
+               for n in ast.walk(node))
+
+
+def _own_nodes(fn: ast.AST):
+    """The nodes of a function body, not descending into nested functions."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        n = stack.pop()
+        yield n
+        if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(n))
+
+
+# methods that store under their first argument
+_KEYED_WRITES = {"add", "setdefault", "__setitem__", "fromkeys"}
+
+
+def _written_key(n: ast.AST) -> ast.AST | None:
+    """The key ``n`` stores under, if ``n`` writes a dict or a set."""
+    if isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Store):
+        return n.slice
+    if (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr in _KEYED_WRITES and n.args):
+        return n.args[0]
+    if isinstance(n, ast.Dict):
+        return ast.Tuple([k for k in n.keys if k is not None], ast.Load())
+    if isinstance(n, ast.Set):
+        return ast.Tuple(n.elts, ast.Load())
+    if isinstance(n, ast.DictComp):
+        return n.key
+    if isinstance(n, ast.SetComp):
+        return n.elt
+    return None
+
+
+def _id_keyed_writes(fn: ast.AST, tainted: set[str]) -> list[int]:
+    """Lines in ``fn`` and the functions nested in it that write a dict or a
+    set under a key built from ``id()``.  A name bound to an expression
+    built from ``id()`` is such a key too, also in the nested functions."""
+    own = list(_own_nodes(fn))
+    bound = [(t.id, n.value) for n in own
+             if isinstance(n, (ast.Assign, ast.AnnAssign, ast.NamedExpr)) and n.value is not None
+             for t in (n.targets if isinstance(n, ast.Assign) else [n.target])
+             if isinstance(t, ast.Name)]
+    while True:
+        more = {name for name, value in bound if _builds_on_id(value, tainted)} - tainted
+        if not more:
+            break
+        tainted = tainted | more
+    lines = []
+    for n in own:
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            lines += _id_keyed_writes(n, tainted)
+        else:
+            key = _written_key(n)
+            if key is not None and _builds_on_id(key, tainted):
+                lines.append(n.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")),
+                         ids=lambda p: p.relative_to(PACKAGE).as_posix())
+def test_identity_keyed_tables_are_node_memos(path):
+    """A table keyed by ``id()`` is written only through ``NodeMemo.put``,
+    which keeps the key's nodes alive so that no id is reused while the
+    table lives."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _id_keyed_writes(tree, set()) == [], \
+        f"{path.name} writes a table under an id() key other than through NodeMemo.put"
+
+
+# top-level definitions that only tests use, with the reason each stays
+ONLY_TESTS_USE = {
+    ("rewrite.py", "reducts"): "criterion 6 in test_acceptance.py and the redex "
+                               "oracles read every redex position through it",
+}
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names, attributes and imported names read anywhere in ``tree``,
+    except a top-level definition's references to itself."""
+    out = set()
+    for stmt in tree.body:
+        own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                             ast.ClassDef)) else None
+        for n in ast.walk(stmt):
+            if isinstance(n, ast.Name):
+                name = n.id
+            elif isinstance(n, ast.Attribute):
+                name = n.attr
+            elif isinstance(n, ast.alias):
+                name = n.name.split(".")[-1]
+            else:
+                continue
+            if name != own:
+                out.add(name)
+    return out
+
+
+def test_every_library_definition_is_used():
+    """Every top-level function and class of the package is referenced from
+    ``src``, ``scripts`` or ``bench``, not only from the tests."""
+    root = PACKAGE.parent.parent
+    used = set()
+    for folder in ("src", "scripts", "bench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            used |= _references(ast.parse(path.read_text(), filename=str(path)))
+    unused = set()
+    for path in MODULES:
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and stmt.name not in used:
+                unused.add((path.name, stmt.name))
+    assert unused <= ONLY_TESTS_USE.keys(), "definitions that only tests use"

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference
 from pimod.encode import generate
 from pimod.errors import FuelExhausted
 from pimod.rewrite import (BETA, DEFAULT_FUEL, Fuel, check_orthogonal,
@@ -67,8 +68,7 @@ def _slow_match(p, t, env):
 
 
 def _slow_inst(t, env):
-    from pimod.terms import instantiate
-    return instantiate(t, env)
+    return reference.instantiate(t, env)
 
 
 def _slow_once(theory, t):

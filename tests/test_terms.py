@@ -1,12 +1,16 @@
-"""Term algebra: de Bruijn arithmetic, alpha equality, theory hygiene."""
+"""Term algebra: de Bruijn arithmetic, alpha equality, node memos, theory
+hygiene."""
+
+import gc
+import weakref
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pimod.terms import (KIND, TYPE, App, Cons, Declaration, DkContext, Lam,
-                         Meta, Pi, RewriteRule, Theory, Var, arrow,
-                         instantiate, max_free_index, metas_of, mk_app, shift,
-                         spine, subst, subst_many, validate_theory)
+                         Meta, NodeMemo, Pi, RewriteRule, Theory, Var,
+                         max_free_index, metas_of, shift, subst, subst_many,
+                         validate_theory)
 from strategies import dk_terms
 
 
@@ -49,20 +53,6 @@ class TestShiftSubst:
         assert subst_many(t, (v,)) == subst(t, 0, v)
 
 
-class TestInstantiate:
-    def test_meta_replaced_and_shifted_under_binders(self):
-        t = Lam("x", Meta("M"), App(Var(0), Meta("M")))
-        out = instantiate(t, {"M": Var(2)})
-        assert out == Lam("x", Var(2), App(Var(0), Var(3)))
-
-    def test_unbound_meta_left_alone(self):
-        assert instantiate(Meta("Q"), {"M": TYPE}) == Meta("Q")
-
-    @given(dk_terms(metas=True))
-    def test_empty_env_is_identity(self, t):
-        assert instantiate(t, {}) == t
-
-
 class TestAlphaAndSpine:
     def test_hints_do_not_matter(self):
         assert Lam("x", TYPE, Var(0)) == Lam("y", TYPE, Var(0))
@@ -73,21 +63,36 @@ class TestAlphaAndSpine:
         assert Lam("x", TYPE, Var(0)) != Lam("x", KIND, Var(0))
         assert Var(0) != Var(1)
 
-    @given(st.lists(dk_terms(max_leaves=4), max_size=4))
-    def test_spine_inverts_mk_app(self, args):
-        head = Cons("c0")
-        assert spine(mk_app(head, *args)) == (head, list(args))
-
-    @given(dk_terms(max_free=2), dk_terms(max_free=2))
-    def test_arrow_weakens_codomain(self, a, b):
-        t = arrow(a, b)
-        assert t.dom == a and t.cod == shift(b, 1)
-
     def test_metas_and_free_indices(self):
         t = Lam("x", Meta("M"), App(Var(0), App(Var(3), Meta("N"))))
         assert metas_of(t) == {"M", "N"}
         assert max_free_index(t) == 2
         assert max_free_index(Cons("c0")) == -1
+
+
+class TestNodeMemo:
+    def test_put_pins_the_key_node_while_the_table_lives(self):
+        memo = NodeMemo()
+        node = App(Var(0), Cons("c0"))
+        alive = weakref.ref(node)
+        memo.put(id(node), "image", node)
+        del node
+        gc.collect()
+        assert alive() is not None
+        assert memo.get(id(alive())) == "image"
+        del memo
+        gc.collect()
+        assert alive() is None
+
+    def test_equal_nodes_get_entries_of_their_own(self):
+        memo = NodeMemo()
+        a, b = App(Var(0), Cons("c0")), App(Var(0), Cons("c0"))
+        assert a == b and a is not b
+        memo.put(id(a), "a", a)
+        memo.put((id(a), id(b)), "ab", (a, b))
+        assert id(b) not in memo
+        memo.put(id(b), "b", b)
+        assert (memo.get(id(a)), memo.get(id(b)), memo.get((id(a), id(b)))) == ("a", "b", "ab")
 
 
 class TestContext:
