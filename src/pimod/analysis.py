@@ -11,8 +11,9 @@ lambda terms that is strictly simulated by beta reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import Diagnostic, NotErasable, UnknownConstant
@@ -140,16 +141,37 @@ class StlcTerm(Term):
     __slots__ = ()
 
 
+def _cached_hash(cls: type) -> type:
+    """``cls``, a frozen dataclass, with a hash over the fields it compares,
+    computed once per object.  Equality is unchanged; a set of erased
+    terms no longer rehashes a whole term at every insertion."""
+    key = attrgetter(*(f.name for f in fields(cls) if f.compare))
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash(key(self))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls._hash = None
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_cached_hash
 @dataclass(frozen=True)
 class SVar(StlcTerm, Variable):
     index: int
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class SConst(StlcTerm):
     name: str
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class SApp(StlcTerm):
     fn: StlcTerm
@@ -164,6 +186,7 @@ class SApp(StlcTerm):
     same_node = same_class
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class SLam(StlcTerm):
     hint: str = field(compare=False)

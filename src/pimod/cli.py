@@ -69,18 +69,22 @@ class Reporter:
 
     def result(self, kind: str, subject: str, ok: bool,
                detail: str = "", severity: str = "error", **data) -> None:
+        """Print one result.  A failure counts toward the exit code.  A ``note``
+        is no failure, but its record names its severity and its text
+        line carries the ``note`` mark."""
         if not ok and severity == "error":
             self.errors += 1
+        note = severity == "note"
         if self.fmt == "machine-readable":
             rec: dict = {"kind": kind, "ok": ok, "subject": subject}
             if detail:
                 rec["detail"] = detail
-            if not ok:
+            if not ok or note:
                 rec["severity"] = severity
             rec.update(data)
             print(json.dumps(rec, sort_keys=True))
         else:
-            mark = "ok  " if ok else ("note" if severity == "note" else "FAIL")
+            mark = "note" if note else "ok  " if ok else "FAIL"
             line = f"{mark}  {kind}  {subject}"
             if detail:
                 line += f"  --  {detail}"

@@ -563,15 +563,16 @@ def _sort_type(spec: SortSpec, s: str) -> ESort:
 
 
 class _Checker:
-    """The state of one top-level call of the source checker: the spec, the
-    budget, and two :class:`pimod.terms.NodeMemo` tables.  ``contexts``
-    interns contexts by (context, name, domain object), so extending a
-    context by the same name and domain object gives the same context
-    object; ``memo`` holds the inferred types by (node object, interned
-    context), so a subterm the term shares is typed once per context it
-    occurs in.  Only successes are stored: a failure ends the call, and
-    the walk visits the nodes in the order it always has, so the first
-    error is the one a walk without the memo would meet.
+    """The state of one top-level call of the source checker or of the
+    elaborator: the spec, the budget, and two :class:`pimod.terms.NodeMemo`
+    tables.  ``contexts`` interns contexts by (context, name, domain
+    object), so extending a context by the same name and domain object
+    gives the same context object; ``memo`` holds the inferred types by
+    (node object, interned context), so a subterm the term shares is
+    typed once per context it occurs in.  Only successes are stored: a
+    failure ends the call, and the walk visits the nodes in the order it
+    always has, so the first error is the one a walk without the memo
+    would meet.
     """
 
     __slots__ = ("spec", "f", "contexts", "memo")
@@ -672,22 +673,24 @@ def _demand(ty: Derived) -> EptsTerm:
     return ty() if callable(ty) else ty
 
 
-def _as_type(spec: SortSpec, ctx: EptsContext, t: PtsTerm,
-               f: Fuel) -> tuple[EptsTerm, str]:
+def _as_type(c: _Checker, ctx: EptsContext, t: PtsTerm) -> tuple[EptsTerm, str]:
     """``t`` elaborated as a type, with the sort it lives in."""
-    m, ty = _elab(spec, ctx, t, f)
-    return m, _sort_of(spec, ctx, m, _demand(ty), f)
+    m, ty = _elab(c, ctx, t)
+    return m, _sort_of(c.spec, ctx, m, _demand(ty), c.f)
 
 
-def _elab(spec: SortSpec, ctx: EptsContext, t: PtsTerm,
-          f: Fuel) -> tuple[EptsTerm, Derived]:
-    """``t`` elaborated, with the type :func:`_e_infer` would give the result.
+def _elab(c: _Checker, ctx: EptsContext, t: PtsTerm) -> tuple[EptsTerm, Derived]:
+    """``t`` elaborated, with the type ``c.infer`` would give the result.
 
     Where computing that type can fail, it is left as a function that
     computes it on demand: a sort's axiom (a top sort has none) and a
     product's rule (its value may have no name) raise only when a caller
-    asks for them, in the place :func:`_e_infer` would raise them.
+    asks for them, in the place ``c.infer`` would raise them.  Contexts
+    come from ``c.extend``, so the sort of an abstraction's body type is
+    inferred in the context that body was elaborated in, and every type
+    already inferred there is a memo hit.
     """
+    spec = c.spec
     match t:
         case PVar(k):
             if not 0 <= k < len(ctx):
@@ -697,25 +700,25 @@ def _elab(spec: SortSpec, ctx: EptsContext, t: PtsTerm,
             spec.require(s)
             return ESort(s), lambda: _sort_type(spec, s)
         case PPi(h, dom, cod):
-            edom, s1 = _as_type(spec, ctx, dom, f)
-            ecod, s2 = _as_type(spec, ctx.extend(h, edom), cod, f)
+            edom, s1 = _as_type(c, ctx, dom)
+            ecod, s2 = _as_type(c, c.extend(ctx, h, edom), cod)
             _require_rule(spec, s1, s2)
             return EPi(s1, s2, edom, h, ecod), lambda: ESort(spec.rule_of(s1, s2))
         case PLam(h, dom, body):
-            edom, s1 = _as_type(spec, ctx, dom, f)
-            inner = ctx.extend(h, edom)
-            ebody, bty = _elab(spec, inner, body, f)
+            edom, s1 = _as_type(c, ctx, dom)
+            inner = c.extend(ctx, h, edom)
+            ebody, bty = _elab(c, inner, body)
             ecod = _demand(bty)
-            s2 = sort_of_type(spec, inner, ecod, f)
+            s2 = _sort_of(spec, inner, ecod, c.infer(inner, ecod), c.f)
             _require_rule(spec, s1, s2)
             return ELam(s1, s2, edom, h, ecod, ebody), EPi(s1, s2, edom, h, ecod)
         case PApp(fn, arg):
-            efn, fty = _elab(spec, ctx, fn, f)
-            fnty = epts_whnf(spec, _demand(fty), f)
+            efn, fty = _elab(c, ctx, fn)
+            fnty = epts_whnf(spec, _demand(fty), c.f)
             match fnty:
                 case EPi(s1, s2, dom, h, cod):
-                    earg, aty = _elab(spec, ctx, arg, f)
-                    _expect(spec, ctx, earg, _demand(aty), dom, f)
+                    earg, aty = _elab(c, ctx, arg)
+                    _expect(spec, ctx, earg, _demand(aty), dom, c.f)
                     return EApp(s1, s2, dom, h, cod, efn, earg), subst(cod, 0, earg)
             raise NotAProduct("the function part of an application is not "
                               "of product type", names=ctx.names,
@@ -728,20 +731,23 @@ def elaborate(spec: SortSpec, ctx: EptsContext, t: PtsTerm,
     """Type-directed translation of implicit PTS syntax into explicit syntax.
 
     The result is well-typed whenever elaboration succeeds, and erasing
-    its annotations gives back ``t`` exactly.  Elaboration is one pass:
-    each subterm hands back the type it derives along with its explicit
-    form, so no explicit term is inferred again; the one inference left
-    is the sort of an abstraction's body type.  The type of a sort is
-    computed only when a caller asks for it, so ``elaborate`` of a top
-    sort succeeds and only its use as a typed term fails.
+    its annotations gives back ``t`` exactly.  Elaboration is one pass
+    under one source checker state: each subterm hands back the type it
+    derives along with its explicit form, so no explicit term is inferred
+    again, and the sort of an abstraction's body type is inferred in the
+    checker's interned contexts, where every part of that type already
+    typed is a memo hit.  The work is linear in the distinct nodes.  The
+    type of a sort is computed only when a caller asks for it, so
+    ``elaborate`` of a top sort succeeds and only its use as a typed term
+    fails.
     """
-    return _elab(spec, ctx, t, Fuel.of(fuel))[0]
+    return _elab(_Checker(spec, Fuel.of(fuel)), ctx, t)[0]
 
 
 def elaborate_context(spec: SortSpec, entries: Iterable[tuple[str, PtsTerm]],
                       fuel: int | Fuel | None = None) -> EptsContext:
-    f = Fuel.of(fuel)
+    c = _Checker(spec, Fuel.of(fuel))
     ctx = EptsContext()
     for hint, raw in entries:
-        ctx = ctx.extend(hint, _as_type(spec, ctx, raw, f)[0])
+        ctx = c.extend(ctx, hint, _as_type(c, ctx, raw)[0])
     return ctx

@@ -318,9 +318,6 @@ class Theory:
     def rules_for(self, head: str) -> tuple[RewriteRule, ...]:
         return self._rules_by_head.get(head, ())
 
-    def extended(self, *decls: Declaration, rules: tuple[RewriteRule, ...] = ()) -> "Theory":
-        return Theory(self.signature + tuple(decls), self.rules + tuple(rules))
-
 
 @dataclass(frozen=True)
 class DkContext:

@@ -1,7 +1,8 @@
-"""Specifications and small terms shared across the test modules."""
+"""Specifications, small terms and a theory builder shared across the test
+modules."""
 
 from pimod.epts import FiniteSortSpec, InternalizedSortSpec, PLam, PPi, PSort, PVar
-from pimod.terms import Cons, Declaration, Meta, RewriteRule
+from pimod.terms import Cons, Declaration, Meta, RewriteRule, Theory
 
 SYSTEM_F = FiniteSortSpec.build(
     ["Type", "Kind"],
@@ -49,6 +50,12 @@ MLTT_INT = InternalizedSortSpec(
                        Cons("s", (Cons("Ru", (Meta("m"), Meta("n"))),)),
                        name="ru-ss")),
     named={str(k): _nat(k) for k in range(4)})
+
+
+def extended(theory: Theory, *decls: Declaration,
+             rules: tuple[RewriteRule, ...] = ()) -> Theory:
+    """``theory`` with ``decls`` declared and ``rules`` added after its own."""
+    return Theory(theory.signature + decls, theory.rules + tuple(rules))
 
 
 # implicit-syntax staples (System F unless noted)

@@ -9,6 +9,7 @@ machinery.
 import random
 
 import pytest
+from hypothesis import given
 
 from pimod.analysis import (STAR, Arrow, ConstantLevel, SApp, SConst, SLam,
                             SVar, check_arity_preserving,
@@ -20,6 +21,8 @@ from pimod.errors import NotErasable, UnknownConstant
 from pimod.rewrite import BETA, step
 from pimod.terms import (KIND, TYPE, App, Cons, Declaration, DkContext, Lam,
                          Meta, Pi, RewriteRule, Theory, Var, shift, subst)
+from strategies import stlc_terms
+from systems import extended
 from termgen import GEN_THEORY, gen_judgment, gen_term, gen_type
 
 N = Cons("N")
@@ -115,7 +118,7 @@ class TestClassify:
             constant_level(VEC, "ghost")
 
     def test_constant_level_walks_products(self):
-        t = VEC.extended(Declaration("Rel", (), Pi("x", N, Pi("y", N, TYPE))))
+        t = extended(VEC, Declaration("Rel", (), Pi("x", N, Pi("y", N, TYPE))))
         assert constant_level(t, "Rel") is ConstantLevel.TYPE_LEVEL
 
 
@@ -146,8 +149,8 @@ class TestRuleShapes:
         assert check_rules_well_formed(nat) == []
 
     def test_family_alias_preserves_arity(self):
-        t = VEC.extended(
-            Declaration("List", (("n", N),), TYPE),
+        t = extended(
+            VEC, Declaration("List", (("n", N),), TYPE),
             rules=(RewriteRule("List", (Meta("n"),), vec(Meta("n")), name="unfold"),))
         assert check_arity_preserving(t) == []
         assert check_rules_well_formed(t) == []
@@ -166,8 +169,8 @@ class TestRuleShapes:
         assert check_rules_well_formed(el_prod_theory()) == []
 
     def test_escaping_the_family_grammar_fails_both(self):
-        t = VEC.extended(
-            Declaration("Weird", (("n", N),), TYPE),
+        t = extended(
+            VEC, Declaration("Weird", (("n", N),), TYPE),
             rules=(RewriteRule("Weird", (Meta("n"),), Meta("n"), name="leak"),))
         assert {d.code for d in check_arity_preserving(t)} == {"arity-violation"}
         assert {d.code for d in check_rules_well_formed(t)} == {"ill-formed-rule"}
@@ -259,7 +262,7 @@ class TestSignatureAndContext:
         }
 
     def test_unerasable_declarations_are_skipped(self):
-        t = VEC.extended(Declaration("w", (), KIND))
+        t = extended(VEC, Declaration("w", (), KIND))
         assert "w" not in erase_signature(t)
         assert "Vec" in erase_signature(t)
 
@@ -273,6 +276,30 @@ class TestSignatureAndContext:
 
 
 CONSTS = {"f": Arrow(STAR, STAR), "a": STAR}
+
+
+def rehinted(t):
+    """A fresh copy of ``t`` whose binders all carry other hints."""
+    match t:
+        case SApp(f, a):
+            return SApp(rehinted(f), rehinted(a))
+        case SLam(h, b):
+            return SLam(h + "'", rehinted(b))
+        case SVar(k):
+            return SVar(k)
+        case SConst(c):
+            return SConst(c)
+
+
+class TestStlcTermHash:
+    @given(stlc_terms(), stlc_terms())
+    def test_the_cached_hash_agrees_with_equality(self, a, b):
+        """Hints do not count, and equal terms hash alike whichever of them
+        was hashed first."""
+        c = rehinted(a)
+        assert c == a and c is not a
+        assert hash(c) == hash(a) == hash(rehinted(a))
+        assert len({a, c, b}) == (1 if a == b else 2)
 
 
 class TestStlcCheck:

@@ -34,7 +34,7 @@ from pimod.rewrite import BETA, Fuel, convertible, reducts, step
 from pimod.terms import (Cons, Lam, Meta, RewriteRule, Term, Var, Variable, shift,
                          subst, subst_many, subterms)
 from strategies import PARSE_THEORY, dk_terms, epts_terms, pts_terms, stlc_terms
-from systems import SYSTEM_F, SYSTEM_F_INT
+from systems import SYSTEM_F, SYSTEM_F_INT, extended
 from termgen import GEN_THEORY, gen_judgment
 
 SMALL = st.integers(0, 2)
@@ -183,7 +183,7 @@ def test_step_is_first_admitted_reduct():
 
 
 # the constants of ``dk_terms`` with two rules, so that whnf rewrites
-CONV_THEORY = PARSE_THEORY.extended(rules=(
+CONV_THEORY = extended(PARSE_THEORY, rules=(
     RewriteRule("g1", (Cons("c0"),), Cons("c0"), name="g-c"),
     RewriteRule("h2", (Meta("M"), Meta("N")), Cons("g1", (Meta("N"),)), name="h-g"),
 ))

@@ -103,6 +103,23 @@ class TestCheckEpts:
         else:
             assert f"  unnamed-axiom  {MLTT_SORTS}:3  --  " in notes[0]
 
+    @pytest.mark.parametrize("fmt", ["text", "machine-readable"])
+    def test_a_note_prints_as_a_note(self, fmt, capsys):
+        """A note is no failure, but it is not a plain success either: its
+        text line carries the ``note`` mark and its record names its
+        severity, while the other records carry none."""
+        assert main(["check-epts", MLTT_SORTS, MLTT_EPTS, "--mode", "internalized",
+                     "--format", fmt]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        note = next(line for line in lines if "unnamed-axiom" in line)
+        if fmt == "machine-readable":
+            assert json.loads(note)["severity"] == "note"
+            assert json.loads(note)["ok"] is True
+            assert all("severity" not in json.loads(line) for line in lines if line != note)
+        else:
+            assert note.startswith("note  unnamed-axiom  ")
+            assert all(line.startswith("ok    ") for line in lines if line != note)
+
     def test_fuel_env_and_flag(self, monkeypatch, capsys):
         monkeypatch.setenv("PIMOD_FUEL", "1")
         assert main(["decode", SYSTEMF_SORTS, SYSTEMF_EPTS]) == 1

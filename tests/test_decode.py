@@ -21,7 +21,7 @@ from pimod.syntax import render
 from pimod.terms import TYPE, App, Cons, Declaration, Lam, Var, subterms
 import reference
 from strategies import HINTS, dk_terms, epts_terms
-from systems import MLTT_INT, PID, POLY, SYSTEM_F, SYSTEM_F_INT
+from systems import MLTT_INT, PID, POLY, SYSTEM_F, SYSTEM_F_INT, extended
 from termgen import beta_expand
 from test_encode import MLTT_ENC, SF_ENC, SF_INT_ENC, finite_id_image
 
@@ -304,7 +304,7 @@ class TestConservativeInvert:
         # that no source term maps to; the conservativity contract breaks
         # loudly rather than silently
         ext = EncodingTheory(
-            SF_ENC.theory.extended(Declaration("mystery", (), Cons("U@Type"))),
+            extended(SF_ENC.theory, Declaration("mystery", (), Cons("U@Type"))),
             SF_ENC.spec, SF_ENC.mode, SF_ENC.roles,
             SF_ENC.beta_rules)
         with pytest.raises(InternalSoundnessError):

@@ -332,11 +332,12 @@ def agree(spec, ctx, t):
     derives is the one ``epts_infer`` gives its result, or raises the
     same error when demanded.  Returns (outcome, ticks, reference ticks)."""
     want, ref_ticks = outcome(reference._elab, spec, ctx, t)
-    got, ticks = outcome(lambda *a: epts._elab(*a)[0], spec, ctx, t)
+    got, ticks = outcome(lambda spec, ctx, t, f: epts._elab(epts._Checker(spec, f), ctx, t)[0],
+                         spec, ctx, t)
     assert got == want
     assert ticks <= ref_ticks
     if got[0] == "term":
-        m, derived = epts._elab(spec, ctx, t, Fuel())
+        m, derived = epts._elab(epts._Checker(spec, Fuel()), ctx, t)
         try:
             ty = epts_infer(spec, ctx, m)
         except PimodError as e:
@@ -417,8 +418,8 @@ def depth_term(n):
 
 
 class TestElaborationWork:
-    @pytest.mark.parametrize("n", (50, 100))
-    def test_inference_calls_grow_quadratically_with_depth(self, monkeypatch, n):
+    @pytest.mark.parametrize("n", (50, 100, 400))
+    def test_inference_calls_grow_linearly_with_depth(self, monkeypatch, n):
         calls = 0
         infer = epts._Checker.infer
 
@@ -429,7 +430,24 @@ class TestElaborationWork:
 
         monkeypatch.setattr(epts._Checker, "infer", counting)
         elaborate(SYSTEM_F, EptsContext(), depth_term(n))
-        assert 0 < calls <= (n + 1) ** 2
+        assert 0 < calls <= 3 * (n + 1)
+
+    def test_one_node_object_in_two_contexts_is_typed_in_each(self):
+        """``pid``'s type, the body type of the first abstraction, and its
+        instance ``pid C``, a ``subst`` temporary and the body type of the
+        second, share the node object ``Q``; the checker state the whole
+        elaboration shares must type it once per context, not once."""
+        ctx = EptsContext()
+        for hint, text in (("C", "Prop"), ("c", "C"),
+                           ("K", "Pi X : Prop. Pi Y : Prop. X -> Y -> X"),
+                           ("pid", "Pi A : Prop. Pi Q : A -> Prop. Pi a : A. Q a -> Q a")):
+            ctx = ctx.extend(hint, elaborate(COC, ctx, parse_pts_term(text, COC, ctx.names)))
+        poly = "(Pi A : Prop. Pi Q : A -> Prop. Pi a : A. Q a -> Q a)"
+        inst = "(Pi Q : C -> Prop. Pi a : C. Q a -> Q a)"
+        for text in (f"K (C -> {poly}) (C -> {inst}) (lam y : C. pid) (lam x : C. pid C)",
+                     "lam Q : C -> Prop. lam q : Q c. pid C Q c (pid C Q c (pid C Q c q))"):
+            got, _, _ = agree(COC, ctx, parse_pts_term(text, COC, ctx.names))
+            assert got[0] == "term"
 
     def test_each_rule_pair_is_normalized_once(self, monkeypatch):
         spec = load_sorts("mltt").internalized

@@ -1,7 +1,7 @@
 """Every name a library module imports is used in that module, and only
 ``errors._show`` imports inside a function body.  No table is written
 under an ``id()`` key except through ``NodeMemo.put``, and every top-level
-definition of the library has a user outside the tests."""
+definition and method of the library has a user outside the tests."""
 
 import ast
 from pathlib import Path
@@ -144,46 +144,92 @@ def test_identity_keyed_tables_are_node_memos(path):
         f"{path.name} writes a table under an id() key other than through NodeMemo.put"
 
 
-# top-level definitions that only tests use, with the reason each stays
-ONLY_TESTS_USE = {
+# definitions that nothing in the library, the scripts or the bench calls by
+# name, by module and qualified name, with the reason each stays
+UNREFERENCED_ALLOWED = {
     ("rewrite.py", "reducts"): "criterion 6 in test_acceptance.py and the redex "
                                "oracles read every redex position through it",
+    ("cli.py", "_ArgumentParser.error"): "argparse calls it by name on a usage error",
 }
 
+# names a package module is imported under, so ``epts.elaborate`` reads a
+# top-level definition and ``m.elaborate`` a method
+MODULE_NAMES = {"pimod"} | {p.stem for p in MODULES} | {
+    p.name for p in PACKAGE.iterdir() if (p / "__init__.py").exists()}
 
-def _references(tree: ast.Module) -> set[str]:
-    """Names, attributes and imported names read anywhere in ``tree``,
-    except a top-level definition's references to itself."""
-    out = set()
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _read(node: ast.AST, own: str | None, own_method: str | None,
+          names: set[str], attrs: set[str]) -> None:
+    """Add the names ``node`` reads to ``names`` (plain and imported names,
+    and attributes of a package module: references to a top-level
+    definition) and to ``attrs`` (any other attribute: references to a
+    method), except a definition's references to itself."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            if n.id != own:
+                names.add(n.id)
+        elif isinstance(n, ast.alias):
+            names.add(n.name.split(".")[-1])
+        elif isinstance(n, ast.Attribute):
+            if isinstance(n.value, ast.Name) and n.value.id in MODULE_NAMES:
+                names.add(n.attr)
+            elif n.attr != own_method:
+                attrs.add(n.attr)
+
+
+def _references(tree: ast.Module, names: set[str], attrs: set[str]) -> None:
+    """:func:`_read` over a module, each method excluding itself."""
     for stmt in tree.body:
-        own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                             ast.ClassDef)) else None
-        for n in ast.walk(stmt):
-            if isinstance(n, ast.Name):
-                name = n.id
-            elif isinstance(n, ast.Attribute):
-                name = n.attr
-            elif isinstance(n, ast.alias):
-                name = n.name.split(".")[-1]
-            else:
-                continue
-            if name != own:
-                out.add(name)
-    return out
+        own = stmt.name if isinstance(stmt, _DEFS) else None
+        if not isinstance(stmt, ast.ClassDef):
+            _read(stmt, own, None, names, attrs)
+            continue
+        for part in (*stmt.decorator_list, *stmt.bases, *stmt.keywords):
+            _read(part, own, None, names, attrs)
+        for item in stmt.body:
+            method = item.name if isinstance(item, _DEFS) else None
+            _read(item, own, method, names, attrs)
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, name, is a method) of each top-level function and
+    class and of each method of a top-level class, except the special
+    methods Python calls by their names."""
+    for stmt in tree.body:
+        if isinstance(stmt, _DEFS):
+            yield stmt.name, stmt.name, False
+        if isinstance(stmt, ast.ClassDef):
+            for item in stmt.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not (item.name.startswith("__") and item.name.endswith("__")):
+                    yield f"{stmt.name}.{item.name}", item.name, True
+
+
+def _unused() -> set[tuple[str, str]]:
+    """(module, qualified name) of each definition that nothing in ``src``,
+    ``scripts`` or ``bench`` references."""
+    root = PACKAGE.parent.parent
+    names: set[str] = set()
+    attrs: set[str] = set()
+    for folder in ("src", "scripts", "bench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            _references(ast.parse(path.read_text(), filename=str(path)), names, attrs)
+    unused = set()
+    for path in MODULES:
+        for qualified, name, method in _definitions(ast.parse(path.read_text(),
+                                                              filename=str(path))):
+            if name not in (attrs if method else names):
+                unused.add((path.name, qualified))
+    return unused
 
 
 def test_every_library_definition_is_used():
-    """Every top-level function and class of the package is referenced from
-    ``src``, ``scripts`` or ``bench``, not only from the tests."""
-    root = PACKAGE.parent.parent
-    used = set()
-    for folder in ("src", "scripts", "bench"):
-        for path in sorted((root / folder).rglob("*.py")):
-            used |= _references(ast.parse(path.read_text(), filename=str(path)))
-    unused = set()
-    for path in MODULES:
-        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
-                    and stmt.name not in used:
-                unused.add((path.name, stmt.name))
-    assert unused <= ONLY_TESTS_USE.keys(), "definitions that only tests use"
+    """Every top-level function and class of the package, and every method
+    of its classes, is referenced from ``src``, ``scripts`` or ``bench``,
+    not only from the tests.  A top-level definition is referenced by its
+    name, a method by an attribute of that name, so a method never hides
+    an unused function of the same name, nor a function a method."""
+    assert _unused() <= UNREFERENCED_ALLOWED.keys(), \
+        "definitions that nothing outside the tests uses"

@@ -13,6 +13,7 @@ from pimod.kernel import check, check_context, check_signature, infer
 from pimod.rewrite import convertible
 from pimod.terms import (KIND, TYPE, App, Cons, Declaration, DkContext, Lam,
                          Meta, Pi, RewriteRule, Theory, Var)
+from systems import extended
 from termgen import GEN_THEORY, gen_judgment
 
 N = Cons("N")
@@ -144,8 +145,8 @@ class TestErrors:
             infer(VEC, EMPTY, Lam("x", N, TYPE))
 
     def test_fuel_bounds_conversion(self):
-        loop = VEC.extended(
-            Declaration("omega", (), N),
+        loop = extended(
+            VEC, Declaration("omega", (), N),
             rules=(RewriteRule("omega", (), Cons("omega"), name="spin"),))
         # conversion must descend into the spinning index position
         with pytest.raises(FuelExhausted):
@@ -155,14 +156,14 @@ class TestErrors:
     def test_exhausted_budget_is_not_a_diagnostic(self):
         # P's argument is checked against Vec(omega), so conversion spins
         p_nil = Cons("P", (Cons("nil"),))
-        loop = VEC.extended(
-            Declaration("omega", (), N),
+        loop = extended(
+            VEC, Declaration("omega", (), N),
             Declaration("P", (("v", vec(Cons("omega"))),), TYPE),
             rules=(RewriteRule("omega", (), Cons("omega"), name="spin"),))
         with pytest.raises(FuelExhausted):
             check_context(loop, EMPTY.extend("p", p_nil), fuel=30)
         with pytest.raises(FuelExhausted):
-            check_signature(loop.extended(Declaration("q", (("p", p_nil),), TYPE)),
+            check_signature(extended(loop, Declaration("q", (("p", p_nil),), TYPE)),
                             fuel=30)
 
     def test_error_message_carries_the_path(self):

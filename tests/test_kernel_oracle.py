@@ -30,7 +30,7 @@ from pimod.syntax import fresh_names, parse_dk_term, parse_theory, render, rende
 from pimod.terms import (KIND, TYPE, App, Cons, Declaration, Lam, Meta, Pi, RewriteRule,
                          Theory, Var)
 from strategies import dk_terms
-from systems import SYSTEM_F
+from systems import SYSTEM_F, extended
 from termgen import GEN_THEORY, beta_expand, gen_judgment
 from test_child_map import CONV_THEORY
 from test_kernel import EMPTY, N, VEC, Z, s, vec
@@ -137,8 +137,8 @@ def test_parsed_bad_traditional_theory():
         same(check, ref.kernel_check, tf.theory, tf.assumes, m, a, equal_ticks=True)
 
 
-OPEN = VEC.extended(Declaration("wide", (("x", N),), vec(Var(1))),
-                    Declaration("narrow", (("v", vec(Var(0))),), N))
+OPEN = extended(VEC, Declaration("wide", (("x", N),), vec(Var(1))),
+                Declaration("narrow", (("v", vec(Var(0))),), N))
 
 TRAPS = [
     (infer, ref.kernel_infer, VEC, EMPTY, Var(0)),

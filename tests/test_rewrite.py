@@ -19,7 +19,7 @@ from pimod.rewrite import (BETA, DEFAULT_FUEL, Fuel, check_orthogonal,
                            reducts, step, whnf)
 from pimod.terms import (TYPE, App, Cons, Declaration, DkTerm, Lam, Meta, Pi,
                          RewriteRule, Theory, Var, subst)
-from systems import SYSTEM_F, SYSTEM_F_INT
+from systems import SYSTEM_F, SYSTEM_F_INT, extended
 
 N = Cons("N")
 Z = Cons("z")
@@ -237,8 +237,8 @@ class TestConvertible:
         assert not convertible(NAT, N, Pi("x", N, N))
 
 
-LOOP = NAT.extended(
-    Declaration("loop", (), N),
+LOOP = extended(
+    NAT, Declaration("loop", (), N),
     rules=(RewriteRule("loop", (), Cons("loop"), name="spin"),))
 
 
@@ -281,8 +281,8 @@ class TestOrthogonality:
         assert report.ok and report.orthogonal
 
     def test_trivial_overlap_is_a_note(self):
-        t = NAT.extended(
-            Declaration("f", (("n", N),), N),
+        t = extended(
+            NAT, Declaration("f", (("n", N),), N),
             rules=(RewriteRule("f", (Z,), Z, name="f-z"),
                    RewriteRule("f", (Meta("m"),), Meta("m"), name="f-any")))
         report = check_orthogonal(t)
@@ -291,8 +291,8 @@ class TestOrthogonality:
                    for d in report.notes)
 
     def test_genuine_critical_pair_is_a_problem(self):
-        t = NAT.extended(
-            Declaration("f", (("n", N),), N),
+        t = extended(
+            NAT, Declaration("f", (("n", N),), N),
             rules=(RewriteRule("f", (Z,), Z, name="f-z"),
                    RewriteRule("f", (Meta("m"),), s(Meta("m")), name="f-succ")))
         report = check_orthogonal(t)
@@ -342,16 +342,16 @@ class TestOrthogonality:
         assert note.data["peak"] == Cons("f", (Cons("a"),))
 
     def test_nested_overlap_position_reported(self):
-        t = NAT.extended(
-            Declaration("g", (("n", N),), N),
+        t = extended(
+            NAT, Declaration("g", (("n", N),), N),
             rules=(RewriteRule("g", (plus(Meta("a"), Meta("b")),), Z, name="g-plus"),))
         report = check_orthogonal(t)
         bad = [d for d in report.problems if d.code == "overlap"]
         assert bad and any("position [0]" in d.message for d in bad)
 
     def test_non_left_linear_flagged(self):
-        t = NAT.extended(
-            Declaration("eq", (("a", N), ("b", N)), N),
+        t = extended(
+            NAT, Declaration("eq", (("a", N), ("b", N)), N),
             rules=(RewriteRule("eq", (Meta("m"), Meta("m")), Z, name="eq-refl"),))
         report = check_orthogonal(t)
         assert any(d.code == "non-left-linear" for d in report.problems)

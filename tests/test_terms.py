@@ -12,6 +12,7 @@ from pimod.terms import (KIND, TYPE, App, Cons, Declaration, DkContext, Lam,
                          max_free_index, metas_of, shift, subst, subst_many,
                          validate_theory)
 from strategies import dk_terms
+from systems import extended
 
 
 class TestShiftSubst:
@@ -133,8 +134,8 @@ class TestValidateTheory:
         assert "unknown-constant" in self._codes(t)
 
     def test_wrong_arity_in_rule_head(self):
-        t = self.GOOD.extended(
-            rules=(RewriteRule("s", (Meta("a"), Meta("b")), Meta("a"), name="bad"),))
+        t = extended(self.GOOD, rules=(
+            RewriteRule("s", (Meta("a"), Meta("b")), Meta("a"), name="bad"),))
         assert "arity-mismatch" in self._codes(t)
 
     def test_open_declaration(self):
@@ -143,28 +144,28 @@ class TestValidateTheory:
         assert "open-declaration" in self._codes(t)
 
     def test_lambda_in_pattern_rejected(self):
-        t = self.GOOD.extended(
-            rules=(RewriteRule("s", (Lam("x", TYPE, Meta("m")),), Cons("z"), name="bad"),))
+        t = extended(self.GOOD, rules=(
+            RewriteRule("s", (Lam("x", TYPE, Meta("m")),), Cons("z"), name="bad"),))
         assert "bad-pattern" in self._codes(t)
 
     def test_non_left_linear(self):
-        t = self.GOOD.extended(
-            rules=(RewriteRule("p", (Meta("n"), Meta("n")), Meta("n"), name="dup"),))
+        t = extended(self.GOOD, rules=(
+            RewriteRule("p", (Meta("n"), Meta("n")), Meta("n"), name="dup"),))
         assert "non-left-linear" in self._codes(t)
 
     def test_rhs_must_use_lhs_metas(self):
-        t = self.GOOD.extended(
-            rules=(RewriteRule("s", (Meta("m"),), Meta("q"), name="loose"),))
+        t = extended(self.GOOD, rules=(
+            RewriteRule("s", (Meta("m"),), Meta("q"), name="loose"),))
         assert "unbound-pattern-variable" in self._codes(t)
 
     def test_meta_shadowing_constant(self):
-        t = self.GOOD.extended(
-            rules=(RewriteRule("s", (Meta("z"),), Meta("z"), name="shadow"),))
+        t = extended(self.GOOD, rules=(
+            RewriteRule("s", (Meta("z"),), Meta("z"), name="shadow"),))
         assert "meta-shadows-constant" in self._codes(t)
 
     def test_free_variable_in_rhs(self):
-        t = self.GOOD.extended(
-            rules=(RewriteRule("s", (Meta("m"),), Var(0), name="open"),))
+        t = extended(self.GOOD, rules=(
+            RewriteRule("s", (Meta("m"),), Var(0), name="open"),))
         assert "open-rule" in self._codes(t)
 
     def test_lookup_tables(self):
