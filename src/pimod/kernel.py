@@ -20,7 +20,13 @@ annotation object gives the same context.  Both tables are
 :class:`pimod.terms.NodeMemo` tables, which hold the node objects their
 keys name.  A subterm that elaboration shares is therefore typed once
 per context it occurs in, and a memo hit replays the log entries its
-first inference made.  The memo dies with the call.
+first inference made.  The exception is a *ground* term: a constant of a
+closed declaration applied to ground arguments, in a theory whose rules
+have closed right-hand sides.  Its type does not depend on the context,
+so it is typed once per call, under the node alone, wherever it occurs;
+a hit in another context replays the first inference's log entries with
+the current context's names in place of the first context's.  The memo
+dies with the call.
 
 Every entry point draws its reduction steps on one budget, ``fuel``: an
 int starts a fresh :class:`Fuel`, a ``Fuel`` is shared, so a caller that
@@ -62,9 +68,10 @@ class _Scope:
 
 class _Kernel:
     """The state of one top-level call: the machine, the log, the contexts
-    interned by (context, name, annotation object) and the inference memo."""
+    interned by (context, name, annotation object) and the inference memo,
+    keyed by (node, context), or by the node alone for a ground term."""
 
-    __slots__ = ("theory", "m", "log", "scopes", "memo", "root")
+    __slots__ = ("theory", "m", "log", "scopes", "memo", "root", "share")
 
     def __init__(self, theory: Theory, fuel: int | Fuel | None, log: Log | None):
         self.theory = theory
@@ -73,6 +80,8 @@ class _Kernel:
         self.scopes = NodeMemo()
         self.memo = NodeMemo()
         self.root = _Scope([], (), ())
+        # an open right-hand side reduces to a context variable
+        self.share = theory.rules_closed
 
     def extend(self, sc: _Scope, hint: str, ty: DkTerm) -> _Scope:
         key = (sc, hint, id(ty))
@@ -91,7 +100,8 @@ class _Kernel:
 
     def infer(self, sc: _Scope, t: DkTerm, path: tuple[str, ...]):
         """The type of ``t`` in ``sc``, as a value.  A node other than a
-        leaf is typed once per context; a repeat replays its log entries."""
+        leaf is typed once per context, a ground term once; a repeat replays
+        its log entries."""
         m, log = self.m, self.log
         tt = type(t)
         if tt is Var:
@@ -110,11 +120,19 @@ class _Kernel:
             raise KindHasNoType(f"KIND has no type (at {_path_str(path)})")
         if tt is Meta:
             raise UnboundVariable(f"pattern variable '{t.name}' in an object term at {_path_str(path)}")
-        key = (id(t), sc)
-        hit = self.memo.get(key)
+        memo = self.memo
+        hit = memo.get(id(t)) if tt is Cons else None
+        if hit is None:
+            key = (id(t), sc)
+            hit = memo.get(key)
         if hit is not None:
             if log is not None:
-                log.extend(log[hit[1]:hit[2]])
+                _, a, b, first = hit
+                if first is sc:
+                    log.extend(log[a:b])
+                else:
+                    n = first.depth
+                    log.extend([(sc.names + names[n:], u, v) for names, u, v in log[a:b]])
             return hit[0]
         start = len(log) if log is not None else 0
         if tt is Cons:
@@ -134,6 +152,13 @@ class _Kernel:
                 self.check(sc, a, m.clo(decl.telescope[i][1], env[:base + i]),
                            path + (f"argument {i + 1} of '{c}'",))
             ty = m.clo(decl.result, env)
+            # every ground argument sits under its node alone by now
+            if self.share and decl.closed:
+                for a in args:
+                    if id(a) not in memo:
+                        break
+                else:
+                    key = id(t)
         elif tt is App:
             fn_ty = m.whnf(self.infer(sc, t.fn, path + ("function position",)))
             if head_class(fn_ty) is not Pi:
@@ -163,7 +188,7 @@ class _Kernel:
             raise PimodError(f"cannot type {t!r}")
         if log is not None:
             log.append((list(sc.names), t, m.quote(ty, sc.depth)))
-        self.memo.put(key, (ty, start, len(log) if log is not None else 0), t)
+        memo.put(key, (ty, start, len(log) if log is not None else 0, sc), t)
         return ty
 
     def check_is_type(self, sc: _Scope, t: DkTerm, path: tuple[str, ...]) -> None:
@@ -187,6 +212,30 @@ class _Kernel:
         """The term class of the weak-head normal type of ``t``."""
         return head_class(self.m.whnf(self.infer(sc, t, path)))
 
+    def check_judgment(self, ctx: DkContext, t: DkTerm, ty: DkTerm) -> None:
+        """:func:`check` in this call's state."""
+        sc = self.scope(ctx)
+        self.check(sc, t, self.m.clo(ty, sc.env), ())
+
+    def check_context(self, ctx: DkContext) -> list[Diagnostic]:
+        """:func:`check_context` in this call's state."""
+        out: list[Diagnostic] = []
+        names: set[str] = set()
+        prefix = self.root
+        for hint, ty in ctx.entries:
+            if hint in names:
+                out.append(Diagnostic("duplicate-name", f"context name '{hint}' repeats", hint))
+            names.add(hint)
+            try:
+                sort = self.sort(prefix, ty, (f"context entry '{hint}'",))
+                if sort is not Type:
+                    out.append(Diagnostic(
+                        "not-a-type", f"type of '{hint}' is {sort.__name__}-sorted, not TYPE", hint))
+            except PimodError as e:
+                out.append(Diagnostic("ill-typed-context", str(e), hint))
+            prefix = self.extend(prefix, hint, ty)
+        return out
+
 
 def infer(theory: Theory, ctx: DkContext, t: DkTerm,
           fuel: int | Fuel | None = None, log: Log | None = None) -> DkTerm:
@@ -199,31 +248,13 @@ def check(theory: Theory, ctx: DkContext, t: DkTerm, ty: DkTerm,
           fuel: int | Fuel | None = None, log: Log | None = None) -> None:
     """Check ``t`` against ``ty``; raises ``TypeMismatch`` with both sides
     weak-head normalized when conversion fails."""
-    k = _Kernel(theory, fuel, log)
-    sc = k.scope(ctx)
-    k.check(sc, t, k.m.clo(ty, sc.env), ())
+    _Kernel(theory, fuel, log).check_judgment(ctx, t, ty)
 
 
 def check_context(theory: Theory, ctx: DkContext,
                   fuel: int | Fuel | None = None, log: Log | None = None) -> list[Diagnostic]:
     """Each entry's type must be TYPE-sorted in the preceding prefix."""
-    k = _Kernel(theory, fuel, log)
-    out: list[Diagnostic] = []
-    names: set[str] = set()
-    prefix = k.root
-    for hint, ty in ctx.entries:
-        if hint in names:
-            out.append(Diagnostic("duplicate-name", f"context name '{hint}' repeats", hint))
-        names.add(hint)
-        try:
-            sort = k.sort(prefix, ty, (f"context entry '{hint}'",))
-            if sort is not Type:
-                out.append(Diagnostic(
-                    "not-a-type", f"type of '{hint}' is {sort.__name__}-sorted, not TYPE", hint))
-        except PimodError as e:
-            out.append(Diagnostic("ill-typed-context", str(e), hint))
-        prefix = k.extend(prefix, hint, ty)
-    return out
+    return _Kernel(theory, fuel, log).check_context(ctx)
 
 
 def check_signature(theory: Theory, fuel: int | Fuel | None = None,

@@ -7,6 +7,13 @@ source declaration's image is well-typed in the target and the image of
 every source rewrite step is a target rewrite sequence; ``verify_morphism``
 checks the first condition with the kernel and searches a bounded
 leftmost-outermost chain for the second.
+
+One call of ``verify_morphism`` maps each source node object once, into
+one image table, and types every telescope and body image in one kernel
+state.  Substitution keeps what it does not change, so a subterm the
+image bodies share, such as the internal representation of a sort, stays
+one object, and the kernel types it once per call (see
+:mod:`pimod.kernel`).
 """
 
 from __future__ import annotations
@@ -22,12 +29,13 @@ from .errors import (
     UnknownSort,
     UnrepresentableSort,
 )
-from .kernel import check as dk_check, check_context
+from .kernel import _Kernel
 from .rewrite import Fuel, step
 from .terms import (
     Cons,
     DkContext,
     DkTerm,
+    NodeMemo,
     Theory,
     Var,
     subst_many,
@@ -48,10 +56,20 @@ class TheoryMorphism:
 
 def apply_morphism(mor: TheoryMorphism, t: DkTerm) -> DkTerm:
     """Homomorphic extension; pattern variables are carried along inert."""
-    kids = [apply_morphism(mor, k) for k, _ in t.children()]
-    if isinstance(t, Cons):
-        return subst_many(mor.image_of(t.name), tuple(reversed(kids)))
-    return t.with_children(kids)
+    return _image(mor, t, NodeMemo())
+
+
+def _image(mor: TheoryMorphism, t: DkTerm, images: NodeMemo) -> DkTerm:
+    """:func:`apply_morphism`, mapping each node object once into ``images``."""
+    hit = images.get(id(t))
+    if hit is None:
+        kids = [_image(mor, k, images) for k, _ in t.children()]
+        if type(t) is Cons:
+            hit = subst_many(mor.image_of(t.name), tuple(reversed(kids)))
+        else:
+            hit = t.with_children(kids)
+        images.put(id(t), hit, t)
+    return hit
 
 
 def _rule_verdict(mor: TheoryMorphism, start: DkTerm, goal: DkTerm,
@@ -88,6 +106,8 @@ def verify_morphism(mor: TheoryMorphism,
     """
     out: list[Diagnostic] = []
     f = Fuel.of(fuel)
+    k = _Kernel(mor.target, f, None)
+    images = NodeMemo()
 
     declared = {d.name for d in mor.source.signature}
     for name in mor.body:
@@ -106,16 +126,15 @@ def verify_morphism(mor: TheoryMorphism,
         try:
             ctx = DkContext()
             for hint, a in d.telescope:
-                ctx = ctx.extend(hint, apply_morphism(mor, a))
-            bad = check_context(mor.target, ctx, f)
+                ctx = ctx.extend(hint, _image(mor, a, images))
+            bad = k.check_context(ctx)
             if bad:
                 out.append(Diagnostic(
                     "image-ill-typed",
                     f"the telescope image of '{d.name}' is not a valid "
                     f"target context: {bad[0].message}", d.name))
                 continue
-            dk_check(mor.target, ctx, mor.body[d.name],
-                     apply_morphism(mor, d.result), f)
+            k.check_judgment(ctx, mor.body[d.name], _image(mor, d.result, images))
         except PimodError as e:
             out.append(Diagnostic(
                 "image-ill-typed",
@@ -124,8 +143,8 @@ def verify_morphism(mor: TheoryMorphism,
 
     for r in mor.source.rules:
         try:
-            start = apply_morphism(mor, Cons(r.head, r.lhs))
-            goal = apply_morphism(mor, r.rhs)
+            start = _image(mor, Cons(r.head, r.lhs), images)
+            goal = _image(mor, r.rhs, images)
         except MissingBody as e:
             out.append(Diagnostic("missing-image",
                                   f"rule '{r.name}' mentions an unmapped "

@@ -14,7 +14,7 @@ and its weak-head normalizer to the congruence descent :func:`congruent`.
 
 ``step``/``nf`` follow the leftmost-outermost strategy on the term as
 written.  The framework's weak-head evaluation and conversion run on
-the closures of :class:`Machine`, which the kernel shares; ``whnf``
+the closures of :class:`Machine`, which the kernel shares; its ``whnf``
 additionally evaluates constant arguments on demand while matching,
 which is what conversion checking needs: a rule whose pattern inspects
 an argument position must see that argument's head.
@@ -524,13 +524,6 @@ class Machine:
         if tv is VApp:
             return App(self.quote(v.head, depth), self.quote(v.arg, depth))
         return Pi(v.hint, self.quote(v.dom, depth), self.quote(self.cod_at(v, depth), depth + 1))
-
-
-def whnf(theory: Theory, t: DkTerm, fuel: int | Fuel | None = None) -> DkTerm:
-    """Weak-head normal form of ``t`` under beta and the theory's rules:
-    :meth:`Machine.whnf`, quoted."""
-    m = Machine(theory, Fuel.of(fuel))
-    return m.quote(m.whnf(m.clo(t, ())), 0)
 
 
 def convertible(theory: Theory, a: DkTerm, b: DkTerm, fuel: int | Fuel | None = None) -> bool:

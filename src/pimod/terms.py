@@ -150,14 +150,18 @@ class Meta(DkTerm):
 
 def map_leaves(t: Term, leaf: Callable[[Term, int], Term], depth: int = 0) -> Term:
     """Rebuild ``t`` with each leaf ``u`` replaced by ``leaf(u, d)``, where
-    ``d`` is ``depth`` plus the number of binders above ``u``."""
+    ``d`` is ``depth`` plus the number of binders above ``u``.  A node none
+    of whose children changed is returned itself, not rebuilt."""
     kids = t.children()
     if not kids:
         return leaf(t, depth)
     new = []
+    same = True
     for k, b in kids:
-        new.append(map_leaves(k, leaf, depth + b))
-    return t.with_children(new)
+        u = map_leaves(k, leaf, depth + b)
+        same = same and u is k
+        new.append(u)
+    return t if same else t.with_children(new)
 
 
 def subterms(t: Term) -> Iterator[tuple[Term, int]]:
@@ -317,6 +321,12 @@ class Theory:
 
     def rules_for(self, head: str) -> tuple[RewriteRule, ...]:
         return self._rules_by_head.get(head, ())
+
+    @cached_property
+    def rules_closed(self) -> bool:
+        """Are all right-hand sides closed?  ``validate_theory`` reports
+        each rule whose right-hand side is not."""
+        return all(max_free_index(r.rhs) < 0 for r in self.rules)
 
 
 @dataclass(frozen=True)

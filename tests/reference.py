@@ -76,6 +76,12 @@ every occurrence of an annotation pair, and the checker types every
 occurrence of a shared subterm anew.  They are copied as they were.
 ``conservative_invert`` runs them the way the library's does, with the
 library's kernel, translation and translation of the context and type.
+
+``apply_morphism`` and ``verify_morphism`` are morphism verification as
+it was before one call shared one kernel state and one image table:
+``apply_morphism`` rebuilds every node of every image anew, and
+``verify_morphism`` checks each constant's telescope image and body in
+fresh kernel calls of their own.  They are copied as they were.
 """
 
 import itertools
@@ -91,11 +97,11 @@ from pimod.epts import (EApp, ELam, EPi, EptsContext, ESort, EptsTerm, EVar, PAp
                         _require_rule, _sort_of, _sort_type, epts_whnf)
 from pimod import terms as lib
 from pimod.errors import (ArityMismatch, Diagnostic, EptsCheckFailed, InternalSoundnessError,
-                          KindHasNoType, NotAProduct, NotErasable, NotInvertible,
+                          KindHasNoType, MissingBody, NotAProduct, NotErasable, NotInvertible,
                           PimodError, TypeMismatch,
                           UnboundVariable, UnknownConstant, UnknownSort,
                           UnrepresentableSort)
-from pimod.morphism import TheoryMorphism
+from pimod.morphism import TheoryMorphism, _rule_verdict
 from pimod.rewrite import BETA, Fuel, OrthogonalityReport, match_pattern
 from pimod.syntax import KEYWORDS, _fresh, _Parser, _var_name, lex
 from pimod.terms import (KIND, TYPE, App, Cons, DkContext, DkTerm, Kind, Lam, Meta,
@@ -1580,3 +1586,78 @@ def conservative_invert(enc: EncodingTheory, ctx: EptsContext, t: DkTerm,
             "re-translating the recovered term changes more than binder "
             "annotations", term=m)
     return m
+
+
+# --- morphism verification with a kernel per constant ----------------------
+
+
+def apply_morphism(mor: TheoryMorphism, t: DkTerm) -> DkTerm:
+    """Homomorphic extension; pattern variables are carried along inert."""
+    kids = [apply_morphism(mor, k) for k, _ in t.children()]
+    if isinstance(t, Cons):
+        return lib.subst_many(mor.image_of(t.name), tuple(reversed(kids)))
+    return t.with_children(kids)
+
+
+def verify_morphism(mor: TheoryMorphism,
+                    fuel: int | Fuel | None = None) -> list[Diagnostic]:
+    """Both soundness conditions; an empty list means fully verified."""
+    out: list[Diagnostic] = []
+    f = Fuel.of(fuel)
+
+    declared = {d.name for d in mor.source.signature}
+    for name in mor.body:
+        if name not in declared:
+            out.append(Diagnostic(
+                "unused-image",
+                f"morphism maps '{name}', which the source never declares",
+                name, severity="note"))
+
+    for d in mor.source.signature:
+        if d.name not in mor.body:
+            out.append(Diagnostic(
+                "missing-image", f"no image for source constant '{d.name}'",
+                d.name))
+            continue
+        try:
+            ctx = DkContext()
+            for hint, a in d.telescope:
+                ctx = ctx.extend(hint, apply_morphism(mor, a))
+            bad = kernel.check_context(mor.target, ctx, f)
+            if bad:
+                out.append(Diagnostic(
+                    "image-ill-typed",
+                    f"the telescope image of '{d.name}' is not a valid "
+                    f"target context: {bad[0].message}", d.name))
+                continue
+            kernel.check(mor.target, ctx, mor.body[d.name],
+                         apply_morphism(mor, d.result), f)
+        except PimodError as e:
+            out.append(Diagnostic(
+                "image-ill-typed",
+                f"the image of '{d.name}' does not have the image type: {e}",
+                d.name))
+
+    for r in mor.source.rules:
+        try:
+            start = apply_morphism(mor, Cons(r.head, r.lhs))
+            goal = apply_morphism(mor, r.rhs)
+        except MissingBody as e:
+            out.append(Diagnostic("missing-image",
+                                  f"rule '{r.name}' mentions an unmapped "
+                                  f"constant: {e}", r.name))
+            continue
+        verdict = _rule_verdict(mor, start, goal, f)
+        if verdict == "refuted":
+            out.append(Diagnostic(
+                "rule-not-preserved",
+                f"the image of rule '{r.name}' does not rewrite to the "
+                "image of its right-hand side", r.name,
+                data={"start": start, "goal": goal}))
+        elif verdict == "inconclusive":
+            out.append(Diagnostic(
+                "rule-unverified",
+                f"could not decide whether rule '{r.name}' is preserved "
+                "within the step budget", r.name, severity="note",
+                data={"start": start, "goal": goal}))
+    return out

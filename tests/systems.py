@@ -1,8 +1,9 @@
-"""Specifications, small terms and a theory builder shared across the test
-modules."""
+"""Specifications, small terms, a theory builder and the framework's
+weak-head normalizer on terms, shared across the test modules."""
 
 from pimod.epts import FiniteSortSpec, InternalizedSortSpec, PLam, PPi, PSort, PVar
-from pimod.terms import Cons, Declaration, Meta, RewriteRule, Theory
+from pimod.rewrite import Fuel, Machine
+from pimod.terms import Cons, Declaration, DkTerm, Meta, RewriteRule, Theory
 
 SYSTEM_F = FiniteSortSpec.build(
     ["Type", "Kind"],
@@ -50,6 +51,13 @@ MLTT_INT = InternalizedSortSpec(
                        Cons("s", (Cons("Ru", (Meta("m"), Meta("n"))),)),
                        name="ru-ss")),
     named={str(k): _nat(k) for k in range(4)})
+
+
+def whnf(theory: Theory, t: DkTerm, fuel: int | Fuel | None = None) -> DkTerm:
+    """Weak-head normal form of ``t`` under beta and the theory's rules:
+    :meth:`pimod.rewrite.Machine.whnf`, quoted."""
+    m = Machine(theory, Fuel.of(fuel))
+    return m.quote(m.whnf(m.clo(t, ())), 0)
 
 
 def extended(theory: Theory, *decls: Declaration,

@@ -160,15 +160,58 @@ MODULE_NAMES = {"pimod"} | {p.stem for p in MODULES} | {
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _binds(scope: ast.AST) -> set[str]:
+    """The names a function, lambda or comprehension binds for itself: its
+    parameters or targets, and each name its own body stores, defines,
+    imports or captures, less the names it declares global or nonlocal.
+    A name a comprehension's walrus stores binds in the function around it."""
+    if isinstance(scope, _COMPREHENSIONS):
+        return {n.id for g in scope.generators for n in ast.walk(g.target)
+                if isinstance(n, ast.Name)}
+    a = scope.args
+    bound = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p}
+    declared: set[str] = set()
+    stack = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load):
+            bound.add(n.id)
+        elif isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(n.name)
+            continue
+        elif isinstance(n, ast.alias):
+            bound.add((n.asname or n.name).split(".")[0])
+        elif isinstance(n, (ast.ExceptHandler, ast.MatchAs, ast.MatchStar)) and n.name:
+            bound.add(n.name)
+        elif isinstance(n, ast.MatchMapping) and n.rest:
+            bound.add(n.rest)
+        elif isinstance(n, (ast.Global, ast.Nonlocal)):
+            declared.update(n.names)
+        if isinstance(n, ast.Lambda):
+            continue
+        if isinstance(n, _COMPREHENSIONS):
+            stack += [k for k in ast.iter_child_nodes(n) if not isinstance(k, ast.comprehension)]
+            stack += [e for g in n.generators for e in (g.iter, *g.ifs)]
+            continue
+        stack.extend(ast.iter_child_nodes(n))
+    return bound - declared
+
+
 def _read(node: ast.AST, own: str | None, own_method: str | None,
           names: set[str], attrs: set[str]) -> None:
     """Add the names ``node`` reads to ``names`` (plain and imported names,
     and attributes of a package module: references to a top-level
     definition) and to ``attrs`` (any other attribute: references to a
-    method), except a definition's references to itself."""
-    for n in ast.walk(node):
+    method), except a definition's references to itself.  A name that a
+    function, lambda or comprehension around the read binds is a local
+    read, not a reference."""
+    def visit(n: ast.AST, hidden: frozenset[str]) -> None:
         if isinstance(n, ast.Name):
-            if n.id != own:
+            if n.id != own and n.id not in hidden:
                 names.add(n.id)
         elif isinstance(n, ast.alias):
             names.add(n.name.split(".")[-1])
@@ -177,6 +220,26 @@ def _read(node: ast.AST, own: str | None, own_method: str | None,
                 names.add(n.attr)
             elif n.attr != own_method:
                 attrs.add(n.attr)
+        if isinstance(n, _FUNCTIONS):
+            # decorators, defaults and annotations are read where the
+            # function is defined, the body in the function's own scope
+            a = n.args
+            outer = [*getattr(n, "decorator_list", ()), *a.defaults, *filter(None, a.kw_defaults),
+                     *(p.annotation for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                              a.vararg, a.kwarg) if p and p.annotation)]
+            if getattr(n, "returns", None):
+                outer.append(n.returns)
+            for part in outer:
+                visit(part, hidden)
+            inner = hidden | _binds(n)
+            for stmt in (n.body if isinstance(n.body, list) else [n.body]):
+                visit(stmt, inner)
+            return
+        if isinstance(n, _COMPREHENSIONS):
+            hidden = hidden | _binds(n)
+        for k in ast.iter_child_nodes(n):
+            visit(k, hidden)
+    visit(node, frozenset())
 
 
 def _references(tree: ast.Module, names: set[str], attrs: set[str]) -> None:

@@ -25,15 +25,15 @@ from pimod.encode import expected_dk_type, generate, translate, translate_ctx
 from pimod.epts import EptsContext, PLam, PSort, PVar, elaborate, elaborate_context, epts_infer
 from pimod.errors import FuelExhausted, PimodError, TypeMismatch
 from pimod.kernel import check, check_context, check_signature, infer
-from pimod.rewrite import Fuel, convertible, whnf
+from pimod.rewrite import Fuel, convertible
 from pimod.syntax import fresh_names, parse_dk_term, parse_theory, render, render_theory
-from pimod.terms import (KIND, TYPE, App, Cons, Declaration, Lam, Meta, Pi, RewriteRule,
-                         Theory, Var)
+from pimod.terms import (KIND, TYPE, App, Cons, Declaration, DkContext, Lam, Meta, Pi,
+                         RewriteRule, Theory, Var)
 from strategies import dk_terms
-from systems import SYSTEM_F, extended
+from systems import SYSTEM_F, extended, whnf
 from termgen import GEN_THEORY, beta_expand, gen_judgment
 from test_child_map import CONV_THEORY
-from test_kernel import EMPTY, N, VEC, Z, s, vec
+from test_kernel import EMPTY, N, VEC, Z, plus, s, vec
 
 CASES = load_cases()
 
@@ -196,6 +196,54 @@ def test_shared_subterm_is_typed_in_each_context():
                          App(Lam("x", vec(Z), of_x), Cons("nil"))))
     assert infer(VEC, EMPTY, term) == vec(s(App(Lam("x", N, of_x), Z)))
     same(infer, ref.kernel_infer, VEC, EMPTY, term, equal_ticks=True)
+
+
+def test_a_constant_of_an_open_declaration_is_typed_in_each_context():
+    """``c``'s type is the context's last variable: ``y`` in the body of
+    the abstraction, ``Y`` in the argument.  A memo that shares it across
+    contexts like a ground term gives the argument the type ``y``, which
+    escapes its context."""
+    theory = extended(VEC, Declaration("c", (), Var(0)))
+    ctx = DkContext((("X", TYPE), ("Y", TYPE)))
+    c = Cons("c")
+    term = App(Lam("y", Var(0), c), c)
+    assert infer(theory, ctx, term) == c
+    same(infer, ref.kernel_infer, theory, ctx, term, equal_ticks=True)
+
+
+def test_an_open_right_hand_side_keeps_sharing_off():
+    """``f(z)`` rewrites to the context's last variable, so the type of the
+    ground ``g(f(z))``, ``P(f(z))``, converts with ``P(a)`` under ``a`` and
+    with ``P(b)`` under ``b``.  A type shared from the first context would
+    convert only with ``P(a)``.  ``validate_theory`` rejects the rule, but
+    ``check-dk`` still checks the signature of such a theory."""
+    theory = extended(
+        VEC, Declaration("f", (("m", N),), N), Declaration("P", (("n", N),), TYPE),
+        Declaration("g", (("m", N),), Cons("P", (Var(0),))),
+        Declaration("h", (("n", N), ("p", Cons("P", (Var(0),)))), N),
+        rules=(RewriteRule("f", (Meta("x"),), Var(0), "open"),))
+    gfz = Cons("g", (Cons("f", (Z,)),))
+    term = Lam("a", N, plus(Cons("h", (Var(0), gfz)),
+                            App(Lam("b", N, Cons("h", (Var(0), gfz))), Var(0))))
+    assert infer(theory, EMPTY, term) == Pi("a", N, N)
+    same(infer, ref.kernel_infer, theory, EMPTY, term, equal_ticks=True)
+
+
+@pytest.mark.parametrize("outer_first", (True, False))
+def test_a_ground_term_replays_its_log_under_each_context(outer_first):
+    """``s(s(z))`` is one object, typed once per call, at two depths; the
+    log shows each occurrence with the names of its own context."""
+    two = s(s(Z))
+    inner = App(Lam("x", N, plus(two, Var(0))), Z)
+    term = plus(two, inner) if outer_first else plus(inner, two)
+    log = []
+    infer(VEC, EMPTY, term, None, log)
+    assert sum(t is two for _, t, _ in log) == 2
+    assert {tuple(names) for names, t, _ in log if t is two} == {(), ("x",)}
+    old = []
+    ref.kernel_infer(VEC, EMPTY, term, None, old)
+    assert repr(log) == repr(old)
+    same(infer, ref.kernel_infer, VEC, EMPTY, term)
 
 
 def deep_judgment(n: int):
