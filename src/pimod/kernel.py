@@ -128,11 +128,8 @@ class _Kernel:
         if hit is not None:
             if log is not None:
                 _, a, b, first = hit
-                if first is sc:
-                    log.extend(log[a:b])
-                else:
-                    n = first.depth
-                    log.extend([(sc.names + names[n:], u, v) for names, u, v in log[a:b]])
+                n = first.depth
+                log.extend([(sc.names + names[n:], u, v) for names, u, v in log[a:b]])
             return hit[0]
         start = len(log) if log is not None else 0
         if tt is Cons:
