@@ -7,8 +7,8 @@ arguments, and the final ``check``).
 The checker runs on the closures of :class:`pimod.rewrite.Machine`.
 A context variable is a de Bruijn level, so looking up its type is
 O(1) and weakens nothing.  Argument ``i`` of a constant is checked
-against telescope entry ``i`` closed over the earlier arguments, and the
-constant's type is its result type closed over all of them; an
+against telescope entry ``i`` under the earlier arguments, and the
+constant's type is its result type under all of them; an
 application's type closes the product's codomain over the argument.  No
 term is substituted or shifted, and a term is rebuilt ("quoted") only
 where it is printed: in the log, and in the ``expected``/``actual`` of
@@ -20,13 +20,13 @@ annotation object gives the same context.  Both tables are
 :class:`pimod.terms.NodeMemo` tables, which hold the node objects their
 keys name.  A subterm that elaboration shares is therefore typed once
 per context it occurs in, and a memo hit replays the log entries its
-first inference made.  The exception is a *ground* term: a constant of a
-closed declaration applied to ground arguments, in a theory whose rules
-have closed right-hand sides.  Its type does not depend on the context,
-so it is typed once per call, under the node alone, wherever it occurs;
-a hit in another context replays the first inference's log entries with
-the current context's names in place of the first context's.  The memo
-dies with the call.
+first inference made.  The exception is a *ground* term: a constant
+applied to ground arguments.  A :class:`pimod.terms.Theory` mentions
+no variable outside a telescope or a rule's left-hand side, so a ground
+term's type does not depend on the context: it is typed once per call,
+under the node alone, wherever it occurs; a hit in another context
+replays the first inference's log entries with the current context's
+names in place of the first context's.  The memo dies with the call.
 
 Every entry point draws its reduction steps on one budget, ``fuel``: an
 int starts a fresh :class:`Fuel`, a ``Fuel`` is shared, so a caller that
@@ -71,7 +71,7 @@ class _Kernel:
     interned by (context, name, annotation object) and the inference memo,
     keyed by (node, context), or by the node alone for a ground term."""
 
-    __slots__ = ("theory", "m", "log", "scopes", "memo", "root", "share")
+    __slots__ = ("theory", "m", "log", "scopes", "memo", "root")
 
     def __init__(self, theory: Theory, fuel: int | Fuel | None, log: Log | None):
         self.theory = theory
@@ -80,8 +80,6 @@ class _Kernel:
         self.scopes = NodeMemo()
         self.memo = NodeMemo()
         self.root = _Scope([], (), ())
-        # an open right-hand side reduces to a context variable
-        self.share = theory.rules_closed
 
     def extend(self, sc: _Scope, hint: str, ty: DkTerm) -> _Scope:
         key = (sc, hint, id(ty))
@@ -140,22 +138,14 @@ class _Kernel:
             if len(args) != decl.arity:
                 raise ArityMismatch(
                     f"'{c}' expects {decl.arity} arguments, got {len(args)} (at {_path_str(path)})")
-            # an open declaration's free variables are the context's
             env = tuple(m.clo(a, sc.env) for a in args)
-            base = 0 if decl.closed else sc.depth
-            if base:
-                env = sc.env + env
             for i, a in enumerate(args):
-                self.check(sc, a, m.clo(decl.telescope[i][1], env[:base + i]),
+                self.check(sc, a, m.clo(decl.telescope[i][1], env[:i]),
                            path + (f"argument {i + 1} of '{c}'",))
             ty = m.clo(decl.result, env)
             # every ground argument sits under its node alone by now
-            if self.share and decl.closed:
-                for a in args:
-                    if id(a) not in memo:
-                        break
-                else:
-                    key = id(t)
+            if all(id(a) in memo for a in args):
+                key = id(t)
         elif tt is App:
             fn_ty = m.whnf(self.infer(sc, t.fn, path + ("function position",)))
             if head_class(fn_ty) is not Pi:

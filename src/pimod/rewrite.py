@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Iterator
 from .errors import Diagnostic, FuelExhausted
 from .terms import (
     App, Cons, DkTerm, Lam, Meta, NodeMemo, Pi, RewriteRule, Term, Theory, Var,
-    map_leaves, max_free_index, repeated_metas, subst, subst_many, subterms,
+    map_leaves, repeated_metas, subst, subst_many, subterms,
 )
 
 BETA = "β"
@@ -158,7 +158,7 @@ def _rule_root(theory: Theory, labels: frozenset[str] | set[str] | None) -> Root
             case App(Lam(_, _, body), arg) if beta:
                 yield BETA, subst(body, 0, arg)
             case Cons(c, args):
-                for name, lhs, names, rhs, _ in rules_at(theory, c, len(args)):
+                for name, lhs, names, rhs in rules_at(theory, c, len(args)):
                     if labels is None or name in labels:
                         env: dict[str, DkTerm] = {}
                         for p, a in zip(lhs, args):
@@ -285,9 +285,8 @@ def head_class(v) -> type:
 def _compile(rule: RewriteRule) -> tuple:
     """``rule`` as both engines fire it: its name, the left-hand side, the
     pattern variables in reverse order of first occurrence (the order in
-    which their values make up the right-hand side's environment), the
-    right-hand side over that environment, and whether it is closed; an
-    open side reads its free variables under the redex's environment."""
+    which their values make up the right-hand side's environment), and
+    the right-hand side over that environment."""
     names = list(dict.fromkeys(
         u.name for p in rule.lhs for u, _ in subterms(p) if isinstance(u, Meta)))
     index = {n: i for i, n in enumerate(names)}
@@ -295,11 +294,8 @@ def _compile(rule: RewriteRule) -> tuple:
     def leaf(u: DkTerm, d: int) -> DkTerm:
         if isinstance(u, Meta) and u.name in index:
             return Var(d + index[u.name])
-        if isinstance(u, Var) and u.index >= d:
-            return Var(u.index + len(names))
         return u
-    return (rule.name, rule.lhs, tuple(reversed(names)), map_leaves(rule.rhs, leaf),
-            max_free_index(rule.rhs) < 0)
+    return rule.name, rule.lhs, tuple(reversed(names)), map_leaves(rule.rhs, leaf)
 
 
 def rules_at(theory: Theory, head: str, arity: int) -> tuple:
@@ -383,12 +379,11 @@ class Machine:
             if not rules:
                 return v
             holder = [self.clo(a, v.env) for a in t.args]
-            for _, lhs, names, rhs, closed in rules:
+            for _, lhs, names, rhs in rules:
                 menv: dict = {}
                 if all(self._match(p, holder, i, menv) for i, p in enumerate(lhs)):
                     self.fuel.tick()
-                    vals = tuple(menv[n] for n in names)
-                    v = self.clo(rhs, vals if closed else v.env + vals)
+                    v = self.clo(rhs, tuple(menv[n] for n in names))
                     break
             else:
                 return VCons(t.name, holder)
@@ -627,8 +622,8 @@ def check_orthogonal(theory: Theory) -> OrthogonalityReport:
     rule trivially unifies with itself at the root.  A rule is unified
     only with the non-variable positions of another rule's left-hand
     side whose constant is its head, since no other pair can overlap.
-    Rules may share a name, so a root overlap is reported once per pair
-    of rule positions in the theory, not once per pair of names.
+    Rules may have the same name, so a root overlap is reported once per
+    pair of rule positions in the theory, not once per pair of names.
     Problems and notes come out rule-major: by the outer rule, then the
     inner rule, then the position.
     """

@@ -18,7 +18,6 @@ identity is a :class:`NodeMemo`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Iterator
 
 from .errors import Diagnostic, UnboundVariable
@@ -225,10 +224,10 @@ def metas_of(t: DkTerm) -> set[str]:
     return {u.name for u, _ in subterms(t) if isinstance(u, Meta)}
 
 
-def max_free_index(t: Term, depth: int = 0) -> int:
+def max_free_index(t: Term) -> int:
     """Largest free variable index, or -1 for a closed term."""
-    return max((u.index - depth - d for u, d in subterms(t)
-                if isinstance(u, Variable) and u.index >= depth + d), default=-1)
+    return max((u.index - d for u, d in subterms(t)
+                if isinstance(u, Variable) and u.index >= d), default=-1)
 
 
 class NodeMemo(dict):
@@ -270,13 +269,6 @@ class Declaration:
     def arity(self) -> int:
         return len(self.telescope)
 
-    @cached_property
-    def closed(self) -> bool:
-        """Do the telescope and the result mention only telescope
-        variables?  ``validate_theory`` reports each entry that does not."""
-        return (all(max_free_index(ty) < i for i, (_, ty) in enumerate(self.telescope))
-                and max_free_index(self.result) < self.arity)
-
 
 @dataclass(frozen=True)
 class RewriteRule:
@@ -294,7 +286,9 @@ class RewriteRule:
 
 @dataclass
 class Theory:
-    """An ordered signature plus rewrite rules.
+    """An ordered signature plus rewrite rules.  Building one whose
+    declaration mentions a variable outside its telescope, or whose rule
+    has a free variable on the right, raises :class:`UnboundVariable`.
 
     Treated as immutable after construction; lookup tables are cached,
     and ``compiled_rules`` holds, by head and arity, the rules that fire
@@ -310,9 +304,20 @@ class Theory:
                                                          repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for d in self.signature:
+            for i, (_, ty) in enumerate(d.telescope):
+                if max_free_index(ty) >= i:
+                    raise UnboundVariable(
+                        f"telescope entry {i} of '{d.name}' mentions variables outside the telescope")
+            if max_free_index(d.result) >= d.arity:
+                raise UnboundVariable(
+                    f"result type of '{d.name}' mentions variables outside the telescope")
         self._by_name = {d.name: d for d in self.signature}
         by_head: dict[str, list[RewriteRule]] = {}
         for r in self.rules:
+            if max_free_index(r.rhs) >= 0:
+                raise UnboundVariable(
+                    f"rule '{r.name}': right-hand side has free de Bruijn variables")
             by_head.setdefault(r.head, []).append(r)
         self._rules_by_head = {h: tuple(rs) for h, rs in by_head.items()}
 
@@ -321,12 +326,6 @@ class Theory:
 
     def rules_for(self, head: str) -> tuple[RewriteRule, ...]:
         return self._rules_by_head.get(head, ())
-
-    @cached_property
-    def rules_closed(self) -> bool:
-        """Are all right-hand sides closed?  ``validate_theory`` reports
-        each rule whose right-hand side is not."""
-        return all(max_free_index(r.rhs) < 0 for r in self.rules)
 
 
 @dataclass(frozen=True)
@@ -399,11 +398,12 @@ def _check_arities(theory: Theory, t: DkTerm, subject: str, out: list[Diagnostic
 def validate_theory(theory: Theory) -> list[Diagnostic]:
     """Structural well-formedness of a theory, before any typing.
 
-    Checks: unique constant names; declaration bodies closed and with
-    correct constant arities; rule heads declared and applied at their
-    arity; left-hand sides built from patterns only, left-linear; no
-    pattern variable named like a declared constant; right-hand sides
-    closed, with pattern variables drawn from the left-hand side.
+    Checks: unique constant names; correct constant arities in
+    declarations; rule heads declared and applied at their arity;
+    left-hand sides built from patterns only, left-linear; no pattern
+    variable named like a declared constant; right-hand sides with
+    pattern variables drawn from the left-hand side.  Closedness is
+    :class:`Theory`'s own invariant.
     """
     out: list[Diagnostic] = []
     seen: set[str] = set()
@@ -411,21 +411,11 @@ def validate_theory(theory: Theory) -> list[Diagnostic]:
         if d.name in seen:
             out.append(Diagnostic("duplicate-constant", f"constant '{d.name}' declared twice", d.name))
         seen.add(d.name)
-        for i, (_, ty) in enumerate(d.telescope):
+        for _, ty in d.telescope:
             _check_arities(theory, ty, d.name, out)
-            if max_free_index(ty) >= i:
-                out.append(Diagnostic(
-                    "open-declaration",
-                    f"telescope entry {i} of '{d.name}' mentions variables outside the telescope",
-                    d.name))
             if metas_of(ty):
                 out.append(Diagnostic("meta-in-declaration", f"pattern variable in declaration of '{d.name}'", d.name))
         _check_arities(theory, d.result, d.name, out)
-        if max_free_index(d.result) >= d.arity:
-            out.append(Diagnostic(
-                "open-declaration",
-                f"result type of '{d.name}' mentions variables outside the telescope",
-                d.name))
         if metas_of(d.result):
             out.append(Diagnostic("meta-in-declaration", f"pattern variable in declaration of '{d.name}'", d.name))
 
@@ -464,6 +454,4 @@ def validate_theory(theory: Theory) -> list[Diagnostic]:
                 f"right-hand side mentions pattern variables not bound on the left: {sorted(extra)}",
                 r.name))
         _check_arities(theory, r.rhs, r.name, out)
-        if max_free_index(r.rhs) >= 0:
-            out.append(Diagnostic("open-rule", "right-hand side has free de Bruijn variables", r.name))
     return out

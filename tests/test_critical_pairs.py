@@ -74,7 +74,7 @@ def rule_theories(draw):
     for k in range(draw(st.integers(1, 5))):
         head = draw(st.sampled_from(sorted(HEADS)))
         lhs = tuple(draw(patterns) for _ in range(HEADS[head]))
-        rhs = draw(st.one_of(patterns, dk_terms(metas=True, max_leaves=6)))
+        rhs = draw(st.one_of(patterns, dk_terms(max_free=0, metas=True, max_leaves=6)))
         rules.append(RewriteRule(head, lhs, rhs, name=f"r{k}"))
     return Theory((), tuple(rules))
 

@@ -27,10 +27,9 @@ from pimod.errors import FuelExhausted, PimodError, TypeMismatch
 from pimod.kernel import check, check_context, check_signature, infer
 from pimod.rewrite import Fuel, convertible
 from pimod.syntax import fresh_names, parse_dk_term, parse_theory, render, render_theory
-from pimod.terms import (KIND, TYPE, App, Cons, Declaration, DkContext, Lam, Meta, Pi,
-                         RewriteRule, Theory, Var)
+from pimod.terms import KIND, TYPE, App, Cons, Declaration, Lam, Meta, Pi, Theory, Var
 from strategies import dk_terms
-from systems import SYSTEM_F, extended, whnf
+from systems import SYSTEM_F, whnf
 from termgen import GEN_THEORY, beta_expand, gen_judgment
 from test_child_map import CONV_THEORY
 from test_kernel import EMPTY, N, VEC, Z, plus, s, vec
@@ -137,9 +136,6 @@ def test_parsed_bad_traditional_theory():
         same(check, ref.kernel_check, tf.theory, tf.assumes, m, a, equal_ticks=True)
 
 
-OPEN = extended(VEC, Declaration("wide", (("x", N),), vec(Var(1))),
-                Declaration("narrow", (("v", vec(Var(0))),), N))
-
 TRAPS = [
     (infer, ref.kernel_infer, VEC, EMPTY, Var(0)),
     (infer, ref.kernel_infer, VEC, EMPTY, Meta("m")),
@@ -158,10 +154,6 @@ TRAPS = [
     (check, ref.kernel_check, VEC, EMPTY, Lam("x", N, Var(0)), Pi("y", N, vec(Var(0)))),
     (check, ref.kernel_check, VEC, EMPTY.extend("n", N).extend("v", vec(Var(0))),
      Var(0), vec(s(Var(1)))),
-    # open declarations, which validate_theory rejects, read their free
-    # variables in the context of the checked term
-    (infer, ref.kernel_infer, OPEN, EMPTY.extend("n", N), Cons("wide", (Z,))),
-    (infer, ref.kernel_infer, OPEN, EMPTY.extend("n", N), Cons("narrow", (Cons("nil"),))),
     (check_context, ref.check_context, VEC,
      EMPTY.extend("x", Z).extend("x", N).extend("y", Cons("ghost"))),
     (check_signature, ref.check_signature,
@@ -196,37 +188,6 @@ def test_shared_subterm_is_typed_in_each_context():
                          App(Lam("x", vec(Z), of_x), Cons("nil"))))
     assert infer(VEC, EMPTY, term) == vec(s(App(Lam("x", N, of_x), Z)))
     same(infer, ref.kernel_infer, VEC, EMPTY, term, equal_ticks=True)
-
-
-def test_a_constant_of_an_open_declaration_is_typed_in_each_context():
-    """``c``'s type is the context's last variable: ``y`` in the body of
-    the abstraction, ``Y`` in the argument.  A memo that shares it across
-    contexts like a ground term gives the argument the type ``y``, which
-    escapes its context."""
-    theory = extended(VEC, Declaration("c", (), Var(0)))
-    ctx = DkContext((("X", TYPE), ("Y", TYPE)))
-    c = Cons("c")
-    term = App(Lam("y", Var(0), c), c)
-    assert infer(theory, ctx, term) == c
-    same(infer, ref.kernel_infer, theory, ctx, term, equal_ticks=True)
-
-
-def test_an_open_right_hand_side_keeps_sharing_off():
-    """``f(z)`` rewrites to the context's last variable, so the type of the
-    ground ``g(f(z))``, ``P(f(z))``, converts with ``P(a)`` under ``a`` and
-    with ``P(b)`` under ``b``.  A type shared from the first context would
-    convert only with ``P(a)``.  ``validate_theory`` rejects the rule, but
-    ``check-dk`` still checks the signature of such a theory."""
-    theory = extended(
-        VEC, Declaration("f", (("m", N),), N), Declaration("P", (("n", N),), TYPE),
-        Declaration("g", (("m", N),), Cons("P", (Var(0),))),
-        Declaration("h", (("n", N), ("p", Cons("P", (Var(0),)))), N),
-        rules=(RewriteRule("f", (Meta("x"),), Var(0), "open"),))
-    gfz = Cons("g", (Cons("f", (Z,)),))
-    term = Lam("a", N, plus(Cons("h", (Var(0), gfz)),
-                            App(Lam("b", N, Cons("h", (Var(0), gfz))), Var(0))))
-    assert infer(theory, EMPTY, term) == Pi("a", N, N)
-    same(infer, ref.kernel_infer, theory, EMPTY, term, equal_ticks=True)
 
 
 @pytest.mark.parametrize("outer_first", (True, False))
@@ -327,14 +288,14 @@ def test_a_memo_hit_replays_the_trace(tmp_path, capsys):
 
 # --- matching paths the corpus never takes -----------------------------------
 #
-# Each theory makes the machine take one path of ``Machine._match`` or
-# ``_compile`` that no generated theory takes: a repeated pattern variable,
-# a pattern that is neither a variable nor a constant, a position an
-# earlier rule left evaluated, and an open right-hand side.
-# ``validate_theory`` rejects the last two kinds of rule, but ``check-dk``
-# still runs ``check_signature`` on such a theory.  Each case is the
-# theory's text, rules the text cannot write, terms to weak-head
-# normalize and pairs to convert; ``v1`` and ``v0`` name free variables.
+# Each theory makes the machine take one path of ``Machine._match`` that
+# no generated theory takes: a repeated pattern variable, a pattern that
+# is neither a variable nor a constant, and a position an earlier rule
+# left evaluated.  ``validate_theory`` rejects the first two kinds of
+# rule, but ``check-dk`` still runs ``check_signature`` on such a theory.
+# Each case is the theory's text, rules the text cannot write, terms to
+# weak-head normalize and pairs to convert; ``v1`` and ``v0`` name free
+# variables.
 
 MATCHING = {
     "non-linear": (
@@ -360,16 +321,6 @@ MATCHING = {
         "assume f : A -> A.\ncheck c : A.\n",
         (), ["g(f c)", "g(k(c))", "g((lam x : A. x) c)"],
         [("g(f c)", "c"), ("g(k(f c))", "f c")]),
-    # f(x) --> v1 reads the variable one above the redex: n at the top of
-    # the checked context, p under one more binder
-    "open right-hand side": (
-        "constant N : TYPE.\nconstant z : N.\nconstant f (m : N) : N.\n"
-        "constant P (n : N) : TYPE.\n"
-        "assume n : N.\nassume p : P(n).\n"
-        "check p : P(f(z)).\ncheck p : P(f(f(z))).\n"
-        "check (lam y : N. p) : N -> P(f(z)).\n",
-        (RewriteRule("f", (Meta("x"),), Var(1), "open"),),
-        ["f(z)", "f(f(z))"], [("f(z)", "v1"), ("f(z)", "v0")]),
 }
 
 
@@ -418,11 +369,3 @@ def test_matching_paths_are_taken():
     theory, _ = matching_case("application pattern")
     stuck = parse_dk_term("g(f c)", theory, ["f"])
     assert whnf(theory, stuck) == stuck
-    theory, tf = matching_case("open right-hand side")
-    mismatched = []
-    for m, a in tf.checks:
-        try:
-            check(theory, tf.assumes, m, a)
-        except TypeMismatch:
-            mismatched.append(render(a, tf.assumes.names))
-    assert mismatched == ["N -> P(f(z))"]

@@ -4,9 +4,11 @@ hygiene."""
 import gc
 import weakref
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pimod.errors import UnboundVariable
 from pimod.terms import (KIND, TYPE, App, Cons, Declaration, DkContext, Lam,
                          Meta, NodeMemo, Pi, RewriteRule, Theory, Var,
                          max_free_index, metas_of, shift, subst, subst_many,
@@ -138,11 +140,6 @@ class TestValidateTheory:
             RewriteRule("s", (Meta("a"), Meta("b")), Meta("a"), name="bad"),))
         assert "arity-mismatch" in self._codes(t)
 
-    def test_open_declaration(self):
-        t = _theory([Declaration("N", (), TYPE),
-                     Declaration("f", (("x", Var(3)),), Cons("N"))])
-        assert "open-declaration" in self._codes(t)
-
     def test_lambda_in_pattern_rejected(self):
         t = extended(self.GOOD, rules=(
             RewriteRule("s", (Lam("x", TYPE, Meta("m")),), Cons("z"), name="bad"),))
@@ -163,13 +160,42 @@ class TestValidateTheory:
             RewriteRule("s", (Meta("z"),), Meta("z"), name="shadow"),))
         assert "meta-shadows-constant" in self._codes(t)
 
-    def test_free_variable_in_rhs(self):
-        t = extended(self.GOOD, rules=(
-            RewriteRule("s", (Meta("m"),), Var(0), name="open"),))
-        assert "open-rule" in self._codes(t)
-
     def test_lookup_tables(self):
         assert self.GOOD.decl("p").arity == 2
         assert self.GOOD.decl("missing") is None
         assert [r.name for r in self.GOOD.rules_for("p")] == ["p-z", "p-s"]
         assert self.GOOD.rules_for("z") == ()
+
+
+class TestClosedByConstruction:
+    """A theory mentions no variable outside a telescope or a rule's
+    pattern variables: building any other raises ``UnboundVariable``."""
+
+    N = Cons("N")
+
+    def test_open_right_hand_side(self):
+        # the closure kernel and the term kernel would read v0 in
+        # different contexts when g(z)'s type P(f(z)) is converted
+        N = self.N
+        decls = [Declaration("N", (), TYPE), Declaration("z", (), N),
+                 Declaration("f", (("m", N),), N), Declaration("P", (("n", N),), TYPE),
+                 Declaration("g", (("m", N),), Cons("P", (Cons("f", (Var(0),)),)))]
+        with pytest.raises(UnboundVariable) as e:
+            _theory(decls, [RewriteRule("f", (Meta("x"),), Var(0), name="open")])
+        assert e.value.message == "rule 'open': right-hand side has free de Bruijn variables"
+        # a variable bound inside the right-hand side is not free
+        _theory(decls, [RewriteRule("f", (Meta("x"),), App(Lam("y", N, Var(0)), Meta("x")),
+                                    name="closed")])
+
+    def test_open_telescope_entry(self):
+        N = self.N
+        with pytest.raises(UnboundVariable) as e:
+            _theory([Declaration("N", (), TYPE), Declaration("f", (("x", TYPE), ("y", Var(1))), N)])
+        assert e.value.message == "telescope entry 1 of 'f' mentions variables outside the telescope"
+        _theory([Declaration("N", (), TYPE), Declaration("f", (("x", TYPE), ("y", Var(0))), N)])
+
+    def test_open_result_type(self):
+        with pytest.raises(UnboundVariable) as e:
+            _theory([Declaration("c", (("x", TYPE),), Var(1))])
+        assert e.value.message == "result type of 'c' mentions variables outside the telescope"
+        _theory([Declaration("c", (("x", TYPE),), Pi("y", Var(0), Var(1)))])
