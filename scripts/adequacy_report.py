@@ -14,20 +14,25 @@ import argparse
 import random
 import sys
 import time
+from pathlib import Path
 
-from pimod.corpus import load_cases
-from pimod.decode import adequacy_roundtrip, conservative_invert, invert
-from pimod.encode import expected_dk_type, generate, translate, translate_ctx
-from pimod.epts import elaborate, elaborate_context, epts_reduce
-from pimod.kernel import check as dk_check, infer as dk_infer
-from pimod.rewrite import DEFAULT_FUEL
-from pimod.terms import App, Lam, Var
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from pimod.corpus import load_cases  # noqa: E402
+from pimod.decode import adequacy_roundtrip, conservative_invert, invert  # noqa: E402
+from pimod.encode import expected_dk_type, generate, translate, translate_ctx  # noqa: E402
+from pimod.epts import elaborate, elaborate_context, epts_reduce  # noqa: E402
+from pimod.kernel import check as dk_check, infer as dk_infer  # noqa: E402
+from pimod.rewrite import DEFAULT_FUEL  # noqa: E402
+from pimod.terms import App, Lam, Var  # noqa: E402
 
 
-def wrap_root(theory, ctx, t, times):
-    """Identity beta-expansions at the root: ``(lam w : T. w) t``, iterated."""
+def wrap_root(theory, ctx, t, times, fuel):
+    """Identity beta-expansions at the root: ``(lam w : T. w) t``, iterated,
+    each type inferred on a budget of ``fuel`` steps."""
     for _ in range(times):
-        t = App(Lam("w", dk_infer(theory, ctx, t), Var(0)), t)
+        t = App(Lam("w", dk_infer(theory, ctx, t, fuel), Var(0)), t)
     return t
 
 
@@ -74,7 +79,7 @@ def main(argv=None):
 
                 ok_var = 0
                 for k in range(args.variants):
-                    fat = wrap_root(enc.theory, dctx, img, 1 + rng.randrange(2))
+                    fat = wrap_root(enc.theory, dctx, img, 1 + rng.randrange(2), args.fuel)
                     if conservative_invert(enc, ctx, fat, a, fuel=args.fuel) == m:
                         ok_var += 1
 

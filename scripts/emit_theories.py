@@ -15,14 +15,17 @@ import argparse
 import sys
 from pathlib import Path
 
-from pimod.analysis import check_arity_preserving, check_rules_well_formed
-from pimod.corpus import load_cases
-from pimod.encode import expected_dk_type, generate, translate, translate_ctx
-from pimod.epts import elaborate, elaborate_context
-from pimod.kernel import check_signature
-from pimod.rewrite import check_orthogonal
-from pimod.syntax import render_theory
-from pimod.terms import validate_theory
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from pimod.analysis import check_arity_preserving, check_rules_well_formed  # noqa: E402
+from pimod.corpus import load_cases  # noqa: E402
+from pimod.encode import expected_dk_type, generate, translate, translate_ctx  # noqa: E402
+from pimod.epts import elaborate, elaborate_context  # noqa: E402
+from pimod.kernel import check_signature  # noqa: E402
+from pimod.rewrite import check_orthogonal  # noqa: E402
+from pimod.syntax import render_theory  # noqa: E402
+from pimod.terms import validate_theory  # noqa: E402
 
 
 def main(argv=None):

@@ -40,7 +40,6 @@ from .errors import (
     SideConditionFailed,
     TopSortHasNoType,
     TypeMismatch,
-    UnboundVariable,
     UnknownSort,
 )
 from .rewrite import Fuel, Root, congruent, nf as dk_nf, normalize, redexes
@@ -56,8 +55,6 @@ from .terms import (
     Term,
     Theory,
     Variable,
-    max_free_index,
-    metas_of,
     same_class,
     subst,
     subterms,
@@ -72,14 +69,19 @@ class SortSpec:
     """A functional PTS specification (S, A, R), in either presentation.
 
     A subclass sets ``known``, the set of declared sort names, and
-    answers :meth:`axiom_of` and :meth:`rule_of` with a sort name or
-    None.  The side conditions on top of them are decided here, once:
-    :meth:`require` rejects an undeclared sort, and :meth:`axiom_defined`
-    and :meth:`rule_defined` raise :class:`UnknownSort` for one and count
-    a defined value that has no name as defined.
+    ``sorts``, the same names in order, and answers one question,
+    :meth:`_value`: is the axiom (``op`` ``"Ax"``, one sort) or the
+    product rule (``"Ru"``, two sorts) defined, what is its sort name
+    (None if it has none) and what is its value.  Everything else is
+    derived from that answer here, once: :meth:`require` rejects an
+    undeclared sort; :meth:`axiom_of` and :meth:`rule_of` give the name
+    and raise :class:`UnknownSort` for a defined value that has none,
+    which :meth:`axiom_defined` and :meth:`rule_defined` count as defined
+    and :meth:`coverage_diagnostics` notes.
     """
 
     known: frozenset[str]
+    sorts: tuple[str, ...]
 
     def has_sort(self, name: str) -> bool:
         return name in self.known
@@ -88,30 +90,42 @@ class SortSpec:
         if name not in self.known:
             raise UnknownSort(f"unknown sort '{name}'")
 
-    def axiom_of(self, s: str) -> str | None:
+    def _value(self, op: str, sorts: tuple[str, ...]) -> tuple[bool, str | None, object]:
+        """Whether ``op`` over ``sorts`` is defined, its name and its value;
+        :class:`UnknownSort` for an undeclared sort."""
         raise NotImplementedError
+
+    def _named(self, what: str, op: str, sorts: tuple[str, ...]) -> str | None:
+        defined, name, v = self._value(op, sorts)
+        if defined and name is None:
+            raise UnknownSort(f"{what} evaluates to a sort with no declared name", value=v)
+        return name
+
+    def axiom_of(self, s: str) -> str | None:
+        return self._named(f"the axiom of '{s}'", "Ax", (s,))
 
     def rule_of(self, s1: str, s2: str) -> str | None:
-        raise NotImplementedError
+        return self._named(f"the product rule for ({s1}, {s2})", "Ru", (s1, s2))
 
     def axiom_defined(self, s: str) -> bool:
-        try:
-            return self.axiom_of(s) is not None
-        except UnknownSort:   # re-raised for an undeclared sort, else a value with no name
-            self.require(s)
-            return True
+        return self._value("Ax", (s,))[0]
 
     def rule_defined(self, s1: str, s2: str) -> bool:
-        try:
-            return self.rule_of(s1, s2) is not None
-        except UnknownSort:   # re-raised for an undeclared sort, else a value with no name
-            self.require(s1)
-            self.require(s2)
-            return True
+        return self._value("Ru", (s1, s2))[0]
 
     def coverage_diagnostics(self) -> list[Diagnostic]:
-        """Notes on defined axioms and rules with no sort name; none here."""
-        return []
+        """A note for each axiom and rule that is defined but has no sort name."""
+        asks = [("unnamed-axiom", f"the axiom of '{s}'", s, "Ax", (s,))
+                for s in self.sorts]
+        asks += [("unnamed-rule", f"the product rule for ({s1}, {s2})", f"({s1}, {s2})",
+                  "Ru", (s1, s2)) for s1 in self.sorts for s2 in self.sorts]
+        out: list[Diagnostic] = []
+        for code, what, subject, op, sorts in asks:
+            defined, name, _ = self._value(op, sorts)
+            if defined and name is None:
+                out.append(Diagnostic(code, f"{what} is defined but has no declared name",
+                                      subject, severity="note"))
+        return out
 
 
 @dataclass(frozen=True)
@@ -160,14 +174,11 @@ class FiniteSortSpec(SortSpec):
             ru[(s1, s2)] = s3
         return cls(tuple(sorts), ax, ru)
 
-    def axiom_of(self, s: str) -> str | None:
-        self.require(s)
-        return self.axioms.get(s)
-
-    def rule_of(self, s1: str, s2: str) -> str | None:
-        self.require(s1)
-        self.require(s2)
-        return self.rules.get((s1, s2))
+    def _value(self, op: str, sorts: tuple[str, ...]) -> tuple[bool, str | None, object]:
+        for s in sorts:
+            self.require(s)
+        v = self.axioms.get(sorts[0]) if op == "Ax" else self.rules.get(sorts)
+        return v is not None, v, v
 
 
 SORT = Cons("Sort")
@@ -224,8 +235,6 @@ class InternalizedSortSpec(SortSpec):
         self._values: dict[DkTerm, tuple[DkTerm, str | None] | FuelExhausted] = {}
         self.known = frozenset(self.named)
         for name, t in self.named.items():
-            if metas_of(t) or max_free_index(t) >= 0:
-                raise PimodError(f"sort term for '{name}' must be closed")
             self._check_sort_term(name, t)
 
     def _check_sort_term(self, name: str, t: DkTerm) -> None:
@@ -276,42 +285,9 @@ class InternalizedSortSpec(SortSpec):
         return all(type(u) is Cons and u.name not in self._defined_heads
                    for u, _ in subterms(t))
 
-    def _lookup(self, what: str, t: DkTerm) -> str | None:
-        v, name = self.evaluate(t)
-        if name is None and self._is_value(v):
-            raise UnknownSort(f"{what} evaluates to a sort with no declared name", value=v)
-        return name
-
-    def axiom_of(self, s: str) -> str | None:
-        return self._lookup(f"the axiom of '{s}'",
-                            Cons("Ax", (self.sort_term(s),)))
-
-    def rule_of(self, s1: str, s2: str) -> str | None:
-        return self._lookup(f"the product rule for ({s1}, {s2})",
-                            Cons("Ru", (self.sort_term(s1), self.sort_term(s2))))
-
-    def coverage_diagnostics(self) -> list[Diagnostic]:
-        """Notes about named sorts whose axiom/rule images are missing a name."""
-        out: list[Diagnostic] = []
-        for s in self.named:
-            try:
-                self.axiom_of(s)
-            except UnknownSort:
-                out.append(Diagnostic(
-                    "unnamed-axiom",
-                    f"the axiom of '{s}' is defined but has no declared name",
-                    s, severity="note"))
-        for s1 in self.named:
-            for s2 in self.named:
-                try:
-                    self.rule_of(s1, s2)
-                except UnknownSort:
-                    out.append(Diagnostic(
-                        "unnamed-rule",
-                        f"the product rule for ({s1}, {s2}) is defined "
-                        "but has no declared name",
-                        f"({s1}, {s2})", severity="note"))
-        return out
+    def _value(self, op: str, sorts: tuple[str, ...]) -> tuple[bool, str | None, object]:
+        v, name = self.evaluate(Cons(op, tuple(map(self.sort_term, sorts))))
+        return name is not None or self._is_value(v), name, v
 
 
 # --- syntax -------------------------------------------------------------------
@@ -693,8 +669,6 @@ def _elab(c: _Checker, ctx: EptsContext, t: PtsTerm) -> tuple[EptsTerm, Derived]
     spec = c.spec
     match t:
         case PVar(k):
-            if not 0 <= k < len(ctx):
-                raise UnboundVariable(f"de Bruijn index {k} out of range")
             return EVar(k), ctx.type_of(k)
         case PSort(s):
             spec.require(s)

@@ -35,13 +35,11 @@ class Diagnostic:
     message: str
     subject: str = ""
     severity: str = "error"
-    span: Span | None = None
     data: dict[str, Any] = field(default_factory=dict)
 
     def __str__(self) -> str:
-        where = f"{self.span}: " if self.span else ""
         subj = f" [{self.subject}]" if self.subject else ""
-        return f"{where}{self.severity}: {self.code}{subj}: {self.message}"
+        return f"{self.severity}: {self.code}{subj}: {self.message}"
 
 
 def _show(x: Any, names: Sequence[str] = ()) -> str:

@@ -180,15 +180,6 @@ def step(theory: Theory, t: DkTerm, labels: frozenset[str] | set[str] | None = N
     return None if r is None else (r[2], r[1])
 
 
-def reducts(theory: Theory, t: DkTerm) -> list[tuple[tuple[int, ...], str, DkTerm]]:
-    """All one-step reducts of ``t`` at every position, with labels.
-
-    Positions are child-index paths, listed leftmost-outermost first; the
-    first entry whose label passes a filter is the step :func:`step` takes.
-    """
-    return list(redexes(_rule_root(theory, None), t))
-
-
 def reduce_trace(
     theory: Theory,
     t: DkTerm,

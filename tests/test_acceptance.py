@@ -20,9 +20,10 @@ from pimod.encode import expected_dk_type, generate, translate, translate_ctx
 from pimod.epts import elaborate, elaborate_context, epts_redex
 from pimod.kernel import check as dk_check, infer as dk_infer
 from pimod.morphism import apply_morphism, build_phi, verify_morphism
-from pimod.rewrite import BETA, convertible, reduce_trace, reducts, step
+from pimod.rewrite import BETA, convertible, reduce_trace, step
 from pimod.syntax import parse_theory
 from pimod.terms import DkContext, subst
+from systems import reducts
 from termgen import GEN_THEORY, beta_expand, gen_judgment, gen_term
 from test_analysis import s_reaches
 

@@ -30,11 +30,11 @@ from pimod.decode import hidden_equiv
 from pimod.encode import EncodingTheory
 from pimod.epts import EApp, ELam, EVar, epts_convertible, epts_redex, epts_reduce
 from pimod.errors import FuelExhausted
-from pimod.rewrite import BETA, Fuel, convertible, reducts, step
+from pimod.rewrite import BETA, Fuel, convertible, step
 from pimod.terms import (Cons, Lam, Meta, RewriteRule, Term, Var, Variable, shift,
                          subst, subst_many, subterms)
 from strategies import PARSE_THEORY, dk_terms, epts_terms, pts_terms, stlc_terms
-from systems import SYSTEM_F, SYSTEM_F_INT, extended
+from systems import SYSTEM_F, SYSTEM_F_INT, extended, reducts
 from termgen import GEN_THEORY, gen_judgment
 
 SMALL = st.integers(0, 2)

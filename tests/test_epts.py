@@ -64,6 +64,10 @@ class TestFiniteSpec:
         spec = FiniteSortSpec.build(["A"], [], [("A", "A", "A"), ("A", "A", "A")])
         assert spec.rule_of("A", "A") == "A"
 
+    def test_no_coverage_notes(self):
+        # Kind has no axiom, and every defined axiom and rule has a name
+        assert SYSTEM_F.coverage_diagnostics() == []
+
 
 @pytest.mark.parametrize("spec", (SYSTEM_F, SYSTEM_F_INT), ids=("finite", "internalized"))
 def test_both_presentations_reject_an_undeclared_sort(spec):
@@ -103,6 +107,20 @@ class TestInternalizedSpec:
         assert [(d.code, d.subject, d.severity) for d in diags] == \
             [("unnamed-axiom", "3", "note")]
         assert SYSTEM_F_INT.coverage_diagnostics() == []
+
+    def test_coverage_notes_name_each_unnamed_rule(self):
+        # Ru(a, a) evaluates to b, which no name covers; A and A2 both name a
+        a, b = (Declaration(n, (), Cons("Sort")) for n in "ab")
+        spec = InternalizedSortSpec(
+            constants=(a, b),
+            rules=(RewriteRule("Ru", (Cons("a"), Cons("a")), Cons("b"), name="ru"),),
+            named={"A": Cons("a"), "A2": Cons("a")})
+        pairs = ["(A, A)", "(A, A2)", "(A2, A)", "(A2, A2)"]
+        assert [(d.code, d.subject, d.message, d.severity)
+                for d in spec.coverage_diagnostics()] == [
+            ("unnamed-rule", p,
+             f"the product rule for {p} is defined but has no declared name", "note")
+            for p in pairs]
 
     def test_name_lookup(self):
         assert MLTT_INT.name_of(Cons("s", (Cons("z"),))) == "1"

@@ -147,8 +147,6 @@ def test_identity_keyed_tables_are_node_memos(path):
 # definitions that nothing in the library, the scripts or the bench calls by
 # name, by module and qualified name, with the reason each stays
 UNREFERENCED_ALLOWED = {
-    ("rewrite.py", "reducts"): "criterion 6 in test_acceptance.py and the redex "
-                               "oracles read every redex position through it",
     ("cli.py", "_ArgumentParser.error"): "argparse calls it by name on a usage error",
 }
 

@@ -29,10 +29,10 @@ from pimod.epts import (EApp, ELam, EPi, ESort, EVar, EptsContext, elaborate,
                         elaborate_context, epts_check, epts_infer, sort_of_type)
 from pimod.errors import FuelExhausted, PimodError, TypeMismatch
 from pimod.kernel import infer
-from pimod.rewrite import BETA, Fuel, _rule_root, nf, reduce_trace, reducts, redexes, step
+from pimod.rewrite import BETA, Fuel, _rule_root, nf, reduce_trace, redexes, step
 from pimod.terms import App, Cons, Lam, Pi, Var, map_leaves
 from strategies import HINTS, dk_terms, epts_terms
-from systems import SYSTEM_F
+from systems import SYSTEM_F, reducts
 from termgen import GEN_THEORY, beta_expand, gen_judgment
 from test_child_map import CONV_THEORY
 from test_decode import ENCODINGS, NEAR_IMAGES

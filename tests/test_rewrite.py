@@ -15,11 +15,10 @@ import reference
 from pimod.encode import generate
 from pimod.errors import FuelExhausted
 from pimod.rewrite import (BETA, DEFAULT_FUEL, Fuel, check_orthogonal,
-                           convertible, match_pattern, nf, reduce_trace,
-                           reducts, step)
+                           convertible, match_pattern, nf, reduce_trace, step)
 from pimod.terms import (TYPE, App, Cons, Declaration, DkTerm, Lam, Meta, Pi,
                          RewriteRule, Theory, Var, subst)
-from systems import SYSTEM_F, SYSTEM_F_INT, extended, whnf
+from systems import SYSTEM_F, SYSTEM_F_INT, extended, reducts, whnf
 
 N = Cons("N")
 Z = Cons("z")
