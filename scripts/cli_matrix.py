@@ -14,7 +14,11 @@ internalized ``decode --term`` runs, and ``roundtrip`` of System F
 numerals nested 200 and 600 deep in both modes.  With MLTT in the
 matrix, ``check-epts`` of a file that leans on the top sort of
 ``mltt.sorts`` follows, internalized (plain and machine-readable) and
-finite.  The inputs of these cases are written to ``OUT_DIR/cases/``.
+finite.  Last, with System F, three runs that stop at a parse error:
+``check-dk`` of a theory with an unterminated rule name, and
+``check-epts`` of a source file with a stray ``$`` and of a sort file
+with a syntax error inside ``[internalized]``.  The inputs of these
+cases are written to ``OUT_DIR/cases/``.
 
 Every run goes in-process through ``pimod.cli.main`` (or the script's
 ``main``), with the current directory set to OUT_DIR.  Run number N
@@ -96,6 +100,16 @@ NUMERAL_DEPTHS = (200, 600)
 # no rules there, and its internalized axiom has no declared name
 TOP_SORT = ("assume A : 2.\ndef k : 3 -> 3 := lam x : 3. x.\n"
             "def j : 2 -> 2 := lam x : 2. x.\n")
+# Files that fail to parse: a rule name without its closing quote, a
+# character outside the token language, and a sort file with a syntax
+# error in its [internalized] section, lines below the section header
+PARSE_ERRORS = {
+    "unterminated.dk": 'constant A : TYPE.\nrule "id A --> A.\n',
+    "dollar.epts": "assume C : Type.\ndef id : C -> C := lam x : C. $x.\n",
+    "bad_internalized.sorts": (
+        "[sorts]\nType Kind\n[axioms]\nType : Kind\n[rules]\n(Type, Type) : Type\n\n"
+        "[internalized]\nconstant type : Sort.\nType := type.\nKind := type type ).\n"),
+}
 
 
 def emit_theories_main():
@@ -192,6 +206,12 @@ def case_commands(cases: Path, systems) -> list[list[str]]:
         runs += [argv + ["internalized"],
                  argv + ["internalized", "--format", "machine-readable"],
                  argv + ["finite"]]
+    if "systemf" in systems:
+        for name, text in PARSE_ERRORS.items():
+            (cases / name).write_text(text)
+        runs += [["check-dk", "cases/unterminated.dk"],
+                 ["check-epts", str(CORPUS / "systemf.sorts"), "cases/dollar.epts"],
+                 ["check-epts", "cases/bad_internalized.sorts", str(CORPUS / "systemf.epts")]]
     return runs
 
 

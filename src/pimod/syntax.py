@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .analysis import SApp, SConst, SimpleType, SLam, render_simple
 from .errors import ParseError, Span
@@ -70,68 +70,52 @@ KEYWORDS = frozenset({
 # --- lexer --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "string" | "punct" | "eof"
     text: str
     line: int
     col: int
 
 
-_IDENT = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_@%']*")
-_PUNCT = ("-->", "->", ":=", "(", ")", "{", "}", "[", "]", ",", ":", ".")
+# Blanks and comments match with no group name.  A string's closing quote
+# is optional so that an unterminated string is reported as one.
+_LEXEME = re.compile(r"""
+    (?P<newline>\n) | [ \t\r]+ | \#[^\n]*
+  | (?P<string>"[^"\n]*"?)
+  | (?P<ident>[A-Za-z0-9_][A-Za-z0-9_@%']*)
+  | (?P<punct>-->|->|:=|[(){}\[\],:.])
+  | (?P<other>.)
+""", re.VERBOSE)
 
 
 def lex(text: str, source: str = "<input>") -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, bol = 1, 0  # the current line's number and the offset it starts at
+    m = None
+    for m in _LEXEME.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "newline":
+            line, bol = line + 1, m.end()
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] not in '"\n':
-                j += 1
-            if j == n or text[j] != '"':
+        s, col = m.group(), m.start() - bol + 1
+        if kind == "string":
+            if not s.endswith('"', 1):
                 raise ParseError("unterminated string literal", Span(source, line, col))
-            toks.append(Token("string", text[i + 1:j], line, col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            toks.append(Token("ident", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(Token("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", Span(source, line, col))
-    toks.append(Token("eof", "", line, col))
+            s = s[1:-1]
+        elif kind == "other":
+            raise ParseError(f"unexpected character {s!r}", Span(source, line, col))
+        toks.append(Token(kind, s, line, col))
+    # a comment advances no column: end of input after one sits where it starts
+    end = m.start() if m and text.startswith("#", m.start()) else len(text)
+    toks.append(Token("eof", "", line, end - bol + 1))
     return toks
 
 
 class _Parser:
-    def __init__(self, toks: list[Token], source: str):
-        self.toks = toks
+    def __init__(self, text: str, source: str):
+        self.toks = lex(text, source)
         self.i = 0
         self.source = source
 
@@ -284,7 +268,7 @@ def _atom(p: _Parser, env: _DkEnv | _PtsEnv) -> DkTerm | PtsTerm:
 
 
 def _parse_term(text: str, source: str, env: _DkEnv | _PtsEnv) -> DkTerm | PtsTerm:
-    p = _Parser(lex(text, source), source)
+    p = _Parser(text, source)
     t = _term(p, env)
     p.expect("eof")
     return t
@@ -358,7 +342,7 @@ class TheoryFile:
 
 
 def parse_theory(text: str, source: str = "<theory>") -> TheoryFile:
-    p = _Parser(lex(text, source), source)
+    p = _Parser(text, source)
     decls: list[Declaration] = []
     rules: list[RewriteRule] = []
     known: dict[str, int] = {}
@@ -417,7 +401,7 @@ class EptsFile:
 
 def parse_epts_file(text: str, spec: SortSpec,
                     source: str = "<judgments>") -> EptsFile:
-    p = _Parser(lex(text, source), source)
+    p = _Parser(text, source)
     env = _PtsEnv(spec)
     assumes: list[tuple[str, PtsTerm]] = []
     defs_in_order: list[tuple[str, PtsTerm, int]] = []
@@ -474,7 +458,7 @@ _RULE_LINE = re.compile(r"^\(\s*(\S+?)\s*,\s*(\S+?)\s*\)\s*:\s*(\S+)$")
 
 
 def _parse_internalized(text: str, source: str) -> InternalizedSortSpec:
-    p = _Parser(lex(text, source), source)
+    p = _Parser(text, source)
     known: dict[str, int] = {"Sort": 0, "Ax": 1, "Ru": 2}
     constants: list[Declaration] = []
     rules: list[RewriteRule] = []
@@ -498,11 +482,11 @@ def parse_sort_spec_file(text: str, source: str = "<sorts>") -> SortSpecFile:
     sorts: list[str] = []
     axioms: list[tuple[str, str]] = []
     rules: list[tuple[str, str, str]] = []
-    internal_lines: list[str] = []
+    internal_lines: list[str] | None = None
     saw_finite = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        if section == "internalized":
+        if internal_lines is not None:
             internal_lines.append(raw)
             continue
         line = raw.split("#", 1)[0].strip()
@@ -511,7 +495,10 @@ def parse_sort_spec_file(text: str, source: str = "<sorts>") -> SortSpecFile:
         m = _SECTION.match(line)
         if m:
             section = m.group(1)
-            if section != "internalized":
+            if section == "internalized":
+                # blank stand-ins for the lines so far keep token spans file-relative
+                internal_lines = [""] * lineno
+            else:
                 saw_finite = True
             continue
         where = Span(source, lineno, 1)
@@ -532,7 +519,7 @@ def parse_sort_spec_file(text: str, source: str = "<sorts>") -> SortSpecFile:
 
     finite = FiniteSortSpec.build(sorts, axioms, rules) if saw_finite else None
     internalized = None
-    if internal_lines:
+    if internal_lines is not None:
         internalized = _parse_internalized("\n".join(internal_lines), source)
     return SortSpecFile(finite, internalized)
 
@@ -542,7 +529,7 @@ def parse_sort_spec_file(text: str, source: str = "<sorts>") -> SortSpecFile:
 
 def parse_morphism(text: str, src: Theory, dst: Theory,
                    source: str = "<morphism>") -> TheoryMorphism:
-    p = _Parser(lex(text, source), source)
+    p = _Parser(text, source)
     known = {d.name: d.arity for d in dst.signature}
     body: dict[str, DkTerm] = {}
     while not p.at("eof"):

@@ -57,6 +57,11 @@ through congruences with one hand-written case per constructor, and
 per role; the library derives the first three from the child map and
 the last from ``EncodingTheory.family``.
 
+``lex`` and ``Token`` are the lexer as it was before it became one
+compiled pattern: a loop over characters that matches identifiers with
+a regex of their own and tries each punctuation mark in turn.  They are
+copied as they were.
+
 The framework and source term parsers (``_dk_term``, ``_pts_term`` and
 their helpers) and the four term printers (``_r_dk``, ``_r_pts``,
 ``_r_epts``, ``_r_stlc``, with the occurrence checks ``_dk_uses`` and
@@ -85,6 +90,7 @@ fresh kernel calls of their own.  They are copied as they were.
 """
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
@@ -98,12 +104,12 @@ from pimod.epts import (EApp, ELam, EPi, EptsContext, ESort, EptsTerm, EVar, PAp
 from pimod import terms as lib
 from pimod.errors import (ArityMismatch, Diagnostic, EptsCheckFailed, InternalSoundnessError,
                           KindHasNoType, MissingBody, NotAProduct, NotErasable, NotInvertible,
-                          PimodError, TypeMismatch,
+                          ParseError, PimodError, Span, TypeMismatch,
                           UnboundVariable, UnknownConstant, UnknownSort,
                           UnrepresentableSort)
 from pimod.morphism import TheoryMorphism, _rule_verdict
 from pimod.rewrite import BETA, Fuel, OrthogonalityReport, match_pattern
-from pimod.syntax import KEYWORDS, _fresh, _Parser, _var_name, lex
+from pimod.syntax import KEYWORDS, _fresh, _Parser, _var_name
 from pimod.terms import (KIND, TYPE, App, Cons, DkContext, DkTerm, Kind, Lam, Meta,
                          Pi, RewriteRule, Theory, Type, Var, map_leaves, subterms)
 
@@ -772,6 +778,68 @@ def invert(enc: EncodingTheory, t: DkTerm) -> EptsTerm:
     raise AssertionError
 
 
+# --- the lexer as a character loop -----------------------------------------
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # "ident" | "string" | "punct" | "eof"
+    text: str
+    line: int
+    col: int
+
+
+_IDENT = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_@%']*")
+_PUNCT = ("-->", "->", ":=", "(", ")", "{", "}", "[", "]", ",", ":", ".")
+
+
+def lex(text: str, source: str = "<input>") -> list[Token]:
+    toks: list[Token] = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch == '"':
+            j = i + 1
+            while j < n and text[j] not in '"\n':
+                j += 1
+            if j == n or text[j] != '"':
+                raise ParseError("unterminated string literal", Span(source, line, col))
+            toks.append(Token("string", text[i + 1:j], line, col))
+            col += j - i + 1
+            i = j + 1
+            continue
+        m = _IDENT.match(text, i)
+        if m:
+            toks.append(Token("ident", m.group(), line, col))
+            col += len(m.group())
+            i = m.end()
+            continue
+        for p in _PUNCT:
+            if text.startswith(p, i):
+                toks.append(Token("punct", p, line, col))
+                i += len(p)
+                col += len(p)
+                break
+        else:
+            raise ParseError(f"unexpected character {ch!r}", Span(source, line, col))
+    toks.append(Token("eof", "", line, col))
+    return toks
+
+
 # --- term parsers and printers, one per language --------------------------
 
 
@@ -863,7 +931,7 @@ def _dk_atom(p: _Parser, env: _DkEnv) -> DkTerm:
 def parse_dk_term(text: str, theory: Theory, names: Sequence[str] = (),
                   metas: bool = False, source: str = "<term>") -> DkTerm:
     """Parse one framework term against a theory's signature."""
-    p = _Parser(lex(text, source), source)
+    p = _Parser(text, source)
     env = _DkEnv({d.name: d.arity for d in theory.signature}, list(names), metas)
     t = _dk_term(p, env)
     p.expect("eof")
@@ -931,7 +999,7 @@ def parse_pts_term(text: str, spec: SortSpec, names: Sequence[str] = (),
 
     Definition bodies must be expressed over exactly the ``names`` context.
     """
-    p = _Parser(lex(text, source), source)
+    p = _Parser(text, source)
     env = _PtsEnv(spec, list(names),
                   {n: (b, len(names)) for n, b in (defs or {}).items()})
     t = _pts_term(p, env)

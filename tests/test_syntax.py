@@ -1,6 +1,6 @@
 """Concrete syntax: lexing, the four file formats, print-parse identity,
-the one grammar and printer against the per-language ones in
-``reference``, and malformed files."""
+the one lexer, grammar and printer against the character loop and the
+per-language ones in ``reference``, and malformed files."""
 
 import random
 
@@ -12,8 +12,9 @@ import reference
 from pimod.analysis import erase_term
 from pimod.corpus import CORPUS_NAMES, load_case, load_cases, load_sorts, read_text
 from pimod.encode import expected_dk_type, generate, translate, translate_ctx
-from pimod.epts import (ESort, EVar, EptsContext, PApp, PLam, PPi, PSort, PVar,
-                        elaborate, elaborate_context, erase_to_pts)
+from pimod.epts import (ESort, EVar, EptsContext, FiniteSortSpec, InternalizedSortSpec,
+                        PApp, PLam, PPi, PSort, PVar, elaborate, elaborate_context,
+                        erase_to_pts)
 from pimod.errors import NonFunctionalSpec, ParseError, PimodError
 from pimod.morphism import build_phi
 from pimod.syntax import (lex, parse_dk_term, parse_epts_file, parse_morphism,
@@ -26,6 +27,21 @@ from strategies import (FREE_NAMES, PARSE_THEORY, dk_terms, epts_terms, pts_term
 from systems import SYSTEM_F, SYSTEM_F_INT
 from termgen import GEN_THEORY, gen_judgment
 from test_morphism import RENAME, SRC, _target
+
+
+# the token alphabet, the longer punctuation marks, and characters that
+# start a comment or a string or are outside the token language
+LEX_PIECES = [*"aZ09_@%'(){}[],:.-> =\n", "-->", "->", ":=", "rule",
+              '"r"', "\r", "\t", "#", '"', "$", "é"]
+
+
+def _lexed(lexer, text: str):
+    """What ``lexer`` makes of ``text``: each token as a tuple, or the
+    error's message and span."""
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in lexer(text)]
+    except ParseError as e:
+        return str(e), e.span
 
 
 class TestLex:
@@ -46,6 +62,8 @@ class TestLex:
         toks = lex('rule "beta@Type@Type" x # trailing\ny')
         assert toks[1] == toks[1].__class__("string", "beta@Type@Type", 1, 6)
         assert (toks[3].text, toks[3].line, toks[3].col) == ("y", 2, 1)
+        # a comment advances no column
+        assert lex("x # c")[-1] == ("eof", "", 1, 3)
 
     def test_spans(self):
         toks = lex("ab\n  cd")
@@ -59,6 +77,20 @@ class TestLex:
         with pytest.raises(ParseError) as e:
             lex("x\n $")
         assert (e.value.span.line, e.value.span.col) == (2, 2)
+
+    @settings(max_examples=500)
+    @given(st.lists(st.sampled_from(LEX_PIECES)).map("".join))
+    def test_agrees_with_the_character_loop(self, text):
+        assert _lexed(lex, text) == _lexed(reference.lex, text)
+
+    def test_agrees_with_the_character_loop_on_files(self):
+        """The bundled files, the theories each encoding renders, and
+        their mutants."""
+        texts = [text for _, _, text in _fuzz_targets()]
+        texts.append(read_text("bad_traditional.dk"))
+        for i, text in enumerate(texts):
+            for t in [text, *_mutants(text, str(i), 20)]:
+                assert _lexed(lex, t) == _lexed(reference.lex, t), t
 
 
 NAT = Theory(
@@ -237,6 +269,18 @@ class TestSortSpecFiles:
         assert e.value.span.line == 4
         with pytest.raises(ParseError, match="before the first section"):
             parse_sort_spec_file("A B\n[sorts]\nA B\n")
+
+    def test_internalized_errors_carry_file_lines(self):
+        with pytest.raises(ParseError) as e:
+            parse_sort_spec_file(SORTS_SRC + "Bad := kind kind ).\n", "bad.sorts")
+        assert str(e.value) == "bad.sorts:16:18: expected ., found ')'"
+
+    @pytest.mark.parametrize("text", ["[internalized]\n", "[internalized]\n\n"])
+    def test_an_empty_section_is_still_there(self, text):
+        f = parse_sort_spec_file(text)
+        assert f.finite is None and f.internalized == InternalizedSortSpec((), (), {})
+        f = parse_sort_spec_file(text.replace("internalized", "sorts"))
+        assert f.finite == FiniteSortSpec.build([], [], []) and f.internalized is None
 
 
 class TestMorphismFiles:
