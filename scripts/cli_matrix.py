@@ -14,11 +14,13 @@ internalized ``decode --term`` runs, and ``roundtrip`` of System F
 numerals nested 200 and 600 deep in both modes.  With MLTT in the
 matrix, ``check-epts`` of a file that leans on the top sort of
 ``mltt.sorts`` follows, internalized (plain and machine-readable) and
-finite.  Last, with System F, three runs that stop at a parse error:
+finite.  Last, with System F, four runs that stop at a parse error:
 ``check-dk`` of a theory with an unterminated rule name, and
-``check-epts`` of a source file with a stray ``$`` and of a sort file
-with a syntax error inside ``[internalized]``.  The inputs of these
-cases are written to ``OUT_DIR/cases/``.
+``check-epts`` of a source file with a stray ``$``, of a sort file
+with a syntax error inside ``[internalized]``, and of one whose
+``[internalized]`` section holds a lone carriage return before its
+syntax error.  The inputs of these cases are written to
+``OUT_DIR/cases/``.
 
 Every run goes in-process through ``pimod.cli.main`` (or the script's
 ``main``), with the current directory set to OUT_DIR.  Run number N
@@ -101,14 +103,16 @@ NUMERAL_DEPTHS = (200, 600)
 TOP_SORT = ("assume A : 2.\ndef k : 3 -> 3 := lam x : 3. x.\n"
             "def j : 2 -> 2 := lam x : 2. x.\n")
 # Files that fail to parse: a rule name without its closing quote, a
-# character outside the token language, and a sort file with a syntax
-# error in its [internalized] section, lines below the section header
+# character outside the token language, and two sort files with a syntax
+# error in their [internalized] section, lines below the section header:
+# the second one's line holds a lone carriage return before the error
 PARSE_ERRORS = {
     "unterminated.dk": 'constant A : TYPE.\nrule "id A --> A.\n',
     "dollar.epts": "assume C : Type.\ndef id : C -> C := lam x : C. $x.\n",
     "bad_internalized.sorts": (
         "[sorts]\nType Kind\n[axioms]\nType : Kind\n[rules]\n(Type, Type) : Type\n\n"
         "[internalized]\nconstant type : Sort.\nType := type.\nKind := type type ).\n"),
+    "cr_internalized.sorts": "[sorts]\nA\n[internalized]\nconstant a : Sort.\rB := a a ).\n",
 }
 
 
@@ -211,7 +215,8 @@ def case_commands(cases: Path, systems) -> list[list[str]]:
             (cases / name).write_text(text)
         runs += [["check-dk", "cases/unterminated.dk"],
                  ["check-epts", str(CORPUS / "systemf.sorts"), "cases/dollar.epts"],
-                 ["check-epts", "cases/bad_internalized.sorts", str(CORPUS / "systemf.epts")]]
+                 ["check-epts", "cases/bad_internalized.sorts", str(CORPUS / "systemf.epts")],
+                 ["check-epts", "cases/cr_internalized.sorts", str(CORPUS / "systemf.epts")]]
     return runs
 
 

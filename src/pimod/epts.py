@@ -42,7 +42,7 @@ from .errors import (
     TypeMismatch,
     UnknownSort,
 )
-from .rewrite import Fuel, Root, congruent, nf as dk_nf, normalize, redexes
+from .rewrite import Fuel, Root, congruent, first_redex, nf as dk_nf, normalize
 from .terms import (
     TYPE,
     Children,
@@ -472,7 +472,7 @@ def epts_redex(spec: SortSpec, t: EptsTerm) -> tuple[EptsTerm, tuple[str, str]] 
     argument order of the framework image of an application, so a
     source step and its simulation contract at corresponding positions.
     """
-    r = next(redexes(_beta_root(spec), t), None)
+    r = first_redex(_beta_root(spec), t, NodeMemo())
     return None if r is None else (r[2], r[1])
 
 
@@ -488,21 +488,20 @@ def epts_nf(spec: SortSpec, t: EptsTerm, fuel: int | Fuel | None = None) -> Epts
 
 
 def epts_whnf(spec: SortSpec, t: EptsTerm, fuel: int | Fuel | None = None) -> EptsTerm:
-    """Weak head normal form; annotations are left untouched."""
+    """Weak head normal form by :func:`_beta_root`; annotations are left untouched."""
     f = Fuel.of(fuel)
-    while True:
-        match t:
-            case EApp(s1, s2, dom, h, cod, fn, arg):
-                fn2 = epts_whnf(spec, fn, f)
-                match fn2:
-                    case ELam(t1, t2, _, _, _, body) \
-                            if s1 == t1 and s2 == t2 and spec.rule_defined(s1, s2):
-                        f.tick()
-                        t = subst(body, 0, arg)
-                        continue
-                return t if fn2 is fn else EApp(s1, s2, dom, h, cod, fn2, arg)
-            case _:
-                return t
+    root = _beta_root(spec)
+    while type(t) is EApp:
+        fn = epts_whnf(spec, t.fn, f)
+        if fn is not t.fn:
+            t = t.with_children([t.dom, t.cod, fn, t.arg])
+        for _, red in root(t):
+            f.tick()
+            t = red
+            break
+        else:
+            return t
+    return t
 
 
 def epts_convertible(spec: SortSpec, a: EptsTerm, b: EptsTerm,

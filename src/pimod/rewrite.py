@@ -7,10 +7,12 @@ subset of labels and traces can be replayed and inspected.
 
 The search and the trace loop are written once, over the child map, for
 every term language that reduces: a language supplies only its ``root``,
-the labeled redexes at a term's root, to :func:`redexes` and
-:func:`normalize`.  The framework's root is beta and the theory's rules;
-:mod:`pimod.epts` supplies linearized beta, labeled by its sort pair,
-and its weak-head normalizer to the congruence descent :func:`congruent`.
+the labeled redexes at a term's root, to :func:`first_redex` and
+:func:`normalize`; a normalization searches each node object it finds
+free of redexes once.  The framework's root is beta and the theory's
+rules; :mod:`pimod.epts` supplies linearized beta, labeled by its sort
+pair, and its weak-head normalizer to the congruence descent
+:func:`congruent`.
 
 ``step``/``nf`` follow the leftmost-outermost strategy on the term as
 written.  The framework's weak-head evaluation and conversion run on
@@ -23,7 +25,7 @@ an argument position must see that argument's head.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .errors import Diagnostic, FuelExhausted
 from .terms import (
@@ -85,51 +87,46 @@ def match_pattern(pattern: DkTerm, term: DkTerm, env: dict[str, DkTerm]) -> bool
             return False
 
 
-def redexes(root: Root, t: Term) -> Iterator[tuple[tuple[int, ...], object, Term]]:
-    """Lazily, every one-step reduct of ``t``, leftmost-outermost first, as
-    (position, label, reduct).
+def first_redex(root: Root, t: Term,
+                clean: NodeMemo) -> tuple[tuple[int, ...], object, Term] | None:
+    """The leftmost-outermost one-step reduct of ``t`` as (position, label,
+    reduct), or None when ``t`` has no redex.
 
     ``root(u)`` lists the (label, reduct) pairs of the redexes at ``u``'s
     root.  The root comes before its children, and the children in the
     order ``children()`` lists them; positions are child-index paths in
     that order.
 
-    ``root`` must look only at the subterm it is given, never at where
-    that subterm sits, so a node object holds the same redexes at every
-    position.  The search relies on it: a node object it has searched to
-    the end without finding a redex is skipped wherever else it occurs,
-    so on a shared term that has no redex ``root`` runs once per distinct
-    node object.  A node with a redex is searched at every position, so
-    every position of every redex is listed.
+    ``clean`` holds the node objects known to contain no redex: the
+    search skips them and adds each node it finds none in.  ``root`` must
+    look only at the subterm it is given, and terms are immutable, so
+    such a node stays clean at every position of every later reduct: one
+    ``clean`` serves a whole reduction sequence, but only under one
+    ``root``.
     """
-    clean = NodeMemo()   # subterms of t known to hold no redex
-
-    def search(u: Term) -> Iterator[tuple[tuple[int, ...], object, Term]]:
-        found = False
-        for label, red in root(u):
-            found = True
-            yield (), label, red
-        kids = [k for k, _ in u.children()]
-        for i, k in enumerate(kids):
-            if id(k) in clean:
-                continue
-            for path, label, red in search(k):
-                found = True
-                yield (i, *path), label, u.with_children(kids[:i] + [red] + kids[i + 1:])
-        if not found:
-            clean.put(id(u), True, u)
-
-    return search(t)
+    for label, red in root(t):
+        return (), label, red
+    kids = [k for k, _ in t.children()]
+    for i, k in enumerate(kids):
+        if id(k) not in clean:
+            r = first_redex(root, k, clean)
+            if r is not None:
+                path, label, red = r
+                return (i, *path), label, t.with_children(kids[:i] + [red] + kids[i + 1:])
+    clean.put(id(t), True, t)
+    return None
 
 
 def normalize(root: Root, t: Term,
               fuel: int | Fuel | None = None) -> tuple[Term, list[tuple[object, Term]]]:
-    """Contract the first of :func:`redexes` until there is none, one tick
-    of ``fuel`` per step; the normal form and the labeled trace."""
+    """Contract :func:`first_redex`, over one ``clean`` memo, until there
+    is none, one tick of ``fuel`` per step; the normal form and the
+    labeled trace."""
     f = Fuel.of(fuel)
+    clean = NodeMemo()
     trace: list[tuple[object, Term]] = []
     while True:
-        r = next(redexes(root, t), None)
+        r = first_redex(root, t, clean)
         if r is None:
             return t, trace
         f.tick()
@@ -176,7 +173,7 @@ def step(theory: Theory, t: DkTerm, labels: frozenset[str] | set[str] | None = N
     Returns the contracted term and the step's label, or None when no
     such redex exists.
     """
-    r = next(redexes(_rule_root(theory, labels), t), None)
+    r = first_redex(_rule_root(theory, labels), t, NodeMemo())
     return None if r is None else (r[2], r[1])
 
 

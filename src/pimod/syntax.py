@@ -485,7 +485,7 @@ def parse_sort_spec_file(text: str, source: str = "<sorts>") -> SortSpecFile:
     internal_lines: list[str] | None = None
     saw_finite = False
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         if internal_lines is not None:
             internal_lines.append(raw)
             continue

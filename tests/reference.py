@@ -1524,7 +1524,12 @@ def normalize(root: rewrite.Root, t: lib.Term,
 
 
 def reducts(theory: Theory, t: DkTerm) -> list[tuple[tuple[int, ...], str, DkTerm]]:
-    """All one-step reducts of ``t`` at every position, with labels."""
+    """All one-step reducts of ``t`` at every position, with labels.
+
+    Positions are child-index paths, listed leftmost-outermost first; the
+    first entry whose label passes a filter is the step
+    :func:`pimod.rewrite.step` takes.
+    """
     return list(redexes(rewrite._rule_root(theory, None), t))
 
 

@@ -1,10 +1,12 @@
 """Specifications, small terms, a theory builder and the framework's
 weak-head normalizer and one-step reducts on terms, shared across the
-test modules."""
+test modules.  The one-step reducts are ``reference.reducts``, the tree
+walk that lists every position of every redex."""
 
 from pimod.epts import FiniteSortSpec, InternalizedSortSpec, PLam, PPi, PSort, PVar
-from pimod.rewrite import Fuel, Machine, _rule_root, redexes
+from pimod.rewrite import Fuel, Machine
 from pimod.terms import Cons, Declaration, DkTerm, Meta, RewriteRule, Theory
+from reference import reducts  # noqa: F401  (re-exported)
 
 SYSTEM_F = FiniteSortSpec.build(
     ["Type", "Kind"],
@@ -59,16 +61,6 @@ def whnf(theory: Theory, t: DkTerm, fuel: int | Fuel | None = None) -> DkTerm:
     :meth:`pimod.rewrite.Machine.whnf`, quoted."""
     m = Machine(theory, Fuel.of(fuel))
     return m.quote(m.whnf(m.clo(t, ())), 0)
-
-
-def reducts(theory: Theory, t: DkTerm) -> list[tuple[tuple[int, ...], str, DkTerm]]:
-    """All one-step reducts of ``t`` at every position, with labels.
-
-    Positions are child-index paths, listed leftmost-outermost first; the
-    first entry whose label passes a filter is the step
-    :func:`pimod.rewrite.step` takes.
-    """
-    return list(redexes(_rule_root(theory, None), t))
 
 
 def extended(theory: Theory, *decls: Declaration,

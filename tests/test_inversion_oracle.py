@@ -8,9 +8,12 @@ input both must give the same result: the same reducts at the same
 positions, the same recovered term (compared through ``repr``, which
 shows binder hints), the same verdict, and the same failure, exception
 class and message.  The new stages skip work the tree walks repeat on
-shared subterms, so they spend at most the old ticks.  The work counts
-at the end pin the saving on the depth term of
-``scripts/depth_scaling.py``.
+shared subterms, so they spend at most the old ticks.  The redex
+search, which returns only the first redex and skips the node objects
+it has found clean, must give the tree walk's first redex and, over a
+whole normalization, its trace for the same ticks.  The work counts at
+the end pin the saving on the depth term of ``scripts/depth_scaling.py``
+and on the corpus images.
 """
 
 import itertools
@@ -29,10 +32,10 @@ from pimod.epts import (EApp, ELam, EPi, ESort, EVar, EptsContext, elaborate,
                         elaborate_context, epts_check, epts_infer, sort_of_type)
 from pimod.errors import FuelExhausted, PimodError, TypeMismatch
 from pimod.kernel import infer
-from pimod.rewrite import BETA, Fuel, _rule_root, nf, reduce_trace, redexes, step
-from pimod.terms import App, Cons, Lam, Pi, Var, map_leaves
+from pimod.rewrite import BETA, Fuel, _rule_root, first_redex, nf, normalize, step
+from pimod.terms import App, Cons, Lam, NodeMemo, Pi, Var, map_leaves
 from strategies import HINTS, dk_terms, epts_terms
-from systems import SYSTEM_F, reducts
+from systems import SYSTEM_F
 from termgen import GEN_THEORY, beta_expand, gen_judgment
 from test_child_map import CONV_THEORY
 from test_decode import ENCODINGS, NEAR_IMAGES
@@ -74,10 +77,21 @@ def inverted(invert_):
     return lambda enc, t, f: invert_(enc, t)
 
 
+def the_search_agrees(root, t, fuel: int = 1_000_000):
+    """:func:`first_redex` gives the tree walk's first redex: its position,
+    label and reduct, compared through ``repr``, which shows binder hints;
+    :func:`normalize` gives the tree walk's trace for the same ticks."""
+    assert repr(first_redex(root, t, NodeMemo())) == repr(next(ref.redexes(root, t), None))
+    assert (run(lambda u, f: normalize(root, u, f), t, fuel=fuel)
+            == run(lambda u, f: ref.normalize(root, u, f), t, fuel=fuel))
+
+
 def the_stages_agree(enc, ctx, t, a):
-    """Every stage of ``conservative_invert`` on ``t``, and the whole, agree
-    with the tree walks."""
-    assert reducts(enc.theory, t) == ref.reducts(enc.theory, t)
+    """The redex search under all labels and under the simulation labels,
+    and every stage of ``conservative_invert`` on ``t``, and the whole,
+    agree with the tree walks."""
+    for labels in (None, enc.simulation_labels()):
+        the_search_agrees(_rule_root(enc.theory, labels), t)
     normal = nf(enc.theory, t, labels={BETA})
     same(inverted(invert), inverted(ref.tree_invert), enc, normal)
     back = invert(enc, normal)
@@ -108,27 +122,16 @@ def test_corpus_images(case):
 
 
 def test_generated_judgments():
-    """Seeded well-typed terms of a theory with rules, normalized under
-    each label filter: the same traces for the same ticks."""
+    """Seeded well-typed terms of a theory with rules, under each label
+    filter: the same first redex, and the same traces for the same ticks."""
     rng = random.Random(37)
     for _ in range(60):
         _, t, _ = gen_judgment(rng, depth=5)
-        assert reducts(GEN_THEORY, t) == ref.reducts(GEN_THEORY, t)
         for labels in (None, {BETA}, {"plus-s"}):
-            got = run(lambda u, f: reduce_trace(GEN_THEORY, u, labels, f), t)
-            want = run(lambda u, f: ref.normalize(_rule_root(GEN_THEORY, labels), u, f), t)
-            assert got == want
+            the_search_agrees(_rule_root(GEN_THEORY, labels), t)
 
 
 # --- forced sharing ---------------------------------------------------------------
-
-
-def occurrences(t, target, path=()):
-    """The positions at which the object ``target`` sits in ``t``."""
-    if t is target:
-        return [path]
-    return [p for i, (k, _) in enumerate(t.children())
-            for p in occurrences(k, target, path + (i,))]
 
 
 def plug(t, s, picks):
@@ -160,15 +163,13 @@ SHARED_DK = shared(dk_terms(max_leaves=8), st.one_of(dk_terms(max_leaves=5), DK_
 
 @settings(max_examples=200)
 @given(SHARED_DK)
-def test_reducts_list_every_position_of_a_shared_redex(ts):
-    t, s = ts
-    got = reducts(CONV_THEORY, t)
-    assert got == ref.reducts(CONV_THEORY, t)
-    at_s = [label for label, _ in _rule_root(CONV_THEORY, None)(s)]
-    positions = {(p, label) for p, label, _ in got}
-    assert {(p, label) for p in occurrences(t, s) for label in at_s} <= positions
-    r = step(CONV_THEORY, t)
-    assert r == (None if not got else (got[0][2], got[0][1]))
+def test_the_search_on_shared_terms(ts):
+    """Under a small budget, since untyped terms may not normalize."""
+    t, _ = ts
+    for labels in (None, {BETA}):
+        the_search_agrees(_rule_root(CONV_THEORY, labels), t, fuel=50)
+    first = next(ref.redexes(_rule_root(CONV_THEORY, None), t), None)
+    assert step(CONV_THEORY, t) == (None if first is None else (first[2], first[1]))
 
 
 EPTS_JOINS = (
@@ -310,8 +311,28 @@ def test_the_redex_search_calls_the_root_once_per_object(depth_image):
         calls.append(u)
         return beta(u)
 
-    assert next(redexes(counting, img), None) is None
+    assert first_redex(counting, img, NodeMemo()) is None
     assert len(calls) == len({id(u) for u in calls}) <= distinct_nodes(img)
+
+
+def test_normalize_searches_no_clean_object_twice():
+    """Every corpus image under the simulation labels: the root runs more
+    than once in one normalization only on node objects that hold a
+    redex.  The objects stay alive in ``calls``, so their ids stay theirs."""
+    for case in CASES:
+        enc = generate(case.spec)
+        root = _rule_root(enc.theory, enc.simulation_labels())
+        ctx = elaborate_context(case.spec, case.file.assumes)
+        for j in case.file.judgments:
+            calls = {}
+
+            def counting(u):
+                calls.setdefault(id(u), [u, 0])[1] += 1
+                return root(u)
+
+            normalize(counting, translate(enc, elaborate(case.spec, ctx, j.term)))
+            again = [u for u, n in calls.values() if n > 1]
+            assert all(next(ref.redexes(root, u), None) is not None for u in again)
 
 
 def test_invert_recovers_no_more_objects_than_the_image(depth_image):

@@ -271,9 +271,24 @@ class TestSortSpecFiles:
             parse_sort_spec_file("A B\n[sorts]\nA B\n")
 
     def test_internalized_errors_carry_file_lines(self):
+        text = SORTS_SRC + "Bad := kind kind ).\n"
+        for t in (text, text.replace("\n", "\r\n")):
+            with pytest.raises(ParseError) as e:
+                parse_sort_spec_file(t, "bad.sorts")
+            assert str(e.value) == "bad.sorts:16:18: expected ., found ')'"
+
+    @pytest.mark.parametrize("text, error", [
+        ("[internalized]\nconstant a : Sort.\x0cA := a.\n", "2:19: unexpected character '\\x0c'"),
+        ("[sorts]\nA\n[internalized]\nconstant a : Sort.\rB := a a ).\n",
+         "4:29: expected ., found ')'"),
+        ("[internalized]\nconstant a : Sort\n", "3:1: expected . at end of input"),
+    ])
+    def test_lines_end_only_at_newline(self, text, error):
+        """As in every other file kind: a form feed is no line break, a
+        lone carriage return is a blank, and a final newline ends a line."""
         with pytest.raises(ParseError) as e:
-            parse_sort_spec_file(SORTS_SRC + "Bad := kind kind ).\n", "bad.sorts")
-        assert str(e.value) == "bad.sorts:16:18: expected ., found ')'"
+            parse_sort_spec_file(text, "s.sorts")
+        assert str(e.value) == f"s.sorts:{error}"
 
     @pytest.mark.parametrize("text", ["[internalized]\n", "[internalized]\n\n"])
     def test_an_empty_section_is_still_there(self, text):
