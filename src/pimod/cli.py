@@ -104,7 +104,8 @@ class Reporter:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        with open(path, newline="") as fh:   # keep the file's own line breaks
+            return fh.read()
     except OSError as e:
         raise PimodError(f"cannot read {path}: {e.strerror or e}") from None
 

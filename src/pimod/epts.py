@@ -28,7 +28,7 @@ by rewriting the distinguished ``Ax``/``Ru`` symbols.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from .errors import (
     Diagnostic,
@@ -529,25 +529,41 @@ def _require_rule(spec: SortSpec, s1: str, s2: str) -> None:
         raise SideConditionFailed(f"no product rule for the sort pair ({s1}, {s2})")
 
 
-def _sort_type(spec: SortSpec, s: str) -> ESort:
-    """The type of the sort ``s``: its axiom."""
-    a = spec.axiom_of(s)
-    if a is None:
-        raise TopSortHasNoType(f"sort '{s}' has no axiom")
-    return ESort(a)
+def _head_type(spec: SortSpec, ctx: EptsContext, m: EptsTerm) -> EptsTerm:
+    """The type that the typing rule of ``m``'s head concludes, with its
+    premises left unchecked.  Each conclusion is written here once:
+    :class:`_Checker` reads it after checking the premises, and
+    elaboration reads it off the terms it builds, whose premises its
+    own derivation has established."""
+    match m:
+        case EVar(k):
+            return ctx.type_of(k)
+        case ESort(s):
+            a = spec.axiom_of(s)
+            if a is None:
+                raise TopSortHasNoType(f"sort '{s}' has no axiom")
+            return ESort(a)
+        case EPi(s1, s2):
+            return ESort(spec.rule_of(s1, s2))
+        case ELam(s1, s2, dom, h, cod):
+            return EPi(s1, s2, dom, h, cod)
+        case EApp(cod=cod, arg=arg):
+            return subst(cod, 0, arg)
+    raise PimodError(f"cannot type {m!r}")
 
 
 class _Checker:
-    """The state of one top-level call of the source checker or of the
-    elaborator: the spec, the budget, and two :class:`pimod.terms.NodeMemo`
-    tables.  ``contexts`` interns contexts by (context, name, domain
-    object), so extending a context by the same name and domain object
-    gives the same context object; ``memo`` holds the inferred types by
-    (node object, interned context), so a subterm the term shares is
-    typed once per context it occurs in.  Only successes are stored: a
-    failure ends the call, and the walk visits the nodes in the order it
-    always has, so the first error is the one a walk without the memo
-    would meet.
+    """The state of one top-level call of the source checker: the spec,
+    the budget, and two :class:`pimod.terms.NodeMemo` tables.
+    ``contexts`` interns contexts by (context, name, domain object), so
+    extending a context by the same name and domain object gives the
+    same context object; ``memo`` holds the inferred types by (node
+    object, interned context), so a subterm the term shares is typed
+    once per context it occurs in.  :meth:`infer` checks the premises of
+    a node's typing rule and takes the conclusion from
+    :func:`_head_type`.  Only successes are stored: a failure ends the
+    call, and the walk visits the nodes in the order it always has, so
+    the first error is the one a walk without the memo would meet.
     """
 
     __slots__ = ("spec", "f", "contexts", "memo")
@@ -588,24 +604,15 @@ class _Checker:
         if ty is not None:
             return ty
         match m:
-            case EVar(k):
-                ty = ctx.type_of(k)
-            case ESort(s):
-                ty = _sort_type(self.spec, s)
-            case EPi(s1, s2):
+            case EPi():
                 self.product(ctx, m)
-                ty = ESort(self.spec.rule_of(s1, s2))
-            case ELam(s1, s2, dom, h, cod, body):
+            case ELam(cod=cod, body=body):
                 self.check(self.product(ctx, m), body, cod)
-                ty = EPi(s1, s2, dom, h, cod)
             case EApp(s1, s2, dom, h, cod, fn, arg):
                 self.product(ctx, m)
                 self.check(ctx, fn, EPi(s1, s2, dom, h, cod))
                 self.check(ctx, arg, dom)
-                ty = subst(cod, 0, arg)
-            case _:
-                raise PimodError(f"cannot type {m!r}")
-        return self.memo.put(key, ty, (m, ctx))
+        return self.memo.put(key, _head_type(self.spec, ctx, m), (m, ctx))
 
 
 def epts_infer(spec: SortSpec, ctx: EptsContext, m: EptsTerm,
@@ -639,60 +646,46 @@ def sort_of_type(spec: SortSpec, ctx: EptsContext, a: EptsTerm,
 # --- elaboration ----------------------------------------------------------------
 
 
-# a type _elab derived: the type, or a function that computes it when asked
-Derived = Union[EptsTerm, Callable[[], EptsTerm]]
-
-
-def _demand(ty: Derived) -> EptsTerm:
-    """A type :func:`_elab` derived, computed now if it was left for later."""
-    return ty() if callable(ty) else ty
-
-
-def _as_type(c: _Checker, ctx: EptsContext, t: PtsTerm) -> tuple[EptsTerm, str]:
+def _as_type(spec: SortSpec, f: Fuel, ctx: EptsContext, t: PtsTerm) -> tuple[EptsTerm, str]:
     """``t`` elaborated as a type, with the sort it lives in."""
-    m, ty = _elab(c, ctx, t)
-    return m, _sort_of(c.spec, ctx, m, _demand(ty), c.f)
+    m = _elab(spec, f, ctx, t)
+    return m, _sort_of(spec, ctx, m, _head_type(spec, ctx, m), f)
 
 
-def _elab(c: _Checker, ctx: EptsContext, t: PtsTerm) -> tuple[EptsTerm, Derived]:
-    """``t`` elaborated, with the type ``c.infer`` would give the result.
-
-    Where computing that type can fail, it is left as a function that
-    computes it on demand: a sort's axiom (a top sort has none) and a
-    product's rule (its value may have no name) raise only when a caller
-    asks for them, in the place ``c.infer`` would raise them.  Contexts
-    come from ``c.extend``, so the sort of an abstraction's body type is
-    inferred in the context that body was elaborated in, and every type
-    already inferred there is a memo hit.
-    """
-    spec = c.spec
+def _elab(spec: SortSpec, f: Fuel, ctx: EptsContext, t: PtsTerm) -> EptsTerm:
+    """``t`` elaborated.  A caller that needs the result's type reads it
+    off the result with :func:`_head_type`, so a sort's axiom (a top sort
+    has none) and a product's rule (its value may have no name) raise
+    only where a type is demanded."""
     match t:
         case PVar(k):
-            return EVar(k), ctx.type_of(k)
+            if not 0 <= k < len(ctx):
+                ctx.type_of(k)   # raises UnboundVariable
+            return EVar(k)
         case PSort(s):
             spec.require(s)
-            return ESort(s), lambda: _sort_type(spec, s)
+            return ESort(s)
         case PPi(h, dom, cod):
-            edom, s1 = _as_type(c, ctx, dom)
-            ecod, s2 = _as_type(c, c.extend(ctx, h, edom), cod)
+            edom, s1 = _as_type(spec, f, ctx, dom)
+            ecod, s2 = _as_type(spec, f, ctx.extend(h, edom), cod)
             _require_rule(spec, s1, s2)
-            return EPi(s1, s2, edom, h, ecod), lambda: ESort(spec.rule_of(s1, s2))
+            return EPi(s1, s2, edom, h, ecod)
         case PLam(h, dom, body):
-            edom, s1 = _as_type(c, ctx, dom)
-            inner = c.extend(ctx, h, edom)
-            ebody, bty = _elab(c, inner, body)
-            ecod = _demand(bty)
-            s2 = _sort_of(spec, inner, ecod, c.infer(inner, ecod), c.f)
+            edom, s1 = _as_type(spec, f, ctx, dom)
+            inner = ctx.extend(h, edom)
+            ebody = _elab(spec, f, inner, body)
+            ecod = _head_type(spec, inner, ebody)
+            s2 = _sort_of(spec, inner, ecod, _head_type(spec, inner, ecod), f)
             _require_rule(spec, s1, s2)
-            return ELam(s1, s2, edom, h, ecod, ebody), EPi(s1, s2, edom, h, ecod)
+            return ELam(s1, s2, edom, h, ecod, ebody)
         case PApp(fn, arg):
-            efn, fty = _elab(c, ctx, fn)
-            fnty = epts_whnf(spec, _demand(fty), c.f)
+            efn = _elab(spec, f, ctx, fn)
+            fnty = epts_whnf(spec, _head_type(spec, ctx, efn), f)
             match fnty:
                 case EPi(s1, s2, dom, h, cod):
-                    earg, aty = _elab(c, ctx, arg)
-                    _expect(spec, ctx, earg, _demand(aty), dom, c.f)
-                    return EApp(s1, s2, dom, h, cod, efn, earg), subst(cod, 0, earg)
+                    earg = _elab(spec, f, ctx, arg)
+                    _expect(spec, ctx, earg, _head_type(spec, ctx, earg), dom, f)
+                    return EApp(s1, s2, dom, h, cod, efn, earg)
             raise NotAProduct("the function part of an application is not "
                               "of product type", names=ctx.names,
                               head=efn, head_type=fnty)
@@ -705,22 +698,22 @@ def elaborate(spec: SortSpec, ctx: EptsContext, t: PtsTerm,
 
     The result is well-typed whenever elaboration succeeds, and erasing
     its annotations gives back ``t`` exactly.  Elaboration is one pass
-    under one source checker state: each subterm hands back the type it
-    derives along with its explicit form, so no explicit term is inferred
-    again, and the sort of an abstraction's body type is inferred in the
-    checker's interned contexts, where every part of that type already
-    typed is a memo hit.  The work is linear in the distinct nodes.  The
-    type of a sort is computed only when a caller asks for it, so
-    ``elaborate`` of a top sort succeeds and only its use as a typed term
-    fails.
+    that checks nothing twice: where it needs the type of an explicit
+    term it has built (a type's sort, an abstraction's body type and that
+    type's sort, an application's function and argument types), it reads
+    the conclusion of the term's typing rule with :func:`_head_type`,
+    whose premises the pass has already established.  The work is linear
+    in the nodes.  The type of a sort is computed only when a caller asks
+    for it, so ``elaborate`` of a top sort succeeds and only its use as a
+    typed term fails.
     """
-    return _elab(_Checker(spec, Fuel.of(fuel)), ctx, t)[0]
+    return _elab(spec, Fuel.of(fuel), ctx, t)
 
 
 def elaborate_context(spec: SortSpec, entries: Iterable[tuple[str, PtsTerm]],
                       fuel: int | Fuel | None = None) -> EptsContext:
-    c = _Checker(spec, Fuel.of(fuel))
+    f = Fuel.of(fuel)
     ctx = EptsContext()
     for hint, raw in entries:
-        ctx = c.extend(ctx, hint, _as_type(c, ctx, raw)[0])
+        ctx = ctx.extend(hint, _as_type(spec, f, ctx, raw)[0])
     return ctx

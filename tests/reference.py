@@ -21,7 +21,9 @@ directly: ``translate`` through one wrapper per family (``mk_U`` to
 ``mk_app``, free functions here), and ``invert`` through ``recognize``,
 which packed the root into an ``InvertibleForm`` that ``invert`` then
 took apart.  ``invert`` contracts a redex with the hand-written
-``epts_subst`` above.
+``epts_subst`` above.  It walks a shared term as a tree and builds a
+fresh one, so it is also the tree-walk inversion of
+``conservative_invert`` below.
 
 ``whnf``, ``_match_whnf``, ``kernel_infer``, ``kernel_check``,
 ``check_context`` and ``check_signature`` are the framework's weak-head
@@ -40,10 +42,11 @@ and ``stlc_check`` unifies by substitution, with a recursive occurs
 check at every binding and a copy of the environment at every
 abstraction.
 
-``_elab`` is elaboration as it was before it returned the type it
-derives: it re-infers each domain, the body of every abstraction and
-both parts of every application from the explicit term it has just
-built, with the source checker at the end of this module.
+``_elab`` is elaboration as it was before it read types off the terms
+it builds: it re-infers, checking every premise again, each domain, the
+body of every abstraction and both parts of every application from the
+explicit term it has just built, with the source checker at the end of
+this module.
 
 ``_redexes``, ``step``, ``epts_redex``, ``epts_step`` and ``epts_reduce``
 are the framework's and the source language's own redex searches and
@@ -73,14 +76,14 @@ the way the library's entry points do.
 The last section keeps the stages of ``conservative_invert`` after the
 kernel check as they were before they visited each distinct node object
 once: the redex search ``redexes`` (with ``normalize`` and ``reducts``
-on top of it), ``tree_invert``, ``tree_hidden_equiv`` and the source
-checker (``_e_infer``, ``_e_check``, ``_product``, ``epts_infer``,
+on top of it), ``tree_hidden_equiv`` and the source checker
+(``_e_infer``, ``_e_check``, ``_product``, ``epts_infer``,
 ``epts_check``, ``sort_of_type``).  They walk a shared term as a tree:
-``tree_invert`` builds a fresh tree, ``tree_hidden_equiv`` converts
-every occurrence of an annotation pair, and the checker types every
-occurrence of a shared subterm anew.  They are copied as they were.
-``conservative_invert`` runs them the way the library's does, with the
-library's kernel, translation and translation of the context and type.
+``tree_hidden_equiv`` converts every occurrence of an annotation pair,
+and the checker types every occurrence of a shared subterm anew.  They
+are copied as they were.  ``conservative_invert`` runs them, with
+``invert`` above, the way the library's does, with the library's
+kernel, translation and translation of the context and type.
 
 ``apply_morphism`` and ``verify_morphism`` are morphism verification as
 it was before one call shared one kernel state and one image table:
@@ -100,7 +103,7 @@ from pimod import encode, kernel, rewrite
 from pimod.encode import EncodingTheory
 from pimod.epts import (EApp, ELam, EPi, EptsContext, ESort, EptsTerm, EVar, PApp,
                         PLam, PPi, PSort, PtsTerm, PVar, SortSpec, _expect,
-                        _require_rule, _sort_of, _sort_type, epts_whnf)
+                        _head_type, _require_rule, _sort_of, epts_whnf)
 from pimod import terms as lib
 from pimod.errors import (ArityMismatch, Diagnostic, EptsCheckFailed, InternalSoundnessError,
                           KindHasNoType, MissingBody, NotAProduct, NotErasable, NotInvertible,
@@ -1533,28 +1536,6 @@ def reducts(theory: Theory, t: DkTerm) -> list[tuple[tuple[int, ...], str, DkTer
     return list(redexes(rewrite._rule_root(theory, None), t))
 
 
-def tree_invert(enc: EncodingTheory, t: DkTerm) -> EptsTerm:
-    """Translate back, discarding binder annotations."""
-    match t:
-        case Var(k):
-            return EVar(k)
-        case App(Lam(_, _, body), arg):
-            return lib.subst(tree_invert(enc, body), 0, tree_invert(enc, arg))
-        case Cons(name, args):
-            match enc.split(name, args):
-                case "u", (s,), ():
-                    return ESort(s)
-                case "Prod", (s1, s2), (a, Lam(h, _, b)):
-                    return EPi(s1, s2, tree_invert(enc, a), h, tree_invert(enc, b))
-                case "abs", (s1, s2), (a, Lam(h, _, b), Lam(_, _, m)):
-                    return ELam(s1, s2, tree_invert(enc, a), h, tree_invert(enc, b),
-                                tree_invert(enc, m))
-                case "app", (s1, s2), (a, Lam(h, _, b), m, n):
-                    return EApp(s1, s2, tree_invert(enc, a), h, tree_invert(enc, b),
-                                tree_invert(enc, m), tree_invert(enc, n))
-    raise NotInvertible("term is outside the invertible fragment", term=t)
-
-
 def tree_hidden_equiv(enc: EncodingTheory, a: DkTerm, b: DkTerm,
                       fuel: int | Fuel | None = None) -> bool:
     """Equality up to conversion inside abstraction annotations only, and
@@ -1604,8 +1585,8 @@ def _e_infer(spec: SortSpec, ctx: EptsContext, m: EptsTerm, f: Fuel) -> EptsTerm
     match m:
         case EVar(k):
             return ctx.type_of(k)
-        case ESort(s):
-            return _sort_type(spec, s)
+        case ESort():
+            return _head_type(spec, ctx, m)
         case EPi(s1, s2):
             _product(spec, ctx, m, f)
             return ESort(spec.rule_of(s1, s2))
@@ -1645,7 +1626,7 @@ def conservative_invert(enc: EncodingTheory, ctx: EptsContext, t: DkTerm,
     want = encode.expected_dk_type(enc, ctx, a, f)
     kernel.check(enc.theory, dctx, t, want, f)
     normal = normalize(rewrite._rule_root(enc.theory, {BETA}), t, f)[0]
-    m = tree_invert(enc, normal)
+    m = invert(enc, normal)
 
     try:
         epts_check(enc.spec, ctx, m, a, f)

@@ -81,6 +81,26 @@ class TestCheckDk:
         assert capsys.readouterr().err == "      TYPE : KIND\n"
 
 
+class TestLineBreaks:
+    """The CLI hands the parsers each file's own text, so positions are the
+    library's: a lone carriage return is a blank, and CRLF line ends keep
+    every span."""
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_a_lone_carriage_return_ends_no_line(self, eol, tmp_path, capsys):
+        text = "[sorts]\nA\n[internalized]\nconstant a : Sort.\rB := a a ).\n"
+        f = tmp_path / "cr.sorts"
+        f.write_bytes(text.replace("\n", eol).encode())
+        assert main(["check-epts", str(f), SYSTEMF_EPTS]) == 1
+        assert f"{f}:4:29: expected ., found ')'" in capsys.readouterr().out
+
+    def test_crlf_keeps_the_spans(self, tmp_path, capsys):
+        f = tmp_path / "t.dk"
+        f.write_bytes(b"constant N : TYPE.\r\n\r\nconstant : TYPE.\r\n")
+        assert main(["check-dk", str(f)]) == 1
+        assert f"{f}:3:10: expected a constant name" in capsys.readouterr().out
+
+
 class TestCheckEpts:
     def test_corpus_both_modes(self, capsys):
         for mode in ("finite", "internalized"):

@@ -1,7 +1,5 @@
 """Sort specifications, annotated terms, linearized beta, elaboration."""
 
-import re
-
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -344,28 +342,31 @@ def outcome(elab, spec, ctx, t):
     return out, f.limit - f.remaining
 
 
+def same_type(spec, ctx, m):
+    """``_head_type`` reads off ``m`` the type ``epts_infer`` gives it, by
+    ``==`` and by ``render``, or raises the same error."""
+    got = outcome(lambda spec, ctx, m, f: epts._head_type(spec, ctx, m), spec, ctx, m)[0]
+    assert got == outcome(epts_infer, spec, ctx, m)[0]
+
+
+def in_context(ctx, m):
+    """Every subterm of ``m``, each with the context it sits in."""
+    yield ctx, m
+    for k, bound in m.children():
+        yield from in_context(ctx.extend(m.hint, m.dom) if bound else ctx, k)
+
+
 def agree(spec, ctx, t):
     """Elaborate ``t`` with the library and with the reference: the same
-    term or the same error, and never more fuel.  The type the library
-    derives is the one ``epts_infer`` gives its result, or raises the
-    same error when demanded.  Returns (outcome, ticks, reference ticks)."""
+    term or the same error, and never more fuel.  The type ``_head_type``
+    reads off the result is the one ``epts_infer`` gives it, or raises
+    the same error.  Returns (outcome, ticks, reference ticks)."""
     want, ref_ticks = outcome(reference._elab, spec, ctx, t)
-    got, ticks = outcome(lambda spec, ctx, t, f: epts._elab(epts._Checker(spec, f), ctx, t)[0],
-                         spec, ctx, t)
+    got, ticks = outcome(lambda spec, ctx, t, f: epts._elab(spec, f, ctx, t), spec, ctx, t)
     assert got == want
     assert ticks <= ref_ticks
     if got[0] == "term":
-        m, derived = epts._elab(epts._Checker(spec, Fuel()), ctx, t)
-        try:
-            ty = epts_infer(spec, ctx, m)
-        except PimodError as e:
-            with pytest.raises(type(e), match=re.escape(e.message)):
-                epts._demand(derived)
-        else:
-            derived = epts._demand(derived)
-            assert derived == ty
-            assert render(derived, fresh_names(ctx.names)) == \
-                render(ty, fresh_names(ctx.names))
+        same_type(spec, ctx, got[1])
     return got, ticks, ref_ticks
 
 
@@ -435,26 +436,81 @@ def depth_term(n):
     return PLam("C", PSort("Type"), t)
 
 
+class TestHeadType:
+    """Each typing rule's conclusion is written once, in ``_head_type``:
+    on a well-typed term it gives what the checker infers, at every
+    subterm in its own context."""
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: c.label)
+    def test_corpus_judgments(self, case):
+        ctx = elaborate_context(case.spec, case.file.assumes)
+        for j in case.file.judgments:
+            for t in (j.term, j.type):
+                for inner, m in in_context(ctx, elaborate(case.spec, ctx, t)):
+                    same_type(case.spec, inner, m)
+
+    @pytest.mark.parametrize("spec", (SYSTEM_F, SYSTEM_F_INT), ids=("finite", "internalized"))
+    @settings(suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(m=epts_terms())
+    def test_well_typed_terms(self, spec, m):
+        try:
+            epts_infer(spec, CTX3, m)
+        except PimodError:
+            assume(False)
+        for inner, u in in_context(CTX3, m):
+            same_type(spec, inner, u)
+
+    def test_fails_where_the_checker_fails(self):
+        """Where the premises hold and the conclusion cannot be stated:
+        top sorts, a product rule whose value has no name, an unbound
+        variable and a term of the wrong language."""
+        a, b, c = (Declaration(n, (), Cons("Sort")) for n in "abc")
+        unnamed_rule = InternalizedSortSpec(
+            constants=(a, b, c),
+            rules=(RewriteRule("Ax", (Cons("a"),), Cons("c"), name="ax"),
+                   RewriteRule("Ru", (Cons("a"), Cons("a")), Cons("b"), name="ru")),
+            named={"A": Cons("a"), "C": Cons("c")})
+        xa = EptsContext().extend("X", ESort("A"))
+        for spec, ctx, m in ((MLTT_FIN, EptsContext(), ESort("3")),
+                             (MLTT_INT, EptsContext(), ESort("3")),
+                             (unnamed_rule, xa, EPi("A", "A", EVar(0), "x", EVar(1))),
+                             (SYSTEM_F, CTX, EVar(2)),
+                             (SYSTEM_F, CTX, PSort("Type"))):
+            with pytest.raises(PimodError):
+                epts_infer(spec, ctx, m)
+            same_type(spec, ctx, m)
+        m = elaborate(unnamed_rule, xa, PPi("x", PVar(0), PVar(1)))
+        with pytest.raises(UnknownSort, match=r"^the product rule for \(A, A\)"):
+            epts._head_type(unnamed_rule, xa, m)
+
+
 class TestElaborationWork:
     @pytest.mark.parametrize("n", (50, 100, 400))
     def test_inference_calls_grow_linearly_with_depth(self, monkeypatch, n):
-        calls = 0
-        infer = epts._Checker.infer
+        """Elaboration reads each type it needs off the term it has built,
+        at most three times per binder, and never runs the checker."""
+        calls = {"infer": 0, "_expect": 0, "_head_type": 0}
 
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return infer(*args)
+        def counting(name, fn):
+            def count(*args):
+                calls[name] += 1
+                return fn(*args)
+            return count
 
-        monkeypatch.setattr(epts._Checker, "infer", counting)
+        monkeypatch.setattr(epts._Checker, "infer", counting("infer", epts._Checker.infer))
+        for name in ("_expect", "_head_type"):
+            monkeypatch.setattr(epts, name, counting(name, getattr(epts, name)))
         elaborate(SYSTEM_F, EptsContext(), depth_term(n))
-        assert 0 < calls <= 3 * (n + 1)
+        assert calls["infer"] == calls["_expect"] == 0
+        assert 0 < calls["_head_type"] <= 3 * (n + 1)
 
     def test_one_node_object_in_two_contexts_is_typed_in_each(self):
         """``pid``'s type, the body type of the first abstraction, and its
         instance ``pid C``, a ``subst`` temporary and the body type of the
-        second, share the node object ``Q``; the checker state the whole
-        elaboration shares must type it once per context, not once."""
+        second, share the node object ``Q``.  Elaboration must read its
+        type in each context it occurs in, and the checker, whose memo is
+        keyed by node object and context, must type it once per context,
+        not once."""
         ctx = EptsContext()
         for hint, text in (("C", "Prop"), ("c", "C"),
                            ("K", "Pi X : Prop. Pi Y : Prop. X -> Y -> X"),

@@ -93,7 +93,7 @@ def the_stages_agree(enc, ctx, t, a):
     for labels in (None, enc.simulation_labels()):
         the_search_agrees(_rule_root(enc.theory, labels), t)
     normal = nf(enc.theory, t, labels={BETA})
-    same(inverted(invert), inverted(ref.tree_invert), enc, normal)
+    same(inverted(invert), inverted(ref.invert), enc, normal)
     back = invert(enc, normal)
     same(epts_check, ref.epts_check, enc.spec, ctx, back, a)
     same(epts_infer, ref.epts_infer, enc.spec, ctx, back)
@@ -198,7 +198,7 @@ def test_invert_on_shared_images(enc, ts):
     """``translate`` keeps the sharing; inverting its image gives the tree
     walk's term, with no more objects than the image."""
     img = translate(enc, ts[0])
-    got = same(inverted(invert), inverted(ref.tree_invert), enc, img)
+    got = same(inverted(invert), inverted(ref.invert), enc, img)
     if got[1] is None:
         assert distinct_nodes(invert(enc, img)) <= distinct_nodes(img)
 
@@ -244,7 +244,7 @@ def test_ill_typed_recovered_terms():
            Cons("Prod@Kind@Type", (Var(2), cod))]
     for t in bad:
         back = invert(SF_ENC, t)
-        assert back == ref.tree_invert(SF_ENC, t)
+        assert back == ref.invert(SF_ENC, t)
         got = same(epts_check, ref.epts_check, SYSTEM_F, CTX, back, ESort("Type"))
         assert got[1][0] is TypeMismatch
 
