@@ -19,8 +19,13 @@ finite.  Last, with System F, four runs that stop at a parse error:
 ``check-epts`` of a source file with a stray ``$``, of a sort file
 with a syntax error inside ``[internalized]``, and of one whose
 ``[internalized]`` section holds a lone carriage return before its
-syntax error.  The inputs of these cases are written to
-``OUT_DIR/cases/``.
+syntax error.  Then, with System F, the commands no run above reaches:
+``morphism verify`` and ``morphism apply --term u@Type`` of the
+interpretation written by ``morphism phi``, between the two encoded
+theories written by ``encode``; ``corpus``; an unknown subcommand, plain
+and machine-readable; and ``roundtrip`` with ``--fuel 0``, a usage of
+the budget that is rejected, and with ``--fuel 5``, a budget that runs
+out.  The inputs of these cases are written to ``OUT_DIR/cases/``.
 
 Every run goes in-process through ``pimod.cli.main`` (or the script's
 ``main``), with the current directory set to OUT_DIR.  Run number N
@@ -217,7 +222,23 @@ def case_commands(cases: Path, systems) -> list[list[str]]:
                  ["check-epts", str(CORPUS / "systemf.sorts"), "cases/dollar.epts"],
                  ["check-epts", "cases/bad_internalized.sorts", str(CORPUS / "systemf.epts")],
                  ["check-epts", "cases/cr_internalized.sorts", str(CORPUS / "systemf.epts")]]
+        runs += remaining_commands()
     return runs
+
+
+def remaining_commands() -> list[list[str]]:
+    """The System F command lines for the subcommands and the budget
+    errors that no other run reaches, in run order.  They read the
+    theories and the interpretation that earlier runs wrote."""
+    theories = [f"out/encode/systemf_{mode}_theory.dk" for mode in ("finite", "internalized")]
+    sorts, epts = str(CORPUS / "systemf.sorts"), str(CORPUS / "systemf.epts")
+    return [["morphism", "verify", *theories, "out/phi/systemf.map"],
+            ["morphism", "apply", *theories, "out/phi/systemf.map", "--term", "u@Type"],
+            ["corpus"],
+            ["frobnicate"],
+            ["frobnicate", "--format", "machine-readable"],
+            ["roundtrip", sorts, epts, "--fuel", "0"],
+            ["roundtrip", sorts, epts, "--fuel", "5"]]
 
 
 def systemf_cases(cases: Path) -> list[list[str]]:

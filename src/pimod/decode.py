@@ -22,7 +22,7 @@ from .errors import (
 )
 from .kernel import check as dk_check
 from .rewrite import BETA, Fuel, convertible, nf, step
-from .terms import App, Cons, DkTerm, Lam, NodeMemo, Var, subst
+from .terms import Cons, DkTerm, Lam, NodeMemo, Var
 from .epts import (
     EApp,
     ELam,
@@ -44,15 +44,13 @@ def invert(enc: EncodingTheory, t: DkTerm) -> EptsTerm:
     Reads the productions :func:`translate` writes, through
     :meth:`EncodingTheory.split`: a variable, a universe code ``u``, and
     ``Prod``, ``abs`` and ``app`` whose binder annotations are dropped.
-    Beta redexes are contracted on the fly, so this is defined on a
-    slightly larger fragment than the literal image of the translation;
-    on images it is the exact inverse.  Anything else raises
-    :class:`NotInvertible`.
+    On images it is the exact inverse.  Anything else, a beta redex
+    included, raises :class:`NotInvertible`; :func:`conservative_invert`
+    beta-normalizes first.
 
     Each node object is inverted once per call, so the result shares
     what ``t`` shares: it has no more distinct node objects than ``t``,
-    beta redexes aside, and :func:`translate` maps it back in time
-    linear in them.
+    and :func:`translate` maps it back in time linear in them.
     """
     memo = NodeMemo()
 
@@ -63,8 +61,6 @@ def invert(enc: EncodingTheory, t: DkTerm) -> EptsTerm:
         match u:
             case Var(k):
                 m = EVar(k)
-            case App(Lam(_, _, body), arg):
-                m = subst(back(body), 0, back(arg))
             case Cons(name, args):
                 match enc.split(name, args):
                     case "u", (s,), ():

@@ -479,12 +479,14 @@ def epts_redex(spec: SortSpec, t: EptsTerm) -> tuple[EptsTerm, tuple[str, str]] 
 def epts_reduce(spec: SortSpec, t: EptsTerm,
                 fuel: int | Fuel | None = None) -> tuple[EptsTerm, list[EptsTerm]]:
     """Normalize, returning the normal form and all intermediate terms."""
-    t, trace = normalize(_beta_root(spec), t, fuel)
-    return t, [u for _, u in trace]
+    trace = [u for _, u in normalize(_beta_root(spec), t, fuel)]
+    return (trace[-1] if trace else t), trace
 
 
 def epts_nf(spec: SortSpec, t: EptsTerm, fuel: int | Fuel | None = None) -> EptsTerm:
-    return epts_reduce(spec, t, fuel)[0]
+    for _, t in normalize(_beta_root(spec), t, fuel):
+        pass
+    return t
 
 
 def epts_whnf(spec: SortSpec, t: EptsTerm, fuel: int | Fuel | None = None) -> EptsTerm:

@@ -25,7 +25,7 @@ an argument position must see that argument's head.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import Diagnostic, FuelExhausted
 from .terms import (
@@ -118,20 +118,17 @@ def first_redex(root: Root, t: Term,
 
 
 def normalize(root: Root, t: Term,
-              fuel: int | Fuel | None = None) -> tuple[Term, list[tuple[object, Term]]]:
+              fuel: int | Fuel | None = None) -> Iterator[tuple[object, Term]]:
     """Contract :func:`first_redex`, over one ``clean`` memo, until there
-    is none, one tick of ``fuel`` per step; the normal form and the
-    labeled trace."""
+    is none, one tick of ``fuel`` per step, yielding each step's label
+    and reduct: the last reduct is the normal form, and a caller that
+    keeps only it holds no trace."""
     f = Fuel.of(fuel)
     clean = NodeMemo()
-    trace: list[tuple[object, Term]] = []
-    while True:
-        r = first_redex(root, t, clean)
-        if r is None:
-            return t, trace
+    while (r := first_redex(root, t, clean)) is not None:
         f.tick()
         t = r[2]
-        trace.append((r[1], t))
+        yield r[1], t
 
 
 def congruent(whnf: Callable[[Term], Term], a: Term, b: Term) -> bool:
@@ -184,7 +181,8 @@ def reduce_trace(
     fuel: int | Fuel | None = None,
 ) -> tuple[DkTerm, list[tuple[str, DkTerm]]]:
     """Normalize under the label filter, returning the labeled trace."""
-    return normalize(_rule_root(theory, labels), t, fuel)
+    trace = list(normalize(_rule_root(theory, labels), t, fuel))
+    return (trace[-1][1] if trace else t), trace
 
 
 def nf(
@@ -194,7 +192,9 @@ def nf(
     fuel: int | Fuel | None = None,
 ) -> DkTerm:
     """Leftmost-outermost normal form w.r.t. the labeled sub-relation."""
-    return reduce_trace(theory, t, labels, fuel)[0]
+    for _, t in normalize(_rule_root(theory, labels), t, fuel):
+        pass
+    return t
 
 
 # --- the machine on closures -----------------------------------------------
@@ -202,13 +202,15 @@ def nf(
 # Weak-head evaluation and conversion run on values, never on rebuilt
 # terms.  A value is a closure ``Clo(term, env)``, in which variable ``k``
 # of ``term`` stands for the value ``env[-1 - k]``, or one of the weak-head
-# normal forms evaluation produces: a context variable by de Bruijn
-# ``Level``, a ``VApp`` whose head is no abstraction, a ``VCons`` whose
-# rules did not fire (with the arguments that matching evaluated), and a
-# ``VPi``, the type the kernel infers for an abstraction.  A beta or rule
-# step pushes values onto an environment instead of substituting, so no
-# term is shifted or copied; ``Machine.quote`` rebuilds the term a value
-# stands for, and only printed terms are quoted.
+# normal forms evaluation produces: a context variable, which is the int
+# of its de Bruijn level (0 for the outermost binder, negative for a free
+# variable of a term given without context), a ``VApp`` whose head is no
+# abstraction, a ``VCons`` whose rules did not fire (with the arguments
+# that matching evaluated), and a ``VPi``, the type the kernel infers for
+# an abstraction.  A beta or rule step pushes values onto an environment
+# instead of substituting, so no term is shifted or copied;
+# ``Machine.quote`` rebuilds the term a value stands for, and only printed
+# terms are quoted.
 
 
 class Clo:
@@ -220,17 +222,6 @@ class Clo:
 
     def __init__(self, term: DkTerm, env: tuple):
         self.term, self.env = term, env
-
-
-class Level:
-    """A context variable by de Bruijn level: level 0 is the outermost
-    binder.  A machine makes one object per level, so identity is equality;
-    negative levels are the free variables of a term given without context."""
-
-    __slots__ = ("level",)
-
-    def __init__(self, level: int):
-        self.level = level
 
 
 class VApp:
@@ -262,7 +253,7 @@ class VPi:
         self.hint, self.dom, self.cod, self.level = hint, dom, cod, level
 
 
-_HEAD_CLASS = {Level: Var, VApp: App, VCons: Cons, VPi: Pi}
+_HEAD_CLASS = {int: Var, VApp: App, VCons: Cons, VPi: Pi}
 
 
 def head_class(v) -> type:
@@ -303,25 +294,22 @@ class Machine:
     The machine contracts the redexes the term rewriter would, in the same
     order, and keeps what matching evaluated the way it would, so it
     spends the same ticks; the terms :meth:`quote` rebuilds are the
-    rewriter's terms.  It lives for one top-level call: its levels are
-    compared by identity, so values of two machines must not meet.
+    rewriter's terms.  It lives for one top-level call: it compares its
+    environments by identity, so values of two machines must not meet.
     """
 
-    __slots__ = ("theory", "fuel", "levels", "envs", "top")
+    __slots__ = ("theory", "fuel", "envs", "top")
 
     def __init__(self, theory: Theory, fuel: Fuel):
         self.theory = theory
         self.fuel = fuel
-        self.levels: dict[int, Level] = {}
         self.envs: list[tuple] = [()]
-        self.top = 0   # above every level made so far
+        self.top = 0   # above every level used so far
 
-    def var(self, level: int) -> Level:
-        v = self.levels.get(level)
-        if v is None:
-            v = self.levels[level] = Level(level)
-            self.top = max(self.top, level + 1)
-        return v
+    def var(self, level: int) -> int:
+        if level >= self.top:
+            self.top = level + 1
+        return level
 
     def env(self, depth: int) -> tuple:
         """The environment of a context of ``depth`` entries: each variable
@@ -500,8 +488,8 @@ class Machine:
                 return t
             return t.with_children([self.quote(self.clo(k, self.extend(env, depth) if b else env),
                                                depth + b) for k, b in kids])
-        if tv is Level:
-            return Var(depth - 1 - v.level)
+        if tv is int:
+            return Var(depth - 1 - v)
         if tv is VCons:
             return Cons(v.name, tuple(self.quote(a, depth) for a in v.args))
         if tv is VApp:

@@ -12,7 +12,8 @@ terms, each in its own scope (``_DkEnv``, ``_PtsEnv``).  One printer
 (``_r``) prints those two back in the same grammar, with binder hints
 freshened against everything in scope, so parse-print round trips are
 identities on the underlying de Bruijn terms; it also prints explicit
-source terms and untyped lambda terms, which are never parsed.
+source terms, which are never parsed.  ``render`` prints these three
+languages and simple types: what the command-line driver prints.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Iterable, NamedTuple, Sequence
 
-from .analysis import SApp, SConst, SimpleType, SLam, render_simple
+from .analysis import SimpleType, render_simple
 from .errors import ParseError, Span
 from .terms import (
     KIND,
@@ -606,7 +607,7 @@ def _r(t: Any, env: list[str], prec: int, avoid: set[str]) -> str:
             return c
         case Cons(c, args):
             return f"{c}({', '.join(_r(a, env, 0, avoid) for a in args)})"
-        case App(f, a) | PApp(f, a) | SApp(f, a):
+        case App(f, a) | PApp(f, a):
             s = f"{_r(f, env, 1, avoid)} {_r(a, env, 2, avoid)}"
             return s if prec <= 1 else f"({s})"
         case Pi(h, dom, cod) | PPi(h, dom, cod):
@@ -626,12 +627,8 @@ def _r(t: Any, env: list[str], prec: int, avoid: set[str]) -> str:
             return "TYPE"
         case Kind():
             return "KIND"
-        case Meta(name) | PSort(name) | ESort(name) | SConst(name):
+        case Meta(name) | PSort(name) | ESort(name):
             return name
-        case SLam(h, body):
-            name = _fresh(h, env, avoid)
-            s = f"lam {name}. {_r(body, env + [name], 0, avoid)}"
-            return s if prec == 0 else f"({s})"
         case EPi() | ELam() | EApp():
             name = _fresh(t.hint, env, avoid)
             parts = ", ".join(f"{name}. {_r(k, env + [name], 0, avoid)}" if b
@@ -641,15 +638,11 @@ def _r(t: Any, env: list[str], prec: int, avoid: set[str]) -> str:
 
 
 def render(x: Any, names: Sequence[str] = (), avoid: Iterable[str] = ()) -> str:
-    """Human-readable form of any term-like value (see the module docstring)."""
-    a = set(avoid)
-    if isinstance(x, DkContext):
-        return ", ".join(_telescope(x.entries, a)[0])
-    if isinstance(x, Theory):
-        return render_theory(x)
+    """A framework or source term over the context ``names``, its binders
+    freshened against ``avoid``, or a simple type; else ``TypeError``."""
     if isinstance(x, SimpleType):
         return render_simple(x)
-    return _r(x, list(names), 0, a)
+    return _r(x, list(names), 0, set(avoid))
 
 
 def _r_signature(decls: Iterable[Declaration], rules: Iterable[RewriteRule],

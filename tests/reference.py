@@ -20,10 +20,9 @@ they were before both called ``EncodingTheory.family``/``split``
 directly: ``translate`` through one wrapper per family (``mk_U`` to
 ``mk_app``, free functions here), and ``invert`` through ``recognize``,
 which packed the root into an ``InvertibleForm`` that ``invert`` then
-took apart.  ``invert`` contracts a redex with the hand-written
-``epts_subst`` above.  It walks a shared term as a tree and builds a
-fresh one, so it is also the tree-walk inversion of
-``conservative_invert`` below.
+took apart.  Like the library's, it reads images only: a redex is not
+invertible.  It walks a shared term as a tree and builds a fresh one,
+so it is also the tree-walk inversion of ``conservative_invert`` below.
 
 ``whnf``, ``_match_whnf``, ``kernel_infer``, ``kernel_check``,
 ``check_context`` and ``check_signature`` are the framework's weak-head
@@ -66,8 +65,8 @@ a regex of their own and tries each punctuation mark in turn.  They are
 copied as they were.
 
 The framework and source term parsers (``_dk_term``, ``_pts_term`` and
-their helpers) and the four term printers (``_r_dk``, ``_r_pts``,
-``_r_epts``, ``_r_stlc``, with the occurrence checks ``_dk_uses`` and
+their helpers) and the three term printers (``_r_dk``, ``_r_pts`` and
+``_r_epts``, with the occurrence checks ``_dk_uses`` and
 ``_pts_uses``) are one recursive descent and one printer per term
 language; ``pimod.syntax`` derives all of them from one grammar and one
 printer.  ``parse_dk_term``, ``parse_pts_term`` and ``render`` run them
@@ -714,8 +713,8 @@ def translate(enc: EncodingTheory, m: EptsTerm) -> DkTerm:
 class InvertibleForm:
     """A framework term seen through the grammar of translation images.
 
-    ``tag`` is one of ``var``, ``sort``, ``prod``, ``abs``, ``app`` and
-    ``redex``; ``parts`` holds the subject subterms of the form (binder
+    ``tag`` is one of ``var``, ``sort``, ``prod``, ``abs`` and ``app``;
+    ``parts`` holds the subject subterms of the form (binder
     annotations are not among them — they are derivable, hence hidden).
     """
 
@@ -733,8 +732,6 @@ def recognize(enc: EncodingTheory, t: DkTerm) -> InvertibleForm | None:
     match t:
         case Var(k):
             return InvertibleForm("var", (), (k,))
-        case App(Lam(h, _, body), arg):
-            return InvertibleForm("redex", (), (h, body, arg))
         case Cons(name, args):
             split = enc.split(name, args)
             if split is None:
@@ -762,9 +759,6 @@ def invert(enc: EncodingTheory, t: DkTerm) -> EptsTerm:
             return EVar(form.parts[0])
         case "sort":
             return ESort(form.sorts[0])
-        case "redex":
-            _, body, arg = form.parts
-            return epts_subst(invert(enc, body), 0, invert(enc, arg))
         case "prod":
             a, h, b = form.parts
             s1, s2 = form.sorts
@@ -1114,33 +1108,15 @@ def _r_epts(t: EptsTerm, env: list[str], avoid: set[str]) -> str:
     raise TypeError(f"not an explicit term: {t!r}")
 
 
-def _r_stlc(t: Any, env: list[str], avoid: set[str], prec: int = 0) -> str:
-    match t:
-        case SVar(k):
-            return _var_name(k, env)
-        case SConst(name):
-            return name
-        case SApp(f, a):
-            s = f"{_r_stlc(f, env, avoid, 1)} {_r_stlc(a, env, avoid, 2)}"
-            return s if prec <= 1 else f"({s})"
-        case SLam(h, body):
-            name = _fresh(h, env, avoid)
-            s = f"lam {name}. {_r_stlc(body, env + [name], avoid, 0)}"
-            return s if prec == 0 else f"({s})"
-    raise TypeError(f"not a simply typed term: {t!r}")
-
-
 def render(x: Any, names: Sequence[str] = (), avoid: Sequence[str] = ()) -> str:
-    """A term of any of the four languages, printed by its own printer."""
+    """A term of any of the three printed languages, by its own printer."""
     a = set(avoid)
     env = list(names)
     if isinstance(x, DkTerm):
         return _r_dk(x, env, 0, a)
     if isinstance(x, PtsTerm):
         return _r_pts(x, env, 0, a)
-    if isinstance(x, EptsTerm):
-        return _r_epts(x, env, a)
-    return _r_stlc(x, env, a)
+    return _r_epts(x, env, a)
 
 
 def _elab(spec: SortSpec, ctx: EptsContext, t: PtsTerm, f: Fuel) -> EptsTerm:

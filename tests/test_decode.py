@@ -42,8 +42,18 @@ class TestRecognize:
         back = invert(SF_ENC, finite_id_image())
         assert type(back) is ELam and (back.s1, back.s2) == ("Kind", "Type")
 
-        redex = App(Lam("w", TYPE, Var(0)), Cons("u@Type"))
-        assert invert(SF_ENC, redex) == ESort("Type")
+        u = Cons("u@Type")
+        redex = App(Lam("w", infer(SF_ENC.theory, translate_ctx(SF_ENC, EptsContext()), u),
+                        Var(0)), u)
+        assert conservative_invert(SF_ENC, EptsContext(), redex, ESort("Kind")) == ESort("Type")
+
+    def test_redexes_are_outside_the_grammar(self):
+        """``invert`` reads images only; ``conservative_invert`` contracts
+        redexes before it inverts."""
+        u = Cons("u@Type")
+        for ann in (TYPE, infer(SF_ENC.theory, translate_ctx(SF_ENC, EptsContext()), u)):
+            with pytest.raises(NotInvertible):
+                invert(SF_ENC, App(Lam("w", ann, Var(0)), u))
 
     def test_internalized_sort_arguments_are_resolved(self):
         t = Cons("u", (Cons("type"),))
@@ -88,7 +98,10 @@ class TestInvert:
         img = translate(SF_ENC, id_applied())
         wrapped = App(Lam("w", infer(SF_ENC.theory, translate_ctx(SF_ENC, CTX), img),
                           Var(0)), img)
-        assert invert(SF_ENC, wrapped) == id_applied()
+        a = epts_infer(SYSTEM_F, CTX, id_applied())
+        assert conservative_invert(SF_ENC, CTX, wrapped, a) == id_applied()
+        with pytest.raises(NotInvertible):
+            invert(SF_ENC, wrapped)
 
     def test_not_invertible(self):
         for bad in (TYPE, Cons("U@Type"), Cons("El@Type", (Var(0),)),

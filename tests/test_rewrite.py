@@ -7,6 +7,8 @@ strategy must agree with the engine's leftmost-outermost one -- that
 makes the oracle genuinely independent.
 """
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -245,6 +247,19 @@ class TestFuel:
     def test_loop_exhausts_fuel(self):
         with pytest.raises(FuelExhausted):
             nf(LOOP, Cons("loop"), fuel=25)
+
+    def test_nf_holds_no_trace(self):
+        """Each step of a 20,000-step loop builds a new term; the normal
+        form search keeps only the current one until the budget runs out."""
+        grow = extended(NAT, rules=(RewriteRule("s", (Meta("n"),), s(Meta("n")), name="grow"),))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FuelExhausted):
+                nf(grow, s(Z), fuel=20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from pimod.analysis import erase_term
+from pimod.analysis import SLam, SVar
 from pimod.corpus import CORPUS_NAMES, load_case, load_cases, load_sorts, read_text
 from pimod.encode import expected_dk_type, generate, translate, translate_ctx
 from pimod.epts import (ESort, EVar, EptsContext, FiniteSortSpec, InternalizedSortSpec,
@@ -17,15 +17,13 @@ from pimod.epts import (ESort, EVar, EptsContext, FiniteSortSpec, InternalizedSo
                         erase_to_pts)
 from pimod.errors import NonFunctionalSpec, ParseError, PimodError
 from pimod.morphism import build_phi
-from pimod.syntax import (lex, parse_dk_term, parse_epts_file, parse_morphism,
-                          parse_pts_term, parse_sort_spec_file, parse_theory, render,
-                          render_morphism, render_theory)
+from pimod.syntax import (fresh_names, lex, parse_dk_term, parse_epts_file,
+                          parse_morphism, parse_pts_term, parse_sort_spec_file,
+                          parse_theory, render, render_morphism, render_theory)
 from pimod.terms import (KIND, TYPE, App, Cons, Declaration, DkContext, Lam, Meta,
                          Pi, RewriteRule, Theory, Var, validate_theory)
-from strategies import (FREE_NAMES, PARSE_THEORY, dk_terms, epts_terms, pts_terms,
-                        stlc_terms)
+from strategies import FREE_NAMES, PARSE_THEORY, dk_terms, epts_terms, pts_terms
 from systems import SYSTEM_F, SYSTEM_F_INT
-from termgen import GEN_THEORY, gen_judgment
 from test_morphism import RENAME, SRC, _target
 
 
@@ -362,18 +360,31 @@ class TestPrintParseIdentity:
 
 
 class TestRenderContext:
+    """A context prints as the ``assume`` lines of ``render_theory``."""
+
     # ``x``'s type is the first ``A``, which a repeated hint would shadow
     DK_CTX = DkContext().extend("A", TYPE).extend("A", TYPE).extend("x", Var(1))
 
     def test_repeated_hints_are_freshened(self):
-        assert render(self.DK_CTX) == "A : TYPE, A' : TYPE, x : A"
+        assert render_theory(Theory(()), self.DK_CTX).splitlines() == [
+            "assume A : TYPE.", "assume A' : TYPE.", "assume x : A."]
         ctx = (EptsContext().extend("A", ESort("Type")).extend("A", ESort("Type"))
                .extend("x", EVar(1)))
-        assert render(ctx) == "A : Type, A' : Type, x : A"
+        assert render_theory(Theory(()), ctx).splitlines() == [
+            "assume A : Type.", "assume A' : Type.", "assume x : A."]
 
     def test_agrees_with_the_theory_printer(self):
+        """Each entry's type, printed over the names before it freshened
+        as the command-line traces freshen them, is its ``assume`` line."""
+        names = fresh_names(self.DK_CTX.names)
         lines = render_theory(Theory(()), self.DK_CTX).splitlines()
-        assert [f"assume {e}." for e in render(self.DK_CTX).split(", ")] == lines
+        assert [f"assume {n} : {render(ty, names[:k])}."
+                for k, (n, (_, ty)) in enumerate(zip(names, self.DK_CTX.entries))] == lines
+
+    def test_render_rejects_contexts_theories_and_untyped_terms(self):
+        for x in (self.DK_CTX, Theory(()), SLam("x", SVar(0))):
+            with pytest.raises(TypeError):
+                render(x)
 
 
 # --- the one grammar and the one printer against the per-language ones ---
@@ -416,22 +427,13 @@ def _parsed(parse, text, *args):
 
 class TestAgainstPerLanguageCode:
     @pytest.mark.parametrize("terms", [
-        dk_terms(metas=True), pts_terms(), epts_terms(), stlc_terms()],
-        ids=["framework", "source", "explicit", "untyped"])
+        dk_terms(metas=True), pts_terms(), epts_terms()],
+        ids=["framework", "source", "explicit"])
     @settings(max_examples=150)
     @given(data=st.data(), names=NAMES, avoid=AVOID)
     def test_render(self, terms, data, names, avoid):
         t = data.draw(terms)
         assert render(t, names, avoid) == reference.render(t, names, avoid)
-
-    def test_render_erasures_of_generated_judgments(self):
-        rng = random.Random(6)
-        for _ in range(30):
-            ctx, m, _ = gen_judgment(rng)
-            s = erase_term(GEN_THEORY, m)
-            for avoid in ((), {"p", "u", "w", "_z"}):
-                assert render(s, ctx.names, avoid) == \
-                    reference.render(s, ctx.names, avoid)
 
     @pytest.mark.parametrize("text", MALFORMED)
     def test_parse_fixed_texts(self, text):
