@@ -10,12 +10,12 @@ is erased to an untyped lambda term, which must be simply typable at the
 erasure of the image's type.  One JSON line per N gives the seconds each
 of those five stages took, the number of nodes of the image as a tree
 (``image_nodes``) and as distinct objects (``image_distinct``: the image
-shares what elaboration shares), the distinct objects of the source term
-the inversion recovers (``recovered_distinct``: inversion keeps the
-image's sharing), and the fuel ticks of the kernel check and of the
-inversion, whose own kernel check is among them.  The type
-the image is checked against and the erased signature are worked out
-outside the timed stages.
+is maximally shared, one object per distinct subterm), the distinct
+objects of the source term the inversion recovers
+(``recovered_distinct``: inversion keeps the image's sharing), and the
+fuel ticks of the kernel check and of the inversion, whose own kernel
+check is among them.  The type the image is checked against and the
+erased signature are worked out outside the timed stages.
 
 The stages recurse once per binder, so the recursion limit is raised
 to 40 frames per binder of the largest N.

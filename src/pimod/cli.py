@@ -228,7 +228,7 @@ def _cmd_decode(args, rep: Reporter) -> None:
         m = conservative_invert(enc, ctx, t, a, f)
         if args.trace:
             # replayed once the term has checked, so that it normalizes
-            _, trail = reduce_trace(enc.theory, t, frozenset({BETA}), args.fuel)
+            _, trail = reduce_trace(enc.theory, t, frozenset({BETA}), f)
             for label, step_t in trail:
                 rep.trace(f"--{label}--> {render(step_t, shown)}")
         rep.result("decode", args.term, True, render(erase_to_pts(m), shown))
@@ -262,8 +262,7 @@ def _cmd_roundtrip(args, rep: Reporter) -> None:
                        d is None, d.message if d else "")
         if args.trace:
             img = translate(enc, m)
-            _, trail = reduce_trace(enc.theory, img, enc.simulation_labels(),
-                                    args.fuel)
+            _, trail = reduce_trace(enc.theory, img, enc.simulation_labels(), f)
             for label, t in trail:
                 rep.trace(f"--{label}--> {render(t, fresh_names(ctx.names))}")
 

@@ -279,24 +279,24 @@ def translate(enc: EncodingTheory, m: EptsTerm) -> DkTerm:
     the pointwise-translated context.  Substitution commutes with this
     map syntactically: translate(M)[translate(N)/x] == translate(M[N/x]).
 
-    The image shares what elaboration shares: a source node object that
-    occurs twice has one image object, and so has the ``El`` annotation
-    at one sort over one domain image, so the image is a graph no larger
-    than the source term's.
+    The image is maximally shared: two of its nodes that are equal, binder
+    hints included, are one object.  So the type codes that every ``abs``
+    and ``app`` repeats are built once, and every table downstream keyed
+    by node identity does its work once per distinct subterm.
     """
     return _Translation(enc).term(m)
 
 
 class _Translation:
-    """One call's translation, with its memo tables: images by source node
-    object and ``El`` annotations by (sort, domain image object)."""
+    """One call's translation: images by source node object, and the image's
+    nodes by constructor, hint or name and children's objects."""
 
-    __slots__ = ("enc", "images", "anns")
+    __slots__ = ("enc", "images", "nodes")
 
     def __init__(self, enc: EncodingTheory):
         self.enc = enc
         self.images = NodeMemo()
-        self.anns = NodeMemo()
+        self.nodes = NodeMemo()
 
     def term(self, m: EptsTerm) -> DkTerm:
         img = self.images.get(id(m))
@@ -304,33 +304,40 @@ class _Translation:
             img = self.images.put(id(m), self._image(m), m)
         return img
 
+    def share(self, key: object, t: DkTerm) -> DkTerm:
+        """The image's one node under ``key`` (constructor, hint or name, and
+        the children's objects): ``t``, unless an equal node came first."""
+        u = self.nodes.get(key)
+        return u if u is not None else self.nodes.put(key, t, t)
+
+    def family(self, role: str, sorts: tuple[str, ...], payload: tuple[DkTerm, ...]) -> DkTerm:
+        t = self.enc.family(role, sorts, payload)
+        return self.share((t.name, *map(id, t.args)), t)
+
     def el(self, s: str, a: EptsTerm) -> DkTerm:
         """``El`` at ``s`` of the image of the type ``a``."""
-        da = self.term(a)
-        key = (s, id(da))
-        ann = self.anns.get(key)
-        if ann is None:
-            ann = self.anns.put(key, self.enc.family("El", (s,), (da,)), da)
-        return ann
+        return self.family("El", (s,), (self.term(a),))
+
+    def lam(self, h: str, ann: DkTerm, body: EptsTerm) -> DkTerm:
+        b = self.term(body)
+        return self.share((Lam, h, id(ann), id(b)), Lam(h, ann, b))
 
     def _image(self, m: EptsTerm) -> DkTerm:
-        enc = self.enc
+        fam, term, lam = self.family, self.term, self.lam
         match m:
             case EVar(k):
-                return Var(k)
+                return self.share(k, Var(k))
             case ESort(s):
-                return enc.family("u", (s,), ())
+                return fam("u", (s,), ())
             case EPi(s1, s2, dom, h, cod):
                 ann = self.el(s1, dom)
-                return enc.family("Prod", (s1, s2), (self.term(dom), Lam(h, ann, self.term(cod))))
+                return fam("Prod", (s1, s2), (term(dom), lam(h, ann, cod)))
             case ELam(s1, s2, dom, h, cod, body):
                 ann = self.el(s1, dom)
-                return enc.family("abs", (s1, s2), (self.term(dom), Lam(h, ann, self.term(cod)),
-                                                    Lam(h, ann, self.term(body))))
+                return fam("abs", (s1, s2), (term(dom), lam(h, ann, cod), lam(h, ann, body)))
             case EApp(s1, s2, dom, h, cod, fn, arg):
                 ann = self.el(s1, dom)
-                return enc.family("app", (s1, s2), (self.term(dom), Lam(h, ann, self.term(cod)),
-                                                    self.term(fn), self.term(arg)))
+                return fam("app", (s1, s2), (term(dom), lam(h, ann, cod), term(fn), term(arg)))
         raise PimodError(f"cannot translate {m!r}")
 
 

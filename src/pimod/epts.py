@@ -236,6 +236,12 @@ class InternalizedSortSpec(SortSpec):
         self.known = frozenset(self.named)
         for name, t in self.named.items():
             self._check_sort_term(name, t)
+        terms: dict[DkTerm, DkTerm] = {}   # one object per distinct sort term
+
+        def share(t: Cons) -> Cons:
+            t = Cons(t.name, tuple(map(share, t.args)))
+            return terms.setdefault(t, t)
+        self.named = {name: share(t) for name, t in self.named.items()}
 
     def _check_sort_term(self, name: str, t: DkTerm) -> None:
         for u, _ in subterms(t):

@@ -18,9 +18,10 @@ Each top-level call memoizes inference on the node object and the
 context, which is interned: extending a context by the same name and
 annotation object gives the same context.  Both tables are
 :class:`pimod.terms.NodeMemo` tables, which hold the node objects their
-keys name.  A subterm that elaboration shares is therefore typed once
-per context it occurs in, and a memo hit replays the log entries its
-first inference made.  The exception is a *ground* term: a constant
+keys name.  A shared subterm, such as a type code of a translation
+image, which is maximally shared, is therefore typed once per context it
+occurs in, and a memo hit replays the log entries its first inference
+made.  The exception is a *ground* term: a constant
 applied to ground arguments.  A :class:`pimod.terms.Theory` mentions
 no variable outside a telescope or a rule's left-hand side, so a ground
 term's type does not depend on the context: it is typed once per call,

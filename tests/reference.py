@@ -24,6 +24,11 @@ took apart.  Like the library's, it reads images only: a redex is not
 invertible.  It walks a shared term as a tree and builds a fresh one,
 so it is also the tree-walk inversion of ``conservative_invert`` below.
 
+``translate_sharing_source`` is the translation as it was before it
+interned the nodes it builds: it shares an image node only where
+elaboration shares the source node, and an ``El`` annotation at one
+sort over one domain image.  It is copied as it was.
+
 ``whnf``, ``_match_whnf``, ``kernel_infer``, ``kernel_check``,
 ``check_context`` and ``check_signature`` are the framework's weak-head
 normalizer and type checker as they were before they ran on closures:
@@ -708,6 +713,60 @@ def translate(enc: EncodingTheory, m: EptsTerm) -> DkTerm:
                           translate(enc, fn), translate(enc, arg))
     raise PimodError(f"cannot translate {m!r}")
 
+
+
+def translate_sharing_source(enc: EncodingTheory, m: EptsTerm) -> DkTerm:
+    """Image of an explicitly annotated term that shares what elaboration
+    shares: a source node object that occurs twice has one image object,
+    and so has the ``El`` annotation at one sort over one domain image."""
+    return _SourceSharingTranslation(enc).term(m)
+
+
+class _SourceSharingTranslation:
+    """One call's translation, with its memo tables: images by source node
+    object and ``El`` annotations by (sort, domain image object)."""
+
+    __slots__ = ("enc", "images", "anns")
+
+    def __init__(self, enc: EncodingTheory):
+        self.enc = enc
+        self.images = lib.NodeMemo()
+        self.anns = lib.NodeMemo()
+
+    def term(self, m: EptsTerm) -> DkTerm:
+        img = self.images.get(id(m))
+        if img is None:
+            img = self.images.put(id(m), self._image(m), m)
+        return img
+
+    def el(self, s: str, a: EptsTerm) -> DkTerm:
+        """``El`` at ``s`` of the image of the type ``a``."""
+        da = self.term(a)
+        key = (s, id(da))
+        ann = self.anns.get(key)
+        if ann is None:
+            ann = self.anns.put(key, self.enc.family("El", (s,), (da,)), da)
+        return ann
+
+    def _image(self, m: EptsTerm) -> DkTerm:
+        enc = self.enc
+        match m:
+            case EVar(k):
+                return Var(k)
+            case ESort(s):
+                return enc.family("u", (s,), ())
+            case EPi(s1, s2, dom, h, cod):
+                ann = self.el(s1, dom)
+                return enc.family("Prod", (s1, s2), (self.term(dom), Lam(h, ann, self.term(cod))))
+            case ELam(s1, s2, dom, h, cod, body):
+                ann = self.el(s1, dom)
+                return enc.family("abs", (s1, s2), (self.term(dom), Lam(h, ann, self.term(cod)),
+                                                    Lam(h, ann, self.term(body))))
+            case EApp(s1, s2, dom, h, cod, fn, arg):
+                ann = self.el(s1, dom)
+                return enc.family("app", (s1, s2), (self.term(dom), Lam(h, ann, self.term(cod)),
+                                                    self.term(fn), self.term(arg)))
+        raise PimodError(f"cannot translate {m!r}")
 
 @dataclass(frozen=True)
 class InvertibleForm:

@@ -1,9 +1,15 @@
 """One step budget per operation: every layer, the kernel included, draws
-on the ``Fuel`` its caller hands it and builds no budget of its own."""
+on the ``Fuel`` its caller hands it and builds no budget of its own.  On
+the command line, ``--trace`` replays a reduction on the item's own
+budget, so ``--fuel`` bounds the traced item as well."""
+
+from pathlib import Path
 
 import pytest
 
+import pimod.corpus
 import reference
+from pimod.cli import main
 from pimod.corpus import load_case, load_cases, load_sorts
 from pimod.decode import adequacy_legs, conservative_invert
 from pimod.encode import expected_dk_type, generate, translate, translate_ctx
@@ -11,8 +17,13 @@ from pimod.epts import elaborate, elaborate_context
 from pimod.errors import FuelExhausted
 from pimod.kernel import check, check_context, check_signature, infer
 from pimod.morphism import build_phi, verify_morphism
-from pimod.rewrite import DEFAULT_FUEL, Fuel
+from pimod.rewrite import BETA, DEFAULT_FUEL, Fuel, reduce_trace
+from pimod.syntax import fresh_names, parse_dk_term, parse_pts_term, render
 from pimod.terms import App, Lam, Var
+
+CORPUS_DIR = Path(pimod.corpus.__file__).parent
+SYSTEMF_SORTS = str(CORPUS_DIR / "systemf.sorts")
+SYSTEMF_EPTS = str(CORPUS_DIR / "systemf.epts")
 
 
 def _judgments(case):
@@ -93,3 +104,77 @@ def test_inversion_spends_the_same_ticks_each_time_and_no_more_than_the_tree_wal
             spent.append(f.limit - f.remaining)
         first, second, tree = spent
         assert first == second <= tree, name
+
+
+def _spent(f: Fuel) -> int:
+    return f.limit - f.remaining
+
+
+def _budget_bounds_the_trace(argv, untraced, traced, capsys):
+    """``argv`` passes untraced at ``untraced`` ticks and traced at ``traced``,
+    and fails traced below either."""
+    for fuel, trace, code in ((untraced, False, 0), (traced, True, 0),
+                              (untraced - 1, True, 1), (traced - 1, True, int(traced > untraced))):
+        assert main(argv + ["--fuel", str(fuel)] + ["--trace"] * trace) == code, (fuel, trace)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("mode", ["finite", "internalized"])
+def test_roundtrip_trace_replays_on_the_items_budget(mode, capsys):
+    """Each judgment is one item: its legs and its traced simulation draw on
+    one ``--fuel``.  The run needs the largest item's ticks."""
+    case = load_case("systemf", mode)
+    enc = generate(case.spec)
+    ctx = elaborate_context(case.spec, case.file.assumes)
+    untraced, traced = [], []
+    for j in case.file.judgments:
+        f = Fuel(DEFAULT_FUEL)
+        m = elaborate(case.spec, ctx, j.term, f)
+        adequacy_legs(enc, ctx, m, f)
+        untraced.append(_spent(f))
+        reduce_trace(enc.theory, translate(enc, m), enc.simulation_labels(), f)
+        traced.append(_spent(f))
+    assert max(traced) > max(untraced)
+    _budget_bounds_the_trace(["roundtrip", SYSTEMF_SORTS, SYSTEMF_EPTS, "--mode", mode],
+                             max(untraced), max(traced), capsys)
+
+
+@pytest.mark.parametrize("mode", ["finite", "internalized"])
+def test_decode_trace_replays_on_the_items_budget(mode, capsys):
+    """``decode --term`` of each judgment's image under a beta-redex: the
+    type's elaboration, the inversion and the traced beta-normalization
+    draw on one ``--fuel``."""
+    case = load_case("systemf", mode)
+    enc = generate(case.spec)
+    ctx = elaborate_context(case.spec, case.file.assumes)
+    names, defs = list(ctx.names), dict(case.file.definitions)
+    shown = fresh_names(names)
+    for j in case.file.judgments:
+        img = translate(enc, elaborate(case.spec, ctx, j.term))
+        term = render(App(Lam("w", infer(enc.theory, translate_ctx(enc, ctx), img), Var(0)), img),
+                      shown)
+        type_ = render(j.type, shown)
+        f = Fuel(DEFAULT_FUEL)
+        t = parse_dk_term(term, enc.theory, names)
+        a = elaborate(case.spec, ctx, parse_pts_term(type_, case.spec, names, defs), f)
+        conservative_invert(enc, ctx, t, a, f)
+        untraced = _spent(f)
+        reduce_trace(enc.theory, t, frozenset({BETA}), f)
+        _budget_bounds_the_trace(["decode", SYSTEMF_SORTS, SYSTEMF_EPTS, "--mode", mode,
+                                  "--term", term, "--type", type_],
+                                 untraced, _spent(f), capsys)
+
+
+def test_the_trace_of_a_redex_fits_the_items_budget(tmp_path, capsys):
+    """The item spends 7 ticks on its legs and 2 on the traced simulation."""
+    src = tmp_path / "r.epts"
+    src.write_text("assume C : Type.\nassume c : C.\ndef r : C := (lam x : C. x) c.\n")
+    argv = ["roundtrip", SYSTEMF_SORTS, str(src), "--mode", "finite", "--fuel"]
+    assert main(argv + ["7"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["7", "--trace"]) == 1
+    out, err = capsys.readouterr()
+    assert "FuelExhausted" in out and "-->" not in err
+    assert main(argv + ["9", "--trace"]) == 0
+    assert [line.strip() for line in capsys.readouterr().err.splitlines()] == [
+        "--beta@Type@Type--> (lam x : El@Type(C). x) c", "--β--> c"]

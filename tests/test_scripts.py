@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,29 @@ def load(name: str):
 
 def load_main(name: str):
     return load(name).main
+
+
+def structural_classes(t) -> int:
+    """The number of subterms of ``t`` that differ as trees, binder hints
+    included: the fewest node objects ``t`` can be built from."""
+    classes: dict[int, int] = {}   # node object id -> class number
+    numbers: dict[tuple, int] = {}
+    stack = [t]   # every node stays alive in t, so no id is reused
+    while stack:
+        u = stack[-1]
+        if id(u) in classes:
+            stack.pop()
+            continue
+        kids = [k for k, _ in u.children()]
+        todo = [k for k in kids if id(k) not in classes]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        data = tuple(v for f in fields(u) if isinstance(v := getattr(u, f.name), (str, int)))
+        key = (type(u), data, tuple(classes[id(k)] for k in kids))
+        classes[id(u)] = numbers.setdefault(key, len(numbers))
+    return len(numbers)
 
 
 def test_emit_theories_validates_every_bundled_encoding(tmp_path, capsys):
@@ -71,7 +95,13 @@ def test_depth_scaling_prints_one_record_per_depth(capsys):
     assert load_main("depth_scaling")(["4", "8"]) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [r["n"] for r in records] == [4, 8]
+    depth_scaling = load("depth_scaling")
+    enc = depth_scaling.generate(depth_scaling.load_sorts("systemf").finite)
     for r in records:
+        # the image is maximally shared: one object per distinct subterm
+        m = depth_scaling.elaborate(enc.spec, depth_scaling.EptsContext(),
+                                    depth_scaling.depth_term(r["n"]))
+        assert r["image_distinct"] == structural_classes(depth_scaling.translate(enc, m))
         assert set(r) == {"n", "elaborate_s", "translate_s", "check_s", "invert_s",
                           "erase_s", "image_nodes", "image_distinct", "recovered_distinct",
                           "check_ticks", "invert_ticks"}
