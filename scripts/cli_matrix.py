@@ -25,7 +25,9 @@ interpretation written by ``morphism phi``, between the two encoded
 theories written by ``encode``; ``corpus``; an unknown subcommand, plain
 and machine-readable; and ``roundtrip`` with ``--fuel 0``, a usage of
 the budget that is rejected, and with ``--fuel 5``, a budget that runs
-out.  The inputs of these cases are written to ``OUT_DIR/cases/``.
+out.  Last, with System F, ``decode --term`` of an image whose first
+binder is hinted ``Type``, the name of a sort.  The inputs of these
+cases are written to ``OUT_DIR/cases/``.
 
 Every run goes in-process through ``pimod.cli.main`` (or the script's
 ``main``), with the current directory set to OUT_DIR.  Run number N
@@ -100,6 +102,16 @@ CASE_TERMS = [
     ("abs(Ru(type,type), type, C, lam x : El(type, C). C, lam x : El(Ru(type, type), C). x)",
      "C -> C"),
 ]
+# the finite System F image of `lam A : Type. lam x : A. lam B : Type. x`
+# with its first binder hinted `Type`, the name of a sort, and its type
+SHADOW_TERM = (
+    "abs@Kind@Type(u@Type, lam Type : El@Kind(u@Type). Prod@Type@Type(Type, "
+    "lam x : El@Type(Type). Prod@Kind@Type(u@Type, lam B : El@Kind(u@Type). Type)), "
+    "lam Type : El@Kind(u@Type). abs@Type@Type(Type, lam x : El@Type(Type). "
+    "Prod@Kind@Type(u@Type, lam B : El@Kind(u@Type). Type), lam x : El@Type(Type). "
+    "abs@Kind@Type(u@Type, lam B : El@Kind(u@Type). Type, "
+    "lam B : El@Kind(u@Type). x)))",
+    "Pi A : Type. A -> Pi B : Type. A")
 # nesting depths of System F numerals under `roundtrip`: one well inside
 # the stack and one far past it
 NUMERAL_DEPTHS = (200, 600)
@@ -223,6 +235,9 @@ def case_commands(cases: Path, systems) -> list[list[str]]:
                  ["check-epts", "cases/bad_internalized.sorts", str(CORPUS / "systemf.epts")],
                  ["check-epts", "cases/cr_internalized.sorts", str(CORPUS / "systemf.epts")]]
         runs += remaining_commands()
+        term, type_ = SHADOW_TERM
+        runs.append(["decode", str(CORPUS / "systemf.sorts"), str(CORPUS / "systemf.epts"),
+                     "--mode", "finite", "--term", term, "--type", type_])
     return runs
 
 

@@ -11,9 +11,10 @@ that stops a run, a malformed command line included, is one record too.
 
 Each input item (a judgment, one ``check`` line, a theory file's
 signature plus context, a judgments file's assumptions, a morphism)
-draws every step on one ``Fuel`` of ``--fuel`` steps; the ``--trace``
-replays run once the item has its verdict, on a budget of their own, so
-tracing never changes a verdict.
+draws every step on one ``Fuel`` of ``--fuel`` steps.  The ``--trace``
+replays of ``decode --term`` and ``roundtrip`` run once the item has its
+verdict and draw on the item's own ``Fuel``, so a budget that the trace
+exhausts fails the item.
 """
 
 from __future__ import annotations
@@ -184,7 +185,7 @@ def _cmd_check_epts(args, rep: Reporter) -> None:
             epts_check(spec, ctx, m, a, f)
             rep.result("judgment", j.name, True)
             if args.trace:
-                rep.trace(render(m, fresh_names(ctx.names)))
+                rep.trace(render(m, fresh_names(ctx.names), spec.sorts))
         except (PimodError, FuelExhausted) as e:
             rep.result("judgment", j.name, False, str(e))
 
@@ -231,7 +232,8 @@ def _cmd_decode(args, rep: Reporter) -> None:
             _, trail = reduce_trace(enc.theory, t, frozenset({BETA}), f)
             for label, step_t in trail:
                 rep.trace(f"--{label}--> {render(step_t, shown)}")
-        rep.result("decode", args.term, True, render(erase_to_pts(m), shown))
+        rep.result("decode", args.term, True,
+                   render(erase_to_pts(m), shown, enc.spec.sorts))
         return
     for j in file.judgments:
         f = Fuel(args.fuel)

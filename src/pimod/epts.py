@@ -1,14 +1,17 @@
 """Pure type systems with explicit sort and codomain annotations.
 
-Two layers of syntax share one notion of sorts.  The implicit layer
-(``PtsTerm``) is the usual PTS language; the explicit layer
-(``EptsTerm``) additionally records, on every product, abstraction and
-application, the sort pair of the product rule involved and the full
-codomain family.  Beta reduction on the explicit layer is linearized:
-it fires only when the application and abstraction agree on their sort
-pair, and it never inspects the remaining annotations.  ``elaborate``
-is the type-directed map from implicit to explicit syntax and
-``erase_to_pts`` its left inverse.
+Two layers of syntax share one notion of sorts.  The implicit layer is
+the usual PTS language, which is the framework's term language with
+each sort a nullary constant: ``PtsTerm``, ``PVar``, ``PSort``,
+``PPi``, ``PLam`` and ``PApp`` are the source spellings of
+:class:`pimod.terms.DkTerm`, ``Var``, ``Cons``, ``Pi``, ``Lam`` and
+``App``.  The explicit layer (``EptsTerm``) additionally records, on
+every product, abstraction and application, the sort pair of the
+product rule involved and the full codomain family.  Beta reduction on
+the explicit layer is linearized: it fires only when the application
+and abstraction agree on their sort pair, and it never inspects the
+remaining annotations.  ``elaborate`` is the type-directed map from
+implicit to explicit syntax and ``erase_to_pts`` its left inverse.
 
 Both layers are :class:`pimod.terms.Term` languages: each inner node
 states its subterms and binders in its own ``children`` method, and
@@ -45,17 +48,20 @@ from .errors import (
 from .rewrite import Fuel, Root, congruent, first_redex, nf as dk_nf, normalize
 from .terms import (
     TYPE,
+    App,
     Children,
     Cons,
     Declaration,
     DkContext,
     DkTerm,
+    Lam,
     NodeMemo,
+    Pi,
     RewriteRule,
     Term,
     Theory,
+    Var,
     Variable,
-    same_class,
     subst,
     subterms,
     validate_theory,
@@ -378,79 +384,24 @@ class EApp(EptsTerm):
     same_node = _same_rule
 
 
-class PtsTerm(Term):
-    """Ordinary PTS terms: only abstraction domains are annotated."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class PVar(PtsTerm, Variable):
-    index: int
+# the implicit layer's spellings (see the module docstring)
+PtsTerm = DkTerm
+PVar, PSort, PPi, PLam, PApp = Var, Cons, Pi, Lam, App
 
 
-@dataclass(frozen=True)
-class PSort(PtsTerm):
-    name: str
-
-
-@dataclass(frozen=True)
-class PPi(PtsTerm):
-    hint: str = field(compare=False)
-    dom: PtsTerm = field()
-    cod: PtsTerm = field()
-
-    def children(self) -> Children:
-        return ((self.dom, 0), (self.cod, 1))
-
-    def with_children(self, kids: list[PtsTerm]) -> PPi:
-        return PPi(self.hint, kids[0], kids[1])
-
-    same_node = same_class
-
-
-@dataclass(frozen=True)
-class PLam(PtsTerm):
-    hint: str = field(compare=False)
-    dom: PtsTerm = field()
-    body: PtsTerm = field()
-
-    def children(self) -> Children:
-        return ((self.dom, 0), (self.body, 1))
-
-    def with_children(self, kids: list[PtsTerm]) -> PLam:
-        return PLam(self.hint, kids[0], kids[1])
-
-    same_node = same_class
-
-
-@dataclass(frozen=True)
-class PApp(PtsTerm):
-    fn: PtsTerm
-    arg: PtsTerm
-
-    def children(self) -> Children:
-        return ((self.fn, 0), (self.arg, 0))
-
-    def with_children(self, kids: list[PtsTerm]) -> PApp:
-        return PApp(kids[0], kids[1])
-
-    same_node = same_class
-
-
-def erase_to_pts(t: EptsTerm) -> PtsTerm:
+def erase_to_pts(t: EptsTerm) -> DkTerm:
     """Drop the sort and codomain annotations."""
     match t:
         case EVar(k):
-            return PVar(k)
+            return Var(k)
         case ESort(s):
-            return PSort(s)
+            return Cons(s)
         case EPi(_, _, dom, h, cod):
-            return PPi(h, erase_to_pts(dom), erase_to_pts(cod))
+            return Pi(h, erase_to_pts(dom), erase_to_pts(cod))
         case ELam(_, _, dom, h, _, body):
-            return PLam(h, erase_to_pts(dom), erase_to_pts(body))
+            return Lam(h, erase_to_pts(dom), erase_to_pts(body))
         case EApp(_, _, _, _, _, fn, arg):
-            return PApp(erase_to_pts(fn), erase_to_pts(arg))
+            return App(erase_to_pts(fn), erase_to_pts(arg))
     raise AssertionError(f"not an EPTS term: {t!r}")
 
 
@@ -666,19 +617,19 @@ def _elab(spec: SortSpec, f: Fuel, ctx: EptsContext, t: PtsTerm) -> EptsTerm:
     has none) and a product's rule (its value may have no name) raise
     only where a type is demanded."""
     match t:
-        case PVar(k):
+        case Var(k):
             if not 0 <= k < len(ctx):
                 ctx.type_of(k)   # raises UnboundVariable
             return EVar(k)
-        case PSort(s):
+        case Cons(s, ()):
             spec.require(s)
             return ESort(s)
-        case PPi(h, dom, cod):
+        case Pi(h, dom, cod):
             edom, s1 = _as_type(spec, f, ctx, dom)
             ecod, s2 = _as_type(spec, f, ctx.extend(h, edom), cod)
             _require_rule(spec, s1, s2)
             return EPi(s1, s2, edom, h, ecod)
-        case PLam(h, dom, body):
+        case Lam(h, dom, body):
             edom, s1 = _as_type(spec, f, ctx, dom)
             inner = ctx.extend(h, edom)
             ebody = _elab(spec, f, inner, body)
@@ -686,7 +637,7 @@ def _elab(spec: SortSpec, f: Fuel, ctx: EptsContext, t: PtsTerm) -> EptsTerm:
             s2 = _sort_of(spec, inner, ecod, _head_type(spec, inner, ecod), f)
             _require_rule(spec, s1, s2)
             return ELam(s1, s2, edom, h, ecod, ebody)
-        case PApp(fn, arg):
+        case App(fn, arg):
             efn = _elab(spec, f, ctx, fn)
             fnty = epts_whnf(spec, _head_type(spec, ctx, efn), f)
             match fnty:

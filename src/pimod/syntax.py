@@ -8,12 +8,14 @@ the two uses never clash because a binder's body is always a complete
 term.
 
 One grammar (``_term``) parses framework terms and implicit source
-terms, each in its own scope (``_DkEnv``, ``_PtsEnv``).  One printer
-(``_r``) prints those two back in the same grammar, with binder hints
-freshened against everything in scope, so parse-print round trips are
-identities on the underlying de Bruijn terms; it also prints explicit
-source terms, which are never parsed.  ``render`` prints these three
-languages and simple types: what the command-line driver prints.
+terms, which are framework terms whose sorts are nullary constants;
+only the scope differs (``_DkEnv``, ``_PtsEnv``).  One printer (``_r``)
+prints them back in the same grammar, with binder hints freshened
+against the names in scope and against ``avoid`` (a theory's constants,
+a source term's sorts), so parse-print round trips are identities on
+the underlying de Bruijn terms.  It also prints explicit source terms,
+which are never parsed.  ``render`` prints these two languages and
+simple types: what the command-line driver prints.
 """
 
 from __future__ import annotations
@@ -51,12 +53,6 @@ from .epts import (
     ESort,
     FiniteSortSpec,
     InternalizedSortSpec,
-    PApp,
-    PLam,
-    PPi,
-    PSort,
-    PVar,
-    PtsTerm,
     SortSpec,
 )
 from .morphism import TheoryMorphism
@@ -157,15 +153,15 @@ class _Parser:
 
 # --- terms ---------------------------------------------------------------------
 #
-# One grammar serves both term languages:
+# One grammar serves both scopes:
 #
 #     term ::= (Pi | lam) NAME : term . term  |  app [-> term]
 #     app  ::= atom atom*
 #     atom ::= ( term )  |  NAME
 #
-# A scope supplies what differs between them: the node builders, the
-# reserved atoms, and ``free``, which resolves a NAME that no binder in
-# scope claims (or returns None).
+# A scope supplies what differs between them: the reserved atoms, and
+# ``free``, which resolves a NAME that no binder in scope claims (or
+# returns None).
 
 
 @dataclass
@@ -178,7 +174,6 @@ class _DkEnv:
     stack: list[str] = field(default_factory=list)
     metas: bool = False
 
-    pi, lam, app, var = Pi, Lam, App, Var
     atoms = {"TYPE": TYPE, "KIND": KIND}
 
     def free(self, p: _Parser, name: str) -> DkTerm | None:
@@ -204,19 +199,18 @@ class _PtsEnv:
 
     spec: SortSpec
     stack: list[str] = field(default_factory=list)
-    defs: dict[str, tuple[PtsTerm, int]] = field(default_factory=dict)
+    defs: dict[str, tuple[DkTerm, int]] = field(default_factory=dict)
 
-    pi, lam, app, var = PPi, PLam, PApp, PVar
     atoms = {}
 
-    def free(self, p: _Parser, name: str) -> PtsTerm | None:
+    def free(self, p: _Parser, name: str) -> DkTerm | None:
         if name in self.defs:
             body, base = self.defs[name]
             return shift(body, len(self.stack) - base)
-        return PSort(name) if self.spec.has_sort(name) else None
+        return Cons(name) if self.spec.has_sort(name) else None
 
 
-def _term(p: _Parser, env: _DkEnv | _PtsEnv) -> DkTerm | PtsTerm:
+def _term(p: _Parser, env: _DkEnv | _PtsEnv) -> DkTerm:
     if p.at("ident", "Pi") or p.at("ident", "lam"):
         kw = p.advance().text
         name = p.ident("a binder name")
@@ -228,10 +222,10 @@ def _term(p: _Parser, env: _DkEnv | _PtsEnv) -> DkTerm | PtsTerm:
             body = _term(p, env)
         finally:
             env.stack.pop()
-        return (env.pi if kw == "Pi" else env.lam)(name, ann, body)
+        return (Pi if kw == "Pi" else Lam)(name, ann, body)
     left = _app(p, env)
     if p.eat("punct", "->"):
-        return env.pi("_", left, shift(_term(p, env), 1))
+        return Pi("_", left, shift(_term(p, env), 1))
     return left
 
 
@@ -242,14 +236,14 @@ def _starts_atom(p: _Parser) -> bool:
     return t.kind == "ident" and (t.text in ("TYPE", "KIND") or t.text not in KEYWORDS)
 
 
-def _app(p: _Parser, env: _DkEnv | _PtsEnv) -> DkTerm | PtsTerm:
+def _app(p: _Parser, env: _DkEnv | _PtsEnv) -> DkTerm:
     t = _atom(p, env)
     while _starts_atom(p):
-        t = env.app(t, _atom(p, env))
+        t = App(t, _atom(p, env))
     return t
 
 
-def _atom(p: _Parser, env: _DkEnv | _PtsEnv) -> DkTerm | PtsTerm:
+def _atom(p: _Parser, env: _DkEnv | _PtsEnv) -> DkTerm:
     if p.eat("punct", "("):
         t = _term(p, env)
         p.expect("punct", ")")
@@ -261,14 +255,14 @@ def _atom(p: _Parser, env: _DkEnv | _PtsEnv) -> DkTerm | PtsTerm:
     name = p.ident("a term")
     for depth, bound in enumerate(reversed(env.stack)):
         if bound == name:
-            return env.var(depth)
+            return Var(depth)
     t = env.free(p, name)
     if t is None:
         raise p.fail(f"unknown identifier '{name}'")
     return t
 
 
-def _parse_term(text: str, source: str, env: _DkEnv | _PtsEnv) -> DkTerm | PtsTerm:
+def _parse_term(text: str, source: str, env: _DkEnv | _PtsEnv) -> DkTerm:
     p = _Parser(text, source)
     t = _term(p, env)
     p.expect("eof")
@@ -283,8 +277,8 @@ def parse_dk_term(text: str, theory: Theory, names: Sequence[str] = (),
 
 
 def parse_pts_term(text: str, spec: SortSpec, names: Sequence[str] = (),
-                   defs: dict[str, PtsTerm] | None = None,
-                   source: str = "<term>") -> PtsTerm:
+                   defs: dict[str, DkTerm] | None = None,
+                   source: str = "<term>") -> DkTerm:
     """Parse one implicit-syntax term; ``defs`` are inlined abbreviations.
 
     Definition bodies must be expressed over exactly the ``names`` context.
@@ -381,8 +375,8 @@ def parse_theory(text: str, source: str = "<theory>") -> TheoryFile:
 @dataclass
 class EptsJudgment:
     name: str
-    term: PtsTerm
-    type: PtsTerm
+    term: DkTerm
+    type: DkTerm
 
 
 @dataclass
@@ -395,8 +389,8 @@ class EptsFile:
     a judgment.
     """
 
-    assumes: tuple[tuple[str, PtsTerm], ...]
-    definitions: tuple[tuple[str, PtsTerm], ...]
+    assumes: tuple[tuple[str, DkTerm], ...]
+    definitions: tuple[tuple[str, DkTerm], ...]
     judgments: tuple[EptsJudgment, ...]
 
 
@@ -404,9 +398,9 @@ def parse_epts_file(text: str, spec: SortSpec,
                     source: str = "<judgments>") -> EptsFile:
     p = _Parser(text, source)
     env = _PtsEnv(spec)
-    assumes: list[tuple[str, PtsTerm]] = []
-    defs_in_order: list[tuple[str, PtsTerm, int]] = []
-    pending: list[tuple[str, PtsTerm, PtsTerm, int]] = []
+    assumes: list[tuple[str, DkTerm]] = []
+    defs_in_order: list[tuple[str, DkTerm, int]] = []
+    pending: list[tuple[str, DkTerm, DkTerm, int]] = []
 
     while not p.at("eof"):
         if p.eat("ident", "assume"):
@@ -422,7 +416,7 @@ def parse_epts_file(text: str, spec: SortSpec,
             name = p.ident("a definition name")
             if name in env.defs or spec.has_sort(name) or name in env.stack:
                 raise p.fail(f"'{name}' is already bound")
-            ty: PtsTerm | None = None
+            ty: DkTerm | None = None
             if p.eat("punct", ":"):
                 ty = _term(p, env)
             p.expect("punct", ":=")
@@ -607,10 +601,10 @@ def _r(t: Any, env: list[str], prec: int, avoid: set[str]) -> str:
             return c
         case Cons(c, args):
             return f"{c}({', '.join(_r(a, env, 0, avoid) for a in args)})"
-        case App(f, a) | PApp(f, a):
+        case App(f, a):
             s = f"{_r(f, env, 1, avoid)} {_r(a, env, 2, avoid)}"
             return s if prec <= 1 else f"({s})"
-        case Pi(h, dom, cod) | PPi(h, dom, cod):
+        case Pi(h, dom, cod):
             if _uses(cod, 0):
                 name = _fresh(h, env, avoid)
                 s = (f"Pi {name} : {_r(dom, env, 0, avoid)}. "
@@ -618,7 +612,7 @@ def _r(t: Any, env: list[str], prec: int, avoid: set[str]) -> str:
             else:  # the codomain never names the placeholder binder
                 s = f"{_r(dom, env, 1, avoid)} -> {_r(cod, env + [''], 0, avoid)}"
             return s if prec == 0 else f"({s})"
-        case Lam(h, ann, body) | PLam(h, ann, body):
+        case Lam(h, ann, body):
             name = _fresh(h, env, avoid)
             s = (f"lam {name} : {_r(ann, env, 0, avoid)}. "
                  f"{_r(body, env + [name], 0, avoid)}")
@@ -627,7 +621,7 @@ def _r(t: Any, env: list[str], prec: int, avoid: set[str]) -> str:
             return "TYPE"
         case Kind():
             return "KIND"
-        case Meta(name) | PSort(name) | ESort(name):
+        case Meta(name) | ESort(name):
             return name
         case EPi() | ELam() | EApp():
             name = _fresh(t.hint, env, avoid)

@@ -70,12 +70,13 @@ a regex of their own and tries each punctuation mark in turn.  They are
 copied as they were.
 
 The framework and source term parsers (``_dk_term``, ``_pts_term`` and
-their helpers) and the three term printers (``_r_dk``, ``_r_pts`` and
-``_r_epts``, with the occurrence checks ``_dk_uses`` and
-``_pts_uses``) are one recursive descent and one printer per term
-language; ``pimod.syntax`` derives all of them from one grammar and one
-printer.  ``parse_dk_term``, ``parse_pts_term`` and ``render`` run them
-the way the library's entry points do.
+their helpers) are one recursive descent per scope, and the two term
+printers (``_r_dk``, with the occurrence check ``_dk_uses``, and
+``_r_epts``) one printer per term language; ``pimod.syntax`` derives all
+of them from one grammar and one printer.  Implicit source terms are
+framework terms, so ``_r_dk`` prints them too.  ``parse_dk_term``,
+``parse_pts_term`` and ``render`` run them the way the library's entry
+points do.
 
 The last section keeps the stages of ``conservative_invert`` after the
 kernel check as they were before they visited each distinct node object
@@ -1102,46 +1103,6 @@ def _r_dk(t: DkTerm, env: list[str], prec: int, avoid: set[str]) -> str:
     raise TypeError(f"not a framework term: {t!r}")
 
 
-def _pts_uses(t: PtsTerm, j: int) -> bool:
-    match t:
-        case PVar(k):
-            return k == j
-        case PApp(f, a):
-            return _pts_uses(f, j) or _pts_uses(a, j)
-        case PLam(_, dom, body):
-            return _pts_uses(dom, j) or _pts_uses(body, j + 1)
-        case PPi(_, dom, cod):
-            return _pts_uses(dom, j) or _pts_uses(cod, j + 1)
-        case _:
-            return False
-
-
-def _r_pts(t: PtsTerm, env: list[str], prec: int, avoid: set[str]) -> str:
-    match t:
-        case PSort(s):
-            return s
-        case PVar(k):
-            return _var_name(k, env)
-        case PApp(f, a):
-            s = f"{_r_pts(f, env, 1, avoid)} {_r_pts(a, env, 2, avoid)}"
-            return s if prec <= 1 else f"({s})"
-        case PLam(h, dom, body):
-            name = _fresh(h, env, avoid)
-            s = (f"lam {name} : {_r_pts(dom, env, 0, avoid)}. "
-                 f"{_r_pts(body, env + [name], 0, avoid)}")
-            return s if prec == 0 else f"({s})"
-        case PPi(h, dom, cod):
-            if not _pts_uses(cod, 0):
-                s = (f"{_r_pts(dom, env, 1, avoid)} -> "
-                     f"{_r_pts(pts_shift(cod, -1, 1), env, 0, avoid)}")
-            else:
-                name = _fresh(h, env, avoid)
-                s = (f"Pi {name} : {_r_pts(dom, env, 0, avoid)}. "
-                     f"{_r_pts(cod, env + [name], 0, avoid)}")
-            return s if prec == 0 else f"({s})"
-    raise TypeError(f"not a PTS term: {t!r}")
-
-
 def _r_epts(t: EptsTerm, env: list[str], avoid: set[str]) -> str:
     """Explicit syntax is printed (for reports), never parsed back."""
     match t:
@@ -1168,13 +1129,12 @@ def _r_epts(t: EptsTerm, env: list[str], avoid: set[str]) -> str:
 
 
 def render(x: Any, names: Sequence[str] = (), avoid: Sequence[str] = ()) -> str:
-    """A term of any of the three printed languages, by its own printer."""
+    """A framework term (implicit source terms are framework terms) or an
+    explicit term, by its own printer."""
     a = set(avoid)
     env = list(names)
     if isinstance(x, DkTerm):
         return _r_dk(x, env, 0, a)
-    if isinstance(x, PtsTerm):
-        return _r_pts(x, env, 0, a)
     return _r_epts(x, env, a)
 
 

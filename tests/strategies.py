@@ -49,14 +49,14 @@ def dk_terms(max_free=3, sorts=True, metas=False, max_leaves=12):
     return st.recursive(st.one_of(*leaves), extend, max_leaves=max_leaves)
 
 
-def pts_terms(sorts=("Type",), max_free=3, max_leaves=10):
+def pts_terms(sorts=("Type",), max_free=3, max_leaves=10, hints=HINTS):
     leaves = st.one_of(st.builds(PVar, st.integers(0, max_free - 1)),
                        st.builds(PSort, st.sampled_from(sorts)))
 
     def extend(ch):
         return st.one_of(st.builds(PApp, ch, ch),
-                         st.builds(PLam, HINTS, ch, ch),
-                         st.builds(PPi, HINTS, ch, ch))
+                         st.builds(PLam, hints, ch, ch),
+                         st.builds(PPi, hints, ch, ch))
 
     return st.recursive(leaves, extend, max_leaves=max_leaves)
 

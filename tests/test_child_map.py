@@ -2,7 +2,7 @@
 
 ``reference`` spells shifting and substitution out constructor by
 constructor, once per term language; the library derives them for all
-four languages from the ``children``/``with_children`` methods of the
+three languages from the ``children``/``with_children`` methods of the
 node classes.  The reduction engine of ``pimod.rewrite`` searches for
 redexes, normalizes and descends through congruences over the child
 map, for framework and source terms alike.  ``step`` and ``reducts``
@@ -142,7 +142,6 @@ class TestCompleteness:
         names = {c.__name__ for c in self.CLASSES}
         assert {"Var", "Cons", "Type", "Kind", "App", "Lam", "Pi", "Meta",
                 "EVar", "ESort", "EPi", "ELam", "EApp",
-                "PVar", "PSort", "PPi", "PLam", "PApp",
                 "SVar", "SConst", "SApp", "SLam"} <= names
 
     def test_variables_are_marked(self):

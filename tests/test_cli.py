@@ -476,6 +476,41 @@ class TestShadowedNames:
         assert err.endswith("      x' : M\n")
 
 
+class TestBindersNamedAfterSorts:
+    """A source binder whose hint is a sort's name prints primed, as a
+    framework binder named after a constant does, so that the printed
+    term reads back as the term."""
+
+    # the image of `lam A : Type. lam x : A. lam B : Type. x` with its
+    # first binder hinted `Type`, and its type
+    TERM = ("abs@Kind@Type(u@Type, lam Type : El@Kind(u@Type). Prod@Type@Type(Type, "
+            "lam x : El@Type(Type). Prod@Kind@Type(u@Type, lam B : El@Kind(u@Type). Type)), "
+            "lam Type : El@Kind(u@Type). abs@Type@Type(Type, lam x : El@Type(Type). "
+            "Prod@Kind@Type(u@Type, lam B : El@Kind(u@Type). Type), lam x : El@Type(Type). "
+            "abs@Kind@Type(u@Type, lam B : El@Kind(u@Type). Type, "
+            "lam B : El@Kind(u@Type). x)))")
+    TYPE = "Pi A : Type. A -> Pi B : Type. A"
+
+    def test_decoded_term_reads_back(self, tmp_path, capsys):
+        assert main(["decode", SYSTEMF_SORTS, SYSTEMF_EPTS, "--mode", "finite",
+                     "--term", self.TERM, "--type", self.TYPE]) == 0
+        shown = capsys.readouterr().out.rstrip().rsplit("--  ", 1)[1]
+        assert shown == "lam Type' : Type. lam x : Type'. lam B : Type. x"
+        epts = tmp_path / "back.epts"
+        epts.write_text(f"assume C : Type.\ndef back : {self.TYPE} := {shown}.\n")
+        assert main(["check-epts", SYSTEMF_SORTS, str(epts), "--mode", "finite"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_explicit_trace(self, tmp_path, capsys):
+        epts = tmp_path / "sort_named.epts"
+        epts.write_text("def k : Pi A : Type. A -> A := lam Type : Type. lam x : Type. x.\n")
+        assert main(["check-epts", SYSTEMF_SORTS, str(epts), "--mode", "finite",
+                     "--trace"]) == 0
+        assert capsys.readouterr().err == (
+            "      lam{Kind,Type}(Type, Type'. Pi{Type,Type}(Type', x. Type'), "
+            "Type'. lam{Type,Type}(Type', x. Type', x. x))\n")
+
+
 class TestTypeErrorNames:
     """A type error prints the variables of its context by name, as the
     subject of the failed check prints them."""

@@ -319,6 +319,10 @@ class TestMorphismFiles:
         assert back.body == mor.body
 
 
+# System F's sorts as nullary framework constants
+SORTS_AS_CONSTANTS = Theory(tuple(Declaration(s, (), TYPE) for s in SYSTEM_F.sorts), ())
+
+
 class TestPrintParseIdentity:
     @given(dk_terms())
     def test_dk_terms(self, t):
@@ -330,10 +334,19 @@ class TestPrintParseIdentity:
         text = render(t, names=FREE_NAMES)
         assert parse_dk_term(text, PARSE_THEORY, FREE_NAMES, metas=True) == t
 
-    @given(pts_terms())
+    # binder hints that are also the names of System F's sorts
+    @given(pts_terms(sorts=SYSTEM_F.sorts,
+                     hints=st.sampled_from(["x", "y", *SYSTEM_F.sorts])))
     def test_pts_terms(self, t):
-        text = render(t, names=FREE_NAMES)
+        text = render(t, FREE_NAMES, avoid=SYSTEM_F.sorts)
         assert parse_pts_term(text, SYSTEM_F, FREE_NAMES) == t
+
+    @given(pts_terms(sorts=SYSTEM_F.sorts))
+    def test_pts_terms_are_framework_terms(self, t):
+        """A source term reads back through the framework grammar, against
+        a theory that declares each sort as a nullary constant."""
+        text = render(t, names=FREE_NAMES)
+        assert parse_dk_term(text, SORTS_AS_CONSTANTS, FREE_NAMES) == t
 
     def test_theory_round_trip_on_generated_encodings(self):
         # telescope hints may be freshened against constant names (MLTT
