@@ -26,8 +26,10 @@ theories written by ``encode``; ``corpus``; an unknown subcommand, plain
 and machine-readable; and ``roundtrip`` with ``--fuel 0``, a usage of
 the budget that is rejected, and with ``--fuel 5``, a budget that runs
 out.  Last, with System F, ``decode --term`` of an image whose first
-binder is hinted ``Type``, the name of a sort.  The inputs of these
-cases are written to ``OUT_DIR/cases/``.
+binder is hinted ``Type``, the name of a sort, and ``roundtrip --trace``
+of a judgment with a binder hinted ``u@Type``, the name of a constant of
+the finite encoding.  The inputs of these cases are written to
+``OUT_DIR/cases/``.
 
 Every run goes in-process through ``pimod.cli.main`` (or the script's
 ``main``), with the current directory set to OUT_DIR.  Run number N
@@ -112,6 +114,11 @@ SHADOW_TERM = (
     "abs@Kind@Type(u@Type, lam B : El@Kind(u@Type). Type, "
     "lam B : El@Kind(u@Type). x)))",
     "Pi A : Type. A -> Pi B : Type. A")
+# a System F judgment with a binder hinted `u@Type`, the name of a
+# constant of the finite encoding, which `roundtrip --trace` prints
+SHADOW_BINDER = ("def f : Pi A : Type. Pi B : Type. A -> A := "
+                 "(lam g : Pi A : Type. Pi B : Type. A -> A. g) "
+                 "(lam u@Type : Type. lam B : Type. lam x : u@Type. x).\n")
 # nesting depths of System F numerals under `roundtrip`: one well inside
 # the stack and one far past it
 NUMERAL_DEPTHS = (200, 600)
@@ -238,6 +245,9 @@ def case_commands(cases: Path, systems) -> list[list[str]]:
         term, type_ = SHADOW_TERM
         runs.append(["decode", str(CORPUS / "systemf.sorts"), str(CORPUS / "systemf.epts"),
                      "--mode", "finite", "--term", term, "--type", type_])
+        (cases / "shadow_binder.epts").write_text(SHADOW_BINDER)
+        runs.append(["roundtrip", str(CORPUS / "systemf.sorts"), "cases/shadow_binder.epts",
+                     "--mode", "finite", "--trace"])
     return runs
 
 

@@ -52,6 +52,7 @@ from .syntax import (
     parse_sort_spec_file,
     parse_theory,
     render,
+    render_bodies,
     render_morphism,
     render_theory,
 )
@@ -129,12 +130,15 @@ def _load_spec(path: str, mode: str) -> tuple[SortSpec, str]:
     return sf.internalized, "internalized"
 
 
-def _setup(args) -> tuple[EncodingTheory, EptsContext, EptsFile]:
+def _setup(args) -> tuple[EncodingTheory, EptsContext, EptsFile, list[str], set[str]]:
+    """The encoding, the context and the file; and the context's names and
+    the constant names that binders avoid, as ``render_theory`` prints them."""
     spec, _ = _load_spec(args.sorts, args.mode)
     enc = generate(spec)
     file = parse_epts_file(_read(args.source), spec, source=args.source)
     ctx = elaborate_context(spec, file.assumes, fuel=args.fuel)
-    return enc, ctx, file
+    avoid = {d.name for d in enc.theory.signature}
+    return enc, ctx, file, fresh_names(ctx.names, avoid), avoid
 
 
 # --- subcommands -----------------------------------------------------------------
@@ -191,7 +195,7 @@ def _cmd_check_epts(args, rep: Reporter) -> None:
 
 
 def _cmd_encode(args, rep: Reporter) -> None:
-    enc, ctx, file = _setup(args)
+    enc, ctx, file, shown, avoid = _setup(args)
     dctx = translate_ctx(enc, ctx, fuel=args.fuel)
     checks = []
     for j in file.judgments:
@@ -201,7 +205,7 @@ def _cmd_encode(args, rep: Reporter) -> None:
         epts_check(enc.spec, ctx, m, a, f)
         checks.append((translate(enc, m), expected_dk_type(enc, ctx, a, f)))
         if args.trace:
-            rep.trace(f"{j.name} -> {render(checks[-1][0], fresh_names(dctx.names))}")
+            rep.trace(f"{j.name} -> {render(checks[-1][0], shown, avoid)}")
     stem = Path(args.source).stem + "_" + enc.mode
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -215,7 +219,7 @@ def _cmd_encode(args, rep: Reporter) -> None:
 
 
 def _cmd_decode(args, rep: Reporter) -> None:
-    enc, ctx, file = _setup(args)
+    enc, ctx, file, dk_shown, avoid = _setup(args)
     names = list(ctx.names)
     shown = fresh_names(names)
     defs = dict(file.definitions)
@@ -231,7 +235,7 @@ def _cmd_decode(args, rep: Reporter) -> None:
             # replayed once the term has checked, so that it normalizes
             _, trail = reduce_trace(enc.theory, t, frozenset({BETA}), f)
             for label, step_t in trail:
-                rep.trace(f"--{label}--> {render(step_t, shown)}")
+                rep.trace(f"--{label}--> {render(step_t, dk_shown, avoid)}")
         rep.result("decode", args.term, True,
                    render(erase_to_pts(m), shown, enc.spec.sorts))
         return
@@ -255,7 +259,7 @@ _LEG_LABEL = {
 
 
 def _cmd_roundtrip(args, rep: Reporter) -> None:
-    enc, ctx, file = _setup(args)
+    enc, ctx, file, shown, avoid = _setup(args)
     for j in file.judgments:
         f = Fuel(args.fuel)
         m = elaborate(enc.spec, ctx, j.term, f)
@@ -266,7 +270,7 @@ def _cmd_roundtrip(args, rep: Reporter) -> None:
             img = translate(enc, m)
             _, trail = reduce_trace(enc.theory, img, enc.simulation_labels(), f)
             for label, t in trail:
-                rep.trace(f"--{label}--> {render(t, fresh_names(ctx.names))}")
+                rep.trace(f"--{label}--> {render(t, shown, avoid)}")
 
 
 def _cmd_analyze(args, rep: Reporter) -> None:
@@ -307,8 +311,8 @@ def _verify_and_report(mor, rep: Reporter, subject: str, fuel: int,
     for d in diags:
         rep.diagnostic(d)
     if trace:
-        for name in mor.body:
-            rep.trace(f"{name} := {render(mor.body[name])}")
+        for name, body in render_bodies(mor):
+            rep.trace(f"{name} := {body}")
     if not any(d.severity == "error" for d in diags):
         rep.result("morphism", subject, True,
                    f"{len(mor.body)} constants mapped")

@@ -41,23 +41,22 @@ class CorpusCase:
         return f"{self.corpus}/{self.mode}"
 
 
+def _case(corpus: str, mode: str, spec: SortSpec) -> CorpusCase:
+    fname = f"{corpus}.epts"
+    return CorpusCase(corpus, mode, spec, parse_epts_file(read_text(fname), spec, source=fname))
+
+
 def load_case(corpus: str, mode: str) -> CorpusCase:
     sf = load_sorts(corpus)
     spec = sf.finite if mode == "finite" else sf.internalized
     if spec is None:
         raise KeyError(f"{corpus} has no {mode} specification")
-    fname = f"{corpus}.epts"
-    file = parse_epts_file(read_text(fname), spec, source=fname)
-    return CorpusCase(corpus, mode, spec, file)
+    return _case(corpus, mode, spec)
 
 
 def load_cases() -> tuple[CorpusCase, ...]:
-    """Every bundled system under every mode its sort file provides."""
-    out = []
-    for name in CORPUS_NAMES:
-        sf = load_sorts(name)
-        if sf.finite is not None:
-            out.append(load_case(name, "finite"))
-        if sf.internalized is not None:
-            out.append(load_case(name, "internalized"))
-    return tuple(out)
+    """Every bundled system under every mode its sort file provides, each parsed once."""
+    files = {name: load_sorts(name) for name in CORPUS_NAMES}
+    return tuple(_case(name, mode, spec) for name, sf in files.items()
+                 for mode, spec in (("finite", sf.finite), ("internalized", sf.internalized))
+                 if spec is not None)

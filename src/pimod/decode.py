@@ -3,12 +3,13 @@
 ``translate`` writes five productions through ``EncodingTheory.family``:
 a variable, a universe code ``u``, and a ``Prod``, ``abs`` or ``app``
 family member.  ``invert`` reads the same five back through ``split``
-and is an exact left inverse on them.  ``conservative_invert`` extends
-this to any well-typed inhabitant of an encoded type by beta-normalizing
-first; the intermediate soundness facts this relies on are asserted
-along the way and raise :class:`InternalSoundnessError` subclasses when
-violated, because a failure there is a bug in the toolkit rather than
-bad input.
+into three annotated nodes over framework leaves, returning each
+variable itself, and is an exact left inverse on them.
+``conservative_invert`` extends this to any well-typed inhabitant of an
+encoded type by beta-normalizing first; the intermediate soundness facts
+this relies on are asserted along the way and raise
+:class:`InternalSoundnessError` subclasses when violated, because a
+failure there is a bug in the toolkit rather than bad input.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from .epts import (
     EApp,
     ELam,
     EPi,
-    ESort,
-    EVar,
     EptsContext,
     EptsTerm,
     epts_check,
@@ -42,8 +41,9 @@ def invert(enc: EncodingTheory, t: DkTerm) -> EptsTerm:
     """Translate back, discarding binder annotations.
 
     Reads the productions :func:`translate` writes, through
-    :meth:`EncodingTheory.split`: a variable, a universe code ``u``, and
-    ``Prod``, ``abs`` and ``app`` whose binder annotations are dropped.
+    :meth:`EncodingTheory.split`: a variable (returned itself), a
+    universe code ``u``, and ``Prod``, ``abs`` and ``app`` whose binder
+    annotations are dropped.
     On images it is the exact inverse.  Anything else, a beta redex
     included, raises :class:`NotInvertible`; :func:`conservative_invert`
     beta-normalizes first.
@@ -59,12 +59,12 @@ def invert(enc: EncodingTheory, t: DkTerm) -> EptsTerm:
         if m is not None:
             return m
         match u:
-            case Var(k):
-                m = EVar(k)
+            case Var():
+                m = u
             case Cons(name, args):
                 match enc.split(name, args):
                     case "u", (s,), ():
-                        m = ESort(s)
+                        m = Cons(s)
                     case "Prod", (s1, s2), (a, Lam(h, _, b)):
                         m = EPi(s1, s2, back(a), h, back(b))
                     case "abs", (s1, s2), (a, Lam(h, _, b), Lam(_, _, n)):

@@ -8,9 +8,10 @@ For an internalized specification there is a single family of each,
 indexed by a first-order sort argument, together with the user's sort
 formers and the rewrite rules defining ``Ax`` and ``Ru``.
 
-``translate`` maps explicitly annotated PTS terms into the generated
-theory; it is blind to types and contexts, commutes with substitution
-on the nose, and sends well-typed terms to well-typed terms.
+``translate`` maps explicit PTS terms, three annotated nodes over
+framework leaves, into the generated theory; it keeps variables, is
+blind to types and contexts, commutes with substitution on the nose,
+and sends well-typed terms to well-typed terms.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ from .epts import (
     EApp,
     ELam,
     EPi,
-    ESort,
-    EVar,
     EptsContext,
     EptsTerm,
     FiniteSortSpec,
@@ -271,9 +270,10 @@ def generate(spec: SortSpec) -> EncodingTheory:
 def translate(enc: EncodingTheory, m: EptsTerm) -> DkTerm:
     """Image of an explicitly annotated term in the generated theory.
 
-    Writes five productions through :meth:`EncodingTheory.family`: a
-    variable, a universe code ``u``, and ``Prod``, ``abs`` and ``app``,
-    whose binders are annotated with ``El`` of the domain's image.
+    Writes five productions: a variable, whose image is the first source
+    ``Var`` of its index, and through :meth:`EncodingTheory.family` a
+    universe code ``u``, and ``Prod``, ``abs`` and ``app``, whose binders
+    are annotated with ``El`` of the domain's image.
     :func:`pimod.decode.invert` reads the same productions back.
     Variables keep their indices, so the image of a judgment lives over
     the pointwise-translated context.  Substitution commutes with this
@@ -325,9 +325,9 @@ class _Translation:
     def _image(self, m: EptsTerm) -> DkTerm:
         fam, term, lam = self.family, self.term, self.lam
         match m:
-            case EVar(k):
-                return self.share(k, Var(k))
-            case ESort(s):
+            case Var(k):
+                return self.share(k, m)
+            case Cons(s, ()):
                 return fam("u", (s,), ())
             case EPi(s1, s2, dom, h, cod):
                 ann = self.el(s1, dom)
@@ -364,6 +364,6 @@ def expected_dk_type(enc: EncodingTheory, ctx: EptsContext, a: EptsTerm,
     of ``s`` by the u-red rule.
     """
     match a:
-        case ESort(s) if not enc.spec.axiom_defined(s):
+        case Cons(s, ()) if not enc.spec.axiom_defined(s):
             return enc.family("U", (s,), ())
     return _Translation(enc).el(sort_of_type(enc.spec, ctx, a, fuel), a)

@@ -5,13 +5,15 @@ the usual PTS language, which is the framework's term language with
 each sort a nullary constant: ``PtsTerm``, ``PVar``, ``PSort``,
 ``PPi``, ``PLam`` and ``PApp`` are the source spellings of
 :class:`pimod.terms.DkTerm`, ``Var``, ``Cons``, ``Pi``, ``Lam`` and
-``App``.  The explicit layer (``EptsTerm``) additionally records, on
-every product, abstraction and application, the sort pair of the
-product rule involved and the full codomain family.  Beta reduction on
-the explicit layer is linearized: it fires only when the application
-and abstraction agree on their sort pair, and it never inspects the
-remaining annotations.  ``elaborate`` is the type-directed map from
-implicit to explicit syntax and ``erase_to_pts`` its left inverse.
+``App``.  The explicit layer's nodes, ``EPi``, ``ELam`` and ``EApp``
+(``EptsTerm``), also record the sort pair of the product rule involved
+and the full codomain family; its leaves are the same ``Var`` and
+nullary ``Cons`` (``EVar`` and ``ESort``), so a leaf passes through every
+stage as the same object.  Beta reduction on the explicit layer is
+linearized: it fires only when the application and abstraction agree
+on their sort pair, and it never inspects the remaining annotations.
+``elaborate`` is the type-directed map from implicit to explicit syntax
+and ``erase_to_pts`` its left inverse.
 
 Both layers are :class:`pimod.terms.Term` languages: each inner node
 states its subterms and binders in its own ``children`` method, and
@@ -61,7 +63,6 @@ from .terms import (
     Term,
     Theory,
     Var,
-    Variable,
     subst,
     subterms,
     validate_theory,
@@ -306,7 +307,7 @@ class InternalizedSortSpec(SortSpec):
 
 
 class EptsTerm(Term):
-    """Explicitly annotated PTS terms (de Bruijn indices)."""
+    """An annotated node of an explicit PTS term; the leaves are ``Var`` and ``Cons``."""
 
     __slots__ = ()
 
@@ -314,16 +315,6 @@ class EptsTerm(Term):
 def _same_rule(self: EptsTerm, other: Term) -> bool:
     """:meth:`Term.same_node` of the annotated inner nodes: the same sort pair too."""
     return type(other) is type(self) and other.s1 == self.s1 and other.s2 == self.s2
-
-
-@dataclass(frozen=True)
-class EVar(EptsTerm, Variable):
-    index: int
-
-
-@dataclass(frozen=True)
-class ESort(EptsTerm):
-    name: str
 
 
 @dataclass(frozen=True)
@@ -384,25 +375,23 @@ class EApp(EptsTerm):
     same_node = _same_rule
 
 
-# the implicit layer's spellings (see the module docstring)
+# the implicit layer's spellings, and the explicit layer's leaves (see the
+# module docstring)
 PtsTerm = DkTerm
 PVar, PSort, PPi, PLam, PApp = Var, Cons, Pi, Lam, App
+EVar, ESort = Var, Cons
 
 
 def erase_to_pts(t: EptsTerm) -> DkTerm:
-    """Drop the sort and codomain annotations."""
+    """Drop the sort and codomain annotations; a leaf is returned itself."""
     match t:
-        case EVar(k):
-            return Var(k)
-        case ESort(s):
-            return Cons(s)
         case EPi(_, _, dom, h, cod):
             return Pi(h, erase_to_pts(dom), erase_to_pts(cod))
         case ELam(_, _, dom, h, _, body):
             return Lam(h, erase_to_pts(dom), erase_to_pts(body))
         case EApp(_, _, _, _, _, fn, arg):
             return App(erase_to_pts(fn), erase_to_pts(arg))
-    raise AssertionError(f"not an EPTS term: {t!r}")
+    return t
 
 
 # --- linearized beta reduction -------------------------------------------------
@@ -495,15 +484,15 @@ def _head_type(spec: SortSpec, ctx: EptsContext, m: EptsTerm) -> EptsTerm:
     elaboration reads it off the terms it builds, whose premises its
     own derivation has established."""
     match m:
-        case EVar(k):
+        case Var(k):
             return ctx.type_of(k)
-        case ESort(s):
+        case Cons(s, ()):
             a = spec.axiom_of(s)
             if a is None:
                 raise TopSortHasNoType(f"sort '{s}' has no axiom")
-            return ESort(a)
+            return Cons(a)
         case EPi(s1, s2):
-            return ESort(spec.rule_of(s1, s2))
+            return Cons(spec.rule_of(s1, s2))
         case ELam(s1, s2, dom, h, cod):
             return EPi(s1, s2, dom, h, cod)
         case EApp(cod=cod, arg=arg):
@@ -551,9 +540,9 @@ class _Checker:
         spec = self.spec
         spec.require(m.s1)
         spec.require(m.s2)
-        self.check(ctx, m.dom, ESort(m.s1))
+        self.check(ctx, m.dom, Cons(m.s1))
         inner = self.extend(ctx, m.hint, m.dom)
-        self.check(inner, m.cod, ESort(m.s2))
+        self.check(inner, m.cod, Cons(m.s2))
         _require_rule(spec, m.s1, m.s2)
         return inner
 
@@ -589,7 +578,7 @@ def _sort_of(spec: SortSpec, ctx: EptsContext, a: EptsTerm, ty: EptsTerm,
     """The sort ``s`` with ``a : s``, given ``ty``, the type of ``a``."""
     ty = epts_whnf(spec, ty, f)
     match ty:
-        case ESort(s):
+        case Cons(s, ()):
             return s
     raise ElaborationFailed("expected a type, but its type is not a sort",
                             names=ctx.names, subject=a, actual=ty)
@@ -620,10 +609,10 @@ def _elab(spec: SortSpec, f: Fuel, ctx: EptsContext, t: PtsTerm) -> EptsTerm:
         case Var(k):
             if not 0 <= k < len(ctx):
                 ctx.type_of(k)   # raises UnboundVariable
-            return EVar(k)
+            return t
         case Cons(s, ()):
             spec.require(s)
-            return ESort(s)
+            return t
         case Pi(h, dom, cod):
             edom, s1 = _as_type(spec, f, ctx, dom)
             ecod, s2 = _as_type(spec, f, ctx.extend(h, edom), cod)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from .analysis import SimpleType, render_simple
 from .errors import ParseError, Span
@@ -50,7 +50,6 @@ from .epts import (
     EApp,
     ELam,
     EPi,
-    ESort,
     FiniteSortSpec,
     InternalizedSortSpec,
     SortSpec,
@@ -621,7 +620,7 @@ def _r(t: Any, env: list[str], prec: int, avoid: set[str]) -> str:
             return "TYPE"
         case Kind():
             return "KIND"
-        case Meta(name) | ESort(name):
+        case Meta(name):
             return name
         case EPi() | ELam() | EApp():
             name = _fresh(t.hint, env, avoid)
@@ -665,12 +664,14 @@ def render_theory(theory: Theory, assumes: DkContext | None = None,
     return "\n".join(lines) + "\n"
 
 
-def render_morphism(mor: TheoryMorphism) -> str:
+def render_bodies(mor: TheoryMorphism) -> Iterator[tuple[str, str]]:
+    """Each mapped constant and its body, as :func:`render_morphism` prints them."""
     avoid = {d.name for d in mor.target.signature}
-    lines = []
     for name, body in mor.body.items():
         decl = mor.source.decl(name)
-        acc = fresh_names((h for h, _ in decl.telescope) if decl is not None else (),
-                          avoid)
-        lines.append(f"map {name} := {_r(body, acc, 0, avoid)}.")
-    return "\n".join(lines) + "\n"
+        acc = fresh_names((h for h, _ in decl.telescope) if decl is not None else (), avoid)
+        yield name, _r(body, acc, 0, avoid)
+
+
+def render_morphism(mor: TheoryMorphism) -> str:
+    return "\n".join(f"map {name} := {body}." for name, body in render_bodies(mor)) + "\n"

@@ -8,9 +8,9 @@ pattern variables and may appear only inside rewrite rules.
 
 One child map serves all three term languages (framework terms here,
 which are also the implicit source terms, explicit PTS terms in
-:mod:`pimod.epts`, untyped lambda terms in :mod:`pimod.analysis`): each
-inner node class states its subterms and binders in its methods (see
-:class:`Term`).  Shifting, substitution, the folds :func:`map_leaves` and
+:mod:`pimod.epts`, three annotated nodes over the framework's leaves,
+untyped lambda terms in :mod:`pimod.analysis`): each inner node class
+states its subterms and binders in its methods (see :class:`Term`).  Shifting, substitution, the folds :func:`map_leaves` and
 :func:`subterms`, contexts, redex search, conversion and morphism
 application are written once against it.  Every table keyed by node
 identity is a :class:`NodeMemo`.

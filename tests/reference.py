@@ -2,12 +2,12 @@
 operations derived from the one child map are compared against.
 
 Each function is a direct recursion over the constructors of one term
-language (framework, annotated PTS, implicit PTS and untyped lambda
-terms), independent of the child map that ``pimod.terms`` derives these
-operations from; ``pts_shift`` and ``stlc_shift`` are the library's
-former per-language shifts.  Substitution here re-shifts the value at
-every binder it crosses, a second route to the result the library
-reaches by shifting once at the leaves.
+language (framework terms, which implicit PTS terms are, annotated PTS
+and untyped lambda terms), independent of the child map that
+``pimod.terms`` derives these operations from; ``stlc_shift`` is the
+library's former shift of lambda terms.  Substitution here re-shifts
+the value at every binder it crosses, a second route to the result the
+library reaches by shifting once at the leaves.
 
 ``check_orthogonal`` and its helpers are the overlap checker that tried
 every ordered pair of rules, renaming both apart for each pair, and
@@ -258,40 +258,6 @@ def epts_subst(t: EptsTerm, j: int, value: EptsTerm) -> EptsTerm:
                         epts_subst(fn, j, value),
                         epts_subst(arg, j, value))
     raise AssertionError(f"not an EPTS term: {t!r}")
-
-
-def pts_shift(t: PtsTerm, by: int, cutoff: int = 0) -> PtsTerm:
-    match t:
-        case PVar(k):
-            return PVar(k + by) if k >= cutoff else t
-        case PSort(_):
-            return t
-        case PPi(h, dom, cod):
-            return PPi(h, pts_shift(dom, by, cutoff), pts_shift(cod, by, cutoff + 1))
-        case PLam(h, dom, body):
-            return PLam(h, pts_shift(dom, by, cutoff), pts_shift(body, by, cutoff + 1))
-        case PApp(fn, arg):
-            return PApp(pts_shift(fn, by, cutoff), pts_shift(arg, by, cutoff))
-    raise AssertionError(f"not a PTS term: {t!r}")
-
-
-def pts_subst(t: PtsTerm, j: int, value: PtsTerm) -> PtsTerm:
-    match t:
-        case PVar(k):
-            if k == j:
-                return value
-            return PVar(k - 1) if k > j else t
-        case PSort(_):
-            return t
-        case PPi(h, dom, cod):
-            return PPi(h, pts_subst(dom, j, value),
-                       pts_subst(cod, j + 1, pts_shift(value, 1)))
-        case PLam(h, dom, body):
-            return PLam(h, pts_subst(dom, j, value),
-                        pts_subst(body, j + 1, pts_shift(value, 1)))
-        case PApp(fn, arg):
-            return PApp(pts_subst(fn, j, value), pts_subst(arg, j, value))
-    raise AssertionError(f"not a PTS term: {t!r}")
 
 
 def stlc_shift(t: StlcTerm, by: int, cutoff: int = 0) -> StlcTerm:
@@ -1018,7 +984,7 @@ def _pts_term(p: _Parser, env: _PtsEnv) -> PtsTerm:
     left = _pts_app(p, env)
     if p.eat("punct", "->"):
         right = _pts_term(p, env)
-        return PPi("_", left, pts_shift(right, 1))
+        return PPi("_", left, shift(right, 1))
     return left
 
 
@@ -1043,7 +1009,7 @@ def _pts_atom(p: _Parser, env: _PtsEnv) -> PtsTerm:
             return PVar(depth)
     if name in env.defs:
         body, base = env.defs[name]
-        return pts_shift(body, len(env.stack) - base)
+        return shift(body, len(env.stack) - base)
     if env.spec.has_sort(name):
         return PSort(name)
     raise p.fail(f"unknown identifier '{name}'")

@@ -65,13 +65,16 @@ class TestAnnotatedTerms:
 
 
 class TestSourceTerms:
+    """Implicit source terms are framework terms, so the framework's
+    hand-written recursions are their reference too."""
+
     @given(pts_terms(), st.integers(-1, 3), SMALL)
     def test_shift(self, t, by, cutoff):
-        assert shift(t, by, cutoff) == ref.pts_shift(t, by, cutoff)
+        assert shift(t, by, cutoff) == ref.shift(t, by, cutoff)
 
     @given(pts_terms(), SMALL, pts_terms())
     def test_subst(self, t, j, v):
-        assert subst(t, j, v) == ref.pts_subst(t, j, v)
+        assert subst(t, j, v) == ref.subst(t, j, v)
 
 
 class TestLambdaTerms:
@@ -141,7 +144,7 @@ class TestCompleteness:
     def test_every_language_is_found(self):
         names = {c.__name__ for c in self.CLASSES}
         assert {"Var", "Cons", "Type", "Kind", "App", "Lam", "Pi", "Meta",
-                "EVar", "ESort", "EPi", "ELam", "EApp",
+                "EPi", "ELam", "EApp",
                 "SVar", "SConst", "SApp", "SLam"} <= names
 
     def test_variables_are_marked(self):

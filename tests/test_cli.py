@@ -8,7 +8,11 @@ import pytest
 import pimod.corpus
 from pimod.cli import main
 from pimod.corpus import CORPUS_NAMES, load_sorts
+from pimod.encode import generate, translate
+from pimod.epts import EptsContext, elaborate
 from pimod.errors import InternalSoundnessError
+from pimod.rewrite import nf, reduce_trace
+from pimod.syntax import parse_dk_term, parse_epts_file
 from test_syntax import JUDGMENTS_SRC, SORTS_SRC
 
 CORPUS_DIR = Path(pimod.corpus.__file__).parent
@@ -509,6 +513,68 @@ class TestBindersNamedAfterSorts:
         assert capsys.readouterr().err == (
             "      lam{Kind,Type}(Type, Type'. Pi{Type,Type}(Type', x. Type'), "
             "Type'. lam{Type,Type}(Type', x. Type', x. x))\n")
+
+
+class TestFrameworkTraceNames:
+    """A framework ``--trace`` line names binders and context entries as
+    the written files do: a binder or an entry named after a constant of
+    the encoding prints primed, so that the line reads back as the term."""
+
+    # `u@Type` names the universe code of `Type` in the finite encoding
+    SHADOW = ("def f : Pi A : Type. Pi B : Type. A -> A := "
+              "(lam g : Pi A : Type. Pi B : Type. A -> A. g) "
+              "(lam u@Type : Type. lam B : Type. lam x : u@Type. x).\n")
+    CTX = "assume u@Type : Type.\nassume c : u@Type.\n"
+
+    def test_roundtrip_reducts_read_back(self, tmp_path, capsys):
+        epts = tmp_path / "shadow.epts"
+        epts.write_text(self.SHADOW)
+        assert main(["roundtrip", SYSTEMF_SORTS, str(epts), "--mode", "finite",
+                     "--trace"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        spec = load_sorts("systemf").finite
+        enc = generate(spec)
+        [j] = parse_epts_file(self.SHADOW, spec).judgments
+        m = elaborate(spec, EptsContext(), j.term)
+        _, trail = reduce_trace(enc.theory, translate(enc, m), enc.simulation_labels())
+        assert len(lines) == len(trail) == 2
+        for line, (label, t) in zip(lines, trail):
+            head = f"      --{label}--> "
+            assert line.startswith(head)
+            assert parse_dk_term(line[len(head):], enc.theory) == t
+        assert lines[1].startswith(
+            "      --β--> abs@Kind@Type(u@Type, lam u@Type' : El@Kind(u@Type). ")
+
+    def test_encode_trace_is_the_written_check(self, tmp_path, capsys):
+        epts = tmp_path / "ctx.epts"
+        epts.write_text(self.CTX + "def i : u@Type -> u@Type := lam x : u@Type. x.\n")
+        assert main(["encode", SYSTEMF_SORTS, str(epts), "--mode", "finite", "--trace",
+                     "--out", str(tmp_path)]) == 0
+        shown = capsys.readouterr().err.strip().removeprefix("i -> ")
+        assert shown.startswith("abs@Type@Type(u@Type', ")
+        written = (tmp_path / "ctx_finite_judgments.dk").read_text()
+        assert f"check {shown} : " in written
+
+    def test_decode_trace_reads_back(self, tmp_path, capsys):
+        epts = tmp_path / "ctx.epts"
+        epts.write_text(self.CTX)
+        term = ("(lam w : El@Type(u@Type). abs@Type@Type(u@Type, lam x : El@Type(u@Type). "
+                "u@Type, lam x : El@Type(u@Type). x)) c")
+        assert main(["decode", SYSTEMF_SORTS, str(epts), "--mode", "finite", "--trace",
+                     "--term", term, "--type", "u@Type -> u@Type"]) == 0
+        [line] = capsys.readouterr().err.splitlines()
+        shown = line.removeprefix("      --β--> ")
+        enc = generate(load_sorts("systemf").finite)
+        assert shown.startswith("abs@Type@Type(u@Type', ")
+        assert parse_dk_term(shown, enc.theory, ["u@Type'", "c"]) == \
+            nf(enc.theory, parse_dk_term(term, enc.theory, ["u@Type", "c"]))
+
+    def test_morphism_trace_is_the_written_map(self, tmp_path, capsys):
+        out = tmp_path / "phi.map"
+        assert main(["morphism", "phi", SYSTEMF_SORTS, "--trace", "--out", str(out)]) == 0
+        traced = [line.strip() for line in capsys.readouterr().err.splitlines()]
+        assert "El@Type := El(type, A)" in traced
+        assert [f"map {line}." for line in traced] == out.read_text().splitlines()
 
 
 class TestTypeErrorNames:

@@ -103,6 +103,26 @@ class TestInvert:
         with pytest.raises(NotInvertible):
             invert(SF_ENC, wrapped)
 
+    @pytest.mark.parametrize("case", ["finite", "internalized"])
+    def test_variables_are_the_images_own(self, case):
+        # a variable is its own image, and inversion returns the image's
+        # variable: the source's objects pass through both directions
+        case = load_case("systemf", case)
+        enc = generate(case.spec)
+        ctx = elaborate_context(case.spec, case.file.assumes)
+        for j in case.file.judgments:
+            m = elaborate(case.spec, ctx, j.term)
+            img = translate(enc, m)
+            back = invert(enc, img)
+            assert back == m
+            ids = {id(u) for u, _ in subterms(img) if type(u) is Var}
+            assert ids <= {id(u) for u, _ in subterms(m) if type(u) is Var}
+            for u, _ in subterms(back):
+                if type(u) is Var:
+                    assert id(u) in ids
+                else:
+                    assert type(u) in (EPi, ELam, EApp) or (type(u) is Cons and not u.args)
+
     def test_not_invertible(self):
         for bad in (TYPE, Cons("U@Type"), Cons("El@Type", (Var(0),)),
                     Lam("x", TYPE, Var(0))):

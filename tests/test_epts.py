@@ -18,7 +18,7 @@ from pimod.errors import (ElaborationFailed, FuelExhausted, NonFunctionalSpec,
                           TopSortHasNoType, TypeMismatch, UnboundVariable, UnknownSort)
 from pimod.rewrite import Fuel
 from pimod.syntax import fresh_names, parse_pts_term, render
-from pimod.terms import Cons, Declaration, Meta, RewriteRule, Var, shift, subst
+from pimod.terms import Cons, Declaration, Meta, RewriteRule, Var, shift, subst, subterms
 from strategies import epts_terms, pts_terms
 from systems import COC, MLTT_FIN, MLTT_INT, PID, PID_TYPE, POLY, SYSTEM_F, SYSTEM_F_INT
 
@@ -297,6 +297,21 @@ class TestElaborate:
             e = elaborate(spec, EptsContext(), pid)
             assert erase_to_pts(e) == pid
 
+    def test_leaves_are_the_parsed_objects(self):
+        # an explicit term's leaves are framework leaves: elaboration
+        # passes the parsed variables and sorts through, and erasure
+        # returns them as they are
+        def leaves(t):
+            return [u for u, _ in subterms(t) if not u.children()]
+        for case in load_cases():
+            ctx = elaborate_context(case.spec, case.file.assumes)
+            for j in case.file.judgments:
+                m = elaborate(case.spec, ctx, j.term)
+                assert all(type(u) in (Var, Cons) for u in leaves(m))
+                got, want = leaves(erase_to_pts(m)), leaves(j.term)
+                assert len(got) == len(want)
+                assert all(g is w for g, w in zip(got, want)), case.label
+
     def test_elaborate_context(self):
         ctx = elaborate_context(SYSTEM_F, [("C", PSort("Type")), ("c", PVar(0))])
         assert ctx == CTX
@@ -478,7 +493,7 @@ class TestHeadType:
                              (MLTT_INT, EptsContext(), ESort("3")),
                              (unnamed_rule, xa, EPi("A", "A", EVar(0), "x", EVar(1))),
                              (SYSTEM_F, CTX, EVar(2)),
-                             (SYSTEM_F, CTX, PSort("Type"))):
+                             (SYSTEM_F, CTX, PLam("x", PVar(1), PVar(0)))):
             with pytest.raises(PimodError):
                 epts_infer(spec, ctx, m)
             same_type(spec, ctx, m)
