@@ -28,8 +28,13 @@ the budget that is rejected, and with ``--fuel 5``, a budget that runs
 out.  Last, with System F, ``decode --term`` of an image whose first
 binder is hinted ``Type``, the name of a sort, and ``roundtrip --trace``
 of a judgment with a binder hinted ``u@Type``, the name of a constant of
-the finite encoding.  The inputs of these cases are written to
-``OUT_DIR/cases/``.
+the finite encoding.  Then three runs whose input names something after
+a constant: ``decode --term --trace`` over an assumption named
+``u@Type``, which the term names ``u@Type'`` as the traces print it,
+``morphism apply`` of a term with a binder hinted ``type``, a constant
+of the target theory, and ``check-dk --trace`` of a theory that assumes
+a variable named after one of its constants.  The inputs of these cases
+are written to ``OUT_DIR/cases/``.
 
 Every run goes in-process through ``pimod.cli.main`` (or the script's
 ``main``), with the current directory set to OUT_DIR.  Run number N
@@ -119,6 +124,16 @@ SHADOW_TERM = (
 SHADOW_BINDER = ("def f : Pi A : Type. Pi B : Type. A -> A := "
                  "(lam g : Pi A : Type. Pi B : Type. A -> A. g) "
                  "(lam u@Type : Type. lam B : Type. lam x : u@Type. x).\n")
+# a System F context whose first entry is named after a constant of the
+# finite encoding, a term over it that names the entry as `--trace`
+# prints it, and its source type
+SHADOW_CONTEXT = ("assume u@Type : Type.\nassume c : u@Type.\n",
+                  "(lam w : El@Type(u@Type'). w) c", "u@Type")
+# a finite System F term with a binder hinted `type`, a constant of the
+# internalized encoding that `morphism apply` maps it into
+SHADOW_APPLY = "lam type : U@Type. El@Type(type)"
+# a theory that assumes a variable named after one of its constants
+SHADOW_CONSTANT = "constant N : TYPE.\nconstant z : N.\nassume N : TYPE.\ncheck z : N.\n"
 # nesting depths of System F numerals under `roundtrip`: one well inside
 # the stack and one far past it
 NUMERAL_DEPTHS = (200, 600)
@@ -248,7 +263,23 @@ def case_commands(cases: Path, systems) -> list[list[str]]:
         (cases / "shadow_binder.epts").write_text(SHADOW_BINDER)
         runs.append(["roundtrip", str(CORPUS / "systemf.sorts"), "cases/shadow_binder.epts",
                      "--mode", "finite", "--trace"])
+        runs += shadow_commands(cases)
     return runs
+
+
+def shadow_commands(cases: Path) -> list[list[str]]:
+    """Write the inputs of the three System F runs whose input names
+    something after a constant under ``cases`` and return their command
+    lines, in run order.  The second reads the theories and the
+    interpretation that earlier runs wrote."""
+    text, term, type_ = SHADOW_CONTEXT
+    (cases / "shadow_context.epts").write_text(text)
+    (cases / "shadow_constant.dk").write_text(SHADOW_CONSTANT)
+    theories = [f"out/encode/systemf_{mode}_theory.dk" for mode in ("finite", "internalized")]
+    return [["decode", str(CORPUS / "systemf.sorts"), "cases/shadow_context.epts",
+             "--mode", "finite", "--term", term, "--type", type_, "--trace"],
+            ["morphism", "apply", *theories, "out/phi/systemf.map", "--term", SHADOW_APPLY],
+            ["check-dk", "cases/shadow_constant.dk", "--trace"]]
 
 
 def remaining_commands() -> list[list[str]]:

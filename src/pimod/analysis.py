@@ -6,7 +6,9 @@ classification this module provides two rule analyses (does a
 type-level rewrite rule preserve the simple-type erasure of its head?)
 and the erasure itself: a forgetful map from framework types to simple
 types and a structure-preserving map from framework terms to untyped
-lambda terms that is strictly simulated by beta reduction.
+lambda terms that is strictly simulated by beta reduction.  The lambda
+terms are plain data, outside the child map of :mod:`pimod.terms`:
+:func:`erase_term` builds one, and :func:`stlc_check` reads it by class.
 """
 
 from __future__ import annotations
@@ -17,10 +19,7 @@ from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import Diagnostic, NotErasable, UnknownConstant
-from .terms import (
-    App, Children, Cons, DkContext, DkTerm, Lam, NodeMemo, Pi, Term, Theory, Type,
-    Var, Variable, same_class,
-)
+from .terms import App, Cons, DkContext, DkTerm, Lam, NodeMemo, Pi, Theory, Type, Var
 
 
 class ConstantLevel(Enum):
@@ -137,7 +136,7 @@ def render_simple(t: SimpleType) -> str:
     raise AssertionError
 
 
-class StlcTerm(Term):
+class StlcTerm:
     __slots__ = ()
 
 
@@ -161,7 +160,7 @@ def _cached_hash(cls: type) -> type:
 
 @_cached_hash
 @dataclass(frozen=True)
-class SVar(StlcTerm, Variable):
+class SVar(StlcTerm):
     index: int
 
 
@@ -177,28 +176,12 @@ class SApp(StlcTerm):
     fn: StlcTerm
     arg: StlcTerm
 
-    def children(self) -> Children:
-        return ((self.fn, 0), (self.arg, 0))
-
-    def with_children(self, kids: list[StlcTerm]) -> SApp:
-        return SApp(kids[0], kids[1])
-
-    same_node = same_class
-
 
 @_cached_hash
 @dataclass(frozen=True)
 class SLam(StlcTerm):
     hint: str = field(compare=False)
     body: StlcTerm = field()
-
-    def children(self) -> Children:
-        return ((self.body, 1),)
-
-    def with_children(self, kids: list[StlcTerm]) -> SLam:
-        return SLam(self.hint, kids[0])
-
-    same_node = same_class
 
 
 def mk_sapp(fn: StlcTerm, *args: StlcTerm) -> StlcTerm:

@@ -25,7 +25,7 @@ import os
 import sys
 from pathlib import Path
 
-from .analysis import check_arity_preserving, check_rules_well_formed, erase_type
+from .analysis import check_arity_preserving, check_rules_well_formed, erase_type, render_simple
 from .corpus import CORPUS_NAMES, load_sorts
 from .decode import adequacy_legs, conservative_invert
 from .encode import EncodingTheory, expected_dk_type, generate, translate, translate_ctx
@@ -56,7 +56,7 @@ from .syntax import (
     render_morphism,
     render_theory,
 )
-from .terms import Cons, validate_theory
+from .terms import Cons, DkContext, validate_theory
 
 
 _FORMATS = ("text", "machine-readable")
@@ -159,18 +159,24 @@ def _cmd_check_dk(args, rep: Reporter) -> None:
                    f"{len(tf.theory.signature)} constants, {len(tf.theory.rules)} rules")
         for d in check_context(tf.theory, tf.assumes, f, log):
             rep.diagnostic(d, path)
-        names = fresh_names(tf.assumes.names)
+        # the checks run with the entries named as render_theory writes
+        # them, so kernel messages name them that way too (hints are outside
+        # equality); check_context above reads the hints as written, so that
+        # it reports a repeated one
+        avoid = {d.name for d in tf.theory.signature}
+        names = fresh_names(tf.assumes.names, avoid)
+        ctx = DkContext(tuple(zip(names, (ty for _, ty in tf.assumes.entries))))
         for m, a in tf.checks:
-            subject = f"{render(m, names)} : {render(a, names)}"
+            subject = f"{render(m, names, avoid)} : {render(a, names, avoid)}"
             try:
-                check(tf.theory, tf.assumes, m, a, Fuel(args.fuel), log)
+                check(tf.theory, ctx, m, a, Fuel(args.fuel), log)
                 rep.result("check", subject, True)
             except (PimodError, FuelExhausted) as e:
                 rep.result("check", subject, False, str(e))
         if args.trace:
             for names_, t, ty in log:
-                shown = fresh_names(names_)
-                rep.trace(f"{render(t, shown)} : {render(ty, shown)}")
+                shown = fresh_names(names_, avoid)
+                rep.trace(f"{render(t, shown, avoid)} : {render(ty, shown, avoid)}")
 
 
 def _cmd_check_epts(args, rep: Reporter) -> None:
@@ -220,16 +226,15 @@ def _cmd_encode(args, rep: Reporter) -> None:
 
 def _cmd_decode(args, rep: Reporter) -> None:
     enc, ctx, file, dk_shown, avoid = _setup(args)
-    names = list(ctx.names)
-    shown = fresh_names(names)
+    shown = fresh_names(ctx.names)
     defs = dict(file.definitions)
     if args.term is not None:
         if args.type is None:
             raise PimodError("--term needs --type, the claimed source-level type")
-        t = parse_dk_term(args.term, enc.theory, names, source="<--term>")
+        t = parse_dk_term(args.term, enc.theory, dk_shown, source="<--term>")
         f = Fuel(args.fuel)
         a = elaborate(enc.spec, ctx,
-                      parse_pts_term(args.type, enc.spec, names, defs, "<--type>"), f)
+                      parse_pts_term(args.type, enc.spec, shown, defs, "<--type>"), f)
         m = conservative_invert(enc, ctx, t, a, f)
         if args.trace:
             # replayed once the term has checked, so that it normalizes
@@ -294,8 +299,8 @@ def _cmd_analyze(args, rep: Reporter) -> None:
         if args.trace:
             for r in tf.theory.rules:
                 try:
-                    lhs = render(erase_type(tf.theory, Cons(r.head, r.lhs)))
-                    rhs = render(erase_type(tf.theory, r.rhs))
+                    lhs = render_simple(erase_type(tf.theory, Cons(r.head, r.lhs)))
+                    rhs = render_simple(erase_type(tf.theory, r.rhs))
                     rep.trace(f"{r.name}: {lhs} vs {rhs}")
                 except NotErasable:
                     rep.trace(f"{r.name}: object-level")
@@ -337,7 +342,8 @@ def _cmd_morphism(args, rep: Reporter) -> None:
         _verify_and_report(mor, rep, args.map, args.fuel, args.trace)
     else:  # apply
         t = parse_dk_term(args.term, src.theory, source="<--term>")
-        rep.result("apply", args.term, True, render(apply_morphism(mor, t)))
+        avoid = {d.name for d in dst.theory.signature}
+        rep.result("apply", args.term, True, render(apply_morphism(mor, t), (), avoid))
 
 
 def _cmd_corpus(args, rep: Reporter) -> None:

@@ -46,14 +46,6 @@ def _case(corpus: str, mode: str, spec: SortSpec) -> CorpusCase:
     return CorpusCase(corpus, mode, spec, parse_epts_file(read_text(fname), spec, source=fname))
 
 
-def load_case(corpus: str, mode: str) -> CorpusCase:
-    sf = load_sorts(corpus)
-    spec = sf.finite if mode == "finite" else sf.internalized
-    if spec is None:
-        raise KeyError(f"{corpus} has no {mode} specification")
-    return _case(corpus, mode, spec)
-
-
 def load_cases() -> tuple[CorpusCase, ...]:
     """Every bundled system under every mode its sort file provides, each parsed once."""
     files = {name: load_sorts(name) for name in CORPUS_NAMES}

@@ -75,14 +75,12 @@ class PimodError(Exception):
 
 
 class ParseError(PimodError):
-    def __init__(self, message: str, span: Span | None = None):
+    def __init__(self, message: str, span: Span):
         super().__init__(message)
         self.span = span
 
     def __str__(self) -> str:
-        if self.span:
-            return f"{self.span}: {self.message}"
-        return self.message
+        return f"{self.span}: {self.message}"
 
 
 class UnboundVariable(PimodError):

@@ -14,8 +14,7 @@ prints them back in the same grammar, with binder hints freshened
 against the names in scope and against ``avoid`` (a theory's constants,
 a source term's sorts), so parse-print round trips are identities on
 the underlying de Bruijn terms.  It also prints explicit source terms,
-which are never parsed.  ``render`` prints these two languages and
-simple types: what the command-line driver prints.
+which are never parsed.  ``render`` prints both term languages.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
-from .analysis import SimpleType, render_simple
 from .errors import ParseError, Span
 from .terms import (
     KIND,
@@ -42,7 +40,6 @@ from .terms import (
     Theory,
     Type,
     Var,
-    Variable,
     shift,
     subterms,
 )
@@ -582,7 +579,7 @@ def _var_name(k: int, env: list[str]) -> str:
 
 def _uses(t: Any, j: int) -> bool:
     """Does variable ``j`` occur in the term ``t``?"""
-    return any(isinstance(u, Variable) and u.index == j + d for u, d in subterms(t))
+    return any(type(u) is Var and u.index == j + d for u, d in subterms(t))
 
 
 _EXPLICIT_HEAD = {EPi: "Pi", ELam: "lam", EApp: "app"}
@@ -594,8 +591,8 @@ def _r(t: Any, env: list[str], prec: int, avoid: set[str]) -> str:
     syntax is printed (for reports), never parsed back."""
     match t:
         # framework arms first: theories are most of what gets printed
-        case Variable():
-            return _var_name(t.index, env)
+        case Var(k):
+            return _var_name(k, env)
         case Cons(c, ()):
             return c
         case Cons(c, args):
@@ -632,9 +629,7 @@ def _r(t: Any, env: list[str], prec: int, avoid: set[str]) -> str:
 
 def render(x: Any, names: Sequence[str] = (), avoid: Iterable[str] = ()) -> str:
     """A framework or source term over the context ``names``, its binders
-    freshened against ``avoid``, or a simple type; else ``TypeError``."""
-    if isinstance(x, SimpleType):
-        return render_simple(x)
+    freshened against ``avoid``; else ``TypeError``."""
     return _r(x, list(names), 0, set(avoid))
 
 

@@ -6,14 +6,15 @@ Constants are fully applied: a ``Cons`` node carries exactly as many
 arguments as the arity its declaration fixes.  ``Meta`` nodes are
 pattern variables and may appear only inside rewrite rules.
 
-One child map serves all three term languages (framework terms here,
-which are also the implicit source terms, explicit PTS terms in
-:mod:`pimod.epts`, three annotated nodes over the framework's leaves,
-untyped lambda terms in :mod:`pimod.analysis`): each inner node class
-states its subterms and binders in its methods (see :class:`Term`).  Shifting, substitution, the folds :func:`map_leaves` and
-:func:`subterms`, contexts, redex search, conversion and morphism
-application are written once against it.  Every table keyed by node
-identity is a :class:`NodeMemo`.
+One child map serves both term languages (framework terms here, which
+are also the implicit source terms, and explicit PTS terms in
+:mod:`pimod.epts`, three annotated nodes over the framework's leaves):
+each inner node class states its subterms and binders in its methods
+(see :class:`Term`).  ``Var`` is the one variable leaf.  Shifting,
+substitution, the folds :func:`map_leaves` and :func:`subterms`,
+contexts, redex search, conversion and morphism application are written
+once against it.  Every table keyed by node identity is a
+:class:`NodeMemo`.
 """
 
 from __future__ import annotations
@@ -52,12 +53,6 @@ def same_class(self: Term, other: Term) -> bool:
     return type(other) is type(self)
 
 
-class Variable(Term):
-    """Marks the variable leaf of each language; it has an ``index`` field."""
-
-    __slots__ = ()
-
-
 class DkTerm(Term):
     """Base class for framework terms."""
 
@@ -65,7 +60,7 @@ class DkTerm(Term):
 
 
 @dataclass(frozen=True)
-class Var(DkTerm, Variable):
+class Var(DkTerm):
     index: int
 
 
@@ -180,7 +175,7 @@ def shift(t: Term, by: int, cutoff: int = 0) -> Term:
         return t
 
     def leaf(u: Term, d: int) -> Term:
-        return type(u)(u.index + by) if isinstance(u, Variable) and u.index >= d else u
+        return Var(u.index + by) if type(u) is Var and u.index >= d else u
     return map_leaves(t, leaf, cutoff)
 
 
@@ -190,10 +185,10 @@ def _subst(t: Term, values: tuple[Term, ...], first: int, lift: int) -> Term:
     n = len(values)
 
     def leaf(u: Term, d: int) -> Term:
-        if isinstance(u, Variable):
+        if type(u) is Var:
             k = u.index - first - d
             if k >= n:
-                return type(u)(u.index - n)
+                return Var(u.index - n)
             if k >= 0:
                 return shift(values[k], lift + d)
         return u
@@ -228,7 +223,7 @@ def metas_of(t: DkTerm) -> set[str]:
 def max_free_index(t: Term) -> int:
     """Largest free variable index, or -1 for a closed term."""
     return max((u.index - d for u, d in subterms(t)
-                if isinstance(u, Variable) and u.index >= d), default=-1)
+                if type(u) is Var and u.index >= d), default=-1)
 
 
 class NodeMemo(dict):

@@ -2,12 +2,13 @@
 operations derived from the one child map are compared against.
 
 Each function is a direct recursion over the constructors of one term
-language (framework terms, which implicit PTS terms are, annotated PTS
-and untyped lambda terms), independent of the child map that
-``pimod.terms`` derives these operations from; ``stlc_shift`` is the
-library's former shift of lambda terms.  Substitution here re-shifts
-the value at every binder it crosses, a second route to the result the
-library reaches by shifting once at the leaves.
+language (framework terms, which implicit PTS terms are, and annotated
+PTS terms), independent of the child map that ``pimod.terms`` derives
+these operations from.  ``stlc_shift`` shifts the erased lambda terms
+of ``pimod.analysis``, which are outside the child map, for the erasure
+below and the simply-typed evaluator of the tests.  Substitution here
+re-shifts the value at every binder it crosses, a second route to the
+result the library reaches by shifting once at the leaves.
 
 ``check_orthogonal`` and its helpers are the overlap checker that tried
 every ordered pair of rules, renaming both apart for each pair, and
@@ -261,27 +262,17 @@ def epts_subst(t: EptsTerm, j: int, value: EptsTerm) -> EptsTerm:
 
 
 def stlc_shift(t: StlcTerm, by: int, cutoff: int = 0) -> StlcTerm:
+    """Shift an erased term.  A subterm that does not change is returned
+    itself, so that it keeps the hash it has cached."""
     match t:
         case SVar(k):
-            return SVar(k + by) if k >= cutoff else t
+            return SVar(k + by) if k >= cutoff and by else t
         case SApp(f, a):
-            return SApp(stlc_shift(f, by, cutoff), stlc_shift(a, by, cutoff))
+            f2, a2 = stlc_shift(f, by, cutoff), stlc_shift(a, by, cutoff)
+            return t if f2 is f and a2 is a else SApp(f2, a2)
         case SLam(h, b):
-            return SLam(h, stlc_shift(b, by, cutoff + 1))
-        case _:
-            return t
-
-
-def stlc_subst(t: StlcTerm, j: int, value: StlcTerm) -> StlcTerm:
-    match t:
-        case SVar(k):
-            if k == j:
-                return value
-            return SVar(k - 1) if k > j else t
-        case SApp(f, a):
-            return SApp(stlc_subst(f, j, value), stlc_subst(a, j, value))
-        case SLam(h, b):
-            return SLam(h, stlc_subst(b, j + 1, stlc_shift(value, 1)))
+            b2 = stlc_shift(b, by, cutoff + 1)
+            return t if b2 is b else SLam(h, b2)
         case _:
             return t
 
@@ -1373,7 +1364,7 @@ def erase_term(theory: Theory, m: DkTerm,
             return SApp(erase_term(theory, f, pis), erase_term(theory, a, pis))
         case Lam(h, ann, body):
             eb = erase_term(theory, body, pis)
-            return SApp(SLam("_z", SLam(h, lib.shift(eb, 1, 1))),
+            return SApp(SLam("_z", SLam(h, stlc_shift(eb, 1, 1))),
                         erase_term(theory, ann, pis))
         case Pi(h, dom, cod):
             sigma = erase_type(theory, dom)

@@ -1,10 +1,13 @@
-"""Specifications, small terms, a theory builder and the framework's
-weak-head normalizer and one-step reducts on terms, shared across the
-test modules.  The one-step reducts are ``reference.reducts``, the tree
-walk that lists every position of every redex."""
+"""Specifications, small terms, a theory builder, a loader for one
+bundled system in one mode, and the framework's weak-head normalizer and
+one-step reducts on terms, shared across the test modules.  The one-step
+reducts are ``reference.reducts``, the tree walk that lists every
+position of every redex."""
 
+from pimod.corpus import CorpusCase, load_sorts, read_text
 from pimod.epts import FiniteSortSpec, InternalizedSortSpec, PLam, PPi, PSort, PVar
 from pimod.rewrite import Fuel, Machine
+from pimod.syntax import parse_epts_file
 from pimod.terms import Cons, Declaration, DkTerm, Meta, RewriteRule, Theory
 from reference import reducts  # noqa: F401  (re-exported)
 
@@ -67,6 +70,16 @@ def extended(theory: Theory, *decls: Declaration,
              rules: tuple[RewriteRule, ...] = ()) -> Theory:
     """``theory`` with ``decls`` declared and ``rules`` added after its own."""
     return Theory(theory.signature + decls, theory.rules + tuple(rules))
+
+
+def load_case(corpus: str, mode: str) -> CorpusCase:
+    """The bundled system ``corpus`` under ``mode``, ``"finite"`` or
+    ``"internalized"``; ``KeyError`` when its sort file has no such half."""
+    spec = getattr(load_sorts(corpus), mode)
+    if spec is None:
+        raise KeyError(f"{corpus} has no {mode} specification")
+    fname = f"{corpus}.epts"
+    return CorpusCase(corpus, mode, spec, parse_epts_file(read_text(fname), spec, source=fname))
 
 
 # implicit-syntax staples (System F unless noted)

@@ -20,7 +20,8 @@ from pimod.analysis import (STAR, Arrow, ConstantLevel, SApp, SConst, SLam,
 from pimod.errors import NotErasable, UnknownConstant
 from pimod.rewrite import BETA, step
 from pimod.terms import (KIND, TYPE, App, Cons, Declaration, DkContext, Lam,
-                         Meta, Pi, RewriteRule, Theory, Var, shift, subst)
+                         Meta, Pi, RewriteRule, Theory, Var, subst)
+from reference import stlc_shift
 from strategies import stlc_terms
 from systems import extended
 from termgen import GEN_THEORY, gen_judgment, gen_term, gen_type
@@ -59,7 +60,7 @@ def ssub(t, j, v):
         case SApp(f, a):
             return SApp(ssub(f, j, v), ssub(a, j, v))
         case SLam(h, b):
-            return SLam(h, ssub(b, j + 1, shift(v, 1)))
+            return SLam(h, ssub(b, j + 1, stlc_shift(v, 1)))
         case _:
             return t
 

@@ -10,7 +10,7 @@ import pytest
 import pimod.corpus
 import reference
 from pimod.cli import main
-from pimod.corpus import load_case, load_cases, load_sorts
+from pimod.corpus import load_cases, load_sorts
 from pimod.decode import adequacy_legs, conservative_invert
 from pimod.encode import expected_dk_type, generate, translate, translate_ctx
 from pimod.epts import elaborate, elaborate_context
@@ -20,6 +20,7 @@ from pimod.morphism import build_phi, verify_morphism
 from pimod.rewrite import BETA, DEFAULT_FUEL, Fuel, reduce_trace
 from pimod.syntax import fresh_names, parse_dk_term, parse_pts_term, render
 from pimod.terms import App, Lam, Var
+from systems import load_case
 
 CORPUS_DIR = Path(pimod.corpus.__file__).parent
 SYSTEMF_SORTS = str(CORPUS_DIR / "systemf.sorts")

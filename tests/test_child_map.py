@@ -1,9 +1,9 @@
 """Operations derived from the one child map agree with hand-written recursions.
 
 ``reference`` spells shifting and substitution out constructor by
-constructor, once per term language; the library derives them for all
-three languages from the ``children``/``with_children`` methods of the
-node classes.  The reduction engine of ``pimod.rewrite`` searches for
+constructor, once per term language; the library derives them for both
+languages from the ``children``/``with_children`` methods of the node
+classes.  The reduction engine of ``pimod.rewrite`` searches for
 redexes, normalizes and descends through congruences over the child
 map, for framework and source terms alike.  ``step`` and ``reducts``
 must give the positions, labels and reducts of the framework's former
@@ -15,7 +15,8 @@ and trace loop.  The congruence descents of ``convertible``,
 the per-constructor versions and spend the same fuel.
 Every node class, found through ``__subclasses__``, must list exactly
 its term-valued fields as children, so a constructor without a child
-map cannot be skipped silently.
+map cannot be skipped silently.  The erased lambda terms of
+``pimod.analysis`` are plain data, not nodes.
 """
 
 import dataclasses
@@ -26,14 +27,15 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import reference as ref
+from pimod.analysis import SApp, SConst, SLam, StlcTerm, SVar
 from pimod.decode import hidden_equiv
 from pimod.encode import EncodingTheory
 from pimod.epts import EApp, ELam, EVar, epts_convertible, epts_redex, epts_reduce
 from pimod.errors import FuelExhausted
 from pimod.rewrite import BETA, Fuel, convertible, step
-from pimod.terms import (Cons, Lam, Meta, RewriteRule, Term, Var, Variable, shift,
-                         subst, subst_many, subterms)
-from strategies import PARSE_THEORY, dk_terms, epts_terms, pts_terms, stlc_terms
+from pimod.terms import (Cons, Lam, Meta, RewriteRule, Term, Var, shift, subst,
+                         subst_many, subterms)
+from strategies import PARSE_THEORY, dk_terms, epts_terms, pts_terms
 from systems import SYSTEM_F, SYSTEM_F_INT, extended, reducts
 from termgen import GEN_THEORY, gen_judgment
 
@@ -77,19 +79,8 @@ class TestSourceTerms:
         assert subst(t, j, v) == ref.subst(t, j, v)
 
 
-class TestLambdaTerms:
-    @given(stlc_terms(), st.integers(-1, 3), SMALL)
-    def test_shift(self, t, by, cutoff):
-        assert shift(t, by, cutoff) == ref.stlc_shift(t, by, cutoff)
-
-    @given(stlc_terms(), SMALL, stlc_terms())
-    def test_subst(self, t, j, v):
-        assert subst(t, j, v) == ref.stlc_subst(t, j, v)
-
-
 def _node_classes():
-    """Every concrete node class of every term language (a variable class
-    is reached twice, through its language and through ``Variable``)."""
+    """Every concrete node class of both term languages."""
     out, todo = set(), [Term]
     while todo:
         c = todo.pop()
@@ -144,19 +135,21 @@ class TestCompleteness:
     def test_every_language_is_found(self):
         names = {c.__name__ for c in self.CLASSES}
         assert {"Var", "Cons", "Type", "Kind", "App", "Lam", "Pi", "Meta",
-                "EPi", "ELam", "EApp",
-                "SVar", "SConst", "SApp", "SLam"} <= names
+                "EPi", "ELam", "EApp"} <= names
+        # the erased lambda terms are plain data
+        assert not any(issubclass(c, Term) for c in (StlcTerm, SVar, SConst, SApp, SLam))
 
     def test_variables_are_marked(self):
+        """``Var`` is the one variable leaf: the one class with an index."""
         for c in self.CLASSES:
             has_index = "index" in {f.name for f in dataclasses.fields(c)}
-            assert issubclass(c, Variable) == has_index, c.__name__
+            assert (c is Var) == has_index, c.__name__
 
     def test_every_class_lists_its_term_fields(self):
         for c in self.CLASSES:
             _check_child_map(_instance(c))
 
-    @given(st.one_of(dk_terms(metas=True), pts_terms(), epts_terms(), stlc_terms()))
+    @given(st.one_of(dk_terms(metas=True), pts_terms(), epts_terms()))
     def test_generated_terms(self, t):
         for u, _ in subterms(t):
             _check_child_map(u)

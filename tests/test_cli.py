@@ -479,6 +479,15 @@ class TestShadowedNames:
         assert "ok    check  x' : M\n" in out
         assert err.endswith("      x' : M\n")
 
+    def test_assumption_named_after_a_constant(self, tmp_path, capsys):
+        """It prints primed in the check and in the kernel's message, as
+        the theory printer writes it."""
+        f = tmp_path / "shadow.dk"
+        f.write_text("constant N : TYPE.\nconstant z : N.\nassume N : TYPE.\ncheck z : N.\n")
+        assert main(["check-dk", str(f)]) == 1
+        assert ("FAIL  check  z : N'  --  type mismatch at top level: "
+                "expected N', got N\n") in capsys.readouterr().out
+
 
 class TestBindersNamedAfterSorts:
     """A source binder whose hint is a sort's name prints primed, as a
@@ -558,8 +567,8 @@ class TestFrameworkTraceNames:
     def test_decode_trace_reads_back(self, tmp_path, capsys):
         epts = tmp_path / "ctx.epts"
         epts.write_text(self.CTX)
-        term = ("(lam w : El@Type(u@Type). abs@Type@Type(u@Type, lam x : El@Type(u@Type). "
-                "u@Type, lam x : El@Type(u@Type). x)) c")
+        term = ("(lam w : El@Type(u@Type'). abs@Type@Type(u@Type', lam x : El@Type(u@Type'). "
+                "u@Type', lam x : El@Type(u@Type'). x)) c")
         assert main(["decode", SYSTEMF_SORTS, str(epts), "--mode", "finite", "--trace",
                      "--term", term, "--type", "u@Type -> u@Type"]) == 0
         [line] = capsys.readouterr().err.splitlines()
@@ -567,7 +576,7 @@ class TestFrameworkTraceNames:
         enc = generate(load_sorts("systemf").finite)
         assert shown.startswith("abs@Type@Type(u@Type', ")
         assert parse_dk_term(shown, enc.theory, ["u@Type'", "c"]) == \
-            nf(enc.theory, parse_dk_term(term, enc.theory, ["u@Type", "c"]))
+            nf(enc.theory, parse_dk_term(term, enc.theory, ["u@Type'", "c"]))
 
     def test_morphism_trace_is_the_written_map(self, tmp_path, capsys):
         out = tmp_path / "phi.map"
@@ -637,6 +646,11 @@ class TestMorphism:
         assert main(["morphism", "apply", src, dst, str(phi_path),
                      "--term", "u@Type"]) == 0
         assert "u(type)" in capsys.readouterr().out
+        # a binder named after a constant of the target prints primed
+        assert main(["morphism", "apply", src, dst, str(phi_path),
+                     "--term", "lam type : U@Type. El@Type(type)"]) == 0
+        assert capsys.readouterr().out.endswith(
+            "  --  lam type' : U(type). El(type, type')\n")
 
     def test_phi_needs_both_halves(self, tmp_path, capsys):
         coc = CORPUS_DIR / "coc.sorts"

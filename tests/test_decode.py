@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from pimod.decode import (adequacy_legs, adequacy_roundtrip, conservative_invert,
                           hidden_equiv, invert)
 from pimod import epts
-from pimod.corpus import load_case
 from pimod.encode import (INTERNAL_CORE, EncodingTheory, generate, generate_finite,
                           translate, translate_ctx)
 from pimod.epts import (EApp, ELam, EPi, ESort, EVar, EptsContext, PApp, PLam,
@@ -21,7 +20,7 @@ from pimod.syntax import render
 from pimod.terms import TYPE, App, Cons, Declaration, Lam, Var, subterms
 import reference
 from strategies import HINTS, dk_terms, epts_terms
-from systems import MLTT_INT, PID, POLY, SYSTEM_F, SYSTEM_F_INT, extended
+from systems import MLTT_INT, PID, POLY, SYSTEM_F, SYSTEM_F_INT, extended, load_case
 from termgen import beta_expand
 from test_encode import MLTT_ENC, SF_ENC, SF_INT_ENC, finite_id_image
 

@@ -10,8 +10,15 @@ import pytest
 
 import pimod
 
-MODULES = sorted(p for p in Path(pimod.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")  # __init__ imports to re-export
+PACKAGE = Path(pimod.__file__).parent
+
+# every module but the package's own __init__, which imports to re-export;
+# a subpackage's __init__ is a module like any other
+MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p != PACKAGE / "__init__.py")
+
+
+def _id(p: Path) -> str:
+    return p.relative_to(PACKAGE).as_posix()
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -41,7 +48,7 @@ def _used(tree: ast.Module) -> set[str]:
     return used
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=_id)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = _used(tree)
@@ -54,11 +61,7 @@ def test_every_import_is_used(path):
 LOCAL_IMPORTS_ALLOWED = {("errors.py", "_show")}
 
 
-PACKAGE = Path(pimod.__file__).parent
-
-
-@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")),
-                         ids=lambda p: p.relative_to(PACKAGE).as_posix())
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=_id)
 def test_imports_are_at_module_level(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     local = set()
@@ -133,8 +136,7 @@ def _id_keyed_writes(fn: ast.AST, tainted: set[str]) -> list[int]:
     return lines
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")),
-                         ids=lambda p: p.relative_to(PACKAGE).as_posix())
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=_id)
 def test_identity_keyed_tables_are_node_memos(path):
     """A table keyed by ``id()`` is written only through ``NodeMemo.put``,
     which keeps the key's nodes alive so that no id is reused while the
@@ -152,7 +154,7 @@ UNREFERENCED_ALLOWED = {
 
 # names a package module is imported under, so ``epts.elaborate`` reads a
 # top-level definition and ``m.elaborate`` a method
-MODULE_NAMES = {"pimod"} | {p.stem for p in MODULES} | {
+MODULE_NAMES = {"pimod"} | {p.stem for p in MODULES if p.parent == PACKAGE} | {
     p.name for p in PACKAGE.iterdir() if (p / "__init__.py").exists()}
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -282,7 +284,7 @@ def _unused() -> set[tuple[str, str]]:
         for qualified, name, method in _definitions(ast.parse(path.read_text(),
                                                               filename=str(path))):
             if name not in (attrs if method else names):
-                unused.add((path.name, qualified))
+                unused.add((_id(path), qualified))
     return unused
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import reference
 from pimod.analysis import SLam, SVar
-from pimod.corpus import CORPUS_NAMES, load_case, load_cases, load_sorts, read_text
+from pimod.corpus import CORPUS_NAMES, load_cases, load_sorts, read_text
 from pimod.encode import expected_dk_type, generate, translate, translate_ctx
 from pimod.epts import (ESort, EVar, EptsContext, FiniteSortSpec, InternalizedSortSpec,
                         PApp, PLam, PPi, PSort, PVar, elaborate, elaborate_context,
@@ -23,7 +23,7 @@ from pimod.syntax import (fresh_names, lex, parse_dk_term, parse_epts_file,
 from pimod.terms import (KIND, TYPE, App, Cons, Declaration, DkContext, Lam, Meta,
                          Pi, RewriteRule, Theory, Var, validate_theory)
 from strategies import FREE_NAMES, PARSE_THEORY, dk_terms, epts_terms, pts_terms
-from systems import SYSTEM_F, SYSTEM_F_INT
+from systems import SYSTEM_F, SYSTEM_F_INT, load_case
 from test_morphism import RENAME, SRC, _target
 
 

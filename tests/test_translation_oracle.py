@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given
 
 import reference as ref
-from pimod.corpus import load_case, load_cases
+from pimod.corpus import load_cases
 from pimod.decode import conservative_invert
 from pimod.encode import expected_dk_type, generate, translate, translate_ctx
 from pimod.epts import elaborate, elaborate_context
@@ -25,6 +25,7 @@ from pimod.kernel import check, infer
 from pimod.rewrite import nf
 from pimod.syntax import fresh_names, parse_pts_term, render
 from strategies import epts_terms
+from systems import load_case
 from test_decode import ENCODINGS
 from test_inversion_oracle import CTX, distinct_nodes, run
 from test_scripts import structural_classes
