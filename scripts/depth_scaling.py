@@ -5,9 +5,9 @@ For each N, the term is ``lam C : Type. lam x1 : C. ... lam xN : C. x1``
 in finite System F (the bundled ``systemf.sorts``), in the empty
 context.  It is elaborated, its elaboration translated, the image
 checked by the kernel against the image of its type, and the image
-conservatively inverted, and the erasure witness is checked: the image
-is erased to an untyped lambda term, which must be simply typable at the
-erasure of the image's type.  One JSON line per N gives the seconds each
+conservatively inverted, and the erasure witness is checked: the
+image's erasure to an untyped lambda term, read off the image without
+being built, must be simply typable at the erasure of the image's type.  One JSON line per N gives the seconds each
 of those five stages took, the number of nodes of the image as a tree
 (``image_nodes``) and as distinct objects (``image_distinct``: the image
 is maximally shared, one object per distinct subterm), the distinct

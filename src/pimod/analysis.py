@@ -7,16 +7,15 @@ type-level rewrite rule preserve the simple-type erasure of its head?)
 and the erasure itself: a forgetful map from framework types to simple
 types and a structure-preserving map from framework terms to untyped
 lambda terms that is strictly simulated by beta reduction.  The lambda
-terms are plain data, outside the child map of :mod:`pimod.terms`:
-:func:`erase_term` builds one, and :func:`stlc_check` reads it by class.
+terms are never built: :func:`erase_term` checks that a framework term
+has one, and :func:`stlc_check` types it by reading the framework term.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import Diagnostic, NotErasable, UnknownConstant
 from .terms import App, Cons, DkContext, DkTerm, Lam, NodeMemo, Pi, Theory, Type, Var
@@ -103,7 +102,7 @@ def check_rules_well_formed(theory: Theory) -> list[Diagnostic]:
     return _rule_shape_diagnostics(theory, True, "ill-formed-rule")
 
 
-# --- simple types and untyped lambda terms ----------------------------------
+# --- simple types -------------------------------------------------------------
 
 
 class SimpleType:
@@ -134,60 +133,6 @@ def render_simple(t: SimpleType) -> str:
                 left = f"({left})"
             return f"{left} -> {render_simple(c)}"
     raise AssertionError
-
-
-class StlcTerm:
-    __slots__ = ()
-
-
-def _cached_hash(cls: type) -> type:
-    """``cls``, a frozen dataclass, with a hash over the fields it compares,
-    computed once per object.  Equality is unchanged; a set of erased
-    terms no longer rehashes a whole term at every insertion."""
-    key = attrgetter(*(f.name for f in fields(cls) if f.compare))
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(key(self))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    cls._hash = None
-    cls.__hash__ = __hash__
-    return cls
-
-
-@_cached_hash
-@dataclass(frozen=True)
-class SVar(StlcTerm):
-    index: int
-
-
-@_cached_hash
-@dataclass(frozen=True)
-class SConst(StlcTerm):
-    name: str
-
-
-@_cached_hash
-@dataclass(frozen=True)
-class SApp(StlcTerm):
-    fn: StlcTerm
-    arg: StlcTerm
-
-
-@_cached_hash
-@dataclass(frozen=True)
-class SLam(StlcTerm):
-    hint: str = field(compare=False)
-    body: StlcTerm = field()
-
-
-def mk_sapp(fn: StlcTerm, *args: StlcTerm) -> StlcTerm:
-    for a in args:
-        fn = SApp(fn, a)
-    return fn
 
 
 # --- the two erasures --------------------------------------------------------
@@ -229,59 +174,59 @@ def pi_const_type(sigma: SimpleType) -> SimpleType:
     return Arrow(STAR, Arrow(Arrow(sigma, STAR), STAR))
 
 
-def erase_term(theory: Theory, m: DkTerm,
-               pis: set[SimpleType] | None = None) -> StlcTerm:
-    """Erase a term to an untyped lambda term, keeping all redexes alive.
+class Erasure(NamedTuple):
+    """A framework term that :func:`erase_term` found erasable;
+    :func:`stlc_check` reads its erasure off ``term``."""
 
-    Binder annotations are not dropped: an abstraction becomes a redex
+    theory: Theory
+    term: DkTerm
+
+
+def erase_term(theory: Theory, m: DkTerm,
+               pis: set[SimpleType] | None = None) -> Erasure:
+    """Check that ``m`` erases to an untyped lambda term, keeping all redexes alive.
+
+    Binder annotations are not dropped: an abstraction erases to a redex
     applying a vacuous extra binder to the erased annotation, and a
     product applies a combinator (one per domain erasure, recorded in
-    ``pis`` when given) to its erased pieces.  The result is
-    deterministic, and one beta step on ``m`` always maps to at least
-    one beta step on the erasure.
+    ``pis`` when given) to its erased domain and its erased codomain
+    under the product's binder.  One beta step on ``m`` always maps to at
+    least one beta step on the erasure.
 
-    The erasure is built at its final depth, in time linear in the size
-    of ``m``.  An abstraction puts two binders around its erased body
-    (``_z``, then its own) and a product one, so ``Var(k)`` erases to
-    ``SVar(k + l)``, where ``l`` counts the abstractions among the ``k``
-    innermost binders around it.  The index map ``lams`` holds, for each
-    prefix of the binders on the path from the root, the number of
-    abstractions among them, which gives ``l`` in constant time.  The
-    simple type of each product's domain is worked out once per node.
+    The erased term is never built: :func:`stlc_check` reads it off
+    ``m``.  This walk meets each node object once, in the order of the
+    erasure (an abstraction's body before its annotation, a product's
+    domain type before its domain and codomain), so the first node with
+    no erasure is the one ``NotErasable`` names.
     """
-    lams = [0]
+    seen = NodeMemo()
     types = NodeMemo()
 
-    def go(t: DkTerm) -> StlcTerm:
+    def go(t: DkTerm) -> None:
+        if id(t) in seen:
+            return
+        seen.put(id(t), True, t)
         cls = type(t)
         if cls is App:
-            return SApp(go(t.fn), go(t.arg))
-        if cls is Var:
-            k = t.index
-            depth = len(lams) - 1
-            return SVar(k + lams[depth] - lams[max(depth - k, 0)])
-        if cls is Cons:
-            out: StlcTerm = SConst(t.name)
+            go(t.fn)
+            go(t.arg)
+        elif cls is Cons:
             for a in t.args:
-                out = SApp(out, go(a))
-            return out
-        if cls is Lam:
-            lams.append(lams[-1] + 1)
-            eb = go(t.body)
-            lams.pop()
-            return SApp(SLam("_z", SLam(t.hint, eb)), go(t.ann))
-        if cls is Pi:
+                go(a)
+        elif cls is Lam:
+            go(t.body)
+            go(t.ann)
+        elif cls is Pi:
             sigma = _erase_type(theory, t.dom, types)
             if pis is not None:
                 pis.add(sigma)
-            ed = go(t.dom)
-            lams.append(lams[-1])
-            ec = go(t.cod)
-            lams.pop()
-            return mk_sapp(SConst(pi_const_name(sigma)), ed, SLam(t.hint, ec))
-        raise NotErasable(f"no term erasure for {t!r}")
+            go(t.dom)
+            go(t.cod)
+        elif cls is not Var:
+            raise NotErasable(f"no term erasure for {t!r}")
 
-    return go(m)
+    go(m)
+    return Erasure(theory, m)
 
 
 def erase_signature(theory: Theory) -> dict[str, SimpleType]:
@@ -324,10 +269,21 @@ _UNKNOWN = -1
 
 
 def stlc_check(consts: Mapping[str, SimpleType], ctx: Sequence[SimpleType],
-               m: StlcTerm, sigma: SimpleType) -> bool:
-    """Is the judgment ``consts; ctx |- m : sigma`` derivable?
+               m: Erasure, sigma: SimpleType) -> bool:
+    """Is the judgment ``consts; ctx |- |m| : sigma`` derivable, where
+    ``|m|`` is the erasure of ``m.term``?
 
-    The terms carry no annotations, so this solves for a typing rather
+    The erasure is read off the framework term, one occurrence at a
+    time: an application applies its function to its argument, a
+    constant its simple type (from ``consts``) to its arguments, and a
+    product its combinator to its domain and then to its codomain under
+    a binder.  An abstraction types its annotation, which is the
+    argument of a vacuous binder in ``|m|``, and binds its variable.
+    Every binder is bound at a fresh unknown.  The vacuous binder could
+    only equate a fresh unknown with the annotation's type, so it is
+    left out, and ``Var(k)`` is the ``k``-th framework binder out.
+
+    ``|m|`` carries no annotations, so this solves for a typing rather
     than checking one: unification over simple types, which is complete
     here because simple typability is a first-order unification problem.
     ``ctx`` is ordered oldest first; variable 0 is the last entry.
@@ -343,7 +299,7 @@ def stlc_check(consts: Mapping[str, SimpleType], ctx: Sequence[SimpleType],
     The occurs check is one pass at the end: a typing exists iff no
     class contains itself, i.e. the arrows between class representatives
     form no cycle.  The environment is one list, pushed and popped at
-    each abstraction.
+    each abstraction and product.
     """
     parent = [0]
     dom = [_STAR]
@@ -392,40 +348,56 @@ def stlc_check(consts: Mapping[str, SimpleType], ctx: Sequence[SimpleType],
         return 0
 
     const_nodes: dict[str, int] = {}
+    types = NodeMemo()
 
-    def infer(t: StlcTerm) -> int:
-        cls = type(t)
-        if cls is SApp:
-            tx = infer(t.arg)
-            tf = find(infer(t.fn))
-            if dom[tf] == _UNKNOWN:
-                b = new(_UNKNOWN, _UNKNOWN)
-                parent[tf] = new(tx, b)
-                return b
-            if tf == 0:
+    def const(name: str) -> int:
+        i = const_nodes.get(name)
+        if i is None:
+            ty = consts.get(name)
+            if ty is None:
                 raise _Untypable
-            unify(dom[tf], tx)
-            return cod[tf]
-        if cls is SVar:
+            i = const_nodes[name] = load(ty)
+        return i
+
+    def apply(f: int, x: int) -> int:
+        f = find(f)
+        if dom[f] == _UNKNOWN:
+            b = new(_UNKNOWN, _UNKNOWN)
+            parent[f] = new(x, b)
+            return b
+        if f == 0:
+            raise _Untypable
+        unify(dom[f], x)
+        return cod[f]
+
+    def bound(t: DkTerm) -> int:
+        """The type of ``t`` under a new binder of unknown type."""
+        a = new(_UNKNOWN, _UNKNOWN)
+        env.append(a)
+        r = infer(t)
+        env.pop()
+        return new(a, r)
+
+    def infer(t: DkTerm) -> int:
+        cls = type(t)
+        if cls is App:
+            return apply(infer(t.fn), infer(t.arg))
+        if cls is Var:
             k = t.index
             if not 0 <= k < len(env):
                 raise _Untypable
             return env[-1 - k]
-        if cls is SLam:
-            a = new(_UNKNOWN, _UNKNOWN)
-            env.append(a)
-            r = infer(t.body)
-            env.pop()
-            return new(a, r)
-        if cls is SConst:
-            i = const_nodes.get(t.name)
-            if i is None:
-                ty = consts.get(t.name)
-                if ty is None:
-                    raise _Untypable
-                i = const_nodes[t.name] = load(ty)
-            return i
-        raise _Untypable
+        if cls is Cons:
+            f = const(t.name)
+            for a in t.args:
+                f = apply(f, infer(a))
+            return f
+        if cls is Lam:
+            infer(t.ann)
+            return bound(t.body)
+        sigma = _erase_type(m.theory, t.dom, types)
+        f = apply(const(pi_const_name(sigma)), infer(t.dom))
+        return apply(f, bound(t.cod))
 
     def acyclic() -> bool:
         state = [0] * len(parent)   # 0 unseen, 1 on the current path, 2 done
@@ -450,7 +422,7 @@ def stlc_check(consts: Mapping[str, SimpleType], ctx: Sequence[SimpleType],
 
     env = [load(a) for a in ctx]
     try:
-        unify(infer(m), load(sigma))
+        unify(infer(m.term), load(sigma))
     except _Untypable:
         return False
     return acyclic()

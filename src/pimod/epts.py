@@ -469,7 +469,7 @@ def _expect(spec: SortSpec, ctx: EptsContext, m: EptsTerm, got: EptsTerm,
     """``m``, whose type is ``got``, must have the type ``ty``."""
     if not epts_convertible(spec, got, ty, f):
         raise TypeMismatch("term does not have the required type", names=ctx.names,
-                           expected=ty, actual=got, subject=m)
+                           avoid=spec.sorts, expected=ty, actual=got, subject=m)
 
 
 def _require_rule(spec: SortSpec, s1: str, s2: str) -> None:
@@ -581,7 +581,7 @@ def _sort_of(spec: SortSpec, ctx: EptsContext, a: EptsTerm, ty: EptsTerm,
         case Cons(s, ()):
             return s
     raise ElaborationFailed("expected a type, but its type is not a sort",
-                            names=ctx.names, subject=a, actual=ty)
+                            names=ctx.names, avoid=spec.sorts, subject=a, actual=ty)
 
 
 def sort_of_type(spec: SortSpec, ctx: EptsContext, a: EptsTerm,
@@ -635,7 +635,7 @@ def _elab(spec: SortSpec, f: Fuel, ctx: EptsContext, t: PtsTerm) -> EptsTerm:
                     _expect(spec, ctx, earg, _head_type(spec, ctx, earg), dom, f)
                     return EApp(s1, s2, dom, h, cod, efn, earg)
             raise NotAProduct("the function part of an application is not "
-                              "of product type", names=ctx.names,
+                              "of product type", names=ctx.names, avoid=spec.sorts,
                               head=efn, head_type=fnty)
     raise PimodError(f"cannot elaborate {t!r}")
 

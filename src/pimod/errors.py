@@ -8,7 +8,7 @@ printer in the import graph can raise rich errors without a cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 
 @dataclass
@@ -42,14 +42,15 @@ class Diagnostic:
         return f"{self.severity}: {self.code}{subj}: {self.message}"
 
 
-def _show(x: Any, names: Sequence[str] = ()) -> str:
+def _show(x: Any, names: Sequence[str] = (), avoid: Iterable[str] = ()) -> str:
     # Render terms through the pretty printer when possible, in a context
-    # whose entries print as the CLI prints them; fall back to repr for
-    # anything the printer does not know about.
+    # whose entries and binders print as the CLI prints them, primed
+    # against the names in ``avoid``; fall back to repr for anything the
+    # printer does not know about.
     try:
         from . import syntax
 
-        return syntax.render(x, syntax.fresh_names(names))
+        return syntax.render(x, syntax.fresh_names(names, avoid), avoid)
     except Exception:
         return repr(x)
 
@@ -59,18 +60,22 @@ class PimodError(Exception):
 
     ``names`` are the hints of the typing context that the carried terms
     live in, oldest first; their variables print under those names.
+    ``avoid`` holds the names of the constants (or sorts) in scope, which
+    no printed variable takes.
     """
 
-    def __init__(self, message: str = "", *, names: Sequence[str] = (), **info: Any):
+    def __init__(self, message: str = "", *, names: Sequence[str] = (),
+                 avoid: Iterable[str] = (), **info: Any):
         super().__init__(message)
         self.message = message
         self.names = tuple(names)
+        self.avoid = avoid
         self.info = info
 
     def __str__(self) -> str:
         parts = [self.message] if self.message else []
         for key, val in self.info.items():
-            parts.append(f"{key}={_show(val, self.names)}")
+            parts.append(f"{key}={_show(val, self.names, self.avoid)}")
         return "; ".join(parts) if parts else self.__class__.__name__
 
 
@@ -117,8 +122,8 @@ class TypeMismatch(PimodError):
     def __str__(self) -> str:
         base = super().__str__()
         if self.expected is not None or self.actual is not None:
-            return (f"{base}: expected {_show(self.expected, self.names)}, "
-                    f"got {_show(self.actual, self.names)}")
+            return (f"{base}: expected {_show(self.expected, self.names, self.avoid)}, "
+                    f"got {_show(self.actual, self.names, self.avoid)}")
         return base
 
 

@@ -152,7 +152,8 @@ class _Kernel:
             if head_class(fn_ty) is not Pi:
                 raise NotAProduct(
                     f"applied term is not of product type (at {_path_str(path)})",
-                    names=sc.names, function=t.fn, actual=m.quote(fn_ty, sc.depth))
+                    names=sc.names, avoid=self.theory.names, function=t.fn,
+                    actual=m.quote(fn_ty, sc.depth))
             self.check(sc, t.arg, m.dom(fn_ty), path + ("argument position",))
             ty = m.instantiate(fn_ty, m.clo(t.arg, sc.env))
         elif tt is Lam:
@@ -171,7 +172,8 @@ class _Kernel:
             if head_class(ty) not in (Type, Kind):
                 raise TypeMismatch(
                     f"product codomain must be a type or a kind (at {_path_str(path)})",
-                    names=inner.names, expected=TYPE, actual=m.quote(ty, inner.depth))
+                    names=inner.names, avoid=self.theory.names, expected=TYPE,
+                    actual=m.quote(ty, inner.depth))
         else:
             raise PimodError(f"cannot type {t!r}")
         if log is not None:
@@ -184,7 +186,8 @@ class _Kernel:
         if head_class(sort) is not Type:
             raise TypeMismatch(
                 f"binder annotation must be a type (at {_path_str(path)})",
-                names=sc.names, expected=TYPE, actual=self.m.quote(sort, sc.depth))
+                names=sc.names, avoid=self.theory.names, expected=TYPE,
+                actual=self.m.quote(sort, sc.depth))
 
     def check(self, sc: _Scope, t: DkTerm, ty, path: tuple[str, ...]) -> None:
         """``t`` must have the type ``ty``, a value; on a mismatch both sides
@@ -193,7 +196,7 @@ class _Kernel:
         actual = self.infer(sc, t, path)
         if not m.conv(actual, ty, sc.depth):
             raise TypeMismatch(
-                f"type mismatch at {_path_str(path)}", names=sc.names,
+                f"type mismatch at {_path_str(path)}", names=sc.names, avoid=self.theory.names,
                 expected=m.quote(m.whnf(ty), sc.depth), actual=m.quote(m.whnf(actual), sc.depth))
 
     def sort(self, sc: _Scope, t: DkTerm, path: tuple[str, ...]) -> type:

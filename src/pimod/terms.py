@@ -20,7 +20,7 @@ once against it.  Every table keyed by node identity is a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, KeysView
 
 from .errors import Diagnostic, UnboundVariable
 
@@ -319,6 +319,11 @@ class Theory:
 
     def decl(self, name: str) -> Declaration | None:
         return self._by_name.get(name)
+
+    @property
+    def names(self) -> KeysView[str]:
+        """The declared constants' names, which printed binders avoid."""
+        return self._by_name.keys()
 
     def rules_for(self, head: str) -> tuple[RewriteRule, ...]:
         return self._rules_by_head.get(head, ())

@@ -41,11 +41,12 @@ hand-written ``instantiate`` above and the hand-written ``convertible``
 below.
 
 ``erase_term`` and ``stlc_check`` are the erasure witness as it was
-before it ran in linear time: ``erase_term`` erases each abstraction's
-body first and then shifts all of it under the vacuous ``_z`` binder,
-and ``stlc_check`` unifies by substitution, with a recursive occurs
-check at every binding and a copy of the environment at every
-abstraction.
+before it read the erased term off the framework term: ``erase_term``
+builds the untyped lambda term (``StlcTerm``) as it built it then, and
+``stlc_check`` types one as it did before it ran in linear time, by
+substitution, with a recursive occurs check at every binding and a copy
+of the environment at every abstraction.  The simulation tests and the
+acceptance gate reduce these built terms.
 
 ``_elab`` is elaboration as it was before it read types off the terms
 it builds: it re-infers, checking every premise again, each domain, the
@@ -100,11 +101,11 @@ fresh kernel calls of their own.  They are copied as they were.
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Any, Iterator, Sequence
 
-from pimod.analysis import (Arrow, SApp, SConst, SimpleType, SLam, StlcTerm, SVar,
-                            erase_type, mk_sapp, pi_const_name)
+from pimod.analysis import Arrow, SimpleType, erase_type, pi_const_name
 from pimod import encode, kernel, rewrite
 from pimod.encode import EncodingTheory
 from pimod.epts import (EApp, ELam, EPi, EptsContext, ESort, EptsTerm, EVar, PApp,
@@ -259,22 +260,6 @@ def epts_subst(t: EptsTerm, j: int, value: EptsTerm) -> EptsTerm:
                         epts_subst(fn, j, value),
                         epts_subst(arg, j, value))
     raise AssertionError(f"not an EPTS term: {t!r}")
-
-
-def stlc_shift(t: StlcTerm, by: int, cutoff: int = 0) -> StlcTerm:
-    """Shift an erased term.  A subterm that does not change is returned
-    itself, so that it keeps the hash it has cached."""
-    match t:
-        case SVar(k):
-            return SVar(k + by) if k >= cutoff and by else t
-        case SApp(f, a):
-            f2, a2 = stlc_shift(f, by, cutoff), stlc_shift(a, by, cutoff)
-            return t if f2 is f and a2 is a else SApp(f2, a2)
-        case SLam(h, b):
-            b2 = stlc_shift(b, by, cutoff + 1)
-            return t if b2 is b else SLam(h, b2)
-        case _:
-            return t
 
 
 def _rename_metas(t: DkTerm, suffix: str) -> DkTerm:
@@ -1349,32 +1334,126 @@ def check_signature(theory: Theory, fuel: int | Fuel | None = None,
     return out
 
 
-# --- the erasure witness by shifting and substitution ----------------------
+# --- the erasure witness on built lambda terms ------------------------------
+
+
+class StlcTerm:
+    __slots__ = ()
+
+
+def _cached_hash(cls: type) -> type:
+    """``cls``, a frozen dataclass, with a hash over the fields it compares,
+    computed once per object.  Equality is unchanged; a set of erased
+    terms no longer rehashes a whole term at every insertion."""
+    key = attrgetter(*(f.name for f in fields(cls) if f.compare))
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash(key(self))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls._hash = None
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_cached_hash
+@dataclass(frozen=True)
+class SVar(StlcTerm):
+    index: int
+
+
+@_cached_hash
+@dataclass(frozen=True)
+class SConst(StlcTerm):
+    name: str
+
+
+@_cached_hash
+@dataclass(frozen=True)
+class SApp(StlcTerm):
+    fn: StlcTerm
+    arg: StlcTerm
+
+
+@_cached_hash
+@dataclass(frozen=True)
+class SLam(StlcTerm):
+    hint: str = field(compare=False)
+    body: StlcTerm = field()
+
+
+def mk_sapp(fn: StlcTerm, *args: StlcTerm) -> StlcTerm:
+    for a in args:
+        fn = SApp(fn, a)
+    return fn
+
+
+def stlc_shift(t: StlcTerm, by: int, cutoff: int = 0) -> StlcTerm:
+    """Shift an erased term.  A subterm that does not change is returned
+    itself, so that it keeps the hash it has cached."""
+    match t:
+        case SVar(k):
+            return SVar(k + by) if k >= cutoff and by else t
+        case SApp(f, a):
+            f2, a2 = stlc_shift(f, by, cutoff), stlc_shift(a, by, cutoff)
+            return t if f2 is f and a2 is a else SApp(f2, a2)
+        case SLam(h, b):
+            b2 = stlc_shift(b, by, cutoff + 1)
+            return t if b2 is b else SLam(h, b2)
+        case _:
+            return t
 
 
 def erase_term(theory: Theory, m: DkTerm,
                pis: set[SimpleType] | None = None) -> StlcTerm:
-    """Erase a term to an untyped lambda term, keeping all redexes alive."""
-    match m:
-        case Var(k):
-            return SVar(k)
-        case Cons(c, args):
-            return mk_sapp(SConst(c), *(erase_term(theory, a, pis) for a in args))
-        case App(f, a):
-            return SApp(erase_term(theory, f, pis), erase_term(theory, a, pis))
-        case Lam(h, ann, body):
-            eb = erase_term(theory, body, pis)
-            return SApp(SLam("_z", SLam(h, stlc_shift(eb, 1, 1))),
-                        erase_term(theory, ann, pis))
-        case Pi(h, dom, cod):
-            sigma = erase_type(theory, dom)
+    """Erase a term to an untyped lambda term, keeping all redexes alive.
+
+    An abstraction becomes a redex applying a vacuous extra binder to
+    the erased annotation, and a product applies a combinator (one per
+    domain erasure, recorded in ``pis`` when given) to its erased
+    pieces.  The erasure is built at its final depth, in time linear in
+    the size of ``m``.  An abstraction puts two binders around its
+    erased body (``_z``, then its own) and a product one, so ``Var(k)``
+    erases to ``SVar(k + l)``, where ``l`` counts the abstractions among
+    the ``k`` innermost binders around it.  The index map ``lams`` holds,
+    for each prefix of the binders on the path from the root, the number
+    of abstractions among them, which gives ``l`` in constant time.
+    """
+    lams = [0]
+
+    def go(t: DkTerm) -> StlcTerm:
+        cls = type(t)
+        if cls is App:
+            return SApp(go(t.fn), go(t.arg))
+        if cls is Var:
+            k = t.index
+            depth = len(lams) - 1
+            return SVar(k + lams[depth] - lams[max(depth - k, 0)])
+        if cls is Cons:
+            out: StlcTerm = SConst(t.name)
+            for a in t.args:
+                out = SApp(out, go(a))
+            return out
+        if cls is Lam:
+            lams.append(lams[-1] + 1)
+            eb = go(t.body)
+            lams.pop()
+            return SApp(SLam("_z", SLam(t.hint, eb)), go(t.ann))
+        if cls is Pi:
+            sigma = erase_type(theory, t.dom)
             if pis is not None:
                 pis.add(sigma)
-            return mk_sapp(SConst(pi_const_name(sigma)),
-                           erase_term(theory, dom, pis),
-                           SLam(h, erase_term(theory, cod, pis)))
-        case _:
-            raise NotErasable(f"no term erasure for {m!r}")
+            ed = go(t.dom)
+            lams.append(lams[-1])
+            ec = go(t.cod)
+            lams.pop()
+            return mk_sapp(SConst(pi_const_name(sigma)), ed, SLam(t.hint, ec))
+        raise NotErasable(f"no term erasure for {t!r}")
+
+    return go(m)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ coverage per example.
 
 from hypothesis import strategies as st
 
-from pimod.analysis import SApp, SConst, SLam, SVar
 from pimod.epts import EApp, ELam, EPi, ESort, EVar, PApp, PLam, PPi, PSort, PVar
 from pimod.terms import KIND, TYPE, App, Cons, Declaration, Lam, Meta, Pi, Theory, Var
+from reference import SApp, SConst, SLam, SVar
 
 HINTS = st.sampled_from(["x", "y", "z", "w"])
 META_NAMES = ("M", "N", "P")
@@ -94,3 +94,21 @@ def stlc_terms(max_free=3, max_leaves=10):
         return st.one_of(st.builds(SApp, ch, ch), st.builds(SLam, HINTS, ch))
 
     return st.recursive(leaves, extend, max_leaves=max_leaves)
+
+
+C0 = Cons("c0")
+
+
+def as_framework(m):
+    """A framework term whose erasure is the lambda term ``m`` up to the
+    redexes of the vacuous binders: each abstraction is annotated with
+    ``c0``, which must be typed ``*``."""
+    match m:
+        case SVar(k):
+            return Var(k)
+        case SConst(c):
+            return Cons(c)
+        case SApp(f, a):
+            return App(as_framework(f), as_framework(a))
+        case SLam(h, b):
+            return Lam(h, C0, as_framework(b))

@@ -3,7 +3,11 @@
 The oracle here is a from-scratch simply-typed-lambda evaluator
 (`ssub`/`sstep`/`sreducts`): simulation claims about erased terms are
 checked against independent reduction, never against the erasure's own
-machinery.
+machinery.  The library never builds an erased term, so these claims
+reduce the terms that ``reference.erase_term`` builds.  The library's
+``stlc_check`` reads a framework term; a lambda term is given to it as a
+framework term whose erasure is that term up to the redexes of the
+vacuous binders, each abstraction annotated with ``c0``.
 """
 
 import random
@@ -11,18 +15,18 @@ import random
 import pytest
 from hypothesis import given
 
-from pimod.analysis import (STAR, Arrow, ConstantLevel, SApp, SConst, SLam,
-                            SVar, check_arity_preserving,
+import reference as ref
+from pimod.analysis import (STAR, Arrow, ConstantLevel, check_arity_preserving,
                             check_rules_well_formed, constant_level,
                             erase_context, erase_signature, erase_term,
-                            erase_type, mk_sapp, pi_const_name, pi_const_type,
+                            erase_type, pi_const_name, pi_const_type,
                             pi_context, render_simple, stlc_check)
 from pimod.errors import NotErasable, UnknownConstant
 from pimod.rewrite import BETA, step
 from pimod.terms import (KIND, TYPE, App, Cons, Declaration, DkContext, Lam,
                          Meta, Pi, RewriteRule, Theory, Var, subst)
-from reference import stlc_shift
-from strategies import stlc_terms
+from reference import SApp, SConst, SLam, SVar, mk_sapp, stlc_shift
+from strategies import C0, as_framework, stlc_terms
 from systems import extended
 from termgen import GEN_THEORY, gen_judgment, gen_term, gen_type
 
@@ -204,15 +208,19 @@ class TestEraseType:
 
 class TestEraseTerm:
     def test_abstraction_keeps_annotation_alive(self):
-        got = erase_term(VEC, Lam("x", N, Var(0)))
-        assert got == SApp(SLam("_z", SLam("x", SVar(0))), SConst("N"))
+        t = Lam("x", N, Var(0))
+        assert ref.erase_term(VEC, t) == SApp(SLam("_z", SLam("x", SVar(0))), SConst("N"))
+        assert stlc_check(erase_signature(VEC), [], erase_term(VEC, t), Arrow(STAR, STAR))
+        # the annotation is typed: an unknown one fails the judgment
+        assert not stlc_check({}, [], erase_term(VEC, t), Arrow(STAR, STAR))
 
     def test_product_routes_through_combinator(self):
-        pis = set()
-        got = erase_term(VEC, Pi("x", N, vec(Var(0))), pis)
-        assert got == mk_sapp(SConst("pi*"), SConst("N"),
-                              SLam("x", SApp(SConst("Vec"), SVar(0))))
-        assert pis == {STAR}
+        pis, ref_pis = set(), set()
+        t = Pi("x", N, vec(Var(0)))
+        erase_term(VEC, t, pis)
+        assert ref.erase_term(VEC, t, ref_pis) == mk_sapp(
+            SConst("pi*"), SConst("N"), SLam("x", SApp(SConst("Vec"), SVar(0))))
+        assert pis == ref_pis == {STAR}
         assert pi_const_name(STAR) == "pi*"
         assert pi_const_type(STAR) == Arrow(STAR, Arrow(Arrow(STAR, STAR), STAR))
 
@@ -233,10 +241,10 @@ class TestEraseTerm:
             body = gen_term(rng, ctx.extend("u", dom), shift(goal, 1), 2)
             redex = App(Lam("u", dom, body), arg)
 
-            e = erase_term(GEN_THEORY, redex)
+            e = ref.erase_term(GEN_THEORY, redex)
             one = sstep(e)
             two = sstep(one)
-            assert two == erase_term(GEN_THEORY, subst(body, 0, arg))
+            assert two == ref.erase_term(GEN_THEORY, subst(body, 0, arg))
 
     def test_any_framework_beta_step_is_simulated(self):
         rng = random.Random(17)
@@ -247,8 +255,8 @@ class TestEraseTerm:
             if r is None:
                 continue
             hits += 1
-            assert s_reaches(erase_term(GEN_THEORY, t),
-                             erase_term(GEN_THEORY, r[0]))
+            assert s_reaches(ref.erase_term(GEN_THEORY, t),
+                             ref.erase_term(GEN_THEORY, r[0]))
 
 
 class TestSignatureAndContext:
@@ -303,35 +311,53 @@ class TestStlcTermHash:
         assert len({a, c, b}) == (1 if a == b else 2)
 
 
+def typable(consts, ctx, t, sigma):
+    """The library's verdict on the erasure of ``t``, with ``c0 : *``."""
+    return stlc_check({"c0": STAR, **consts}, ctx, erase_term(VEC, t), sigma)
+
+
 class TestStlcCheck:
     def test_identity(self):
-        i = SLam("x", SVar(0))
-        assert stlc_check({}, [], i, Arrow(STAR, STAR))
-        assert stlc_check({}, [], i, Arrow(Arrow(STAR, STAR), Arrow(STAR, STAR)))
-        assert not stlc_check({}, [], i, STAR)
+        i = Lam("x", C0, Var(0))
+        assert typable({}, [], i, Arrow(STAR, STAR))
+        assert typable({}, [], i, Arrow(Arrow(STAR, STAR), Arrow(STAR, STAR)))
+        assert not typable({}, [], i, STAR)
 
     def test_church_numeral(self):
-        two = SLam("f", SLam("x", SApp(SVar(1), SApp(SVar(1), SVar(0)))))
-        assert stlc_check({}, [], two,
-                          Arrow(Arrow(STAR, STAR), Arrow(STAR, STAR)))
+        two = Lam("f", C0, Lam("x", C0, App(Var(1), App(Var(1), Var(0)))))
+        assert typable({}, [], two, Arrow(Arrow(STAR, STAR), Arrow(STAR, STAR)))
 
     def test_self_application_fails_occurs_check(self):
-        w = SLam("x", SApp(SVar(0), SVar(0)))
-        assert not stlc_check({}, [], w, STAR)
-        assert not stlc_check({}, [], w, Arrow(STAR, STAR))
+        w = Lam("x", C0, App(Var(0), Var(0)))
+        assert not typable({}, [], w, STAR)
+        assert not typable({}, [], w, Arrow(STAR, STAR))
 
     def test_constants_and_variables(self):
-        assert stlc_check(CONSTS, [], SApp(SConst("f"), SConst("a")), STAR)
-        assert not stlc_check(CONSTS, [], SApp(SConst("a"), SConst("a")), STAR)
-        assert not stlc_check(CONSTS, [], SConst("ghost"), STAR)
-        assert not stlc_check(CONSTS, [], SVar(0), STAR)
+        assert typable(CONSTS, [], App(Cons("f"), Cons("a")), STAR)
+        assert not typable(CONSTS, [], App(Cons("a"), Cons("a")), STAR)
+        assert not typable(CONSTS, [], Cons("ghost"), STAR)
+        assert not typable(CONSTS, [], Var(0), STAR)
 
     def test_context_is_oldest_first(self):
         ctx = [STAR, Arrow(STAR, STAR)]
-        assert stlc_check({}, ctx, SVar(0), Arrow(STAR, STAR))
-        assert stlc_check({}, ctx, SVar(1), STAR)
-        assert stlc_check({}, ctx, SApp(SVar(0), SVar(1)), STAR)
-        assert not stlc_check({}, ctx, SVar(0), STAR)
+        assert typable({}, ctx, Var(0), Arrow(STAR, STAR))
+        assert typable({}, ctx, Var(1), STAR)
+        assert typable({}, ctx, App(Var(0), Var(1)), STAR)
+        assert not typable({}, ctx, Var(0), STAR)
+
+    def test_a_shared_node_is_typed_at_each_occurrence(self):
+        """One abstraction object, at ``* -> *`` and at ``(* -> *) -> * ->
+        *``: each occurrence gets unknowns of its own, as in a tree copy."""
+        consts = {"k": Arrow(STAR, Arrow(Arrow(STAR, STAR), STAR)), "a": STAR,
+                  "f": Arrow(STAR, STAR)}
+
+        def pair(i, j):
+            return App(App(Cons("k"), App(i, Cons("a"))), App(j, Cons("f")))
+
+        i = Lam("x", C0, Var(0))
+        for t in (pair(i, i), pair(i, Lam("x", C0, Var(0)))):
+            assert typable(consts, [], t, STAR)
+            assert not typable(consts, [], t, Arrow(STAR, STAR))
 
     def test_erased_well_typed_terms_are_typable(self):
         rng = random.Random(23)
@@ -351,11 +377,12 @@ class TestStlcCheck:
         while done < 20:
             ctx, t, ty = gen_judgment(rng, depth=3)
             pis = set()
-            m = erase_term(GEN_THEORY, t, pis)
+            m = ref.erase_term(GEN_THEORY, t, pis)
             r = sstep(m)
             if r is None:
                 continue
             done += 1
-            consts = {**sig, **pi_context(pis)}
-            assert stlc_check(consts, erase_context(GEN_THEORY, ctx), r,
+            consts = {**sig, **pi_context(pis), "c0": STAR}
+            assert stlc_check(consts, erase_context(GEN_THEORY, ctx),
+                              erase_term(GEN_THEORY, as_framework(r)),
                               erase_type(GEN_THEORY, ty))

@@ -15,19 +15,23 @@ and trace loop.  The congruence descents of ``convertible``,
 the per-constructor versions and spend the same fuel.
 Every node class, found through ``__subclasses__``, must list exactly
 its term-valued fields as children, so a constructor without a child
-map cannot be skipped silently.  The erased lambda terms of
-``pimod.analysis`` are plain data, not nodes.
+map cannot be skipped silently, and no module of ``pimod`` may define
+a term language outside the child map.
 """
 
 import dataclasses
+import importlib
+import pkgutil
 import random
+import re
 import typing
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import reference as ref
-from pimod.analysis import SApp, SConst, SLam, StlcTerm, SVar
+import pimod
+from pimod.analysis import SimpleType
 from pimod.decode import hidden_equiv
 from pimod.encode import EncodingTheory
 from pimod.epts import EApp, ELam, EVar, epts_convertible, epts_redex, epts_reduce
@@ -136,8 +140,29 @@ class TestCompleteness:
         names = {c.__name__ for c in self.CLASSES}
         assert {"Var", "Cons", "Type", "Kind", "App", "Lam", "Pi", "Meta",
                 "EPi", "ELam", "EApp"} <= names
-        # the erased lambda terms are plain data
-        assert not any(issubclass(c, Term) for c in (StlcTerm, SVar, SConst, SApp, SLam))
+
+    def test_no_module_defines_another_term_language(self):
+        """A class of ``pimod`` with a field of its own kind (a node of a
+        term language, like an application's function) is a node of the
+        child map, and the one class with an index is ``Var``: the
+        erasure builds no lambda terms of its own.  Its simple types are
+        the one other recursive data."""
+        checked = 0
+        for info in pkgutil.walk_packages(pimod.__path__, "pimod."):
+            if info.name == "pimod.__main__":
+                continue
+            mod = importlib.import_module(info.name)
+            for c in vars(mod).values():
+                if not (isinstance(c, type) and c.__module__ == mod.__name__
+                        and dataclasses.is_dataclass(c)):
+                    continue
+                checked += 1
+                kinds = {b.__name__ for b in c.__mro__} - {"object"}
+                fields = dataclasses.fields(c)
+                if any(set(re.findall(r"\w+", str(f.type))) & kinds for f in fields):
+                    assert issubclass(c, (Term, SimpleType)), c.__qualname__
+                assert any(f.name == "index" for f in fields) == (c is Var), c.__qualname__
+        assert checked > len(self.CLASSES)
 
     def test_variables_are_marked(self):
         """``Var`` is the one variable leaf: the one class with an index."""

@@ -60,6 +60,14 @@ class TestCheckDk:
         assert main(["check-dk", str(f)]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_a_mismatch_primes_binders_named_after_constants(self, tmp_path, capsys):
+        """The message prints a type as ``render_theory`` writes it."""
+        f = tmp_path / "shadow.dk"
+        f.write_text("constant N : TYPE. constant z : N. constant P (n : N) : TYPE. "
+                     "constant g : Pi z : N. P(z). check g : N.\n")
+        assert main(["check-dk", str(f)]) == 1
+        assert "expected N, got Pi z' : N. P(z')\n" in capsys.readouterr().out
+
     def test_parse_error_is_reported_not_raised(self, tmp_path, capsys):
         f = tmp_path / "broken.dk"
         f.write_text("constant : TYPE.")
@@ -112,6 +120,15 @@ class TestCheckEpts:
                          "--mode", mode]) == 0
             out = capsys.readouterr().out
             assert f"[{mode}]" in out and "FAIL" not in out
+
+    def test_a_mismatch_primes_binders_named_after_sorts(self, tmp_path, capsys):
+        """A binder hinted ``Type`` does not print as the sort ``Type``."""
+        f = tmp_path / "shadow.epts"
+        f.write_text("assume C : Type. def bad : Pi A : Type. C -> C := "
+                     "lam Type : Type. lam x : Type. x.\n")
+        assert main(["check-epts", SYSTEMF_SORTS, str(f), "--mode", "finite"]) == 1
+        assert ("got Pi{Kind,Type}(Type, Type'. Pi{Type,Type}(Type', x. Type'))\n"
+                in capsys.readouterr().out)
 
     @pytest.mark.parametrize("fmt", ["text", "machine-readable"])
     def test_notes_the_unnamed_axiom_of_the_top_sort(self, fmt, capsys):

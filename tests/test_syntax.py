@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from pimod.analysis import SLam, SVar
 from pimod.corpus import CORPUS_NAMES, load_cases, load_sorts, read_text
 from pimod.encode import expected_dk_type, generate, translate, translate_ctx
 from pimod.epts import (ESort, EVar, EptsContext, FiniteSortSpec, InternalizedSortSpec,
@@ -395,7 +394,7 @@ class TestRenderContext:
                 for k, (n, (_, ty)) in enumerate(zip(names, self.DK_CTX.entries))] == lines
 
     def test_render_rejects_contexts_theories_and_untyped_terms(self):
-        for x in (self.DK_CTX, Theory(()), SLam("x", SVar(0))):
+        for x in (self.DK_CTX, Theory(()), reference.SLam("x", reference.SVar(0))):
             with pytest.raises(TypeError):
                 render(x)
 
