@@ -33,8 +33,11 @@ a constant: ``decode --term --trace`` over an assumption named
 ``u@Type``, which the term names ``u@Type'`` as the traces print it,
 ``morphism apply`` of a term with a binder hinted ``type``, a constant
 of the target theory, and ``check-dk --trace`` of a theory that assumes
-a variable named after one of its constants.  The inputs of these cases
-are written to ``OUT_DIR/cases/``.
+a variable named after one of its constants.  Last, ``check-epts
+--mode internalized --fuel 100`` of ``systemf.epts`` over two variants
+of ``systemf.sorts``: one with a second rule for ``Ru(type, type)``, and
+one whose rule ``Ru(x, y) --> Ru(x, y)`` replaces ``ru-tt``.  The inputs
+of these cases are written to ``OUT_DIR/cases/``.
 
 Every run goes in-process through ``pimod.cli.main`` (or the script's
 ``main``), with the current directory set to OUT_DIR.  Run number N
@@ -141,6 +144,14 @@ NUMERAL_DEPTHS = (200, 600)
 # no rules there, and its internalized axiom has no declared name
 TOP_SORT = ("assume A : 2.\ndef k : 3 -> 3 := lam x : 3. x.\n"
             "def j : 2 -> 2 := lam x : 2. x.\n")
+# System F's sort file with a rule for Ru(type, type) added or replaced:
+# a second value makes the spec not functional, and a rule that rewrites
+# every Ru application to itself makes it not terminate
+RU_TT = 'rule "ru-tt" Ru(type, type) --> type.\n'
+BAD_SORTS = {
+    "ru_tt2.sorts": RU_TT + 'rule "ru-tt2" Ru(type, type) --> kind.\n',
+    "loop.sorts": 'rule "loop" Ru(x, y) --> Ru(x, y).\n',
+}
 # Files that fail to parse: a rule name without its closing quote, a
 # character outside the token language, and two sort files with a syntax
 # error in their [internalized] section, lines below the section header:
@@ -264,6 +275,11 @@ def case_commands(cases: Path, systems) -> list[list[str]]:
         runs.append(["roundtrip", str(CORPUS / "systemf.sorts"), "cases/shadow_binder.epts",
                      "--mode", "finite", "--trace"])
         runs += shadow_commands(cases)
+        systemf = (ROOT / CORPUS / "systemf.sorts").read_text()
+        for name, rule in BAD_SORTS.items():
+            (cases / name).write_text(systemf.replace(RU_TT, rule))
+            runs.append(["check-epts", f"cases/{name}", str(CORPUS / "systemf.epts"),
+                         "--mode", "internalized", "--fuel", "100"])
     return runs
 
 

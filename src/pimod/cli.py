@@ -9,6 +9,9 @@ is too deep or too large for the interpreter (recursion depth or
 memory), reported as one ``resource-limit`` record.  Every other failure
 that stops a run, a malformed command line included, is one record too.
 
+A reader that closes stdout early (``pimod … | head -1``) ends the run
+with exit 1 and no traceback.
+
 Each input item (a judgment, one ``check`` line, a theory file's
 signature plus context, a judgments file's assumptions, a morphism)
 draws every step on one ``Fuel`` of ``--fuel`` steps.  The ``--trace``
@@ -127,6 +130,7 @@ def _load_spec(path: str, mode: str) -> tuple[SortSpec, str]:
         return sf.finite, "finite"
     if sf.internalized is None:
         raise PimodError(f"{path} has no [internalized] section")
+    sf.internalized.table()   # a spec that is not functional or not terminating fails here
     return sf.internalized, "internalized"
 
 
@@ -157,14 +161,13 @@ def _cmd_check_dk(args, rep: Reporter) -> None:
             continue
         rep.result("theory", path, True,
                    f"{len(tf.theory.signature)} constants, {len(tf.theory.rules)} rules")
-        for d in check_context(tf.theory, tf.assumes, f, log):
-            rep.diagnostic(d, path)
-        # the checks run with the entries named as render_theory writes
-        # them, so kernel messages name them that way too (hints are outside
-        # equality); check_context above reads the hints as written, so that
-        # it reports a repeated one
+        # entries are named as render_theory writes them, in diagnostics and
+        # in kernel messages (hints are outside equality); check_context
+        # still reads the hints as written, so that it reports a repeated one
         avoid = {d.name for d in tf.theory.signature}
         names = fresh_names(tf.assumes.names, avoid)
+        for d in check_context(tf.theory, tf.assumes, f, log, names):
+            rep.diagnostic(d, path)
         ctx = DkContext(tuple(zip(names, (ty for _, ty in tf.assumes.entries))))
         for m, a in tf.checks:
             subject = f"{render(m, names, avoid)} : {render(a, names, avoid)}"
@@ -329,6 +332,7 @@ def _cmd_morphism(args, rep: Reporter) -> None:
         if sf.finite is None or sf.internalized is None:
             raise PimodError(f"{args.sorts} must carry both finite tables and "
                              "an [internalized] section")
+        sf.internalized.table()
         phi = build_phi(generate(sf.finite), generate(sf.internalized))
         _verify_and_report(phi, rep, f"phi({args.sorts})", args.fuel, args.trace)
         if args.out:
@@ -477,6 +481,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: what is still buffered goes to the null
+        # device, so that the flush at exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run(argv: list[str] | None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except _UsageError as e:

@@ -37,7 +37,7 @@ from .epts import (
 from .encode import EncodingTheory, expected_dk_type, translate, translate_ctx
 
 
-def invert(enc: EncodingTheory, t: DkTerm) -> EptsTerm:
+def invert(enc: EncodingTheory, t: DkTerm, fuel: int | Fuel | None = None) -> EptsTerm:
     """Translate back, discarding binder annotations.
 
     Reads the productions :func:`translate` writes, through
@@ -50,8 +50,10 @@ def invert(enc: EncodingTheory, t: DkTerm) -> EptsTerm:
 
     Each node object is inverted once per call, so the result shares
     what ``t`` shares: it has no more distinct node objects than ``t``,
-    and :func:`translate` maps it back in time linear in them.
+    and :func:`translate` maps it back in time linear in them.  A sort
+    argument that is no named sort term is normalized on ``fuel``.
     """
+    fuel = Fuel.of(fuel)
     memo = NodeMemo()
 
     def back(u: DkTerm) -> EptsTerm:
@@ -62,7 +64,7 @@ def invert(enc: EncodingTheory, t: DkTerm) -> EptsTerm:
             case Var():
                 m = u
             case Cons(name, args):
-                match enc.split(name, args):
+                match enc.split(name, args, fuel):
                     case "u", (s,), ():
                         m = Cons(s)
                     case "Prod", (s1, s2), (a, Lam(h, _, b)):
@@ -88,7 +90,8 @@ def hidden_equiv(enc: EncodingTheory, a: DkTerm, b: DkTerm,
     The plain skeletons must agree on the nose; the collected pairs of
     binder annotations merely have to be convertible, and two family
     members need only the same role and the same sort names, which
-    :meth:`EncodingTheory.split` reads by evaluating the sort arguments.
+    :meth:`EncodingTheory.split` reads off the sort arguments, normalizing
+    on ``fuel`` those that are no named sort term.
     This is the precise sense in which annotations and sort arguments are
     hidden: rewriting can change them, but it cannot change what the term
     says.
@@ -96,6 +99,7 @@ def hidden_equiv(enc: EncodingTheory, a: DkTerm, b: DkTerm,
     Each pair of node objects is zipped once and each pair of annotation
     objects converted once, however often the terms repeat them.
     """
+    f = Fuel.of(fuel)
     pairs = NodeMemo()    # annotation pairs, in order of first meeting
     zipped = NodeMemo()   # pairs of subterms of a and b that agree
 
@@ -111,7 +115,7 @@ def hidden_equiv(enc: EncodingTheory, a: DkTerm, b: DkTerm,
         else:
             sx = sy = None
             if type(x) is Cons and type(y) is Cons:
-                sx, sy = enc.split(x.name, x.args), enc.split(y.name, y.args)
+                sx, sy = enc.split(x.name, x.args, f), enc.split(y.name, y.args, f)
             if sx is not None and sy is not None:
                 if sx[:2] != sy[:2] or len(sx[2]) != len(sy[2]):
                     return False
@@ -128,7 +132,6 @@ def hidden_equiv(enc: EncodingTheory, a: DkTerm, b: DkTerm,
 
     if not zip_(a, b):
         return False
-    f = Fuel.of(fuel)
     return all(convertible(enc.theory, p, q, f) for p, q in pairs.values())
 
 
@@ -149,7 +152,7 @@ def conservative_invert(enc: EncodingTheory, ctx: EptsContext, t: DkTerm,
     want = expected_dk_type(enc, ctx, a, f)
     dk_check(enc.theory, dctx, t, want, f)
     normal = nf(enc.theory, t, labels={BETA}, fuel=f)
-    m = invert(enc, normal)
+    m = invert(enc, normal, f)
 
     try:
         epts_check(enc.spec, ctx, m, a, f)
@@ -182,7 +185,7 @@ def adequacy_legs(enc: EncodingTheory, ctx: EptsContext, m: EptsTerm,
     img = translate(enc, m)
     legs: list[tuple[str, Diagnostic | None]] = [
         ("image-ill-typed", _image_typed(enc, ctx, m, a, img, f)),
-        ("not-left-inverse", _left_inverse(enc, m, img)),
+        ("not-left-inverse", _left_inverse(enc, m, img, f)),
     ]
     contracted = epts_redex(enc.spec, m)
     if contracted is None:
@@ -209,9 +212,10 @@ def _image_typed(enc: EncodingTheory, ctx: EptsContext, m: EptsTerm, a: EptsTerm
     return None
 
 
-def _left_inverse(enc: EncodingTheory, m: EptsTerm, img: DkTerm) -> Diagnostic | None:
+def _left_inverse(enc: EncodingTheory, m: EptsTerm, img: DkTerm,
+                  f: Fuel) -> Diagnostic | None:
     try:
-        back = invert(enc, img)
+        back = invert(enc, img, f)
     except NotInvertible as e:
         return Diagnostic("not-left-inverse",
                           f"the image is not invertible: {e}", data={"term": m})

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import PimodError
-from .rewrite import BETA, Fuel
+from .rewrite import BETA, Fuel, nf
 from .terms import (
     TYPE,
     App,
@@ -119,22 +119,29 @@ class EncodingTheory:
             return Cons(name, payload)
         return Cons(role, tuple(self.spec.sort_term(s) for s in sorts) + payload)
 
-    def split(self, name: str, args: tuple[DkTerm, ...]
+    def split(self, name: str, args: tuple[DkTerm, ...], fuel: Fuel | None = None
               ) -> tuple[str, tuple[str, ...], tuple[DkTerm, ...]] | None:
         """The inverse of :meth:`family`: ``(role, sorts, payload)`` of the
         constant ``name`` applied to ``args``, or None when ``name`` is no
-        family member or a sort argument evaluates to no named sort."""
+        family member or a sort argument evaluates to no named sort.
+
+        A sort argument that is a named sort term, as every one that
+        :meth:`family` writes is, is read off the spec's ``names``; any
+        other is normalized first, drawing on ``fuel``."""
         role = self.roles.get(name)
         if role is None:
             return None
         if self.mode == "finite":
             return role[0], role[1:], args
         k = INTERNAL_CORE[role[0]]
+        names = self.spec.names
         sorts = []
         for a in args[:k]:
-            s = self.spec.evaluate(a)[1]
+            s = names.get(a)
             if s is None:
-                return None
+                s = names.get(nf(self.spec.mini, a, fuel=fuel))
+                if s is None:
+                    return None
             sorts.append(s)
         return role[0], tuple(sorts), args[k:]
 

@@ -27,7 +27,12 @@ are the engine's.
 Sorts come from a :class:`SortSpec`: either a finite enumeration with
 explicit axiom/rule tables, or an internalized presentation where sorts
 are closed first-order terms and the axiom and rule maps are computed
-by rewriting the distinguished ``Ax``/``Ru`` symbols.
+by rewriting the distinguished ``Ax``/``Ru`` symbols.  Both answer from
+one table, filled an entry at a time.  An internalized entry over named
+sorts is checked when it is filled: its reducts, by every rule at every
+position, must reach exactly one normal form and contain no cycle.  A
+sort term outside the table, which only framework input reaches, is
+normalized by ``dk_nf``'s first match, on the item's budget.
 """
 
 from __future__ import annotations
@@ -38,16 +43,17 @@ from typing import Iterable, Mapping
 from .errors import (
     Diagnostic,
     ElaborationFailed,
-    FuelExhausted,
     NonFunctionalSpec,
+    NonTerminatingSpec,
     NotAProduct,
     PimodError,
     SideConditionFailed,
     TopSortHasNoType,
     TypeMismatch,
     UnknownSort,
+    _show,
 )
-from .rewrite import Fuel, Root, congruent, first_redex, nf as dk_nf, normalize
+from .rewrite import Fuel, Root, _rule_root, congruent, first_redex, normalize
 from .terms import (
     TYPE,
     App,
@@ -75,20 +81,21 @@ from .terms import (
 class SortSpec:
     """A functional PTS specification (S, A, R), in either presentation.
 
-    A subclass sets ``known``, the set of declared sort names, and
-    ``sorts``, the same names in order, and answers one question,
-    :meth:`_value`: is the axiom (``op`` ``"Ax"``, one sort) or the
+    A subclass sets ``known``, the set of declared sort names, ``sorts``,
+    the same names in order, and ``_table``, an empty dict, and defines
+    ``_entry(op, sorts)``: is the axiom (``op`` ``"Ax"``, one sort) or the
     product rule (``"Ru"``, two sorts) defined, what is its sort name
-    (None if it has none) and what is its value.  Everything else is
-    derived from that answer here, once: :meth:`require` rejects an
-    undeclared sort; :meth:`axiom_of` and :meth:`rule_of` give the name
-    and raise :class:`UnknownSort` for a defined value that has none,
-    which :meth:`axiom_defined` and :meth:`rule_defined` count as defined
-    and :meth:`coverage_diagnostics` notes.
+    (None if it has none) and what is its value.  :meth:`_value` looks an
+    entry up, filling it on first ask, and everything else is derived
+    from it here: :meth:`axiom_of` and :meth:`rule_of` give the name and
+    raise :class:`UnknownSort` for a defined value that has none, which
+    :meth:`axiom_defined` and :meth:`rule_defined` count as defined and
+    :meth:`coverage_diagnostics` notes.
     """
 
     known: frozenset[str]
     sorts: tuple[str, ...]
+    _table: dict[tuple[str, tuple[str, ...]], tuple[bool, str | None, object]]
 
     def has_sort(self, name: str) -> bool:
         return name in self.known
@@ -100,19 +107,32 @@ class SortSpec:
     def _value(self, op: str, sorts: tuple[str, ...]) -> tuple[bool, str | None, object]:
         """Whether ``op`` over ``sorts`` is defined, its name and its value;
         :class:`UnknownSort` for an undeclared sort."""
-        raise NotImplementedError
+        entry = self._table.get((op, sorts))
+        if entry is None:
+            for s in sorts:
+                self.require(s)
+            entry = self._table[op, sorts] = self._entry(op, sorts)
+        return entry
 
-    def _named(self, what: str, op: str, sorts: tuple[str, ...]) -> str | None:
+    def table(self) -> dict[tuple[str, tuple[str, ...]], tuple[bool, str | None, object]]:
+        """Every entry, filled where it was not yet: the axiom of each sort,
+        then the rule of each pair, in the order of ``sorts``."""
+        keys = [("Ax", (s,)) for s in self.sorts]
+        keys += [("Ru", (s1, s2)) for s1 in self.sorts for s2 in self.sorts]
+        return {k: self._value(*k) for k in keys}
+
+    def _named(self, op: str, sorts: tuple[str, ...]) -> str | None:
         defined, name, v = self._value(op, sorts)
         if defined and name is None:
-            raise UnknownSort(f"{what} evaluates to a sort with no declared name", value=v)
+            raise UnknownSort(f"{_entry_name(op, sorts)} evaluates to a sort with no "
+                              "declared name", value=v)
         return name
 
     def axiom_of(self, s: str) -> str | None:
-        return self._named(f"the axiom of '{s}'", "Ax", (s,))
+        return self._named("Ax", (s,))
 
     def rule_of(self, s1: str, s2: str) -> str | None:
-        return self._named(f"the product rule for ({s1}, {s2})", "Ru", (s1, s2))
+        return self._named("Ru", (s1, s2))
 
     def axiom_defined(self, s: str) -> bool:
         return self._value("Ax", (s,))[0]
@@ -122,17 +142,21 @@ class SortSpec:
 
     def coverage_diagnostics(self) -> list[Diagnostic]:
         """A note for each axiom and rule that is defined but has no sort name."""
-        asks = [("unnamed-axiom", f"the axiom of '{s}'", s, "Ax", (s,))
-                for s in self.sorts]
-        asks += [("unnamed-rule", f"the product rule for ({s1}, {s2})", f"({s1}, {s2})",
-                  "Ru", (s1, s2)) for s1 in self.sorts for s2 in self.sorts]
         out: list[Diagnostic] = []
-        for code, what, subject, op, sorts in asks:
-            defined, name, _ = self._value(op, sorts)
+        for (op, sorts), (defined, name, _) in self.table().items():
             if defined and name is None:
-                out.append(Diagnostic(code, f"{what} is defined but has no declared name",
-                                      subject, severity="note"))
+                code, subject = (("unnamed-axiom", sorts[0]) if op == "Ax"
+                                 else ("unnamed-rule", f"({sorts[0]}, {sorts[1]})"))
+                out.append(Diagnostic(
+                    code, f"{_entry_name(op, sorts)} is defined but has no declared name",
+                    subject, severity="note"))
         return out
+
+
+def _entry_name(op: str, sorts: tuple[str, ...]) -> str:
+    if op == "Ax":
+        return f"the axiom of '{sorts[0]}'"
+    return f"the product rule for ({sorts[0]}, {sorts[1]})"
 
 
 @dataclass(frozen=True)
@@ -161,6 +185,7 @@ class FiniteSortSpec(SortSpec):
             if not {s1, s2, s3} <= seen:
                 raise UnknownSort(f"rule ({s1}, {s2}) : {s3} mentions an undeclared sort")
         object.__setattr__(self, "known", seen)
+        object.__setattr__(self, "_table", {})
 
     @classmethod
     def build(cls, sorts: Iterable[str],
@@ -181,9 +206,7 @@ class FiniteSortSpec(SortSpec):
             ru[(s1, s2)] = s3
         return cls(tuple(sorts), ax, ru)
 
-    def _value(self, op: str, sorts: tuple[str, ...]) -> tuple[bool, str | None, object]:
-        for s in sorts:
-            self.require(s)
+    def _entry(self, op: str, sorts: tuple[str, ...]) -> tuple[bool, str | None, object]:
         v = self.axioms.get(sorts[0]) if op == "Ax" else self.rules.get(sorts)
         return v is not None, v, v
 
@@ -199,6 +222,11 @@ CORE_SORT_SIGNATURE: tuple[Declaration, ...] = (
 _CORE_NAMES = frozenset(d.name for d in CORE_SORT_SIGNATURE)
 
 
+# terms that the search for one entry of an internalized sort table may
+# visit before it gives the entry up as undecided
+SEARCH_LIMIT = 10_000
+
+
 @dataclass
 class InternalizedSortSpec(SortSpec):
     """Sorts as closed first-order terms, with computed axiom/rule maps.
@@ -206,18 +234,18 @@ class InternalizedSortSpec(SortSpec):
     ``constants`` declare the sort formers (every telescope entry and
     every result must literally be ``Sort``); ``rules`` rewrite ``Ax``,
     ``Ru`` and any auxiliary formers; ``named`` gives surface names to
-    the closed sort terms a user may write down.  Both maps may be
-    partial: a stuck ``Ax``/``Ru`` application means "undefined", while
-    a defined result that no name points to is reported as
-    :class:`UnknownSort` when something forces us to print it.
+    the closed sort terms a user may write down, and ``names`` maps each
+    of those terms back to its first name.  Both maps may be partial: a
+    stuck ``Ax``/``Ru`` application means "undefined", while a defined
+    result that no name points to is reported as :class:`UnknownSort`
+    when something forces us to print it.
 
-    Sort terms are evaluated through :meth:`evaluate`, memoized per spec:
-    each distinct term, an ``Ax(s)``/``Ru(s1, s2)`` lookup or a sort
-    argument an encoding reads back, is normalized once, under the
-    spec's own step budget.  That budget is fixed, so an evaluation that
-    exhausts it is remembered too and fails again without re-running.
-    An unnamed lookup result raises a fresh :class:`UnknownSort` on every
-    call.
+    Each entry, ``Ax(s)`` or ``Ru(s1, s2)`` over named sorts, is checked
+    when it is filled (:func:`_unique_normal_form`): it must have exactly
+    one normal form and no cycle.  A sort term outside the table, which
+    only framework input reaches, is normalized by ``dk_nf``'s first
+    match on the budget of the operation that reads it; that the whole
+    sort theory is confluent is not checked.
     """
 
     constants: tuple[Declaration, ...]
@@ -239,7 +267,7 @@ class InternalizedSortSpec(SortSpec):
             raise PimodError("ill-formed sort internalization",
                              problems=[p.message for p in problems])
         self._defined_heads = frozenset(r.head for r in self.rules) | {"Ax", "Ru"}
-        self._values: dict[DkTerm, tuple[DkTerm, str | None] | FuelExhausted] = {}
+        self._table = {}
         self.known = frozenset(self.named)
         for name, t in self.named.items():
             self._check_sort_term(name, t)
@@ -249,6 +277,7 @@ class InternalizedSortSpec(SortSpec):
             t = Cons(t.name, tuple(map(share, t.args)))
             return terms.setdefault(t, t)
         self.named = {name: share(t) for name, t in self.named.items()}
+        self.names = {t: name for name, t in reversed(self.named.items())}   # first name wins
 
     def _check_sort_term(self, name: str, t: DkTerm) -> None:
         for u, _ in subterms(t):
@@ -271,36 +300,81 @@ class InternalizedSortSpec(SortSpec):
         self.require(name)
         return self.named[name]
 
-    def name_of(self, t: DkTerm) -> str | None:
-        for name, v in self.named.items():
-            if v == t:
-                return name
-        return None
-
-    def evaluate(self, t: DkTerm) -> tuple[DkTerm, str | None]:
-        """The normal form of the sort term ``t`` and its declared name
-        (None if it has none).  An evaluation that ran out of steps is
-        remembered as well and raises the same ``FuelExhausted`` again."""
-        out = self._values.get(t)
-        if out is None:
-            try:
-                v = dk_nf(self.mini, t)
-            except FuelExhausted as e:
-                out = e.with_traceback(None)   # keep no frames of the evaluation
-            else:
-                out = (v, self.name_of(v))
-            self._values[t] = out
-        if isinstance(out, FuelExhausted):
-            raise FuelExhausted(*out.args)
-        return out
-
     def _is_value(self, t: DkTerm) -> bool:
         return all(type(u) is Cons and u.name not in self._defined_heads
                    for u, _ in subterms(t))
 
-    def _value(self, op: str, sorts: tuple[str, ...]) -> tuple[bool, str | None, object]:
-        v, name = self.evaluate(Cons(op, tuple(map(self.sort_term, sorts))))
+    def _entry(self, op: str, sorts: tuple[str, ...]) -> tuple[bool, str | None, object]:
+        v = _unique_normal_form(self.mini, _entry_name(op, sorts),
+                                Cons(op, tuple(self.named[s] for s in sorts)))
+        name = self.names.get(v)
         return name is not None or self._is_value(v), name, v
+
+
+def _unique_normal_form(theory: Theory, what: str, t: Cons) -> Cons:
+    """The one normal form of the closed first-order term ``t``, by a
+    depth-first search over its one-step reducts by every rule at every
+    position, in leftmost-outermost order, so the first normal form met
+    is ``dk_nf``'s.  Terms are hash-consed: each is visited and has its
+    reducts listed once.  A second normal form raises
+    :class:`NonFunctionalSpec`; a reduct back onto the search path, or a
+    search past ``SEARCH_LIMIT`` terms, :class:`NonTerminatingSpec`.
+    ``what`` names the entry in the message.
+    """
+    root = _rule_root(theory, None)
+    canon = NodeMemo()   # each term by its head and the ids of its arguments
+
+    def intern(u: Cons) -> Cons:
+        if id(u) in canon:
+            return u
+        args = tuple(map(intern, u.args))
+        key = (u.name, *map(id, args))
+        v = canon.get(key)
+        if v is None:
+            v = canon.put(key, Cons(u.name, args), args)
+            canon.put(id(v), v, v)
+        return v
+
+    steps = NodeMemo()   # the (label, reduct) pairs of each term
+
+    def reducts(u: Cons) -> list[tuple[str, Cons]]:
+        out = steps.get(id(u))
+        if out is None:
+            out = [(label, intern(r)) for label, r in root(u)]
+            for i, a in enumerate(u.args):
+                out += [(label, intern(Cons(u.name, u.args[:i] + (r,) + u.args[i + 1:])))
+                        for label, r in reducts(a)]
+            steps.put(id(u), out, u)
+        return out
+
+    t = intern(t)
+    on_path = NodeMemo()   # each visited term: True while it is on the path
+    on_path.put(id(t), True, t)
+    path = [(t, iter(reducts(t)))]
+    normal: Cons | None = None
+    while path:
+        u, todo = path[-1]
+        for label, r in todo:
+            seen = on_path.get(id(r))
+            if seen:
+                raise NonTerminatingSpec(
+                    f"{what} has a cycle: rule '{label}' leads back to {_show(r)}")
+            if seen is None:
+                if len(on_path) >= SEARCH_LIMIT:
+                    raise NonTerminatingSpec(
+                        f"{what} is undecided: its search visited {SEARCH_LIMIT} terms")
+                on_path.put(id(r), True, r)
+                path.append((r, iter(reducts(r))))
+                break
+        else:
+            path.pop()
+            on_path.put(id(u), False, u)
+            if not reducts(u):
+                if normal is not None:
+                    raise NonFunctionalSpec(
+                        f"{what} has two normal forms: {_show(normal)} and {_show(u)}")
+                normal = u
+    return normal
 
 
 # --- syntax -------------------------------------------------------------------

@@ -144,6 +144,11 @@ class NonFunctionalSpec(PimodError):
     pass
 
 
+class NonTerminatingSpec(PimodError):
+    """An entry of an internalized sort table whose reducts run into a
+    cycle, or that the search gave up on undecided."""
+
+
 class UnknownSort(PimodError):
     pass
 

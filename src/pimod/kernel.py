@@ -38,6 +38,8 @@ inferred type)`` for every inference, innermost first.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .errors import (
     ArityMismatch, Diagnostic, KindHasNoType, NotAProduct, PimodError,
     TypeMismatch, UnboundVariable, UnknownConstant,
@@ -208,22 +210,23 @@ class _Kernel:
         sc = self.scope(ctx)
         self.check(sc, t, self.m.clo(ty, sc.env), ())
 
-    def check_context(self, ctx: DkContext) -> list[Diagnostic]:
+    def check_context(self, ctx: DkContext, shown: Sequence[str] | None = None
+                      ) -> list[Diagnostic]:
         """:func:`check_context` in this call's state."""
         out: list[Diagnostic] = []
         names: set[str] = set()
         prefix = self.root
-        for hint, ty in ctx.entries:
+        for (hint, ty), name in zip(ctx.entries, ctx.names if shown is None else shown):
             if hint in names:
                 out.append(Diagnostic("duplicate-name", f"context name '{hint}' repeats", hint))
             names.add(hint)
             try:
-                sort = self.sort(prefix, ty, (f"context entry '{hint}'",))
+                sort = self.sort(prefix, ty, (f"context entry '{name}'",))
                 if sort is not Type:
                     out.append(Diagnostic(
-                        "not-a-type", f"type of '{hint}' is {sort.__name__}-sorted, not TYPE", hint))
+                        "not-a-type", f"type of '{name}' is {sort.__name__}-sorted, not TYPE", name))
             except PimodError as e:
-                out.append(Diagnostic("ill-typed-context", str(e), hint))
+                out.append(Diagnostic("ill-typed-context", str(e), name))
             prefix = self.extend(prefix, hint, ty)
         return out
 
@@ -243,9 +246,13 @@ def check(theory: Theory, ctx: DkContext, t: DkTerm, ty: DkTerm,
 
 
 def check_context(theory: Theory, ctx: DkContext,
-                  fuel: int | Fuel | None = None, log: Log | None = None) -> list[Diagnostic]:
-    """Each entry's type must be TYPE-sorted in the preceding prefix."""
-    return _Kernel(theory, fuel, log).check_context(ctx)
+                  fuel: int | Fuel | None = None, log: Log | None = None,
+                  shown: Sequence[str] | None = None) -> list[Diagnostic]:
+    """Each entry's type must be TYPE-sorted in the preceding prefix.
+
+    ``shown`` are the names the entries print under (their hints if
+    None); a repeated hint is reported under the hint."""
+    return _Kernel(theory, fuel, log).check_context(ctx, shown)
 
 
 def check_signature(theory: Theory, fuel: int | Fuel | None = None,

@@ -97,6 +97,11 @@ it was before one call shared one kernel state and one image table:
 ``apply_morphism`` rebuilds every node of every image anew, and
 ``verify_morphism`` checks each constant's telescope image and body in
 fresh kernel calls of their own.  They are copied as they were.
+
+``sort_value`` is ``SortSpec._value`` as it was before the sort table:
+a finite spec reads its tables, and an internalized one normalizes
+``Ax(s)`` or ``Ru(s1, s2)`` with the first rule that matches and names
+the value by a scan of ``named``.
 """
 
 import itertools
@@ -108,8 +113,8 @@ from typing import Any, Iterator, Sequence
 from pimod.analysis import Arrow, SimpleType, erase_type, pi_const_name
 from pimod import encode, kernel, rewrite
 from pimod.encode import EncodingTheory
-from pimod.epts import (EApp, ELam, EPi, EptsContext, ESort, EptsTerm, EVar, PApp,
-                        PLam, PPi, PSort, PtsTerm, PVar, SortSpec, _expect,
+from pimod.epts import (EApp, ELam, EPi, EptsContext, ESort, EptsTerm, EVar,
+                        FiniteSortSpec, PApp, PLam, PPi, PSort, PtsTerm, PVar, SortSpec, _expect,
                         _head_type, _require_rule, _sort_of, epts_whnf)
 from pimod import terms as lib
 from pimod.errors import (ArityMismatch, Diagnostic, EptsCheckFailed, InternalSoundnessError,
@@ -1746,3 +1751,20 @@ def verify_morphism(mor: TheoryMorphism,
                 "within the step budget", r.name, severity="note",
                 data={"start": start, "goal": goal}))
     return out
+
+
+# --- the sort table by first match -------------------------------------------
+
+
+def sort_value(spec: SortSpec, op: str, sorts: tuple[str, ...]) -> tuple[bool, str | None, object]:
+    """Whether ``op`` over ``sorts`` is defined, its name and its value."""
+    for s in sorts:
+        spec.require(s)
+    if isinstance(spec, FiniteSortSpec):
+        v = spec.axioms.get(sorts[0]) if op == "Ax" else spec.rules.get(sorts)
+        return v is not None, v, v
+    v = rewrite.nf(spec.mini, Cons(op, tuple(map(spec.sort_term, sorts))))
+    name = next((n for n, t in spec.named.items() if t == v), None)
+    heads = {r.head for r in spec.rules} | {"Ax", "Ru"}
+    stuck = all(type(u) is Cons and u.name not in heads for u, _ in subterms(v))
+    return name is not None or stuck, name, v

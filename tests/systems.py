@@ -59,6 +59,12 @@ MLTT_INT = InternalizedSortSpec(
     named={str(k): _nat(k) for k in range(4)})
 
 
+def zs_tower(levels: int) -> InternalizedSortSpec:
+    """MLTT's internalized universes with ``levels`` of them named, 0 up."""
+    return InternalizedSortSpec(MLTT_INT.constants, MLTT_INT.rules,
+                                {str(k): _nat(k) for k in range(levels)})
+
+
 def whnf(theory: Theory, t: DkTerm, fuel: int | Fuel | None = None) -> DkTerm:
     """Weak-head normal form of ``t`` under beta and the theory's rules:
     :meth:`pimod.rewrite.Machine.whnf`, quoted."""

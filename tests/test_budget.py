@@ -13,13 +13,13 @@ from pimod.cli import main
 from pimod.corpus import load_cases, load_sorts
 from pimod.decode import adequacy_legs, conservative_invert
 from pimod.encode import expected_dk_type, generate, translate, translate_ctx
-from pimod.epts import elaborate, elaborate_context
+from pimod.epts import EptsContext, elaborate, elaborate_context
 from pimod.errors import FuelExhausted
 from pimod.kernel import check, check_context, check_signature, infer
 from pimod.morphism import build_phi, verify_morphism
 from pimod.rewrite import BETA, DEFAULT_FUEL, Fuel, reduce_trace
 from pimod.syntax import fresh_names, parse_dk_term, parse_pts_term, render
-from pimod.terms import App, Lam, Var
+from pimod.terms import App, Cons, Lam, Var
 from systems import load_case
 
 CORPUS_DIR = Path(pimod.corpus.__file__).parent
@@ -54,7 +54,31 @@ def _calls():
     }
 
 
-CALLS = _calls()
+def _internalized_calls():
+    """Inversion and the adequacy legs over internalized System F, each on
+    an encoding of its own, generated from a freshly loaded spec, so the
+    spec's table holds only what setting the call up asked.  The last
+    inverts a product whose sort argument is the unevaluated
+    ``Ru(type, type)``, which only normalizing names."""
+    case = load_case("systemf", "internalized")
+    ctx = elaborate_context(case.spec, case.file.assumes)
+    j = next(j for j in case.file.judgments if j.name == "two_plus_one")
+    m, a = elaborate(case.spec, ctx, j.term), elaborate(case.spec, ctx, j.type)
+    tt = Cons("Ru", (Cons("type"), Cons("type")))
+    prod = Cons("Prod", (tt, Cons("type"), Var(0), Lam("x", Cons("El", (tt, Var(0))), Var(1))))
+    c = EptsContext().extend("C", Cons("Type"))
+    encs = [generate(load_sorts("systemf").internalized) for _ in range(3)]
+    img = translate(encs[0], m)
+    return {
+        "internalized/conservative_invert":
+            lambda f: conservative_invert(encs[0], ctx, img, a, f),
+        "internalized/adequacy_legs": lambda f: adequacy_legs(encs[1], ctx, m, f),
+        "internalized/unevaluated_sort":
+            lambda f: conservative_invert(encs[2], c, prod, Cons("Type"), f),
+    }
+
+
+CALLS = {**_calls(), **_internalized_calls()}
 
 
 @pytest.mark.parametrize("name", CALLS)
@@ -70,6 +94,7 @@ def test_no_layer_builds_a_budget_of_its_own(name, monkeypatch):
     monkeypatch.setattr(Fuel, "__init__", spy)
     CALLS[name](f)
     assert built == []
+    assert f.remaining < f.limit or not name.startswith("internalized")
 
 
 @pytest.mark.parametrize("case", load_cases(), ids=lambda c: c.label)

@@ -1,6 +1,10 @@
-"""End-to-end runs of the command-line driver (no subprocesses)."""
+"""End-to-end runs of the command line, in process but for one run whose
+reader closes the pipe."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -167,6 +171,52 @@ class TestCheckEpts:
         assert "FuelExhausted" in capsys.readouterr().out
         assert main(["decode", SYSTEMF_SORTS, SYSTEMF_EPTS,
                      "--fuel", "100000"]) == 0
+
+
+# System F's sort file with a second value for Ru(type, type), and with a
+# rule that rewrites every Ru application to itself in place of ru-tt
+RU_TT = 'rule "ru-tt" Ru(type, type) --> type.\n'
+BAD_SORTS = {
+    "ru_tt2.sorts": (RU_TT + 'rule "ru-tt2" Ru(type, type) --> kind.\n',
+                     "NonFunctionalSpec", "the product rule for (Type, Type) has two normal "
+                     "forms: type and kind"),
+    "loop.sorts": ('rule "loop" Ru(x, y) --> Ru(x, y).\n',
+                   "NonTerminatingSpec", "the product rule for (Type, Type) has a cycle: "
+                   "rule 'loop' leads back to Ru(type, type)"),
+}
+
+
+class TestSortTableAtLoad:
+    """Every subcommand that loads an internalized spec fills its whole
+    table first, so a spec that is not functional or not terminating
+    fails at load, naming the entry, however small the budget."""
+
+    @pytest.mark.parametrize("cmd", ["check-epts", "encode", "roundtrip", "decode", "phi"])
+    @pytest.mark.parametrize("name", BAD_SORTS)
+    def test_a_bad_entry_fails_at_load(self, name, cmd, tmp_path, capsys):
+        rule, error, message = BAD_SORTS[name]
+        sorts = tmp_path / name
+        sorts.write_text(Path(SYSTEMF_SORTS).read_text().replace(RU_TT, rule))
+        argv = ([cmd, str(sorts), SYSTEMF_EPTS, "--mode", "internalized"] if cmd != "phi"
+                else ["morphism", "phi", str(sorts), "--out", str(tmp_path / "phi.map")])
+        argv += ["--out", str(tmp_path)] if cmd == "encode" else []
+        assert main(argv + ["--fuel", "100"]) == 1
+        assert capsys.readouterr().out == f"FAIL  {error}    --  {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+def test_a_closed_pipe_ends_the_run_quietly():
+    """A reader that stops reading, as ``pimod check-epts … | head -1``
+    does, ends the run with exit 1 and no traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pimod.corpus.__file__).parents[2]))
+    p = subprocess.Popen([sys.executable, "-m", "pimod", "check-epts", SYSTEMF_SORTS,
+                          SYSTEMF_EPTS], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                         env=env)
+    p.stdout.close()   # nothing is read: the first write meets a closed pipe
+    err = p.stderr.read()
+    p.stderr.close()
+    assert p.wait(timeout=60) == 1
+    assert err == b""
 
 
 def _one_record(capsys, fmt):
@@ -497,13 +547,28 @@ class TestShadowedNames:
         assert err.endswith("      x' : M\n")
 
     def test_assumption_named_after_a_constant(self, tmp_path, capsys):
-        """It prints primed in the check and in the kernel's message, as
-        the theory printer writes it."""
+        """It prints primed in the context diagnostic, in the check and in
+        the kernel's message, as the theory printer writes it."""
         f = tmp_path / "shadow.dk"
         f.write_text("constant N : TYPE.\nconstant z : N.\nassume N : TYPE.\ncheck z : N.\n")
         assert main(["check-dk", str(f)]) == 1
-        assert ("FAIL  check  z : N'  --  type mismatch at top level: "
-                "expected N', got N\n") in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert (f"FAIL  not-a-type  {f}:N'  --  type of 'N'' is Kind-sorted, not TYPE\n"
+                "FAIL  check  z : N'  --  type mismatch at top level: "
+                "expected N', got N\n") in out
+
+    def test_context_diagnostics_name_entries_as_printed(self, tmp_path, capsys):
+        """An ill-typed entry is named as printed; a repeated hint is
+        reported under the hint as written."""
+        f = tmp_path / "shadow.dk"
+        f.write_text("constant N : TYPE.\nconstant M : TYPE.\nconstant m : M.\n"
+                     "constant f (n : N) : TYPE.\nassume f : f(m).\nassume x : N.\n"
+                     "assume x : M.\n")
+        assert main(["check-dk", str(f)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith(f"FAIL  ill-typed-context  {f}:f'  --  ")
+        assert "context entry 'f''" in lines[1]
+        assert lines[2:] == [f"FAIL  duplicate-name  {f}:x  --  context name 'x' repeats"]
 
 
 class TestBindersNamedAfterSorts:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from pimod.decode import (adequacy_legs, adequacy_roundtrip, conservative_invert,
                           hidden_equiv, invert)
-from pimod import epts
+from pimod import encode
 from pimod.encode import (INTERNAL_CORE, EncodingTheory, generate, generate_finite,
                           translate, translate_ctx)
 from pimod.epts import (EApp, ELam, EPi, ESort, EVar, EptsContext, PApp, PLam,
@@ -344,22 +344,33 @@ class TestConservativeInvert:
         with pytest.raises(NotInvertible):
             conservative_invert(ext, EptsContext(), Cons("mystery"), ESort("Type"))
 
-    def test_each_sort_term_is_evaluated_once_per_spec(self, monkeypatch):
+    def test_only_an_unnamed_sort_argument_is_normalized(self, monkeypatch):
+        """Inversion reads a named sort argument, which is all an image
+        carries, off the spec's names, and normalizes an unnamed one on its
+        caller's budget."""
         case = load_case("systemf", "internalized")   # a spec of its own
         enc = generate(case.spec)
         ctx = elaborate_context(case.spec, case.file.assumes)
         j = next(j for j in case.file.judgments if j.name == "two_plus_one")
         m, a = elaborate(case.spec, ctx, j.term), elaborate(case.spec, ctx, j.type)
         img = translate(enc, m)
-        evaluated = []
-        nf_ = epts.dk_nf
-        monkeypatch.setattr(epts, "dk_nf",
-                            lambda theory, t: evaluated.append(t) or nf_(theory, t))
+        normalized = []
+        nf_ = encode.nf
+        monkeypatch.setattr(encode, "nf", lambda theory, t, fuel=None:
+                            normalized.append((t, fuel)) or nf_(theory, t, fuel=fuel))
         for _ in range(2):
             assert conservative_invert(enc, ctx, img, a) == m
-        assert len(evaluated) == len(set(evaluated))
-        assert Cons("type") in evaluated   # a sort argument that inversion reads
-        # with every sort term known, inversion draws on its caller's budget only
+        assert normalized == []
+        # Ru(type, type) names Type only once normalized
+        f = Fuel(DEFAULT_FUEL)
+        tt = Cons("Ru", (Cons("type"), Cons("type")))
+        prod = Cons("Prod", (tt, Cons("type"), Var(0),
+                             Lam("x", Cons("El", (tt, Var(0))), Var(1))))
+        c = EptsContext().extend("C", ESort("Type"))
+        assert conservative_invert(enc, c, prod, ESort("Type"), f) == \
+            EPi("Type", "Type", EVar(0), "x", EVar(1))
+        assert normalized and all(t == tt and fuel is f for t, fuel in normalized)
+        # with every sort argument named, inversion draws on its caller's budget only
         f = Fuel(DEFAULT_FUEL)
         built = []
         init = Fuel.__init__

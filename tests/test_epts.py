@@ -6,21 +6,23 @@ from hypothesis import strategies as st
 
 import reference
 from pimod import epts
-from pimod.corpus import load_cases, load_sorts
+from pimod.corpus import CORPUS_NAMES, load_cases, load_sorts
 from pimod.epts import (EApp, ELam, EPi, ESort, EVar, EptsContext,
                         FiniteSortSpec, InternalizedSortSpec, PApp, PLam, PPi,
-                        PSort, PVar, elaborate,
+                        PSort, PVar, SortSpec, elaborate,
                         elaborate_context, epts_check, epts_convertible,
                         epts_infer, epts_nf, epts_redex, epts_reduce,
                         epts_whnf, erase_to_pts, sort_of_type)
-from pimod.errors import (ElaborationFailed, FuelExhausted, NonFunctionalSpec,
+from pimod.errors import (ElaborationFailed, NonFunctionalSpec, NonTerminatingSpec,
                           NotAProduct, PimodError, SideConditionFailed,
                           TopSortHasNoType, TypeMismatch, UnboundVariable, UnknownSort)
 from pimod.rewrite import Fuel
 from pimod.syntax import fresh_names, parse_pts_term, render
 from pimod.terms import Cons, Declaration, Meta, RewriteRule, Var, shift, subst, subterms
 from strategies import epts_terms, pts_terms
-from systems import COC, MLTT_FIN, MLTT_INT, PID, PID_TYPE, POLY, SYSTEM_F, SYSTEM_F_INT
+import systems
+from systems import (COC, MLTT_FIN, MLTT_INT, PID, PID_TYPE, POLY, SYSTEM_F, SYSTEM_F_INT,
+                     zs_tower)
 
 # a context with one type variable and one inhabitant: C : Type, c : C
 CTX = EptsContext().extend("C", ESort("Type")).extend("c", EVar(0))
@@ -79,6 +81,76 @@ def test_both_presentations_reject_an_undeclared_sort(spec):
     assert spec.rule_defined("Kind", "Type") and not spec.rule_defined("Type", "Kind")
 
 
+def _table_specs():
+    """Every spec of the corpus, of ``systems`` and of z/s towers of 2 to
+    12 levels, each with a label."""
+    out = [(f"{name}/{mode}", spec) for name in CORPUS_NAMES
+           for mode, spec in vars(load_sorts(name)).items() if isinstance(spec, SortSpec)]
+    out += [(name, spec) for name, spec in vars(systems).items() if isinstance(spec, SortSpec)]
+    return out + [(f"tower{n}", zs_tower(n)) for n in range(2, 13)]
+
+
+def _system_f_with(*rules: RewriteRule, without: str = "") -> InternalizedSortSpec:
+    """Internalized System F less the rule ``without``, plus ``rules``."""
+    return InternalizedSortSpec(
+        SYSTEM_F_INT.constants,
+        tuple(r for r in SYSTEM_F_INT.rules if r.name != without) + rules,
+        SYSTEM_F_INT.named)
+
+
+class TestSortTable:
+    """Both presentations answer from one table.  An internalized entry is
+    the one normal form of an exhaustive search over its reducts, so it
+    agrees with the first-match evaluation it replaced wherever that one
+    answered; the search also finds what first match never sees."""
+
+    @pytest.mark.parametrize("spec", [pytest.param(spec, id=label)
+                                      for label, spec in _table_specs()])
+    def test_every_entry_equals_the_first_match_oracle(self, spec):
+        table = spec.table()
+        assert list(table) == [("Ax", (s,)) for s in spec.sorts] + [
+            ("Ru", (s1, s2)) for s1 in spec.sorts for s2 in spec.sorts]
+        assert table == {key: reference.sort_value(spec, *key) for key in table}
+
+    def test_the_constructor_fills_no_entry(self):
+        spec = load_sorts("mltt").internalized
+        assert spec._table == {}
+        assert spec.rule_of("1", "2") == "2"
+        assert list(spec._table) == [("Ru", ("1", "2"))]
+
+    def test_two_normal_forms_are_rejected(self):
+        spec = _system_f_with(
+            RewriteRule("Ru", (Cons("type"), Cons("type")), Cons("kind"), name="ru-tt2"))
+        assert reference.sort_value(spec, "Ru", ("Type", "Type"))[1] == "Type"
+        assert spec.axiom_of("Type") == "Kind" and spec.rule_of("Kind", "Type") == "Type"
+        with pytest.raises(NonFunctionalSpec, match=(
+                r"^the product rule for \(Type, Type\) has two normal forms: type and kind$")):
+            spec.rule_of("Type", "Type")
+
+    def test_a_cycle_is_rejected(self):
+        """``Ru(kind, type)`` reaches ``type`` by ``ru-kt``, the rule first
+        match takes, and also loops."""
+        loop = RewriteRule("Ru", (Meta("x"), Meta("y")), Cons("Ru", (Meta("x"), Meta("y"))),
+                           name="loop")
+        spec = _system_f_with(loop, without="ru-tt")
+        assert reference.sort_value(spec, "Ru", ("Kind", "Type"))[1] == "Type"
+        assert spec.axiom_of("Type") == "Kind"
+        for s1, t1 in (("Kind", "kind"), ("Type", "type")):
+            with pytest.raises(NonTerminatingSpec, match=(
+                    rf"^the product rule for \({s1}, Type\) has a cycle: "
+                    rf"rule 'loop' leads back to Ru\({t1}, type\)$")):
+                spec.rule_of(s1, "Type")
+
+    def test_a_growing_rule_is_undecided(self):
+        grow = RewriteRule("Ax", (Meta("n"),), Cons("Ax", (Cons("s", (Meta("n"),)),)),
+                           name="grow")
+        spec = InternalizedSortSpec(MLTT_INT.constants, (grow,), {"0": Cons("z")})
+        with pytest.raises(NonTerminatingSpec, match=(
+                rf"^the axiom of '0' is undecided: its search visited {epts.SEARCH_LIMIT} terms$")):
+            spec.axiom_of("0")
+        assert spec.rule_of("0", "0") is None and not spec.rule_defined("0", "0")
+
+
 class TestInternalizedSpec:
     def test_computed_axioms_and_rules(self):
         assert SYSTEM_F_INT.axiom_of("Type") == "Kind"
@@ -121,8 +193,8 @@ class TestInternalizedSpec:
             for p in pairs]
 
     def test_name_lookup(self):
-        assert MLTT_INT.name_of(Cons("s", (Cons("z"),))) == "1"
-        assert MLTT_INT.name_of(Cons("Ax", (Cons("z"),))) is None
+        assert MLTT_INT.names[Cons("s", (Cons("z"),))] == "1"
+        assert Cons("Ax", (Cons("z"),)) not in MLTT_INT.names
         assert MLTT_INT.sort_term("0") == Cons("z")
 
     def test_former_hygiene(self):
@@ -544,9 +616,9 @@ class TestElaborationWork:
     def test_each_rule_pair_is_normalized_once(self, monkeypatch):
         spec = load_sorts("mltt").internalized
         normalized = []
-        nf = epts.dk_nf
-        monkeypatch.setattr(epts, "dk_nf",
-                            lambda theory, t: normalized.append(t) or nf(theory, t))
+        search = epts._unique_normal_form
+        monkeypatch.setattr(epts, "_unique_normal_form",
+                            lambda theory, what, t: normalized.append(t) or search(theory, what, t))
         answers = [[spec.rule_of(s1, s2) for s1 in spec.sorts for s2 in spec.sorts]
                    for _ in range(3)]
         assert answers[0] == answers[1] == answers[2]
@@ -560,9 +632,9 @@ class TestElaborationWork:
             rules=(RewriteRule("Ru", (Cons("a"), Cons("a")), Cons("b"), name="ru"),),
             named={"A": Cons("a"), "A2": Cons("a")})
         normalized = []
-        nf = epts.dk_nf
-        monkeypatch.setattr(epts, "dk_nf",
-                            lambda theory, t: normalized.append(t) or nf(theory, t))
+        search = epts._unique_normal_form
+        monkeypatch.setattr(epts, "_unique_normal_form",
+                            lambda theory, what, t: normalized.append(t) or search(theory, what, t))
         errors = []
         for _ in range(3):
             with pytest.raises(UnknownSort) as e:
@@ -579,21 +651,21 @@ class TestElaborationWork:
         with pytest.raises(UnknownSort, match=r"\(A2, A2\)"):
             spec.rule_of("A2", "A2")
 
-    def test_an_exhausted_evaluation_is_not_run_again(self, monkeypatch):
-        spec = load_sorts("mltt").internalized
-        message = "reduction exceeded the budget of 1000000 steps"
-        calls = []
-
-        def exhausted(theory, t):
-            calls.append(t)
-            raise FuelExhausted(message)
-
-        monkeypatch.setattr(epts, "dk_nf", exhausted)
+    def test_a_rejected_entry_is_not_remembered(self, monkeypatch):
+        """The table holds answers only: an entry whose search fails is
+        searched again on the next ask, and fails again the same way."""
+        spec = _system_f_with(
+            RewriteRule("Ru", (Cons("type"), Cons("type")), Cons("kind"), name="ru-tt2"))
+        searched = []
+        search = epts._unique_normal_form
+        monkeypatch.setattr(epts, "_unique_normal_form",
+                            lambda theory, what, t: searched.append(t) or search(theory, what, t))
         errors = []
         for _ in range(2):
-            with pytest.raises(FuelExhausted) as e:
-                spec.evaluate(Cons("Ax", (spec.sort_term("0"),)))
+            with pytest.raises(NonFunctionalSpec) as e:
+                spec.rule_of("Type", "Type")
             errors.append(e.value)
-        assert len(calls) == 1
+        assert len(searched) == 2
         assert errors[0] is not errors[1]
-        assert [str(e) for e in errors] == [message, message]
+        assert str(errors[0]) == str(errors[1]) == (
+            "the product rule for (Type, Type) has two normal forms: type and kind")
