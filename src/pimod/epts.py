@@ -391,7 +391,7 @@ def _same_rule(self: EptsTerm, other: Term) -> bool:
     return type(other) is type(self) and other.s1 == self.s1 and other.s2 == self.s2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class EPi(EptsTerm):
     s1: str
     s2: str
@@ -408,7 +408,7 @@ class EPi(EptsTerm):
     same_node = _same_rule
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class ELam(EptsTerm):
     """Abstraction carrying its full product type alongside the body."""
 
@@ -428,7 +428,7 @@ class ELam(EptsTerm):
     same_node = _same_rule
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class EApp(EptsTerm):
     """Application annotated with the product type being eliminated."""
 

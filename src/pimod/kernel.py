@@ -222,9 +222,11 @@ class _Kernel:
             names.add(hint)
             try:
                 sort = self.sort(prefix, ty, (f"context entry '{name}'",))
-                if sort is not Type:
+                if sort is Kind:
                     out.append(Diagnostic(
-                        "not-a-type", f"type of '{name}' is {sort.__name__}-sorted, not TYPE", name))
+                        "not-a-type", f"type of '{name}' is Kind-sorted, not TYPE", name))
+                elif sort is not Type:
+                    out.append(Diagnostic("not-a-type", f"type of '{name}' is not TYPE-sorted", name))
             except PimodError as e:
                 out.append(Diagnostic("ill-typed-context", str(e), name))
             prefix = self.extend(prefix, hint, ty)

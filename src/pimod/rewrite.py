@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator
 from .errors import Diagnostic, FuelExhausted
 from .terms import (
     App, Cons, DkTerm, Lam, Meta, NodeMemo, Pi, RewriteRule, Term, Theory, Var,
-    map_leaves, repeated_metas, subst, subst_many, subterms,
+    map_leaves, metas_of, repeated_metas, subst, subst_many, subterms,
 )
 
 BETA = "β"
@@ -211,6 +211,13 @@ def nf(
 # instead of substituting, so no term is shifted or copied;
 # ``Machine.quote`` rebuilds the term a value stands for, and only printed
 # terms are quoted.
+#
+# A closure reads only the last entries of its environment: as many as
+# its term's loose bound, one past the largest de Bruijn index free in
+# the term (0 for a closed term).  So one term object under two
+# environments stands for one term when those last entries are the same
+# values, however the entries before them differ; ``Machine.loose``
+# computes the bound once per node object and call.
 
 
 class Clo:
@@ -266,8 +273,7 @@ def _compile(rule: RewriteRule) -> tuple:
     pattern variables in reverse order of first occurrence (the order in
     which their values make up the right-hand side's environment), and
     the right-hand side over that environment."""
-    names = list(dict.fromkeys(
-        u.name for p in rule.lhs for u, _ in subterms(p) if isinstance(u, Meta)))
+    names = list(dict.fromkeys(n for p in rule.lhs for n in metas_of(p)))
     index = {n: i for i, n in enumerate(names)}
 
     def leaf(u: DkTerm, d: int) -> DkTerm:
@@ -298,13 +304,14 @@ class Machine:
     environments by identity, so values of two machines must not meet.
     """
 
-    __slots__ = ("theory", "fuel", "envs", "top")
+    __slots__ = ("theory", "fuel", "envs", "top", "bounds")
 
     def __init__(self, theory: Theory, fuel: Fuel):
         self.theory = theory
         self.fuel = fuel
         self.envs: list[tuple] = [()]
         self.top = 0   # above every level used so far
+        self.bounds = NodeMemo()   # the loose bound of each node met by loose()
 
     def var(self, level: int) -> int:
         if level >= self.top:
@@ -357,9 +364,12 @@ class Machine:
             holder = [self.clo(a, v.env) for a in t.args]
             for _, lhs, names, rhs in rules:
                 menv: dict = {}
-                if all(self._match(p, holder, i, menv) for i, p in enumerate(lhs)):
+                for i, p in enumerate(lhs):
+                    if not self._match(p, holder, i, menv):
+                        break
+                else:
                     self.fuel.tick()
-                    v = self.clo(rhs, tuple(menv[n] for n in names))
+                    v = self.clo(rhs, tuple([menv[n] for n in names]))
                     break
             else:
                 return VCons(t.name, holder)
@@ -388,7 +398,11 @@ class Machine:
             sub = [self.clo(a, w.env) for a in w.term.args]
         else:
             return False
-        ok = all(self._match(p, sub, k, menv) for k, p in enumerate(ps))
+        ok = True
+        for k, p in enumerate(ps):
+            if not self._match(p, sub, k, menv):
+                ok = False
+                break
         holder[idx] = VCons(c, sub)
         return ok
 
@@ -419,13 +433,36 @@ class Machine:
             return self._eq_terms(a.term, a.env, b.term, b.env, depth)
         ka, xa = self.node(a, depth)
         kb, xb = self.node(b, depth)
-        return ka == kb and all(self.eq(p, q, depth + n) for (p, n), (q, _) in zip(xa, xb))
+        if ka != kb:
+            return False
+        for (p, n), (q, _) in zip(xa, xb):
+            if not self.eq(p, q, depth + n):
+                return False
+        return True
+
+    def loose(self, t: DkTerm) -> int:
+        """The loose bound of ``t``: one past its largest free de Bruijn
+        index, 0 when ``t`` is closed."""
+        if type(t) is Var:
+            return t.index + 1
+        b = self.bounds.get(id(t))
+        if b is None:
+            b = 0
+            for k, n in t.children():
+                kb = self.loose(k) - n
+                if kb > b:
+                    b = kb
+            self.bounds.put(id(t), b, t)
+        return b
 
     def _eq_terms(self, t: DkTerm, ea: tuple, u: DkTerm, eb: tuple, depth: int) -> bool:
         """:meth:`eq` of ``t`` under ``ea`` and ``u`` under ``eb``, without
-        building their closures.  At once for the same term under an equal
-        environment, and by ``==`` on the terms under one environment of
-        a context, where each variable is its own level."""
+        building their closures.  At once for one term object under one
+        environment, or under two whose last ``loose(t)`` entries are the
+        same values (a closed term under any two); when that bound reaches
+        past either environment, under equal environments only.  By ``==``
+        on the terms under one environment of a context, where each
+        variable is its own level."""
         if type(t) is Var or type(u) is Var:
             return self.eq(self.clo(t, ea), self.clo(u, eb), depth)
         if ea is eb:
@@ -433,14 +470,26 @@ class Machine:
                 return True
             if len(ea) < len(self.envs) and self.envs[len(ea)] is ea:
                 return t == u
-        elif t is u and ea == eb:
-            return True
+        elif t is u:
+            n = self.loose(t)
+            if n == 0:
+                return True
+            la, lb = len(ea), len(eb)
+            if n <= la and n <= lb:
+                if ea[la - n:] == eb[lb - n:]:
+                    return True
+            elif ea == eb:
+                return True
         tt = type(t)
         if tt is not type(u):
             return False
         if tt is Cons:
-            return t.name == u.name and len(t.args) == len(u.args) and all(
-                self._eq_terms(x, ea, y, eb, depth) for x, y in zip(t.args, u.args))
+            if t.name != u.name or len(t.args) != len(u.args):
+                return False
+            for x, y in zip(t.args, u.args):
+                if not self._eq_terms(x, ea, y, eb, depth):
+                    return False
+            return True
         if tt is App:
             return (self._eq_terms(t.fn, ea, u.fn, eb, depth)
                     and self._eq_terms(t.arg, ea, u.arg, eb, depth))
@@ -462,7 +511,12 @@ class Machine:
             return True
         ka, xa = self.node(a, depth)
         kb, xb = self.node(b, depth)
-        return ka == kb and all(self.conv(p, q, depth + n) for (p, n), (q, _) in zip(xa, xb))
+        if ka != kb:
+            return False
+        for (p, n), (q, _) in zip(xa, xb):
+            if not self.conv(p, q, depth + n):
+                return False
+        return True
 
     def dom(self, p):
         """The domain of a product value."""

@@ -14,7 +14,8 @@ each inner node class states its subterms and binders in its methods
 substitution, the folds :func:`map_leaves` and :func:`subterms`,
 contexts, redex search, conversion and morphism application are written
 once against it.  Every table keyed by node identity is a
-:class:`NodeMemo`.
+:class:`NodeMemo`.  The node classes are slotted dataclasses: a node
+has no ``__dict__``, and it accepts a weak reference.
 """
 
 from __future__ import annotations
@@ -59,12 +60,12 @@ class DkTerm(Term):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class Var(DkTerm):
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class Cons(DkTerm):
     name: str
     args: tuple[DkTerm, ...] = ()
@@ -80,12 +81,12 @@ class Cons(DkTerm):
                 and len(other.args) == len(self.args))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class Type(DkTerm):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class Kind(DkTerm):
     pass
 
@@ -94,7 +95,7 @@ TYPE = Type()
 KIND = Kind()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class App(DkTerm):
     fn: DkTerm
     arg: DkTerm
@@ -108,7 +109,7 @@ class App(DkTerm):
     same_node = same_class
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class Lam(DkTerm):
     hint: str = field(compare=False)
     ann: DkTerm = field()
@@ -123,7 +124,7 @@ class Lam(DkTerm):
     same_node = same_class
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class Pi(DkTerm):
     hint: str = field(compare=False)
     dom: DkTerm = field()
@@ -138,7 +139,7 @@ class Pi(DkTerm):
     same_node = same_class
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class Meta(DkTerm):
     name: str
 
@@ -216,14 +217,26 @@ def subst_many(t: Term, values: tuple[Term, ...], depth: int = 0) -> Term:
     return _subst(t, values, depth, depth)
 
 
-def metas_of(t: DkTerm) -> set[str]:
-    return {u.name for u, _ in subterms(t) if isinstance(u, Meta)}
+def metas_of(t: DkTerm) -> KeysView[str]:
+    """The names of ``t``'s pattern variables in pre-order of first occurrence."""
+    return dict.fromkeys(u.name for u, _ in subterms(t) if type(u) is Meta).keys()
 
 
 def max_free_index(t: Term) -> int:
     """Largest free variable index, or -1 for a closed term."""
-    return max((u.index - d for u, d in subterms(t)
-                if type(u) is Var and u.index >= d), default=-1)
+    top = -1
+    stack = [t, 0]   # node, binders above it
+    while stack:
+        d = stack.pop()
+        u = stack.pop()
+        if type(u) is Var:
+            if u.index - d > top:
+                top = u.index - d
+        else:
+            for k, b in u.children():
+                stack.append(k)
+                stack.append(d + b)
+    return top
 
 
 class NodeMemo(dict):
@@ -382,18 +395,23 @@ def repeated_metas(patterns: tuple[DkTerm, ...]) -> list[str]:
     return out
 
 
-def _check_arities(theory: Theory, t: DkTerm, subject: str, out: list[Diagnostic]) -> None:
+def _scan(theory: Theory, t: DkTerm, subject: str, out: list[Diagnostic]) -> set[str]:
+    """The pattern variables of ``t``, appending a diagnostic to ``out`` for
+    each constant of ``t`` that is undeclared or misapplied, in pre-order."""
+    metas: set[str] = set()
     for u, _ in subterms(t):
-        if not isinstance(u, Cons):
-            continue
-        d = theory.decl(u.name)
-        if d is None:
-            out.append(Diagnostic("unknown-constant", f"constant '{u.name}' is not declared", subject))
-        elif d.arity != len(u.args):
-            out.append(Diagnostic(
-                "arity-mismatch",
-                f"constant '{u.name}' declared with arity {d.arity} but applied to {len(u.args)} arguments",
-                subject))
+        if type(u) is Meta:
+            metas.add(u.name)
+        elif type(u) is Cons:
+            d = theory.decl(u.name)
+            if d is None:
+                out.append(Diagnostic("unknown-constant", f"constant '{u.name}' is not declared", subject))
+            elif d.arity != len(u.args):
+                out.append(Diagnostic(
+                    "arity-mismatch",
+                    f"constant '{u.name}' declared with arity {d.arity} but applied to {len(u.args)} arguments",
+                    subject))
+    return metas
 
 
 def validate_theory(theory: Theory) -> list[Diagnostic]:
@@ -412,13 +430,9 @@ def validate_theory(theory: Theory) -> list[Diagnostic]:
         if d.name in seen:
             out.append(Diagnostic("duplicate-constant", f"constant '{d.name}' declared twice", d.name))
         seen.add(d.name)
-        for _, ty in d.telescope:
-            _check_arities(theory, ty, d.name, out)
-            if metas_of(ty):
+        for ty in [ty for _, ty in d.telescope] + [d.result]:
+            if _scan(theory, ty, d.name, out):
                 out.append(Diagnostic("meta-in-declaration", f"pattern variable in declaration of '{d.name}'", d.name))
-        _check_arities(theory, d.result, d.name, out)
-        if metas_of(d.result):
-            out.append(Diagnostic("meta-in-declaration", f"pattern variable in declaration of '{d.name}'", d.name))
 
     for r in theory.rules:
         d = theory.decl(r.head)
@@ -429,30 +443,31 @@ def validate_theory(theory: Theory) -> list[Diagnostic]:
                 "arity-mismatch",
                 f"rule head '{r.head}' has arity {d.arity} but the pattern supplies {len(r.lhs)} arguments",
                 r.name))
+        lhs_metas: set[str] = set()
         for p in r.lhs:
+            arities: list[Diagnostic] = []
+            lhs_metas |= _scan(theory, p, r.name, arities)
             if not _pattern_ok(p):
                 out.append(Diagnostic(
                     "bad-pattern",
                     "left-hand side arguments must be pattern variables or constants applied to patterns",
                     r.name))
             else:
-                _check_arities(theory, p, r.name, out)
+                out += arities
         if repeated_metas(r.lhs):
             out.append(Diagnostic("non-left-linear", "a pattern variable occurs twice on the left-hand side", r.name))
-        lhs_metas: set[str] = set()
-        for p in r.lhs:
-            lhs_metas |= metas_of(p)
         for m in sorted(lhs_metas):
             if theory.decl(m) is not None:
                 out.append(Diagnostic(
                     "meta-shadows-constant",
                     f"pattern variable '{m}' has the same name as a declared constant",
                     r.name))
-        extra = metas_of(r.rhs) - lhs_metas
+        arities = []
+        extra = _scan(theory, r.rhs, r.name, arities) - lhs_metas
         if extra:
             out.append(Diagnostic(
                 "unbound-pattern-variable",
                 f"right-hand side mentions pattern variables not bound on the left: {sorted(extra)}",
                 r.name))
-        _check_arities(theory, r.rhs, r.name, out)
+        out += arities
     return out

@@ -1302,9 +1302,11 @@ def check_context(theory: Theory, ctx: DkContext,
         names.add(hint)
         try:
             sort = whnf(theory, _infer(theory, prefix, ty, f, log, (f"context entry '{hint}'",)), f)
-            if sort != TYPE:
+            if sort == KIND:
                 out.append(Diagnostic(
-                    "not-a-type", f"type of '{hint}' is {type(sort).__name__}-sorted, not TYPE", hint))
+                    "not-a-type", f"type of '{hint}' is Kind-sorted, not TYPE", hint))
+            elif sort != TYPE:
+                out.append(Diagnostic("not-a-type", f"type of '{hint}' is not TYPE-sorted", hint))
         except PimodError as e:
             out.append(Diagnostic("ill-typed-context", str(e), hint))
         prefix = prefix.extend(hint, ty)

@@ -24,7 +24,9 @@ import importlib
 import pkgutil
 import random
 import re
+import sys
 import typing
+import weakref
 
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -84,12 +86,14 @@ class TestSourceTerms:
 
 
 def _node_classes():
-    """Every concrete node class of both term languages."""
+    """Every concrete node class of both term languages.  A slotted
+    dataclass replaces the class it decorates, so a subclass its module
+    no longer names is skipped."""
     out, todo = set(), [Term]
     while todo:
         c = todo.pop()
         todo += c.__subclasses__()
-        if dataclasses.is_dataclass(c):
+        if dataclasses.is_dataclass(c) and getattr(sys.modules[c.__module__], c.__name__, None) is c:
             out.add(c)
     return sorted(out, key=lambda c: c.__name__)
 
@@ -173,6 +177,13 @@ class TestCompleteness:
     def test_every_class_lists_its_term_fields(self):
         for c in self.CLASSES:
             _check_child_map(_instance(c))
+
+    def test_nodes_are_slotted(self):
+        """A node has no ``__dict__`` and accepts a weak reference."""
+        for c in self.CLASSES:
+            t = _instance(c)
+            assert not hasattr(t, "__dict__"), c.__name__
+            assert weakref.ref(t)() is t, c.__name__
 
     @given(st.one_of(dk_terms(metas=True), pts_terms(), epts_terms()))
     def test_generated_terms(self, t):

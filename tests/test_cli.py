@@ -557,6 +557,17 @@ class TestShadowedNames:
                 "FAIL  check  z : N'  --  type mismatch at top level: "
                 "expected N', got N\n") in out
 
+    def test_a_term_typed_entry_is_not_type_sorted(self, tmp_path, capsys):
+        """An entry whose type is a term is worded as ``check_signature``
+        words a telescope entry, whatever the class of that term's type."""
+        f = tmp_path / "term.dk"
+        f.write_text("constant N : TYPE.\nconstant z : N.\nassume y : z.\n"
+                     "assume g : N -> N.\nassume x : g.\n")
+        assert main(["check-dk", str(f)]) == 1
+        out = capsys.readouterr().out
+        assert (f"FAIL  not-a-type  {f}:y  --  type of 'y' is not TYPE-sorted\n"
+                f"FAIL  not-a-type  {f}:x  --  type of 'x' is not TYPE-sorted\n") in out
+
     def test_context_diagnostics_name_entries_as_printed(self, tmp_path, capsys):
         """An ill-typed entry is named as printed; a repeated hint is
         reported under the hint as written."""

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import reference
 from pimod.encode import generate
 from pimod.errors import FuelExhausted
-from pimod.rewrite import (BETA, DEFAULT_FUEL, Fuel, check_orthogonal,
+from pimod.rewrite import (BETA, DEFAULT_FUEL, Fuel, Machine, check_orthogonal,
                            convertible, match_pattern, nf, reduce_trace, step)
 from pimod.terms import (TYPE, App, Cons, Declaration, DkTerm, Lam, Meta, Pi,
                          RewriteRule, Theory, Var, subst)
@@ -236,6 +236,49 @@ class TestConvertible:
     def test_distinct_constructors_differ(self):
         assert not convertible(NAT, Z, s(Z))
         assert not convertible(NAT, N, Pi("x", N, N))
+
+
+class TestLooseBound:
+    """One term object under two environments: ``Machine.eq`` answers at
+    once when the last entries its loose variables reach are the same
+    values, and otherwise walks the term.  Context levels stand in for
+    the values; ``tuple([...])`` keeps equal environments distinct
+    objects."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        out = []
+        real = Machine._eq_terms
+
+        def counted(self, *args):
+            out.append(args)
+            return real(self, *args)
+        monkeypatch.setattr(Machine, "_eq_terms", counted)
+        return out
+
+    def eq(self, t, ea, eb):
+        m = Machine(NAT, Fuel())
+        return m.eq(m.clo(t, tuple(ea)), m.clo(t, tuple(eb)), 10)
+
+    def test_an_entry_within_the_bound_is_compared(self, calls):
+        t = App(Var(0), Var(1))
+        assert not self.eq(t, [0, 1, 2], [0, 3, 2])
+        del calls[:]
+        assert self.eq(t, [0, 1, 2], [5, 1, 2])
+        assert len(calls) == 1
+
+    def test_a_closed_node_is_equal_under_any_environments(self, calls):
+        t = Lam("x", N, plus(Var(0), Lam("y", N, App(Var(1), Var(0)))))
+        assert self.eq(t, [0, 1], [7])
+        assert len(calls) == 1
+
+    def test_a_bound_past_an_environment_needs_equal_environments(self, calls):
+        t = App(Var(0), Var(1))
+        # variable 1 is the value 1 under the first, level -1 under the second
+        assert not self.eq(t, [1, 4], [4])
+        del calls[:]
+        assert self.eq(t, [4], [4])
+        assert len(calls) == 1
 
 
 LOOP = extended(
